@@ -13,6 +13,7 @@ import fcntl
 import hashlib
 import io
 import json
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -190,12 +191,16 @@ class MomentCache:
         buf = io.BytesIO()
         np.savez(buf, key=np.array(repr(key)), table=np.asarray(table))
         blob = buf.getvalue()
+        checksum = (hashlib.sha256(blob).hexdigest() + "\n").encode()
         lock = self.root / ".lock"
         with open(lock, "w") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
             try:
-                path.write_bytes(blob)
-                sumpath.write_text(hashlib.sha256(blob).hexdigest() + "\n")
+                # readers never see a half-written file: each lands whole by rename
+                for target, data in ((path, blob), (sumpath, checksum)):
+                    tmp = target.with_name(target.name + ".tmp")
+                    tmp.write_bytes(data)
+                    os.replace(tmp, target)
             finally:
                 fcntl.flock(fh, fcntl.LOCK_UN)
 
@@ -266,24 +271,6 @@ def emit_verdicts(verdicts, cfg: RunConfig, outdir: Path) -> list[Path]:
 # ---------------------------------------------------------------------------
 # command dispatch
 
-def _experiment_from(cfg: RunConfig, comparison: str, name: str) -> hub.Experiment:
-    params = []
-    for key in ("p", "p_ref", "size", "group", "points", "trials", "t",
-                "predicates", "cutoffs", "min_factor"):
-        if key in cfg.extras:
-            val = cfg.extras[key]
-            if isinstance(val, list):
-                val = tuple(tuple(v) if isinstance(v, list) else v for v in val)
-            params.append((key, val))
-    if "alpha_shift" in cfg.extras:
-        params.append(("alpha", float(cfg.extras["alpha_shift"])))
-    if "beta_shift" in cfg.extras:
-        params.append(("beta", float(cfg.extras["beta_shift"])))
-    return hub.Experiment(name=name, comparison=comparison, spec=cfg.ensemble,
-                          tolerance=cfg.tolerance, cutoff=cfg.cutoff,
-                          samples=cfg.samples, seed=cfg.seed, params=tuple(params))
-
-
 def _require_ensemble(cfg: RunConfig) -> None:
     if cfg.ensemble is None:
         raise ConfigError("missing-ensemble", f"command {cfg.command} needs an ensemble")
@@ -291,10 +278,24 @@ def _require_ensemble(cfg: RunConfig) -> None:
 
 _NODE_KEYS = {"name", "comparison", "ensemble", "tolerance", "cutoff", "samples",
               "seed", "params"}
+_PARAM_KEYS = ("p", "p_ref", "size", "group", "points", "trials", "t", "predicates",
+               "cutoffs", "min_factor")
+
+
+def _command_node(cfg: RunConfig, comparison: str) -> dict:
+    """The inline suite entry that a single-experiment command stands for."""
+    params = {k: cfg.extras[k] for k in _PARAM_KEYS if k in cfg.extras}
+    for key, name in (("alpha_shift", "alpha"), ("beta_shift", "beta")):
+        if key in cfg.extras:
+            params[name] = float(cfg.extras[key])
+    node = {"name": cfg.command, "comparison": comparison, "params": params}
+    if "ensemble" in cfg.raw:
+        node["ensemble"] = cfg.raw["ensemble"]
+    return node
 
 
 def _experiment_from_node(node, cfg: RunConfig, index: int) -> hub.Experiment:
-    """One experiment from an inline suite entry."""
+    """One experiment from an inline suite entry; unset fields come from `cfg`."""
     if not isinstance(node, dict):
         raise ConfigError("bad-suite", f"experiment {index} must be an object")
     unknown = set(node) - _NODE_KEYS
@@ -350,7 +351,8 @@ def run_config(cfg: RunConfig, outdir: Path) -> int:
         if comparison is not None:
             if comparison != "group-series-vs-mc":
                 _require_ensemble(cfg)
-            verdicts = [hub.run_experiment(_experiment_from(cfg, comparison, cfg.command))]
+            verdicts = [hub.run_experiment(_experiment_from_node(_command_node(cfg, comparison),
+                                                                 cfg, 0))]
         elif cfg.command == "suite":
             requested = cfg.extras.get("experiments", "acceptance")
             if requested == "acceptance":

@@ -20,7 +20,7 @@ from . import tauseries as ts
 from .moments import (EnsembleSpec, complex_bimoment_matrix, kernel_matrix,
                       kernel_prefactor, moment_pair)
 from .partitions import Partition
-from .quad import QuadratureError, ValidationError
+from .quad import QuadratureError, ValidationError, converge
 from .skewlin import pfaffian
 from .symfun import CouplingSeq, ZERO_SEQ, c_factor
 
@@ -51,6 +51,10 @@ class Verdict:
     tolerance: float
     details: dict = field(default_factory=dict)
     error: str | None = None
+
+    def __post_init__(self):
+        # comparisons on NumPy floats give np.bool_, which JSON cannot carry
+        self.passed = bool(self.passed)
 
     def row(self) -> dict:
         out = {"name": self.name, "comparison": self.comparison, "pass": self.passed,
@@ -289,8 +293,8 @@ def _s_ratio_fn(spec: EnsembleSpec):
         def extra_pair(z):
             return ((1.0 - lam / z) * (1.0 - lam / np.conj(z))) ** power
 
-        val, _ = orc._converged_scalar(
-            lambda lvl: orc._eigen_value_at_level(spec, lvl, extra_real, extra_pair))
+        val, _ = converge(
+            lambda lvl: orc._eigen_value_at_level(spec, lvl, extra_real, extra_pair), 1e-9)
         return val / base
 
     return ratio

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quad
-from .quad import (LinePanels, QuadratureError, half_plane_grid, full_plane_grid,
+from .quad import (LinePanels, QuadratureError, converge, half_plane_grid, full_plane_grid,
                    gaussian_halfwidth, real_line_breakpoints, erfc_vec)
 from .skewlin import SkewPair
 from .symfun import CouplingSeq, ZERO_SEQ, potential
@@ -37,6 +37,11 @@ SYMPL_KINDS = ("SE", "GinSE")
 _DEFAULT_MIX = {"OE": (0.0, 1.0), "SE": (0.0, 1.0), "GinOE": (1.0, 1.0),
                 "GinSE": (1.0, 0.0), "GinUE": (0.0, 0.0)}
 
+# Part of every table key, in memory and on disk.  Bump it whenever a change
+# moves the numbers a table holds: its quadrature rule, level schedule or
+# tolerance, its sector convention, or its layout.  Entries stored under any
+# other value are never served.
+TABLE_ALGORITHM = "tables-1"
 TABLE_BUILDS = 0
 _SECTOR_CACHE: dict = {}
 _DISK_CACHE = None
@@ -206,23 +211,7 @@ def _power_table(x: np.ndarray, indices) -> np.ndarray:
 
 
 def _sector_key(name: str, s: CouplingSeq, base: int, size: int) -> tuple:
-    return (name, s.values, base, size)
-
-
-def _converged_table(build, rel_tol: float = 5e-10, max_level: int = 4,
-                     zero_floor: float = 0.0):
-    prev = build(0)
-    for lvl in range(1, max_level + 1):
-        cur = build(lvl)
-        scale = max(float(np.max(np.abs(cur))), 1e-300)
-        delta = float(np.max(np.abs(cur - prev)))
-        if delta <= rel_tol * scale:
-            return cur
-        if scale < zero_floor and delta < zero_floor:
-            return cur
-        prev = cur
-    raise QuadratureError(f"moment table did not converge (residual {delta:.3e})",
-                          best=cur, residual=delta)
+    return (TABLE_ALGORITHM, name, s.values, base, size)
 
 
 def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build):
@@ -237,7 +226,7 @@ def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build):
             return stored
     global TABLE_BUILDS
     TABLE_BUILDS += 1
-    table = _converged_table(build)
+    table, _ = converge(build, rel_tol=5e-10)
     _SECTOR_CACHE[key] = table
     if _DISK_CACHE is not None:
         _DISK_CACHE.store(key, table)
@@ -365,8 +354,7 @@ def moment_pair(spec: EnsembleSpec, size: int, base: int | None = None) -> SkewP
     else:
         raise ValueError("moment_pair serves the Pfaffian ensembles, not GinUE")
     a_mat = (a_mat - a_mat.T) / 2.0
-    return SkewPair(a_mat, border, index_base=base, offset_hint=spec.L,
-                    provenance=f"{spec.kind}:{spec.digest()}")
+    return SkewPair(a_mat, border, index_base=base, provenance=f"{spec.kind}:{spec.digest()}")
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +418,7 @@ def _kernel_se(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
                 out[a, b] = np.sum(wv / (dens[a] * dens[b]))
         return out
 
-    return _converged_table(build)
+    return converge(build, rel_tol=5e-10)[0]
 
 
 def _kernel_real_block(spec: EnsembleSpec, p: np.ndarray, variant: str) -> np.ndarray:
@@ -457,7 +445,7 @@ def _kernel_real_block(spec: EnsembleSpec, p: np.ndarray, variant: str) -> np.nd
                     out[a, b] = np.sum(lp.weights * g * (2.0 * c0 - tot0))
         return out
 
-    return _converged_table(build, rel_tol=2e-9, zero_floor=1e-10 if variant != "abs" else 0.0)
+    return converge(build, rel_tol=2e-9, zero_floor=1e-10 if variant != "abs" else 0.0)[0]
 
 
 def _kernel_pair_block(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
@@ -482,7 +470,7 @@ def _kernel_pair_block(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
                 out[a, b] = np.sum(base_vals / (dens[a] * dens[b]))
         return out
 
-    return _converged_table(build, rel_tol=2e-9)
+    return converge(build, rel_tol=2e-9)[0]
 
 
 def kernel_prefactor(p: np.ndarray, L: int) -> float:
@@ -524,4 +512,4 @@ def complex_bimoment_matrix(spec: EnsembleSpec, size: int) -> np.ndarray:
         zbp = np.stack([np.conj(z) ** int(b) for b in kpow])
         return np.einsum("p,jp,kp->jk", wv, zp, zbp)
 
-    return _converged_table(build, rel_tol=2e-9)
+    return converge(build, rel_tol=2e-9)[0]

@@ -24,7 +24,7 @@ import numpy as np
 from . import moments as mom
 from .moments import EnsembleSpec
 from .partitions import Partition, enumerate_partitions, shifted_indices
-from .quad import LinePanels, full_plane_grid, gaussian_halfwidth, half_plane_grid
+from .quad import LinePanels, converge, full_plane_grid, gaussian_halfwidth, half_plane_grid
 from .skewlin import SkewPair, abar
 from .symfun import CouplingSeq, ZERO_SEQ, hseq, potential, schur_from_h
 
@@ -252,24 +252,13 @@ def _eigen_value_at_level(spec: EnsembleSpec, level: int, extra_real=None,
     raise ValueError(f"no eigenvalue oracle for kind {spec.kind!r}")
 
 
-def _converged_scalar(evaluate, rel_tol: float = 1e-9, max_level: int = 4):
-    prev = evaluate(0)
-    for lvl in range(1, max_level + 1):
-        cur = evaluate(lvl)
-        delta = abs(cur - prev)
-        if delta <= rel_tol * max(abs(cur), 1e-280):
-            return cur, delta
-        prev = cur
-    return cur, delta
-
-
 def eigen_integral(spec: EnsembleSpec, rel_tol: float = 1e-9) -> OracleResult:
     """Direct eigenvalue-space value of the deformed partition function.
 
     No attempt is made to match absorbed volume constants; use ratios.
     """
     spec.validate().require()
-    value, err = _converged_scalar(lambda lvl: _eigen_value_at_level(spec, lvl), rel_tol)
+    value, err = converge(lambda lvl: _eigen_value_at_level(spec, lvl), rel_tol)
     return OracleResult(value, err, "quadrature")
 
 
@@ -297,9 +286,14 @@ def det_average_lhs(spec: EnsembleSpec, p, insert_power: int = 1,
 
     # a negative power is a polynomial insertion and has no pole to dodge
     poles = [1.0 / float(pi) for pi in p if pi != 0] if insert_power > 0 else []
-    value, err = _converged_scalar(
+    value, err = converge(
         lambda lvl: _eigen_value_at_level(spec, lvl, extra_real, extra_pair, poles), rel_tol)
     return OracleResult(value, err, "quadrature")
+
+
+# (n_r, r_order, n_theta, t_order) per level: two unrelated coarse rules give
+# the error estimate, and the finest is built only when they disagree
+_GINUE_RULES = ((4, 14, 4, 12), (5, 18, 5, 14), (8, 22, 8, 18))
 
 
 def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
@@ -316,10 +310,11 @@ def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
             e = e + potential(np.conj(z), spec.t_bar)
         return np.exp(e) * z ** spec.L * np.conj(z) ** (-spec.L2)
 
-    def evaluate(n_r, r_order, n_theta, t_order):
+    def evaluate(level):
         gauss = 1.0 - abs(float(spec.t.entry(2))) - abs(float(spec.t_bar.entry(2)))
         radius = gaussian_halfwidth(gauss, abs(float(spec.t.entry(1)))
                                     + abs(float(spec.t_bar.entry(1))), 6)
+        n_r, r_order, n_theta, t_order = _GINUE_RULES[level]
         grid = full_plane_grid(radius, n_r=n_r, r_order=r_order,
                                n_theta=n_theta, t_order=t_order)
         z = grid.nodes
@@ -332,14 +327,7 @@ def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
             total += np.sum(wv[i0:i0 + block][:, None] * wv[None, :] * d2)
         return total
 
-    # two unrelated coarse rules give the error estimate; escalate only on demand
-    coarse = evaluate(4, 14, 4, 12)
-    value = evaluate(5, 18, 5, 14)
-    err = abs(value - coarse)
-    if err > rel_tol * max(abs(value), 1e-280):
-        finer = evaluate(8, 22, 8, 18)
-        err = abs(finer - value)
-        value = finer
+    value, err = converge(evaluate, rel_tol, max_level=len(_GINUE_RULES) - 1)
     return OracleResult(value, err, "quadrature")
 
 
@@ -487,7 +475,7 @@ def _atomic_moments(kind: str, real_atoms, pair_atoms, t: CouplingSeq, s: Coupli
         if family == "orth":
             sgn = np.sign(xs[:, None] - xs[None, :])
             core = np.einsum("j,k,jk,nj,mk->nm", gs, gs, sgn, px, px)
-            a_mat += beta * core
+            a_mat += beta * (core - core.T) / 2.0
             border += beta * BORDER_NORM * (px @ gs)
         else:
             nn = idx[:, None].astype(float)

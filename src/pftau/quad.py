@@ -1,28 +1,22 @@
 """Deterministic quadrature backends and the deformation-parameter validator.
 
 Everything here is panel Gauss-Legendre: grids are pure functions of their
-descriptor, refinement doubles the panel count, and reductions run in a
+arguments, each level doubles the panel count, and reductions run in a
 fixed order, so results are reproducible bit for bit.  No Monte Carlo.
+`converge` is the one refinement loop: every quadrature number either
+meets its tolerance there or raises `QuadratureError`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.special import erfc as _erfc_arr
+from scipy.special import erfc as erfc_vec
 
 from .symfun import CouplingSeq
-
-erfc_vec = _erfc_arr
-
-
-def erfc(x: float) -> float:
-    """Complementary error function, 2/sqrt(pi) * int_x^inf exp(-u^2) du."""
-    return math.erfc(x)
 
 
 class QuadratureError(RuntimeError):
@@ -34,6 +28,26 @@ class QuadratureError(RuntimeError):
 
 class ValidationError(ValueError):
     pass
+
+
+def converge(build, rel_tol: float, max_level: int = 4, zero_floor: float = 0.0):
+    """Evaluate build(0), build(1), ... until two successive levels agree.
+
+    Returns (value, residual) once max|cur - prev| <= rel_tol * max|cur|, or
+    once both fall below `zero_floor` (a table that is zero up to noise).
+    Raises QuadratureError with the finest value and its residual when no
+    two levels up to `max_level` agree.
+    """
+    prev = build(0)
+    for level in range(1, max_level + 1):
+        cur = build(level)
+        scale = max(float(np.max(np.abs(cur))), 1e-300)
+        delta = float(np.max(np.abs(cur - prev)))
+        if delta <= rel_tol * scale or (scale < zero_floor and delta < zero_floor):
+            return cur, delta
+        prev = cur
+    raise QuadratureError(f"no convergence by level {max_level} (residual {delta:.3e})",
+                          best=cur, residual=delta)
 
 
 @lru_cache(maxsize=32)
@@ -94,12 +108,6 @@ class LinePanels:
         offsets = np.concatenate([[0.0], np.cumsum(totals)[:-1]])
         return (local + offsets[:, None]).ravel()
 
-    def refined(self) -> "LinePanels":
-        bp = self.breakpoints
-        mid = (bp[:-1] + bp[1:]) / 2.0
-        new = np.sort(np.concatenate([bp, mid]))
-        return LinePanels(new, self.order)
-
 
 def _geometric_breakpoints(inner: float, outer: float, per_octave: int = 1) -> np.ndarray:
     n = max(int(math.ceil(math.log2(outer / inner))) * per_octave, 1)
@@ -118,28 +126,17 @@ def real_line_breakpoints(halfwidth: float, n_center: int = 12,
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Deterministic quadrature rule; `descriptor` rebuilds it at any level."""
+    """Deterministic quadrature rule: nodes and positive weights on a domain."""
 
-    domain: str                       # "real-line" | "half-plane" | "full-plane"
+    domain: str                       # "half-plane" | "full-plane"
     nodes: np.ndarray
     weights: np.ndarray
-    level: int
-    descriptor: tuple
 
     def __post_init__(self):
         if np.any(self.weights <= 0):
             raise ValueError("quadrature weights must be strictly positive")
         if self.domain == "half-plane" and np.any(np.imag(self.nodes) <= 0):
             raise ValueError("half-plane nodes must have positive imaginary part")
-
-
-def real_line_grid(halfwidth: float, n_center: int = 12, order: int = 24,
-                   inner_cut: float | None = None, level: int = 0) -> QuadratureGrid:
-    bp = real_line_breakpoints(halfwidth, n_center, inner_cut, level)
-    panels = np.column_stack([bp[:-1], bp[1:]])
-    nodes, weights = _panel_nodes(panels, order)
-    return QuadratureGrid("real-line", nodes, weights, level,
-                          ("real-line", halfwidth, n_center, order, inner_cut))
 
 
 def _polar_grid(domain: str, theta_max: float, radius: float, n_r: int, r_order: int,
@@ -151,8 +148,7 @@ def _polar_grid(domain: str, theta_max: float, radius: float, n_r: int, r_order:
     t_nodes, t_w = _panel_nodes(np.column_stack([tb[:-1], tb[1:]]), t_order)
     z = r_nodes[:, None] * np.exp(1j * t_nodes[None, :])
     w = (r_w * r_nodes)[:, None] * t_w[None, :]
-    return QuadratureGrid(domain, z.ravel(), w.ravel(), level,
-                          (domain, radius, n_r, r_order, n_theta, t_order))
+    return QuadratureGrid(domain, z.ravel(), w.ravel())
 
 
 def half_plane_grid(radius: float, n_r: int = 8, r_order: int = 20,
@@ -164,62 +160,6 @@ def half_plane_grid(radius: float, n_r: int = 8, r_order: int = 20,
 def full_plane_grid(radius: float, n_r: int = 8, r_order: int = 20,
                     n_theta: int = 8, t_order: int = 24, level: int = 0) -> QuadratureGrid:
     return _polar_grid("full-plane", 2 * math.pi, radius, n_r, r_order, n_theta, t_order, level)
-
-
-def refine(grid: QuadratureGrid) -> QuadratureGrid:
-    d = grid.descriptor
-    lvl = grid.level + 1
-    if d[0] == "real-line":
-        return real_line_grid(d[1], d[2], d[3], d[4], level=lvl)
-    if d[0] in ("half-plane", "full-plane"):
-        builder = half_plane_grid if d[0] == "half-plane" else full_plane_grid
-        return builder(d[1], d[2], d[3], d[4], d[5], level=lvl)
-    raise ValueError(f"cannot refine grid with descriptor {d}")
-
-
-def quad_sum(f: Callable[[np.ndarray], np.ndarray], grid: QuadratureGrid) -> complex:
-    """Single-grid weighted sum, reduced in fixed node order."""
-    vals = np.asarray(f(grid.nodes))
-    return complex(np.sum(grid.weights * vals))
-
-
-@dataclass
-class IntegralResult:
-    value: complex
-    error: float
-    level: int
-
-    def __complex__(self) -> complex:
-        return complex(self.value)
-
-
-def _integrate_refining(f, grid: QuadratureGrid, rel_tol: float, max_refine: int,
-                        abs_floor: float) -> IntegralResult:
-    prev = quad_sum(f, grid)
-    for _ in range(max_refine):
-        grid = refine(grid)
-        cur = quad_sum(f, grid)
-        delta = abs(cur - prev)
-        if delta <= rel_tol * max(abs(cur), abs_floor):
-            return IntegralResult(cur, delta, grid.level)
-        prev = cur
-    raise QuadratureError(
-        f"no convergence after {max_refine} refinements (residual {delta:.3e})",
-        best=cur, residual=delta)
-
-
-def integrate_real(f, grid: QuadratureGrid, rel_tol: float = 1e-10,
-                   max_refine: int = 6, abs_floor: float = 1e-300) -> IntegralResult:
-    if grid.domain != "real-line":
-        raise ValueError("integrate_real needs a real-line grid")
-    return _integrate_refining(f, grid, rel_tol, max_refine, abs_floor)
-
-
-def integrate_halfplane(f, grid: QuadratureGrid, rel_tol: float = 1e-9,
-                        max_refine: int = 5, abs_floor: float = 1e-300) -> IntegralResult:
-    if grid.domain not in ("half-plane", "full-plane"):
-        raise ValueError("integrate_halfplane needs a half- or full-plane grid")
-    return _integrate_refining(f, grid, rel_tol, max_refine, abs_floor)
 
 
 def gaussian_halfwidth(gauss: float, lin: float = 0.0, maxdeg: int = 0,

@@ -99,7 +99,6 @@ class SkewPair:
     a_matrix: np.ndarray
     border: np.ndarray
     index_base: int = 0
-    offset_hint: int = 0
     provenance: str = ""
 
     def __post_init__(self) -> None:

@@ -95,8 +95,7 @@ def tau_charge_family(spec: EnsembleSpec, charges, cutoff: int) -> dict:
     pair = moment_pair(spec, size, base)
     if spec.family == "sympl" and any(c % 2 for c in charges):
         pair = SkewPair(pair.a_matrix, sympl_border_moments(spec.s, base, size),
-                        index_base=base, offset_hint=spec.L,
-                        provenance=pair.provenance + "+grafted-border")
+                        index_base=base, provenance=pair.provenance + "+grafted-border")
     return {c: TauApprox(spec.kind, c, spec.L, cutoff,
                          series_terms(pair, c, spec.L, cutoff), pair.provenance)
             for c in charges}

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from pftau import moments
-from pftau.cli import (ConfigError, MomentCache, fmt17, main, parse_config, run_config)
+from pftau.cli import (ConfigError, MomentCache, _command_node, _experiment_from_node, fmt17,
+                       main, parse_config, run_config)
 from pftau.moments import EnsembleSpec
 from pftau.symfun import CouplingSeq
 
@@ -94,6 +95,31 @@ def test_moment_cache_roundtrip_and_corruption(tmp_path):
     assert cache.load(("other", (), 0, 2)) is None
 
 
+def test_moment_cache_store_leaves_no_temp_file(tmp_path):
+    cache = MomentCache(tmp_path / "cache")
+    cache.store(("sector", (), 0, 3), np.eye(3))
+    cache.store(("sector", (), 0, 3), np.eye(3))     # overwriting, too
+    names = sorted(p.name for p in (tmp_path / "cache").iterdir())
+    assert len(names) == 3 and names[0] == ".lock"
+    assert {n.rsplit(".", 1)[1] for n in names[1:]} == {"npz", "sha256"}
+
+
+def test_cache_entry_without_table_algorithm_is_not_served(tmp_path):
+    s = CouplingSeq.of(0.0, 0.4)
+    cache = MomentCache(tmp_path / "c")
+    cache.store(("orth_border", s.values, 0, 4), np.full(4, 99.0))   # key without the version
+    moments.clear_cache()
+    moments.set_disk_cache(cache)
+    try:
+        before = moments.TABLE_BUILDS
+        border = moments.orth_border(s, 0, 4)
+        assert moments.TABLE_BUILDS == before + 1
+        assert not np.any(border == 99.0)
+    finally:
+        moments.set_disk_cache(None)
+        moments.clear_cache()
+
+
 def test_disk_cache_skips_quadrature_on_second_run(tmp_path):
     moments.clear_cache()
     moments.set_disk_cache(MomentCache(tmp_path / "c"))
@@ -155,6 +181,30 @@ def test_inline_suite(tmp_path):
     with pytest.raises(ConfigError):
         run_config(parse_config(json.dumps({"command": "suite", "experiments": [{"zz": 1}]})),
                    tmp_path)
+
+
+def test_verdict_pass_fields_are_json_booleans(tmp_path):
+    structure = {"comparison": "ginse-structure", "ensemble": {"kind": "GinSE", "n": 2},
+                 "params": {"size": 8}}
+    cfg = parse_config(json.dumps({
+        "command": "suite", "format": "json",
+        "experiments": [dict(structure, name="ok", tolerance=1e-6),
+                        dict(structure, name="strict", tolerance=1e-300)]}))
+    assert run_config(cfg, tmp_path) == 1
+    doc = json.loads((tmp_path / "verdicts.json").read_text())
+    assert [v["pass"] for v in doc["verdicts"]] == [True, False]
+
+
+def test_single_command_is_an_inline_suite_entry():
+    cfg = parse_config(json.dumps({"command": "hirota-check",
+                                   "ensemble": {"kind": "SE", "n": 1, "t": [0.2]},
+                                   "alpha_shift": 8, "beta_shift": 10.0,
+                                   "cutoffs": [8, 10], "seed": 3}))
+    e = _experiment_from_node(_command_node(cfg, "hirota-decay"), cfg, 0)
+    assert (e.name, e.comparison, e.spec, e.seed) == ("hirota-check", "hirota-decay",
+                                                       cfg.ensemble, 3)
+    assert (e.tolerance, e.cutoff, e.samples) == (cfg.tolerance, cfg.cutoff, cfg.samples)
+    assert dict(e.params) == {"alpha": 8.0, "beta": 10.0, "cutoffs": (8, 10)}
 
 
 def test_spec_alpha_beta_range():

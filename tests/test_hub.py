@@ -1,5 +1,6 @@
 import pytest
 
+from pftau import oracle
 from pftau.hub import (Experiment, acceptance_experiments, bkp_normalization,
                        ratio_experiments, run_experiment, run_suite)
 from pftau.moments import EnsembleSpec
@@ -112,3 +113,23 @@ def test_degenerate_base_n3():
                                   tolerance=1e-4, cutoff=12))
     assert v.passed
     assert v.details["base_t"] == (0.05,)
+
+
+def test_unconverged_oracle_fails_the_verdict(monkeypatch):
+    # an oracle whose value drifts with the quadrature level never converges
+    monkeypatch.setattr(oracle, "_eigen_value_at_level",
+                        lambda spec, level, *args, **kwargs: 1.0 + 0.1 * level)
+    v = run_experiment(Experiment("drift", "series-vs-oracle-ratio",
+                                  spec=EnsembleSpec("OE", 1, 0, CouplingSeq.of(0.3)),
+                                  tolerance=1e-4, cutoff=6))
+    assert not v.passed
+    assert v.error.startswith("QuadratureError")
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_discrete_oe_at_suite_seeds(seed):
+    # these seeds drew atoms whose orth moment core came out not quite skew
+    v = run_experiment(Experiment("discrete-OE", "discrete-exact", spec=EnsembleSpec("OE", 1),
+                                  tolerance=1e-10, seed=seed, params=(("trials", 50),)))
+    assert v.error is None
+    assert v.passed and v.margin < 1e-13

@@ -10,6 +10,7 @@ from pftau.oracle import (det_average_lhs, discrete_consistency, eigen_integral,
                           haar_symplectic, pair_moment_table, poly_mul, poly_linear,
                           vandermonde_poly)
 from pftau.partitions import Partition
+from pftau.quad import QuadratureError
 from pftau.symfun import CouplingSeq, ZERO_SEQ, miwa_shift
 
 SQRT_PI = math.sqrt(math.pi)
@@ -31,6 +32,14 @@ def test_eigen_se_ratio_closed_form():
     t = CouplingSeq.of(0.3)
     r = eigen_integral(EnsembleSpec("SE", 1, 0, t)).value / eigen_integral(EnsembleSpec("SE", 1)).value
     assert r.real == pytest.approx(math.exp(0.09), rel=1e-9)
+
+
+def test_eigen_integral_unconverged_raises():
+    # no two quadrature levels agree to 1e-300: the best value comes with a residual
+    with pytest.raises(QuadratureError) as err:
+        eigen_integral(EnsembleSpec("OE", 1, 0, CouplingSeq.of(0.3)), rel_tol=1e-300)
+    assert np.isfinite(err.value.residual) and err.value.residual > 0
+    assert np.isfinite(abs(err.value.best))
 
 
 def test_eigen_size_limit():

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pftau.quad import (LinePanels, QuadratureError, convergence_validate, erfc,
-                        gaussian_halfwidth, half_plane_grid, integrate_halfplane,
-                        integrate_real, quad_sum, real_line_breakpoints,
-                        real_line_grid, refine)
+from pftau.quad import (LinePanels, QuadratureError, converge, convergence_validate,
+                        erfc_vec, gaussian_halfwidth, half_plane_grid,
+                        real_line_breakpoints)
 from pftau.symfun import CouplingSeq, ZERO_SEQ
 
 SQRT_PI = math.sqrt(math.pi)
@@ -38,88 +37,97 @@ def _erfc_oracle(x: float) -> float:
 
 
 def test_erfc_basics():
-    assert erfc(0.0) == 1.0
+    assert erfc_vec(0.0) == 1.0
     for x in np.linspace(-4, 4, 33):
-        assert erfc(x) + erfc(-x) == pytest.approx(2.0, abs=1e-14)
+        assert erfc_vec(x) + erfc_vec(-x) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_erfc_cross_checked_value():
     series = _erfc_series(1.0)
     cf = _erfc_continued_fraction(1.0)
     assert series == pytest.approx(cf, rel=1e-13)
-    assert erfc(1.0) == pytest.approx(series, rel=1e-13)
-    assert erfc(1.0) == pytest.approx(0.15729920705028513, rel=1e-14)
+    assert erfc_vec(1.0) == pytest.approx(series, rel=1e-13)
+    assert erfc_vec(1.0) == pytest.approx(0.15729920705028513, rel=1e-14)
 
 
 def test_erf_plus_erfc_identity_against_oracle():
     for x in np.linspace(-4, 4, 17):
         erf_oracle = 1.0 - _erfc_oracle(x)
-        assert erf_oracle + erfc(x) == pytest.approx(1.0, abs=1e-13)
+        assert erf_oracle + erfc_vec(x) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_erfc_range_and_underflow():
-    assert erfc(27.0) < 1e-300
-    assert erfc(-6.0) == pytest.approx(2.0, abs=1e-14)
+    assert erfc_vec(27.0) < 1e-300
+    assert erfc_vec(-6.0) == pytest.approx(2.0, abs=1e-14)
+
+
+def _line_sum(f, halfwidth, level, n_center=12, order=24, inner_cut=None):
+    lp = LinePanels(real_line_breakpoints(halfwidth, n_center, inner_cut, level), order)
+    return lp.integrate(f(lp.nodes))
+
+
+def _plane_sum(f, radius, level):
+    grid = half_plane_grid(radius, level=level)
+    return complex(np.sum(grid.weights * f(grid.nodes)))
+
+
+def _line_integral(f, halfwidth, rel_tol=1e-10, max_level=6, **rule):
+    return converge(lambda lvl: _line_sum(f, halfwidth, lvl, **rule), rel_tol, max_level)
+
+
+def _plane_integral(f, radius, rel_tol=1e-9, max_level=5):
+    return converge(lambda lvl: _plane_sum(f, radius, lvl), rel_tol, max_level)
 
 
 def test_gaussian_integral():
-    grid = real_line_grid(8.0)
-    res = integrate_real(lambda x: np.exp(-x * x), grid)
-    assert res.value.real == pytest.approx(SQRT_PI, rel=1e-12)
-    assert res.error < 1e-10 * SQRT_PI
+    value, residual = _line_integral(lambda x: np.exp(-x * x), 8.0)
+    assert value.real == pytest.approx(SQRT_PI, rel=1e-12)
+    assert residual < 1e-10 * SQRT_PI
 
 
 def test_gaussian_second_moment():
-    grid = real_line_grid(8.0)
-    res = integrate_real(lambda x: x * x * np.exp(-x * x), grid)
-    assert res.value.real == pytest.approx(SQRT_PI / 2, rel=1e-12)
+    value, _ = _line_integral(lambda x: x * x * np.exp(-x * x), 8.0)
+    assert value.real == pytest.approx(SQRT_PI / 2, rel=1e-12)
 
 
 def test_essential_singularity_closed_form():
     # int exp(-x^2 - a/x^2) dx = sqrt(pi) exp(-2 sqrt(a))
     a = 0.25
-    grid = real_line_grid(8.0, inner_cut=0.02)
-    res = integrate_real(lambda x: np.exp(-x * x - a / (x * x)), grid, rel_tol=1e-10)
-    assert res.value.real == pytest.approx(SQRT_PI * math.exp(-1.0), rel=1e-8)
+    value, _ = _line_integral(lambda x: np.exp(-x * x - a / (x * x)), 8.0, rel_tol=1e-10,
+                              inner_cut=0.02)
+    assert value.real == pytest.approx(SQRT_PI * math.exp(-1.0), rel=1e-8)
 
 
 def test_half_plane_gaussian_mass():
-    grid = half_plane_grid(7.0)
-    res = integrate_halfplane(lambda z: np.exp(-np.abs(z) ** 2), grid)
-    assert res.value.real == pytest.approx(math.pi / 2, rel=1e-10)
+    value, _ = _plane_integral(lambda z: np.exp(-np.abs(z) ** 2), 7.0)
+    assert value.real == pytest.approx(math.pi / 2, rel=1e-10)
 
 
 def test_half_plane_imaginary_moment():
-    grid = half_plane_grid(7.0)
-    res = integrate_halfplane(lambda z: 2 * np.imag(z) * np.exp(-np.abs(z) ** 2), grid)
-    assert res.value.real == pytest.approx(SQRT_PI, rel=1e-10)
+    value, _ = _plane_integral(lambda z: 2 * np.imag(z) * np.exp(-np.abs(z) ** 2), 7.0)
+    assert value.real == pytest.approx(SQRT_PI, rel=1e-10)
 
 
 def test_half_plane_real_ginibre_weight_stable():
-    from pftau.quad import erfc_vec
-    grid = half_plane_grid(7.0)
     f = lambda z: erfc_vec(math.sqrt(2) * np.imag(z)) * np.exp(-np.real(z * z))
-    res = integrate_halfplane(f, grid, rel_tol=1e-7)
-    doubled = quad_sum(f, refine(refine(grid)))
-    assert res.value.real > 0
-    assert abs(res.value - doubled) < 1e-6 * abs(doubled)
+    value, _ = _plane_integral(f, 7.0, rel_tol=1e-7)
+    doubled = _plane_sum(f, 7.0, level=2)
+    assert value.real > 0
+    assert abs(value - doubled) < 1e-6 * abs(doubled)
     # the stable value equals log(1 + sqrt 2) to high accuracy; frozen here
-    assert res.value.real == pytest.approx(0.8813735870195428, rel=1e-9)
+    assert value.real == pytest.approx(0.8813735870195428, rel=1e-9)
 
 
 def test_odd_integrand_vanishes():
-    grid = real_line_grid(6.0)
-    res = quad_sum(lambda x: x * np.exp(-x * x), grid)
+    res = _line_sum(lambda x: x * np.exp(-x * x), 6.0, level=0)
     assert abs(res) < 1e-12
 
 
 def test_refinement_cauchy_factor():
     # low order so the panel error is visible; doubling panels must shrink
     # deltas by at least 4x while above the floating floor
-    vals = []
-    for level in range(4):
-        grid = real_line_grid(6.0, n_center=2, order=4, level=level)
-        vals.append(quad_sum(lambda x: np.exp(-x * x), grid))
+    vals = [_line_sum(lambda x: np.exp(-x * x), 6.0, level, n_center=2, order=4)
+            for level in range(4)]
     deltas = [abs(vals[i + 1] - vals[i]) for i in range(3)]
     for a, b in zip(deltas, deltas[1:]):
         if a < 1e-14:
@@ -128,21 +136,50 @@ def test_refinement_cauchy_factor():
 
 
 def test_nonconvergence_carries_best_estimate():
-    grid = real_line_grid(1.0, n_center=1, order=2)
     rough = lambda x: np.cos(37.0 * x) ** 2 / (1.0 + x * x)
     with pytest.raises(QuadratureError) as err:
-        integrate_real(rough, grid, rel_tol=1e-14, max_refine=2)
+        _line_integral(rough, 1.0, rel_tol=1e-14, max_level=2, n_center=1, order=2)
     assert np.isfinite(err.value.residual)
     assert abs(err.value.best) > 0
+
+
+def test_converge_returns_first_agreeing_level():
+    built = []
+
+    def build(level):
+        built.append(level)
+        return np.array([1.0, 2.0]) + 10.0 ** (-4 * level)
+
+    value, residual = converge(build, rel_tol=1e-6)
+    # levels 1 and 2 differ by ~1e-4, levels 2 and 3 by ~1e-8 <= 1e-6 * max|value|
+    assert built == [0, 1, 2, 3]
+    assert np.array_equal(value, build(3))
+    assert residual == pytest.approx(1e-8 - 1e-12, rel=1e-6)
+
+
+def test_converge_zero_floor_accepts_noise_table():
+    noise = lambda level: np.array([1e-13 * (-1) ** level])
+    with pytest.raises(QuadratureError):
+        converge(noise, rel_tol=1e-9)
+    value, residual = converge(noise, rel_tol=1e-9, zero_floor=1e-10)
+    assert abs(value[0]) == 1e-13 and residual == pytest.approx(2e-13)
+
+
+def test_converge_raises_with_finest_value_and_residual():
+    with pytest.raises(QuadratureError) as err:
+        converge(lambda level: 1.0 + 0.5 * level, rel_tol=1e-9, max_level=2)
+    assert err.value.best == 2.0
+    assert err.value.residual == 0.5
 
 
 def test_grid_invariants():
     grid = half_plane_grid(5.0)
     assert np.all(grid.weights > 0)
     assert np.all(np.imag(grid.nodes) > 0)
-    fine = refine(grid)
-    assert fine.level == grid.level + 1
-    assert len(fine.nodes) > len(grid.nodes)
+    fine = half_plane_grid(5.0, level=1)
+    assert np.all(np.imag(fine.nodes) > 0)
+    # one level doubles both the radial and the angular panel count
+    assert len(fine.nodes) == 4 * len(grid.nodes)
 
 
 def test_breakpoints_cluster_toward_zero():
