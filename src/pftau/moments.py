@@ -28,7 +28,8 @@ import numpy as np
 
 from . import quad
 from .quad import (LinePanels, QuadratureError, converge, half_plane_grid, full_plane_grid,
-                   gaussian_halfwidth, real_line_breakpoints, erfc_vec)
+                   gaussian_halfwidth, real_line_breakpoints, erfc_vec, power_gram,
+                   power_table)
 from .skewlin import SkewPair
 from .symfun import CouplingSeq, ZERO_SEQ, potential
 
@@ -41,7 +42,7 @@ _DEFAULT_MIX = {"OE": (0.0, 1.0), "SE": (0.0, 1.0), "GinOE": (1.0, 1.0),
 # moves the numbers a table holds: its quadrature rule, level schedule or
 # tolerance, its sector convention, or its layout.  Entries stored under any
 # other value are never served.
-TABLE_ALGORITHM = "tables-1"
+TABLE_ALGORITHM = "tables-2"
 TABLE_BUILDS = 0
 _SECTOR_CACHE: dict = {}
 _DISK_CACHE = None
@@ -205,11 +206,6 @@ def _line_panels(family: str, s: CouplingSeq, maxdeg: int, level: int,
     return LinePanels(bp, order=order)
 
 
-def _power_table(x: np.ndarray, indices) -> np.ndarray:
-    """x**k for each k in indices; integer exponents, negative allowed."""
-    return np.stack([x ** int(k) for k in indices])
-
-
 def _sector_key(name: str, s: CouplingSeq, base: int, size: int) -> tuple:
     return (TABLE_ALGORITHM, name, s.values, base, size)
 
@@ -241,11 +237,12 @@ def orth_real_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
     def build(level):
         lp = _line_panels("orth", s, int(np.max(np.abs(idx))) + 1, level)
         wv = w0(lp.nodes)
-        powers = _power_table(lp.nodes, idx)
+        powers = power_table(lp.nodes, idx)
         cums = np.stack([lp.cumulative(powers[m] * wv) for m in range(size)])
         totals = np.array([lp.integrate(powers[m] * wv) for m in range(size)]).real
         inner = 2.0 * cums - totals[:, None]
-        r = np.einsum("p,np,mp->nm", lp.weights * wv, powers, inner)
+        powers *= lp.weights * wv
+        r = powers @ inner.T
         return (r - r.T) / 2.0
 
     return _cached_sector("orth_real", s, base, size, build)
@@ -258,7 +255,7 @@ def orth_border(s: CouplingSeq, base: int, size: int) -> np.ndarray:
     def build(level):
         lp = _line_panels("orth", s, int(np.max(np.abs(idx))) + 1, level)
         wv = w0(lp.nodes)
-        powers = _power_table(lp.nodes, idx)
+        powers = power_table(lp.nodes, idx)
         return math.sqrt(2.0) * powers @ (lp.weights * wv)
 
     return _cached_sector("orth_border", s, base, size, build)
@@ -274,7 +271,7 @@ def sympl_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
     def build(level):
         lp = _line_panels("sympl", s, int(max(abs(qmin), abs(qmax))) + 1, level)
         wv = w0(lp.nodes)
-        powers = _power_table(lp.nodes, qs)
+        powers = power_table(lp.nodes, qs)
         mu = powers @ (lp.weights * wv)
         n = idx[:, None]
         m = idx[None, :]
@@ -296,7 +293,7 @@ def sympl_border_moments(s: CouplingSeq, base: int, size: int) -> np.ndarray:
     def build(level):
         lp = _line_panels("sympl", s, int(np.max(np.abs(idx))) + 1, level)
         wv = w0(lp.nodes)
-        powers = _power_table(lp.nodes, idx)
+        powers = power_table(lp.nodes, idx)
         return powers @ (lp.weights * wv)
 
     return _cached_sector("sympl_border", s, base, size, build).astype(complex)
@@ -310,11 +307,9 @@ def _half_plane_raw(kind: str, s: CouplingSeq, base: int, size: int, level: int)
     grid = half_plane_grid(radius, level=level)
     z = grid.nodes
     w = pair_weight(kind, ZERO_SEQ, s)(z)
-    zp = np.stack([z ** int(k) for k in idx])
-    zbp = np.conj(zp)
     if kind == "GinSE":
         w = w * (z - np.conj(z))
-    return np.einsum("p,np,mp->nm", grid.weights * w, zp, zbp)
+    return power_gram(grid.weights * w, z, idx, idx)
 
 
 def ginse_complex_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
@@ -507,9 +502,6 @@ def complex_bimoment_matrix(spec: EnsembleSpec, size: int) -> np.ndarray:
             e = e + potential(z, spec.t)
         if spec.t_bar.top_index():
             e = e + potential(np.conj(z), spec.t_bar)
-        wv = grid.weights * np.exp(e)
-        zp = np.stack([z ** int(a) for a in jpow])
-        zbp = np.stack([np.conj(z) ** int(b) for b in kpow])
-        return np.einsum("p,jp,kp->jk", wv, zp, zbp)
+        return power_gram(grid.weights * np.exp(e), z, jpow, kpow)
 
     return converge(build, rel_tol=2e-9)[0]

@@ -23,10 +23,11 @@ import numpy as np
 
 from . import moments as mom
 from .moments import EnsembleSpec
-from .partitions import Partition, enumerate_partitions, shifted_indices
-from .quad import LinePanels, converge, full_plane_grid, gaussian_halfwidth, half_plane_grid
+from .partitions import Partition, partition_table
+from .quad import (LinePanels, converge, full_plane_grid, gaussian_halfwidth, half_plane_grid,
+                   power_gram, power_table)
 from .skewlin import SkewPair, abar
-from .symfun import CouplingSeq, ZERO_SEQ, hseq, potential, schur_from_h
+from .symfun import CouplingSeq, ZERO_SEQ, hseq, potential, schur_from_h, schur_terms
 
 PAIR_NORM = {"GinOE": 1.0 / 2.0j, "GinSE": 0.5}
 
@@ -117,9 +118,7 @@ def pair_moment_table(kind: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int,
     w = mom.pair_weight(kind, t, s)(z) * grid.weights
     if extra is not None:
         w = w * extra(z)
-    zp = np.stack([z ** a for a in range(maxdeg + 1)])
-    zbp = np.conj(zp)
-    return np.einsum("p,ap,bp->ab", w, zp, zbp)
+    return power_gram(w, z, range(maxdeg + 1), range(maxdeg + 1))
 
 
 def line_setup(family: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int,
@@ -240,7 +239,7 @@ def _eigen_value_at_level(spec: EnsembleSpec, level: int, extra_real=None,
         mu_qmin = -2 * abs(L)
         mu_qmax = maxdeg * 2
         lp, w = line_setup("sympl", spec.t, spec.s, mu_qmax, level, extra=extra_real, poles=poles)
-        powers = np.stack([lp.nodes ** q for q in range(mu_qmin, mu_qmax + 1)])
+        powers = power_table(lp.nodes, range(mu_qmin, mu_qmax + 1))
         mu = powers @ (lp.weights * w)
         total = 0.0 + 0.0j
         for k in range(0, n + 1):
@@ -319,12 +318,20 @@ def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
                                n_theta=n_theta, t_order=t_order)
         z = grid.nodes
         wv = weight(z) * grid.weights
+        x, y = z.real, z.imag
         total = 0.0 + 0.0j
         block = 2048
+        # |z_i - z_j|^2 in real arithmetic, in two reused (block, nodes) buffers
+        bufs = np.empty((2, min(block, len(z)), len(z)))
         for i0 in range(0, len(z), block):
-            zi = z[i0:i0 + block]
-            d2 = np.abs(zi[:, None] - z[None, :]) ** 2
-            total += np.sum(wv[i0:i0 + block][:, None] * wv[None, :] * d2)
+            rows = slice(i0, i0 + block)
+            d2, dy = bufs[:, :min(block, len(z) - i0)]
+            np.subtract.outer(x[rows], x, out=d2)
+            np.subtract.outer(y[rows], y, out=dy)
+            d2 *= d2
+            dy *= dy
+            d2 += dy
+            total += np.dot(wv[rows], d2 @ wv.real + 1j * (d2 @ wv.imag))
         return total
 
     value, err = converge(evaluate, rel_tol, max_level=len(_GINUE_RULES) - 1)
@@ -394,15 +401,7 @@ def _batched_schur(lam: Partition, psums: np.ndarray) -> np.ndarray:
         for k in range(1, min(n, psums.shape[1]) + 1):
             acc += psums[:, k - 1] * h[:, n - k]   # k * t_k = p_k
         h[:, n] = acc / n
-    mats = np.zeros((b, ell, ell))
-    for i in range(1, ell + 1):
-        for j in range(1, ell + 1):
-            m = lam.part(i) - i + j
-            if m >= 0:
-                mats[:, i - 1, j - 1] = h[:, m]
-    if ell == 1:
-        return mats[:, 0, 0]
-    return np.linalg.det(mats)
+    return schur_from_h(np.broadcast_to(lam.parts, (b, ell)), h)
 
 
 def _schur_of_matrix(lam: Partition, m: np.ndarray) -> float:
@@ -605,15 +604,13 @@ def discrete_consistency(kind: str, real_atoms, n: int, L: int, t: CouplingSeq,
     pair = _atomic_moments(kind, real_atoms, pair_atoms, t, s, alpha, beta, base, size,
                            fold_t=False)
     h = hseq(series_cutoff + charge + 1, t)
-    acc = []
-    for lam in enumerate_partitions(series_cutoff, charge):
-        coeff = abar(shifted_indices(lam, charge), L, pair)
-        if coeff != 0:
-            acc.append(complex(coeff * schur_from_h(lam, h)))
-    rhs = complex(math.fsum(v.real for v in acc), math.fsum(v.imag for v in acc))
+    table = partition_table(series_cutoff, charge)
+    terms = schur_terms(abar(table.shifted, L, pair), table.groups, h)
+    rhs = complex(math.fsum(terms.real), math.fsum(terms.imag))
     border_norm = BORDER_NORM if charge % 2 else 1.0
     rhs = rhs / border_norm
     if with_scale:
-        series_scale = sum(abs(v) for v in acc) / border_norm
+        # a plain sum in canonical partition order, so the bits do not move
+        series_scale = sum(abs(v) for v in terms.tolist()) / border_norm
         return lhs, rhs, max(scale, series_scale, 1e-300)
     return lhs, rhs

@@ -6,8 +6,11 @@ matrix enter a series coefficient.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -62,14 +65,20 @@ def enumerate_partitions(max_weight: int, max_length: int) -> list[Partition]:
 
     Ordered by (weight, largest-first lex), so the empty partition comes
     first and e.g. (2) precedes (1,1).  The ordering is the canonical one
-    used for series truncation and caching.
+    used for series truncation and caching.  Memoised: each call returns a
+    new list of the same (frozen) partitions.
     """
     if max_weight < 0 or max_length < 0:
         raise ValueError("bounds must be nonnegative")
+    return list(_canonical(max_weight, max_length))
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical(max_weight: int, max_length: int) -> tuple[Partition, ...]:
     seen = {p for p in _descend(max_weight, max_weight, max_length)}
     out = [Partition(p) for p in seen]
     out.sort(key=lambda lam: (lam.weight, tuple(-p for p in lam.parts)))
-    return out
+    return tuple(out)
 
 
 def shifted_indices(lam: Partition, n: int) -> tuple[int, ...]:
@@ -77,6 +86,47 @@ def shifted_indices(lam: Partition, n: int) -> tuple[int, ...]:
     if lam.length > n:
         raise ValueError(f"partition length {lam.length} exceeds n={n}")
     return tuple(lam.part(i) - i + n for i in range(1, n + 1))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def length_groups(lams: Sequence[Partition]) -> tuple:
+    """((positions, parts), ...) per partition length, lengths ascending.
+
+    `positions` index into `lams`; `parts` is the (count, length) array of
+    the partitions there.  Both are read-only.
+    """
+    by_length: dict = {}
+    for pos, lam in enumerate(lams):
+        by_length.setdefault(lam.length, []).append(pos)
+    groups = []
+    for ell, pos in sorted(by_length.items()):
+        parts = np.array([lams[p].parts for p in pos], dtype=int).reshape(len(pos), ell)
+        groups.append((_frozen(np.array(pos, dtype=int)), _frozen(parts)))
+    return tuple(groups)
+
+
+@dataclass(frozen=True)
+class PartitionTable:
+    """Index arrays of one series' partitions lams = enumerate_partitions(max_weight, n).
+
+    `shifted[k]` is shifted_indices(lams[k], n); `groups` is
+    length_groups(lams).  All arrays are read-only.
+    """
+
+    shifted: np.ndarray
+    groups: tuple
+
+
+@functools.lru_cache(maxsize=None)
+def partition_table(max_weight: int, n: int) -> PartitionTable:
+    """Memoised index arrays of enumerate_partitions(max_weight, n), in its order."""
+    lams = enumerate_partitions(max_weight, n)
+    shifted = np.array([shifted_indices(lam, n) for lam in lams], dtype=int).reshape(len(lams), n)
+    return PartitionTable(_frozen(shifted), length_groups(lams))
 
 
 def conjugate(lam: Partition) -> Partition:

@@ -50,6 +50,35 @@ def converge(build, rel_tol: float, max_level: int = 4, zero_floor: float = 0.0)
                           best=cur, residual=delta)
 
 
+# nodes per chunk of a power_gram contraction; bounds its power tables
+NODE_CHUNK = 8192
+
+
+def power_table(x: np.ndarray, exponents) -> np.ndarray:
+    """x**k for each integer k in `exponents` (negative allowed), one row each."""
+    out = np.empty((len(exponents), len(x)), dtype=x.dtype)
+    for row, k in zip(out, exponents):
+        row[...] = x ** int(k)
+    return out
+
+
+def power_gram(w: np.ndarray, z: np.ndarray, rows, cols) -> np.ndarray:
+    """out[n, m] = sum_p w[p] z[p]**rows[n] conj(z[p])**cols[m], one BLAS product per chunk.
+
+    Chunks of NODE_CHUNK nodes keep the power tables small on large grids;
+    they are added in a fixed order.
+    """
+    same = np.array_equal(rows, cols)
+    out = 0.0
+    for start in range(0, len(w), NODE_CHUNK):
+        part = slice(start, start + NODE_CHUNK)
+        a = power_table(z[part], rows)
+        b = np.conj(a if same else power_table(z[part], cols))
+        a *= w[part]
+        out = out + a @ b.T
+    return out
+
+
 @lru_cache(maxsize=32)
 def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = npleg.leggauss(order)

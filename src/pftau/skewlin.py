@@ -1,8 +1,10 @@
 """Skew-symmetric linear algebra: Pfaffians and bordered series coefficients.
 
 Two independent routes are kept side by side: Gaussian elimination in the
-Parlett-Reid style for production, and the defining signed sum over
-perfect matchings as an oracle for small sizes.
+Parlett-Reid style for production, run over a whole stack of matrices at
+once (Wimmer, arXiv:1102.3440), and the defining signed sum over perfect
+matchings as an oracle for small sizes.  `pfaffian` and `abar` take one
+matrix (one index tuple) or a whole stack of them.
 """
 from __future__ import annotations
 
@@ -21,46 +23,77 @@ class MomentTableError(IndexError):
     """Raised when a series coefficient needs moment entries outside the table."""
 
 
-def _check_skew(m: np.ndarray) -> np.ndarray:
+def _check_skew(m, ndims: tuple = (2,)) -> np.ndarray:
+    """A square matrix, or with ndims=(2, 3) also a (batch, n, n) stack, as complex.
+
+    Each member must be skew within SKEW_RTOL of its own largest entry.
+    """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise PfaffianError(f"expected a square matrix, got shape {m.shape}")
-    scale = np.max(np.abs(m)) if m.size else 0.0
-    if scale > 0 and np.max(np.abs(m + m.T)) > SKEW_RTOL * scale:
-        raise PfaffianError("matrix is not skew-symmetric within tolerance")
+    if m.ndim not in ndims or m.shape[-1] != m.shape[-2]:
+        kind = "square matrix" if ndims == (2,) else "square matrix or a stack of them"
+        raise PfaffianError(f"expected a {kind}, got shape {m.shape}")
+    if m.size:
+        scale = np.max(np.abs(m), axis=(-2, -1))
+        defect = np.max(np.abs(m + np.swapaxes(m, -1, -2)), axis=(-2, -1))
+        if np.any(defect > SKEW_RTOL * scale):
+            raise PfaffianError("matrix is not skew-symmetric within tolerance")
     return m
 
 
-def pfaffian(m: np.ndarray) -> complex:
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise complex product, each real product rounded on its own.
+
+    NumPy's vector complex multiply may fuse multiply-adds, depending on the
+    CPU's SIMD path; this form gives the same bits as scalar arithmetic.
+    """
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def pfaffian(m):
     """Pfaffian by skew Gaussian elimination with partial pivoting.
 
-    A structurally singular input (no usable pivot in some column) gives 0.
-    Odd order is refused: the caller has lost a border column somewhere.
+    `m` is one matrix (a complex comes back) or a (batch, n, n) stack (an
+    array of batch Pfaffians comes back).  Parlett-Reid elimination with the
+    batch as a vectorised axis: a member with no usable pivot in some column
+    gives exactly 0 and the others are unaffected.  Odd order is refused:
+    the caller has lost a border column somewhere.
     """
-    a = _check_skew(m).copy()
-    n = a.shape[0]
+    a = _check_skew(m, ndims=(2, 3))
+    one = a.ndim == 2
+    a = a[None].copy() if one else a.copy()
+    batch, n = a.shape[0], a.shape[1]
     if n % 2 != 0:
         raise PfaffianError("pfaffian undefined for odd order")
-    if n == 0:
-        return 1.0 + 0.0j
-    scale = max(np.max(np.abs(a)), 1.0)
-    result = 1.0 + 0.0j
+    result = np.ones(batch, dtype=complex)
+    floor = 1e-300 * np.maximum(np.max(np.abs(a), axis=(1, 2), initial=0.0), 1.0)
+    alive = np.ones(batch, dtype=bool)
+    members = np.arange(batch)
     for k in range(0, n - 2, 2):
-        col = np.abs(a[k + 1:, k])
-        ip = int(np.argmax(col)) + k + 1
-        if col[ip - (k + 1)] <= 1e-300 * scale:
-            return 0.0 + 0.0j
-        if ip != k + 1:
-            a[[k + 1, ip], :] = a[[ip, k + 1], :]
-            a[:, [k + 1, ip]] = a[:, [ip, k + 1]]
-            result = -result
-        pivot = a[k + 1, k]
-        result *= a[k, k + 1]
-        tau = a[k + 2:, k] / pivot
-        row = a[k + 1, k + 2:]
-        a[k + 2:, k + 2:] -= np.outer(tau, row) - np.outer(row, tau)
-    result *= a[n - 2, n - 1]
-    return complex(result)
+        col = np.abs(a[:, k + 1:, k])
+        off = np.argmax(col, axis=1)
+        alive &= ~(col[members, off] <= floor)
+        ip = off + k + 1
+        # swap row and column k+1 with the pivot's (a no-op where ip == k+1)
+        saved = a[:, k + 1, :].copy()
+        a[:, k + 1, :] = a[members, ip, :]
+        a[members, ip, :] = saved
+        saved = a[:, :, k + 1].copy()
+        a[:, :, k + 1] = a[members, :, ip]
+        a[members, :, ip] = saved
+        result = np.where(ip != k + 1, -result, result)
+        # a dead member divides by 1 instead of its vanishing pivot
+        pivot = np.where(alive, a[:, k + 1, k], 1.0)
+        result = _cmul(result, a[:, k, k + 1])
+        tau = a[:, k + 2:, k] / pivot[:, None]
+        row = a[:, k + 1, k + 2:]
+        a[:, k + 2:, k + 2:] -= tau[:, :, None] * row[:, None, :] - row[:, :, None] * tau[:, None, :]
+    if n:
+        result = _cmul(result, a[:, n - 2, n - 1])
+    result = np.where(alive, result, 0.0)
+    return complex(result[0]) if one else result
 
 
 def pfaffian_combinatorial(m: np.ndarray, max_dim: int = 8) -> complex:
@@ -118,34 +151,47 @@ class SkewPair:
         return float(np.max(np.abs(self.a_matrix + self.a_matrix.T))) / scale
 
     def lookup(self, indices) -> np.ndarray:
-        rows = np.asarray(indices, dtype=int) - self.index_base
-        if np.any(rows < 0) or np.any(rows >= self.size):
-            need = int(max(np.max(np.asarray(indices)) - self.index_base + 1, 0))
+        """Table rows of absolute indices, in any array shape."""
+        indices = np.asarray(indices, dtype=int)
+        rows = indices - self.index_base
+        bad = (rows < 0) | (rows >= self.size)
+        if np.any(bad):
+            need = int(max(np.max(rows) + 1, 0))
+            first = int(indices[np.unravel_index(np.argmax(bad), bad.shape)])
             raise MomentTableError(
                 f"moment table of size {self.size} (base {self.index_base}) cannot serve "
-                f"indices {tuple(indices)}; need at least size {need}")
+                f"index {first}; need at least size {need}")
         return rows
 
 
-def abar(h: tuple[int, ...], L: int, pair: SkewPair) -> complex:
-    """Bordered-Pfaffian series coefficient for shifted indices h at offset L.
+def abar(h, L: int, pair: SkewPair):
+    """Bordered-Pfaffian series coefficient(s) for shifted indices h at offset L.
 
-    Even length: Pf of the submatrix at rows/cols h_i + L.  Odd length: the
-    border vector occupies the last row/column, so a single index gives
-    +border[h_1 + L].  Empty h gives 1.
+    `h` is one tuple of strictly decreasing shifted indices (a complex comes
+    back) or a (batch, charge) array of them, one per row (an array comes
+    back).  Even charge: Pf of the submatrix at rows/cols h_i + L.  Odd
+    charge: the border vector occupies the last row/column, so a single
+    index gives +border[h_1 + L].  Charge 0 gives 1.  All submatrices come
+    out of one fancy-index gather and go through one `pfaffian` stack.
     """
-    n = len(h)
-    if n == 0:
-        return 1.0 + 0.0j
-    if any(h[i] <= h[i + 1] for i in range(n - 1)):
-        raise ValueError(f"shifted indices must be strictly decreasing, got {h}")
-    rows = pair.lookup([hi + L for hi in h])
-    sub = pair.a_matrix[np.ix_(rows, rows)]
-    if n % 2 == 0:
-        return pfaffian(sub)
-    bord = pair.border[rows]
-    ext = np.zeros((n + 1, n + 1), dtype=complex)
-    ext[:n, :n] = sub
-    ext[:n, n] = bord
-    ext[n, :n] = -bord
-    return pfaffian(ext)
+    hs = np.asarray(h, dtype=int)
+    one = hs.ndim == 1
+    if one:
+        hs = hs[None]
+    if hs.ndim != 2:
+        raise ValueError(f"expected an index tuple or a (batch, charge) array, got shape {hs.shape}")
+    rising = np.any(hs[:, :-1] <= hs[:, 1:], axis=1)
+    if np.any(rising):
+        raise ValueError("shifted indices must be strictly decreasing, "
+                         f"got {tuple(hs[np.argmax(rising)].tolist())}")
+    rows = pair.lookup(hs + L)
+    table = pair.a_matrix
+    if hs.shape[1] % 2:
+        n = pair.size
+        table = np.zeros((n + 1, n + 1), dtype=complex)
+        table[:n, :n] = pair.a_matrix
+        table[:n, n] = pair.border
+        table[n, :n] = -pair.border
+        rows = np.concatenate([rows, np.full((len(rows), 1), n)], axis=1)
+    pf = pfaffian(table[rows[:, :, None], rows[:, None, :]])
+    return complex(pf[0]) if one else pf

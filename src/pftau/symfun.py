@@ -100,24 +100,44 @@ def complete_homogeneous(n: int, t: CouplingSeq):
     return hseq(n, t)[n]
 
 
-def schur_from_h(lam: Partition, h: np.ndarray):
-    """Jacobi-Trudi determinant det(h_{lam_i - i + j}) given a long-enough h table."""
-    ell = lam.length
+def schur_from_h(lam, h):
+    """Jacobi-Trudi determinant det(h_{lam_i - i + j}) given a long-enough h table.
+
+    `lam` is one Partition (one value comes back) or a (batch, length) array
+    of partitions of one length, one per row (an array comes back).  `h` is
+    one table h_0..h_K shared by the batch, or a (batch, K+1) array with a
+    table per member; h_m = 0 for m < 0.
+    """
+    one = isinstance(lam, Partition)
+    parts = np.array([lam.parts], dtype=int).reshape(1, lam.length) if one \
+        else np.asarray(lam, dtype=int)
+    h = np.asarray(h)
+    batch, ell = parts.shape
     if ell == 0:
-        return 1.0
-    mat = np.zeros((ell, ell), dtype=h.dtype)
-    for i in range(1, ell + 1):
-        for j in range(1, ell + 1):
-            m = lam.part(i) - i + j
-            if 0 <= m < len(h):
-                mat[i - 1, j - 1] = h[m]
-            elif m >= len(h):
-                raise ValueError(f"h table too short: need index {m}")
-    if ell == 1:
-        return mat[0, 0]
-    if ell == 2:
-        return mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
-    return np.linalg.det(mat)
+        vals = np.ones(batch, dtype=h.dtype)
+    else:
+        # m = lam_i - i + j (i, j 1-based) peaks at lam_1 - 1 + ell
+        top = int(np.max(parts[:, 0], initial=0)) + ell - 1
+        if top >= h.shape[-1]:
+            raise ValueError(f"h table too short: need index {top}")
+        m = parts[:, :, None] + (np.arange(ell)[None, :] - np.arange(ell)[:, None])
+        idx = np.maximum(m, 0)
+        mats = np.where(m >= 0, h[np.arange(batch)[:, None, None], idx] if h.ndim == 2 else h[idx], 0)
+        if ell == 1:
+            vals = mats[:, 0, 0]
+        elif ell == 2:
+            vals = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+        else:
+            vals = np.linalg.det(mats)
+    return vals[0] if one else vals
+
+
+def schur_terms(coeffs: np.ndarray, groups, h) -> np.ndarray:
+    """coeffs[k] * s_lambda_k(h), one `schur_from_h` stack per `partitions.length_groups` group."""
+    out = np.zeros(len(coeffs), dtype=np.result_type(coeffs, h))
+    for pos, parts in groups:
+        out[pos] = coeffs[pos] * schur_from_h(parts, h)
+    return out
 
 
 def schur(lam: Partition, t: CouplingSeq):

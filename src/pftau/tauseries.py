@@ -13,15 +13,17 @@ auxiliary variable and is out of scope here.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .moments import EnsembleSpec, moment_pair, sympl_border_moments
-from .partitions import Partition, conjugate, enumerate_partitions, is_even_partition, shifted_indices
+from .partitions import (Partition, conjugate, enumerate_partitions, is_even_partition,
+                         length_groups, partition_table)
 from .skewlin import SkewPair, abar
-from .symfun import CouplingSeq, ZERO_SEQ, hseq, miwa_shift, potential, schur_from_h
+from .symfun import CouplingSeq, ZERO_SEQ, hseq, miwa_shift, potential, schur_from_h, schur_terms
 
 
 @dataclass
@@ -39,26 +41,30 @@ class TauApprox:
         lams = sorted(self.terms, key=lambda lam: (lam.weight, tuple(-p for p in lam.parts)))
         return [(lam, self.terms[lam]) for lam in lams]
 
+    @functools.cached_property
+    def _stacks(self) -> tuple:
+        """Coefficients of the terms of weight <= cutoff and their length groups.
+
+        Any order serves: `evaluate` sums with math.fsum, which is exact.
+        """
+        kept = [(lam, c) for lam, c in self.terms.items() if lam.weight <= self.cutoff]
+        coeffs = np.array([c for _, c in kept], dtype=complex)
+        return coeffs, length_groups([lam for lam, _ in kept])
+
     def evaluate(self, t: CouplingSeq) -> complex:
-        """Compensated sum of coefficient * s_lambda(t) in canonical order."""
+        """Compensated sum of coefficient * s_lambda(t), one Jacobi-Trudi stack per length."""
         h = hseq(self.cutoff + self.charge + 1, t if t is not None else ZERO_SEQ)
-        re, im = [], []
-        for lam, coeff in self.ordered_terms():
-            if lam.weight > self.cutoff:
-                continue
-            val = coeff * schur_from_h(lam, h)
-            val = complex(val)
-            re.append(val.real)
-            im.append(val.imag)
-        return complex(math.fsum(re), math.fsum(im))
+        vals = schur_terms(*self._stacks, h)
+        return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
     def coefficient(self, lam: Partition) -> complex:
         return complex(self.terms.get(lam, 0.0))
 
 
 def series_terms(pair: SkewPair, charge: int, L: int, cutoff: int) -> dict:
-    return {lam: abar(shifted_indices(lam, charge), L, pair)
-            for lam in enumerate_partitions(cutoff, charge)}
+    """Coefficient of every partition, in canonical order, from one Pfaffian stack."""
+    coeffs = abar(partition_table(cutoff, charge).shifted, L, pair)
+    return dict(zip(enumerate_partitions(cutoff, charge), coeffs.tolist()))
 
 
 def required_table_size(charge: int, L: int, cutoff: int, base: int) -> int:
@@ -111,13 +117,14 @@ def group_series(group: str, n: int, t: CouplingSeq, cutoff: int) -> float:
     if group not in ("orthogonal", "symplectic"):
         raise ValueError(f"unknown group {group!r}")
     h = hseq(cutoff + n + 1, t)
+
+    def keep(lam: Partition) -> bool:
+        return is_even_partition(lam if group == "orthogonal" else conjugate(lam))
+
+    kept = [lam for lam in enumerate_partitions(cutoff, n) if lam.weight and keep(lam)]
     total = [1.0]
-    for lam in enumerate_partitions(cutoff, n):
-        if lam.weight == 0:
-            continue
-        keep = is_even_partition(lam) if group == "orthogonal" else is_even_partition(conjugate(lam))
-        if keep:
-            total.append(float(np.real(schur_from_h(lam, h))))
+    for _, parts in length_groups(kept):
+        total += np.real(schur_from_h(parts, h)).tolist()
     return math.fsum(total)
 
 

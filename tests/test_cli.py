@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pftau import moments
+import pftau
+from pftau import hub, moments
 from pftau.cli import (ConfigError, MomentCache, _command_node, _experiment_from_node, fmt17,
                        main, parse_config, run_config)
 from pftau.moments import EnsembleSpec
@@ -108,6 +113,23 @@ def test_cache_entry_without_table_algorithm_is_not_served(tmp_path):
     s = CouplingSeq.of(0.0, 0.4)
     cache = MomentCache(tmp_path / "c")
     cache.store(("orth_border", s.values, 0, 4), np.full(4, 99.0))   # key without the version
+    moments.clear_cache()
+    moments.set_disk_cache(cache)
+    try:
+        before = moments.TABLE_BUILDS
+        border = moments.orth_border(s, 0, 4)
+        assert moments.TABLE_BUILDS == before + 1
+        assert not np.any(border == 99.0)
+    finally:
+        moments.set_disk_cache(None)
+        moments.clear_cache()
+
+
+def test_cache_entry_under_the_previous_table_algorithm_is_not_served(tmp_path):
+    s = CouplingSeq.of(0.0, 0.4)
+    assert moments.TABLE_ALGORITHM != "tables-1"
+    cache = MomentCache(tmp_path / "c")
+    cache.store(("tables-1", "orth_border", s.values, 0, 4), np.full(4, 99.0))
     moments.clear_cache()
     moments.set_disk_cache(cache)
     try:
@@ -224,3 +246,38 @@ def test_moments_dump(tmp_path):
     assert rows[0].startswith("n,m,a_re,a_im")
     assert len(rows) == 1 + 25
     assert (tmp_path / "border.csv").exists()
+
+
+def test_verdicts_identical_across_blas_thread_counts(tmp_path):
+    # moment tables and the GinUE pair sum are BLAS products: the GinSE plane
+    # tables, the OE line table and the GinUE bimoments and two-point sum
+    names = ("ratio-GinSE-N2-L0-tA", "ratio-GinSE-N2-L1-tA", "ratio-OE-N2-L0-tA",
+             "bimoment-GinUE-N2")
+
+    def ensemble(spec):
+        node = {"kind": spec.kind, "n": spec.n, "L": spec.L, "t": list(spec.t.values)}
+        if spec.t_bar.values:
+            node["t_bar"] = list(spec.t_bar.values)
+        return node
+
+    bimoment = [e for e in hub.acceptance_experiments() if e.comparison == "bimoment-vs-direct"]
+    nodes = [{"name": e.name, "comparison": e.comparison, "tolerance": e.tolerance,
+              "cutoff": e.cutoff, "ensemble": ensemble(e.spec)}
+             for e in hub.ratio_experiments(cutoff=8) + bimoment if e.name in names]
+    assert sorted(n["name"] for n in nodes) == sorted(names)
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({"command": "suite", "format": "json", "experiments": nodes}))
+    src = str(Path(pftau.__file__).resolve().parents[1])
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "pftau", "suite", "--config", str(config),
+                               "--out", str(out)], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        blobs.append((out / "verdicts.json").read_bytes())
+    verdicts = json.loads(blobs[0])["verdicts"]
+    assert len(verdicts) == len(names) and all(v["pass"] for v in verdicts)
+    assert blobs[0] == blobs[1]

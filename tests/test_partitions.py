@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from pftau.partitions import (Partition, conjugate, enumerate_partitions,
-                              is_even_partition, partitions_of, shifted_indices)
+                              is_even_partition, partition_table, partitions_of,
+                              shifted_indices)
 
 
 def test_empty_bounds_give_only_empty_partition():
@@ -107,3 +109,22 @@ def test_even_partition_predicate():
     assert is_even_partition(Partition((4, 2, 2)))
     assert not is_even_partition(Partition((3, 2)))
     assert is_even_partition(Partition(()))
+
+
+def test_partition_table_is_memoised_and_read_only():
+    table = partition_table(7, 3)
+    assert partition_table(7, 3) is table
+    lams = enumerate_partitions(7, 3)
+    assert [tuple(row) for row in table.shifted] == [shifted_indices(lam, 3) for lam in lams]
+    seen = []
+    for pos, parts in table.groups:
+        for k, row in zip(pos, parts):
+            assert tuple(row) == lams[k].parts
+            seen.append(int(k))
+    assert sorted(seen) == list(range(len(lams)))
+    lams.pop()                                   # each call hands out a new list
+    assert len(enumerate_partitions(7, 3)) == len(lams) + 1
+    for arr in [table.shifted] + [a for group in table.groups for a in group]:
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    assert np.array_equal(partition_table(0, 0).shifted, np.zeros((1, 0)))

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pftau.skewlin import (MomentTableError, PfaffianError, SkewPair, abar,
-                           pfaffian, pfaffian_combinatorial)
+from pftau.skewlin import (MomentTableError, PfaffianError, SkewPair, abar, pfaffian,
+                           pfaffian_combinatorial)
 
 
 def random_skew(rng, n, cplx=True):
@@ -133,3 +135,76 @@ def test_skewness_defect_reported():
     rng = np.random.default_rng(43)
     pair = _pair(rng)
     assert pair.skewness_defect() < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# stacks: one call for a (batch, n, n) stack or a (batch, charge) index array
+
+def random_skew_stack(rng, batch, n):
+    m = rng.normal(size=(batch, n, n)) + 1j * rng.normal(size=(batch, n, n))
+    return m - np.swapaxes(m, 1, 2)
+
+
+@pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
+def test_pfaffian_stack_matches_combinatorial_and_det(n):
+    stack = random_skew_stack(np.random.default_rng(100 + n), 12, n)
+    got = pfaffian(stack)
+    assert got.shape == (12,)
+    for m, pf in zip(stack, got):
+        assert pf == pytest.approx(pfaffian_combinatorial(m), rel=1e-12)
+        assert pf ** 2 == pytest.approx(np.linalg.det(m), rel=1e-9)
+        assert pf == pfaffian(m)          # a member alone gives the same bits
+
+
+def test_pfaffian_stack_singular_members_give_zero_without_warnings():
+    rng = np.random.default_rng(47)
+    stack = random_skew_stack(rng, 6, 6)
+    stack[1] = 0.0                                   # no pivot at the first column
+    stack[4, :, 2:] = 0.0                            # first two rows/cols decouple ...
+    stack[4, 2:, :] = 0.0                            # ... from a zero block
+    regular = [pfaffian_combinatorial(stack[i]) for i in (0, 2, 3, 5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pfaffian(stack)
+    assert got[1] == 0.0 and got[4] == 0.0
+    assert got[[0, 2, 3, 5]] == pytest.approx(regular, rel=1e-12)
+
+
+def test_pfaffian_stack_refuses_a_non_skew_member():
+    stack = random_skew_stack(np.random.default_rng(53), 5, 4)
+    stack[3, 0, 2] += 1e-3
+    with pytest.raises(PfaffianError, match="skew"):
+        pfaffian(stack)
+    with pytest.raises(PfaffianError, match="odd order"):
+        pfaffian(np.zeros((2, 3, 3)))
+    with pytest.raises(PfaffianError, match="stack"):
+        pfaffian(np.zeros((2, 2, 4, 4)))
+    with pytest.raises(PfaffianError, match="square matrix, got"):
+        pfaffian_combinatorial(np.zeros((2, 4, 4)))
+
+
+def test_abar_stack_odd_charge_uses_the_border():
+    rng = np.random.default_rng(59)
+    pair = _pair(rng, size=9, base=-1)
+    hs = np.array([(6, 3, 1), (7, 2, 0), (5, 4, 3), (7, 6, -1)])
+    L = 0
+    got = abar(hs, L, pair)
+    for h, val in zip(hs, got):
+        rows = h + L - pair.index_base
+        ext = np.zeros((4, 4), dtype=complex)
+        ext[:3, :3] = pair.a_matrix[np.ix_(rows, rows)]
+        ext[:3, 3] = pair.border[rows]
+        ext[3, :3] = -pair.border[rows]
+        assert val == pytest.approx(pfaffian_combinatorial(ext), rel=1e-12)
+        assert val == abar(tuple(h), L, pair)
+    # one index: +border entry; charge 0: 1
+    assert abar([[4], [2]], 1, pair) == pytest.approx(pair.border[[6, 4]])
+    assert np.array_equal(abar(np.zeros((3, 0), dtype=int), 0, pair), np.ones(3))
+
+
+def test_abar_stack_index_range_error_names_size():
+    pair = _pair(np.random.default_rng(61), size=5)
+    with pytest.raises(MomentTableError, match="size 5.*need at least size 7"):
+        abar([[3, 1], [6, 2]], 0, pair)
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        abar([[3, 1], [2, 2]], 0, pair)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pftau.partitions import Partition, enumerate_partitions
+from pftau.partitions import Partition, enumerate_partitions, length_groups
 from pftau.symfun import (CouplingSeq, ZERO_SEQ, c_factor, complete_homogeneous,
-                          hseq, miwa_shift, potential, schur, schur_from_h)
+                          hseq, miwa_shift, potential, schur, schur_from_h, schur_terms)
 
 finite = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -125,3 +125,42 @@ def test_schur_from_h_complex_support():
     t = CouplingSeq.of(0.2 + 0.1j)
     h = hseq(4, t)
     assert isinstance(schur_from_h(Partition((2,)), h), complex)
+
+
+def _power_sum_times(xs) -> CouplingSeq:
+    return CouplingSeq(tuple(float(np.sum(xs ** n)) / n for n in range(1, 13)))
+
+
+def test_schur_stack_shared_h_against_alternant_oracle():
+    rng = np.random.default_rng(19)
+    xs = rng.uniform(0.3, 1.4, size=4)
+    h = hseq(12, _power_sum_times(xs))
+    lams = enumerate_partitions(7, 4)
+    for pos, parts in length_groups(lams):
+        got = schur_from_h(parts, h)
+        assert got.shape == (len(pos),)
+        for k, val in zip(pos, got):
+            assert val == pytest.approx(_schur_alternant(lams[k], xs), rel=1e-10)
+            assert val == schur_from_h(lams[k], h)
+
+
+def test_schur_stack_one_h_per_member_against_alternant_oracle():
+    rng = np.random.default_rng(29)
+    samples = [rng.uniform(0.3, 1.4, size=3) for _ in range(5)]
+    h = np.stack([hseq(12, _power_sum_times(xs)) for xs in samples])
+    for parts in ((1,), (2, 1), (3, 1, 1), (4, 2, 2)):
+        lam = Partition(parts)
+        got = schur_from_h(np.broadcast_to(parts, (5, len(parts))), h)
+        want = [_schur_alternant(lam, xs) for xs in samples]
+        assert got == pytest.approx(want, rel=1e-10)
+    with pytest.raises(ValueError, match="too short"):
+        schur_from_h([[12, 1]], h[0])
+
+
+def test_schur_terms_scatter_back_to_partition_order():
+    t = CouplingSeq.of(0.4, -0.2, 0.1)
+    h = hseq(10, t)
+    lams = enumerate_partitions(6, 3)
+    coeffs = np.linspace(1.0, 2.0, len(lams)) * (1 - 0.5j)
+    got = schur_terms(coeffs, length_groups(lams), h)
+    assert got == pytest.approx([c * schur(lam, t) for c, lam in zip(coeffs, lams)], rel=1e-13)
