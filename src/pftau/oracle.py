@@ -320,8 +320,9 @@ def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
         wv = weight(z) * grid.weights
         x, y = z.real, z.imag
         total = 0.0 + 0.0j
-        block = 2048
+        block = 256
         # |z_i - z_j|^2 in real arithmetic, in two reused (block, nodes) buffers
+        # small enough to stay in cache (26 MB at the 6300-node rule)
         bufs = np.empty((2, min(block, len(z)), len(z)))
         for i0 in range(0, len(z), block):
             rows = slice(i0, i0 + block)
@@ -377,13 +378,18 @@ def haar_symplectic(rng: np.random.Generator, two_n: int, batch: int = 1) -> np.
     return q
 
 
-def _batched_power_sums(eig: np.ndarray, order: int) -> np.ndarray:
-    """p[b, m-1] = Re Tr g^m from the eigenvalue batch, m = 1..order."""
-    out = np.empty((eig.shape[0], order))
-    cur = np.ones_like(eig)
+def _batched_power_sums(g: np.ndarray, order: int) -> np.ndarray:
+    """p[b, m-1] = Re Tr g^m of the matrix batch g, m = 1..order.
+
+    Successive batched products g^m = g^(m-1) g, so no eigenvalues are
+    needed; the first columns do not depend on `order`.
+    """
+    out = np.empty((g.shape[0], order))
+    cur = g
     for m in range(1, order + 1):
-        cur = cur * eig
-        out[:, m - 1] = np.real(np.sum(cur, axis=1))
+        if m > 1:
+            cur = cur @ g
+        out[:, m - 1] = np.real(np.trace(cur, axis1=-2, axis2=-1))
     return out
 
 
@@ -404,50 +410,59 @@ def _batched_schur(lam: Partition, psums: np.ndarray) -> np.ndarray:
     return schur_from_h(np.broadcast_to(lam.parts, (b, ell)), h)
 
 
-def _schur_of_matrix(lam: Partition, m: np.ndarray) -> float:
-    eig = np.linalg.eigvals(m)
-    order = max(lam.parts[0] + lam.length, 1) if lam.parts else 1
-    return float(_batched_schur(lam, _batched_power_sums(eig[None, :], order))[0])
+def _payload_order(payload) -> int:
+    """Highest trace power the payload reads."""
+    kind, arg = payload
+    if kind == "schur":
+        return max(arg.parts[0] + arg.length, 1) if arg.parts else 1
+    if kind == "exp_trace":
+        return max(arg.order, 1)
+    raise ValueError(f"unknown payload {kind!r}")
 
 
-def haar_expectation_mc(group, payload, samples: int, seed: int,
-                        shards: int = 8) -> OracleResult:
-    """Monte Carlo Haar average of s_lambda(g) or exp(sum t_m Tr g^m).
+def haar_expectation_mc(group, payloads, samples: int, seed: int,
+                        shards: int = 8) -> list[OracleResult]:
+    """Monte Carlo Haar averages of s_lambda(g) or exp(sum t_m Tr g^m).
 
-    group: ("orthogonal", N) or ("symplectic", 2n); payload: ("schur", lam)
-    or ("exp_trace", CouplingSeq).  Fixed seed gives bit-identical output;
-    shard estimates reduce in a fixed order.
+    group: ("orthogonal", N) or ("symplectic", 2n); payloads: a sequence of
+    ("schur", lam) or ("exp_trace", CouplingSeq), one result each.  Every
+    shard draws its Haar batch once and forms its trace power sums once, at
+    the largest order any payload needs, so all payloads average over the
+    same samples and each result is the one its payload gets alone.  Fixed
+    seed gives bit-identical output; shard estimates reduce in a fixed order.
     """
     gname, size = group
-    kind, arg = payload
     if samples < 1:
         raise ValueError("samples >= 1")
+    orders = [_payload_order(p) for p in payloads]
+    if not orders:
+        return []
     seeds = np.random.SeedSequence(seed).spawn(shards)
     per = [samples // shards + (1 if i < samples % shards else 0) for i in range(shards)]
-    vals = []
-    if kind == "schur":
-        order = max(arg.parts[0] + arg.length, 1) if arg.parts else 1
-    elif kind == "exp_trace":
-        order = max(arg.order, 1)
-    else:
-        raise ValueError(f"unknown payload {kind!r}")
+    vals: list[list] = [[] for _ in payloads]
     for ss, cnt in zip(seeds, per):
         if cnt == 0:
             continue
         rng = np.random.default_rng(ss)
         g = (haar_orthogonal(rng, size, cnt) if gname == "orthogonal"
              else haar_symplectic(rng, size, cnt))
-        eig = np.linalg.eigvals(g)
-        psums = _batched_power_sums(eig, order)
-        if kind == "schur":
-            vals.append(_batched_schur(arg, psums))
-        else:
-            coeffs = np.array([float(arg.entry(m).real) for m in range(1, order + 1)])
-            vals.append(np.exp(psums @ coeffs))
-    vals = np.concatenate(vals)
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else math.inf
-    return OracleResult(mean, stderr, f"monte-carlo(seed={seed}, samples={samples})")
+        psums = _batched_power_sums(g, max(orders))
+        for (kind, arg), order, out in zip(payloads, orders, vals):
+            # a contiguous copy, so the products see the same array whatever
+            # the other payloads asked for
+            own = np.ascontiguousarray(psums[:, :order])
+            if kind == "schur":
+                out.append(_batched_schur(arg, own))
+            else:
+                coeffs = np.array([float(arg.entry(m).real) for m in range(1, order + 1)])
+                out.append(np.exp(own @ coeffs))
+    results = []
+    for v in vals:
+        v = np.concatenate(v)
+        mean = float(np.mean(v))
+        stderr = float(np.std(v, ddof=1) / math.sqrt(len(v))) if len(v) > 1 else math.inf
+        results.append(OracleResult(mean, stderr, f"monte-carlo(seed={seed}, samples={samples})"))
+    return results
 
 
 # ---------------------------------------------------------------------------

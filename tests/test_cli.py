@@ -250,9 +250,10 @@ def test_moments_dump(tmp_path):
 
 def test_verdicts_identical_across_blas_thread_counts(tmp_path):
     # moment tables and the GinUE pair sum are BLAS products: the GinSE plane
-    # tables, the OE line table and the GinUE bimoments and two-point sum
+    # tables, the OE line table and the GinUE bimoments and two-point sum;
+    # the Haar power sums are batched matrix products
     names = ("ratio-GinSE-N2-L0-tA", "ratio-GinSE-N2-L1-tA", "ratio-OE-N2-L0-tA",
-             "bimoment-GinUE-N2")
+             "bimoment-GinUE-N2", "group-O3")
 
     def ensemble(spec):
         node = {"kind": spec.kind, "n": spec.n, "L": spec.L, "t": list(spec.t.values)}
@@ -264,6 +265,9 @@ def test_verdicts_identical_across_blas_thread_counts(tmp_path):
     nodes = [{"name": e.name, "comparison": e.comparison, "tolerance": e.tolerance,
               "cutoff": e.cutoff, "ensemble": ensemble(e.spec)}
              for e in hub.ratio_experiments(cutoff=8) + bimoment if e.name in names]
+    nodes += [{"name": e.name, "comparison": e.comparison, "cutoff": e.cutoff,
+               "samples": e.samples, "seed": e.seed, "params": dict(e.params)}
+              for e in hub.acceptance_experiments(samples=4000) if e.name == "group-O3"]
     assert sorted(n["name"] for n in nodes) == sorted(names)
     config = tmp_path / "suite.json"
     config.write_text(json.dumps({"command": "suite", "format": "json", "experiments": nodes}))

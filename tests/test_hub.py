@@ -1,10 +1,11 @@
 import pytest
 
-from pftau import oracle
+from pftau import hub, oracle
 from pftau.hub import (Experiment, acceptance_experiments, bkp_normalization,
                        ratio_experiments, run_experiment, run_suite)
 from pftau.moments import EnsembleSpec
 from pftau.symfun import CouplingSeq, c_factor
+from pftau.tauseries import WaveReport
 
 
 def test_bkp_normalization_single_location():
@@ -133,3 +134,34 @@ def test_discrete_oe_at_suite_seeds(seed):
                                   tolerance=1e-10, seed=seed, params=(("trials", 50),)))
     assert v.error is None
     assert v.passed and v.margin < 1e-13
+
+
+@pytest.mark.parametrize("offset,passes", [(2.0 ** -52, True), (1e-6, False)])
+def test_zero_variance_predicate_has_a_stderr_floor(monkeypatch, offset, passes):
+    # det g = 1 on every Sp(2) sample: the predicate's stderr is rounding noise
+    def fake_mc(group, payloads, samples, seed, shards=8):
+        return [oracle.OracleResult(1.0 + offset, 5.7e-19, "mc") if kind == "schur"
+                else oracle.OracleResult(1.5, 1e-3, "mc") for kind, _ in payloads]
+
+    monkeypatch.setattr(oracle, "haar_expectation_mc", fake_mc)
+    monkeypatch.setattr(hub.ts, "group_series", lambda group, n, t, cutoff: 1.5)
+    v = run_experiment(Experiment("sp2", "group-series-vs-mc", cutoff=8, samples=1000,
+                                  params=(("group", "symplectic"), ("size", 2), ("t", (0.2,)),
+                                          ("predicates", (((1, 1), 1.0),)))))
+    assert v.error is None
+    assert v.passed is passes
+    assert v.details["predicate"][0]["sigmas"] == pytest.approx(offset / 1e-12)
+
+
+@pytest.mark.parametrize("hi,lo,passes", [(5.7e-16, 4.3e-16, True), (1e-8, 1e-9, False)])
+def test_wave_order_check_has_a_rounding_floor(monkeypatch, hi, lo, passes):
+    # at the rounding floor the order of the two fit deviations is noise
+    def fake_check(spec, cutoff, points, s_ratio_fn=None):
+        return WaveReport(1, tuple(points), hi if cutoff == 12 else lo, None, None)
+
+    monkeypatch.setattr(hub.ts, "wave_polynomial_check", fake_check)
+    v = run_experiment(Experiment("wave", "wave-poly",
+                                  spec=EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.2)),
+                                  tolerance=1e-4, cutoff=12))
+    assert v.error is None
+    assert v.passed is passes

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pftau.hub import acceptance_experiments
 from pftau.moments import EnsembleSpec
-from pftau.oracle import (det_average_lhs, discrete_consistency, eigen_integral,
-                          ginue_two_point, haar_expectation_mc, haar_orthogonal,
-                          haar_symplectic, pair_moment_table, poly_mul, poly_linear,
-                          vandermonde_poly)
+from pftau.oracle import (_batched_power_sums, det_average_lhs, discrete_consistency,
+                          eigen_integral, ginue_two_point, haar_expectation_mc,
+                          haar_orthogonal, haar_symplectic, pair_moment_table, poly_mul,
+                          poly_linear, vandermonde_poly)
 from pftau.partitions import Partition
 from pftau.quad import QuadratureError
 from pftau.symfun import CouplingSeq, ZERO_SEQ, miwa_shift
@@ -106,22 +108,61 @@ def test_haar_symplectic_structure():
 
 
 def test_haar_predicates():
-    r = haar_expectation_mc(("orthogonal", 3), ("schur", Partition((2,))), 40000, 42)
+    [r] = haar_expectation_mc(("orthogonal", 3), [("schur", Partition((2,)))], 40000, 42)
     assert abs(r.value - 1.0) <= 4 * r.error_estimate
-    r = haar_expectation_mc(("orthogonal", 3), ("schur", Partition((1,))), 40000, 43)
+    [r] = haar_expectation_mc(("orthogonal", 3), [("schur", Partition((1,)))], 40000, 43)
     assert abs(r.value) <= 4 * r.error_estimate
-    r = haar_expectation_mc(("symplectic", 2), ("schur", Partition((1, 1))), 40000, 44)
+    [r] = haar_expectation_mc(("symplectic", 2), [("schur", Partition((1, 1)))], 40000, 44)
     assert abs(r.value - 1.0) <= max(4 * r.error_estimate, 1e-12)
 
 
 def test_haar_determinism_and_variance_scaling():
-    a = haar_expectation_mc(("orthogonal", 3), ("schur", Partition((2,))), 5000, 7)
-    b = haar_expectation_mc(("orthogonal", 3), ("schur", Partition((2,))), 5000, 7)
+    [a] = haar_expectation_mc(("orthogonal", 3), [("schur", Partition((2,)))], 5000, 7)
+    [b] = haar_expectation_mc(("orthogonal", 3), [("schur", Partition((2,)))], 5000, 7)
     assert a.value == b.value and a.error_estimate == b.error_estimate
-    small = haar_expectation_mc(("orthogonal", 3), ("exp_trace", CouplingSeq.of(0.2)), 1000, 11)
-    large = haar_expectation_mc(("orthogonal", 3), ("exp_trace", CouplingSeq.of(0.2)), 100000, 11)
+    exp_t = [("exp_trace", CouplingSeq.of(0.2))]
+    [small] = haar_expectation_mc(("orthogonal", 3), exp_t, 1000, 11)
+    [large] = haar_expectation_mc(("orthogonal", 3), exp_t, 100000, 11)
     shrink = small.error_estimate / large.error_estimate
     assert 10.0 / 2 <= shrink <= 10.0 * 2   # samples^(-1/2) within a factor 2
+
+
+@pytest.mark.parametrize("group", [("orthogonal", 3), ("symplectic", 2)])
+def test_haar_results_do_not_depend_on_payload_grouping(group):
+    # orders 3, 1 and 2: the shared power sums are formed at order 3
+    payloads = [("schur", Partition((2,))), ("exp_trace", CouplingSeq.of(0.2)),
+                ("schur", Partition((1,)))]
+    together = haar_expectation_mc(group, payloads, 3001, 5)
+    backwards = haar_expectation_mc(group, payloads[::-1], 3001, 5)[::-1]
+    assert len(together) == len(payloads)
+    for i, payload in enumerate(payloads):
+        [alone] = haar_expectation_mc(group, [payload], 3001, 5)
+        for res in (together[i], backwards[i]):
+            assert (res.value, res.error_estimate) == (alone.value, alone.error_estimate)
+    assert haar_expectation_mc(group, [], 3001, 5) == []
+
+
+@pytest.mark.parametrize("draw,size", [(haar_orthogonal, 3), (haar_symplectic, 2),
+                                       (haar_symplectic, 4)])
+def test_trace_power_sums_match_eigenvalue_power_sums(draw, size):
+    g = draw(np.random.default_rng(3), size, batch=500)
+    psums = _batched_power_sums(g, 6)
+    eig = np.linalg.eigvals(g)
+    for m in range(1, 7):
+        assert np.max(np.abs(psums[:, m - 1] - np.sum(eig ** m, axis=1).real)) <= 1e-12
+    assert np.array_equal(_batched_power_sums(g, 2), psums[:, :2])
+
+
+def test_ginue_two_point_memory_peak():
+    # the pair sum runs in row blocks; a 2048-row block held 207 MB here
+    [e] = [e for e in acceptance_experiments() if e.name == "bimoment-GinUE-N2"]
+    tracemalloc.start()
+    try:
+        ginue_two_point(e.spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_discrete_single_atom_border():
