@@ -28,7 +28,7 @@ import numpy as np
 
 from . import quad
 from .quad import (LinePanels, QuadratureError, converge, half_plane_grid, full_plane_grid,
-                   gaussian_halfwidth, real_line_breakpoints, erfc_vec, power_gram,
+                   gaussian_halfwidth, real_line_breakpoints, erfc_vec, polar_gram,
                    power_table)
 from .skewlin import SkewPair
 from .symfun import CouplingSeq, ZERO_SEQ, potential
@@ -42,7 +42,7 @@ _DEFAULT_MIX = {"OE": (0.0, 1.0), "SE": (0.0, 1.0), "GinOE": (1.0, 1.0),
 # moves the numbers a table holds: its quadrature rule, level schedule or
 # tolerance, its sector convention, or its layout.  Entries stored under any
 # other value are never served.
-TABLE_ALGORITHM = "tables-2"
+TABLE_ALGORITHM = "tables-3"
 TABLE_BUILDS = 0
 _SECTOR_CACHE: dict = {}
 _DISK_CACHE = None
@@ -309,7 +309,7 @@ def _half_plane_raw(kind: str, s: CouplingSeq, base: int, size: int, level: int)
     w = pair_weight(kind, ZERO_SEQ, s)(z)
     if kind == "GinSE":
         w = w * (z - np.conj(z))
-    return power_gram(grid.weights * w, z, idx, idx)
+    return polar_gram(grid, w, idx, idx)
 
 
 def ginse_complex_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
@@ -502,6 +502,6 @@ def complex_bimoment_matrix(spec: EnsembleSpec, size: int) -> np.ndarray:
             e = e + potential(z, spec.t)
         if spec.t_bar.top_index():
             e = e + potential(np.conj(z), spec.t_bar)
-        return power_gram(grid.weights * np.exp(e), z, jpow, kpow)
+        return polar_gram(grid, np.exp(e), jpow, kpow)
 
     return converge(build, rel_tol=2e-9)[0]

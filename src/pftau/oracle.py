@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from . import moments as mom
 from .moments import EnsembleSpec
 from .partitions import Partition, partition_table
 from .quad import (LinePanels, converge, full_plane_grid, gaussian_halfwidth, half_plane_grid,
-                   power_gram, power_table)
+                   polar_gram, power_table)
 from .skewlin import SkewPair, abar
 from .symfun import CouplingSeq, ZERO_SEQ, hseq, potential, schur_from_h, schur_terms
 
@@ -115,10 +116,10 @@ def pair_moment_table(kind: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int,
     radius = mom.clip_support(radius, poles, gauss, lin, 2 * maxdeg + 2)
     grid = half_plane_grid(radius, level=level)
     z = grid.nodes
-    w = mom.pair_weight(kind, t, s)(z) * grid.weights
+    w = mom.pair_weight(kind, t, s)(z)
     if extra is not None:
         w = w * extra(z)
-    return power_gram(w, z, range(maxdeg + 1), range(maxdeg + 1))
+    return polar_gram(grid, w, range(maxdeg + 1), range(maxdeg + 1))
 
 
 def line_setup(family: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int,
@@ -133,8 +134,10 @@ def line_setup(family: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int,
 # ---------------------------------------------------------------------------
 # eigenvalue integrals
 
-def _sector_value_orth(k: int, n_real: int, L: int, pair_T, ordered: OrderedLineIntegrator) -> complex:
-    """One (k complex pairs, n_real reals) sector of the real-matrix family."""
+# The sector polynomials depend only on (k, n_real or m, L); each is expanded
+# once and kept as an item tuple, so every sum runs in the same order.
+@lru_cache(maxsize=64)
+def _orth_sector_poly(k: int, n_real: int, L: int) -> tuple:
     nv = 2 * k + n_real
     poly = vandermonde_poly(nv, power=1)
     # absolute powers: |z|^{2L} per pair, x^L per real
@@ -143,10 +146,14 @@ def _sector_value_orth(k: int, n_real: int, L: int, pair_T, ordered: OrderedLine
         shift[i] = L
     for j in range(n_real):
         shift[2 * k + j] = L
-    poly = poly_mul(poly, poly_monomial(nv, shift))
+    return tuple(poly_mul(poly, poly_monomial(nv, shift)).items())
+
+
+def _sector_value_orth(k: int, n_real: int, L: int, pair_T, ordered: OrderedLineIntegrator) -> complex:
+    """One (k complex pairs, n_real reals) sector of the real-matrix family."""
     norm = PAIR_NORM["GinOE"] ** k / math.factorial(k) if k else 1.0
     total = 0.0 + 0.0j
-    for exps, coeff in poly.items():
+    for exps, coeff in _orth_sector_poly(k, n_real, L):
         term = coeff
         for i in range(k):
             term = term * pair_T[exps[2 * i], exps[2 * i + 1]]
@@ -157,8 +164,8 @@ def _sector_value_orth(k: int, n_real: int, L: int, pair_T, ordered: OrderedLine
     return total * norm
 
 
-def _sector_value_sympl(k: int, m: int, L: int, pair_T, mu, mu_qmin: int) -> complex:
-    """k quaternion pairs and m doubled line eigenvalues (confluent factors)."""
+@lru_cache(maxsize=64)
+def _sympl_sector_poly(k: int, m: int, L: int) -> tuple:
     nv = 2 * k + m
     poly = {tuple(0 for _ in range(nv)): 1.0}
     # pair-pair and pair-line cross factors from the confluent Vandermonde;
@@ -185,13 +192,18 @@ def _sector_value_sympl(k: int, m: int, L: int, pair_T, mu, mu_qmin: int) -> com
             p = poly_linear(nv, xj, 2 * k + j2)
             p2 = poly_mul(p, p)
             poly = poly_mul(poly, poly_mul(p2, p2))
+    return tuple(poly.items())
+
+
+def _sector_value_sympl(k: int, m: int, L: int, pair_T, mu, mu_qmin: int) -> complex:
+    """k quaternion pairs and m doubled line eigenvalues (confluent factors)."""
     norm = 1.0
     if k:
         norm /= math.factorial(k)
     if m:
         norm /= math.factorial(m)
     total = 0.0 + 0.0j
-    for exps, coeff in poly.items():
+    for exps, coeff in _sympl_sector_poly(k, m, L):
         term = coeff
         for i in range(k):
             term = term * pair_T[exps[2 * i], exps[2 * i + 1]]

@@ -50,32 +50,11 @@ def converge(build, rel_tol: float, max_level: int = 4, zero_floor: float = 0.0)
                           best=cur, residual=delta)
 
 
-# nodes per chunk of a power_gram contraction; bounds its power tables
-NODE_CHUNK = 8192
-
-
 def power_table(x: np.ndarray, exponents) -> np.ndarray:
     """x**k for each integer k in `exponents` (negative allowed), one row each."""
     out = np.empty((len(exponents), len(x)), dtype=x.dtype)
     for row, k in zip(out, exponents):
         row[...] = x ** int(k)
-    return out
-
-
-def power_gram(w: np.ndarray, z: np.ndarray, rows, cols) -> np.ndarray:
-    """out[n, m] = sum_p w[p] z[p]**rows[n] conj(z[p])**cols[m], one BLAS product per chunk.
-
-    Chunks of NODE_CHUNK nodes keep the power tables small on large grids;
-    they are added in a fixed order.
-    """
-    same = np.array_equal(rows, cols)
-    out = 0.0
-    for start in range(0, len(w), NODE_CHUNK):
-        part = slice(start, start + NODE_CHUNK)
-        a = power_table(z[part], rows)
-        b = np.conj(a if same else power_table(z[part], cols))
-        a *= w[part]
-        out = out + a @ b.T
     return out
 
 
@@ -155,11 +134,19 @@ def real_line_breakpoints(halfwidth: float, n_center: int = 12,
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Deterministic quadrature rule: nodes and positive weights on a domain."""
+    """Polar tensor-product rule: nodes and positive weights on a plane domain.
+
+    Node i * len(angles) + j is radii[i] e^{i angles[j]} with weight
+    radial_weights[i] * angle_weights[j]; radial_weights carry the Jacobian r.
+    """
 
     domain: str                       # "half-plane" | "full-plane"
     nodes: np.ndarray
     weights: np.ndarray
+    radii: np.ndarray
+    radial_weights: np.ndarray
+    angles: np.ndarray
+    angle_weights: np.ndarray
 
     def __post_init__(self):
         if np.any(self.weights <= 0):
@@ -175,9 +162,28 @@ def _polar_grid(domain: str, theta_max: float, radius: float, n_r: int, r_order:
     r_nodes, r_w = _panel_nodes(np.column_stack([rb[:-1], rb[1:]]), r_order)
     tb = np.linspace(0.0, theta_max, n_theta * scale + 1)
     t_nodes, t_w = _panel_nodes(np.column_stack([tb[:-1], tb[1:]]), t_order)
+    r_w = r_w * r_nodes
     z = r_nodes[:, None] * np.exp(1j * t_nodes[None, :])
-    w = (r_w * r_nodes)[:, None] * t_w[None, :]
-    return QuadratureGrid(domain, z.ravel(), w.ravel())
+    w = r_w[:, None] * t_w[None, :]
+    return QuadratureGrid(domain, z.ravel(), w.ravel(), r_nodes, r_w, t_nodes, t_w)
+
+
+def polar_gram(grid: QuadratureGrid, f: np.ndarray, rows, cols) -> np.ndarray:
+    """out[n, m] = sum_p weights[p] f[p] z[p]**rows[n] conj(z[p])**cols[m].
+
+    On a polar grid z^a zbar^b = r^(a+b) e^{i(a-b)theta}, so the sum is one
+    angular product over the distinct differences a - b, one radial product
+    over the distinct sums a + b, and a gather; no per-node power table.
+    """
+    rows = np.asarray(rows)[:, None]
+    cols = np.asarray(cols)[None, :]
+    shape = (rows.size, cols.size)
+    sums, at_sum = np.unique(rows + cols, return_inverse=True)
+    diffs, at_diff = np.unique(rows - cols, return_inverse=True)
+    f = np.reshape(f, (len(grid.radii), len(grid.angles)))
+    angular = (f * grid.angle_weights) @ np.exp(1j * np.outer(grid.angles, diffs))
+    radial = (grid.radial_weights * grid.radii ** sums[:, None]) @ angular
+    return radial[at_sum.reshape(shape), at_diff.reshape(shape)]
 
 
 def half_plane_grid(radius: float, n_r: int = 8, r_order: int = 20,

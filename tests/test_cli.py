@@ -125,11 +125,12 @@ def test_cache_entry_without_table_algorithm_is_not_served(tmp_path):
         moments.clear_cache()
 
 
-def test_cache_entry_under_the_previous_table_algorithm_is_not_served(tmp_path):
+@pytest.mark.parametrize("previous", ["tables-1", "tables-2"])
+def test_cache_entry_under_the_previous_table_algorithm_is_not_served(tmp_path, previous):
     s = CouplingSeq.of(0.0, 0.4)
-    assert moments.TABLE_ALGORITHM != "tables-1"
+    assert moments.TABLE_ALGORITHM != previous
     cache = MomentCache(tmp_path / "c")
-    cache.store(("tables-1", "orth_border", s.values, 0, 4), np.full(4, 99.0))
+    cache.store((previous, "orth_border", s.values, 0, 4), np.full(4, 99.0))
     moments.clear_cache()
     moments.set_disk_cache(cache)
     try:
@@ -249,11 +250,11 @@ def test_moments_dump(tmp_path):
 
 
 def test_verdicts_identical_across_blas_thread_counts(tmp_path):
-    # moment tables and the GinUE pair sum are BLAS products: the GinSE plane
-    # tables, the OE line table and the GinUE bimoments and two-point sum;
-    # the Haar power sums are batched matrix products
-    names = ("ratio-GinSE-N2-L0-tA", "ratio-GinSE-N2-L1-tA", "ratio-OE-N2-L0-tA",
-             "bimoment-GinUE-N2", "group-O3")
+    # moment tables and the GinUE pair sum are BLAS products: the GinSE and
+    # erfc-weighted GinOE plane tables, the OE line table and the GinUE
+    # bimoments and two-point sum; the Haar power sums are batched matrix products
+    names = ("ratio-GinSE-N2-L0-tA", "ratio-GinSE-N2-L1-tA", "ratio-GinOE-N2-L0-tA",
+             "ratio-OE-N2-L0-tA", "bimoment-GinUE-N2", "group-O3")
 
     def ensemble(spec):
         node = {"kind": spec.kind, "n": spec.n, "L": spec.L, "t": list(spec.t.values)}

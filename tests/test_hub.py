@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 from pftau import hub, oracle
 from pftau.hub import (Experiment, acceptance_experiments, bkp_normalization,
                        ratio_experiments, run_experiment, run_suite)
 from pftau.moments import EnsembleSpec
-from pftau.symfun import CouplingSeq, c_factor
+from pftau.symfun import ZERO_SEQ, CouplingSeq, c_factor
 from pftau.tauseries import WaveReport
 
 
@@ -24,6 +26,21 @@ def test_series_vs_oracle_verdict_and_reporting():
     assert v.passed and v.margin < 1e-8
     assert "bkp_normalization" in v.details
     assert v.details["imag_ratio"] < 1e-10
+
+
+@pytest.mark.parametrize("s, series_built", [(ZERO_SEQ, 1), (CouplingSeq.of(0.0, 0.4), 2)],
+                         ids=["zero-s", "nonzero-s"])
+def test_series_ratio_shares_the_coefficient_table_when_s_is_zero(monkeypatch, s, series_built):
+    spec = EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.3), s)
+    tau_series = hub.ts.tau_series
+    built = []
+    monkeypatch.setattr(hub.ts, "tau_series",
+                        lambda spec, cutoff: built.append(spec) or tau_series(spec, cutoff))
+    ratio, _ = hub._series_ratio(spec, 12)
+    assert len(built) == series_built
+    num = tau_series(spec, 12).evaluate(spec.t)
+    den = tau_series(replace(spec, t=ZERO_SEQ, s=ZERO_SEQ), 12).evaluate(ZERO_SEQ)
+    assert ratio == num / den
 
 
 def test_degenerate_base_falls_back():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pftau.quad import (LinePanels, QuadratureError, converge, convergence_validate,
-                        erfc_vec, gaussian_halfwidth, half_plane_grid,
-                        real_line_breakpoints)
+                        erfc_vec, full_plane_grid, gaussian_halfwidth, half_plane_grid,
+                        polar_gram, real_line_breakpoints)
 from pftau.symfun import CouplingSeq, ZERO_SEQ
 
 SQRT_PI = math.sqrt(math.pi)
@@ -180,6 +180,44 @@ def test_grid_invariants():
     assert np.all(np.imag(fine.nodes) > 0)
     # one level doubles both the radial and the angular panel count
     assert len(fine.nodes) == 4 * len(grid.nodes)
+    # the stored polar factors multiply back to the nodes and weights
+    for g in (grid, fine, full_plane_grid(5.0)):
+        z = g.radii[:, None] * np.exp(1j * g.angles[None, :])
+        assert np.array_equal(z.ravel(), g.nodes)
+        assert np.array_equal(np.outer(g.radial_weights, g.angle_weights).ravel(), g.weights)
+
+
+def _direct_gram(grid, f, rows, cols):
+    z = grid.nodes
+    return np.array([[np.sum(grid.weights * f * z ** a * np.conj(z) ** b) for b in cols]
+                     for a in rows])
+
+
+def _assert_gram_matches_direct(grid, f, rows, cols):
+    table = polar_gram(grid, f, rows, cols)
+    direct = _direct_gram(grid, f, rows, cols)
+    assert table.shape == (len(rows), len(cols))
+    assert np.max(np.abs(table - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_polar_gram_half_plane_erfc_weight_negative_exponents():
+    # the GinOE pair weight does not separate in r and theta; base -1 gives
+    # the negative exponents of an L < 0 table
+    grid = half_plane_grid(gaussian_halfwidth(1.0, 0.0, 16), level=1)
+    z = grid.nodes
+    f = erfc_vec(math.sqrt(2.0) * np.imag(z)) * np.exp(-np.real(z * z))
+    idx = np.arange(-1, 7)
+    _assert_gram_matches_direct(grid, f, idx, idx)
+
+
+def test_polar_gram_full_plane_distinct_row_and_column_powers():
+    # GinUE bimoment exponents: z^(j + L) zbar^(k - L2), with a weight that
+    # carries a potential and so depends on the angle
+    n, L, L2 = 5, 2, 1
+    grid = full_plane_grid(gaussian_halfwidth(1.0, 0.2, 2 * n + L + L2 + 2))
+    z = grid.nodes
+    f = np.exp(-np.abs(z) ** 2 + 0.2 * z + 0.1 * np.conj(z) ** 2)
+    _assert_gram_matches_direct(grid, f, np.arange(n) + L, np.arange(n) - L2)
 
 
 def test_breakpoints_cluster_toward_zero():
