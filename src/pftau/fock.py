@@ -77,9 +77,6 @@ class FockVector:
     def coefficient(self, state: frozenset) -> complex:
         return complex(self.amp.get(state, 0.0))
 
-    def norm2(self) -> float:
-        return sum(abs(v) ** 2 for v in self.amp.values())
-
     def is_zero(self) -> bool:
         return not self.amp or all(v == 0 for v in self.amp.values())
 

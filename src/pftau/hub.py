@@ -20,7 +20,7 @@ from . import tauseries as ts
 from .moments import (EnsembleSpec, complex_bimoment_matrix, kernel_matrix,
                       kernel_prefactor, moment_pair)
 from .partitions import Partition
-from .quad import QuadratureError, ValidationError, converge
+from .quad import QuadratureError, ValidationError
 from .skewlin import pfaffian
 from .symfun import CouplingSeq, ZERO_SEQ, c_factor
 
@@ -309,9 +309,7 @@ def _s_ratio_fn(spec: EnsembleSpec):
         def extra_pair(z):
             return ((1.0 - lam / z) * (1.0 - lam / np.conj(z))) ** power
 
-        val, _ = converge(
-            lambda lvl: orc._eigen_value_at_level(spec, lvl, extra_real, extra_pair), 1e-9)
-        return val / base
+        return orc.eigen_integral(spec, 1e-9, extra_real, extra_pair).value / base
 
     return ratio
 

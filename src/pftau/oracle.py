@@ -25,8 +25,7 @@ import numpy as np
 from . import moments as mom
 from .moments import EnsembleSpec
 from .partitions import Partition, partition_table
-from .quad import (LinePanels, converge, full_plane_grid, gaussian_halfwidth, half_plane_grid,
-                   polar_gram, power_table)
+from .quad import LinePanels, converge, full_plane_grid, gaussian_halfwidth, power_table
 from .skewlin import SkewPair, abar
 from .symfun import CouplingSeq, ZERO_SEQ, hseq, potential, schur_from_h, schur_terms
 
@@ -105,30 +104,6 @@ class OrderedLineIntegrator:
         if inner is not None:
             vals = vals * inner
         return self.lp.integrate(vals)
-
-
-def pair_moment_table(kind: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int,
-                      level: int, extra=None, poles=None) -> np.ndarray:
-    """T[a,b] = int z^a zbar^b W_pair(z) [extra(z)] d^2 z over the half-plane."""
-    gauss = 1.0 - 2.0 * abs(float(t.entry(2)))
-    lin = 2.0 * abs(float(t.entry(1)))
-    radius = gaussian_halfwidth(gauss, lin, 2 * maxdeg + 2)
-    radius = mom.clip_support(radius, poles, gauss, lin, 2 * maxdeg + 2)
-    grid = half_plane_grid(radius, level=level)
-    z = grid.nodes
-    w = mom.pair_weight(kind, t, s)(z)
-    if extra is not None:
-        w = w * extra(z)
-    return polar_gram(grid, w, range(maxdeg + 1), range(maxdeg + 1))
-
-
-def line_setup(family: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int,
-               level: int, extra=None, poles=None) -> tuple[LinePanels, np.ndarray]:
-    lp = mom._line_panels(family, s, maxdeg + 2, level, t=t, poles=poles)
-    w = mom.line_weight(family, t, s)(lp.nodes)
-    if extra is not None:
-        w = w * extra(lp.nodes)
-    return lp, w
 
 
 # ---------------------------------------------------------------------------
@@ -221,55 +196,61 @@ def _mix_weight(alpha: float, beta: float, k: int, n_real_or_m: int, family: str
 
 def _eigen_value_at_level(spec: EnsembleSpec, level: int, extra_real=None,
                           extra_pair=None, poles=None) -> complex:
+    if spec.family not in ("orth", "sympl"):
+        raise ValueError(f"no eigenvalue oracle for kind {spec.kind!r}")
+    if spec.n > 3:
+        raise ValueError("eigenvalue oracle implemented for N <= 3")
     alpha, beta = spec.mix
     n, L = spec.n, spec.L
+
+    def line(maxdeg):
+        lp, w = mom.line_rule(spec.family, spec.t, spec.s, maxdeg, level, poles)
+        return lp, w if extra_real is None else w * extra_real(lp.nodes)
+
+    def pair_table(kind, maxdeg):
+        return mom.pair_moments(kind, spec.t, spec.s, range(maxdeg + 1), level,
+                                extra_pair, poles)
+
+    total = 0.0 + 0.0j
     if spec.family == "orth":
-        if n > 3:
-            raise ValueError("eigenvalue oracle implemented for N <= 3")
         maxdeg = n - 1 + abs(L) + 1
         pair_T = None
         if alpha != 0.0 and n >= 2:
-            pair_T = pair_moment_table("GinOE", spec.t, spec.s, maxdeg + abs(L) + 2,
-                                       level, extra=extra_pair, poles=poles)
-        lp, w = line_setup("orth", spec.t, spec.s, maxdeg, level, extra=extra_real, poles=poles)
-        ordered = OrderedLineIntegrator(lp, w)
-        total = 0.0 + 0.0j
+            pair_T = pair_table("GinOE", maxdeg + abs(L) + 2)
+        ordered = OrderedLineIntegrator(*line(maxdeg + 2))
         for k in range(0, n // 2 + 1):
             wk = _mix_weight(alpha, beta, k, n - 2 * k, "orth")
             if wk == 0.0:
                 continue
             total += wk * _sector_value_orth(k, n - 2 * k, L, pair_T, ordered)
         return total
-    if spec.family == "sympl":
-        if n > 3:
-            raise ValueError("eigenvalue oracle implemented for N <= 3")
-        maxdeg = 4 * n + 2 * abs(L) + 2
-        pair_T = None
-        if alpha != 0.0:
-            pair_T = pair_moment_table("GinSE", spec.t, spec.s, maxdeg, level,
-                                       extra=extra_pair, poles=poles)
-        mu_qmin = -2 * abs(L)
-        mu_qmax = maxdeg * 2
-        lp, w = line_setup("sympl", spec.t, spec.s, mu_qmax, level, extra=extra_real, poles=poles)
-        powers = power_table(lp.nodes, range(mu_qmin, mu_qmax + 1))
-        mu = powers @ (lp.weights * w)
-        total = 0.0 + 0.0j
-        for k in range(0, n + 1):
-            wk = _mix_weight(alpha, beta, k, n - k, "sympl")
-            if wk == 0.0:
-                continue
-            total += wk * _sector_value_sympl(k, n - k, L, pair_T, mu, mu_qmin)
-        return total
-    raise ValueError(f"no eigenvalue oracle for kind {spec.kind!r}")
+    maxdeg = 4 * n + 2 * abs(L) + 2
+    pair_T = pair_table("GinSE", maxdeg) if alpha != 0.0 else None
+    mu_qmin = -2 * abs(L)
+    mu_qmax = maxdeg * 2
+    lp, w = line(mu_qmax + 2)
+    powers = power_table(lp.nodes, range(mu_qmin, mu_qmax + 1))
+    mu = powers @ (lp.weights * w)
+    for k in range(0, n + 1):
+        wk = _mix_weight(alpha, beta, k, n - k, "sympl")
+        if wk == 0.0:
+            continue
+        total += wk * _sector_value_sympl(k, n - k, L, pair_T, mu, mu_qmin)
+    return total
 
 
-def eigen_integral(spec: EnsembleSpec, rel_tol: float = 1e-9) -> OracleResult:
+def eigen_integral(spec: EnsembleSpec, rel_tol: float = 1e-9, extra_real=None,
+                   extra_pair=None, poles=None) -> OracleResult:
     """Direct eigenvalue-space value of the deformed partition function.
 
-    No attempt is made to match absorbed volume constants; use ratios.
+    `extra_real(x)` and `extra_pair(z)` multiply the weight of each real
+    eigenvalue and of each conjugate pair (an inserted observable); the
+    quadrature supports stay clear of `poles`.  No attempt is made to match
+    absorbed volume constants; use ratios.
     """
     spec.validate().require()
-    value, err = converge(lambda lvl: _eigen_value_at_level(spec, lvl), rel_tol)
+    value, err = converge(
+        lambda lvl: _eigen_value_at_level(spec, lvl, extra_real, extra_pair, poles), rel_tol)
     return OracleResult(value, err, "quadrature")
 
 
@@ -280,7 +261,6 @@ def det_average_lhs(spec: EnsembleSpec, p, insert_power: int = 1,
     r = insert_power applies per eigenvalue (for the quaternion kinds the
     full 2Nx2N determinant corresponds to r = 2).
     """
-    spec.validate().require()
     p = np.asarray(p, dtype=float)
 
     def extra_real(x):
@@ -297,9 +277,7 @@ def det_average_lhs(spec: EnsembleSpec, p, insert_power: int = 1,
 
     # a negative power is a polynomial insertion and has no pole to dodge
     poles = [1.0 / float(pi) for pi in p if pi != 0] if insert_power > 0 else []
-    value, err = converge(
-        lambda lvl: _eigen_value_at_level(spec, lvl, extra_real, extra_pair, poles), rel_tol)
-    return OracleResult(value, err, "quadrature")
+    return eigen_integral(spec, rel_tol, extra_real, extra_pair, poles)
 
 
 # (n_r, r_order, n_theta, t_order) per level: two unrelated coarse rules give
@@ -312,24 +290,15 @@ def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
     if spec.kind != "GinUE" or spec.n != 2:
         raise ValueError("direct two-point oracle is for GinUE with N = 2")
     mom.validate_ginue(spec).require()
-
-    def weight(z):
-        e = -np.abs(z) ** 2
-        if spec.t.top_index():
-            e = e + potential(z, spec.t)
-        if spec.t_bar.top_index():
-            e = e + potential(np.conj(z), spec.t_bar)
-        return np.exp(e) * z ** spec.L * np.conj(z) ** (-spec.L2)
+    log_w, gauss, lin = mom.ginue_weight(spec)
+    radius = gaussian_halfwidth(gauss, lin, 6)
 
     def evaluate(level):
-        gauss = 1.0 - abs(float(spec.t.entry(2))) - abs(float(spec.t_bar.entry(2)))
-        radius = gaussian_halfwidth(gauss, abs(float(spec.t.entry(1)))
-                                    + abs(float(spec.t_bar.entry(1))), 6)
         n_r, r_order, n_theta, t_order = _GINUE_RULES[level]
         grid = full_plane_grid(radius, n_r=n_r, r_order=r_order,
                                n_theta=n_theta, t_order=t_order)
         z = grid.nodes
-        wv = weight(z) * grid.weights
+        wv = np.exp(log_w(z)) * z ** spec.L * np.conj(z) ** (-spec.L2) * grid.weights
         x, y = z.real, z.imag
         total = 0.0 + 0.0j
         block = 256
@@ -410,16 +379,8 @@ def _batched_schur(lam: Partition, psums: np.ndarray) -> np.ndarray:
     ell = lam.length
     if ell == 0:
         return np.ones(psums.shape[0])
-    nmax = lam.parts[0] + ell
-    b = psums.shape[0]
-    h = np.zeros((b, nmax + 1))
-    h[:, 0] = 1.0
-    for n in range(1, nmax + 1):
-        acc = np.zeros(b)
-        for k in range(1, min(n, psums.shape[1]) + 1):
-            acc += psums[:, k - 1] * h[:, n - k]   # k * t_k = p_k
-        h[:, n] = acc / n
-    return schur_from_h(np.broadcast_to(lam.parts, (b, ell)), h)
+    return schur_from_h(np.broadcast_to(lam.parts, (psums.shape[0], ell)),
+                        hseq(lam.parts[0] + ell, psums))
 
 
 def _payload_order(payload) -> int:

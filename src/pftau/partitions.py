@@ -139,9 +139,3 @@ def conjugate(lam: Partition) -> Partition:
 def is_even_partition(lam: Partition) -> bool:
     """True when every part is even (the orthogonal-group series predicate)."""
     return all(p % 2 == 0 for p in lam.parts)
-
-
-def partitions_of(weight: int, max_length: int | None = None) -> list[Partition]:
-    """Partitions of exactly the given weight."""
-    ml = weight if max_length is None else max_length
-    return [p for p in enumerate_partitions(weight, ml) if p.weight == weight]

@@ -220,7 +220,6 @@ class Validation:
             raise ValidationError(self.reason or "rejected deformation parameters")
 
 
-REAL_LINE_KINDS = {"OE", "SE"}
 KNOWN_KINDS = {"OE", "SE", "GinOE", "GinSE", "GinUE"}
 
 

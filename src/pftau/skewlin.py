@@ -146,10 +146,6 @@ class SkewPair:
     def size(self) -> int:
         return self.a_matrix.shape[0]
 
-    def skewness_defect(self) -> float:
-        scale = max(float(np.max(np.abs(self.a_matrix))), 1e-300)
-        return float(np.max(np.abs(self.a_matrix + self.a_matrix.T))) / scale
-
     def lookup(self, indices) -> np.ndarray:
         """Table rows of absolute indices, in any array shape."""
         indices = np.asarray(indices, dtype=int)

@@ -78,26 +78,26 @@ def potential(x, t: CouplingSeq):
     return acc
 
 
-def hseq(nmax: int, t: CouplingSeq) -> np.ndarray:
-    """h_0..h_nmax from the recurrence n h_n = sum_k k t_k h_{n-k}."""
+def hseq(nmax: int, t) -> np.ndarray:
+    """h_0..h_nmax from the recurrence n h_n = sum_k p_k h_{n-k}, p_k = k t_k.
+
+    `t` is a CouplingSeq (one table comes back) or a (batch, K) array whose
+    rows are power sums p_1..p_K (a (batch, nmax+1) array comes back).
+    """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    cplx = any(isinstance(v, complex) for v in t.values)
-    h = np.zeros(nmax + 1, dtype=complex if cplx else float)
+    if isinstance(t, CouplingSeq):
+        p = np.array([k * v for k, v in enumerate(t.values, start=1)])
+    else:
+        p = np.asarray(t).T
+    h = np.zeros((nmax + 1,) + p.shape[1:], dtype=np.result_type(p, float))
     h[0] = 1.0
     for n in range(1, nmax + 1):
         acc = 0.0
-        for k in range(1, min(n, t.order) + 1):
-            acc = acc + k * t.values[k - 1] * h[n - k]
+        for k in range(1, min(n, len(p)) + 1):
+            acc = acc + p[k - 1] * h[n - k]
         h[n] = acc / n
-    return h
-
-
-def complete_homogeneous(n: int, t: CouplingSeq):
-    """h_n(t); generating identity exp(V(z,t)) = sum z^n h_n(t)."""
-    if n < 0:
-        raise ValueError("complete_homogeneous needs n >= 0 (h_{n<0}=0 is the caller's job)")
-    return hseq(n, t)[n]
+    return h.T
 
 
 def schur_from_h(lam, h):

@@ -252,9 +252,11 @@ def test_moments_dump(tmp_path):
 def test_verdicts_identical_across_blas_thread_counts(tmp_path):
     # moment tables and the GinUE pair sum are BLAS products: the GinSE and
     # erfc-weighted GinOE plane tables, the OE line table and the GinUE
-    # bimoments and two-point sum; the Haar power sums are batched matrix products
+    # bimoments and two-point sum; the Haar power sums are batched matrix
+    # products, and so are the SE line and GinSE plane kernel matrices
     names = ("ratio-GinSE-N2-L0-tA", "ratio-GinSE-N2-L1-tA", "ratio-GinOE-N2-L0-tA",
-             "ratio-OE-N2-L0-tA", "bimoment-GinUE-N2", "group-O3")
+             "ratio-OE-N2-L0-tA", "bimoment-GinUE-N2", "group-O3", "kernel-SE-N2",
+             "kernel-GinSE-N1")
 
     def ensemble(spec):
         node = {"kind": spec.kind, "n": spec.n, "L": spec.L, "t": list(spec.t.values)}
@@ -269,6 +271,10 @@ def test_verdicts_identical_across_blas_thread_counts(tmp_path):
     nodes += [{"name": e.name, "comparison": e.comparison, "cutoff": e.cutoff,
                "samples": e.samples, "seed": e.seed, "params": dict(e.params)}
               for e in hub.acceptance_experiments(samples=4000) if e.name == "group-O3"]
+    kernel = {"comparison": "kernel-vs-oracle", "tolerance": 1e-4,
+              "params": {"p": [0.1, -0.1], "p_ref": [0.08, -0.06]}}
+    nodes += [dict(kernel, name="kernel-SE-N2", ensemble={"kind": "SE", "n": 1, "t": [0.2]}),
+              dict(kernel, name="kernel-GinSE-N1", ensemble={"kind": "GinSE", "n": 1, "t": [0.2]})]
     assert sorted(n["name"] for n in nodes) == sorted(names)
     config = tmp_path / "suite.json"
     config.write_text(json.dumps({"command": "suite", "format": "json", "experiments": nodes}))

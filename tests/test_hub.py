@@ -89,6 +89,21 @@ def test_kernel_experiment_records_variant():
     assert not v.details["variants"]["sgn"]["validates"]
 
 
+@pytest.mark.parametrize("kind,n", [("GinSE", 1), ("GinOE", 2)])
+@pytest.mark.parametrize("L,t", [(0, (0.2,)), (1, (0.1, -0.05))])
+def test_ginibre_kernel_identity(kind, n, L, t):
+    # the quaternion pair carries det(1 - p X)^{-1} squared, and the GinOE pair
+    # block 2 Im z; with either wrong the two point sets disagree at 1e-2
+    e = Experiment("kern", "kernel-vs-oracle", spec=EnsembleSpec(kind, n, L, CouplingSeq(t)),
+                   tolerance=1e-4, params=(("p", (0.1, -0.1)), ("p_ref", (0.08, -0.06))))
+    v = run_experiment(e)
+    assert v.error is None
+    assert v.passed and v.margin < 1e-12
+    assert v.details["validating_variant"] == "abs"
+    if kind == "GinOE":
+        assert not v.details["variants"]["sgn"]["validates"]
+
+
 def test_hirota_experiment_shape():
     e = Experiment("hir", "hirota-decay", spec=EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.2)),
                    params=(("alpha", 8.0), ("beta", 10.0), ("cutoffs", (8, 10, 12)),

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pftau.hub import acceptance_experiments
-from pftau.moments import EnsembleSpec
+from pftau.moments import EnsembleSpec, pair_moments
 from pftau.oracle import (_batched_power_sums, det_average_lhs, discrete_consistency,
                           eigen_integral, ginue_two_point, haar_expectation_mc,
-                          haar_orthogonal, haar_symplectic, pair_moment_table, poly_mul,
+                          haar_orthogonal, haar_symplectic, poly_mul,
                           poly_linear, vandermonde_poly)
 from pftau.partitions import Partition
 from pftau.quad import QuadratureError
@@ -34,6 +34,21 @@ def test_eigen_se_ratio_closed_form():
     t = CouplingSeq.of(0.3)
     r = eigen_integral(EnsembleSpec("SE", 1, 0, t)).value / eigen_integral(EnsembleSpec("SE", 1)).value
     assert r.real == pytest.approx(math.exp(0.09), rel=1e-9)
+
+
+def test_eigen_integral_insertions():
+    # <x^2> under the symplectic-line weight e^{-x^2} is 1/2
+    spec = EnsembleSpec("SE", 1)
+    moment = eigen_integral(spec, extra_real=lambda x: x * x).value
+    assert (moment / eigen_integral(spec).value).real == pytest.approx(0.5, rel=1e-12)
+    # det_average_lhs is eigen_integral with the determinant insertions
+    p = (0.1, -0.1)
+    ginse = EnsembleSpec("GinSE", 1, 0, CouplingSeq.of(0.2))
+    direct = eigen_integral(
+        ginse, extra_pair=lambda z: 1.0 / np.prod([((1 - q * z) * (1 - q * np.conj(z))) ** 2
+                                                   for q in p], axis=0),
+        poles=[1 / q for q in p]).value
+    assert det_average_lhs(ginse, p, insert_power=2).value == pytest.approx(direct, rel=1e-12)
 
 
 def test_eigen_integral_unconverged_raises():
@@ -314,7 +329,7 @@ def test_three_eigenvalue_continuum_ratios():
 
 
 def test_pair_moment_table_hermitian_pairing():
-    t = pair_moment_table("GinSE", ZERO_SEQ, ZERO_SEQ, 4, level=0)
+    t = pair_moments("GinSE", ZERO_SEQ, ZERO_SEQ, range(5), level=0)
     # T[a,b] with the (z - zbar)-free weight obeys T[b,a] = conj(T[a,b])
     for a in range(5):
         for b in range(5):

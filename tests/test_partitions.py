@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pftau.partitions import (Partition, conjugate, enumerate_partitions,
-                              is_even_partition, partition_table, partitions_of,
+                              is_even_partition, partition_table,
                               shifted_indices)
 
 
@@ -18,7 +18,7 @@ def test_small_enumeration_order():
 
 
 def test_weight_four_length_two():
-    got = partitions_of(4, max_length=2)
+    got = [lam for lam in enumerate_partitions(4, 2) if lam.weight == 4]
     assert got == [Partition((4,)), Partition((3, 1)), Partition((2, 2))]
 
 

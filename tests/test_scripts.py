@@ -1,0 +1,39 @@
+"""The example scripts run end to end and print their tables."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str) -> list[list[str]]:
+    """Run scripts/<name> with the package on the path; the table rows, split."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("# ")
+    return [line.split() for line in lines[2:]]
+
+
+def test_ratio_scan_table():
+    rows = run_script("ratio_scan.py", "--kind", "GinSE", "--n", "1", "--steps", "1",
+                      "--cutoff", "6")
+    assert [row[0] for row in rows] == ["0.000", "0.450"]
+    for t1, series, oracle, rel in rows:
+        assert float(series) == pytest.approx(float(oracle), rel=1e-4)
+        assert float(rel) < 1e-4
+    assert float(rows[0][1]) == float(rows[0][2]) == 1.0
+
+
+def test_hirota_decay_table():
+    rows = run_script("hirota_decay.py", "--kind", "SE", "--cutoffs", "6", "8")
+    assert [row[0] for row in rows] == ["6", "8"]
+    assert len(rows[0]) == 2 and len(rows[1]) == 3
+    assert float(rows[1][1]) < float(rows[0][1])
+    assert float(rows[1][2]) >= 2.0

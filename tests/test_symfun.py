@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pftau.partitions import Partition, enumerate_partitions, length_groups
-from pftau.symfun import (CouplingSeq, ZERO_SEQ, c_factor, complete_homogeneous,
-                          hseq, miwa_shift, potential, schur, schur_from_h, schur_terms)
+from pftau.symfun import (CouplingSeq, ZERO_SEQ, c_factor, hseq,
+                          miwa_shift, potential, schur, schur_from_h, schur_terms)
 
 finite = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -21,11 +21,11 @@ def test_potential_examples():
 def test_complete_homogeneous_low_orders():
     t1, t2, t3 = 0.37, -0.21, 0.11
     t = CouplingSeq.of(t1, t2, t3)
-    assert complete_homogeneous(0, t) == 1.0
-    assert complete_homogeneous(2, t) == pytest.approx(t2 + t1 ** 2 / 2)
-    assert complete_homogeneous(3, t) == pytest.approx(t3 + t1 * t2 + t1 ** 3 / 6)
+    assert hseq(0, t)[0] == 1.0
+    assert hseq(2, t)[2] == pytest.approx(t2 + t1 ** 2 / 2)
+    assert hseq(3, t)[3] == pytest.approx(t3 + t1 * t2 + t1 ** 3 / 6)
     with pytest.raises(ValueError):
-        complete_homogeneous(-1, t)
+        hseq(-1, t)
 
 
 def test_generating_function_identity():
@@ -119,6 +119,20 @@ def test_c_factor_bilinearity(t1, t2, s1, s2):
 def test_c_factor_rejects_complex():
     with pytest.raises(ValueError):
         c_factor(CouplingSeq.of(1j), CouplingSeq.of(1.0))
+
+
+def test_hseq_of_power_sum_rows_is_hseq_of_each_row():
+    # rows of power sums p_k = k t_k give, row by row, the bits of the coupling form
+    rng = np.random.default_rng(11)
+    ts_ = [tuple(rng.uniform(-0.6, 0.6, size=k)) for k in (4, 4, 4)]
+    psums = np.array([[k * v for k, v in enumerate(t, start=1)] for t in ts_])
+    h = hseq(9, psums)
+    assert h.shape == (3, 10)
+    for row, t in zip(h, ts_):
+        assert np.array_equal(row, hseq(9, CouplingSeq(t)))
+    assert np.array_equal(hseq(9, psums[:, :0]), np.eye(1, 10).repeat(3, axis=0))
+    with pytest.raises(ValueError):
+        hseq(-1, psums)
 
 
 def test_schur_from_h_complex_support():
