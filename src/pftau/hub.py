@@ -170,9 +170,11 @@ def _run_kernel(e: Experiment) -> Verdict:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     qs.append(lhs / rhs if rhs != 0 else complex(math.inf))
             const = qs[0]
-            dev = abs(qs[0] / qs[1] - 1.0) if np.isfinite(abs(qs[1])) else math.inf
-            finite = all(np.isfinite(abs(q)) for q in qs) and abs(const) > 1e-10
-            outcomes[variant] = (bool(finite and dev < e.tolerance), dev, const)
+            # a zero Pfaffian gave an infinite quotient above: no deviation
+            finite = all(np.isfinite(abs(q)) for q in qs) and qs[1] != 0
+            dev = abs(qs[0] / qs[1] - 1.0) if finite else math.inf
+            outcomes[variant] = (bool(finite and abs(const) > 1e-10 and dev < e.tolerance),
+                                 dev, const)
         except (ZeroDivisionError, FloatingPointError, QuadratureError) as exc:
             outcomes[variant] = (False, math.inf, str(exc))
     details["variants"] = {k: {"validates": v[0], "deviation": v[1], "constant": v[2]}

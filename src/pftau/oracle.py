@@ -285,6 +285,38 @@ def det_average_lhs(spec: EnsembleSpec, p, insert_power: int = 1,
 _GINUE_RULES = ((4, 14, 4, 12), (5, 18, 5, 14), (8, 22, 8, 18))
 
 
+def _pair_sum(z: np.ndarray, w: np.ndarray) -> complex:
+    """sum_ij w_i w_j |z_i - z_j|^2, from the pairs i < j only.
+
+    The diagonal term is 0 and the summand symmetric, so each row block meets
+    only the columns from its own first row on: pairs inside the block count
+    both ways, pairs beyond it once with weight 2.  |z_i - z_j|^2 is formed in
+    real arithmetic in two reused (block, nodes) buffers that stay in cache,
+    and each block is reduced by one product with the contiguous (nodes, 2)
+    real and imaginary weights.
+    """
+    x, y = z.real, z.imag
+    n = len(z)
+    block = 32   # 3.2 MB of buffers at the 6300-node rule
+    w_ri = np.stack([w.real, w.imag], axis=1)
+    bufs = np.empty((2, min(block, n) * n))
+    total = 0.0 + 0.0j
+    for i0 in range(0, n, block):
+        i1 = min(i0 + block, n)
+        shape = (i1 - i0, n - i0)
+        d2, dy = (buf[:shape[0] * shape[1]].reshape(shape) for buf in bufs)
+        np.subtract.outer(x[i0:i1], x[i0:], out=d2)
+        np.subtract.outer(y[i0:i1], y[i0:], out=dy)
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+        cols = w_ri[i0:].copy()
+        cols[i1 - i0:] *= 2.0
+        s = d2 @ cols
+        total += np.dot(w[i0:i1], s[:, 0] + 1j * s[:, 1])
+    return total
+
+
 def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
     """Direct |Delta|^2-weighted two-eigenvalue quadrature over the plane."""
     if spec.kind != "GinUE" or spec.n != 2:
@@ -298,23 +330,7 @@ def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
         grid = full_plane_grid(radius, n_r=n_r, r_order=r_order,
                                n_theta=n_theta, t_order=t_order)
         z = grid.nodes
-        wv = np.exp(log_w(z)) * z ** spec.L * np.conj(z) ** (-spec.L2) * grid.weights
-        x, y = z.real, z.imag
-        total = 0.0 + 0.0j
-        block = 256
-        # |z_i - z_j|^2 in real arithmetic, in two reused (block, nodes) buffers
-        # small enough to stay in cache (26 MB at the 6300-node rule)
-        bufs = np.empty((2, min(block, len(z)), len(z)))
-        for i0 in range(0, len(z), block):
-            rows = slice(i0, i0 + block)
-            d2, dy = bufs[:, :min(block, len(z) - i0)]
-            np.subtract.outer(x[rows], x, out=d2)
-            np.subtract.outer(y[rows], y, out=dy)
-            d2 *= d2
-            dy *= dy
-            d2 += dy
-            total += np.dot(wv[rows], d2 @ wv.real + 1j * (d2 @ wv.imag))
-        return total
+        return _pair_sum(z, np.exp(log_w(z)) * z ** spec.L * np.conj(z) ** (-spec.L2) * grid.weights)
 
     value, err = converge(evaluate, rel_tol, max_level=len(_GINUE_RULES) - 1)
     return OracleResult(value, err, "quadrature")
@@ -324,12 +340,32 @@ def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
 # Haar-measure Monte Carlo
 
 def haar_orthogonal(rng: np.random.Generator, n: int, batch: int = 1) -> np.ndarray:
-    """Batch of Haar orthogonal matrices: QR with positive R diagonal."""
+    """Batch of Haar orthogonal matrices: QR with positive R diagonal.
+
+    Householder QR with the batch as the last axis, so every entry of the
+    factorisation is a length-`batch` vector and a shard costs O(n^3) array
+    operations, not `batch` LAPACK calls.  The reflector maps column k to
+    -sign(x_0)|x| e_k (no cancellation); Q then takes the signs of diag R
+    (0 counts as +1), which makes it the unique factor with R_kk > 0.
+    """
     g = rng.standard_normal((batch, n, n))
-    q, r = np.linalg.qr(g)
-    sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    sign = np.where(sign == 0, 1.0, sign)
-    return q * sign[:, None, :]
+    a = g.transpose(1, 2, 0).copy()          # a[i, j]: entry (i, j) of every sample
+    q = np.zeros_like(a)
+    q[range(n), range(n)] = 1.0
+    r_diag = np.empty((n, batch))
+    for k in range(n - 1):
+        x = a[k:, k]
+        norm = np.sqrt(np.sum(x * x, axis=0))
+        r_diag[k] = np.where(x[0] < 0, norm, -norm)
+        v = x.copy()
+        v[0] -= r_diag[k]
+        beta = 1.0 / (norm * (norm + np.abs(x[0])))   # 2 / |v|^2
+        a[k:, k + 1:] -= v[:, None] * (beta * np.sum(v[:, None] * a[k:, k + 1:], axis=0))
+        q[:, k:] -= (beta * np.sum(q[:, k:] * v, axis=1))[:, None] * v
+    r_diag[n - 1] = a[n - 1, n - 1]
+    sign = np.sign(r_diag)
+    sign[sign == 0] = 1.0
+    return (q * sign).transpose(2, 0, 1)
 
 
 def haar_symplectic(rng: np.random.Generator, two_n: int, batch: int = 1) -> np.ndarray:
@@ -362,15 +398,19 @@ def haar_symplectic(rng: np.random.Generator, two_n: int, batch: int = 1) -> np.
 def _batched_power_sums(g: np.ndarray, order: int) -> np.ndarray:
     """p[b, m-1] = Re Tr g^m of the matrix batch g, m = 1..order.
 
-    Successive batched products g^m = g^(m-1) g, so no eigenvalues are
-    needed; the first columns do not depend on `order`.
+    Entrywise on the batch axis: Tr g^m = sum_ik (g^(m-1))_ik g_ki, with
+    g^(m-1) built by successive products, so no eigenvalues and no small
+    per-matrix kernels are needed; the first columns do not depend on `order`.
     """
+    a = np.ascontiguousarray(g.transpose(1, 2, 0))   # a[i, j]: entry (i, j) per sample
+    a_t = a.transpose(1, 0, 2)
     out = np.empty((g.shape[0], order))
-    cur = g
-    for m in range(1, order + 1):
-        if m > 1:
-            cur = cur @ g
-        out[:, m - 1] = np.real(np.trace(cur, axis1=-2, axis2=-1))
+    out[:, 0] = np.real(np.trace(a))
+    cur = a
+    for m in range(2, order + 1):
+        out[:, m - 1] = np.real(np.sum(cur * a_t, axis=(0, 1)))
+        if m < order:
+            cur = np.sum(cur[:, :, None] * a, axis=1)
     return out
 
 

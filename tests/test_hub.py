@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -87,6 +89,22 @@ def test_kernel_experiment_records_variant():
     assert v.passed
     assert v.details["validating_variant"] == "abs"
     assert not v.details["variants"]["sgn"]["validates"]
+
+
+def test_kernel_check_degenerate_variant_emits_no_warning():
+    # the sgn kernel's Pfaffian is 0 at the first point set: its quotient is
+    # infinite, and its deviation must come out inf without a division warning
+    e = Experiment("kern", "kernel-vs-oracle",
+                   spec=EnsembleSpec("OE", 2, 1, CouplingSeq.of(0.1, -0.05)),
+                   tolerance=1e-4, params=(("p", (0.1, -0.1)), ("p_ref", (0.08, -0.06))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = run_experiment(e)
+    assert v.error is None
+    assert v.passed and v.margin < 1e-12
+    assert v.details["validating_variant"] == "abs"
+    sgn = v.details["variants"]["sgn"]
+    assert not sgn["validates"] and sgn["deviation"] == math.inf
 
 
 @pytest.mark.parametrize("kind,n", [("GinSE", 1), ("GinOE", 2)])

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pftau.hub import acceptance_experiments
-from pftau.moments import EnsembleSpec, pair_moments
-from pftau.oracle import (_batched_power_sums, det_average_lhs, discrete_consistency,
-                          eigen_integral, ginue_two_point, haar_expectation_mc,
-                          haar_orthogonal, haar_symplectic, poly_mul,
+from pftau.moments import EnsembleSpec, ginue_weight, pair_moments
+from pftau.oracle import (_GINUE_RULES, _batched_power_sums, _pair_sum, det_average_lhs,
+                          discrete_consistency, eigen_integral, ginue_two_point,
+                          haar_expectation_mc, haar_orthogonal, haar_symplectic, poly_mul,
                           poly_linear, vandermonde_poly)
 from pftau.partitions import Partition
-from pftau.quad import QuadratureError
+from pftau.quad import QuadratureError, full_plane_grid, gaussian_halfwidth
 from pftau.symfun import CouplingSeq, ZERO_SEQ, miwa_shift
 
 SQRT_PI = math.sqrt(math.pi)
@@ -106,6 +106,26 @@ def test_haar_orthogonal_statistics():
         assert np.allclose(q[b] @ q[b].T, np.eye(3), atol=1e-12)
 
 
+@pytest.mark.parametrize("batch", [1, 200])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_haar_orthogonal_is_positive_diagonal_qr_of_its_draw(n, batch):
+    q = haar_orthogonal(np.random.default_rng(17), n, batch=batch)
+    g = np.random.default_rng(17).standard_normal((batch, n, n))   # the same draw
+    assert q.shape == (batch, n, n)
+    eye = np.eye(n)
+    assert np.max(np.abs(np.swapaxes(q, 1, 2) @ q - eye)) <= 1e-12
+    r = np.swapaxes(q, 1, 2) @ g
+    scale = np.max(np.abs(g), axis=(1, 2))
+    assert np.all(np.max(np.abs(np.tril(r, -1)), axis=(1, 2)) <= 1e-12 * scale)
+    assert np.all(np.diagonal(r, axis1=1, axis2=2) > 0)
+    # LAPACK's factor of the same draw, signs fixed the same way
+    q_ref, r_ref = np.linalg.qr(g)
+    sign = np.sign(np.diagonal(r_ref, axis1=1, axis2=2))
+    q_ref = q_ref * np.where(sign == 0, 1.0, sign)[:, None, :]
+    gap = np.max(np.abs(q - q_ref), axis=(1, 2))
+    assert np.all(gap <= 64 * np.finfo(float).eps * np.linalg.cond(g))
+
+
 def test_haar_symplectic_structure():
     rng = np.random.default_rng(1)
     q = haar_symplectic(rng, 4, batch=3)
@@ -166,6 +186,26 @@ def test_trace_power_sums_match_eigenvalue_power_sums(draw, size):
     for m in range(1, 7):
         assert np.max(np.abs(psums[:, m - 1] - np.sum(eig ** m, axis=1).real)) <= 1e-12
     assert np.array_equal(_batched_power_sums(g, 2), psums[:, :2])
+
+
+def test_ginue_pair_sum_over_upper_triangle_matches_full_double_sum():
+    [e] = [e for e in acceptance_experiments() if e.name == "bimoment-GinUE-N2"]
+    spec = e.spec
+    log_w, gauss, lin = ginue_weight(spec)
+    n_r, r_order, n_theta, t_order = _GINUE_RULES[0]
+    grid = full_plane_grid(gaussian_halfwidth(gauss, lin, 6), n_r=n_r, r_order=r_order,
+                           n_theta=n_theta, t_order=t_order)
+    z = grid.nodes
+    w = np.exp(log_w(z)) * z ** spec.L * np.conj(z) ** (-spec.L2) * grid.weights
+    rng = np.random.default_rng(8)
+    # the level-0 rule, then node counts that leave a short last row block
+    cases = [(z, w)] + [(rng.normal(size=k) + 1j * rng.normal(size=k),
+                         rng.normal(size=k) + 1j * rng.normal(size=k)) for k in (7, 45)]
+    for z, w in cases:
+        full = 0.0 + 0.0j
+        for i in range(0, len(z), 256):   # every (i, j), the diagonal included
+            full += w[i:i + 256] @ (np.abs(z[i:i + 256, None] - z[None, :]) ** 2 @ w)
+        assert abs(_pair_sum(z, w) - full) <= 1e-13 * abs(full)
 
 
 def test_ginue_two_point_memory_peak():
