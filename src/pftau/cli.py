@@ -99,7 +99,7 @@ def parse_ensemble(node) -> EnsembleSpec:
     if unknown:
         raise ConfigError("unknown-field", f"unknown ensemble fields {sorted(unknown)}")
     kind = node.get("kind")
-    if kind not in moments._DEFAULT_MIX:
+    if kind not in moments.KINDS:
         raise ConfigError("unknown-ensemble-kind", f"unknown ensemble kind {kind!r}")
     n = node.get("n")
     if not isinstance(n, int) or n < 0:

@@ -20,7 +20,7 @@ from . import tauseries as ts
 from .moments import (EnsembleSpec, complex_bimoment_matrix, kernel_matrix,
                       kernel_prefactor, moment_pair)
 from .partitions import Partition
-from .quad import QuadratureError, ValidationError
+from .quad import QuadratureError
 from .skewlin import pfaffian
 from .symfun import CouplingSeq, ZERO_SEQ, c_factor
 
@@ -156,7 +156,7 @@ def _run_kernel(e: Experiment) -> Verdict:
     p = np.asarray(e.opt("p", (0.1, -0.1)), dtype=float)
     p_ref = np.asarray(e.opt("p_ref", (0.08, -0.06)), dtype=float)
     power = 2 if spec.family == "sympl" else 1
-    has_real_block = spec.kind in ("OE", "GinOE")   # only those have an |x-y| vs sgn choice
+    has_real_block = spec.family == "orth"   # only a real block has an |x-y| vs sgn choice
     variants = ("abs", "sgn") if has_real_block else ("abs",)
     details: dict = {}
     outcomes = {}
@@ -246,7 +246,6 @@ def _z_score(mc: orc.OracleResult, expected) -> float:
 
 
 def _run_discrete(e: Experiment) -> Verdict:
-    kind = e.spec.kind
     trials = e.opt("trials", 50)
     rng = np.random.default_rng(e.seed)
     worst = 0.0
@@ -260,12 +259,11 @@ def _run_discrete(e: Experiment) -> Verdict:
         xs = _separated(rng, n_atoms, gap=0.3)
         reals = list(zip(xs, rng.uniform(0.3, 1.2, size=n_atoms)))
         pairs = None
-        if kind in ("GinOE", "GinSE"):
+        if e.spec.kind in ("GinOE", "GinSE"):
             res = _separated(rng, 4, lo=-1.2, hi=1.2, gap=0.3)
             pairs = [(complex(a, b), w) for a, b, w in
                      zip(res, rng.uniform(0.2, 1.0, size=4), rng.uniform(0.3, 1.2, size=4))]
-        lhs, rhs, scale = orc.discrete_consistency(kind, reals, n, L, t,
-                                                   pair_atoms=pairs, with_scale=True)
+        lhs, rhs, scale = orc.discrete_consistency(replace(e.spec, n=n, L=L, t=t), reals, pairs)
         worst = max(worst, abs(lhs - rhs) / scale)
     return Verdict(e.name, e.comparison, worst < e.tolerance, worst, e.tolerance,
                    {"trials": trials, "worst_rel": worst})
@@ -351,7 +349,7 @@ def run_experiment(e: Experiment) -> Verdict:
                        error=f"unknown comparison kind {e.comparison!r}")
     try:
         return runner(e)
-    except (ValidationError, QuadratureError, ValueError) as exc:
+    except (QuadratureError, ValueError) as exc:
         return Verdict(e.name, e.comparison, False, math.inf, e.tolerance,
                        error=f"{type(exc).__name__}: {exc}")
 

@@ -20,7 +20,6 @@ module (see `oracle.discrete_consistency` for the finite proof):
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -33,10 +32,14 @@ from .quad import (LinePanels, QuadratureError, converge, half_plane_grid, full_
 from .skewlin import SkewPair
 from .symfun import CouplingSeq, ZERO_SEQ, potential
 
-ORTH_KINDS = ("OE", "GinOE")
-SYMPL_KINDS = ("SE", "GinSE")
-_DEFAULT_MIX = {"OE": (0.0, 1.0), "SE": (0.0, 1.0), "GinOE": (1.0, 1.0),
-                "GinSE": (1.0, 0.0), "GinUE": (0.0, 0.0)}
+# family and default (alpha, beta) mix of every ensemble kind
+KINDS = {"OE": ("orth", (0.0, 1.0)), "SE": ("sympl", (0.0, 1.0)),
+         "GinOE": ("orth", (1.0, 1.0)), "GinSE": ("sympl", (1.0, 0.0)),
+         "GinUE": ("unitary", (0.0, 0.0))}
+# (gauss, mult) of one eigenvalue weight e^{-gauss x^2 + mult (V(x,t) - V(1/x,s))}:
+# a real eigenvalue of each family, and a conjugate pair, whose weight is
+# e^{2 Re V} times e^{-|z|^2} (GinSE) or erfc(sqrt(2) Im z) e^{-Re z^2} <= e^{-|z|^2} (GinOE)
+WEIGHT_CONSTANTS = {"orth": (0.5, 1.0), "sympl": (1.0, 2.0), "pair": (1.0, 2.0)}
 
 # Part of every table key, in memory and on disk.  Bump it whenever a change
 # moves the numbers a table holds: its quadrature rule, level schedule or
@@ -58,6 +61,20 @@ def set_disk_cache(store) -> None:
     _DISK_CACHE = store
 
 
+class ValidationError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class Validation:
+    ok: bool
+    reason: str | None = None
+
+    def require(self) -> None:
+        if not self.ok:
+            raise ValidationError(self.reason or "rejected deformation parameters")
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """One deformed-ensemble problem instance."""
@@ -75,7 +92,7 @@ class EnsembleSpec:
     s_bar: CouplingSeq = ZERO_SEQ
 
     def __post_init__(self):
-        if self.kind not in _DEFAULT_MIX:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.n < 0:
             raise ValueError("matrix size index must be >= 0")
@@ -86,49 +103,116 @@ class EnsembleSpec:
     @property
     def mix(self) -> tuple[float, float]:
         """(alpha, beta) with per-kind defaults filled in."""
-        da, db = _DEFAULT_MIX[self.kind]
+        da, db = KINDS[self.kind][1]
         return (da if self.alpha is None else float(self.alpha),
                 db if self.beta is None else float(self.beta))
 
     @property
     def family(self) -> str:
-        if self.kind in ORTH_KINDS:
-            return "orth"
-        if self.kind in SYMPL_KINDS:
-            return "sympl"
-        return "unitary"
+        return KINDS[self.kind][0]
 
     @property
     def n_eff(self) -> int:
         """Pfaffian/charge size: partitions run over length <= n_eff."""
         return 2 * self.n if self.family == "sympl" else self.n
 
-    def validate(self) -> quad.Validation:
+    def validate(self) -> Validation:
+        """Sufficient (not necessary) decay test for the ensemble integrals.
+
+        Checks the leading exponent at infinity against the Gaussian, the
+        behaviour at the origin produced by the s-couplings and the
+        determinant power, and refuses any s-deformation of a complex sector.
+        """
         if self.kind == "GinUE":
-            return validate_ginue(self)
-        return quad.convergence_validate(self.kind, self.t, self.s, self.L, self.mix[0])
+            reason = _full_plane_check(self)
+        else:
+            complex_sector = self.kind == "GinSE" or (self.kind == "GinOE" and self.mix[0] != 0)
+            line = WEIGHT_CONSTANTS[self.family]
+            reason = (_tail_growth_check(self.t, complex_sector,
+                                         *(WEIGHT_CONSTANTS["pair"] if complex_sector else line))
+                      or _origin_check(self.s, self.L, complex_sector))
+            if reason is None and complex_sector and self.family == "orth":
+                # the real sector of the mixed ensemble keeps its own constraints
+                reason = (_tail_growth_check(self.t, False, *line)
+                          or _origin_check(self.s, self.L, False))
+        return Validation(reason is None, reason)
 
-    def digest(self) -> str:
-        payload = repr((self.kind, self.n, self.L, self.t.values, self.s.values,
-                        self.mix, self.L2, self.t_bar.values, self.s_bar.values))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+def _tail_growth_check(t: CouplingSeq, complex_sector: bool, gauss0: float,
+                       mult: float) -> str | None:
+    if not t.is_real():
+        return "deformation couplings must be real"
+    k = t.top_index()
+    if k == 0 or k == 1:
+        return None
+    t2 = mult * float(t.entry(2).real)
+    # Re(t_k z^k) grows like +|t_k| r^k along some ray of a complex sector,
+    # so there both signs of t_2 eat into the Gaussian.
+    gauss_eff = gauss0 - (abs(t2) if complex_sector else max(t2, 0.0))
+    if gauss_eff <= 0.0:
+        return f"quadratic coupling t_2={t.entry(2)} overwhelms the Gaussian"
+    if k == 2:
+        return None
+    # Degrees >= 3 are admissible in two ways: an even negative top degree
+    # decays on its own on the real line, and otherwise the growing part
+    # must stay far below the Gaussian out to the quadrature support
+    # (which admits the small tails of truncated Miwa shifts).
+    risky = []
+    for n in range(3, k + 1):
+        tn = float(t.entry(n).real)
+        if tn == 0.0:
+            continue
+        if not complex_sector and n % 2 == 0 and tn < 0.0:
+            continue
+        risky.append(n)
+    if not risky:
+        return None
+    radius = gaussian_halfwidth(gauss_eff, mult * abs(float(t.entry(1).real)), 6)
+    growth = sum(mult * abs(float(t.entry(n).real)) * radius ** n for n in risky)
+    if growth <= 0.1 * gauss_eff * radius * radius:
+        return None
+    kk = max(risky)
+    if complex_sector:
+        return f"degree-{kk} coupling outruns the Gaussian on some ray of the complex sector"
+    if kk % 2 == 1:
+        return f"odd top degree {kk} grows at +infinity"
+    return f"positive top degree {kk} grows at infinity"
 
 
-def validate_ginue(spec: EnsembleSpec) -> quad.Validation:
+def _origin_check(s: CouplingSeq, L: int, complex_sector: bool) -> str | None:
+    if not s.is_real():
+        return "deformation couplings must be real"
+    k = s.top_index()
+    if complex_sector and k != 0:
+        return ("s-deformation diverges near 0 along some phase ray of the "
+                "complex sector; only s = 0 is admissible there")
+    if k == 0:
+        if L < 0:
+            return f"L={L} puts a pole at the origin and s = 0 cannot damp it"
+        return None
+    if k % 2 == 1:
+        return f"odd top s-index {k} blows up on one side of the origin"
+    if float(s.entry(k).real) <= 0:
+        return f"nonpositive top s-coefficient s_{k} blows up at the origin"
+    return None
+
+
+def _full_plane_check(spec: EnsembleSpec) -> str | None:
+    """The GinUE weight e^{V(z,t) + V(zbar,t') - |z|^2} z^L zbar^{-L2} over the plane."""
     for name, seq in (("s", spec.s), ("s'", spec.s_bar)):
         if seq.top_index() != 0:
-            return quad.Validation(False, f"{name} != 0 blows up near 0 on some ray of the full plane")
+            return f"{name} != 0 blows up near 0 on some ray of the full plane"
     for name, seq in (("t", spec.t), ("t'", spec.t_bar)):
         k = seq.top_index()
         if k > 2:
-            return quad.Validation(False, f"degree-{k} {name}-coupling outruns the full-plane Gaussian")
+            return f"degree-{k} {name}-coupling outruns the full-plane Gaussian"
         if k == 2 and abs(seq.entry(2)) >= 0.5:
-            return quad.Validation(False, f"|{name}_2| >= 1/2 overwhelms the full-plane Gaussian")
+            return f"|{name}_2| >= 1/2 overwhelms the full-plane Gaussian"
         if not seq.is_real():
-            return quad.Validation(False, "couplings must be real")
+            return "couplings must be real"
     if spec.L2 - spec.L >= 2:
-        return quad.Validation(False, "antiholomorphic determinant power too negative at the origin")
-    return quad.Validation(True)
+        return "antiholomorphic determinant power too negative at the origin"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +240,7 @@ def line_rule(family: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int, level: i
     The per-eigenvalue weight is e^{-x^2/2 + V(x,t) - V(1/x,s)} on the
     orthogonal line and e^{-x^2 + 2V(x,t) - 2V(1/x,s)} on the symplectic one.
     """
-    gauss0 = 1.0 if family == "sympl" else 0.5
-    mult = 2.0 if family == "sympl" else 1.0
+    gauss0, mult = WEIGHT_CONSTANTS[family]
     gauss = gauss0 - mult * float(t.entry(2)) if t.top_index() >= 2 else gauss0
     lin = mult * abs(float(t.entry(1))) if t.top_index() else 0.0
     deg = max(maxdeg, 2)
@@ -186,8 +269,9 @@ def _pair_rule(kind: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int, level: in
     if kind not in ("GinSE", "GinOE"):
         raise ValueError(f"no pair weight for kind {kind!r}")
     # uniform radial bound e^{-r^2}: direct for GinSE, via erfc(u) <= e^{-u^2} for GinOE
-    gauss = 1.0 - 2.0 * abs(float(t.entry(2)))
-    lin = 2.0 * abs(float(t.entry(1)))
+    gauss0, mult = WEIGHT_CONSTANTS["pair"]
+    gauss = gauss0 - mult * abs(float(t.entry(2)))
+    lin = mult * abs(float(t.entry(1)))
     radius = clip_support(gaussian_halfwidth(gauss, lin, maxdeg), poles, gauss, lin, maxdeg)
     grid = half_plane_grid(radius, level=level)
     z = grid.nodes
@@ -340,7 +424,7 @@ def moment_pair(spec: EnsembleSpec, size: int, base: int | None = None) -> SkewP
     else:
         raise ValueError("moment_pair serves the Pfaffian ensembles, not GinUE")
     a_mat = (a_mat - a_mat.T) / 2.0
-    return SkewPair(a_mat, border, index_base=base, provenance=f"{spec.kind}:{spec.digest()}")
+    return SkewPair(a_mat, border, index_base=base)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +564,7 @@ def complex_bimoment_matrix(spec: EnsembleSpec, size: int) -> np.ndarray:
     """M_jk = int z^{j-1+L1} zbar^{k-1-L2} e^{V(z,t)+V(zbar,t') - |z|^2} d^2 z."""
     if spec.kind != "GinUE":
         raise ValueError("bimoments are specific to the complex Ginibre ensemble")
-    validate_ginue(spec).require()
+    spec.validate().require()
     jpow = np.arange(size) + spec.L
     kpow = np.arange(size) - spec.L2
     log_w, gauss, lin = ginue_weight(spec)

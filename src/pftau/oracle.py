@@ -27,7 +27,7 @@ from .moments import EnsembleSpec
 from .partitions import Partition, partition_table
 from .quad import LinePanels, converge, full_plane_grid, gaussian_halfwidth, power_table
 from .skewlin import SkewPair, abar
-from .symfun import CouplingSeq, ZERO_SEQ, hseq, potential, schur_from_h, schur_terms
+from .symfun import hseq, potential, schur_from_h, schur_terms
 
 PAIR_NORM = {"GinOE": 1.0 / 2.0j, "GinSE": 0.5}
 
@@ -321,7 +321,7 @@ def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
     """Direct |Delta|^2-weighted two-eigenvalue quadrature over the plane."""
     if spec.kind != "GinUE" or spec.n != 2:
         raise ValueError("direct two-point oracle is for GinUE with N = 2")
-    mom.validate_ginue(spec).require()
+    spec.validate().require()
     log_w, gauss, lin = mom.ginue_weight(spec)
     radius = gaussian_halfwidth(gauss, lin, 6)
 
@@ -338,6 +338,10 @@ def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
 
 # ---------------------------------------------------------------------------
 # Haar-measure Monte Carlo
+
+# independent seed streams per estimate; shard results reduce in a fixed order
+HAAR_SHARDS = 8
+
 
 def haar_orthogonal(rng: np.random.Generator, n: int, batch: int = 1) -> np.ndarray:
     """Batch of Haar orthogonal matrices: QR with positive R diagonal.
@@ -433,8 +437,7 @@ def _payload_order(payload) -> int:
     raise ValueError(f"unknown payload {kind!r}")
 
 
-def haar_expectation_mc(group, payloads, samples: int, seed: int,
-                        shards: int = 8) -> list[OracleResult]:
+def haar_expectation_mc(group, payloads, samples: int, seed: int) -> list[OracleResult]:
     """Monte Carlo Haar averages of s_lambda(g) or exp(sum t_m Tr g^m).
 
     group: ("orthogonal", N) or ("symplectic", 2n); payloads: a sequence of
@@ -450,8 +453,9 @@ def haar_expectation_mc(group, payloads, samples: int, seed: int,
     orders = [_payload_order(p) for p in payloads]
     if not orders:
         return []
-    seeds = np.random.SeedSequence(seed).spawn(shards)
-    per = [samples // shards + (1 if i < samples % shards else 0) for i in range(shards)]
+    seeds = np.random.SeedSequence(seed).spawn(HAAR_SHARDS)
+    per = [samples // HAAR_SHARDS + (1 if i < samples % HAAR_SHARDS else 0)
+           for i in range(HAAR_SHARDS)]
     vals: list[list] = [[] for _ in payloads]
     for ss, cnt in zip(seeds, per):
         if cnt == 0:
@@ -482,24 +486,26 @@ def haar_expectation_mc(group, payloads, samples: int, seed: int,
 # discrete-measure exact consistency
 
 BORDER_NORM = math.sqrt(2.0)
+# weight cutoff of the Schur sum on atomic measures; its tail is factorially small
+SERIES_CUTOFF = 18
 
 
-def _atomic_moments(kind: str, real_atoms, pair_atoms, t: CouplingSeq, s: CouplingSeq,
-                    alpha: float, beta: float, base: int, size: int,
+def _atomic_moments(spec: EnsembleSpec, real_atoms, pair_atoms, base: int, size: int,
                     fold_t: bool) -> SkewPair:
     idx = np.arange(base, base + size)
-    family = "orth" if kind in mom.ORTH_KINDS else "sympl"
-    vmult = 2.0 if family == "sympl" else 1.0
+    alpha, beta = spec.mix
+    t = spec.t
+    _, vmult = mom.WEIGHT_CONSTANTS[spec.family]
+    _, pmult = mom.WEIGHT_CONSTANTS["pair"]
     a_mat = np.zeros((size, size), dtype=complex)
     border = np.zeros(size, dtype=complex)
     if real_atoms:
         xs = np.array([x for x, _ in real_atoms], dtype=float)
         gs = np.array([w for _, w in real_atoms], dtype=complex)
-        gs = gs * np.exp(-vmult * np.array([potential(1.0 / x, s) for x in xs]))
         if fold_t and t.top_index():
             gs = gs * np.exp(vmult * np.array([potential(x, t) for x in xs]))
         px = np.stack([xs ** int(k) for k in idx])
-        if family == "orth":
+        if spec.family == "orth":
             sgn = np.sign(xs[:, None] - xs[None, :])
             core = np.einsum("j,k,jk,nj,mk->nm", gs, gs, sgn, px, px)
             a_mat += beta * (core - core.T) / 2.0
@@ -513,39 +519,38 @@ def _atomic_moments(kind: str, real_atoms, pair_atoms, t: CouplingSeq, s: Coupli
     if pair_atoms:
         zs = np.array([z for z, _ in pair_atoms], dtype=complex)
         ws = np.array([w for _, w in pair_atoms], dtype=complex)
-        ws = ws * np.exp(-2.0 * np.real(np.array([potential(1.0 / z, s) for z in zs])))
         if fold_t and t.top_index():
-            ws = ws * np.exp(2.0 * np.real(np.array([potential(z, t) for z in zs])))
+            ws = ws * np.exp(pmult * np.real(np.array([potential(z, t) for z in zs])))
         pz = np.stack([zs ** int(k) for k in idx])
         pzb = np.conj(pz)
-        if kind == "GinSE":
+        if spec.kind == "GinSE":
             raw = np.einsum("j,j,nj,mj->nm", ws, zs - np.conj(zs), pz, pzb)
             a_mat += alpha * (raw - raw.T) / 2.0
-        elif kind == "GinOE":
+        elif spec.kind == "GinOE":
             raw = np.einsum("j,nj,mj->nm", ws, pz, pzb)
             a_mat += alpha * (raw - raw.T) / 2.0j
         else:
-            raise ValueError(f"kind {kind} takes no pair atoms")
-    return SkewPair(a_mat, border, index_base=base, provenance=f"atomic:{kind}")
+            raise ValueError(f"kind {spec.kind} takes no pair atoms")
+    return SkewPair(a_mat, border, index_base=base)
 
 
-def _atomic_eigensum(kind: str, real_atoms, pair_atoms, n: int, L: int,
-                     t: CouplingSeq, s: CouplingSeq, alpha: float,
-                     beta: float) -> tuple[complex, float]:
+def _atomic_eigensum(spec: EnsembleSpec, real_atoms, pair_atoms) -> tuple[complex, float]:
     """Ordered eigenvalue sum over atomic measures, all sectors.
 
     Returns (value, scale); scale is the sum of term magnitudes, the honest
     yardstick when the signed sum nearly cancels.
     """
-    family = "orth" if kind in mom.ORTH_KINDS else "sympl"
-    vmult = 2.0 if family == "sympl" else 1.0
-    reals = [(float(x), complex(w) * math.exp(vmult * (potential(x, t) - potential(1.0 / x, s))))
+    n, L, t = spec.n, spec.L, spec.t
+    alpha, beta = spec.mix
+    _, vmult = mom.WEIGHT_CONSTANTS[spec.family]
+    _, pmult = mom.WEIGHT_CONSTANTS["pair"]
+    reals = [(float(x), complex(w) * math.exp(vmult * potential(x, t)))
              for x, w in (real_atoms or [])]
-    pairs = [(complex(z), complex(w) * np.exp(2.0 * np.real(potential(z, t) - potential(1.0 / z, s))))
+    pairs = [(complex(z), complex(w) * np.exp(pmult * np.real(potential(z, t))))
              for z, w in (pair_atoms or [])]
     total = 0.0 + 0.0j
     scale = 0.0
-    if family == "orth":
+    if spec.family == "orth":
         pairnorm = PAIR_NORM["GinOE"]
         for k in range(0, n // 2 + 1):
             n_real = n - 2 * k
@@ -597,48 +602,41 @@ def _atomic_eigensum(kind: str, real_atoms, pair_atoms, n: int, L: int,
     return complex(total), scale
 
 
-def discrete_consistency(kind: str, real_atoms, n: int, L: int, t: CouplingSeq,
-                         pair_atoms=None, alpha: float | None = None,
-                         beta: float | None = None,
-                         series_cutoff: int | None = None,
-                         with_scale: bool = False):
+def discrete_consistency(spec: EnsembleSpec, real_atoms, pair_atoms=None):
     """Exact finite check of the Wick/Pfaffian identity on atomic measures.
 
-    lhs: the ordered eigenvalue sum with t folded into the atom weights.
+    The atoms stand in for the eigenvalue measures of `spec`, which supplies
+    the kind, n, L, t and (alpha, beta); the s-deformation has no place here.
+    Returns (lhs, rhs, scale):
+    lhs: the ordered eigenvalue sum with t folded into the atom weights;
     rhs: the Schur/Pfaffian series with the same atomic moments, summed in
-    s_lambda(t) up to `series_cutoff` (the tail is factorially small), then
-    divided by the fixed border constant sqrt(2)^(charge mod 2).
+    s_lambda(t) up to SERIES_CUTOFF, then divided by the fixed border
+    constant sqrt(2)^(charge mod 2);
+    scale: the larger sum of term magnitudes of the two sides, the right
+    yardstick near cancellations.
 
     Equality certifies the moment conventions, the shifted-index bookkeeping
-    and the bordered Pfaffians at once.  With `with_scale`, the sum of
-    term magnitudes comes back too (the right yardstick near cancellations).
+    and the bordered Pfaffians at once.
     """
-    da, db = mom._DEFAULT_MIX[kind]
-    alpha = da if alpha is None else alpha
-    beta = db if beta is None else beta
-    family = "orth" if kind in mom.ORTH_KINDS else "sympl"
-    charge = n if family == "orth" else 2 * n
+    if spec.family == "unitary":
+        raise ValueError("the atomic identity is for the Pfaffian kinds, not GinUE")
+    if spec.s.top_index():
+        raise ValueError("atomic measures take no s-deformation (need s = 0)")
     n_atoms = len(real_atoms or []) + len(pair_atoms or [])
     if n_atoms < 1 or len(real_atoms or []) > 8 or len(pair_atoms or []) > 8:
         raise ValueError("node count out of range (need 1 to 8 atoms per sector)")
-    if n > n_atoms:
-        raise ValueError(f"N={n} exceeds the {n_atoms} available atoms")
-    s = ZERO_SEQ
-    lhs, scale = _atomic_eigensum(kind, real_atoms, pair_atoms, n, L, t, s, alpha, beta)
+    if spec.n > n_atoms:
+        raise ValueError(f"N={spec.n} exceeds the {n_atoms} available atoms")
+    lhs, scale = _atomic_eigensum(spec, real_atoms, pair_atoms)
+    charge, L = spec.n_eff, spec.L
     base = min(0, L)
-    if series_cutoff is None:
-        series_cutoff = 18
-    size = series_cutoff + charge + L - base + 1
-    pair = _atomic_moments(kind, real_atoms, pair_atoms, t, s, alpha, beta, base, size,
-                           fold_t=False)
-    h = hseq(series_cutoff + charge + 1, t)
-    table = partition_table(series_cutoff, charge)
+    size = SERIES_CUTOFF + charge + L - base + 1
+    pair = _atomic_moments(spec, real_atoms, pair_atoms, base, size, fold_t=False)
+    h = hseq(SERIES_CUTOFF + charge + 1, spec.t)
+    table = partition_table(SERIES_CUTOFF, charge)
     terms = schur_terms(abar(table.shifted, L, pair), table.groups, h)
-    rhs = complex(math.fsum(terms.real), math.fsum(terms.imag))
     border_norm = BORDER_NORM if charge % 2 else 1.0
-    rhs = rhs / border_norm
-    if with_scale:
-        # a plain sum in canonical partition order, so the bits do not move
-        series_scale = sum(abs(v) for v in terms.tolist()) / border_norm
-        return lhs, rhs, max(scale, series_scale, 1e-300)
-    return lhs, rhs
+    rhs = complex(math.fsum(terms.real), math.fsum(terms.imag)) / border_norm
+    # a plain sum in canonical partition order, so the bits do not move
+    series_scale = sum(abs(v) for v in terms.tolist()) / border_norm
+    return lhs, rhs, max(scale, series_scale, 1e-300)

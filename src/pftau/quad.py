@@ -1,8 +1,10 @@
-"""Deterministic quadrature backends and the deformation-parameter validator.
+"""Deterministic quadrature backends: line panels, polar plane grids, supports.
 
-Everything here is panel Gauss-Legendre: grids are pure functions of their
-arguments, each level doubles the panel count, and reductions run in a
-fixed order, so results are reproducible bit for bit.  No Monte Carlo.
+Nothing here knows an ensemble kind: the eigenvalue weights, and the
+validator that guards them, live with `moments.EnsembleSpec`.  Everything
+here is panel Gauss-Legendre: grids are pure functions of their arguments,
+each level doubles the panel count, and reductions run in a fixed order,
+so results are reproducible bit for bit.  No Monte Carlo.
 `converge` is the one refinement loop: every quadrature number either
 meets its tolerance there or raises `QuadratureError`.
 """
@@ -16,7 +18,6 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy.special import erfc as erfc_vec
 
-from .symfun import CouplingSeq
 
 
 class QuadratureError(RuntimeError):
@@ -24,10 +25,6 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.best = best
         self.residual = residual
-
-
-class ValidationError(ValueError):
-    pass
 
 
 def converge(build, rel_tol: float, max_level: int = 4, zero_floor: float = 0.0):
@@ -208,98 +205,3 @@ def gaussian_halfwidth(gauss: float, lin: float = 0.0, maxdeg: int = 0,
             return r
         r *= 1.125
     raise ValueError("runaway support radius")
-
-
-@dataclass(frozen=True)
-class Validation:
-    ok: bool
-    reason: str | None = None
-
-    def require(self) -> None:
-        if not self.ok:
-            raise ValidationError(self.reason or "rejected deformation parameters")
-
-
-KNOWN_KINDS = {"OE", "SE", "GinOE", "GinSE", "GinUE"}
-
-
-def _tail_growth_check(t: CouplingSeq, complex_sector: bool, gauss0: float,
-                       mult: float) -> str | None:
-    if not t.is_real():
-        return "deformation couplings must be real"
-    k = t.top_index()
-    if k == 0 or k == 1:
-        return None
-    t2 = mult * float(t.entry(2).real)
-    # Re(t_k z^k) grows like +|t_k| r^k along some ray of a complex sector,
-    # so there both signs of t_2 eat into the Gaussian.
-    gauss_eff = gauss0 - (abs(t2) if complex_sector else max(t2, 0.0))
-    if gauss_eff <= 0.0:
-        return f"quadratic coupling t_2={t.entry(2)} overwhelms the Gaussian"
-    if k == 2:
-        return None
-    # Degrees >= 3 are admissible in two ways: an even negative top degree
-    # decays on its own on the real line, and otherwise the growing part
-    # must stay far below the Gaussian out to the quadrature support
-    # (which admits the small tails of truncated Miwa shifts).
-    risky = []
-    for n in range(3, k + 1):
-        tn = float(t.entry(n).real)
-        if tn == 0.0:
-            continue
-        if not complex_sector and n % 2 == 0 and tn < 0.0:
-            continue
-        risky.append(n)
-    if not risky:
-        return None
-    radius = gaussian_halfwidth(gauss_eff, mult * abs(float(t.entry(1).real)), 6)
-    growth = sum(mult * abs(float(t.entry(n).real)) * radius ** n for n in risky)
-    if growth <= 0.1 * gauss_eff * radius * radius:
-        return None
-    kk = max(risky)
-    if complex_sector:
-        return f"degree-{kk} coupling outruns the Gaussian on some ray of the complex sector"
-    if kk % 2 == 1:
-        return f"odd top degree {kk} grows at +infinity"
-    return f"positive top degree {kk} grows at infinity"
-
-
-def _origin_check(s: CouplingSeq, L: int, complex_sector: bool) -> str | None:
-    if not s.is_real():
-        return "deformation couplings must be real"
-    k = s.top_index()
-    if complex_sector and k != 0:
-        return ("s-deformation diverges near 0 along some phase ray of the "
-                "complex sector; only s = 0 is admissible there")
-    if k == 0:
-        if L < 0:
-            return f"L={L} puts a pole at the origin and s = 0 cannot damp it"
-        return None
-    if k % 2 == 1:
-        return f"odd top s-index {k} blows up on one side of the origin"
-    if float(s.entry(k).real) <= 0:
-        return f"nonpositive top s-coefficient s_{k} blows up at the origin"
-    return None
-
-
-def convergence_validate(kind: str, t: CouplingSeq, s: CouplingSeq, L: int,
-                         alpha: float | None = None) -> Validation:
-    """Sufficient (not necessary) decay test for the ensemble integrals.
-
-    Checks the leading exponent at infinity against the Gaussian, the
-    behaviour at the origin produced by the s-couplings and the
-    determinant power, and refuses any s-deformation of a complex sector.
-    """
-    if kind not in KNOWN_KINDS:
-        return Validation(False, f"unknown ensemble kind {kind!r}")
-    complex_sector = kind in ("GinSE", "GinUE") or (kind == "GinOE" and alpha != 0)
-    mult = 2.0 if kind in ("SE", "GinSE") else 1.0
-    gauss0 = 1.0 if kind in ("SE", "GinSE", "GinUE") else 0.5
-    reason = _tail_growth_check(t, complex_sector, 1.0 if complex_sector else gauss0,
-                                2.0 if complex_sector else mult)
-    if reason is None:
-        reason = _origin_check(s, L, complex_sector)
-    if reason is None and kind == "GinOE" and alpha != 0:
-        # the real sector of the mixed ensemble keeps its own constraints
-        reason = _tail_growth_check(t, False, 0.5, 1.0) or _origin_check(s, L, False)
-    return Validation(reason is None, reason)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 SKEW_RTOL = 1e-10
+# the matching sum has (n-1)!! terms: 105 at n = 8
+COMBINATORIAL_MAX_DIM = 8
 
 
 class PfaffianError(ValueError):
@@ -96,14 +98,14 @@ def pfaffian(m):
     return complex(result[0]) if one else result
 
 
-def pfaffian_combinatorial(m: np.ndarray, max_dim: int = 8) -> complex:
-    """Defining signed sum over perfect matchings; oracle for dims <= 8."""
+def pfaffian_combinatorial(m: np.ndarray) -> complex:
+    """Defining signed sum over perfect matchings; oracle for dims <= COMBINATORIAL_MAX_DIM."""
     a = _check_skew(m)
     n = a.shape[0]
     if n % 2 != 0:
         raise PfaffianError("pfaffian undefined for odd order")
-    if n > max_dim:
-        raise PfaffianError(f"combinatorial pfaffian limited to dim {max_dim}")
+    if n > COMBINATORIAL_MAX_DIM:
+        raise PfaffianError(f"combinatorial pfaffian limited to dim {COMBINATORIAL_MAX_DIM}")
 
     def rec(idx: tuple[int, ...]) -> complex:
         if not idx:
@@ -132,7 +134,6 @@ class SkewPair:
     a_matrix: np.ndarray
     border: np.ndarray
     index_base: int = 0
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         self.a_matrix = np.asarray(self.a_matrix, dtype=complex)

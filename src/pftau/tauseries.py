@@ -35,7 +35,6 @@ class TauApprox:
     L: int
     cutoff: int
     terms: dict
-    provenance: str = ""
 
     def ordered_terms(self) -> list:
         lams = sorted(self.terms, key=lambda lam: (lam.weight, tuple(-p for p in lam.parts)))
@@ -71,17 +70,13 @@ def required_table_size(charge: int, L: int, cutoff: int, base: int) -> int:
     return cutoff + charge - 1 + L - base + 1
 
 
-def tau_series(spec: EnsembleSpec, cutoff: int, pair: SkewPair | None = None,
-               charge: int | None = None) -> TauApprox:
+def tau_series(spec: EnsembleSpec, cutoff: int, pair: SkewPair | None = None) -> TauApprox:
     """Schur-series approximation of the ensemble partition function."""
-    if charge is None:
-        charge = spec.n_eff
+    charge = spec.n_eff
     if pair is None:
         base = min(0, spec.L)
         pair = moment_pair(spec, required_table_size(charge, spec.L, cutoff, base), base)
-    return TauApprox(spec.kind, charge, spec.L, cutoff,
-                     series_terms(pair, charge, spec.L, cutoff),
-                     provenance=pair.provenance)
+    return TauApprox(spec.kind, charge, spec.L, cutoff, series_terms(pair, charge, spec.L, cutoff))
 
 
 def tau_charge_family(spec: EnsembleSpec, charges, cutoff: int) -> dict:
@@ -100,10 +95,8 @@ def tau_charge_family(spec: EnsembleSpec, charges, cutoff: int) -> dict:
     size = required_table_size(max(charges), spec.L, cutoff, base)
     pair = moment_pair(spec, size, base)
     if spec.family == "sympl" and any(c % 2 for c in charges):
-        pair = SkewPair(pair.a_matrix, sympl_border_moments(spec.s, base, size),
-                        index_base=base, provenance=pair.provenance + "+grafted-border")
-    return {c: TauApprox(spec.kind, c, spec.L, cutoff,
-                         series_terms(pair, c, spec.L, cutoff), pair.provenance)
+        pair = SkewPair(pair.a_matrix, sympl_border_moments(spec.s, base, size), index_base=base)
+    return {c: TauApprox(spec.kind, c, spec.L, cutoff, series_terms(pair, c, spec.L, cutoff))
             for c in charges}
 
 

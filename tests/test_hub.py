@@ -186,10 +186,25 @@ def test_discrete_oe_at_suite_seeds(seed):
     assert v.passed and v.margin < 1e-13
 
 
+@pytest.mark.parametrize("kind", ["OE", "SE", "GinOE", "GinSE"])
+def test_discrete_exact_checks_the_ensemble_mix(monkeypatch, kind):
+    checked = []
+    consistency = oracle.discrete_consistency
+    monkeypatch.setattr(oracle, "discrete_consistency",
+                        lambda spec, *atoms: checked.append(spec) or consistency(spec, *atoms))
+    spec = EnsembleSpec(kind, 1, alpha=0.3, beta=0.5)
+    v = run_experiment(Experiment(f"discrete-{kind}", "discrete-exact", spec=spec,
+                                  tolerance=1e-10, params=(("trials", 50),)))
+    assert v.error is None and v.passed
+    assert len(checked) == 50
+    expected = {(kind, (0.3, 0.5), CouplingSeq.of(0.07, -0.03))}
+    assert {(c.kind, c.mix, c.t) for c in checked} == expected
+
+
 @pytest.mark.parametrize("offset,passes", [(2.0 ** -52, True), (1e-6, False)])
 def test_zero_variance_predicate_has_a_stderr_floor(monkeypatch, offset, passes):
     # det g = 1 on every Sp(2) sample: the predicate's stderr is rounding noise
-    def fake_mc(group, payloads, samples, seed, shards=8):
+    def fake_mc(group, payloads, samples, seed):
         return [oracle.OracleResult(1.0 + offset, 5.7e-19, "mc") if kind == "schur"
                 else oracle.OracleResult(1.5, 1e-3, "mc") for kind, _ in payloads]
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from pftau import moments
-from pftau.moments import (EnsembleSpec, clip_support, complex_bimoment_matrix,
-                           kernel_matrix, kernel_prefactor, moment_pair, validate_ginue)
-from pftau.quad import QuadratureError, ValidationError
+from pftau.moments import (EnsembleSpec, ValidationError, clip_support, complex_bimoment_matrix,
+                           kernel_matrix, kernel_prefactor, moment_pair)
+from pftau.quad import QuadratureError
 from pftau.symfun import CouplingSeq, ZERO_SEQ
 
 SQRT_PI = math.sqrt(math.pi)
@@ -159,12 +159,157 @@ def test_bimoment_one_by_one_is_plain_weight():
 
 
 def test_ginue_validator():
-    assert validate_ginue(EnsembleSpec("GinUE", 2)).ok
-    assert not validate_ginue(EnsembleSpec("GinUE", 2, s=CouplingSeq.of(0, 0.4))).ok
-    assert not validate_ginue(EnsembleSpec("GinUE", 2, t=CouplingSeq.of(0, 0.6))).ok
-    assert not validate_ginue(EnsembleSpec("GinUE", 2, L2=3)).ok
+    assert EnsembleSpec("GinUE", 2).validate().ok
+    assert not EnsembleSpec("GinUE", 2, s=CouplingSeq.of(0, 0.4)).validate().ok
+    assert not EnsembleSpec("GinUE", 2, t=CouplingSeq.of(0, 0.6)).validate().ok
+    assert not EnsembleSpec("GinUE", 2, L2=3).validate().ok
     with pytest.raises(ValueError):
         complex_bimoment_matrix(EnsembleSpec("SE", 1), 2)
+
+
+def _valid(kind, t=(), s=(), L=0, alpha=None):
+    return EnsembleSpec(kind, 1, L, CouplingSeq(t), CouplingSeq(s), alpha=alpha).validate()
+
+
+def test_validator_examples():
+    assert _valid("OE").ok
+    bad = _valid("OE", t=(0, 0, 0.1))
+    assert not bad.ok and "odd top degree 3" in bad.reason
+    assert _valid("OE", s=(0, 0.5), L=-1).ok
+
+
+def test_validator_rules():
+    assert not _valid("OE", L=-1).ok
+    assert not _valid("OE", s=(0.3,)).ok                   # odd s index
+    assert not _valid("OE", s=(0, -0.2)).ok                # wrong sign
+    assert _valid("SE", t=(0.3, 0.2)).ok
+    assert not _valid("SE", t=(0.0, 0.6)).ok
+    assert not _valid("GinSE", t=(0.1,), s=(0, 0.4)).ok
+    assert not _valid("GinOE", t=(0.1,), s=(0, 0.4)).ok
+    # with the complex sector disabled the real-line rules apply
+    assert _valid("GinOE", t=(0.1,), s=(0, 0.4), alpha=0.0).ok
+    with pytest.raises(ValueError, match="unknown ensemble kind"):
+        EnsembleSpec("XX", 0)
+    # even negative top degree decays by itself on the real line
+    assert _valid("OE", t=(0, 0, 0, -0.1)).ok
+    assert not _valid("OE", t=(0, 0, 0, 0.1)).ok
+
+
+def test_validator_accepts_truncated_miwa_tail():
+    from pftau.symfun import miwa_shift
+    t = miwa_shift(CouplingSeq.of(0.1), [(-1.0, 0.1)], 0.5, order=12)
+    assert EnsembleSpec("SE", 1, 0, t).validate().ok
+
+
+# Reference (ok, reason) of EnsembleSpec.validate on every combination below,
+# one letter per reason and "." for ok.  A key is (kind, t label); its three
+# groups are alpha = None, 0.0, 0.5, each running over s (outer) and L (inner).
+# "t3s" passes the complex-sector bound but not the real-line one, so GinOE
+# rejects it only through its real-sector check.
+_T_GRID = {"0": (), "t1": (0.3,), "t2+": (0.1, 0.3), "t2++": (0.0, 0.6), "t2-": (0.0, -0.3),
+           "t2--": (0.0, -0.6), "t3": (0.0, 0.0, 0.1), "t3s": (0.0, 0.0, 0.006),
+           "t4-": (0.0, 0.0, 0.0, -0.1), "t4+": (0.0, 0.0, 0.0, 0.1),
+           "t6": (0.1, 0.0, 0.0, 0.0, 0.0, 1e-8), "tc": (complex(0.1, 0.2),)}
+_S_GRID = ((), (0.3,), (0.0, 0.4), (0.0, -0.2))
+_L_GRID = (-2, -1, 0, 1)
+_ALPHAS = (None, 0.0, 0.5)
+_VALIDATION_REASONS = {
+    'a': 'L=-2 puts a pole at the origin and s = 0 cannot damp it',
+    'b': 'L=-1 puts a pole at the origin and s = 0 cannot damp it',
+    'c': 'odd top s-index 1 blows up on one side of the origin',
+    'd': 'nonpositive top s-coefficient s_2 blows up at the origin',
+    'e': 'quadratic coupling t_2=0.6 overwhelms the Gaussian',
+    'f': 'odd top degree 3 grows at +infinity',
+    'g': 'positive top degree 4 grows at infinity',
+    'h': 'deformation couplings must be real',
+    'i': 's-deformation diverges near 0 along some phase ray of the complex sector; only s = 0 is admissible there',
+    'j': 'quadratic coupling t_2=-0.6 overwhelms the Gaussian',
+    'k': 'degree-3 coupling outruns the Gaussian on some ray of the complex sector',
+    'l': 'degree-4 coupling outruns the Gaussian on some ray of the complex sector',
+    'm': 'antiholomorphic determinant power too negative at the origin',
+    'n': 's != 0 blows up near 0 on some ray of the full plane',
+    'o': '|t_2| >= 1/2 overwhelms the full-plane Gaussian',
+    'p': 'degree-3 t-coupling outruns the full-plane Gaussian',
+    'q': 'degree-4 t-coupling outruns the full-plane Gaussian',
+    'r': 'degree-6 t-coupling outruns the full-plane Gaussian',
+    's': 'couplings must be real',
+}
+_VALIDATION_TABLE = {
+    ('OE', '0'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('OE', 't1'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('OE', 't2+'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('OE', 't2++'): 'eeeeeeeeeeeeeeee eeeeeeeeeeeeeeee eeeeeeeeeeeeeeee',
+    ('OE', 't2-'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('OE', 't2--'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('OE', 't3'): 'ffffffffffffffff ffffffffffffffff ffffffffffffffff',
+    ('OE', 't3s'): 'ffffffffffffffff ffffffffffffffff ffffffffffffffff',
+    ('OE', 't4-'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('OE', 't4+'): 'gggggggggggggggg gggggggggggggggg gggggggggggggggg',
+    ('OE', 't6'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('OE', 'tc'): 'hhhhhhhhhhhhhhhh hhhhhhhhhhhhhhhh hhhhhhhhhhhhhhhh',
+    ('SE', '0'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('SE', 't1'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('SE', 't2+'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('SE', 't2++'): 'eeeeeeeeeeeeeeee eeeeeeeeeeeeeeee eeeeeeeeeeeeeeee',
+    ('SE', 't2-'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('SE', 't2--'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('SE', 't3'): 'ffffffffffffffff ffffffffffffffff ffffffffffffffff',
+    ('SE', 't3s'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('SE', 't4-'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('SE', 't4+'): 'gggggggggggggggg gggggggggggggggg gggggggggggggggg',
+    ('SE', 't6'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('SE', 'tc'): 'hhhhhhhhhhhhhhhh hhhhhhhhhhhhhhhh hhhhhhhhhhhhhhhh',
+    ('GinOE', '0'): 'ab..iiiiiiiiiiii ab..cccc....dddd ab..iiiiiiiiiiii',
+    ('GinOE', 't1'): 'ab..iiiiiiiiiiii ab..cccc....dddd ab..iiiiiiiiiiii',
+    ('GinOE', 't2+'): 'ab..iiiiiiiiiiii ab..cccc....dddd ab..iiiiiiiiiiii',
+    ('GinOE', 't2++'): 'eeeeeeeeeeeeeeee eeeeeeeeeeeeeeee eeeeeeeeeeeeeeee',
+    ('GinOE', 't2-'): 'ab..iiiiiiiiiiii ab..cccc....dddd ab..iiiiiiiiiiii',
+    ('GinOE', 't2--'): 'jjjjjjjjjjjjjjjj ab..cccc....dddd jjjjjjjjjjjjjjjj',
+    ('GinOE', 't3'): 'kkkkkkkkkkkkkkkk ffffffffffffffff kkkkkkkkkkkkkkkk',
+    ('GinOE', 't3s'): 'abffiiiiiiiiiiii ffffffffffffffff abffiiiiiiiiiiii',
+    ('GinOE', 't4-'): 'llllllllllllllll ab..cccc....dddd llllllllllllllll',
+    ('GinOE', 't4+'): 'llllllllllllllll gggggggggggggggg llllllllllllllll',
+    ('GinOE', 't6'): 'ab..iiiiiiiiiiii ab..cccc....dddd ab..iiiiiiiiiiii',
+    ('GinOE', 'tc'): 'hhhhhhhhhhhhhhhh hhhhhhhhhhhhhhhh hhhhhhhhhhhhhhhh',
+    ('GinSE', '0'): 'ab..iiiiiiiiiiii ab..iiiiiiiiiiii ab..iiiiiiiiiiii',
+    ('GinSE', 't1'): 'ab..iiiiiiiiiiii ab..iiiiiiiiiiii ab..iiiiiiiiiiii',
+    ('GinSE', 't2+'): 'ab..iiiiiiiiiiii ab..iiiiiiiiiiii ab..iiiiiiiiiiii',
+    ('GinSE', 't2++'): 'eeeeeeeeeeeeeeee eeeeeeeeeeeeeeee eeeeeeeeeeeeeeee',
+    ('GinSE', 't2-'): 'ab..iiiiiiiiiiii ab..iiiiiiiiiiii ab..iiiiiiiiiiii',
+    ('GinSE', 't2--'): 'jjjjjjjjjjjjjjjj jjjjjjjjjjjjjjjj jjjjjjjjjjjjjjjj',
+    ('GinSE', 't3'): 'kkkkkkkkkkkkkkkk kkkkkkkkkkkkkkkk kkkkkkkkkkkkkkkk',
+    ('GinSE', 't3s'): 'ab..iiiiiiiiiiii ab..iiiiiiiiiiii ab..iiiiiiiiiiii',
+    ('GinSE', 't4-'): 'llllllllllllllll llllllllllllllll llllllllllllllll',
+    ('GinSE', 't4+'): 'llllllllllllllll llllllllllllllll llllllllllllllll',
+    ('GinSE', 't6'): 'ab..iiiiiiiiiiii ab..iiiiiiiiiiii ab..iiiiiiiiiiii',
+    ('GinSE', 'tc'): 'hhhhhhhhhhhhhhhh hhhhhhhhhhhhhhhh hhhhhhhhhhhhhhhh',
+    ('GinUE', '0'): 'm...nnnnnnnnnnnn m...nnnnnnnnnnnn m...nnnnnnnnnnnn',
+    ('GinUE', 't1'): 'm...nnnnnnnnnnnn m...nnnnnnnnnnnn m...nnnnnnnnnnnn',
+    ('GinUE', 't2+'): 'm...nnnnnnnnnnnn m...nnnnnnnnnnnn m...nnnnnnnnnnnn',
+    ('GinUE', 't2++'): 'oooonnnnnnnnnnnn oooonnnnnnnnnnnn oooonnnnnnnnnnnn',
+    ('GinUE', 't2-'): 'm...nnnnnnnnnnnn m...nnnnnnnnnnnn m...nnnnnnnnnnnn',
+    ('GinUE', 't2--'): 'oooonnnnnnnnnnnn oooonnnnnnnnnnnn oooonnnnnnnnnnnn',
+    ('GinUE', 't3'): 'ppppnnnnnnnnnnnn ppppnnnnnnnnnnnn ppppnnnnnnnnnnnn',
+    ('GinUE', 't3s'): 'ppppnnnnnnnnnnnn ppppnnnnnnnnnnnn ppppnnnnnnnnnnnn',
+    ('GinUE', 't4-'): 'qqqqnnnnnnnnnnnn qqqqnnnnnnnnnnnn qqqqnnnnnnnnnnnn',
+    ('GinUE', 't4+'): 'qqqqnnnnnnnnnnnn qqqqnnnnnnnnnnnn qqqqnnnnnnnnnnnn',
+    ('GinUE', 't6'): 'rrrrnnnnnnnnnnnn rrrrnnnnnnnnnnnn rrrrnnnnnnnnnnnn',
+    ('GinUE', 'tc'): 'ssssnnnnnnnnnnnn ssssnnnnnnnnnnnn ssssnnnnnnnnnnnn',
+}
+
+
+def test_validator_matches_its_reference_table():
+    codes = {reason: code for code, reason in _VALIDATION_REASONS.items()}
+
+    def code(v):
+        assert v.ok == (v.reason is None)
+        return "." if v.ok else codes[v.reason]
+
+    assert set(_VALIDATION_TABLE) == {(kind, label) for kind in moments.KINDS for label in _T_GRID}
+    for (kind, label), expected in _VALIDATION_TABLE.items():
+        got = " ".join("".join(code(_valid(kind, _T_GRID[label], s, L, alpha))
+                               for s in _S_GRID for L in _L_GRID) for alpha in _ALPHAS)
+        assert got == expected, (kind, label)
 
 
 def test_negative_det_power_needs_s_and_works():

@@ -224,7 +224,7 @@ def test_discrete_single_atom_border():
     # one-point measure: lhs = a^L w e^{V(a,t)}, rhs = the border term
     t = CouplingSeq.of(0.2)
     for L in (0, 1, 2):
-        lhs, rhs = discrete_consistency("OE", [(0.8, 1.3)], 1, L, t)
+        lhs, rhs, _ = discrete_consistency(EnsembleSpec("OE", 1, L, t), [(0.8, 1.3)])
         assert lhs == pytest.approx(1.3 * 0.8 ** L * math.exp(0.2 * 0.8))
         assert rhs == pytest.approx(lhs, rel=1e-12)
 
@@ -232,20 +232,41 @@ def test_discrete_single_atom_border():
 def test_discrete_atom_count_guards():
     t = CouplingSeq.of(0.1)
     with pytest.raises(ValueError, match="node count"):
-        discrete_consistency("OE", [], 1, 0, t)
+        discrete_consistency(EnsembleSpec("OE", 1, 0, t), [])
     with pytest.raises(ValueError, match="node count"):
-        discrete_consistency("OE", [(0.1 * k, 1.0) for k in range(1, 11)], 2, 0, t)
+        discrete_consistency(EnsembleSpec("OE", 2, 0, t), [(0.1 * k, 1.0) for k in range(1, 11)])
     with pytest.raises(ValueError, match="exceeds"):
-        discrete_consistency("OE", [(0.5, 1.0), (-0.5, 1.0)], 3, 0, t)
+        discrete_consistency(EnsembleSpec("OE", 3, 0, t), [(0.5, 1.0), (-0.5, 1.0)])
+
+
+def test_discrete_takes_pfaffian_kinds_at_s_zero():
+    t = CouplingSeq.of(0.1)
+    with pytest.raises(ValueError, match="GinUE"):
+        discrete_consistency(EnsembleSpec("GinUE", 1, 0, t), [(0.5, 1.0)])
+    with pytest.raises(ValueError, match="s = 0"):
+        discrete_consistency(EnsembleSpec("OE", 1, 0, t, CouplingSeq.of(0, 0.4)), [(0.5, 1.0)])
+
+
+def test_discrete_ginoe_without_pairs_weight_is_the_real_sector():
+    # alpha = 0 silences every pair sector, so the atoms in pairs drop out
+    t = CouplingSeq.of(0.07, -0.03)
+    reals = [(-1.1, 0.7), (-0.3, 1.2), (0.4, 0.9), (1.2, 0.5)]
+    pairs = [(complex(-0.5, 0.4), 0.8), (complex(0.6, 0.7), 1.1)]
+    for n in (1, 2, 3):
+        for L in (0, 1):
+            real = discrete_consistency(EnsembleSpec("OE", n, L, t), reals)
+            mixed = discrete_consistency(EnsembleSpec("GinOE", n, L, t, alpha=0.0), reals, pairs)
+            assert mixed[0] == real[0]
+            assert mixed[1] == pytest.approx(real[1], rel=1e-14)
 
 
 def test_discrete_oe_pair_and_triple():
     t = CouplingSeq.of(0.1)
     atoms = [(1.0, 1.0), (-1.0, 1.0)]
-    lhs, rhs = discrete_consistency("OE", atoms, 2, 0, t)
+    lhs, rhs, _ = discrete_consistency(EnsembleSpec("OE", 2, 0, t), atoms)
     assert rhs == pytest.approx(lhs, rel=1e-12)
     atoms4 = [(-1.1, 0.7), (-0.3, 1.2), (0.4, 0.9), (1.2, 0.5)]
-    lhs, rhs, scale = discrete_consistency("OE", atoms4, 3, 0, t, with_scale=True)
+    lhs, rhs, scale = discrete_consistency(EnsembleSpec("OE", 3, 0, t), atoms4)
     assert abs(lhs - rhs) <= 1e-10 * scale
 
 
@@ -263,8 +284,7 @@ def test_discrete_all_kinds_randomized():
                 res = np.linspace(-1.0, 1.0, 4) + rng.uniform(-0.04, 0.04, size=4)
                 pairs = [(complex(a, b), w) for a, b, w in
                          zip(res, rng.uniform(0.2, 1.0, size=4), rng.uniform(0.3, 1.2, size=4))]
-            lhs, rhs, scale = discrete_consistency(kind, reals, n, L, t, pair_atoms=pairs,
-                                                   with_scale=True)
+            lhs, rhs, scale = discrete_consistency(EnsembleSpec(kind, n, L, t), reals, pairs)
             assert abs(lhs - rhs) <= 1e-9 * scale, (kind, n, L)
 
 
@@ -282,8 +302,7 @@ def test_discrete_identity_property(seed, kind, n, L):
         pairs = [(complex(a, b), w) for a, b, w in
                  zip(res, rng.uniform(0.2, 1.0, size=4), rng.uniform(0.3, 1.2, size=4))]
     t = CouplingSeq.of(float(rng.uniform(-0.1, 0.1)), float(rng.uniform(-0.05, 0.05)))
-    lhs, rhs, scale = discrete_consistency(kind, reals, n, L, t, pair_atoms=pairs,
-                                           with_scale=True)
+    lhs, rhs, scale = discrete_consistency(EnsembleSpec(kind, n, L, t), reals, pairs)
     assert abs(lhs - rhs) <= 1e-9 * scale
 
 
@@ -301,9 +320,9 @@ def test_discrete_matches_fock_vev():
     atoms = [(0.9, 1.1), (-0.5, 0.8), (0.2, 1.3)]
     for n in (1, 2, 3):
         for L in (0, 1, 2):
-            lhs, rhs = discrete_consistency("OE", atoms, n, L, t)
-            pair = _atomic_moments("OE", atoms, None, t, ZERO_SEQ, 0.0, 1.0,
-                                   base=0, size=n + L + 2, fold_t=True)
+            spec = EnsembleSpec("OE", n, L, t)
+            lhs, _, _ = discrete_consistency(spec, atoms)
+            pair = _atomic_moments(spec, atoms, None, base=0, size=n + L + 2, fold_t=True)
             window = FockWindow(-2, n + L + 3)
             vev_val = exp_pair_vev(n + L, pair, L, window)
             sign = (-1.0) ** ((L + 1) * (n % 2))

@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pftau.quad import (LinePanels, QuadratureError, converge, convergence_validate,
-                        erfc_vec, full_plane_grid, gaussian_halfwidth, half_plane_grid,
-                        polar_gram, real_line_breakpoints)
-from pftau.symfun import CouplingSeq, ZERO_SEQ
+from pftau.quad import (LinePanels, QuadratureError, converge, erfc_vec, full_plane_grid,
+                        gaussian_halfwidth, half_plane_grid, polar_gram, real_line_breakpoints)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -233,38 +231,6 @@ def test_cumulative_against_closed_form():
     cum = lp.cumulative(np.exp(-lp.nodes ** 2))
     exact = SQRT_PI / 2 * (erf(lp.nodes) + erf(8.0))
     assert np.max(np.abs(cum - exact)) < 1e-13
-
-
-def test_validator_examples():
-    ok = convergence_validate("OE", ZERO_SEQ, ZERO_SEQ, 0)
-    assert ok.ok
-    bad = convergence_validate("OE", CouplingSeq.of(0, 0, 0.1), ZERO_SEQ, 0)
-    assert not bad.ok and "odd top degree 3" in bad.reason
-    pole = convergence_validate("OE", ZERO_SEQ, CouplingSeq.of(0, 0.5), -1)
-    assert pole.ok
-
-
-def test_validator_rules():
-    assert not convergence_validate("OE", ZERO_SEQ, ZERO_SEQ, -1).ok
-    assert not convergence_validate("OE", ZERO_SEQ, CouplingSeq.of(0.3), 0).ok      # odd s index
-    assert not convergence_validate("OE", ZERO_SEQ, CouplingSeq.of(0, -0.2), 0).ok  # wrong sign
-    assert convergence_validate("SE", CouplingSeq.of(0.3, 0.2), ZERO_SEQ, 0).ok
-    assert not convergence_validate("SE", CouplingSeq.of(0.0, 0.6), ZERO_SEQ, 0).ok
-    assert not convergence_validate("GinSE", CouplingSeq.of(0.1), CouplingSeq.of(0, 0.4), 0).ok
-    assert not convergence_validate("GinOE", CouplingSeq.of(0.1), CouplingSeq.of(0, 0.4), 0).ok
-    # with the complex sector disabled the real-line rules apply
-    assert convergence_validate("GinOE", CouplingSeq.of(0.1), CouplingSeq.of(0, 0.4), 0,
-                                alpha=0.0).ok
-    assert not convergence_validate("XX", ZERO_SEQ, ZERO_SEQ, 0).ok
-    # even negative top degree decays by itself on the real line
-    assert convergence_validate("OE", CouplingSeq.of(0, 0, 0, -0.1), ZERO_SEQ, 0).ok
-    assert not convergence_validate("OE", CouplingSeq.of(0, 0, 0, 0.1), ZERO_SEQ, 0).ok
-
-
-def test_validator_accepts_truncated_miwa_tail():
-    from pftau.symfun import miwa_shift
-    t = miwa_shift(CouplingSeq.of(0.1), [(-1.0, 0.1)], 0.5, order=12)
-    assert convergence_validate("SE", t, ZERO_SEQ, 0).ok
 
 
 def test_gaussian_halfwidth_monotone():

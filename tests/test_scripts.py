@@ -1,4 +1,5 @@
-"""The example scripts run end to end and print their tables."""
+"""The example scripts and shipped configs run end to end."""
+import json
 import os
 import subprocess
 import sys
@@ -6,7 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from pftau.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
+# the acceptance suite has its own tests
+CONFIGS = sorted(p for p in (ROOT / "scripts" / "configs").glob("*.json")
+                 if p.stem != "suite_acceptance")
 
 
 def run_script(name: str, *args: str) -> list[list[str]]:
@@ -37,3 +43,19 @@ def test_hirota_decay_table():
     assert len(rows[0]) == 2 and len(rows[1]) == 3
     assert float(rows[1][1]) < float(rows[0][1])
     assert float(rows[1][2]) >= 2.0
+
+
+def _expected_outputs(cfg: dict) -> list[str]:
+    if cfg["command"] == "moments-dump":
+        return ["moments.csv", "border.csv"]
+    stem = "tau_table" if cfg["command"] == "partition-function" else "verdicts"
+    fmt = cfg.get("format", "json")
+    return [f"{stem}.{ext}" for ext in ("csv", "json") if fmt in (ext, "both")]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_runs(config, tmp_path):
+    cfg = json.loads(config.read_text())
+    assert main([cfg["command"], "--config", str(config), "--out", str(tmp_path)]) == 0
+    for name in _expected_outputs(cfg):
+        assert (tmp_path / name).is_file(), name
