@@ -13,6 +13,7 @@ import fcntl
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import warnings
@@ -208,18 +209,30 @@ class MomentCache:
 # ---------------------------------------------------------------------------
 # emission
 
+def _jsonable(o):
+    """`o` as plain JSON values; a non-finite float becomes "inf", "-inf" or "nan"."""
+    if isinstance(o, dict):
+        return {k: _jsonable(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_jsonable(v) for v in o]
+    if o is None or isinstance(o, (bool, int, str)):
+        return o
+    if isinstance(o, (float, np.floating, np.integer)):
+        x = float(o)
+        return x if math.isfinite(x) else str(x)
+    if isinstance(o, (complex, np.complexfloating)):
+        return {"re": _jsonable(o.real), "im": _jsonable(o.imag)}
+    if isinstance(o, np.ndarray):
+        return _jsonable(o.tolist())
+    if isinstance(o, CouplingSeq):
+        return _jsonable(o.values)
+    return str(o)
+
+
 def _write_json(path: Path, document: dict) -> None:
-    def default(o):
-        if isinstance(o, complex):
-            return {"re": float(o.real), "im": float(o.imag)}
-        if isinstance(o, (np.floating, np.integer)):
-            return float(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, CouplingSeq):
-            return list(o.values)
-        return str(o)
-    path.write_text(json.dumps(document, indent=2, sort_keys=True, default=default) + "\n")
+    # allow_nan=False: a non-finite float that escaped _jsonable raises here
+    text = json.dumps(_jsonable(document), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list], config_echo: str) -> None:

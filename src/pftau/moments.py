@@ -45,7 +45,7 @@ WEIGHT_CONSTANTS = {"orth": (0.5, 1.0), "sympl": (1.0, 2.0), "pair": (1.0, 2.0)}
 # moves the numbers a table holds: its quadrature rule, level schedule or
 # tolerance, its sector convention, or its layout.  Entries stored under any
 # other value are never served.
-TABLE_ALGORITHM = "tables-3"
+TABLE_ALGORITHM = "tables-4"
 TABLE_BUILDS = 0
 _SECTOR_CACHE: dict = {}
 _DISK_CACHE = None
@@ -126,7 +126,7 @@ class EnsembleSpec:
         if self.kind == "GinUE":
             reason = _full_plane_check(self)
         else:
-            complex_sector = self.kind == "GinSE" or (self.kind == "GinOE" and self.mix[0] != 0)
+            complex_sector = self.kind in ("GinOE", "GinSE") and self.mix[0] != 0
             line = WEIGHT_CONSTANTS[self.family]
             reason = (_tail_growth_check(self.t, complex_sector,
                                          *(WEIGHT_CONSTANTS["pair"] if complex_sector else line))
@@ -265,6 +265,10 @@ def _pair_rule(kind: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int, level: in
 
     The weight of one conjugate pair (z, zbar) is e^{-|z|^2} (GinSE) or
     erfc(sqrt(2) Im z) e^{-Re z^2} (GinOE), times e^{2 Re(V(z,t) - V(1/z,s))}.
+    It comes back as a real (radii, angles) array built from polar factors:
+    with z = r e^{i theta} every term of the exponent is a radial vector
+    times an angular one, -r^2 (or -r^2 cos 2 theta), 2 t_k r^k cos k theta
+    and -2 s_k r^-k cos k theta.
     """
     if kind not in ("GinSE", "GinOE"):
         raise ValueError(f"no pair weight for kind {kind!r}")
@@ -274,15 +278,18 @@ def _pair_rule(kind: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int, level: in
     lin = mult * abs(float(t.entry(1)))
     radius = clip_support(gaussian_halfwidth(gauss, lin, maxdeg), poles, gauss, lin, maxdeg)
     grid = half_plane_grid(radius, level=level)
-    z = grid.nodes
-    e = -np.abs(z) ** 2 if kind == "GinSE" else -np.real(z * z)
-    if t.top_index():
-        e = e + 2 * np.real(potential(z, t))
-    if s.top_index():
-        e = e - 2 * np.real(potential(1.0 / z, s))
-    if kind == "GinSE":
-        return grid, np.exp(e)
-    return grid, erfc_vec(math.sqrt(2.0) * np.imag(z)) * np.exp(e)
+    r, theta = grid.radii, grid.angles
+    e = np.multiply.outer(-r * r, np.ones_like(theta) if kind == "GinSE" else np.cos(2.0 * theta))
+    for sign, seq, rk in ((mult, t, r), (-mult, s, 1.0 / r)):
+        rpow = 1.0
+        for k, v in enumerate(seq.values, start=1):
+            rpow = rpow * rk
+            if v != 0:
+                e += np.multiply.outer(sign * float(v) * rpow, np.cos(k * theta))
+    np.exp(e, out=e)
+    if kind == "GinOE":
+        e *= erfc_vec(np.multiply.outer(math.sqrt(2.0) * r, np.sin(theta)))
+    return grid, e
 
 
 def pair_moments(kind: str, t: CouplingSeq, s: CouplingSeq, exps, level: int,
@@ -294,7 +301,7 @@ def pair_moments(kind: str, t: CouplingSeq, s: CouplingSeq, exps, level: int,
     exps = np.asarray(exps)
     grid, w = _pair_rule(kind, t, s, 2 * int(np.max(np.abs(exps))) + 2, level, poles)
     if extra is not None:
-        w = w * extra(grid.nodes)
+        w = w * np.reshape(extra(grid.nodes), w.shape)
     return polar_gram(grid, w, exps, exps)
 
 
@@ -522,7 +529,7 @@ def _kernel_pair_block(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
         gap = (z - zb) ** 2 if quaternion else (z - zb) / 1j
         dens = np.stack([(1.0 - z * pi) * (1.0 - zb * pi) for pi in p])
         inv = 1.0 / (dens ** 2 if quaternion else dens)
-        return (inv * (grid.weights * w * np.abs(z) ** (2 * spec.L) * gap)) @ inv.T
+        return (inv * (grid.weights * w.ravel() * np.abs(z) ** (2 * spec.L) * gap)) @ inv.T
 
     return converge(build, rel_tol=2e-9)[0]
 

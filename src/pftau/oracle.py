@@ -32,7 +32,7 @@ from .symfun import hseq, potential, schur_from_h, schur_terms
 PAIR_NORM = {"GinOE": 1.0 / 2.0j, "GinSE": 0.5}
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleResult:
     value: complex
     error_estimate: float
@@ -247,11 +247,23 @@ def eigen_integral(spec: EnsembleSpec, rel_tol: float = 1e-9, extra_real=None,
     eigenvalue and of each conjugate pair (an inserted observable); the
     quadrature supports stay clear of `poles`.  No attempt is made to match
     absorbed volume constants; use ratios.
+
+    A plain call (no insertion, no poles) is memoized per (spec, rel_tol) in
+    the in-memory table cache, so `moments.clear_cache()` forgets it; it is
+    never written to disk.
     """
     spec.validate().require()
+    plain = extra_real is None and extra_pair is None and poles is None
+    key = ("eigen_integral", mom.TABLE_ALGORITHM, spec, rel_tol)
+    hit = mom._SECTOR_CACHE.get(key) if plain else None
+    if hit is not None:
+        return hit
     value, err = converge(
         lambda lvl: _eigen_value_at_level(spec, lvl, extra_real, extra_pair, poles), rel_tol)
-    return OracleResult(value, err, "quadrature")
+    result = OracleResult(value, err, "quadrature")
+    if plain:
+        mom._SECTOR_CACHE[key] = result
+    return result
 
 
 def det_average_lhs(spec: EnsembleSpec, p, insert_power: int = 1,

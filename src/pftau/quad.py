@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -48,11 +48,24 @@ def converge(build, rel_tol: float, max_level: int = 4, zero_floor: float = 0.0)
 
 
 def power_table(x: np.ndarray, exponents) -> np.ndarray:
-    """x**k for each integer k in `exponents` (negative allowed), one row each."""
-    out = np.empty((len(exponents), len(x)), dtype=x.dtype)
-    for row, k in zip(out, exponents):
-        row[...] = x ** int(k)
-    return out
+    """x**k for each integer k in `exponents` (negative allowed), one row each.
+
+    Running products: x^k = x^(k-1) * x upward from x^0 = 1 and
+    x^-k = x^-(k-1) * (1/x) downward, so x^0, x^1 and x^-1 are exact and x^k
+    is within about |k| ulps.
+    """
+    ks = np.asarray(exponents, dtype=int)
+    lo, hi = int(ks.min(initial=0)), int(ks.max(initial=0))
+    table = np.empty((hi - lo + 1, len(x)), dtype=x.dtype)
+    table[-lo] = 1.0
+    for k in range(1, hi + 1):
+        np.multiply(table[k - 1 - lo], x, out=table[k - lo])
+    if lo < 0:
+        inv = 1.0 / x
+        table[-lo - 1] = inv
+        for k in range(2, -lo + 1):
+            np.multiply(table[1 - k - lo], inv, out=table[-k - lo])
+    return table[ks - lo]
 
 
 @lru_cache(maxsize=32)
@@ -135,21 +148,30 @@ class QuadratureGrid:
 
     Node i * len(angles) + j is radii[i] e^{i angles[j]} with weight
     radial_weights[i] * angle_weights[j]; radial_weights carry the Jacobian r.
+    The flat `nodes` and `weights` are formed on first use: the moment
+    contractions read only the polar factors.
     """
 
     domain: str                       # "half-plane" | "full-plane"
-    nodes: np.ndarray
-    weights: np.ndarray
     radii: np.ndarray
     radial_weights: np.ndarray
     angles: np.ndarray
     angle_weights: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.weights <= 0):
+        if np.any(self.radial_weights <= 0) or np.any(self.angle_weights <= 0):
             raise ValueError("quadrature weights must be strictly positive")
-        if self.domain == "half-plane" and np.any(np.imag(self.nodes) <= 0):
+        if self.domain == "half-plane" and (np.any(self.radii <= 0) or np.any(self.angles <= 0)
+                                            or np.any(self.angles >= math.pi)):
             raise ValueError("half-plane nodes must have positive imaginary part")
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return (self.radii[:, None] * np.exp(1j * self.angles[None, :])).ravel()
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return (self.radial_weights[:, None] * self.angle_weights[None, :]).ravel()
 
 
 def _polar_grid(domain: str, theta_max: float, radius: float, n_r: int, r_order: int,
@@ -159,10 +181,7 @@ def _polar_grid(domain: str, theta_max: float, radius: float, n_r: int, r_order:
     r_nodes, r_w = _panel_nodes(np.column_stack([rb[:-1], rb[1:]]), r_order)
     tb = np.linspace(0.0, theta_max, n_theta * scale + 1)
     t_nodes, t_w = _panel_nodes(np.column_stack([tb[:-1], tb[1:]]), t_order)
-    r_w = r_w * r_nodes
-    z = r_nodes[:, None] * np.exp(1j * t_nodes[None, :])
-    w = r_w[:, None] * t_w[None, :]
-    return QuadratureGrid(domain, z.ravel(), w.ravel(), r_nodes, r_w, t_nodes, t_w)
+    return QuadratureGrid(domain, r_nodes, r_w * r_nodes, t_nodes, t_w)
 
 
 def polar_gram(grid: QuadratureGrid, f: np.ndarray, rows, cols) -> np.ndarray:
@@ -171,16 +190,23 @@ def polar_gram(grid: QuadratureGrid, f: np.ndarray, rows, cols) -> np.ndarray:
     On a polar grid z^a zbar^b = r^(a+b) e^{i(a-b)theta}, so the sum is one
     angular product over the distinct differences a - b, one radial product
     over the distinct sums a + b, and a gather; no per-node power table.
+    `f` is flat or (radii, angles); a real `f` is contracted with one real
+    table of cosines and sines, so both products stay real.
     """
     rows = np.asarray(rows)[:, None]
     cols = np.asarray(cols)[None, :]
     shape = (rows.size, cols.size)
     sums, at_sum = np.unique(rows + cols, return_inverse=True)
     diffs, at_diff = np.unique(rows - cols, return_inverse=True)
-    f = np.reshape(f, (len(grid.radii), len(grid.angles)))
-    angular = (f * grid.angle_weights) @ np.exp(1j * np.outer(grid.angles, diffs))
-    radial = (grid.radial_weights * grid.radii ** sums[:, None]) @ angular
-    return radial[at_sum.reshape(shape), at_diff.reshape(shape)]
+    f = np.reshape(f, (len(grid.radii), len(grid.angles))) * grid.angle_weights
+    radial = grid.radial_weights * power_table(grid.radii, sums)
+    phase = np.outer(grid.angles, diffs)
+    if np.iscomplexobj(f):
+        out = radial @ (f @ np.exp(1j * phase))
+    else:
+        parts = radial @ (f @ np.concatenate([np.cos(phase), np.sin(phase)], axis=1))
+        out = parts[:, :len(diffs)] + 1j * parts[:, len(diffs):]
+    return out[at_sum.reshape(shape), at_diff.reshape(shape)]
 
 
 def half_plane_grid(radius: float, n_r: int = 8, r_order: int = 20,

@@ -218,6 +218,25 @@ def test_verdict_pass_fields_are_json_booleans(tmp_path):
     assert [v["pass"] for v in doc["verdicts"]] == [True, False]
 
 
+def test_gate_kernel_verdict_is_strict_json(tmp_path):
+    # the sgn variant of the gate's kernel-OE-N2 has an infinite deviation
+    [e] = [e for e in hub.acceptance_experiments() if e.name == "kernel-OE-N2"]
+    node = {"name": e.name, "comparison": e.comparison, "tolerance": e.tolerance,
+            "ensemble": {"kind": e.spec.kind, "n": e.spec.n, "L": e.spec.L,
+                         "t": list(e.spec.t.values)},
+            "params": {k: list(v) for k, v in e.params}}
+    cfg = parse_config(json.dumps({"command": "suite", "format": "json", "experiments": [node]}))
+    assert run_config(cfg, tmp_path) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads((tmp_path / "verdicts.json").read_text(), parse_constant=reject)
+    [verdict] = doc["verdicts"]
+    assert verdict["pass"]
+    assert verdict["details"]["variants"]["sgn"]["deviation"] == "inf"
+
+
 def test_single_command_is_an_inline_suite_entry():
     cfg = parse_config(json.dumps({"command": "hirota-check",
                                    "ensemble": {"kind": "SE", "n": 1, "t": [0.2]},

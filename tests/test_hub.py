@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from pftau import hub, oracle
+from pftau import hub, moments, oracle
 from pftau.hub import (Experiment, acceptance_experiments, bkp_normalization,
                        ratio_experiments, run_experiment, run_suite)
 from pftau.moments import EnsembleSpec
@@ -132,6 +132,15 @@ def test_hirota_experiment_shape():
     assert all(f >= 2.0 for f in v.details["decay_factors"])
 
 
+def test_ratio_verdicts_do_not_depend_on_run_order():
+    exps = ratio_experiments(cutoff=12)
+    moments.clear_cache()
+    forward = run_suite(exps)
+    moments.clear_cache()
+    backward = run_suite(exps[::-1])[::-1]
+    assert [(v.row(), v.details) for v in forward] == [(v.row(), v.details) for v in backward]
+
+
 def test_ratio_experiment_list_covers_spec_grid():
     exps = ratio_experiments()
     names = {e.name for e in exps}
@@ -167,7 +176,9 @@ def test_degenerate_base_n3():
 
 
 def test_unconverged_oracle_fails_the_verdict(monkeypatch):
-    # an oracle whose value drifts with the quadrature level never converges
+    # an oracle whose value drifts with the quadrature level never converges;
+    # an empty table cache, so no memoized oracle value stands in for it
+    monkeypatch.setattr(moments, "_SECTOR_CACHE", {})
     monkeypatch.setattr(oracle, "_eigen_value_at_level",
                         lambda spec, level, *args, **kwargs: 1.0 + 0.1 * level)
     v = run_experiment(Experiment("drift", "series-vs-oracle-ratio",

@@ -6,8 +6,8 @@ import pytest
 from pftau import moments
 from pftau.moments import (EnsembleSpec, ValidationError, clip_support, complex_bimoment_matrix,
                            kernel_matrix, kernel_prefactor, moment_pair)
-from pftau.quad import QuadratureError
-from pftau.symfun import CouplingSeq, ZERO_SEQ
+from pftau.quad import QuadratureError, erfc_vec
+from pftau.symfun import CouplingSeq, ZERO_SEQ, potential
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -91,6 +91,19 @@ def test_moment_tables_monotone_consistent():
     small = moment_pair(EnsembleSpec("GinSE", 2), 5)
     large = moment_pair(EnsembleSpec("GinSE", 2), 9)
     assert np.allclose(small.a_matrix, large.a_matrix[:5, :5], rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["GinSE", "GinOE"])
+@pytest.mark.parametrize("level", [0, 1])
+def test_pair_weight_from_polar_factors_matches_the_node_formula(kind, level):
+    t = CouplingSeq.of(0.1, -0.05)
+    grid, w = moments._pair_rule(kind, t, ZERO_SEQ, 20, level)
+    assert w.dtype == np.float64 and w.shape == (len(grid.radii), len(grid.angles))
+    # the weight as formed from the complex nodes
+    z = grid.nodes
+    e = (-np.abs(z) ** 2 if kind == "GinSE" else -np.real(z * z)) + 2 * np.real(potential(z, t))
+    ref = np.exp(e) if kind == "GinSE" else erfc_vec(math.sqrt(2.0) * np.imag(z)) * np.exp(e)
+    assert np.max(np.abs(w.ravel() - ref)) <= 1e-13
 
 
 def test_sector_cache_hits():
@@ -271,17 +284,17 @@ _VALIDATION_TABLE = {
     ('GinOE', 't4+'): 'llllllllllllllll gggggggggggggggg llllllllllllllll',
     ('GinOE', 't6'): 'ab..iiiiiiiiiiii ab..cccc....dddd ab..iiiiiiiiiiii',
     ('GinOE', 'tc'): 'hhhhhhhhhhhhhhhh hhhhhhhhhhhhhhhh hhhhhhhhhhhhhhhh',
-    ('GinSE', '0'): 'ab..iiiiiiiiiiii ab..iiiiiiiiiiii ab..iiiiiiiiiiii',
-    ('GinSE', 't1'): 'ab..iiiiiiiiiiii ab..iiiiiiiiiiii ab..iiiiiiiiiiii',
-    ('GinSE', 't2+'): 'ab..iiiiiiiiiiii ab..iiiiiiiiiiii ab..iiiiiiiiiiii',
+    ('GinSE', '0'): 'ab..iiiiiiiiiiii ab..cccc....dddd ab..iiiiiiiiiiii',
+    ('GinSE', 't1'): 'ab..iiiiiiiiiiii ab..cccc....dddd ab..iiiiiiiiiiii',
+    ('GinSE', 't2+'): 'ab..iiiiiiiiiiii ab..cccc....dddd ab..iiiiiiiiiiii',
     ('GinSE', 't2++'): 'eeeeeeeeeeeeeeee eeeeeeeeeeeeeeee eeeeeeeeeeeeeeee',
-    ('GinSE', 't2-'): 'ab..iiiiiiiiiiii ab..iiiiiiiiiiii ab..iiiiiiiiiiii',
-    ('GinSE', 't2--'): 'jjjjjjjjjjjjjjjj jjjjjjjjjjjjjjjj jjjjjjjjjjjjjjjj',
-    ('GinSE', 't3'): 'kkkkkkkkkkkkkkkk kkkkkkkkkkkkkkkk kkkkkkkkkkkkkkkk',
-    ('GinSE', 't3s'): 'ab..iiiiiiiiiiii ab..iiiiiiiiiiii ab..iiiiiiiiiiii',
-    ('GinSE', 't4-'): 'llllllllllllllll llllllllllllllll llllllllllllllll',
-    ('GinSE', 't4+'): 'llllllllllllllll llllllllllllllll llllllllllllllll',
-    ('GinSE', 't6'): 'ab..iiiiiiiiiiii ab..iiiiiiiiiiii ab..iiiiiiiiiiii',
+    ('GinSE', 't2-'): 'ab..iiiiiiiiiiii ab..cccc....dddd ab..iiiiiiiiiiii',
+    ('GinSE', 't2--'): 'jjjjjjjjjjjjjjjj ab..cccc....dddd jjjjjjjjjjjjjjjj',
+    ('GinSE', 't3'): 'kkkkkkkkkkkkkkkk ffffffffffffffff kkkkkkkkkkkkkkkk',
+    ('GinSE', 't3s'): 'ab..iiiiiiiiiiii ab..cccc....dddd ab..iiiiiiiiiiii',
+    ('GinSE', 't4-'): 'llllllllllllllll ab..cccc....dddd llllllllllllllll',
+    ('GinSE', 't4+'): 'llllllllllllllll gggggggggggggggg llllllllllllllll',
+    ('GinSE', 't6'): 'ab..iiiiiiiiiiii ab..cccc....dddd ab..iiiiiiiiiiii',
     ('GinSE', 'tc'): 'hhhhhhhhhhhhhhhh hhhhhhhhhhhhhhhh hhhhhhhhhhhhhhhh',
     ('GinUE', '0'): 'm...nnnnnnnnnnnn m...nnnnnnnnnnnn m...nnnnnnnnnnnn',
     ('GinUE', 't1'): 'm...nnnnnnnnnnnn m...nnnnnnnnnnnn m...nnnnnnnnnnnn',

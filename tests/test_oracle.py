@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pftau import moments, oracle
 from pftau.hub import acceptance_experiments
 from pftau.moments import EnsembleSpec, ginue_weight, pair_moments
 from pftau.oracle import (_GINUE_RULES, _batched_power_sums, _pair_sum, det_average_lhs,
@@ -76,6 +78,65 @@ def test_ordered_symmetrization_identity():
         for j in range(1, n + 1):
             full *= math.gamma(1 + j / 2) / math.gamma(1.5)
         assert ordered == pytest.approx(full / math.factorial(n), rel=1e-8)
+
+
+class _RecordingStore:
+    """A disk table store that holds nothing and records what it is asked to keep."""
+
+    def __init__(self):
+        self.stored = []
+
+    def load(self, key):
+        return None
+
+    def store(self, key, table):
+        self.stored.append(key)
+
+
+@pytest.fixture
+def levels(monkeypatch):
+    """The quadrature levels the eigenvalue oracle evaluates, in call order."""
+    seen = []
+    at_level = oracle._eigen_value_at_level
+    monkeypatch.setattr(oracle, "_eigen_value_at_level",
+                        lambda spec, level, *args: seen.append(level) or at_level(spec, level, *args))
+    return seen
+
+
+def test_plain_eigen_integral_is_memoized_until_clear_cache(monkeypatch, levels):
+    store = _RecordingStore()
+    monkeypatch.setattr(moments, "_DISK_CACHE", store)
+    spec = EnsembleSpec("GinOE", 2, 1, CouplingSeq.of(0.1, -0.05))
+    moments.clear_cache()
+    builds = moments.TABLE_BUILDS
+    first = eigen_integral(spec)
+    computed = len(levels)
+    assert computed >= 2
+    # a repeated plain call is the stored result; another rel_tol is another entry
+    assert eigen_integral(spec) is first and len(levels) == computed
+    eigen_integral(spec, rel_tol=1e-8)
+    assert len(levels) > computed
+    # neither a table build nor a disk entry
+    assert moments.TABLE_BUILDS == builds and store.stored == []
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.value = 0.0
+    # after clear_cache the same call computes again, to the same bits
+    moments.clear_cache()
+    del levels[:]
+    again = eigen_integral(spec)
+    assert again is not first and len(levels) == computed
+    assert (again.value, again.error_estimate) == (first.value, first.error_estimate)
+
+
+def test_insertions_are_never_served_from_the_memo(levels):
+    spec = EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.2))
+    moments.clear_cache()
+    plain = eigen_integral(spec)
+    for _ in range(2):
+        del levels[:]
+        empty = det_average_lhs(spec, ())
+        assert levels and empty is not plain
+        assert empty.value == pytest.approx(plain.value)
 
 
 def test_det_average_empty_points_is_eigen():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pftau.quad import (LinePanels, QuadratureError, converge, erfc_vec, full_plane_grid,
-                        gaussian_halfwidth, half_plane_grid, polar_gram, real_line_breakpoints)
+                        gaussian_halfwidth, half_plane_grid, polar_gram, power_table,
+                        real_line_breakpoints)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -168,6 +169,23 @@ def test_converge_raises_with_finest_value_and_residual():
         converge(lambda level: 1.0 + 0.5 * level, rel_tol=1e-9, max_level=2)
     assert err.value.best == 2.0
     assert err.value.residual == 0.5
+
+
+def test_power_table_by_running_products():
+    x = LinePanels(real_line_breakpoints(9.0, 12, inner_cut=0.01)).nodes
+    ks = np.arange(-30, 31)
+    table = power_table(x, ks)
+    assert table.shape == (len(ks), len(x))
+    # x^0, x^1 and x^-1 are exact; every other power is a running product
+    assert np.array_equal(table[30], np.ones_like(x))
+    assert np.array_equal(table[31], x)
+    assert np.array_equal(table[29], 1.0 / x)
+    for k, row in zip(ks, table):
+        exact = x ** int(k)
+        assert np.max(np.abs(row / exact - 1.0)) <= 1e-14, k
+    # any order and any subset of exponents gives the same rows
+    picks = [7, -3, 0, 7, 2]
+    assert np.array_equal(power_table(x, picks), table[np.array(picks) + 30])
 
 
 def test_grid_invariants():
