@@ -245,7 +245,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list], config_echo: str
 
 def emit_tau_table(tau: ts.TauApprox, cfg: RunConfig, outdir: Path) -> list[Path]:
     rows = []
-    for lam, coeff in tau.ordered_terms():
+    for lam, coeff in zip(tau.lams, tau.terms.tolist()):
         rows.append(["+".join(map(str, lam.parts)) or "0",
                      fmt17(coeff.real), fmt17(coeff.imag)])
     paths = []
@@ -346,8 +346,11 @@ def run_config(cfg: RunConfig, outdir: Path) -> int:
             return 0
         if cfg.command == "moments-dump":
             _require_ensemble(cfg)
-            size = int(cfg.extras.get("size", cfg.cutoff + cfg.ensemble.n_eff + cfg.ensemble.L))
-            pair = moments.moment_pair(cfg.ensemble, size)
+            spec = cfg.ensemble
+            base = min(0, spec.L)
+            size = int(cfg.extras.get("size", ts.required_table_size(spec.n_eff, spec.L,
+                                                                     cfg.cutoff, base)))
+            pair = moments.moment_pair(spec, size, base)
             rows = [[str(i + pair.index_base), str(j + pair.index_base),
                      fmt17(pair.a_matrix[i, j].real), fmt17(pair.a_matrix[i, j].imag)]
                     for i in range(size) for j in range(size)]

@@ -83,7 +83,7 @@ def _series_ratio(spec: EnsembleSpec, cutoff: int) -> tuple[complex, dict]:
     num = tau1.evaluate(spec.t)
     den = tau0.evaluate(ZERO_SEQ)
     base = ZERO_SEQ
-    scale = max(abs(v) for v in tau0.terms.values())
+    scale = float(np.max(np.abs(tau0.terms)))
     if abs(den) <= 1e-10 * max(scale, 1e-300):
         base = FALLBACK_BASE
         den = tau0.evaluate(base)

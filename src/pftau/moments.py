@@ -5,18 +5,22 @@ series (and through kernel/oracle weights).  The s-couplings, the matrix
 half-width and the quadrature level fully determine a table, which makes
 them cacheable.
 
-Sector conventions, fixed once here and mirrored exactly by the oracle
-module (see `oracle.discrete_consistency` for the finite proof):
+Sector conventions, each written once below and applied alike to the
+quadrature measures of the sectors and to the point masses of `atomic_pair`
+(on which `oracle.discrete_consistency` checks the series identity exactly):
 
-* real orthogonal sector   R[n,m] = sgn-weighted double moment, already skew;
+* real orthogonal sector   (R - R^T)/2 of the sgn-weighted double moment R;
 * orthogonal border        a[n] = sqrt(2) * single moment with its Gaussian;
 * symplectic line sector   A[n,m] = (n-m)/2 * single moment of x^(n+m-1);
-* quaternion half-plane    A = (raw - raw^T)/2 with the literal (z - zbar)
-                           inside raw, which lands on real entries;
-* real-Ginibre half-plane  C = (raw - raw^T)/(2i): the erfc-weighted raw
-                           moments have an imaginary skew part, and dividing
-                           by i is what matches the positive (|Delta|-style)
-                           eigenvalue sectors and keeps tau values real.
+* quaternion half-plane    A = (raw - raw^T)/2, where raw[a,b] = T[a+1,b] - T[a,b+1]
+                           of the plain pair table T is the (z - zbar)
+                           insertion as an index shift; real entries;
+* real-Ginibre half-plane  C = (T - T^T)/(2i): the erfc-weighted T has an
+                           imaginary skew part, and dividing by i is what
+                           matches the positive (|Delta|-style) eigenvalue
+                           sectors and keeps tau values real;
+
+then the (alpha, beta) mix of the real and complex sectors.
 """
 from __future__ import annotations
 
@@ -45,7 +49,7 @@ WEIGHT_CONSTANTS = {"orth": (0.5, 1.0), "sympl": (1.0, 2.0), "pair": (1.0, 2.0)}
 # moves the numbers a table holds: its quadrature rule, level schedule or
 # tolerance, its sector convention, or its layout.  Entries stored under any
 # other value are never served.
-TABLE_ALGORITHM = "tables-4"
+TABLE_ALGORITHM = "tables-5"
 TABLE_BUILDS = 0
 _SECTOR_CACHE: dict = {}
 _DISK_CACHE = None
@@ -328,49 +332,86 @@ def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build):
     return table
 
 
-def orth_real_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
-    """R[n,m] = iint x^n y^m sgn(x-y) w0(x) w0(y); skew up to quadrature noise."""
+# ---------------------------------------------------------------------------
+# the sector conventions of the module docstring, each read off one measure: a
+# line (`quad.LinePanels`, or `_AtomicLine` for point masses) with the weight
+# values `wv` at its nodes, or a plain pair table over `_pair_exps`
+
+def _orth_block(line, wv, idx: np.ndarray) -> np.ndarray:
+    powers = power_table(line.nodes, idx)
+    cums = np.stack([line.cumulative(powers[m] * wv) for m in range(len(idx))])
+    totals = np.array([line.integrate(powers[m] * wv) for m in range(len(idx))]).real
+    inner = 2.0 * cums - totals[:, None]     # int y^m w(y) sgn(x - y) dy at each node x
+    powers *= line.weights * wv
+    r = powers @ inner.T
+    return (r - r.T) / 2.0
+
+
+def _orth_border(line, wv, idx: np.ndarray) -> np.ndarray:
+    return math.sqrt(2.0) * power_table(line.nodes, idx) @ (line.weights * wv)
+
+
+def _single_moments(line, wv, exps) -> np.ndarray:
+    return power_table(line.nodes, exps) @ (line.weights * wv)
+
+
+def _sympl_block(line, wv, idx: np.ndarray) -> np.ndarray:
+    qmin = 2 * int(idx[0]) - 1
+    mu = _single_moments(line, wv, np.arange(qmin, 2 * int(idx[-1])))
+    n, m = idx[:, None], idx[None, :]
+    return (n - m) / 2.0 * mu[(n + m - 1) - qmin]
+
+
+def _pair_exps(family: str, base: int, size: int) -> np.ndarray:
+    return np.arange(base, base + size + (family == "sympl"))   # + 1 for the index shift
+
+
+def _pair_block(family: str, table: np.ndarray) -> np.ndarray:
+    if family == "sympl":
+        raw = table[1:, :-1] - table[:-1, 1:]
+        return (raw - raw.T) / 2.0
+    return (table - table.T) / 2.0j
+
+
+def _mixed_pair(spec: EnsembleSpec, base: int, size: int, real, pair, border) -> SkewPair:
+    """Skew part of beta * real() + alpha * pair(), border beta * border() (None: zero);
+    a sector of weight 0 is not built, the orthogonal border always is."""
+    alpha, beta = spec.mix
+    a_mat = np.zeros((size, size), dtype=complex)
+    if beta != 0.0:
+        a_mat = a_mat + beta * real()
+    if alpha != 0.0:
+        a_mat = a_mat + alpha * pair()
+    vec = np.zeros(size, dtype=complex) if border is None else beta * border().astype(complex)
+    return SkewPair((a_mat - a_mat.T) / 2.0, vec, index_base=base)
+
+
+def _line_sector(name: str, family: str, convention, s: CouplingSeq, base: int, size: int,
+                 top: int | None = None) -> np.ndarray:
     idx = np.arange(base, base + size)
+    top = int(np.max(np.abs(idx))) if top is None else top   # largest |power| read
+    return _cached_sector(name, s, base, size, lambda level: convention(
+        *line_rule(family, ZERO_SEQ, s, top + 1, level), idx))
 
-    def build(level):
-        lp, wv = line_rule("orth", ZERO_SEQ, s, int(np.max(np.abs(idx))) + 1, level)
-        powers = power_table(lp.nodes, idx)
-        cums = np.stack([lp.cumulative(powers[m] * wv) for m in range(size)])
-        totals = np.array([lp.integrate(powers[m] * wv) for m in range(size)]).real
-        inner = 2.0 * cums - totals[:, None]
-        powers *= lp.weights * wv
-        r = powers @ inner.T
-        return (r - r.T) / 2.0
 
-    return _cached_sector("orth_real", s, base, size, build)
+def _pair_sector(kind: str, s: CouplingSeq, base: int, size: int) -> np.ndarray:
+    family = KINDS[kind][0]
+    exps = _pair_exps(family, base, size)
+    return _cached_sector(f"{kind.lower()}_complex", s, base, size, lambda level: _pair_block(
+        family, pair_moments(kind, ZERO_SEQ, s, exps, level)))
+
+
+def orth_real_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
+    return _line_sector("orth_real", "orth", _orth_block, s, base, size)
 
 
 def orth_border(s: CouplingSeq, base: int, size: int) -> np.ndarray:
-    idx = np.arange(base, base + size)
-
-    def build(level):
-        lp, wv = line_rule("orth", ZERO_SEQ, s, int(np.max(np.abs(idx))) + 1, level)
-        powers = power_table(lp.nodes, idx)
-        return math.sqrt(2.0) * powers @ (lp.weights * wv)
-
-    return _cached_sector("orth_border", s, base, size, build)
+    return _line_sector("orth_border", "orth", _orth_border, s, base, size)
 
 
 def sympl_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
-    """A[n,m] = (n-m)/2 * mu_{n+m-1} with symplectic-line single moments mu."""
-    idx = np.arange(base, base + size)
-    qmin, qmax = 2 * base - 1, 2 * (base + size - 1) - 1
-    qs = np.arange(qmin, qmax + 1)
-
-    def build(level):
-        lp, wv = line_rule("sympl", ZERO_SEQ, s, int(max(abs(qmin), abs(qmax))) + 1, level)
-        powers = power_table(lp.nodes, qs)
-        mu = powers @ (lp.weights * wv)
-        n = idx[:, None]
-        m = idx[None, :]
-        return (n - m) / 2.0 * mu[(n + m - 1) - qmin]
-
-    return _cached_sector("sympl_line", s, base, size, build)
+    top = max(abs(2 * base - 1), abs(2 * (base + size - 1) - 1))
+    return _line_sector("sympl_line", "sympl", _sympl_block, s, base, size, top)
 
 
 def sympl_border_moments(s: CouplingSeq, base: int, size: int) -> np.ndarray:
@@ -380,58 +421,65 @@ def sympl_border_moments(s: CouplingSeq, base: int, size: int) -> np.ndarray:
     symplectic skew matrix to odd charges so the difference bilinear
     identity has nonvacuous members.
     """
-    idx = np.arange(base, base + size)
-
-    def build(level):
-        lp, wv = line_rule("sympl", ZERO_SEQ, s, int(np.max(np.abs(idx))) + 1, level)
-        powers = power_table(lp.nodes, idx)
-        return powers @ (lp.weights * wv)
-
-    return _cached_sector("sympl_border", s, base, size, build).astype(complex)
+    return _line_sector("sympl_border", "sympl", _single_moments, s, base, size).astype(complex)
 
 
 def ginse_complex_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
-    idx = np.arange(base, base + size)
-
-    def build(level):
-        raw = pair_moments("GinSE", ZERO_SEQ, s, idx, level, extra=lambda z: z - np.conj(z))
-        return (raw - raw.T) / 2.0
-    return _cached_sector("ginse_complex", s, base, size, build)
+    return _pair_sector("GinSE", s, base, size)
 
 
 def ginoe_complex_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
-    idx = np.arange(base, base + size)
-
-    def build(level):
-        raw = pair_moments("GinOE", ZERO_SEQ, s, idx, level)
-        return (raw - raw.T) / 2.0j
-    return _cached_sector("ginoe_complex", s, base, size, build)
+    return _pair_sector("GinOE", s, base, size)
 
 
 def moment_pair(spec: EnsembleSpec, size: int, base: int | None = None) -> SkewPair:
     """The skew pair (A, a) feeding every Pfaffian coefficient of the series."""
     spec.validate().require()
-    if base is None:
-        base = min(0, spec.L)
-    alpha, beta = spec.mix
-    if spec.family == "orth":
-        a_mat = np.zeros((size, size), dtype=complex)
-        if beta != 0.0:
-            a_mat = a_mat + beta * orth_real_sector(spec.s, base, size)
-        if alpha != 0.0:
-            a_mat = a_mat + alpha * ginoe_complex_sector(spec.s, base, size)
-        border = beta * orth_border(spec.s, base, size).astype(complex)
-    elif spec.family == "sympl":
-        a_mat = np.zeros((size, size), dtype=complex)
-        if beta != 0.0:
-            a_mat = a_mat + beta * sympl_sector(spec.s, base, size)
-        if alpha != 0.0:
-            a_mat = a_mat + alpha * ginse_complex_sector(spec.s, base, size)
-        border = np.zeros(size, dtype=complex)
-    else:
+    if spec.family == "unitary":
         raise ValueError("moment_pair serves the Pfaffian ensembles, not GinUE")
-    a_mat = (a_mat - a_mat.T) / 2.0
-    return SkewPair(a_mat, border, index_base=base)
+    base = min(0, spec.L) if base is None else base
+    args = (spec.s, base, size)
+    orth = spec.family == "orth"
+    return _mixed_pair(spec, base, size,
+                       lambda: (orth_real_sector if orth else sympl_sector)(*args),
+                       lambda: (ginoe_complex_sector if orth else ginse_complex_sector)(*args),
+                       (lambda: orth_border(*args)) if orth else None)
+
+
+class _AtomicLine:
+    """Point masses (x, w) as a line measure: `cumulative` at an atom sums the atoms
+    below it plus half its own term, so 2 * cumulative - integrate is the sgn sum."""
+
+    def __init__(self, atoms):
+        self.nodes = np.array([x for x, _ in atoms], dtype=float)
+        self.weights = np.array([w for _, w in atoms], dtype=float)
+        self._below = (self.nodes[:, None] > self.nodes).astype(float)
+
+    def integrate(self, values: np.ndarray) -> complex:
+        return complex(np.sum(self.weights * values))
+
+    def cumulative(self, values: np.ndarray) -> np.ndarray:
+        v = self.weights * values
+        return self._below @ v + v / 2.0
+
+
+def atomic_pair(spec: EnsembleSpec, real_atoms, pair_atoms, base: int, size: int) -> SkewPair:
+    """(A, a) of point masses by the conventions of `moment_pair`: `real_atoms` [(x, w)]
+    stand for the weight of one real eigenvalue, `pair_atoms` [(z, w)], Im z > 0, for
+    that of one conjugate pair; the spec gives the family and mix, t and s do not enter."""
+    if spec.family == "unitary":
+        raise ValueError("atomic_pair serves the Pfaffian ensembles, not GinUE")
+    idx = np.arange(base, base + size)
+    line = _AtomicLine(real_atoms or ())
+    ones = np.ones(len(line.nodes))
+    pz = power_table(np.array([z for z, _ in pair_atoms or ()], dtype=complex),
+                     _pair_exps(spec.family, base, size))
+    pw = np.array([w for _, w in pair_atoms or ()], dtype=float)
+    orth = spec.family == "orth"
+    return _mixed_pair(spec, base, size,
+                       lambda: (_orth_block if orth else _sympl_block)(line, ones, idx),
+                       lambda: _pair_block(spec.family, (pz * pw) @ np.conj(pz).T),
+                       (lambda: _orth_border(line, ones, idx)) if orth else None)
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +487,8 @@ def moment_pair(spec: EnsembleSpec, size: int, base: int | None = None) -> SkewP
 
 @dataclass
 class KernelMatrix:
-    points: np.ndarray
     kstar: np.ndarray
     k: np.ndarray
-    kind: str
-    variant: str = "abs"
 
 
 def _check_points(p: np.ndarray) -> np.ndarray:
@@ -473,7 +518,7 @@ def kernel_matrix(spec: EnsembleSpec, p, variant: str = "abs") -> KernelMatrix:
     else:
         raise ValueError(f"no kernel for kind {spec.kind!r}")
     kk = (p[None, :] - p[:, None]) * kstar
-    return KernelMatrix(p, kstar, kk, spec.kind, variant)
+    return KernelMatrix(kstar, kk)
 
 
 def _inv_points(p: np.ndarray) -> list[float]:

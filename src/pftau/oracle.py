@@ -10,8 +10,9 @@ Normalization: complex-pair sectors carry one fixed constant per pair
 ((z - zbar)/2 for the quaternion kinds, 1/(2i) for the real-Ginibre kind),
 and the symplectic line carries 1/2 per doubled eigenvalue.  With those
 constants the Schur/Pfaffian series of `tauseries` equals the eigenvalue
-sum times sqrt(2)^(charge mod 2) -- exactly, which is what
-`discrete_consistency` certifies on atomic measures.
+sum times sqrt(2)^(charge mod 2) -- exactly, which `discrete_consistency`
+certifies on atomic measures by running the production sector conventions
+(`moments.atomic_pair`) and series (`tauseries.tau_series`) on the atoms.
 """
 from __future__ import annotations
 
@@ -24,10 +25,11 @@ import numpy as np
 
 from . import moments as mom
 from .moments import EnsembleSpec
-from .partitions import Partition, partition_table
-from .quad import LinePanels, converge, full_plane_grid, gaussian_halfwidth, power_table
-from .skewlin import SkewPair, abar
-from .symfun import hseq, potential, schur_from_h, schur_terms
+from .partitions import Partition
+from .quad import LinePanels, converge, full_plane_grid, gaussian_halfwidth
+from .skewlin import abar  # noqa: F401  bound here too: perfbench's tracer test patches it
+from .symfun import hseq, potential, schur_from_h
+from .tauseries import required_table_size, tau_series
 
 PAIR_NORM = {"GinOE": 1.0 / 2.0j, "GinSE": 0.5}
 
@@ -228,9 +230,7 @@ def _eigen_value_at_level(spec: EnsembleSpec, level: int, extra_real=None,
     pair_T = pair_table("GinSE", maxdeg) if alpha != 0.0 else None
     mu_qmin = -2 * abs(L)
     mu_qmax = maxdeg * 2
-    lp, w = line(mu_qmax + 2)
-    powers = power_table(lp.nodes, range(mu_qmin, mu_qmax + 1))
-    mu = powers @ (lp.weights * w)
+    mu = mom._single_moments(*line(mu_qmax + 2), range(mu_qmin, mu_qmax + 1))
     for k in range(0, n + 1):
         wk = _mix_weight(alpha, beta, k, n - k, "sympl")
         if wk == 0.0:
@@ -497,53 +497,8 @@ def haar_expectation_mc(group, payloads, samples: int, seed: int) -> list[Oracle
 # ---------------------------------------------------------------------------
 # discrete-measure exact consistency
 
-BORDER_NORM = math.sqrt(2.0)
 # weight cutoff of the Schur sum on atomic measures; its tail is factorially small
 SERIES_CUTOFF = 18
-
-
-def _atomic_moments(spec: EnsembleSpec, real_atoms, pair_atoms, base: int, size: int,
-                    fold_t: bool) -> SkewPair:
-    idx = np.arange(base, base + size)
-    alpha, beta = spec.mix
-    t = spec.t
-    _, vmult = mom.WEIGHT_CONSTANTS[spec.family]
-    _, pmult = mom.WEIGHT_CONSTANTS["pair"]
-    a_mat = np.zeros((size, size), dtype=complex)
-    border = np.zeros(size, dtype=complex)
-    if real_atoms:
-        xs = np.array([x for x, _ in real_atoms], dtype=float)
-        gs = np.array([w for _, w in real_atoms], dtype=complex)
-        if fold_t and t.top_index():
-            gs = gs * np.exp(vmult * np.array([potential(x, t) for x in xs]))
-        px = np.stack([xs ** int(k) for k in idx])
-        if spec.family == "orth":
-            sgn = np.sign(xs[:, None] - xs[None, :])
-            core = np.einsum("j,k,jk,nj,mk->nm", gs, gs, sgn, px, px)
-            a_mat += beta * (core - core.T) / 2.0
-            border += beta * BORDER_NORM * (px @ gs)
-        else:
-            nn = idx[:, None].astype(float)
-            mm = idx[None, :].astype(float)
-            qpow = np.stack([xs ** int(q) for q in range(2 * base - 1, 2 * (base + size - 1))])
-            muat = qpow @ gs
-            a_mat += beta * (nn - mm) / 2.0 * muat[(idx[:, None] + idx[None, :] - 1) - (2 * base - 1)]
-    if pair_atoms:
-        zs = np.array([z for z, _ in pair_atoms], dtype=complex)
-        ws = np.array([w for _, w in pair_atoms], dtype=complex)
-        if fold_t and t.top_index():
-            ws = ws * np.exp(pmult * np.real(np.array([potential(z, t) for z in zs])))
-        pz = np.stack([zs ** int(k) for k in idx])
-        pzb = np.conj(pz)
-        if spec.kind == "GinSE":
-            raw = np.einsum("j,j,nj,mj->nm", ws, zs - np.conj(zs), pz, pzb)
-            a_mat += alpha * (raw - raw.T) / 2.0
-        elif spec.kind == "GinOE":
-            raw = np.einsum("j,nj,mj->nm", ws, pz, pzb)
-            a_mat += alpha * (raw - raw.T) / 2.0j
-        else:
-            raise ValueError(f"kind {spec.kind} takes no pair atoms")
-    return SkewPair(a_mat, border, index_base=base)
 
 
 def _atomic_eigensum(spec: EnsembleSpec, real_atoms, pair_atoms) -> tuple[complex, float]:
@@ -554,61 +509,37 @@ def _atomic_eigensum(spec: EnsembleSpec, real_atoms, pair_atoms) -> tuple[comple
     """
     n, L, t = spec.n, spec.L, spec.t
     alpha, beta = spec.mix
+    orth = spec.family == "orth"
     _, vmult = mom.WEIGHT_CONSTANTS[spec.family]
     _, pmult = mom.WEIGHT_CONSTANTS["pair"]
-    reals = [(float(x), complex(w) * math.exp(vmult * potential(x, t)))
-             for x, w in (real_atoms or [])]
-    pairs = [(complex(z), complex(w) * np.exp(pmult * np.real(potential(z, t))))
-             for z, w in (pair_atoms or [])]
+    # decreasing order, as the ordered sectors of the real family need; the
+    # quaternion factors are even in it
+    reals = sorted(((float(x), complex(w) * math.exp(vmult * potential(x, t)))
+                    for x, w in (real_atoms or [])), key=lambda xw: -xw[0])
+    pairs = sorted(((complex(z), complex(w) * np.exp(pmult * np.real(potential(z, t))))
+                    for z, w in (pair_atoms or [])), key=lambda zw: -zw[0].real)
+    # per pair: norm, and (z - zbar) for quaternion pairs; per real eigenvalue:
+    # multiplicity (doubled on the symplectic line) and norm
+    pair_norm, quaternion = (PAIR_NORM["GinOE"], 0) if orth else (PAIR_NORM["GinSE"], 1)
+    mult, real_norm = (1, 1.0) if orth else (2, 0.5)
     total = 0.0 + 0.0j
     scale = 0.0
-    if spec.family == "orth":
-        pairnorm = PAIR_NORM["GinOE"]
-        for k in range(0, n // 2 + 1):
-            n_real = n - 2 * k
-            wk = _mix_weight(alpha, beta, k, n_real, "orth")
-            if wk == 0.0 or k > len(pairs) or n_real > len(reals):
-                continue
-            for psub in itertools.combinations(range(len(pairs)), k):
-                zsel = sorted((pairs[i] for i in psub), key=lambda zw: -zw[0].real)
-                for rsub in itertools.combinations(range(len(reals)), n_real):
-                    xsel = sorted((reals[i] for i in rsub), key=lambda xw: -xw[0])
-                    args = []
-                    for z, _ in zsel:
-                        args += [z, np.conj(z)]
-                    args += [x for x, _ in xsel]
-                    args = np.array(args, dtype=complex)
-                    vdm = np.prod([args[i] - args[j]
-                                   for i in range(len(args)) for j in range(i + 1, len(args))]) \
-                        if len(args) > 1 else 1.0
-                    wt = np.prod([w * (z * np.conj(z)) ** L for z, w in zsel]) if zsel else 1.0
-                    wt = wt * (np.prod([w * x ** L for x, w in xsel]) if xsel else 1.0)
-                    term = wk * vdm * wt * pairnorm ** k
-                    total += term
-                    scale += abs(term)
-        return complex(total), scale
-    # symplectic family: k quaternion pairs + m doubled line eigenvalues
-    for k in range(0, n + 1):
-        m = n - k
-        wk = _mix_weight(alpha, beta, k, m, "sympl")
+    for k in range(0, (n // 2 if orth else n) + 1):
+        m = n - 2 * k if orth else n - k
+        wk = _mix_weight(alpha, beta, k, m, spec.family)
         if wk == 0.0 or k > len(pairs) or m > len(reals):
             continue
-        for psub in itertools.combinations(range(len(pairs)), k):
-            zsel = [pairs[i] for i in psub]
-            for rsub in itertools.combinations(range(len(reals)), m):
-                xsel = [reals[i] for i in rsub]
-                pts = []
-                for z, _ in zsel:
-                    pts += [(z, 1), (np.conj(z), 1)]
-                pts += [(x, 2) for x, _ in xsel]
-                vdm = 1.0 + 0.0j
-                for i in range(len(pts)):
-                    for j in range(i + 1, len(pts)):
-                        vdm *= (pts[i][0] - pts[j][0]) ** (pts[i][1] * pts[j][1])
-                wt = np.prod([w * (z * np.conj(z)) ** L * PAIR_NORM["GinSE"] * (z - np.conj(z))
-                              for z, w in zsel]) if zsel else 1.0
-                wt = wt * (np.prod([w * x ** (2 * L) * 0.5 for x, w in xsel]) if xsel else 1.0)
-                term = wk * vdm * wt
+        for zsel in itertools.combinations(pairs, k):
+            for xsel in itertools.combinations(reals, m):
+                pts = [(p, 1) for z, _ in zsel for p in (z, np.conj(z))]
+                pts += [(x, mult) for x, _ in xsel]
+                term = wk
+                for (a, ma), (b, mb) in itertools.combinations(pts, 2):
+                    term *= (a - b) ** (ma * mb)
+                for z, w in zsel:
+                    term *= w * (z * np.conj(z)) ** L * pair_norm * (z - np.conj(z)) ** quaternion
+                for x, w in xsel:
+                    term *= w * x ** (mult * L) * real_norm
                 total += term
                 scale += abs(term)
     return complex(total), scale
@@ -621,9 +552,10 @@ def discrete_consistency(spec: EnsembleSpec, real_atoms, pair_atoms=None):
     the kind, n, L, t and (alpha, beta); the s-deformation has no place here.
     Returns (lhs, rhs, scale):
     lhs: the ordered eigenvalue sum with t folded into the atom weights;
-    rhs: the Schur/Pfaffian series with the same atomic moments, summed in
-    s_lambda(t) up to SERIES_CUTOFF, then divided by the fixed border
-    constant sqrt(2)^(charge mod 2);
+    rhs: the production tau series (`moments.atomic_pair` and
+    `tauseries.tau_series`) on the atomic moments, summed in s_lambda(t) up
+    to SERIES_CUTOFF, then divided by the fixed border constant
+    sqrt(2)^(charge mod 2);
     scale: the larger sum of term magnitudes of the two sides, the right
     yardstick near cancellations.
 
@@ -642,12 +574,10 @@ def discrete_consistency(spec: EnsembleSpec, real_atoms, pair_atoms=None):
     lhs, scale = _atomic_eigensum(spec, real_atoms, pair_atoms)
     charge, L = spec.n_eff, spec.L
     base = min(0, L)
-    size = SERIES_CUTOFF + charge + L - base + 1
-    pair = _atomic_moments(spec, real_atoms, pair_atoms, base, size, fold_t=False)
-    h = hseq(SERIES_CUTOFF + charge + 1, spec.t)
-    table = partition_table(SERIES_CUTOFF, charge)
-    terms = schur_terms(abar(table.shifted, L, pair), table.groups, h)
-    border_norm = BORDER_NORM if charge % 2 else 1.0
+    pair = mom.atomic_pair(spec, real_atoms, pair_atoms, base,
+                           required_table_size(charge, L, SERIES_CUTOFF, base))
+    terms = tau_series(spec, SERIES_CUTOFF, pair).term_values(spec.t)
+    border_norm = math.sqrt(2.0) ** (charge % 2)
     rhs = complex(math.fsum(terms.real), math.fsum(terms.imag)) / border_norm
     # a plain sum in canonical partition order, so the bits do not move
     series_scale = sum(abs(v) for v in terms.tolist()) / border_norm

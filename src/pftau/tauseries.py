@@ -13,9 +13,8 @@ auxiliary variable and is out of scope here.
 """
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,42 +27,36 @@ from .symfun import CouplingSeq, ZERO_SEQ, hseq, miwa_shift, potential, schur_fr
 
 @dataclass
 class TauApprox:
-    """Truncated tau series: per-partition Pfaffian coefficients."""
+    """Truncated tau series: `terms[k]` is the Pfaffian coefficient of `lams[k]`,
+    for every partition of weight <= cutoff and length <= charge in canonical
+    order, the order of `partitions.partition_table(cutoff, charge)`."""
 
-    kind: str
     charge: int
     L: int
     cutoff: int
-    terms: dict
+    terms: np.ndarray
+    lams: list = field(init=False)
 
-    def ordered_terms(self) -> list:
-        lams = sorted(self.terms, key=lambda lam: (lam.weight, tuple(-p for p in lam.parts)))
-        return [(lam, self.terms[lam]) for lam in lams]
+    def __post_init__(self):
+        self.lams = enumerate_partitions(self.cutoff, self.charge)
 
-    @functools.cached_property
-    def _stacks(self) -> tuple:
-        """Coefficients of the terms of weight <= cutoff and their length groups.
-
-        Any order serves: `evaluate` sums with math.fsum, which is exact.
-        """
-        kept = [(lam, c) for lam, c in self.terms.items() if lam.weight <= self.cutoff]
-        coeffs = np.array([c for _, c in kept], dtype=complex)
-        return coeffs, length_groups([lam for lam, _ in kept])
+    def term_values(self, t: CouplingSeq) -> np.ndarray:
+        """coefficient * s_lambda(t) of every term, one Jacobi-Trudi stack per length."""
+        h = hseq(self.cutoff + self.charge + 1, t if t is not None else ZERO_SEQ)
+        return schur_terms(self.terms, partition_table(self.cutoff, self.charge).groups, h)
 
     def evaluate(self, t: CouplingSeq) -> complex:
-        """Compensated sum of coefficient * s_lambda(t), one Jacobi-Trudi stack per length."""
-        h = hseq(self.cutoff + self.charge + 1, t if t is not None else ZERO_SEQ)
-        vals = schur_terms(*self._stacks, h)
+        """Compensated sum of the term values."""
+        vals = self.term_values(t)
         return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
     def coefficient(self, lam: Partition) -> complex:
-        return complex(self.terms.get(lam, 0.0))
+        return complex(dict(zip(self.lams, self.terms.tolist())).get(lam, 0.0))
 
 
-def series_terms(pair: SkewPair, charge: int, L: int, cutoff: int) -> dict:
+def series_terms(pair: SkewPair, charge: int, L: int, cutoff: int) -> np.ndarray:
     """Coefficient of every partition, in canonical order, from one Pfaffian stack."""
-    coeffs = abar(partition_table(cutoff, charge).shifted, L, pair)
-    return dict(zip(enumerate_partitions(cutoff, charge), coeffs.tolist()))
+    return abar(partition_table(cutoff, charge).shifted, L, pair)
 
 
 def required_table_size(charge: int, L: int, cutoff: int, base: int) -> int:
@@ -76,7 +69,7 @@ def tau_series(spec: EnsembleSpec, cutoff: int, pair: SkewPair | None = None) ->
     if pair is None:
         base = min(0, spec.L)
         pair = moment_pair(spec, required_table_size(charge, spec.L, cutoff, base), base)
-    return TauApprox(spec.kind, charge, spec.L, cutoff, series_terms(pair, charge, spec.L, cutoff))
+    return TauApprox(charge, spec.L, cutoff, series_terms(pair, charge, spec.L, cutoff))
 
 
 def tau_charge_family(spec: EnsembleSpec, charges, cutoff: int) -> dict:
@@ -96,7 +89,7 @@ def tau_charge_family(spec: EnsembleSpec, charges, cutoff: int) -> dict:
     pair = moment_pair(spec, size, base)
     if spec.family == "sympl" and any(c % 2 for c in charges):
         pair = SkewPair(pair.a_matrix, sympl_border_moments(spec.s, base, size), index_base=base)
-    return {c: TauApprox(spec.kind, c, spec.L, cutoff, series_terms(pair, c, spec.L, cutoff))
+    return {c: TauApprox(c, spec.L, cutoff, series_terms(pair, c, spec.L, cutoff))
             for c in charges}
 
 

@@ -14,6 +14,7 @@ from pftau.cli import (ConfigError, MomentCache, _command_node, _experiment_from
                        main, parse_config, run_config)
 from pftau.moments import EnsembleSpec
 from pftau.symfun import CouplingSeq
+from pftau.tauseries import required_table_size
 
 
 def test_parse_minimal_config_fills_defaults():
@@ -125,7 +126,7 @@ def test_cache_entry_without_table_algorithm_is_not_served(tmp_path):
         moments.clear_cache()
 
 
-@pytest.mark.parametrize("previous", ["tables-1", "tables-2"])
+@pytest.mark.parametrize("previous", ["tables-1", "tables-2", "tables-4"])
 def test_cache_entry_under_the_previous_table_algorithm_is_not_served(tmp_path, previous):
     s = CouplingSeq.of(0.0, 0.4)
     assert moments.TABLE_ALGORITHM != previous
@@ -266,6 +267,19 @@ def test_moments_dump(tmp_path):
     assert rows[0].startswith("n,m,a_re,a_im")
     assert len(rows) == 1 + 25
     assert (tmp_path / "border.csv").exists()
+
+
+def test_moments_dump_default_size_covers_the_series_at_negative_L(tmp_path):
+    ensemble = {"kind": "SE", "n": 1, "L": -1, "s": [0.0, 0.4]}
+    cfg = parse_config(json.dumps({"command": "moments-dump", "ensemble": ensemble,
+                                   "cutoff": 10, "format": "csv"}))
+    assert run_config(cfg, tmp_path) == 0
+    rows = (tmp_path / "moments.csv").read_text().splitlines()
+    # the series at that cutoff reads 12 rows from index -1 (charge 2)
+    size = required_table_size(2, -1, 10, -1)
+    assert size == 12
+    assert len(rows) == 1 + size * size
+    assert rows[1].startswith("-1,-1,")
 
 
 def test_verdicts_identical_across_blas_thread_counts(tmp_path):

@@ -87,6 +87,37 @@ def test_ginse_conjugation_reflection_of_raw_moments():
             assert raw[m, n] == pytest.approx(-np.conj(raw[n, m]), abs=1e-9 * np.max(np.abs(raw)))
 
 
+def test_ginse_index_shift_is_the_insertion():
+    # int z^a zbar^b (z - zbar) W = T[a+1, b] - T[a, b+1] of the plain table T
+    size = 8
+    plain = moments.pair_moments("GinSE", ZERO_SEQ, ZERO_SEQ, range(size + 1), level=1)
+    raw = moments.pair_moments("GinSE", ZERO_SEQ, ZERO_SEQ, range(size), level=1,
+                               extra=lambda z: z - np.conj(z))
+    scale = np.max(np.abs(raw))
+    assert np.max(np.abs(plain[1:, :-1] - plain[:-1, 1:] - raw)) <= 1e-14 * scale
+    block = moments._pair_block("sympl", plain)
+    assert np.max(np.abs(block - (raw - raw.T) / 2.0)) <= 1e-14 * scale
+
+
+def test_atomic_pair_on_quadrature_atoms_reproduces_the_sectors():
+    # the sectors converge at level 1, so the level-1 rules, with the supports
+    # the sectors pick, give the same tables as atoms through `atomic_pair`
+    base, size, level = 0, 6, 1
+    lp, wv = moments.line_rule("sympl", ZERO_SEQ, ZERO_SEQ, 2 * size - 2, level)
+    line_atoms = list(zip(lp.nodes, lp.weights * wv))
+    got = moments.atomic_pair(EnsembleSpec("SE", 1), line_atoms, None, base, size).a_matrix
+    want = moments.sympl_sector(ZERO_SEQ, base, size)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for kind, top in (("GinSE", size), ("GinOE", size - 1)):
+        grid, w = moments._pair_rule(kind, ZERO_SEQ, ZERO_SEQ, 2 * top + 2, level)
+        pair_atoms = list(zip(grid.nodes, grid.weights * w.ravel()))
+        spec = EnsembleSpec(kind, 1, alpha=1.0, beta=0.0)
+        got = moments.atomic_pair(spec, None, pair_atoms, base, size).a_matrix
+        sector = moments.ginse_complex_sector if kind == "GinSE" else moments.ginoe_complex_sector
+        want = sector(ZERO_SEQ, base, size)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), kind
+
+
 def test_moment_tables_monotone_consistent():
     small = moment_pair(EnsembleSpec("GinSE", 2), 5)
     large = moment_pair(EnsembleSpec("GinSE", 2), 9)

@@ -15,7 +15,7 @@ from pftau.oracle import (_GINUE_RULES, _batched_power_sums, _pair_sum, det_aver
                           poly_linear, vandermonde_poly)
 from pftau.partitions import Partition
 from pftau.quad import QuadratureError, full_plane_grid, gaussian_halfwidth
-from pftau.symfun import CouplingSeq, ZERO_SEQ, miwa_shift
+from pftau.symfun import CouplingSeq, ZERO_SEQ, miwa_shift, potential
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -376,14 +376,16 @@ def test_discrete_matches_fock_vev():
     the remaining sign is the phi parity of the charged vacua.
     """
     from pftau.fock import FockWindow, exp_pair_vev
-    from pftau.oracle import _atomic_moments
+    from pftau.moments import atomic_pair
     t = CouplingSeq.of(0.15)
     atoms = [(0.9, 1.1), (-0.5, 0.8), (0.2, 1.3)]
+    # the vev sees t only through the weights: e^{V(x,t)} per real eigenvalue
+    folded = [(x, w * math.exp(potential(x, t))) for x, w in atoms]
     for n in (1, 2, 3):
         for L in (0, 1, 2):
             spec = EnsembleSpec("OE", n, L, t)
             lhs, _, _ = discrete_consistency(spec, atoms)
-            pair = _atomic_moments(spec, atoms, None, base=0, size=n + L + 2, fold_t=True)
+            pair = atomic_pair(spec, folded, None, base=0, size=n + L + 2)
             window = FockWindow(-2, n + L + 3)
             vev_val = exp_pair_vev(n + L, pair, L, window)
             sign = (-1.0) ** ((L + 1) * (n % 2))

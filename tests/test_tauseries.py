@@ -67,8 +67,7 @@ def test_reality_property(kind, n, t1, t2):
 
 def test_ordered_terms_canonical():
     tau = tau_series(EnsembleSpec("SE", 1), 5)
-    lams = [lam for lam, _ in tau.ordered_terms()]
-    keys = [(lam.weight, tuple(-p for p in lam.parts)) for lam in lams]
+    keys = [(lam.weight, tuple(-p for p in lam.parts)) for lam in tau.lams]
     assert keys == sorted(keys)
 
 
