@@ -295,7 +295,8 @@ def _run_wave(e: Experiment) -> Verdict:
 
 
 def _s_ratio_fn(spec: EnsembleSpec):
-    if not spec.s.top_index() or spec.n > 3 or spec.family not in ("orth", "sympl"):
+    if (not spec.s.top_index() or spec.n > orc.EIGEN_MAX_N
+            or spec.family not in ("orth", "sympl")):
         return None
     base = orc.eigen_integral(spec).value
     power = 2 if spec.family == "sympl" else 1

@@ -1,10 +1,13 @@
 """Independent ground truth: eigenvalue-space integrals, Haar Monte Carlo,
 and discrete-measure identities that hold exactly.
 
-The eigenvalue engines expand every Vandermonde factor into monomials and
-reduce the sectors to products of one-eigenvalue moments (full half-plane
-for conjugate pairs, nested ordered integrals for real eigenvalues), so a
-three-eigenvalue integral costs a handful of one-dimensional quadratures.
+The eigenvalue integral expands the Vandermonde part of each sector once,
+into exact integer coefficients on int64 monomial keys, and contracts it
+with one-eigenvalue moments: a half-plane table for each conjugate pair, and
+per distinct row of line exponents either a product of single moments (the
+symplectic line) or a nested ordered integral (the orthogonal one).  So an
+integral over up to EIGEN_MAX_N = 4 eigenvalues costs a handful of
+one-dimensional quadratures and one vectorised sum per sector.
 
 Normalization: complex-pair sectors carry one fixed constant per pair
 ((z - zbar)/2 for the quaternion kinds, 1/(2i) for the real-Ginibre kind),
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import moments as mom
 from .moments import EnsembleSpec
-from .partitions import Partition
+from .partitions import Partition, _frozen
 from .quad import LinePanels, converge, full_plane_grid, gaussian_halfwidth
 from .skewlin import abar  # noqa: F401  bound here too: perfbench's tracer test patches it
 from .symfun import hseq, potential, schur_from_h
@@ -42,168 +45,107 @@ class OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# multivariate monomial expansion
-
-def poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, 0.0) + c1 * c2
-    return out
-
-
-def poly_linear(nvars: int, i: int, j: int) -> dict:
-    """v_i - v_j as a monomial dict."""
-    ei = tuple(1 if k == i else 0 for k in range(nvars))
-    ej = tuple(1 if k == j else 0 for k in range(nvars))
-    return {ei: 1.0, ej: -1.0}
-
-
-def poly_monomial(nvars: int, exps: dict, coeff=1.0) -> dict:
-    e = tuple(exps.get(k, 0) for k in range(nvars))
-    return {e: coeff}
-
-
-def vandermonde_poly(nvars: int, power: int = 1) -> dict:
-    out = {tuple(0 for _ in range(nvars)): 1.0}
-    for i in range(nvars):
-        for j in range(i + 1, nvars):
-            for _ in range(power):
-                out = poly_mul(out, poly_linear(nvars, i, j))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# one-eigenvalue moment engines
-
-class OrderedLineIntegrator:
-    """Nested ordered integrals int_{x_1 > ... > x_r} prod x_i^{e_i} w(x_i)."""
-
-    def __init__(self, lp: LinePanels, wvals: np.ndarray):
-        self.lp = lp
-        self.w = wvals
-        self._cum: dict = {(): None}
-
-    def _cumulative(self, suffix: tuple) -> np.ndarray:
-        hit = self._cum.get(suffix)
-        if hit is not None or suffix == ():
-            return hit
-        e = suffix[0]
-        inner = self._cumulative(suffix[1:])
-        vals = self.lp.nodes ** e * self.w
-        if inner is not None:
-            vals = vals * inner
-        out = self.lp.cumulative(vals)
-        self._cum[suffix] = out
-        return out
-
-    def value(self, exps: tuple) -> complex:
-        if not exps:
-            return 1.0
-        inner = self._cumulative(tuple(exps[1:]))
-        vals = self.lp.nodes ** exps[0] * self.w
-        if inner is not None:
-            vals = vals * inner
-        return self.lp.integrate(vals)
-
-
-# ---------------------------------------------------------------------------
 # eigenvalue integrals
 
-# The sector polynomials depend only on (k, n_real or m, L); each is expanded
-# once and kept as an item tuple, so every sum runs in the same order.
-@lru_cache(maxsize=64)
-def _orth_sector_poly(k: int, n_real: int, L: int) -> tuple:
-    nv = 2 * k + n_real
-    poly = vandermonde_poly(nv, power=1)
-    # absolute powers: |z|^{2L} per pair, x^L per real
-    shift = {}
-    for i in range(2 * k):
-        shift[i] = L
-    for j in range(n_real):
-        shift[2 * k + j] = L
-    return tuple(poly_mul(poly, poly_monomial(nv, shift)).items())
+# The largest N the eigenvalue oracle takes.  A cost limit, not a convergence
+# one: the GinSE N = 4 sector alone expands into 463k monomials.
+EIGEN_MAX_N = 4
 
 
-def _sector_value_orth(k: int, n_real: int, L: int, pair_T, ordered: OrderedLineIntegrator) -> complex:
-    """One (k complex pairs, n_real reals) sector of the real-matrix family."""
-    norm = PAIR_NORM["GinOE"] ** k / math.factorial(k) if k else 1.0
-    total = 0.0 + 0.0j
-    for exps, coeff in _orth_sector_poly(k, n_real, L):
-        term = coeff
-        for i in range(k):
-            term = term * pair_T[exps[2 * i], exps[2 * i + 1]]
-        if term == 0:
-            continue
-        term = term * ordered.value(exps[2 * k:])
-        total += term
-    return total * norm
+def _expand(nvars: int, factors) -> tuple[np.ndarray, np.ndarray]:
+    """prod (v_a - v_b)^power over `factors` [(a, b, power)], as monomials.
+
+    Returns (exps[term, i], coeffs[term]), both exact integers.  A monomial is
+    an int64 key whose digit i, in a radix above the total degree, is the
+    exponent of v_i; each factor adds power + 1 shifted copies of the keys and
+    `np.unique` merges them, so the terms come out sorted by key.
+    """
+    radix = 1 + sum(p for _, _, p in factors)
+    place = radix ** np.arange(nvars, dtype=np.int64)
+    keys, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    for a, b, p in factors:
+        j = np.arange(p + 1)
+        binom = np.array([math.comb(p, i) * (-1) ** (p - i) for i in range(p + 1)])
+        keys, inv = np.unique(np.add.outer(j * place[a] + (p - j) * place[b], keys),
+                              return_inverse=True)
+        merged = np.zeros(len(keys), dtype=np.int64)
+        np.add.at(merged, inv.ravel(), np.multiply.outer(binom, coeffs).ravel())
+        keep = merged != 0
+        keys, coeffs = keys[keep], merged[keep]
+    return keys[:, None] // place % radix, coeffs
 
 
-@lru_cache(maxsize=64)
-def _sympl_sector_poly(k: int, m: int, L: int) -> tuple:
-    nv = 2 * k + m
-    poly = {tuple(0 for _ in range(nv)): 1.0}
-    # pair-pair and pair-line cross factors from the confluent Vandermonde;
-    # each pair carries (z - zbar) from Delta itself and (z - zbar)/2 from
-    # the pair weight
+def _sector_factors(family: str, k: int, m: int) -> list[tuple[int, int, int]]:
+    """The Vandermonde part of one sector as factors (a, b, power) of (v_a - v_b):
+    k conjugate pairs (z_i, zbar_i) in slots 2i, 2i + 1, then m line eigenvalues.
+
+    Every two slots contribute (v_a - v_b)^(mult_a mult_b), where a line
+    eigenvalue of the symplectic family is doubled (mult 2), and a quaternion
+    pair carries one more (z - zbar) from its weight.
+    """
+    sympl = family == "sympl"
+    mult = [1] * (2 * k) + [2 if sympl else 1] * m
+    weighted = {(2 * i, 2 * i + 1) for i in range(k)} if sympl else set()
+    return [(a, b, mult[a] * mult[b] + ((a, b) in weighted))
+            for a, b in itertools.combinations(range(2 * k + m), 2)]
+
+
+@lru_cache(maxsize=32)
+def _sector_poly(family: str, k: int, m: int) -> tuple:
+    """`_sector_factors` expanded, with no L shift: (exps, coeffs, line_rows,
+    line_index), where the line exponents of term i are line_rows[line_index[i]]."""
+    exps, coeffs = _expand(2 * k + m, _sector_factors(family, k, m))
+    line_rows, line_index = np.unique(exps[:, 2 * k:], axis=0, return_inverse=True)
+    return tuple(_frozen(a) for a in (exps, coeffs, line_rows, line_index.ravel()))
+
+
+def _sector_value(family: str, k: int, m: int, shift: int, pair_T, line_factor) -> complex:
+    """sum over the monomials of one sector: coefficient times pair_T at each
+    pair's exponents plus `shift`, times `line_factor` of the line exponents."""
+    exps, terms, line_rows, line_index = _sector_poly(family, k, m)
     for i in range(k):
-        zi, zbi = 2 * i, 2 * i + 1
-        poly = poly_mul(poly, poly_linear(nv, zi, zbi))
-        poly = poly_mul(poly, poly_linear(nv, zi, zbi))
-        poly = poly_mul(poly, {tuple(0 for _ in range(nv)): PAIR_NORM["GinSE"]})
-        poly = poly_mul(poly, poly_monomial(nv, {zi: L, zbi: L}))
-        for j in range(i + 1, k):
-            zj, zbj = 2 * j, 2 * j + 1
-            for a, b in ((zi, zj), (zi, zbj), (zbi, zj), (zbi, zbj)):
-                poly = poly_mul(poly, poly_linear(nv, a, b))
-    for j in range(m):
-        xj = 2 * k + j
-        poly = poly_mul(poly, poly_monomial(nv, {xj: 2 * L}, 0.5))
-        for i in range(k):
-            for zslot in (2 * i, 2 * i + 1):
-                p = poly_linear(nv, zslot, xj)
-                poly = poly_mul(poly, poly_mul(p, p))
-        for j2 in range(j + 1, m):
-            p = poly_linear(nv, xj, 2 * k + j2)
-            p2 = poly_mul(p, p)
-            poly = poly_mul(poly, poly_mul(p2, p2))
-    return tuple(poly.items())
+        terms = terms * pair_T[exps[:, 2 * i] + shift, exps[:, 2 * i + 1] + shift]
+    return complex(np.sum(terms * line_factor(line_rows)[line_index]))
 
 
-def _sector_value_sympl(k: int, m: int, L: int, pair_T, mu, mu_qmin: int) -> complex:
-    """k quaternion pairs and m doubled line eigenvalues (confluent factors)."""
-    norm = 1.0
-    if k:
-        norm /= math.factorial(k)
-    if m:
-        norm /= math.factorial(m)
-    total = 0.0 + 0.0j
-    for exps, coeff in _sympl_sector_poly(k, m, L):
-        term = coeff
-        for i in range(k):
-            term = term * pair_T[exps[2 * i], exps[2 * i + 1]]
-        for j in range(m):
-            term = term * mu[exps[2 * k + j] - mu_qmin]
-        total += term
-    return total * norm
+def _ordered_integrals(lp: LinePanels, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """int_{x_1 > ... > x_r} prod x_i^{e_i} w(x_i) for each exponent row e,
+    the inner cumulative integrals memoised per exponent suffix."""
+    cums: dict = {}
+
+    def integrand(exps: tuple) -> np.ndarray:
+        vals = lp.nodes ** exps[0] * w
+        if len(exps) > 1:
+            if exps[1:] not in cums:
+                cums[exps[1:]] = lp.cumulative(integrand(exps[1:]))
+            vals = vals * cums[exps[1:]]
+        return vals
+
+    return np.array([lp.integrate(integrand(tuple(e))) if e else 1.0 for e in rows.tolist()])
 
 
-def _mix_weight(alpha: float, beta: float, k: int, n_real_or_m: int, family: str) -> float:
-    if family == "orth":
-        return alpha ** k * beta ** ((n_real_or_m + 1) // 2)
-    return alpha ** k * beta ** n_real_or_m
+def _sectors(spec: EnsembleSpec):
+    """(k pairs, m line eigenvalues, mix weight) of every sector the (alpha, beta)
+    mix keeps: a real-family sector has m = n - 2k and weight alpha^k beta^ceil(m/2),
+    a quaternion one m = n - k and weight alpha^k beta^m."""
+    alpha, beta = spec.mix
+    orth = spec.family == "orth"
+    for k in range((spec.n // 2 if orth else spec.n) + 1):
+        m = spec.n - 2 * k if orth else spec.n - k
+        wk = alpha ** k * beta ** ((m + 1) // 2 if orth else m)
+        if wk != 0.0:
+            yield k, m, wk
 
 
 def _eigen_value_at_level(spec: EnsembleSpec, level: int, extra_real=None,
                           extra_pair=None, poles=None) -> complex:
     if spec.family not in ("orth", "sympl"):
         raise ValueError(f"no eigenvalue oracle for kind {spec.kind!r}")
-    if spec.n > 3:
-        raise ValueError("eigenvalue oracle implemented for N <= 3")
-    alpha, beta = spec.mix
+    if spec.n > EIGEN_MAX_N:
+        raise ValueError(f"eigenvalue oracle implemented for N <= {EIGEN_MAX_N}")
+    alpha = spec.mix[0]
     n, L = spec.n, spec.L
+    orth = spec.family == "orth"
 
     def line(maxdeg):
         lp, w = mom.line_rule(spec.family, spec.t, spec.s, maxdeg, level, poles)
@@ -213,29 +155,31 @@ def _eigen_value_at_level(spec: EnsembleSpec, level: int, extra_real=None,
         return mom.pair_moments(kind, spec.t, spec.s, range(maxdeg + 1), level,
                                 extra_pair, poles)
 
-    total = 0.0 + 0.0j
-    if spec.family == "orth":
+    # absolute powers: |z|^{2L} per pair, x^L per real eigenvalue (x^{2L} per doubled one)
+    if orth:
         maxdeg = n - 1 + abs(L) + 1
         pair_T = None
         if alpha != 0.0 and n >= 2:
             pair_T = pair_table("GinOE", maxdeg + abs(L) + 2)
-        ordered = OrderedLineIntegrator(*line(maxdeg + 2))
-        for k in range(0, n // 2 + 1):
-            wk = _mix_weight(alpha, beta, k, n - 2 * k, "orth")
-            if wk == 0.0:
-                continue
-            total += wk * _sector_value_orth(k, n - 2 * k, L, pair_T, ordered)
-        return total
-    maxdeg = 4 * n + 2 * abs(L) + 2
-    pair_T = pair_table("GinSE", maxdeg) if alpha != 0.0 else None
-    mu_qmin = -2 * abs(L)
-    mu_qmax = maxdeg * 2
-    mu = mom._single_moments(*line(mu_qmax + 2), range(mu_qmin, mu_qmax + 1))
-    for k in range(0, n + 1):
-        wk = _mix_weight(alpha, beta, k, n - k, "sympl")
-        if wk == 0.0:
-            continue
-        total += wk * _sector_value_sympl(k, n - k, L, pair_T, mu, mu_qmin)
+        lp, w = line(maxdeg + 2)
+
+        def line_factor(rows):
+            return _ordered_integrals(lp, w, rows + L)
+    else:
+        maxdeg = 4 * n + 2 * abs(L) + 2
+        pair_T = pair_table("GinSE", maxdeg) if alpha != 0.0 else None
+        mu_qmin = -2 * abs(L)
+        mu_qmax = maxdeg * 2
+        mu = mom._single_moments(*line(mu_qmax + 2), range(mu_qmin, mu_qmax + 1))
+
+        def line_factor(rows):
+            return np.prod(mu[rows + 2 * L - mu_qmin], axis=1)
+    pair_norm = PAIR_NORM["GinOE" if orth else "GinSE"]
+    total = 0.0 + 0.0j
+    for k, m, wk in _sectors(spec):
+        # the symplectic line is unordered, with 1/2 per doubled eigenvalue
+        norm = pair_norm ** k / math.factorial(k) * (1.0 if orth else 0.5 ** m / math.factorial(m))
+        total += wk * (_sector_value(spec.family, k, m, L, pair_T, line_factor) * norm)
     return total
 
 
@@ -507,8 +451,7 @@ def _atomic_eigensum(spec: EnsembleSpec, real_atoms, pair_atoms) -> tuple[comple
     Returns (value, scale); scale is the sum of term magnitudes, the honest
     yardstick when the signed sum nearly cancels.
     """
-    n, L, t = spec.n, spec.L, spec.t
-    alpha, beta = spec.mix
+    L, t = spec.L, spec.t
     orth = spec.family == "orth"
     _, vmult = mom.WEIGHT_CONSTANTS[spec.family]
     _, pmult = mom.WEIGHT_CONSTANTS["pair"]
@@ -518,26 +461,24 @@ def _atomic_eigensum(spec: EnsembleSpec, real_atoms, pair_atoms) -> tuple[comple
                     for x, w in (real_atoms or [])), key=lambda xw: -xw[0])
     pairs = sorted(((complex(z), complex(w) * np.exp(pmult * np.real(potential(z, t))))
                     for z, w in (pair_atoms or [])), key=lambda zw: -zw[0].real)
-    # per pair: norm, and (z - zbar) for quaternion pairs; per real eigenvalue:
-    # multiplicity (doubled on the symplectic line) and norm
-    pair_norm, quaternion = (PAIR_NORM["GinOE"], 0) if orth else (PAIR_NORM["GinSE"], 1)
+    # per pair a norm; per real eigenvalue its multiplicity (doubled on the
+    # symplectic line) and a norm
+    pair_norm = PAIR_NORM["GinOE" if orth else "GinSE"]
     mult, real_norm = (1, 1.0) if orth else (2, 0.5)
     total = 0.0 + 0.0j
     scale = 0.0
-    for k in range(0, (n // 2 if orth else n) + 1):
-        m = n - 2 * k if orth else n - k
-        wk = _mix_weight(alpha, beta, k, m, spec.family)
-        if wk == 0.0 or k > len(pairs) or m > len(reals):
+    for k, m, wk in _sectors(spec):
+        if k > len(pairs) or m > len(reals):
             continue
+        factors = _sector_factors(spec.family, k, m)
         for zsel in itertools.combinations(pairs, k):
             for xsel in itertools.combinations(reals, m):
-                pts = [(p, 1) for z, _ in zsel for p in (z, np.conj(z))]
-                pts += [(x, mult) for x, _ in xsel]
+                pts = [p for z, _ in zsel for p in (z, np.conj(z))] + [x for x, _ in xsel]
                 term = wk
-                for (a, ma), (b, mb) in itertools.combinations(pts, 2):
-                    term *= (a - b) ** (ma * mb)
+                for a, b, power in factors:
+                    term *= (pts[a] - pts[b]) ** power
                 for z, w in zsel:
-                    term *= w * (z * np.conj(z)) ** L * pair_norm * (z - np.conj(z)) ** quaternion
+                    term *= w * (z * np.conj(z)) ** L * pair_norm
                 for x, w in xsel:
                     term *= w * x ** (mult * L) * real_norm
                 total += term

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pftau import moments, oracle
-from pftau.hub import acceptance_experiments
+from pftau.hub import Experiment, acceptance_experiments, run_experiment
 from pftau.moments import EnsembleSpec, ginue_weight, pair_moments
 from pftau.oracle import (_GINUE_RULES, _batched_power_sums, _pair_sum, det_average_lhs,
                           discrete_consistency, eigen_integral, ginue_two_point,
-                          haar_expectation_mc, haar_orthogonal, haar_symplectic, poly_mul,
-                          poly_linear, vandermonde_poly)
+                          haar_expectation_mc, haar_orthogonal, haar_symplectic)
 from pftau.partitions import Partition
 from pftau.quad import QuadratureError, full_plane_grid, gaussian_halfwidth
 from pftau.symfun import CouplingSeq, ZERO_SEQ, miwa_shift, potential
@@ -62,22 +61,45 @@ def test_eigen_integral_unconverged_raises():
 
 
 def test_eigen_size_limit():
-    with pytest.raises(ValueError, match="N <= 3"):
-        eigen_integral(EnsembleSpec("OE", 4))
+    with pytest.raises(ValueError, match="N <= 4"):
+        eigen_integral(EnsembleSpec("OE", 5))
+
+
+def _mehta(n: int, gamma: float) -> float:
+    """int over R^n of prod e^{-x^2/2} |Delta(x)|^(2 gamma) (Mehta's integral)."""
+    out = (2 * math.pi) ** (n / 2)
+    for j in range(1, n + 1):
+        out *= math.gamma(1 + j * gamma) / math.gamma(1 + gamma)
+    return out
 
 
 def test_ordered_symmetrization_identity():
-    """N! * ordered integral == full-space |Delta|-weighted integral.
-
-    The full-space side is the gamma-product closed form of the
-    |Delta|^(2 gamma)-weighted Gaussian integral at gamma = 1/2.
-    """
-    for n in (2, 3):
+    """N! * ordered integral == full-space |Delta|-weighted integral, the
+    closed form of Mehta's integral at gamma = 1/2."""
+    for n in (2, 3, 4):
         ordered = eigen_integral(EnsembleSpec("OE", n)).value.real
-        full = (2 * math.pi) ** (n / 2)
-        for j in range(1, n + 1):
-            full *= math.gamma(1 + j / 2) / math.gamma(1.5)
-        assert ordered == pytest.approx(full / math.factorial(n), rel=1e-8)
+        assert ordered == pytest.approx(_mehta(n, 0.5) / math.factorial(n), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_se_line_mehta_form(n):
+    """The SE line: weight e^{-x^2} and |Delta|^4 over unordered eigenvalues, 1/2
+    each; x = u / sqrt(2) turns it into Mehta's integral at gamma = 2."""
+    value = eigen_integral(EnsembleSpec("SE", n)).value.real
+    closed = _mehta(n, 2.0) * 2.0 ** (-n / 2 - n * (n - 1) - n) / math.factorial(n)
+    assert value == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind,L", [("OE", 1), ("SE", 1), ("GinOE", 0), ("GinSE", 0)])
+def test_four_eigenvalue_ratio_converges_to_the_oracle(kind, L):
+    """At N = 4 the cutoff-20 series still carries truncation (up to 8e-4 for SE
+    L = 1); eight more weights cut the gap to the oracle at least 100-fold."""
+    spec = EnsembleSpec(kind, 4, L, CouplingSeq.of(0.1, -0.05))
+    low, high = (run_experiment(Experiment(f"ratio-{kind}-N4-L{L}", "series-vs-oracle-ratio",
+                                           spec=spec, tolerance=1e-5, cutoff=cutoff))
+                 for cutoff in (20, 28))
+    assert high.margin < 1e-5
+    assert high.margin * 100 <= low.margin
 
 
 class _RecordingStore:
@@ -402,12 +424,45 @@ def test_ginue_two_point_matches_determinant():
         ginue_two_point(EnsembleSpec("GinUE", 3))
 
 
-def test_poly_helpers():
-    p = poly_linear(2, 0, 1)
-    sq = poly_mul(p, p)
-    assert sq == {(2, 0): 1.0, (1, 1): -2.0, (0, 2): 1.0}
-    vdm = vandermonde_poly(2)
-    assert vdm == {(1, 0): 1.0, (0, 1): -1.0}
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda nv: st.tuples(
+    st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1), st.integers(1, 4)),
+             max_size=5),
+    st.lists(st.integers(-4, 4), min_size=nv, max_size=nv))))
+def test_expansion_matches_the_direct_product(case):
+    factors, point = case
+    exps, coeffs = oracle._expand(len(point), factors)
+    expanded = sum(c * math.prod(x ** e for x, e in zip(point, row))
+                   for row, c in zip(exps.tolist(), coeffs.tolist()))
+    assert expanded == math.prod((point[a] - point[b]) ** p for a, b, p in factors)
+
+
+def test_sector_polynomials():
+    # one quaternion pair: (z - zbar) from Delta and one from the pair weight
+    exps, coeffs, _, _ = oracle._sector_poly("sympl", 1, 0)
+    assert sorted(zip(map(tuple, exps.tolist()), coeffs.tolist())) == [
+        ((0, 2), 1), ((1, 1), -2), ((2, 0), 1)]
+    # three real eigenvalues: the Vandermonde, sum over permutations of x^(2,1,0)
+    exps, coeffs, line_rows, line_index = oracle._sector_poly("orth", 0, 3)
+    assert len(coeffs) == 6 and set(np.abs(coeffs).tolist()) == {1}
+    for row, c in zip(exps.tolist(), coeffs.tolist()):
+        assert sorted(row) == [0, 1, 2]
+        ascents = sum(row[i] < row[j] for i in range(3) for j in range(i + 1, 3))
+        assert c == (-1) ** ascents
+    np.testing.assert_array_equal(line_rows[line_index], exps)
+
+
+@pytest.mark.parametrize("kind", ["GinOE", "GinSE"])
+def test_eigen_value_does_not_depend_on_the_expansion_cache(kind):
+    spec = EnsembleSpec(kind, 3, 1, CouplingSeq.of(0.1, -0.05))
+    oracle._sector_poly.cache_clear()
+    moments.clear_cache()
+    cold = eigen_integral(spec).value
+    moments.clear_cache()
+    hits = oracle._sector_poly.cache_info().hits
+    warm = eigen_integral(spec).value
+    assert oracle._sector_poly.cache_info().hits > hits
+    assert (cold.real, cold.imag) == (warm.real, warm.imag)
 
 
 def test_negative_det_power_series_vs_oracle():
