@@ -347,10 +347,9 @@ def run_config(cfg: RunConfig, outdir: Path) -> int:
         if cfg.command == "moments-dump":
             _require_ensemble(cfg)
             spec = cfg.ensemble
-            base = min(0, spec.L)
             size = int(cfg.extras.get("size", ts.required_table_size(spec.n_eff, spec.L,
-                                                                     cfg.cutoff, base)))
-            pair = moments.moment_pair(spec, size, base)
+                                                                     cfg.cutoff)))
+            pair = moments.moment_pair(spec, size)
             rows = [[str(i + pair.index_base), str(j + pair.index_base),
                      fmt17(pair.a_matrix[i, j].real), fmt17(pair.a_matrix[i, j].imag)]
                     for i in range(size) for j in range(size)]

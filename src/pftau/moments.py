@@ -36,14 +36,15 @@ from .quad import (LinePanels, QuadratureError, converge, half_plane_grid, full_
 from .skewlin import SkewPair
 from .symfun import CouplingSeq, ZERO_SEQ, potential
 
-# family and default (alpha, beta) mix of every ensemble kind
+# family and default (alpha, beta) mix of every ensemble kind: all a kind name means
 KINDS = {"OE": ("orth", (0.0, 1.0)), "SE": ("sympl", (0.0, 1.0)),
          "GinOE": ("orth", (1.0, 1.0)), "GinSE": ("sympl", (1.0, 0.0)),
          "GinUE": ("unitary", (0.0, 0.0))}
-# (gauss, mult) of one eigenvalue weight e^{-gauss x^2 + mult (V(x,t) - V(1/x,s))}:
-# a real eigenvalue of each family, and a conjugate pair, whose weight is
-# e^{2 Re V} times e^{-|z|^2} (GinSE) or erfc(sqrt(2) Im z) e^{-Re z^2} <= e^{-|z|^2} (GinOE)
-WEIGHT_CONSTANTS = {"orth": (0.5, 1.0), "sympl": (1.0, 2.0), "pair": (1.0, 2.0)}
+# (gauss, mult) of one eigenvalue weight e^{-gauss x^2 + mult (V(x,t) - V(1/x,s))}, mult
+# also counting the eigenvalues the point stands for: a real one of each family (doubled
+# on the symplectic line), and a conjugate pair z, zbar, whose weight is e^{2 Re V} times
+# e^{-|z|^2} (sympl) or erfc(sqrt(2) Im z) e^{-Re z^2} <= e^{-|z|^2} (orth)
+WEIGHT_CONSTANTS = {"orth": (0.5, 1), "sympl": (1.0, 2), "pair": (1.0, 2)}
 
 # Part of every table key, in memory and on disk.  Bump it whenever a change
 # moves the numbers a table holds: its quadrature rule, level schedule or
@@ -120,6 +121,11 @@ class EnsembleSpec:
         """Pfaffian/charge size: partitions run over length <= n_eff."""
         return 2 * self.n if self.family == "sympl" else self.n
 
+    @property
+    def index_base(self) -> int:
+        """Mode index of the first moment-table row: min(0, L), as a negative L reads below 0."""
+        return min(0, self.L)
+
     def validate(self) -> Validation:
         """Sufficient (not necessary) decay test for the ensemble integrals.
 
@@ -127,10 +133,10 @@ class EnsembleSpec:
         behaviour at the origin produced by the s-couplings and the
         determinant power, and refuses any s-deformation of a complex sector.
         """
-        if self.kind == "GinUE":
+        if self.family == "unitary":
             reason = _full_plane_check(self)
         else:
-            complex_sector = self.kind in ("GinOE", "GinSE") and self.mix[0] != 0
+            complex_sector = self.mix[0] != 0
             line = WEIGHT_CONSTANTS[self.family]
             reason = (_tail_growth_check(self.t, complex_sector,
                                          *(WEIGHT_CONSTANTS["pair"] if complex_sector else line))
@@ -263,27 +269,27 @@ def line_rule(family: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int, level: i
     return lp, np.exp(e)
 
 
-def _pair_rule(kind: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int, level: int,
+def _pair_rule(family: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int, level: int,
                poles=None) -> tuple[quad.QuadratureGrid, np.ndarray]:
     """Half-plane grid for pair integrands up to degree `maxdeg`, and the pair weight there.
 
-    The weight of one conjugate pair (z, zbar) is e^{-|z|^2} (GinSE) or
-    erfc(sqrt(2) Im z) e^{-Re z^2} (GinOE), times e^{2 Re(V(z,t) - V(1/z,s))}.
+    The weight of one conjugate pair (z, zbar) is e^{-|z|^2} (sympl) or
+    erfc(sqrt(2) Im z) e^{-Re z^2} (orth), times e^{2 Re(V(z,t) - V(1/z,s))}.
     It comes back as a real (radii, angles) array built from polar factors:
     with z = r e^{i theta} every term of the exponent is a radial vector
     times an angular one, -r^2 (or -r^2 cos 2 theta), 2 t_k r^k cos k theta
     and -2 s_k r^-k cos k theta.
     """
-    if kind not in ("GinSE", "GinOE"):
-        raise ValueError(f"no pair weight for kind {kind!r}")
-    # uniform radial bound e^{-r^2}: direct for GinSE, via erfc(u) <= e^{-u^2} for GinOE
+    if family not in ("sympl", "orth"):
+        raise ValueError(f"no pair weight for family {family!r}")
+    # uniform radial bound e^{-r^2}: direct for sympl, via erfc(u) <= e^{-u^2} for orth
     gauss0, mult = WEIGHT_CONSTANTS["pair"]
     gauss = gauss0 - mult * abs(float(t.entry(2)))
     lin = mult * abs(float(t.entry(1)))
     radius = clip_support(gaussian_halfwidth(gauss, lin, maxdeg), poles, gauss, lin, maxdeg)
     grid = half_plane_grid(radius, level=level)
     r, theta = grid.radii, grid.angles
-    e = np.multiply.outer(-r * r, np.ones_like(theta) if kind == "GinSE" else np.cos(2.0 * theta))
+    e = np.multiply.outer(-r * r, np.ones_like(theta) if family == "sympl" else np.cos(2.0 * theta))
     for sign, seq, rk in ((mult, t, r), (-mult, s, 1.0 / r)):
         rpow = 1.0
         for k, v in enumerate(seq.values, start=1):
@@ -291,19 +297,19 @@ def _pair_rule(kind: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int, level: in
             if v != 0:
                 e += np.multiply.outer(sign * float(v) * rpow, np.cos(k * theta))
     np.exp(e, out=e)
-    if kind == "GinOE":
+    if family == "orth":
         e *= erfc_vec(np.multiply.outer(math.sqrt(2.0) * r, np.sin(theta)))
     return grid, e
 
 
-def pair_moments(kind: str, t: CouplingSeq, s: CouplingSeq, exps, level: int,
+def pair_moments(family: str, t: CouplingSeq, s: CouplingSeq, exps, level: int,
                  extra=None, poles=None) -> np.ndarray:
     """T[a, b] = int z^a zbar^b W_pair(z) [extra(z)] d^2 z over the upper half-plane.
 
     a and b run over `exps`; W_pair is the weight of `_pair_rule`.
     """
     exps = np.asarray(exps)
-    grid, w = _pair_rule(kind, t, s, 2 * int(np.max(np.abs(exps))) + 2, level, poles)
+    grid, w = _pair_rule(family, t, s, 2 * int(np.max(np.abs(exps))) + 2, level, poles)
     if extra is not None:
         w = w * np.reshape(extra(grid.nodes), w.shape)
     return polar_gram(grid, w, exps, exps)
@@ -373,17 +379,23 @@ def _pair_block(family: str, table: np.ndarray) -> np.ndarray:
     return (table - table.T) / 2.0j
 
 
-def _mixed_pair(spec: EnsembleSpec, base: int, size: int, real, pair, border) -> SkewPair:
-    """Skew part of beta * real() + alpha * pair(), border beta * border() (None: zero);
-    a sector of weight 0 is not built, the orthogonal border always is."""
+def _mix(spec: EnsembleSpec, size: int, line, pair) -> np.ndarray:
+    """beta * line() + alpha * pair() of (size, size) blocks; a block of weight 0 is not built."""
     alpha, beta = spec.mix
-    a_mat = np.zeros((size, size), dtype=complex)
+    out = np.zeros((size, size))
     if beta != 0.0:
-        a_mat = a_mat + beta * real()
+        out = out + beta * line()
     if alpha != 0.0:
-        a_mat = a_mat + alpha * pair()
-    vec = np.zeros(size, dtype=complex) if border is None else beta * border().astype(complex)
-    return SkewPair((a_mat - a_mat.T) / 2.0, vec, index_base=base)
+        out = out + alpha * pair()
+    return out
+
+
+def _mixed_pair(spec: EnsembleSpec, size: int, real, pair, border) -> SkewPair:
+    """Skew part of the `_mix` of real() and pair(), border beta * border() (None: zero);
+    the orthogonal border is built whatever beta is."""
+    a_mat = _mix(spec, size, real, pair)
+    vec = np.zeros(size) if border is None else spec.mix[1] * border()
+    return SkewPair((a_mat - a_mat.T) / 2.0, vec, index_base=spec.index_base)
 
 
 def _line_sector(name: str, family: str, convention, s: CouplingSeq, base: int, size: int,
@@ -394,11 +406,10 @@ def _line_sector(name: str, family: str, convention, s: CouplingSeq, base: int, 
         *line_rule(family, ZERO_SEQ, s, top + 1, level), idx))
 
 
-def _pair_sector(kind: str, s: CouplingSeq, base: int, size: int) -> np.ndarray:
-    family = KINDS[kind][0]
+def _pair_sector(name: str, family: str, s: CouplingSeq, base: int, size: int) -> np.ndarray:
     exps = _pair_exps(family, base, size)
-    return _cached_sector(f"{kind.lower()}_complex", s, base, size, lambda level: _pair_block(
-        family, pair_moments(kind, ZERO_SEQ, s, exps, level)))
+    return _cached_sector(name, s, base, size, lambda level: _pair_block(
+        family, pair_moments(family, ZERO_SEQ, s, exps, level)))
 
 
 def orth_real_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
@@ -425,22 +436,21 @@ def sympl_border_moments(s: CouplingSeq, base: int, size: int) -> np.ndarray:
 
 
 def ginse_complex_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
-    return _pair_sector("GinSE", s, base, size)
+    return _pair_sector("ginse_complex", "sympl", s, base, size)
 
 
 def ginoe_complex_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
-    return _pair_sector("GinOE", s, base, size)
+    return _pair_sector("ginoe_complex", "orth", s, base, size)
 
 
-def moment_pair(spec: EnsembleSpec, size: int, base: int | None = None) -> SkewPair:
+def moment_pair(spec: EnsembleSpec, size: int) -> SkewPair:
     """The skew pair (A, a) feeding every Pfaffian coefficient of the series."""
     spec.validate().require()
     if spec.family == "unitary":
         raise ValueError("moment_pair serves the Pfaffian ensembles, not GinUE")
-    base = min(0, spec.L) if base is None else base
-    args = (spec.s, base, size)
+    args = (spec.s, spec.index_base, size)
     orth = spec.family == "orth"
-    return _mixed_pair(spec, base, size,
+    return _mixed_pair(spec, size,
                        lambda: (orth_real_sector if orth else sympl_sector)(*args),
                        lambda: (ginoe_complex_sector if orth else ginse_complex_sector)(*args),
                        (lambda: orth_border(*args)) if orth else None)
@@ -463,12 +473,13 @@ class _AtomicLine:
         return self._below @ v + v / 2.0
 
 
-def atomic_pair(spec: EnsembleSpec, real_atoms, pair_atoms, base: int, size: int) -> SkewPair:
+def atomic_pair(spec: EnsembleSpec, real_atoms, pair_atoms, size: int) -> SkewPair:
     """(A, a) of point masses by the conventions of `moment_pair`: `real_atoms` [(x, w)]
     stand for the weight of one real eigenvalue, `pair_atoms` [(z, w)], Im z > 0, for
     that of one conjugate pair; the spec gives the family and mix, t and s do not enter."""
     if spec.family == "unitary":
         raise ValueError("atomic_pair serves the Pfaffian ensembles, not GinUE")
+    base = spec.index_base
     idx = np.arange(base, base + size)
     line = _AtomicLine(real_atoms or ())
     ones = np.ones(len(line.nodes))
@@ -476,7 +487,7 @@ def atomic_pair(spec: EnsembleSpec, real_atoms, pair_atoms, base: int, size: int
                      _pair_exps(spec.family, base, size))
     pw = np.array([w for _, w in pair_atoms or ()], dtype=float)
     orth = spec.family == "orth"
-    return _mixed_pair(spec, base, size,
+    return _mixed_pair(spec, size,
                        lambda: (_orth_block if orth else _sympl_block)(line, ones, idx),
                        lambda: _pair_block(spec.family, (pz * pw) @ np.conj(pz).T),
                        (lambda: _orth_border(line, ones, idx)) if orth else None)
@@ -501,22 +512,19 @@ def _check_points(p: np.ndarray) -> np.ndarray:
 def kernel_matrix(spec: EnsembleSpec, p, variant: str = "abs") -> KernelMatrix:
     """K*_nm by quadrature and K_nm = (p_m - p_n) K*_nm.
 
-    `variant` selects |x-y| (as displayed for the kernels) or sgn(x-y) in
-    the real double integral; the sgn variant integrates an antisymmetric
-    function and is kept only so the experiment can record that it fails.
+    K* = beta (the family's line block) + alpha (the pair block).  `variant` selects
+    |x-y| (as displayed for the kernels) or sgn(x-y) in the orthogonal line block; the
+    sgn variant integrates an antisymmetric function and is kept only so the
+    experiment can record that it fails.
     """
     p = _check_points(p)
     spec.validate().require()
-    if spec.kind in ("OE", "GinOE"):
-        kstar = _kernel_real_block(spec, p, variant)
-        if spec.kind == "GinOE":
-            kstar = kstar + _kernel_pair_block(spec, p)
-    elif spec.kind == "GinSE":
-        kstar = _kernel_pair_block(spec, p)
-    elif spec.kind == "SE":
-        kstar = _kernel_se(spec, p)
-    else:
+    if spec.family == "unitary":
         raise ValueError(f"no kernel for kind {spec.kind!r}")
+    orth = spec.family == "orth"
+    kstar = _mix(spec, len(p), lambda: (_kernel_orth_line(spec, p, variant) if orth
+                                        else _kernel_sympl_line(spec, p)),
+                 lambda: _kernel_pair_block(spec, p))
     kk = (p[None, :] - p[:, None]) * kstar
     return KernelMatrix(kstar, kk)
 
@@ -525,7 +533,7 @@ def _inv_points(p: np.ndarray) -> list[float]:
     return [1.0 / float(v) for v in p if v != 0]
 
 
-def _kernel_se(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
+def _kernel_sympl_line(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
     def build(level):
         lp, w = line_rule("sympl", spec.t, spec.s, 2 * abs(spec.L) + 4, level, _inv_points(p))
         x = lp.nodes
@@ -535,7 +543,7 @@ def _kernel_se(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
     return converge(build, rel_tol=5e-10)[0]
 
 
-def _kernel_real_block(spec: EnsembleSpec, p: np.ndarray, variant: str) -> np.ndarray:
+def _kernel_orth_line(spec: EnsembleSpec, p: np.ndarray, variant: str) -> np.ndarray:
     def build(level):
         lp, w = line_rule("orth", spec.t, spec.s, abs(spec.L) + 4, level, _inv_points(p))
         x = lp.nodes
@@ -560,14 +568,14 @@ def _kernel_real_block(spec: EnsembleSpec, p: np.ndarray, variant: str) -> np.nd
 
 
 def _kernel_pair_block(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
-    # GinSE: (z - zbar)^2 from Delta and the pair weight, and det(1 - p X)^{-1}
-    # on a quaternion pair inserts each factor twice, as on the SE line.
-    # GinOE: (z - zbar)/i = 2 Im z, the pair norm 1/(2i) times the 2 that the
-    # real block's unordered double integral carries.
-    quaternion = spec.kind == "GinSE"
+    # sympl: (z - zbar)^2 from Delta and the pair weight, and det(1 - p X)^{-1}
+    # on a quaternion pair inserts each factor twice, as on the symplectic line.
+    # orth: (z - zbar)/i = 2 Im z, the pair norm 1/(2i) times the 2 that the
+    # line block's unordered double integral carries.
+    quaternion = spec.family == "sympl"
 
     def build(level):
-        grid, w = _pair_rule(spec.kind, spec.t, spec.s, 4 * abs(spec.L) + 6, level,
+        grid, w = _pair_rule(spec.family, spec.t, spec.s, 4 * abs(spec.L) + 6, level,
                              _inv_points(p))
         z = grid.nodes
         zb = np.conj(z)
@@ -614,7 +622,7 @@ def ginue_weight(spec: EnsembleSpec):
 
 def complex_bimoment_matrix(spec: EnsembleSpec, size: int) -> np.ndarray:
     """M_jk = int z^{j-1+L1} zbar^{k-1-L2} e^{V(z,t)+V(zbar,t') - |z|^2} d^2 z."""
-    if spec.kind != "GinUE":
+    if spec.family != "unitary":
         raise ValueError("bimoments are specific to the complex Ginibre ensemble")
     spec.validate().require()
     jpow = np.arange(size) + spec.L

@@ -10,7 +10,7 @@ integral over up to EIGEN_MAX_N = 4 eigenvalues costs a handful of
 one-dimensional quadratures and one vectorised sum per sector.
 
 Normalization: complex-pair sectors carry one fixed constant per pair
-((z - zbar)/2 for the quaternion kinds, 1/(2i) for the real-Ginibre kind),
+((z - zbar)/2 for the symplectic family, 1/(2i) for the orthogonal one),
 and the symplectic line carries 1/2 per doubled eigenvalue.  With those
 constants the Schur/Pfaffian series of `tauseries` equals the eigenvalue
 sum times sqrt(2)^(charge mod 2) -- exactly, which `discrete_consistency`
@@ -34,7 +34,7 @@ from .skewlin import abar  # noqa: F401  bound here too: perfbench's tracer test
 from .symfun import hseq, potential, schur_from_h
 from .tauseries import required_table_size, tau_series
 
-PAIR_NORM = {"GinOE": 1.0 / 2.0j, "GinSE": 0.5}
+PAIR_NORM = {"orth": 1.0 / 2.0j, "sympl": 0.5}
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,8 @@ def _sector_factors(family: str, k: int, m: int) -> list[tuple[int, int, int]]:
     eigenvalue of the symplectic family is doubled (mult 2), and a quaternion
     pair carries one more (z - zbar) from its weight.
     """
-    sympl = family == "sympl"
-    mult = [1] * (2 * k) + [2 if sympl else 1] * m
-    weighted = {(2 * i, 2 * i + 1) for i in range(k)} if sympl else set()
+    mult = [1] * (2 * k) + [mom.WEIGHT_CONSTANTS[family][1]] * m
+    weighted = {(2 * i, 2 * i + 1) for i in range(k)} if family == "sympl" else set()
     return [(a, b, mult[a] * mult[b] + ((a, b) in weighted))
             for a, b in itertools.combinations(range(2 * k + m), 2)]
 
@@ -137,8 +136,8 @@ def _sectors(spec: EnsembleSpec):
             yield k, m, wk
 
 
-def _eigen_value_at_level(spec: EnsembleSpec, level: int, extra_real=None,
-                          extra_pair=None, poles=None) -> complex:
+def _eigen_value_at_level(spec: EnsembleSpec, level: int, insertion=None,
+                          poles=None) -> complex:
     if spec.family not in ("orth", "sympl"):
         raise ValueError(f"no eigenvalue oracle for kind {spec.kind!r}")
     if spec.n > EIGEN_MAX_N:
@@ -149,32 +148,33 @@ def _eigen_value_at_level(spec: EnsembleSpec, level: int, extra_real=None,
 
     def line(maxdeg):
         lp, w = mom.line_rule(spec.family, spec.t, spec.s, maxdeg, level, poles)
-        return lp, w if extra_real is None else w * extra_real(lp.nodes)
+        return lp, w if insertion is None else w * insertion(lp.nodes)
 
-    def pair_table(kind, maxdeg):
-        return mom.pair_moments(kind, spec.t, spec.s, range(maxdeg + 1), level,
-                                extra_pair, poles)
+    def pair_table(maxdeg):
+        return mom.pair_moments(spec.family, spec.t, spec.s, range(maxdeg + 1), level,
+                                None if insertion is None
+                                else (lambda z: insertion(z) * insertion(np.conj(z))), poles)
 
     # absolute powers: |z|^{2L} per pair, x^L per real eigenvalue (x^{2L} per doubled one)
     if orth:
         maxdeg = n - 1 + abs(L) + 1
         pair_T = None
         if alpha != 0.0 and n >= 2:
-            pair_T = pair_table("GinOE", maxdeg + abs(L) + 2)
+            pair_T = pair_table(maxdeg + abs(L) + 2)
         lp, w = line(maxdeg + 2)
 
         def line_factor(rows):
             return _ordered_integrals(lp, w, rows + L)
     else:
         maxdeg = 4 * n + 2 * abs(L) + 2
-        pair_T = pair_table("GinSE", maxdeg) if alpha != 0.0 else None
+        pair_T = pair_table(maxdeg) if alpha != 0.0 else None
         mu_qmin = -2 * abs(L)
         mu_qmax = maxdeg * 2
         mu = mom._single_moments(*line(mu_qmax + 2), range(mu_qmin, mu_qmax + 1))
 
         def line_factor(rows):
             return np.prod(mu[rows + 2 * L - mu_qmin], axis=1)
-    pair_norm = PAIR_NORM["GinOE" if orth else "GinSE"]
+    pair_norm = PAIR_NORM[spec.family]
     total = 0.0 + 0.0j
     for k, m, wk in _sectors(spec):
         # the symplectic line is unordered, with 1/2 per doubled eigenvalue
@@ -183,27 +183,27 @@ def _eigen_value_at_level(spec: EnsembleSpec, level: int, extra_real=None,
     return total
 
 
-def eigen_integral(spec: EnsembleSpec, rel_tol: float = 1e-9, extra_real=None,
-                   extra_pair=None, poles=None) -> OracleResult:
+def eigen_integral(spec: EnsembleSpec, rel_tol: float = 1e-9, insertion=None,
+                   poles=None) -> OracleResult:
     """Direct eigenvalue-space value of the deformed partition function.
 
-    `extra_real(x)` and `extra_pair(z)` multiply the weight of each real
-    eigenvalue and of each conjugate pair (an inserted observable); the
-    quadrature supports stay clear of `poles`.  No attempt is made to match
-    absorbed volume constants; use ratios.
+    `insertion(x)` multiplies the weight of each line eigenvalue, and
+    insertion(z) insertion(zbar) that of each conjugate pair (an inserted
+    observable); the quadrature supports stay clear of `poles`.  No attempt
+    is made to match absorbed volume constants; use ratios.
 
     A plain call (no insertion, no poles) is memoized per (spec, rel_tol) in
     the in-memory table cache, so `moments.clear_cache()` forgets it; it is
     never written to disk.
     """
     spec.validate().require()
-    plain = extra_real is None and extra_pair is None and poles is None
+    plain = insertion is None and poles is None
     key = ("eigen_integral", mom.TABLE_ALGORITHM, spec, rel_tol)
     hit = mom._SECTOR_CACHE.get(key) if plain else None
     if hit is not None:
         return hit
     value, err = converge(
-        lambda lvl: _eigen_value_at_level(spec, lvl, extra_real, extra_pair, poles), rel_tol)
+        lambda lvl: _eigen_value_at_level(spec, lvl, insertion, poles), rel_tol)
     result = OracleResult(value, err, "quadrature")
     if plain:
         mom._SECTOR_CACHE[key] = result
@@ -219,21 +219,15 @@ def det_average_lhs(spec: EnsembleSpec, p, insert_power: int = 1,
     """
     p = np.asarray(p, dtype=float)
 
-    def extra_real(x):
+    def insertion(x):
         out = np.ones_like(x)
         for pi in p:
             out = out / (1.0 - pi * x) ** insert_power
         return out
 
-    def extra_pair(z):
-        out = np.ones_like(z)
-        for pi in p:
-            out = out / ((1.0 - pi * z) * (1.0 - pi * np.conj(z))) ** insert_power
-        return out
-
     # a negative power is a polynomial insertion and has no pole to dodge
     poles = [1.0 / float(pi) for pi in p if pi != 0] if insert_power > 0 else []
-    return eigen_integral(spec, rel_tol, extra_real, extra_pair, poles)
+    return eigen_integral(spec, rel_tol, insertion, poles)
 
 
 # (n_r, r_order, n_theta, t_order) per level: two unrelated coarse rules give
@@ -275,7 +269,7 @@ def _pair_sum(z: np.ndarray, w: np.ndarray) -> complex:
 
 def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
     """Direct |Delta|^2-weighted two-eigenvalue quadrature over the plane."""
-    if spec.kind != "GinUE" or spec.n != 2:
+    if spec.family != "unitary" or spec.n != 2:
         raise ValueError("direct two-point oracle is for GinUE with N = 2")
     spec.validate().require()
     log_w, gauss, lin = mom.ginue_weight(spec)
@@ -385,12 +379,12 @@ def _batched_schur(lam: Partition, psums: np.ndarray) -> np.ndarray:
 
 def _payload_order(payload) -> int:
     """Highest trace power the payload reads."""
-    kind, arg = payload
-    if kind == "schur":
+    what, arg = payload
+    if what == "schur":
         return max(arg.parts[0] + arg.length, 1) if arg.parts else 1
-    if kind == "exp_trace":
+    if what == "exp_trace":
         return max(arg.order, 1)
-    raise ValueError(f"unknown payload {kind!r}")
+    raise ValueError(f"unknown payload {what!r}")
 
 
 def haar_expectation_mc(group, payloads, samples: int, seed: int) -> list[OracleResult]:
@@ -420,11 +414,11 @@ def haar_expectation_mc(group, payloads, samples: int, seed: int) -> list[Oracle
         g = (haar_orthogonal(rng, size, cnt) if gname == "orthogonal"
              else haar_symplectic(rng, size, cnt))
         psums = _batched_power_sums(g, max(orders))
-        for (kind, arg), order, out in zip(payloads, orders, vals):
+        for (what, arg), order, out in zip(payloads, orders, vals):
             # a contiguous copy, so the products see the same array whatever
             # the other payloads asked for
             own = np.ascontiguousarray(psums[:, :order])
-            if kind == "schur":
+            if what == "schur":
                 out.append(_batched_schur(arg, own))
             else:
                 coeffs = np.array([float(arg.entry(m).real) for m in range(1, order + 1)])
@@ -452,19 +446,17 @@ def _atomic_eigensum(spec: EnsembleSpec, real_atoms, pair_atoms) -> tuple[comple
     yardstick when the signed sum nearly cancels.
     """
     L, t = spec.L, spec.t
-    orth = spec.family == "orth"
-    _, vmult = mom.WEIGHT_CONSTANTS[spec.family]
+    _, mult = mom.WEIGHT_CONSTANTS[spec.family]
     _, pmult = mom.WEIGHT_CONSTANTS["pair"]
     # decreasing order, as the ordered sectors of the real family need; the
     # quaternion factors are even in it
-    reals = sorted(((float(x), complex(w) * math.exp(vmult * potential(x, t)))
+    reals = sorted(((float(x), complex(w) * math.exp(mult * potential(x, t)))
                     for x, w in (real_atoms or [])), key=lambda xw: -xw[0])
     pairs = sorted(((complex(z), complex(w) * np.exp(pmult * np.real(potential(z, t))))
                     for z, w in (pair_atoms or [])), key=lambda zw: -zw[0].real)
     # per pair a norm; per real eigenvalue its multiplicity (doubled on the
-    # symplectic line) and a norm
-    pair_norm = PAIR_NORM["GinOE" if orth else "GinSE"]
-    mult, real_norm = (1, 1.0) if orth else (2, 0.5)
+    # symplectic line) and a norm of 1/2 per doubled eigenvalue
+    pair_norm, real_norm = PAIR_NORM[spec.family], 1.0 / mult
     total = 0.0 + 0.0j
     scale = 0.0
     for k, m, wk in _sectors(spec):
@@ -513,10 +505,9 @@ def discrete_consistency(spec: EnsembleSpec, real_atoms, pair_atoms=None):
     if spec.n > n_atoms:
         raise ValueError(f"N={spec.n} exceeds the {n_atoms} available atoms")
     lhs, scale = _atomic_eigensum(spec, real_atoms, pair_atoms)
-    charge, L = spec.n_eff, spec.L
-    base = min(0, L)
-    pair = mom.atomic_pair(spec, real_atoms, pair_atoms, base,
-                           required_table_size(charge, L, SERIES_CUTOFF, base))
+    charge = spec.n_eff
+    pair = mom.atomic_pair(spec, real_atoms, pair_atoms,
+                           required_table_size(charge, spec.L, SERIES_CUTOFF))
     terms = tau_series(spec, SERIES_CUTOFF, pair).term_values(spec.t)
     border_norm = math.sqrt(2.0) ** (charge % 2)
     rhs = complex(math.fsum(terms.real), math.fsum(terms.imag)) / border_norm

@@ -128,7 +128,9 @@ def schur_from_h(lam, h):
         elif ell == 2:
             vals = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
         else:
-            vals = np.linalg.det(mats)
+            # h underflowed to exact zeros leaves singular stacks: det 0 after a division by 0
+            with np.errstate(divide="ignore"):
+                vals = np.linalg.det(mats)
     return vals[0] if one else vals
 
 

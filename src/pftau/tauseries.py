@@ -22,7 +22,7 @@ from .moments import EnsembleSpec, moment_pair, sympl_border_moments
 from .partitions import (Partition, conjugate, enumerate_partitions, is_even_partition,
                          length_groups, partition_table)
 from .skewlin import SkewPair, abar
-from .symfun import CouplingSeq, ZERO_SEQ, hseq, miwa_shift, potential, schur_from_h, schur_terms
+from .symfun import CouplingSeq, ZERO_SEQ, hseq, miwa_shift, schur_from_h, schur_terms
 
 
 @dataclass
@@ -59,16 +59,17 @@ def series_terms(pair: SkewPair, charge: int, L: int, cutoff: int) -> np.ndarray
     return abar(partition_table(cutoff, charge).shifted, L, pair)
 
 
-def required_table_size(charge: int, L: int, cutoff: int, base: int) -> int:
-    return cutoff + charge - 1 + L - base + 1
+def required_table_size(charge: int, L: int, cutoff: int) -> int:
+    """Rows of a moment table that runs from index min(0, L) to the top index
+    cutoff + charge - 1 + L that the series reads."""
+    return cutoff + charge + max(0, L)
 
 
 def tau_series(spec: EnsembleSpec, cutoff: int, pair: SkewPair | None = None) -> TauApprox:
     """Schur-series approximation of the ensemble partition function."""
     charge = spec.n_eff
     if pair is None:
-        base = min(0, spec.L)
-        pair = moment_pair(spec, required_table_size(charge, spec.L, cutoff, base), base)
+        pair = moment_pair(spec, required_table_size(charge, spec.L, cutoff))
     return TauApprox(charge, spec.L, cutoff, series_terms(pair, charge, spec.L, cutoff))
 
 
@@ -84,11 +85,11 @@ def tau_charge_family(spec: EnsembleSpec, charges, cutoff: int) -> dict:
     charges = sorted(set(int(c) for c in charges))
     if min(charges) < 0:
         raise ValueError("charges must be nonnegative")
-    base = min(0, spec.L)
-    size = required_table_size(max(charges), spec.L, cutoff, base)
-    pair = moment_pair(spec, size, base)
+    size = required_table_size(max(charges), spec.L, cutoff)
+    pair = moment_pair(spec, size)
     if spec.family == "sympl" and any(c % 2 for c in charges):
-        pair = SkewPair(pair.a_matrix, sympl_border_moments(spec.s, base, size), index_base=base)
+        pair = SkewPair(pair.a_matrix, sympl_border_moments(spec.s, pair.index_base, size),
+                        index_base=pair.index_base)
     return {c: TauApprox(c, spec.L, cutoff, series_terms(pair, c, spec.L, cutoff))
             for c in charges}
 
@@ -170,7 +171,6 @@ class WaveReport:
     points: tuple
     fit_deviation_t: float
     fit_deviation_s: float | None
-    two_sided_gap: float | None
 
 
 def _poly_fit_deviation(xs: np.ndarray, ys: np.ndarray, degree: int) -> float:
@@ -195,13 +195,12 @@ def wave_polynomial_check(spec: EnsembleSpec, cutoff: int, points,
     """Fit lambda^charge * tau(t - [1/lambda]) / tau(t) by a degree-charge polynomial.
 
     `s_ratio_fn(lambda)`, when given, supplies the s-side construction
-    tau(t, s + [lambda]) / tau(t, s) (a same-degree polynomial on the
-    restricted ensemble); its fit quality and the gap between the two wave
-    functions are reported, not asserted.
+    tau(t, s + [lambda]) / tau(t, s), a same-degree polynomial on the
+    restricted ensemble; its fit quality is reported too.
     """
     charge = spec.n_eff
     if charge == 0:
-        return WaveReport(0, tuple(points), 0.0, None, None)
+        return WaveReport(0, tuple(points), 0.0, None)
     base_tau = tau_series(spec, cutoff)
     tau0 = base_tau.evaluate(spec.t)
     if abs(tau0) < 1e-12:
@@ -214,14 +213,8 @@ def wave_polynomial_check(spec: EnsembleSpec, cutoff: int, points,
     vals_t = np.array([complex(v).real for v in vals_t])
     dev_t = _poly_fit_deviation(xs, vals_t, charge)
 
-    dev_s = gap = None
+    dev_s = None
     if s_ratio_fn is not None:
-        # tau(t, s+[lambda]) / tau(t, s) is itself polynomial in lambda
         vals_s = np.array([complex(s_ratio_fn(lam)).real for lam in xs])
         dev_s = _poly_fit_deviation(xs, vals_s, charge)
-        wave_t = vals_t / xs ** charge * np.exp(
-            [potential(l, spec.t) - potential(1.0 / l, spec.s) for l in xs]) * xs ** spec.L
-        wave_s = vals_s * np.exp(
-            [potential(1.0 / l, spec.s) for l in xs]) * xs ** (-float(spec.L))
-        gap = float(np.max(np.abs(wave_t - wave_s)) / max(np.max(np.abs(wave_t)), 1e-300))
-    return WaveReport(charge, tuple(float(x) for x in xs), dev_t, dev_s, gap)
+    return WaveReport(charge, tuple(float(x) for x in xs), dev_t, dev_s)

@@ -276,7 +276,7 @@ def test_moments_dump_default_size_covers_the_series_at_negative_L(tmp_path):
     assert run_config(cfg, tmp_path) == 0
     rows = (tmp_path / "moments.csv").read_text().splitlines()
     # the series at that cutoff reads 12 rows from index -1 (charge 2)
-    size = required_table_size(2, -1, 10, -1)
+    size = required_table_size(2, -1, 10)
     assert size == 12
     assert len(rows) == 1 + size * size
     assert rows[1].startswith("-1,-1,")

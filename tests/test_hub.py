@@ -122,6 +122,32 @@ def test_ginibre_kernel_identity(kind, n, L, t):
         assert not v.details["variants"]["sgn"]["validates"]
 
 
+@pytest.mark.parametrize("L", [0, 1])
+@pytest.mark.parametrize("kind,n,alpha,beta", [("GinOE", 2, 0.3, 0.5), ("GinOE", 2, 1.0, 0.0),
+                                               ("GinSE", 1, 0.3, 0.5), ("OE", 2, 0.4, None),
+                                               ("SE", 1, 0.4, None)])
+def test_kernel_identity_at_explicit_mixes(kind, n, alpha, beta, L):
+    # the kernel weighs its line and pair blocks by (alpha, beta), as the
+    # oracle weighs its sectors; with beta = 0 there is no sgn variant to offer
+    spec = EnsembleSpec(kind, n, L, CouplingSeq.of(0.2), alpha=alpha, beta=beta)
+    e = Experiment("kern", "kernel-vs-oracle", spec=spec, tolerance=1e-4,
+                   params=(("p", (0.1, -0.1)), ("p_ref", (0.08, -0.06))))
+    v = run_experiment(e)
+    assert v.error is None
+    assert v.passed and v.margin < 1e-12
+    assert v.details["validating_variant"] == "abs"
+    assert ("sgn" in v.details["variants"]) == (spec.family == "orth" and spec.mix[1] != 0)
+
+
+def test_vanishing_partition_function_gives_a_failed_verdict():
+    # OE N=1 L=1: Z(0) = int x e^{-x^2/2} dx = 0 on both routes, so the ratio
+    # at t = 0 over the fallback base is 0 / 0
+    v = run_experiment(Experiment("z0", "series-vs-oracle-ratio", spec=EnsembleSpec("OE", 1, 1),
+                                  tolerance=1e-4, cutoff=12))
+    assert not v.passed and v.margin == math.inf
+    assert v.error.startswith("ZeroDivisionError")
+
+
 def test_hirota_experiment_shape():
     e = Experiment("hir", "hirota-decay", spec=EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.2)),
                    params=(("alpha", 8.0), ("beta", 10.0), ("cutoffs", (8, 10, 12)),
@@ -161,10 +187,11 @@ def test_wave_experiment_with_s_side():
                    tolerance=1e-4, cutoff=12, params=(("points", (2.0, 3.0, 5.0)),))
     v = run_experiment(e)
     assert v.passed
-    # both wave constructions are polynomials of the charge degree; their
-    # literal pointwise equality is only reported
+    # both wave constructions are polynomials of the charge degree, and the
+    # verdict asserts the s-side fit too
     assert v.details["fit_deviation_s_side"] < 1e-8
-    assert v.details["two_sided_gap"] is not None
+    assert v.margin < 1e-8
+    assert "two_sided_gap" not in v.details
 
 
 def test_degenerate_base_n3():
@@ -233,7 +260,7 @@ def test_zero_variance_predicate_has_a_stderr_floor(monkeypatch, offset, passes)
 def test_wave_order_check_has_a_rounding_floor(monkeypatch, hi, lo, passes):
     # at the rounding floor the order of the two fit deviations is noise
     def fake_check(spec, cutoff, points, s_ratio_fn=None):
-        return WaveReport(1, tuple(points), hi if cutoff == 12 else lo, None, None)
+        return WaveReport(1, tuple(points), hi if cutoff == 12 else lo, None)
 
     monkeypatch.setattr(hub.ts, "wave_polynomial_check", fake_check)
     v = run_experiment(Experiment("wave", "wave-poly",

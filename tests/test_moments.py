@@ -80,7 +80,7 @@ def test_ginoe_pair_is_real_and_skew():
 
 def test_ginse_conjugation_reflection_of_raw_moments():
     # the quaternion sector's raw table: the (z - zbar) factor rides along
-    raw = moments.pair_moments("GinSE", ZERO_SEQ, ZERO_SEQ, range(6), level=1,
+    raw = moments.pair_moments("sympl", ZERO_SEQ, ZERO_SEQ, range(6), level=1,
                                extra=lambda z: z - np.conj(z))
     for n in range(6):
         for m in range(6):
@@ -90,8 +90,8 @@ def test_ginse_conjugation_reflection_of_raw_moments():
 def test_ginse_index_shift_is_the_insertion():
     # int z^a zbar^b (z - zbar) W = T[a+1, b] - T[a, b+1] of the plain table T
     size = 8
-    plain = moments.pair_moments("GinSE", ZERO_SEQ, ZERO_SEQ, range(size + 1), level=1)
-    raw = moments.pair_moments("GinSE", ZERO_SEQ, ZERO_SEQ, range(size), level=1,
+    plain = moments.pair_moments("sympl", ZERO_SEQ, ZERO_SEQ, range(size + 1), level=1)
+    raw = moments.pair_moments("sympl", ZERO_SEQ, ZERO_SEQ, range(size), level=1,
                                extra=lambda z: z - np.conj(z))
     scale = np.max(np.abs(raw))
     assert np.max(np.abs(plain[1:, :-1] - plain[:-1, 1:] - raw)) <= 1e-14 * scale
@@ -105,14 +105,14 @@ def test_atomic_pair_on_quadrature_atoms_reproduces_the_sectors():
     base, size, level = 0, 6, 1
     lp, wv = moments.line_rule("sympl", ZERO_SEQ, ZERO_SEQ, 2 * size - 2, level)
     line_atoms = list(zip(lp.nodes, lp.weights * wv))
-    got = moments.atomic_pair(EnsembleSpec("SE", 1), line_atoms, None, base, size).a_matrix
+    got = moments.atomic_pair(EnsembleSpec("SE", 1), line_atoms, None, size).a_matrix
     want = moments.sympl_sector(ZERO_SEQ, base, size)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     for kind, top in (("GinSE", size), ("GinOE", size - 1)):
-        grid, w = moments._pair_rule(kind, ZERO_SEQ, ZERO_SEQ, 2 * top + 2, level)
-        pair_atoms = list(zip(grid.nodes, grid.weights * w.ravel()))
         spec = EnsembleSpec(kind, 1, alpha=1.0, beta=0.0)
-        got = moments.atomic_pair(spec, None, pair_atoms, base, size).a_matrix
+        grid, w = moments._pair_rule(spec.family, ZERO_SEQ, ZERO_SEQ, 2 * top + 2, level)
+        pair_atoms = list(zip(grid.nodes, grid.weights * w.ravel()))
+        got = moments.atomic_pair(spec, None, pair_atoms, size).a_matrix
         sector = moments.ginse_complex_sector if kind == "GinSE" else moments.ginoe_complex_sector
         want = sector(ZERO_SEQ, base, size)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), kind
@@ -128,7 +128,7 @@ def test_moment_tables_monotone_consistent():
 @pytest.mark.parametrize("level", [0, 1])
 def test_pair_weight_from_polar_factors_matches_the_node_formula(kind, level):
     t = CouplingSeq.of(0.1, -0.05)
-    grid, w = moments._pair_rule(kind, t, ZERO_SEQ, 20, level)
+    grid, w = moments._pair_rule(moments.KINDS[kind][0], t, ZERO_SEQ, 20, level)
     assert w.dtype == np.float64 and w.shape == (len(grid.radii), len(grid.angles))
     # the weight as formed from the complex nodes
     z = grid.nodes
@@ -279,29 +279,29 @@ _VALIDATION_REASONS = {
     's': 'couplings must be real',
 }
 _VALIDATION_TABLE = {
-    ('OE', '0'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
-    ('OE', 't1'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
-    ('OE', 't2+'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('OE', '0'): 'ab..cccc....dddd ab..cccc....dddd ab..iiiiiiiiiiii',
+    ('OE', 't1'): 'ab..cccc....dddd ab..cccc....dddd ab..iiiiiiiiiiii',
+    ('OE', 't2+'): 'ab..cccc....dddd ab..cccc....dddd ab..iiiiiiiiiiii',
     ('OE', 't2++'): 'eeeeeeeeeeeeeeee eeeeeeeeeeeeeeee eeeeeeeeeeeeeeee',
-    ('OE', 't2-'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
-    ('OE', 't2--'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
-    ('OE', 't3'): 'ffffffffffffffff ffffffffffffffff ffffffffffffffff',
-    ('OE', 't3s'): 'ffffffffffffffff ffffffffffffffff ffffffffffffffff',
-    ('OE', 't4-'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
-    ('OE', 't4+'): 'gggggggggggggggg gggggggggggggggg gggggggggggggggg',
-    ('OE', 't6'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('OE', 't2-'): 'ab..cccc....dddd ab..cccc....dddd ab..iiiiiiiiiiii',
+    ('OE', 't2--'): 'ab..cccc....dddd ab..cccc....dddd jjjjjjjjjjjjjjjj',
+    ('OE', 't3'): 'ffffffffffffffff ffffffffffffffff kkkkkkkkkkkkkkkk',
+    ('OE', 't3s'): 'ffffffffffffffff ffffffffffffffff abffiiiiiiiiiiii',
+    ('OE', 't4-'): 'ab..cccc....dddd ab..cccc....dddd llllllllllllllll',
+    ('OE', 't4+'): 'gggggggggggggggg gggggggggggggggg llllllllllllllll',
+    ('OE', 't6'): 'ab..cccc....dddd ab..cccc....dddd ab..iiiiiiiiiiii',
     ('OE', 'tc'): 'hhhhhhhhhhhhhhhh hhhhhhhhhhhhhhhh hhhhhhhhhhhhhhhh',
-    ('SE', '0'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
-    ('SE', 't1'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
-    ('SE', 't2+'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('SE', '0'): 'ab..cccc....dddd ab..cccc....dddd ab..iiiiiiiiiiii',
+    ('SE', 't1'): 'ab..cccc....dddd ab..cccc....dddd ab..iiiiiiiiiiii',
+    ('SE', 't2+'): 'ab..cccc....dddd ab..cccc....dddd ab..iiiiiiiiiiii',
     ('SE', 't2++'): 'eeeeeeeeeeeeeeee eeeeeeeeeeeeeeee eeeeeeeeeeeeeeee',
-    ('SE', 't2-'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
-    ('SE', 't2--'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
-    ('SE', 't3'): 'ffffffffffffffff ffffffffffffffff ffffffffffffffff',
-    ('SE', 't3s'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
-    ('SE', 't4-'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
-    ('SE', 't4+'): 'gggggggggggggggg gggggggggggggggg gggggggggggggggg',
-    ('SE', 't6'): 'ab..cccc....dddd ab..cccc....dddd ab..cccc....dddd',
+    ('SE', 't2-'): 'ab..cccc....dddd ab..cccc....dddd ab..iiiiiiiiiiii',
+    ('SE', 't2--'): 'ab..cccc....dddd ab..cccc....dddd jjjjjjjjjjjjjjjj',
+    ('SE', 't3'): 'ffffffffffffffff ffffffffffffffff kkkkkkkkkkkkkkkk',
+    ('SE', 't3s'): 'ab..cccc....dddd ab..cccc....dddd ab..iiiiiiiiiiii',
+    ('SE', 't4-'): 'ab..cccc....dddd ab..cccc....dddd llllllllllllllll',
+    ('SE', 't4+'): 'gggggggggggggggg gggggggggggggggg llllllllllllllll',
+    ('SE', 't6'): 'ab..cccc....dddd ab..cccc....dddd ab..iiiiiiiiiiii',
     ('SE', 'tc'): 'hhhhhhhhhhhhhhhh hhhhhhhhhhhhhhhh hhhhhhhhhhhhhhhh',
     ('GinOE', '0'): 'ab..iiiiiiiiiiii ab..cccc....dddd ab..iiiiiiiiiiii',
     ('GinOE', 't1'): 'ab..iiiiiiiiiiii ab..cccc....dddd ab..iiiiiiiiiiii',
@@ -363,3 +363,13 @@ def test_negative_det_power_needs_s_and_works():
     assert np.isfinite(pair.a_matrix).all()
     with pytest.raises(ValidationError):
         moment_pair(EnsembleSpec("SE", 1, -1), 6)
+
+
+@pytest.mark.parametrize("kind,n", [("OE", 2), ("SE", 1)])
+def test_validator_rejects_s_on_an_explicit_pair_sector(kind, n):
+    # alpha != 0 opens the pair sector of a line kind, where s != 0 diverges at 0
+    spec = EnsembleSpec(kind, n, 0, CouplingSeq.of(0.2), CouplingSeq.of(0.0, 0.4), alpha=0.5)
+    v = spec.validate()
+    assert not v.ok and v.reason == _VALIDATION_REASONS["i"]
+    with pytest.raises(ValidationError):
+        moment_pair(spec, 6)

@@ -40,14 +40,14 @@ def test_eigen_se_ratio_closed_form():
 def test_eigen_integral_insertions():
     # <x^2> under the symplectic-line weight e^{-x^2} is 1/2
     spec = EnsembleSpec("SE", 1)
-    moment = eigen_integral(spec, extra_real=lambda x: x * x).value
+    moment = eigen_integral(spec, insertion=lambda x: x * x).value
     assert (moment / eigen_integral(spec).value).real == pytest.approx(0.5, rel=1e-12)
     # det_average_lhs is eigen_integral with the determinant insertions
     p = (0.1, -0.1)
     ginse = EnsembleSpec("GinSE", 1, 0, CouplingSeq.of(0.2))
+    # the pair factor is insertion(z) insertion(zbar)
     direct = eigen_integral(
-        ginse, extra_pair=lambda z: 1.0 / np.prod([((1 - q * z) * (1 - q * np.conj(z))) ** 2
-                                                   for q in p], axis=0),
+        ginse, insertion=lambda z: 1.0 / np.prod([(1 - q * z) ** 2 for q in p], axis=0),
         poles=[1 / q for q in p]).value
     assert det_average_lhs(ginse, p, insert_power=2).value == pytest.approx(direct, rel=1e-12)
 
@@ -407,7 +407,7 @@ def test_discrete_matches_fock_vev():
         for L in (0, 1, 2):
             spec = EnsembleSpec("OE", n, L, t)
             lhs, _, _ = discrete_consistency(spec, atoms)
-            pair = atomic_pair(spec, folded, None, base=0, size=n + L + 2)
+            pair = atomic_pair(spec, folded, None, size=n + L + 2)
             window = FockWindow(-2, n + L + 3)
             vev_val = exp_pair_vev(n + L, pair, L, window)
             sign = (-1.0) ** ((L + 1) * (n % 2))
@@ -506,7 +506,7 @@ def test_three_eigenvalue_continuum_ratios():
 
 
 def test_pair_moment_table_hermitian_pairing():
-    t = pair_moments("GinSE", ZERO_SEQ, ZERO_SEQ, range(5), level=0)
+    t = pair_moments("sympl", ZERO_SEQ, ZERO_SEQ, range(5), level=0)
     # T[a,b] with the (z - zbar)-free weight obeys T[b,a] = conj(T[a,b])
     for a in range(5):
         for b in range(5):

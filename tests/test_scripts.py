@@ -37,6 +37,16 @@ def test_ratio_scan_table():
     assert float(rows[0][1]) == float(rows[0][2]) == 1.0
 
 
+def test_ratio_scan_with_a_vanishing_partition_function():
+    # OE N=1 L=1 has Z = 0 at t = 0: both ratios divide by Z at t = (0.05,)
+    rows = run_script("ratio_scan.py", "--kind", "OE", "--n", "1", "--L", "1", "--steps", "2",
+                      "--tmax", "0.1")
+    assert [row[0] for row in rows] == ["0.000", "0.050", "0.100"]
+    assert float(rows[0][1]) == float(rows[0][2]) == 0.0
+    assert float(rows[1][1]) == float(rows[1][2]) == 1.0
+    assert float(rows[2][3]) < 1e-12
+
+
 def test_hirota_decay_table():
     rows = run_script("hirota_decay.py", "--kind", "SE", "--cutoffs", "6", "8")
     assert [row[0] for row in rows] == ["6", "8"]
