@@ -50,13 +50,14 @@ WEIGHT_CONSTANTS = {"orth": (0.5, 1), "sympl": (1.0, 2), "pair": (1.0, 2)}
 # moves the numbers a table holds: its quadrature rule, level schedule or
 # tolerance, its sector convention, or its layout.  Entries stored under any
 # other value are never served.
-TABLE_ALGORITHM = "tables-5"
+TABLE_ALGORITHM = "tables-6"
 TABLE_BUILDS = 0
 _SECTOR_CACHE: dict = {}
 _DISK_CACHE = None
 
 
 def clear_cache() -> None:
+    """Drop every memoized table, oracle value and erfc factor of this process."""
     _SECTOR_CACHE.clear()
 
 
@@ -298,8 +299,19 @@ def _pair_rule(family: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int, level: 
                 e += np.multiply.outer(sign * float(v) * rpow, np.cos(k * theta))
     np.exp(e, out=e)
     if family == "orth":
-        e *= erfc_vec(np.multiply.outer(math.sqrt(2.0) * r, np.sin(theta)))
+        e *= _orth_erfc(grid, radius, level)
     return grid, e
+
+
+def _orth_erfc(grid: quad.QuadratureGrid, radius: float, level: int) -> np.ndarray:
+    """erfc(sqrt(2) Im z) on the half-plane grid of (radius, level), memoized in memory only."""
+    key = ("orth_erfc", radius, level)
+    hit = _SECTOR_CACHE.get(key)
+    if hit is None:
+        hit = erfc_vec(np.multiply.outer(math.sqrt(2.0) * grid.radii, np.sin(grid.angles)))
+        hit.flags.writeable = False
+        _SECTOR_CACHE[key] = hit
+    return hit
 
 
 def pair_moments(family: str, t: CouplingSeq, s: CouplingSeq, exps, level: int,

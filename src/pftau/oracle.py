@@ -275,14 +275,20 @@ def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
     log_w, gauss, lin = mom.ginue_weight(spec)
     radius = gaussian_halfwidth(gauss, lin, 6)
 
-    def evaluate(level):
+    def rule(level):
         n_r, r_order, n_theta, t_order = _GINUE_RULES[level]
         grid = full_plane_grid(radius, n_r=n_r, r_order=r_order,
                                n_theta=n_theta, t_order=t_order)
         z = grid.nodes
-        return _pair_sum(z, np.exp(log_w(z)) * z ** spec.L * np.conj(z) ** (-spec.L2) * grid.weights)
+        return z, np.exp(log_w(z)) * z ** spec.L * np.conj(z) ** (-spec.L2) * grid.weights
 
-    value, err = converge(evaluate, rel_tol, max_level=len(_GINUE_RULES) - 1)
+    # sum_ij |w_i w_j| |z_i - z_j|^2 on the first rule: with L2 != -L the value
+    # vanishes by rotation, and its noise is measured against this scale
+    z, a = rule(0)
+    a = np.abs(a)
+    abs_sum = 2.0 * (np.sum(a) * np.sum(a * np.abs(z) ** 2) - abs(np.sum(a * z)) ** 2)
+    value, err = converge(lambda level: _pair_sum(*rule(level)), rel_tol,
+                          max_level=len(_GINUE_RULES) - 1, zero_floor=rel_tol * abs_sum)
     return OracleResult(value, err, "quadrature")
 
 

@@ -1,7 +1,8 @@
 """Deterministic quadrature backends: line panels, polar plane grids, supports.
 
 Nothing here knows an ensemble kind: the eigenvalue weights, and the
-validator that guards them, live with `moments.EnsembleSpec`.  Everything
+validator that guards them, live with `moments.EnsembleSpec`; `erfc_vec`,
+the one special function they need, is a NumPy port of Cephes.  Everything
 here is panel Gauss-Legendre: grids are pure functions of their arguments,
 each level doubles the panel count, and reductions run in a fixed order,
 so results are reproducible bit for bit.  No Monte Carlo.
@@ -16,8 +17,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.special import erfc as erfc_vec
-
 
 
 class QuadratureError(RuntimeError):
@@ -35,6 +34,8 @@ def converge(build, rel_tol: float, max_level: int = 4, zero_floor: float = 0.0)
     Raises QuadratureError with the finest value and its residual when no
     two levels up to `max_level` agree.
     """
+    if max_level < 1:
+        raise ValueError(f"converge needs max_level >= 1 to compare two levels, got {max_level}")
     prev = build(0)
     for level in range(1, max_level + 1):
         cur = build(level)
@@ -45,6 +46,62 @@ def converge(build, rel_tol: float, max_level: int = 4, zero_floor: float = 0.0)
         prev = cur
     raise QuadratureError(f"no convergence by level {max_level} (residual {delta:.3e})",
                           best=cur, residual=delta)
+
+
+# erfc from Cephes ndtr.c (S. L. Moshier): 1 - x T(x^2)/U(x^2) for |x| < 1,
+# e^{-x^2} P(|x|)/Q(|x|) for 1 <= |x| < 8 and e^{-x^2} R(|x|)/S(|x|) beyond, 2 - erfc(|x|)
+# for x < 0, and 0 (or 2) once x^2 > MAXLOG.  Q, S and U are monic.
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _horner(x: np.ndarray, coeffs, monic: bool = False) -> np.ndarray:
+    """sum_k coeffs[k] x^(n-k), after a leading x^(n+1) if `monic`; in place on one array."""
+    acc = x + coeffs[0] if monic else np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def erfc_vec(x):
+    """erfc(x) elementwise for real x; a float for a scalar.
+
+    Each rational branch runs only on the entries it covers, with in-place
+    Horner steps.  NaN and +-inf fall in the last branch, whose NaN for inf
+    the underflow cut then replaces.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    out = np.empty(x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = x * x
+        near = a < 1.0
+        xs, z = x[near], sq[near]
+        out[near] = 1.0 - xs * _horner(z, _ERF_T) / _horner(z, _ERF_U, monic=True)
+        below8 = a < 8.0
+        for where, num, den in ((below8 & ~near, _ERFC_P, _ERFC_Q), (~below8, _ERFC_R, _ERFC_S)):
+            xs = a[where]
+            y = np.exp(-sq[where])
+            y *= _horner(xs, num)
+            y /= _horner(xs, den, monic=True)
+            out[where] = y
+    out[sq > _MAXLOG] = 0.0
+    np.subtract(2.0, out, out=out, where=x <= -1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def power_table(x: np.ndarray, exponents) -> np.ndarray:

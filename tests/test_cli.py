@@ -17,6 +17,17 @@ from pftau.symfun import CouplingSeq
 from pftau.tauseries import required_table_size
 
 
+def test_importing_the_package_does_not_import_scipy():
+    src = str(Path(pftau.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; import pftau.cli, pftau.hub, pftau.oracle, pftau.fock; "
+            "print('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_parse_minimal_config_fills_defaults():
     cfg = parse_config(json.dumps({"command": "compare-oracle",
                                    "ensemble": {"kind": "SE", "n": 1}}))
@@ -126,7 +137,7 @@ def test_cache_entry_without_table_algorithm_is_not_served(tmp_path):
         moments.clear_cache()
 
 
-@pytest.mark.parametrize("previous", ["tables-1", "tables-2", "tables-4"])
+@pytest.mark.parametrize("previous", ["tables-1", "tables-2", "tables-4", "tables-5"])
 def test_cache_entry_under_the_previous_table_algorithm_is_not_served(tmp_path, previous):
     s = CouplingSeq.of(0.0, 0.4)
     assert moments.TABLE_ALGORITHM != previous

@@ -137,6 +137,56 @@ def test_pair_weight_from_polar_factors_matches_the_node_formula(kind, level):
     assert np.max(np.abs(w.ravel() - ref)) <= 1e-13
 
 
+def _erfc_keys():
+    return [k for k in moments._SECTOR_CACHE if k[0] == "orth_erfc"]
+
+
+def test_clear_cache_drops_the_erfc_memo():
+    moments.clear_cache()
+    moment_pair(EnsembleSpec("GinOE", 2), 6)
+    assert _erfc_keys()
+    assert all(not moments._SECTOR_CACHE[k].flags.writeable for k in _erfc_keys())
+    moments.clear_cache()
+    assert not moments._SECTOR_CACHE
+
+
+def test_ginoe_values_do_not_depend_on_the_erfc_memo():
+    from pftau.oracle import eigen_integral
+
+    def tables():
+        return moment_pair(EnsembleSpec("GinOE", 2), 8), moment_pair(EnsembleSpec("GinOE", 1), 6)
+
+    def oracle():
+        spec = EnsembleSpec("GinOE", 2, t=CouplingSeq.of(0.1, -0.05))
+        return eigen_integral(spec).value, eigen_integral(EnsembleSpec("GinOE", 3)).value
+
+    def drop_all_but_erfc():
+        keep = {k: moments._SECTOR_CACHE[k] for k in _erfc_keys()}
+        moments.clear_cache()
+        moments._SECTOR_CACHE.update(keep)
+
+    moments.clear_cache()
+    cold_tables = tables()
+    moments.clear_cache()
+    cold_oracle = oracle()
+    moments.clear_cache()
+    # warm: the erfc factors are left behind by the other builder, in either order
+    oracle()
+    drop_all_but_erfc()
+    memo = set(_erfc_keys())
+    warm_tables = tables()
+    assert set(_erfc_keys()) == memo          # every erfc factor of the tables was a memo hit
+    moments.clear_cache()
+    tables()
+    drop_all_but_erfc()
+    warm_oracle = oracle()
+    moments.clear_cache()
+    for cold, warm in zip(cold_tables, warm_tables):
+        assert np.array_equal(cold.a_matrix, warm.a_matrix)
+        assert np.array_equal(cold.border, warm.border)
+    assert cold_oracle == warm_oracle
+
+
 def test_sector_cache_hits():
     moments.clear_cache()
     before = moments.TABLE_BUILDS

@@ -424,6 +424,32 @@ def test_ginue_two_point_matches_determinant():
         ginue_two_point(EnsembleSpec("GinUE", 3))
 
 
+def _ginue_abs_pair_sum(spec):
+    # sum_ij |w_i w_j| |z_i - z_j|^2 on the first rule, from the production pair sum
+    log_w, gauss, lin = ginue_weight(spec)
+    n_r, r_order, n_theta, t_order = _GINUE_RULES[0]
+    grid = full_plane_grid(gaussian_halfwidth(gauss, lin, 6), n_r=n_r, r_order=r_order,
+                           n_theta=n_theta, t_order=t_order)
+    z = grid.nodes
+    w = np.exp(log_w(z)) * z ** spec.L * np.conj(z) ** (-spec.L2) * grid.weights
+    return _pair_sum(z, np.abs(w)).real
+
+
+@pytest.mark.parametrize("L, L2", [(1, 1), (1, 0)])
+def test_ginue_two_point_vanishing_by_rotation_returns_zero(L, L2):
+    spec = EnsembleSpec("GinUE", 2, L=L, L2=L2)
+    res = ginue_two_point(spec)
+    floor = 2e-6 * _ginue_abs_pair_sum(spec)
+    assert floor > 1e-6
+    assert abs(res.value) <= floor and res.error_estimate <= floor
+
+
+@pytest.mark.parametrize("L, L2, value", [(0, 0, 19.739208802178723 + 0j),
+                                          (1, -1, 39.4784176043574 - 1.0120979772362824e-17j)])
+def test_ginue_two_point_nonvanishing_values_unchanged(L, L2, value):
+    assert ginue_two_point(EnsembleSpec("GinUE", 2, L=L, L2=L2)).value == value
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda nv: st.tuples(
     st.lists(st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1), st.integers(1, 4)),

@@ -60,6 +60,28 @@ def test_erfc_range_and_underflow():
     assert erfc_vec(-6.0) == pytest.approx(2.0, abs=1e-14)
 
 
+def test_erfc_matches_scipy_within_four_ulps():
+    from scipy import special
+    x = np.concatenate([np.linspace(-7.0, 30.0, 200_001), np.linspace(26.4, 26.7, 30_001),
+                        np.geomspace(1e-300, 1.0, 600), -np.geomspace(1e-300, 1.0, 600),
+                        [-1.0, 1.0, -8.0, 8.0]])
+    got, want = erfc_vec(x), special.erfc(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.any(want == 0.0) and np.any(want[x < 27.0] == 0.0)   # the underflow edge is covered
+    normal = want >= np.finfo(float).tiny
+    ulps = np.abs(got - want)[normal] / np.spacing(want[normal])
+    assert np.max(ulps) <= 4.0
+    assert np.max(np.abs(got - want)[~normal]) <= 2 * np.finfo(float).smallest_subnormal
+
+
+def test_erfc_scalars_and_special_values():
+    assert type(erfc_vec(0.5)) is float and type(erfc_vec(np.float64(-3.0))) is float
+    assert erfc_vec(np.inf) == 0.0 and erfc_vec(-np.inf) == 2.0 and erfc_vec(1e200) == 0.0
+    assert math.isnan(erfc_vec(math.nan))
+    assert erfc_vec(np.zeros((2, 3))).shape == (2, 3)
+
+
 def _line_sum(f, halfwidth, level, n_center=12, order=24, inner_cut=None):
     lp = LinePanels(real_line_breakpoints(halfwidth, n_center, inner_cut, level), order)
     return lp.integrate(f(lp.nodes))
@@ -162,6 +184,14 @@ def test_converge_zero_floor_accepts_noise_table():
         converge(noise, rel_tol=1e-9)
     value, residual = converge(noise, rel_tol=1e-9, zero_floor=1e-10)
     assert abs(value[0]) == 1e-13 and residual == pytest.approx(2e-13)
+
+
+@pytest.mark.parametrize("max_level", [0, -1])
+def test_converge_rejects_fewer_than_two_levels(max_level):
+    built = []
+    with pytest.raises(ValueError, match="max_level"):
+        converge(lambda level: built.append(level) or 1.0, rel_tol=1e-9, max_level=max_level)
+    assert built == []
 
 
 def test_converge_raises_with_finest_value_and_residual():
