@@ -57,8 +57,23 @@ _DISK_CACHE = None
 
 
 def clear_cache() -> None:
-    """Drop every memoized table, oracle value and erfc factor of this process."""
+    """Drop every memoized table, oracle value, erfc factor and Schur value table of
+    this process."""
     _SECTOR_CACHE.clear()
+
+
+def memo(key, build):
+    """`_SECTOR_CACHE[key]`, or `build()` stored there first with its arrays made read-only.
+
+    The per-pass memo of values that never go to disk; `clear_cache` drops them.
+    """
+    hit = _SECTOR_CACHE.get(key)
+    if hit is None:
+        hit = build()
+        if isinstance(hit, np.ndarray):
+            hit.flags.writeable = False
+        _SECTOR_CACHE[key] = hit
+    return hit
 
 
 def set_disk_cache(store) -> None:
@@ -305,13 +320,8 @@ def _pair_rule(family: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int, level: 
 
 def _orth_erfc(grid: quad.QuadratureGrid, radius: float, level: int) -> np.ndarray:
     """erfc(sqrt(2) Im z) on the half-plane grid of (radius, level), memoized in memory only."""
-    key = ("orth_erfc", radius, level)
-    hit = _SECTOR_CACHE.get(key)
-    if hit is None:
-        hit = erfc_vec(np.multiply.outer(math.sqrt(2.0) * grid.radii, np.sin(grid.angles)))
-        hit.flags.writeable = False
-        _SECTOR_CACHE[key] = hit
-    return hit
+    return memo(("orth_erfc", radius, level), lambda: erfc_vec(
+        np.multiply.outer(math.sqrt(2.0) * grid.radii, np.sin(grid.angles))))
 
 
 def pair_moments(family: str, t: CouplingSeq, s: CouplingSeq, exps, level: int,
@@ -357,9 +367,9 @@ def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build):
 
 def _orth_block(line, wv, idx: np.ndarray) -> np.ndarray:
     powers = power_table(line.nodes, idx)
-    cums = np.stack([line.cumulative(powers[m] * wv) for m in range(len(idx))])
-    totals = np.array([line.integrate(powers[m] * wv) for m in range(len(idx))]).real
-    inner = 2.0 * cums - totals[:, None]     # int y^m w(y) sgn(x - y) dy at each node x
+    rows = powers * wv
+    # int y^m w(y) sgn(x - y) dy at each node x, one row per m
+    inner = 2.0 * line.cumulative(rows) - line.integrate(rows)[:, None]
     powers *= line.weights * wv
     r = powers @ inner.T
     return (r - r.T) / 2.0
@@ -470,19 +480,19 @@ def moment_pair(spec: EnsembleSpec, size: int) -> SkewPair:
 
 class _AtomicLine:
     """Point masses (x, w) as a line measure: `cumulative` at an atom sums the atoms
-    below it plus half its own term, so 2 * cumulative - integrate is the sgn sum."""
+    below it plus half its own term, so 2 * cumulative - integrate is the sgn sum.
+    Both act along the last axis of `values`, as on `quad.LinePanels`."""
 
     def __init__(self, atoms):
         self.nodes = np.array([x for x, _ in atoms], dtype=float)
         self.weights = np.array([w for _, w in atoms], dtype=float)
         self._below = (self.nodes[:, None] > self.nodes).astype(float)
 
-    def integrate(self, values: np.ndarray) -> complex:
-        return complex(np.sum(self.weights * values))
+    integrate = LinePanels.integrate
 
     def cumulative(self, values: np.ndarray) -> np.ndarray:
         v = self.weights * values
-        return self._below @ v + v / 2.0
+        return np.matmul(self._below, v[..., None])[..., 0] + v / 2.0
 
 
 def atomic_pair(spec: EnsembleSpec, real_atoms, pair_atoms, size: int) -> SkewPair:

@@ -197,17 +197,15 @@ def eigen_integral(spec: EnsembleSpec, rel_tol: float = 1e-9, insertion=None,
     never written to disk.
     """
     spec.validate().require()
-    plain = insertion is None and poles is None
-    key = ("eigen_integral", mom.TABLE_ALGORITHM, spec, rel_tol)
-    hit = mom._SECTOR_CACHE.get(key) if plain else None
-    if hit is not None:
-        return hit
-    value, err = converge(
-        lambda lvl: _eigen_value_at_level(spec, lvl, insertion, poles), rel_tol)
-    result = OracleResult(value, err, "quadrature")
-    if plain:
-        mom._SECTOR_CACHE[key] = result
-    return result
+
+    def build():
+        value, err = converge(
+            lambda lvl: _eigen_value_at_level(spec, lvl, insertion, poles), rel_tol)
+        return OracleResult(value, err, "quadrature")
+
+    if insertion is None and poles is None:
+        return mom.memo(("eigen_integral", mom.TABLE_ALGORITHM, spec, rel_tol), build)
+    return build()
 
 
 def det_average_lhs(spec: EnsembleSpec, p, insert_power: int = 1,
@@ -518,5 +516,5 @@ def discrete_consistency(spec: EnsembleSpec, real_atoms, pair_atoms=None):
     border_norm = math.sqrt(2.0) ** (charge % 2)
     rhs = complex(math.fsum(terms.real), math.fsum(terms.imag)) / border_norm
     # a plain sum in canonical partition order, so the bits do not move
-    series_scale = sum(abs(v) for v in terms.tolist()) / border_norm
+    series_scale = sum(np.abs(terms).tolist()) / border_norm
     return lhs, rhs, max(scale, series_scale, 1e-300)

@@ -169,19 +169,26 @@ class LinePanels:
     def n_panels(self) -> int:
         return len(self.panels)
 
-    def integrate(self, values: np.ndarray) -> complex:
-        return complex(np.sum(self.weights * values))
+    def integrate(self, values: np.ndarray):
+        """The weighted sum along the last axis: a complex for one row of node
+        values, an array with one sum per row for a (rows, nodes) stack."""
+        total = np.sum(self.weights * values, axis=-1)
+        return complex(total) if total.ndim == 0 else total
 
     def cumulative(self, values: np.ndarray) -> np.ndarray:
-        """int_{x_min}^{x} of the panelwise interpolant, at every node."""
-        v = np.asarray(values).reshape(self.n_panels, self.order)
+        """int_{x_min}^{x} of the panelwise interpolant, at every node, along the
+        last axis: one row of node values or a (rows, nodes) stack."""
+        v = np.asarray(values)
+        v = v.reshape(v.shape[:-1] + (self.n_panels, self.order))
         half = (self.panels[:, 1] - self.panels[:, 0]) / 2.0
         q = _cumulative_matrix(self.order)
         local = (v @ q.T) * half[:, None]
         _, wstd = _gl_rule(self.order)
-        totals = (v * wstd[None, :]).sum(axis=1) * half
-        offsets = np.concatenate([[0.0], np.cumsum(totals)[:-1]])
-        return (local + offsets[:, None]).ravel()
+        totals = (v * wstd).sum(axis=-1) * half
+        # the exclusive running sum of the panel totals; cumsum - totals rounds differently
+        offsets = np.concatenate([np.zeros(totals.shape[:-1] + (1,)),
+                                  np.cumsum(totals, axis=-1)[..., :-1]], axis=-1)
+        return (local + offsets[..., None]).reshape(v.shape[:-2] + (-1,))
 
 
 def _geometric_breakpoints(inner: float, outer: float, per_octave: int = 1) -> np.ndarray:

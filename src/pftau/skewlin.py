@@ -25,8 +25,9 @@ class MomentTableError(IndexError):
     """Raised when a series coefficient needs moment entries outside the table."""
 
 
-def _check_skew(m, ndims: tuple = (2,)) -> np.ndarray:
-    """A square matrix, or with ndims=(2, 3) also a (batch, n, n) stack, as complex.
+def _check_skew(m, ndims: tuple = (2,)) -> tuple[np.ndarray, np.ndarray]:
+    """A square matrix, or with ndims=(2, 3) also a (batch, n, n) stack, as complex,
+    and the largest |entry| of each member (0 for an empty one).
 
     Each member must be skew within SKEW_RTOL of its own largest entry.
     """
@@ -34,12 +35,12 @@ def _check_skew(m, ndims: tuple = (2,)) -> np.ndarray:
     if m.ndim not in ndims or m.shape[-1] != m.shape[-2]:
         kind = "square matrix" if ndims == (2,) else "square matrix or a stack of them"
         raise PfaffianError(f"expected a {kind}, got shape {m.shape}")
+    scale = np.max(np.abs(m), axis=(-2, -1), initial=0.0)
     if m.size:
-        scale = np.max(np.abs(m), axis=(-2, -1))
         defect = np.max(np.abs(m + np.swapaxes(m, -1, -2)), axis=(-2, -1))
         if np.any(defect > SKEW_RTOL * scale):
             raise PfaffianError("matrix is not skew-symmetric within tolerance")
-    return m
+    return m, scale
 
 
 def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -63,14 +64,14 @@ def pfaffian(m):
     gives exactly 0 and the others are unaffected.  Odd order is refused:
     the caller has lost a border column somewhere.
     """
-    a = _check_skew(m, ndims=(2, 3))
+    a, scale = _check_skew(m, ndims=(2, 3))
     one = a.ndim == 2
     a = a[None].copy() if one else a.copy()
     batch, n = a.shape[0], a.shape[1]
     if n % 2 != 0:
         raise PfaffianError("pfaffian undefined for odd order")
     result = np.ones(batch, dtype=complex)
-    floor = 1e-300 * np.maximum(np.max(np.abs(a), axis=(1, 2), initial=0.0), 1.0)
+    floor = 1e-300 * np.maximum(np.reshape(scale, batch), 1.0)
     alive = np.ones(batch, dtype=bool)
     members = np.arange(batch)
     for k in range(0, n - 2, 2):
@@ -100,7 +101,7 @@ def pfaffian(m):
 
 def pfaffian_combinatorial(m: np.ndarray) -> complex:
     """Defining signed sum over perfect matchings; oracle for dims <= COMBINATORIAL_MAX_DIM."""
-    a = _check_skew(m)
+    a, _ = _check_skew(m)
     n = a.shape[0]
     if n % 2 != 0:
         raise PfaffianError("pfaffian undefined for odd order")

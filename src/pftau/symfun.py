@@ -134,14 +134,6 @@ def schur_from_h(lam, h):
     return vals[0] if one else vals
 
 
-def schur_terms(coeffs: np.ndarray, groups, h) -> np.ndarray:
-    """coeffs[k] * s_lambda_k(h), one `schur_from_h` stack per `partitions.length_groups` group."""
-    out = np.zeros(len(coeffs), dtype=np.result_type(coeffs, h))
-    for pos, parts in groups:
-        out[pos] = coeffs[pos] * schur_from_h(parts, h)
-    return out
-
-
 def schur(lam: Partition, t: CouplingSeq):
     """Schur function s_lambda(t) via Jacobi-Trudi; s_empty = 1."""
     if lam.length == 0:

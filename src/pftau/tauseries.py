@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import EnsembleSpec, moment_pair, sympl_border_moments
+from .moments import EnsembleSpec, memo, moment_pair, sympl_border_moments
 from .partitions import (Partition, conjugate, enumerate_partitions, is_even_partition,
-                         length_groups, partition_table)
+                         partition_table)
 from .skewlin import SkewPair, abar
-from .symfun import CouplingSeq, ZERO_SEQ, hseq, miwa_shift, schur_from_h, schur_terms
+from .symfun import CouplingSeq, ZERO_SEQ, hseq, miwa_shift, schur_from_h
 
 
 @dataclass
@@ -41,9 +41,8 @@ class TauApprox:
         self.lams = enumerate_partitions(self.cutoff, self.charge)
 
     def term_values(self, t: CouplingSeq) -> np.ndarray:
-        """coefficient * s_lambda(t) of every term, one Jacobi-Trudi stack per length."""
-        h = hseq(self.cutoff + self.charge + 1, t if t is not None else ZERO_SEQ)
-        return schur_terms(self.terms, partition_table(self.cutoff, self.charge).groups, h)
+        """coefficient * s_lambda(t) of every term."""
+        return self.terms * schur_values(self.cutoff, self.charge, t)
 
     def evaluate(self, t: CouplingSeq) -> complex:
         """Compensated sum of the term values."""
@@ -52,6 +51,27 @@ class TauApprox:
 
     def coefficient(self, lam: Partition) -> complex:
         return complex(dict(zip(self.lams, self.terms.tolist())).get(lam, 0.0))
+
+
+def schur_values(cutoff: int, charge: int, t: CouplingSeq | None) -> np.ndarray:
+    """s_lambda(t) of every partition of `partition_table(cutoff, charge)`, in its order.
+
+    One Jacobi-Trudi stack per length group over one h table.  The read-only
+    result is memoized per (cutoff, charge, t) in the in-memory table cache, so
+    every series of one pass at that point shares it and `moments.clear_cache()`
+    forgets it; it is never written to disk.
+    """
+    t = ZERO_SEQ if t is None else t
+
+    def build():
+        h = hseq(cutoff + charge + 1, t)
+        table = partition_table(cutoff, charge)
+        out = np.empty(len(table.shifted), dtype=h.dtype)
+        for pos, parts in table.groups:
+            out[pos] = schur_from_h(parts, h)
+        return out
+
+    return memo(("schur_values", cutoff, charge, t), build)
 
 
 def series_terms(pair: SkewPair, charge: int, L: int, cutoff: int) -> np.ndarray:
@@ -103,16 +123,12 @@ def group_series(group: str, n: int, t: CouplingSeq, cutoff: int) -> float:
     """
     if group not in ("orthogonal", "symplectic"):
         raise ValueError(f"unknown group {group!r}")
-    h = hseq(cutoff + n + 1, t)
 
     def keep(lam: Partition) -> bool:
         return is_even_partition(lam if group == "orthogonal" else conjugate(lam))
 
-    kept = [lam for lam in enumerate_partitions(cutoff, n) if lam.weight and keep(lam)]
-    total = [1.0]
-    for _, parts in length_groups(kept):
-        total += np.real(schur_from_h(parts, h)).tolist()
-    return math.fsum(total)
+    kept = [k for k, lam in enumerate(enumerate_partitions(cutoff, n)) if lam.weight and keep(lam)]
+    return math.fsum([1.0] + np.real(schur_values(cutoff, n, t)[kept]).tolist())
 
 
 @dataclass

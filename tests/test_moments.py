@@ -6,7 +6,7 @@ import pytest
 from pftau import moments
 from pftau.moments import (EnsembleSpec, ValidationError, clip_support, complex_bimoment_matrix,
                            kernel_matrix, kernel_prefactor, moment_pair)
-from pftau.quad import QuadratureError, erfc_vec
+from pftau.quad import QuadratureError, erfc_vec, power_table
 from pftau.symfun import CouplingSeq, ZERO_SEQ, potential
 
 SQRT_PI = math.sqrt(math.pi)
@@ -423,3 +423,49 @@ def test_validator_rejects_s_on_an_explicit_pair_sector(kind, n):
     assert not v.ok and v.reason == _VALIDATION_REASONS["i"]
     with pytest.raises(ValidationError):
         moment_pair(spec, 6)
+
+
+def _atomic_line(n_atoms: int, seed: int):
+    rng = np.random.default_rng(seed)
+    xs = rng.permutation(np.linspace(-1.4, 1.4, n_atoms) + rng.uniform(-0.1, 0.1, n_atoms))
+    return moments._AtomicLine(list(zip(xs, rng.uniform(0.3, 1.2, n_atoms))))
+
+
+@pytest.mark.parametrize("n_atoms", range(1, 7))
+def test_atomic_line_integrals_of_a_stack_are_its_rows_bit_for_bit(n_atoms):
+    line = _atomic_line(n_atoms, n_atoms)
+    rows = np.random.default_rng(7).standard_normal((6, n_atoms))
+    cums, totals = line.cumulative(rows), line.integrate(rows)
+    assert cums.shape == rows.shape and totals.shape == (len(rows),)
+    for row, cum, total in zip(rows, cums, totals):
+        v = line.weights * row
+        # reference: the atoms below each atom plus half its own term, one row at a time
+        assert (line._below @ v + v / 2.0).tobytes() == cum.tobytes()
+        assert line.cumulative(row).tobytes() == cum.tobytes()
+        one = line.integrate(row)
+        assert isinstance(one, complex) and one == complex(np.sum(v))
+        assert np.complex128(one).tobytes() == np.complex128(total).tobytes()
+
+
+def _orth_block_by_exponent(line, wv, idx):
+    """Reference: the orth block with one cumulative and one integral per exponent."""
+    powers = power_table(line.nodes, idx)
+    cums = np.stack([line.cumulative(powers[m] * wv) for m in range(len(idx))])
+    totals = np.array([line.integrate(powers[m] * wv) for m in range(len(idx))]).real
+    inner = 2.0 * cums - totals[:, None]
+    powers *= line.weights * wv
+    r = powers @ inner.T
+    return (r - r.T) / 2.0
+
+
+@pytest.mark.parametrize("measure", ["panels", "panels-inner-cut", "atoms-1", "atoms-6"])
+def test_orth_block_is_the_per_exponent_loop_bit_for_bit(measure):
+    idx = np.arange(-1, 9)
+    if measure.startswith("panels"):
+        s = CouplingSeq.of(0.0, 0.4) if measure.endswith("cut") else ZERO_SEQ
+        line, wv = moments.line_rule("orth", ZERO_SEQ, s, 10, 1)
+    else:
+        line = _atomic_line(int(measure[-1]), 11)
+        wv = np.ones(len(line.nodes))
+    got = moments._orth_block(line, wv, idx)
+    assert got.tobytes() == _orth_block_by_exponent(line, wv, idx).tobytes()

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pftau.quad import (LinePanels, QuadratureError, converge, erfc_vec, full_plane_grid,
-                        gaussian_halfwidth, half_plane_grid, polar_gram, power_table,
-                        real_line_breakpoints)
+from pftau.quad import (LinePanels, QuadratureError, _cumulative_matrix, _gl_rule, converge,
+                        erfc_vec, full_plane_grid, gaussian_halfwidth, half_plane_grid,
+                        polar_gram, power_table, real_line_breakpoints)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -284,3 +284,31 @@ def test_cumulative_against_closed_form():
 def test_gaussian_halfwidth_monotone():
     assert gaussian_halfwidth(1.0, 0.0, 0) < gaussian_halfwidth(0.5, 0.0, 0)
     assert gaussian_halfwidth(1.0, 0.0, 10) > gaussian_halfwidth(1.0, 0.0, 0)
+
+
+def _cumulative_of_one_row(lp: LinePanels, values: np.ndarray) -> np.ndarray:
+    """Reference: the spectral cumulative integral of one row, panel by panel."""
+    v = values.reshape(lp.n_panels, lp.order)
+    half = (lp.panels[:, 1] - lp.panels[:, 0]) / 2.0
+    local = (v @ _cumulative_matrix(lp.order).T) * half[:, None]
+    totals = (v * _gl_rule(lp.order)[1][None, :]).sum(axis=1) * half
+    offsets = np.concatenate([[0.0], np.cumsum(totals)[:-1]])
+    return (local + offsets[:, None]).ravel()
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("inner_cut", [None, 0.05])
+def test_line_integrals_of_a_stack_are_its_rows_bit_for_bit(level, inner_cut):
+    lp = LinePanels(real_line_breakpoints(6.0, 12, inner_cut=inner_cut, level=level))
+    rng = np.random.default_rng(3)
+    real = rng.standard_normal((5, len(lp.nodes)))
+    for rows in (real, real + 1j * rng.standard_normal(real.shape)):
+        cums, totals = lp.cumulative(rows), lp.integrate(rows)
+        assert cums.shape == rows.shape and totals.shape == (len(rows),)
+        for row, cum, total in zip(rows, cums, totals):
+            assert lp.cumulative(row).tobytes() == cum.tobytes()
+            assert _cumulative_of_one_row(lp, row).tobytes() == cum.tobytes()
+            one = lp.integrate(row)
+            assert isinstance(one, complex)
+            assert np.complex128(one).tobytes() == np.complex128(total).tobytes()
+            assert one == complex(np.sum(lp.weights * row))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pftau.partitions import Partition, enumerate_partitions, length_groups
 from pftau.symfun import (CouplingSeq, ZERO_SEQ, c_factor, hseq,
-                          miwa_shift, potential, schur, schur_from_h, schur_terms)
+                          miwa_shift, potential, schur, schur_from_h)
 
 finite = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -169,12 +169,3 @@ def test_schur_stack_one_h_per_member_against_alternant_oracle():
         assert got == pytest.approx(want, rel=1e-10)
     with pytest.raises(ValueError, match="too short"):
         schur_from_h([[12, 1]], h[0])
-
-
-def test_schur_terms_scatter_back_to_partition_order():
-    t = CouplingSeq.of(0.4, -0.2, 0.1)
-    h = hseq(10, t)
-    lams = enumerate_partitions(6, 3)
-    coeffs = np.linspace(1.0, 2.0, len(lams)) * (1 - 0.5j)
-    got = schur_terms(coeffs, length_groups(lams), h)
-    assert got == pytest.approx([c * schur(lam, t) for c, lam in zip(coeffs, lams)], rel=1e-13)

@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pftau import moments
 from pftau.moments import EnsembleSpec, moment_pair
-from pftau.partitions import Partition, conjugate, enumerate_partitions, is_even_partition
-from pftau.symfun import CouplingSeq, ZERO_SEQ
-from pftau.tauseries import (group_series, hirota_residual, tau_charge_family,
-                             tau_series, wave_polynomial_check)
+from pftau.partitions import (Partition, conjugate, enumerate_partitions, is_even_partition,
+                              partition_table)
+from pftau.symfun import CouplingSeq, ZERO_SEQ, hseq, schur, schur_from_h
+from pftau.tauseries import (TauApprox, group_series, hirota_residual, schur_values,
+                             tau_charge_family, tau_series, wave_polynomial_check)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -163,3 +166,44 @@ def test_tau_series_insufficient_table_raises():
     small_pair = moment_pair(spec, 3)
     with pytest.raises(MomentTableError):
         tau_series(spec, 8, pair=small_pair)
+
+
+def test_schur_values_scatter_back_to_partition_order():
+    t = CouplingSeq.of(0.4, -0.2, 0.1)
+    lams = enumerate_partitions(6, 3)
+    coeffs = np.linspace(1.0, 2.0, len(lams)) * (1 - 0.5j)
+    assert schur_values(6, 3, t) == pytest.approx([schur(lam, t) for lam in lams], rel=1e-13)
+    got = TauApprox(3, 0, 6, coeffs).term_values(t)
+    assert got == pytest.approx([c * schur(lam, t) for c, lam in zip(coeffs, lams)], rel=1e-13)
+
+
+def test_schur_values_memo_is_read_only_and_dropped_by_clear_cache():
+    moments.clear_cache()
+    t = CouplingSeq.of(0.1, -0.05)
+    vals = schur_values(8, 2, t)
+    assert not vals.flags.writeable
+    assert schur_values(8, 2, t) is vals
+    assert [key[0] for key in moments._SECTOR_CACHE] == ["schur_values"]
+    moments.clear_cache()
+    assert not moments._SECTOR_CACHE
+    assert schur_values(8, 2, t) is not vals
+
+
+def _term_values_by_group(tau: TauApprox, t: CouplingSeq) -> np.ndarray:
+    """Reference: coefficient * s_lambda(t), one Jacobi-Trudi stack and product per length."""
+    h = hseq(tau.cutoff + tau.charge + 1, t)
+    out = np.zeros(len(tau.terms), dtype=np.result_type(tau.terms, h))
+    for pos, parts in partition_table(tau.cutoff, tau.charge).groups:
+        out[pos] = tau.terms[pos] * schur_from_h(parts, h)
+    return out
+
+
+def test_term_values_do_not_depend_on_the_schur_memo():
+    t = CouplingSeq.of(0.07, -0.03)
+    series = [tau_series(EnsembleSpec(kind, 2, 1), 12) for kind in ("OE", "GinOE")]
+    want = [_term_values_by_group(tau, t).tobytes() for tau in series]
+    for order in ((0, 1), (1, 0)):
+        moments.clear_cache()
+        # the first call builds the memo, the other series reads it, then both again
+        for k in order + order:
+            assert series[k].term_values(t).tobytes() == want[k]
