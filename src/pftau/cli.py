@@ -57,7 +57,8 @@ class RunConfig:
     output: str = "out"
     cache: str | None = None
     fmt: str = "json"
-    extras: dict = field(default_factory=dict)
+    size: int | None = None          # moments-dump: rows and columns of the tables
+    experiments: list = field(default_factory=list)   # every verdict command runs these
     raw: dict = field(default_factory=dict)
 
     def echo(self) -> str:
@@ -116,8 +117,34 @@ def parse_ensemble(node) -> EnsembleSpec:
         raise ConfigError("bad-ensemble", str(exc)) from exc
 
 
+# the checked numbers: conversion and admissible range
+_NUMBERS = {"cutoff": (int, lambda v: v >= 0), "samples": (int, lambda v: v >= 1),
+            "seed": (int, lambda v: v >= 0), "tolerance": (float, lambda v: v > 0),
+            "size": (int, lambda v: v >= 1),
+            "alpha_shift": (float, lambda v: True), "beta_shift": (float, lambda v: True)}
+# the comparison that each single-experiment command runs
+_COMPARISONS = {"compare-oracle": "series-vs-oracle-ratio", "hirota-check": "hirota-decay",
+                "group-integral": "group-series-vs-mc", "kernel-check": "kernel-vs-oracle",
+                "discrete-check": "discrete-exact"}
+
+
+def _number(node: dict, key: str, default, where: str = ""):
+    """`node[key]` converted and range-checked, or `default` where it is unset."""
+    if key not in node:
+        return default
+    conv, admissible = _NUMBERS[key]
+    try:
+        val = conv(node[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError("bad-number", f"{where}malformed {key}: {node[key]!r}") from exc
+    if not admissible(val):
+        raise ConfigError("bad-number", f"{where}{key} out of range: {val}")
+    return val
+
+
 def parse_config(text: str) -> RunConfig:
-    """Strict parse: unknown keys, duplicate keys and malformed numbers all fail."""
+    """Strict parse of the whole job, its experiments included: unknown keys, duplicate
+    keys and malformed numbers all fail here, so a run raises no ConfigError."""
     try:
         raw = json.loads(text, object_pairs_hook=_no_duplicates)
     except ConfigError:
@@ -132,31 +159,91 @@ def parse_config(text: str) -> RunConfig:
     command = raw.get("command")
     if command not in COMMANDS:
         raise ConfigError("unknown-command", f"command must be one of {COMMANDS}, got {command!r}")
-    cfg = RunConfig(command=command, raw=raw)
+    cfg = RunConfig(command=command, raw=raw,
+                    cutoff=_number(raw, "cutoff", DEFAULT_CUTOFF),
+                    tolerance=_number(raw, "tolerance", DEFAULT_TOL),
+                    samples=_number(raw, "samples", DEFAULT_SAMPLES),
+                    seed=_number(raw, "seed", DEFAULT_SEED),
+                    output=raw.get("output", "out"), cache=raw.get("cache"),
+                    fmt=raw.get("format", "json"))
     if "ensemble" in raw:
         cfg.ensemble = parse_ensemble(raw["ensemble"])
-    for key, attr, conv, check in (
-            ("cutoff", "cutoff", int, lambda v: v >= 0),
-            ("samples", "samples", int, lambda v: v >= 1),
-            ("seed", "seed", int, lambda v: True),
-            ("tolerance", "tolerance", float, lambda v: v > 0)):
-        if key in raw:
-            try:
-                val = conv(raw[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("bad-number", f"malformed {key}: {raw[key]!r}") from exc
-            if not check(val):
-                raise ConfigError("bad-number", f"{key} out of range: {val}")
-            setattr(cfg, attr, val)
-    cfg.output = raw.get("output", cfg.output)
-    cfg.cache = raw.get("cache", cfg.cache)
-    cfg.fmt = raw.get("format", cfg.fmt)
+    elif command in ("partition-function", "moments-dump"):
+        raise ConfigError("missing-ensemble", f"command {command} needs an ensemble")
+    for key in ("output", "cache"):
+        if not isinstance(raw.get(key, ""), str):
+            raise ConfigError("bad-path", f"{key} must be a directory name, got {raw[key]!r}")
     if cfg.fmt not in ("json", "csv", "both"):
         raise ConfigError("bad-format", f"format must be json, csv or both, got {cfg.fmt!r}")
-    cfg.extras = {k: raw[k] for k in raw
-                  if k not in ("command", "ensemble", "cutoff", "tolerance", "samples",
-                               "seed", "output", "cache", "format")}
+    if command in _COMPARISONS:
+        cfg.experiments = [_experiment_from_node(_command_node(raw), cfg, 0)]
+    elif command == "moments-dump":
+        spec = cfg.ensemble
+        cfg.size = _number(raw, "size", ts.required_table_size(spec.n_eff, spec.L, cfg.cutoff))
+    elif command == "suite":
+        requested = raw.get("experiments", "acceptance")
+        if requested == "acceptance":
+            cfg.experiments = hub.acceptance_experiments(samples=cfg.samples, seed=cfg.seed)
+        elif isinstance(requested, list):
+            cfg.experiments = [_experiment_from_node(node, cfg, i)
+                               for i, node in enumerate(requested)]
+        else:
+            raise ConfigError("bad-suite",
+                              "experiments must be 'acceptance' or a list of experiments")
     return cfg
+
+
+_NODE_KEYS = {"name", "comparison", "ensemble", "tolerance", "cutoff", "samples",
+              "seed", "params"}
+_PARAM_KEYS = ("p", "p_ref", "size", "group", "points", "trials", "t", "predicates",
+               "cutoffs", "min_factor")
+
+
+def _command_node(raw: dict) -> dict:
+    """The inline suite entry that a single-experiment command stands for."""
+    params = {k: raw[k] for k in _PARAM_KEYS if k in raw}
+    for key, name in (("alpha_shift", "alpha"), ("beta_shift", "beta")):
+        if key in raw:
+            params[name] = _number(raw, key, None)
+    node = {"name": raw["command"], "comparison": _COMPARISONS[raw["command"]],
+            "params": params}
+    if "ensemble" in raw:
+        node["ensemble"] = raw["ensemble"]
+    return node
+
+
+def _experiment_from_node(node, cfg: RunConfig, index: int) -> hub.Experiment:
+    """One experiment from an inline suite entry; unset fields come from `cfg`."""
+    if not isinstance(node, dict):
+        raise ConfigError("bad-suite", f"experiment {index} must be an object")
+    where = f"experiment {index}" + (f" {node['name']!r}" if "name" in node else "") + ": "
+    unknown = set(node) - _NODE_KEYS
+    if unknown:
+        raise ConfigError("unknown-field", f"{where}unknown fields {sorted(unknown)}")
+    if not isinstance(node.get("comparison"), str):
+        raise ConfigError("bad-suite", f"{where}needs a comparison kind")
+    if "ensemble" not in node and node["comparison"] != "group-series-vs-mc":
+        raise ConfigError("missing-ensemble", f"{where}{node['comparison']} needs an ensemble")
+    params = node.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError("bad-suite", f"{where}params must be an object")
+    try:
+        spec = parse_ensemble(node["ensemble"]) if "ensemble" in node else None
+    except ConfigError as exc:
+        raise ConfigError(exc.code, f"{where}{exc}") from exc
+
+    def tuplify(v):
+        return tuple(tuplify(x) for x in v) if isinstance(v, list) else v
+
+    return hub.Experiment(
+        name=node.get("name", f"experiment-{index}"),
+        comparison=node["comparison"],
+        spec=spec,
+        tolerance=_number(node, "tolerance", cfg.tolerance, where),
+        cutoff=_number(node, "cutoff", cfg.cutoff, where),
+        samples=_number(node, "samples", cfg.samples, where),
+        seed=_number(node, "seed", cfg.seed, where),
+        params=tuple((k, tuplify(v)) for k, v in params.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -243,96 +330,42 @@ def _write_csv(path: Path, header: list[str], rows: list[list], config_echo: str
             writer.writerow(list(row) + ([config_echo] if i == 0 else [""]))
 
 
-def emit_tau_table(tau: ts.TauApprox, cfg: RunConfig, outdir: Path) -> list[Path]:
-    rows = []
-    for lam, coeff in zip(tau.lams, tau.terms.tolist()):
-        rows.append(["+".join(map(str, lam.parts)) or "0",
-                     fmt17(coeff.real), fmt17(coeff.imag)])
+def _emit(cfg: RunConfig, outdir: Path, stem: str, header: list[str], rows: list[list],
+          document) -> list[Path]:
+    """`stem`.csv of `rows` and/or `stem`.json of `document()`, as `cfg.fmt` asks."""
     paths = []
     if cfg.fmt in ("csv", "both"):
-        p = outdir / "tau_table.csv"
-        _write_csv(p, ["partition", "coefficient_re", "coefficient_im"], rows, cfg.echo())
-        paths.append(p)
+        paths.append(outdir / f"{stem}.csv")
+        _write_csv(paths[-1], header, rows, cfg.echo())
     if cfg.fmt in ("json", "both"):
-        value = tau.evaluate(cfg.ensemble.t)
-        doc = {"config": cfg.raw, "charge": tau.charge, "cutoff": tau.cutoff,
-               "value_at_t": {"re": fmt17(value.real), "im": fmt17(value.imag)},
-               "terms": [{"partition": r[0], "re": r[1], "im": r[2]} for r in rows]}
-        p = outdir / "tau_table.json"
-        _write_json(p, doc)
-        paths.append(p)
+        paths.append(outdir / f"{stem}.json")
+        _write_json(paths[-1], dict(document(), config=cfg.raw))
     return paths
+
+
+def emit_tau_table(tau: ts.TauApprox, cfg: RunConfig, outdir: Path) -> list[Path]:
+    rows = [["+".join(map(str, lam.parts)) or "0", fmt17(coeff.real), fmt17(coeff.imag)]
+            for lam, coeff in zip(tau.lams, tau.terms.tolist())]
+
+    def document():
+        value = tau.evaluate(cfg.ensemble.t)
+        return {"charge": tau.charge, "cutoff": tau.cutoff,
+                "value_at_t": {"re": fmt17(value.real), "im": fmt17(value.imag)},
+                "terms": [{"partition": r[0], "re": r[1], "im": r[2]} for r in rows]}
+
+    return _emit(cfg, outdir, "tau_table", ["partition", "coefficient_re", "coefficient_im"],
+                 rows, document)
 
 
 def emit_verdicts(verdicts, cfg: RunConfig, outdir: Path) -> list[Path]:
     rows = [[v.name, v.comparison, str(v.passed).lower(), fmt17(v.margin),
              fmt17(v.tolerance)] for v in verdicts]
-    paths = []
-    if cfg.fmt in ("csv", "both"):
-        p = outdir / "verdicts.csv"
-        _write_csv(p, ["name", "comparison", "pass", "margin", "tolerance"], rows, cfg.echo())
-        paths.append(p)
-    if cfg.fmt in ("json", "both"):
-        doc = {"config": cfg.raw,
-               "verdicts": [dict(v.row(), details=v.details) for v in verdicts]}
-        p = outdir / "verdicts.json"
-        _write_json(p, doc)
-        paths.append(p)
-    return paths
+    return _emit(cfg, outdir, "verdicts", ["name", "comparison", "pass", "margin", "tolerance"],
+                 rows, lambda: {"verdicts": [dict(v.row(), details=v.details) for v in verdicts]})
 
 
 # ---------------------------------------------------------------------------
 # command dispatch
-
-def _require_ensemble(cfg: RunConfig) -> None:
-    if cfg.ensemble is None:
-        raise ConfigError("missing-ensemble", f"command {cfg.command} needs an ensemble")
-
-
-_NODE_KEYS = {"name", "comparison", "ensemble", "tolerance", "cutoff", "samples",
-              "seed", "params"}
-_PARAM_KEYS = ("p", "p_ref", "size", "group", "points", "trials", "t", "predicates",
-               "cutoffs", "min_factor")
-
-
-def _command_node(cfg: RunConfig, comparison: str) -> dict:
-    """The inline suite entry that a single-experiment command stands for."""
-    params = {k: cfg.extras[k] for k in _PARAM_KEYS if k in cfg.extras}
-    for key, name in (("alpha_shift", "alpha"), ("beta_shift", "beta")):
-        if key in cfg.extras:
-            params[name] = float(cfg.extras[key])
-    node = {"name": cfg.command, "comparison": comparison, "params": params}
-    if "ensemble" in cfg.raw:
-        node["ensemble"] = cfg.raw["ensemble"]
-    return node
-
-
-def _experiment_from_node(node, cfg: RunConfig, index: int) -> hub.Experiment:
-    """One experiment from an inline suite entry; unset fields come from `cfg`."""
-    if not isinstance(node, dict):
-        raise ConfigError("bad-suite", f"experiment {index} must be an object")
-    unknown = set(node) - _NODE_KEYS
-    if unknown:
-        raise ConfigError("unknown-field", f"experiment {index}: unknown fields {sorted(unknown)}")
-    if "comparison" not in node:
-        raise ConfigError("bad-suite", f"experiment {index} needs a comparison kind")
-    params = node.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("bad-suite", f"experiment {index}: params must be an object")
-
-    def tuplify(v):
-        return tuple(tuplify(x) for x in v) if isinstance(v, list) else v
-
-    return hub.Experiment(
-        name=node.get("name", f"experiment-{index}"),
-        comparison=node["comparison"],
-        spec=parse_ensemble(node["ensemble"]) if "ensemble" in node else None,
-        tolerance=float(node.get("tolerance", cfg.tolerance)),
-        cutoff=int(node.get("cutoff", cfg.cutoff)),
-        samples=int(node.get("samples", cfg.samples)),
-        seed=int(node.get("seed", cfg.seed)),
-        params=tuple((k, tuplify(v)) for k, v in params.items()))
-
 
 def run_config(cfg: RunConfig, outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
@@ -340,16 +373,11 @@ def run_config(cfg: RunConfig, outdir: Path) -> int:
         moments.set_disk_cache(MomentCache(cfg.cache))
     try:
         if cfg.command == "partition-function":
-            _require_ensemble(cfg)
-            tau = ts.tau_series(cfg.ensemble, cfg.cutoff)
-            emit_tau_table(tau, cfg, outdir)
+            emit_tau_table(ts.tau_series(cfg.ensemble, cfg.cutoff), cfg, outdir)
             return 0
         if cfg.command == "moments-dump":
-            _require_ensemble(cfg)
-            spec = cfg.ensemble
-            size = int(cfg.extras.get("size", ts.required_table_size(spec.n_eff, spec.L,
-                                                                     cfg.cutoff)))
-            pair = moments.moment_pair(spec, size)
+            size = cfg.size
+            pair = moments.moment_pair(cfg.ensemble, size)
             rows = [[str(i + pair.index_base), str(j + pair.index_base),
                      fmt17(pair.a_matrix[i, j].real), fmt17(pair.a_matrix[i, j].imag)]
                     for i in range(size) for j in range(size)]
@@ -358,29 +386,7 @@ def run_config(cfg: RunConfig, outdir: Path) -> int:
                             fmt17(pair.border[i].imag)] for i in range(size)]
             _write_csv(outdir / "border.csv", ["n", "a_re", "a_im"], border_rows, cfg.echo())
             return 0
-        comparison = {"compare-oracle": "series-vs-oracle-ratio",
-                      "hirota-check": "hirota-decay",
-                      "group-integral": "group-series-vs-mc",
-                      "kernel-check": "kernel-vs-oracle",
-                      "discrete-check": "discrete-exact"}.get(cfg.command)
-        if comparison is not None:
-            if comparison != "group-series-vs-mc":
-                _require_ensemble(cfg)
-            verdicts = [hub.run_experiment(_experiment_from_node(_command_node(cfg, comparison),
-                                                                 cfg, 0))]
-        elif cfg.command == "suite":
-            requested = cfg.extras.get("experiments", "acceptance")
-            if requested == "acceptance":
-                exps = hub.acceptance_experiments(samples=cfg.samples, seed=cfg.seed)
-            elif isinstance(requested, list):
-                exps = [_experiment_from_node(node, cfg, i)
-                        for i, node in enumerate(requested)]
-            else:
-                raise ConfigError("bad-suite",
-                                  "experiments must be 'acceptance' or a list of experiments")
-            verdicts = hub.run_suite(exps)
-        else:  # pragma: no cover
-            raise ConfigError("unknown-command", cfg.command)
+        verdicts = hub.run_suite(cfg.experiments)
         emit_verdicts(verdicts, cfg, outdir)
         for v in verdicts:
             status = "PASS" if v.passed else "FAIL"
@@ -410,6 +416,9 @@ def main(argv=None) -> int:
         if cfg.command != args.command:
             raise ConfigError("command-mismatch",
                               f"config says {cfg.command!r}, command line says {args.command!r}")
+        if args.seed is not None:
+            # the parser builds the experiments, and the embedded config records the seed
+            cfg = parse_config(json.dumps(dict(cfg.raw, seed=args.seed)))
     except ConfigError as exc:
         print(f"config error [{exc.code}]: {exc}", file=sys.stderr)
         return 2
@@ -417,8 +426,6 @@ def main(argv=None) -> int:
         cfg.output = args.out
     if args.cache:
         cfg.cache = args.cache
-    if args.seed is not None:
-        cfg.seed = args.seed
     return run_config(cfg, Path(cfg.output))
 
 

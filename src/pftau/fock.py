@@ -130,17 +130,6 @@ def apply_phi(vec: FockVector) -> FockVector:
     return FockVector(vec.window, out)
 
 
-def apply_field(z: complex, vec: FockVector, dagger: bool = False) -> FockVector:
-    """psi(z) = sum_i z^i psi_i, or psi^+(z) = sum_i z^{-i-1} psi^+_i."""
-    w = vec.window
-    total = FockVector(w)
-    for i in range(w.lo, w.hi):
-        coeff = (z ** (-i - 1)) if dagger else (z ** i)
-        piece = apply_psi_dag(i, vec) if dagger else apply_psi(i, vec)
-        total.add_into(piece.scaled(coeff))
-    return total.prune()
-
-
 def apply_linear(coeffs_psi: dict, coeffs_dag: dict, vec: FockVector) -> FockVector:
     """sum_i v_i psi_i + sum_i u_i psi^+_i applied once."""
     total = FockVector(vec.window)
@@ -196,6 +185,7 @@ def apply_word(word: Iterable, vec: FockVector) -> FockVector:
     ("psi_dag_z", z), ("linear", vdict, udict), ("pair", SkewPair).
     """
     ops = list(word)
+    modes = range(vec.window.lo, vec.window.hi)
     for op in reversed(ops):
         tag = op[0]
         if tag == "psi":
@@ -204,10 +194,10 @@ def apply_word(word: Iterable, vec: FockVector) -> FockVector:
             vec = apply_psi_dag(op[1], vec)
         elif tag == "phi":
             vec = apply_phi(vec)
-        elif tag == "psi_z":
-            vec = apply_field(op[1], vec, dagger=False)
-        elif tag == "psi_dag_z":
-            vec = apply_field(op[1], vec, dagger=True)
+        elif tag == "psi_z":      # psi(z) = sum_i z^i psi_i
+            vec = apply_linear({i: op[1] ** i for i in modes}, {}, vec)
+        elif tag == "psi_dag_z":  # psi^+(z) = sum_i z^{-i-1} psi^+_i
+            vec = apply_linear({}, {i: op[1] ** (-i - 1) for i in modes}, vec)
         elif tag == "linear":
             vec = apply_linear(op[1], op[2], vec)
         elif tag == "pair":

@@ -57,15 +57,16 @@ _DISK_CACHE = None
 
 
 def clear_cache() -> None:
-    """Drop every memoized table, oracle value, erfc factor and Schur value table of
-    this process."""
+    """Drop every memoized value of this process: moment tables (the disk cache keeps
+    its copies), oracle values, erfc factors and Schur value tables."""
     _SECTOR_CACHE.clear()
 
 
 def memo(key, build):
     """`_SECTOR_CACHE[key]`, or `build()` stored there first with its arrays made read-only.
 
-    The per-pass memo of values that never go to disk; `clear_cache` drops them.
+    The one per-pass memo; `clear_cache` drops it.  A moment table's `build` reads and
+    fills the disk cache itself, so only tables ever reach the disk.
     """
     hit = _SECTOR_CACHE.get(key)
     if hit is None:
@@ -337,27 +338,23 @@ def pair_moments(family: str, t: CouplingSeq, s: CouplingSeq, exps, level: int,
     return polar_gram(grid, w, exps, exps)
 
 
-def _sector_key(name: str, s: CouplingSeq, base: int, size: int) -> tuple:
-    return (TABLE_ALGORITHM, name, s.values, base, size)
-
-
 def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build):
-    key = _sector_key(name, s, base, size)
-    hit = _SECTOR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    if _DISK_CACHE is not None:
-        stored = _DISK_CACHE.load(key)
+    """The memoized table of one sector: loaded from the disk cache, else built by
+    `converge(build)` and stored there."""
+    key = (TABLE_ALGORITHM, name, s.values, base, size)
+
+    def load_or_build():
+        stored = None if _DISK_CACHE is None else _DISK_CACHE.load(key)
         if stored is not None:
-            _SECTOR_CACHE[key] = stored
             return stored
-    global TABLE_BUILDS
-    TABLE_BUILDS += 1
-    table, _ = converge(build, rel_tol=5e-10)
-    _SECTOR_CACHE[key] = table
-    if _DISK_CACHE is not None:
-        _DISK_CACHE.store(key, table)
-    return table
+        global TABLE_BUILDS
+        TABLE_BUILDS += 1
+        table, _ = converge(build, rel_tol=5e-10)
+        if _DISK_CACHE is not None:
+            _DISK_CACHE.store(key, table)
+        return table
+
+    return memo(key, load_or_build)
 
 
 # ---------------------------------------------------------------------------
@@ -569,22 +566,16 @@ def _kernel_orth_line(spec: EnsembleSpec, p: np.ndarray, variant: str) -> np.nda
     def build(level):
         lp, w = line_rule("orth", spec.t, spec.s, abs(spec.L) + 4, level, _inv_points(p))
         x = lp.nodes
-        base_vals = w * x ** spec.L
         dens = np.stack([1.0 - x * pi for pi in p])
-        out = np.empty((len(p), len(p)))
-        for a in range(len(p)):
-            for b in range(len(p)):
-                g = base_vals / (dens[a] * dens[b])
-                c0 = lp.cumulative(g)
-                if variant == "abs":
-                    # iint |x-y| g g = 2 int g(x) [x C0(x) - C1(x)] dx
-                    c1 = lp.cumulative(x * g)
-                    out[a, b] = 2.0 * np.sum(lp.weights * g * (x * c0 - c1))
-                else:
-                    # sgn variant integrates an antisymmetric function
-                    tot0 = np.sum(lp.weights * g)
-                    out[a, b] = np.sum(lp.weights * g * (2.0 * c0 - tot0))
-        return out
+        g = (w * x ** spec.L) / (dens[:, None] * dens[None, :])   # (a, b, node)
+        c0 = lp.cumulative(g)
+        if variant == "abs":
+            # iint |x-y| g g = 2 int g(x) [x C0(x) - C1(x)] dx
+            c1 = lp.cumulative(x * g)
+            return 2.0 * np.sum(lp.weights * g * (x * c0 - c1), axis=-1)
+        # sgn variant integrates an antisymmetric function
+        tot0 = np.sum(lp.weights * g, axis=-1)
+        return np.sum(lp.weights * g * (2.0 * c0 - tot0[..., None]), axis=-1)
 
     return converge(build, rel_tol=2e-9, zero_floor=1e-10 if variant != "abs" else 0.0)[0]
 

@@ -10,8 +10,7 @@ import pytest
 
 import pftau
 from pftau import hub, moments
-from pftau.cli import (ConfigError, MomentCache, _command_node, _experiment_from_node, fmt17,
-                       main, parse_config, run_config)
+from pftau.cli import ConfigError, MomentCache, fmt17, main, parse_config, run_config
 from pftau.moments import EnsembleSpec
 from pftau.symfun import CouplingSeq
 from pftau.tauseries import required_table_size
@@ -172,6 +171,23 @@ def test_disk_cache_skips_quadrature_on_second_run(tmp_path):
         moments.clear_cache()
 
 
+def test_moment_tables_are_read_only_whether_built_or_loaded(tmp_path):
+    s = CouplingSeq.of(0.0, 0.4)
+    moments.clear_cache()
+    moments.set_disk_cache(MomentCache(tmp_path / "c"))
+    try:
+        built = moments.orth_border(s, 0, 4)
+        moments.clear_cache()
+        before = moments.TABLE_BUILDS
+        loaded = moments.orth_border(s, 0, 4)
+        assert moments.TABLE_BUILDS == before
+        assert loaded.tobytes() == built.tobytes()
+        assert not built.flags.writeable and not loaded.flags.writeable
+    finally:
+        moments.set_disk_cache(None)
+        moments.clear_cache()
+
+
 def test_cli_exit_codes(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"command": "compare-oracle",
@@ -214,8 +230,7 @@ def test_inline_suite(tmp_path):
     assert [v["name"] for v in doc["verdicts"]] == ["r1", "d1"]
     assert all(v["pass"] for v in doc["verdicts"])
     with pytest.raises(ConfigError):
-        run_config(parse_config(json.dumps({"command": "suite", "experiments": [{"zz": 1}]})),
-                   tmp_path)
+        parse_config(json.dumps({"command": "suite", "experiments": [{"zz": 1}]}))
 
 
 def test_verdict_pass_fields_are_json_booleans(tmp_path):
@@ -254,11 +269,86 @@ def test_single_command_is_an_inline_suite_entry():
                                    "ensemble": {"kind": "SE", "n": 1, "t": [0.2]},
                                    "alpha_shift": 8, "beta_shift": 10.0,
                                    "cutoffs": [8, 10], "seed": 3}))
-    e = _experiment_from_node(_command_node(cfg, "hirota-decay"), cfg, 0)
+    [e] = cfg.experiments
     assert (e.name, e.comparison, e.spec, e.seed) == ("hirota-check", "hirota-decay",
                                                        cfg.ensemble, 3)
     assert (e.tolerance, e.cutoff, e.samples) == (cfg.tolerance, cfg.cutoff, cfg.samples)
     assert dict(e.params) == {"alpha": 8.0, "beta": 10.0, "cutoffs": (8, 10)}
+
+
+def test_acceptance_suite_is_built_by_the_parser():
+    cfg = parse_config(json.dumps({"command": "suite", "samples": 500, "seed": 9}))
+    assert cfg.experiments == hub.acceptance_experiments(samples=500, seed=9)
+
+
+_ENTRY = {"name": "r1", "comparison": "series-vs-oracle-ratio",
+          "ensemble": {"kind": "SE", "n": 1, "t": [0.3]}}
+# (config, error code, what the message must name)
+_BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
+    ("entry-without-comparison", {"command": "suite", "experiments": [{"name": "r1"}]},
+     "bad-suite", "experiment 0 'r1'"),
+    ("experiments-not-a-list", {"command": "suite", "experiments": 5}, "bad-suite",
+     "experiments"),
+    ("entry-tolerance-abc", {"command": "suite", "experiments": [dict(_ENTRY, tolerance="abc")]},
+     "bad-number", "experiment 0 'r1'"),
+    ("entry-tolerance-negative",
+     {"command": "suite", "experiments": [_ENTRY, dict(_ENTRY, name="r2", tolerance=-1)]},
+     "bad-number", "experiment 1 'r2'"),
+    ("entry-cutoff-negative", {"command": "suite", "experiments": [dict(_ENTRY, cutoff=-2)]},
+     "bad-number", "experiment 0 'r1'"),
+    ("entry-samples-zero", {"command": "suite", "experiments": [dict(_ENTRY, samples=0)]},
+     "bad-number", "experiment 0 'r1'"),
+    ("entry-unknown-kind",
+     {"command": "suite", "experiments": [dict(_ENTRY, ensemble={"kind": "XY", "n": 1})]},
+     "unknown-ensemble-kind", "experiment 0 'r1'"),
+    ("entry-without-ensemble",
+     {"command": "suite", "experiments": [{"name": "r1", "comparison": "reality"}]},
+     "missing-ensemble", "experiment 0 'r1'"),
+    ("missing-ensemble", {"command": "compare-oracle"}, "missing-ensemble", "compare-oracle"),
+    ("dump-without-ensemble", {"command": "moments-dump"}, "missing-ensemble", "moments-dump"),
+    ("dump-size-malformed",
+     {"command": "moments-dump", "ensemble": {"kind": "SE", "n": 1}, "size": "x"},
+     "bad-number", "size"),
+    ("alpha-shift-malformed",
+     {"command": "hirota-check", "ensemble": {"kind": "SE", "n": 1}, "alpha_shift": "x"},
+     "bad-number", "alpha_shift"),
+    ("seed-negative",
+     {"command": "discrete-check", "ensemble": {"kind": "OE", "n": 1}, "seed": -1},
+     "bad-number", "seed"),
+)]
+
+
+@pytest.mark.parametrize("config, code, named", _BAD_CONFIGS)
+def test_bad_config_fails_in_the_parser(config, code, named):
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(config))
+    assert err.value.code == code
+    assert named in str(err.value)
+
+
+@pytest.mark.parametrize("config, code, named", _BAD_CONFIGS)
+def test_bad_config_exits_2_before_any_output(tmp_path, capsys, config, code, named):
+    out = tmp_path / "out"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(config, output=str(out))))
+    assert main([config["command"], "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error [{code}]:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_seed_option_is_the_config_seed(tmp_path):
+    config = {"command": "discrete-check", "ensemble": {"kind": "OE", "n": 1},
+              "trials": 3, "tolerance": 1e-10}
+    blobs = []
+    for name, seed, argv in (("flag", 42, ["--seed", "7"]), ("config", 7, [])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(config, seed=seed)))
+        out = tmp_path / name
+        assert main(["discrete-check", "--config", str(path), "--out", str(out)] + argv) == 0
+        blobs.append((out / "verdicts.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert json.loads(blobs[0])["config"]["seed"] == 7
 
 
 def test_spec_alpha_beta_range():

@@ -6,7 +6,7 @@ import pytest
 from pftau import moments
 from pftau.moments import (EnsembleSpec, ValidationError, clip_support, complex_bimoment_matrix,
                            kernel_matrix, kernel_prefactor, moment_pair)
-from pftau.quad import QuadratureError, erfc_vec, power_table
+from pftau.quad import QuadratureError, converge, erfc_vec, power_table
 from pftau.symfun import CouplingSeq, ZERO_SEQ, potential
 
 SQRT_PI = math.sqrt(math.pi)
@@ -469,3 +469,36 @@ def test_orth_block_is_the_per_exponent_loop_bit_for_bit(measure):
         wv = np.ones(len(line.nodes))
     got = moments._orth_block(line, wv, idx)
     assert got.tobytes() == _orth_block_by_exponent(line, wv, idx).tobytes()
+
+
+def _kernel_orth_line_by_pair(spec, p, variant):
+    """The orthogonal kernel line block with one pair (a, b) of points at a time."""
+    def build(level):
+        lp, w = moments.line_rule("orth", spec.t, spec.s, abs(spec.L) + 4, level,
+                                  [1.0 / v for v in p])
+        x = lp.nodes
+        base_vals = w * x ** spec.L
+        dens = np.stack([1.0 - x * pi for pi in p])
+        out = np.empty((len(p), len(p)))
+        for a in range(len(p)):
+            for b in range(len(p)):
+                g = base_vals / (dens[a] * dens[b])
+                c0 = lp.cumulative(g)
+                if variant == "abs":
+                    c1 = lp.cumulative(x * g)
+                    out[a, b] = 2.0 * np.sum(lp.weights * g * (x * c0 - c1))
+                else:
+                    out[a, b] = np.sum(lp.weights * g * (2.0 * c0 - np.sum(lp.weights * g)))
+        return out
+
+    return converge(build, rel_tol=2e-9, zero_floor=1e-10 if variant != "abs" else 0.0)[0]
+
+
+@pytest.mark.parametrize("variant", ["abs", "sgn"])
+@pytest.mark.parametrize("L", [0, 1])
+@pytest.mark.parametrize("p", [(0.1, -0.1), (0.06, 0.03, -0.05, -0.02)])
+def test_kernel_orth_line_is_the_per_pair_loop_bit_for_bit(variant, L, p):
+    spec = EnsembleSpec("OE", len(p), L, CouplingSeq.of(0.2))
+    p = np.asarray(p)
+    got = moments._kernel_orth_line(spec, p, variant)
+    assert got.tobytes() == _kernel_orth_line_by_pair(spec, p, variant).tobytes()
