@@ -170,6 +170,10 @@ def parse_config(text: str) -> RunConfig:
         cfg.ensemble = parse_ensemble(raw["ensemble"])
     elif command in ("partition-function", "moments-dump"):
         raise ConfigError("missing-ensemble", f"command {command} needs an ensemble")
+    if command in ("partition-function", "moments-dump"):
+        check = cfg.ensemble.validate()   # these two have no verdict to carry a rejection
+        if not check.ok:
+            raise ConfigError("bad-ensemble", f"ensemble rejected: {check.reason}")
     for key in ("output", "cache"):
         if not isinstance(raw.get(key, ""), str):
             raise ConfigError("bad-path", f"{key} must be a directory name, got {raw[key]!r}")

@@ -50,7 +50,7 @@ WEIGHT_CONSTANTS = {"orth": (0.5, 1), "sympl": (1.0, 2), "pair": (1.0, 2)}
 # moves the numbers a table holds: its quadrature rule, level schedule or
 # tolerance, its sector convention, or its layout.  Entries stored under any
 # other value are never served.
-TABLE_ALGORITHM = "tables-6"
+TABLE_ALGORITHM = "tables-7"
 TABLE_BUILDS = 0
 _SECTOR_CACHE: dict = {}
 _DISK_CACHE = None

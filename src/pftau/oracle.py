@@ -228,9 +228,9 @@ def det_average_lhs(spec: EnsembleSpec, p, insert_power: int = 1,
     return eigen_integral(spec, rel_tol, insertion, poles)
 
 
-# (n_r, r_order, n_theta, t_order) per level: two unrelated coarse rules give
-# the error estimate, and the finest is built only when they disagree
-_GINUE_RULES = ((4, 14, 4, 12), (5, 18, 5, 14), (8, 22, 8, 18))
+# (n_r, r_order, n_theta, t_order) per level, 1080 to 25344 nodes: the first two,
+# unrelated rules give the value and its error estimate; each finer one runs on disagreement
+_GINUE_RULES = ((3, 12, 3, 10), (4, 14, 4, 12), (5, 18, 5, 14), (8, 22, 8, 18))
 
 
 def _pair_sum(z: np.ndarray, w: np.ndarray) -> complex:
@@ -274,9 +274,7 @@ def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
     radius = gaussian_halfwidth(gauss, lin, 6)
 
     def rule(level):
-        n_r, r_order, n_theta, t_order = _GINUE_RULES[level]
-        grid = full_plane_grid(radius, n_r=n_r, r_order=r_order,
-                               n_theta=n_theta, t_order=t_order)
+        grid = full_plane_grid(radius, *_GINUE_RULES[level])
         z = grid.nodes
         return z, np.exp(log_w(z)) * z ** spec.L * np.conj(z) ** (-spec.L2) * grid.weights
 

@@ -26,7 +26,7 @@ class QuadratureError(RuntimeError):
         self.residual = residual
 
 
-def converge(build, rel_tol: float, max_level: int = 4, zero_floor: float = 0.0):
+def converge(build, rel_tol: float, max_level: int = 5, zero_floor: float = 0.0):
     """Evaluate build(0), build(1), ... until two successive levels agree.
 
     Returns (value, residual) once max|cur - prev| <= rel_tol * max|cur|, or
@@ -273,14 +273,14 @@ def polar_gram(grid: QuadratureGrid, f: np.ndarray, rows, cols) -> np.ndarray:
     return out[at_sum.reshape(shape), at_diff.reshape(shape)]
 
 
-def half_plane_grid(radius: float, n_r: int = 8, r_order: int = 20,
-                    n_theta: int = 6, t_order: int = 24, level: int = 0) -> QuadratureGrid:
+def half_plane_grid(radius: float, n_r: int = 4, r_order: int = 20,
+                    n_theta: int = 3, t_order: int = 24, level: int = 0) -> QuadratureGrid:
     """Polar tensor grid over the upper half-plane; d^2 z = dRe z dIm z."""
     return _polar_grid("half-plane", math.pi, radius, n_r, r_order, n_theta, t_order, level)
 
 
-def full_plane_grid(radius: float, n_r: int = 8, r_order: int = 20,
-                    n_theta: int = 8, t_order: int = 24, level: int = 0) -> QuadratureGrid:
+def full_plane_grid(radius: float, n_r: int = 4, r_order: int = 20,
+                    n_theta: int = 4, t_order: int = 24, level: int = 0) -> QuadratureGrid:
     return _polar_grid("full-plane", 2 * math.pi, radius, n_r, r_order, n_theta, t_order, level)
 
 

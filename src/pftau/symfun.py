@@ -134,13 +134,6 @@ def schur_from_h(lam, h):
     return vals[0] if one else vals
 
 
-def schur(lam: Partition, t: CouplingSeq):
-    """Schur function s_lambda(t) via Jacobi-Trudi; s_empty = 1."""
-    if lam.length == 0:
-        return 1.0
-    return schur_from_h(lam, hseq(lam.parts[0] + lam.length, t))
-
-
 def miwa_shift(t: CouplingSeq, atoms: Sequence[tuple], scale: float = 1.0,
                order: int | None = None) -> CouplingSeq:
     """t_n -> t_n - scale * (1/n) * sum_i a_i p_i^n for n = 1..order.

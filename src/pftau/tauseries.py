@@ -49,9 +49,6 @@ class TauApprox:
         vals = self.term_values(t)
         return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
-    def coefficient(self, lam: Partition) -> complex:
-        return complex(dict(zip(self.lams, self.terms.tolist())).get(lam, 0.0))
-
 
 def schur_values(cutoff: int, charge: int, t: CouplingSeq | None) -> np.ndarray:
     """s_lambda(t) of every partition of `partition_table(cutoff, charge)`, in its order.

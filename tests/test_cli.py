@@ -136,7 +136,7 @@ def test_cache_entry_without_table_algorithm_is_not_served(tmp_path):
         moments.clear_cache()
 
 
-@pytest.mark.parametrize("previous", ["tables-1", "tables-2", "tables-4", "tables-5"])
+@pytest.mark.parametrize("previous", ["tables-1", "tables-2", "tables-4", "tables-5", "tables-6"])
 def test_cache_entry_under_the_previous_table_algorithm_is_not_served(tmp_path, previous):
     s = CouplingSeq.of(0.0, 0.4)
     assert moments.TABLE_ALGORITHM != previous
@@ -315,6 +315,12 @@ _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
     ("seed-negative",
      {"command": "discrete-check", "ensemble": {"kind": "OE", "n": 1}, "seed": -1},
      "bad-number", "seed"),
+    ("partition-function-pole-at-origin",
+     {"command": "partition-function", "ensemble": {"kind": "SE", "n": 1, "L": -1}},
+     "bad-ensemble", "pole at the origin"),
+    ("dump-pole-at-origin",
+     {"command": "moments-dump", "ensemble": {"kind": "SE", "n": 1, "L": -1}},
+     "bad-ensemble", "pole at the origin"),
 )]
 
 
@@ -385,13 +391,13 @@ def test_moments_dump_default_size_covers_the_series_at_negative_L(tmp_path):
 
 def test_verdicts_identical_across_blas_thread_counts(tmp_path):
     # moment tables and the GinUE pair sum are BLAS products: the GinSE and
-    # erfc-weighted GinOE plane tables, the OE line table and the GinUE
-    # bimoments and two-point sum; the SE line and GinSE plane kernel matrices
-    # are batched matrix products; the Haar power sums, real (O3) and complex
-    # (Sp2), are entrywise on the batch axis
+    # erfc-weighted GinOE plane tables (the GinOE ones at L = 0 and 1), the
+    # OE line table and the GinUE bimoments and two-point sum; the SE line and
+    # GinSE plane kernel matrices are batched matrix products; the Haar power
+    # sums, real (O3) and complex (Sp2), are entrywise on the batch axis
     names = ("ratio-GinSE-N2-L0-tA", "ratio-GinSE-N2-L1-tA", "ratio-GinOE-N2-L0-tA",
-             "ratio-OE-N2-L0-tA", "bimoment-GinUE-N2", "group-O3", "group-Sp2",
-             "kernel-SE-N2", "kernel-GinSE-N1")
+             "ratio-GinOE-N2-L1-tA", "ratio-OE-N2-L0-tA", "bimoment-GinUE-N2", "group-O3",
+             "group-Sp2", "kernel-SE-N2", "kernel-GinSE-N1")
 
     def ensemble(spec):
         node = {"kind": spec.kind, "n": spec.n, "L": spec.L, "t": list(spec.t.values)}

@@ -2,9 +2,10 @@ import math
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from pftau import hub, moments, oracle
+from pftau import hub, moments, oracle, quad
 from pftau.hub import (Experiment, acceptance_experiments, bkp_normalization,
                        ratio_experiments, run_experiment, run_suite)
 from pftau.moments import EnsembleSpec
@@ -278,3 +279,37 @@ def test_wave_order_check_has_a_rounding_floor(monkeypatch, hi, lo, passes):
                                   tolerance=1e-4, cutoff=12))
     assert v.error is None
     assert v.passed is passes
+
+
+@pytest.mark.parametrize("name", ["ginse-moment-structure", "ratio-GinSE-N2-L1-tB",
+                                  "ratio-GinOE-N2-L1-tB", "hirota-GinOE", "ratio-SE-N1-L0-sNZ",
+                                  "bimoment-GinUE-N2"])
+def test_converged_tables_hold_on_the_next_finer_grid(monkeypatch, name):
+    # A false-convergence guard: every table and oracle value of a gate experiment
+    # (sector tables, with s != 0 on the SE line, eigenvalue oracles over the pair
+    # tables, GinUE bimoments and two-point sum) agrees with its own build one level
+    # finer than the level it returned, to within its own rel_tol.
+    calls = []
+
+    def recording(build, rel_tol, **options):
+        levels = []
+        value, residual = quad.converge(lambda lvl: levels.append(lvl) or build(lvl),
+                                        rel_tol, **options)
+        calls.append((build, rel_tol, options.get("zero_floor", 0.0), levels[-1], value))
+        return value, residual
+
+    monkeypatch.setattr(moments, "converge", recording)
+    monkeypatch.setattr(oracle, "converge", recording)
+    [e] = [e for e in acceptance_experiments() if e.name == name]
+    moments.clear_cache()
+    try:
+        run_experiment(e)
+    finally:
+        moments.clear_cache()
+    assert calls
+    for build, rel_tol, zero_floor, level, value in calls:
+        finer = build(level + 1)
+        delta = float(np.max(np.abs(finer - value)))
+        scale = float(np.max(np.abs(finer)))
+        assert delta <= rel_tol * scale or (scale < zero_floor and delta < zero_floor), \
+            (name, level, delta / scale, rel_tol)

@@ -444,10 +444,19 @@ def test_ginue_two_point_vanishing_by_rotation_returns_zero(L, L2):
     assert abs(res.value) <= floor and res.error_estimate <= floor
 
 
-@pytest.mark.parametrize("L, L2, value", [(0, 0, 19.739208802178723 + 0j),
-                                          (1, -1, 39.4784176043574 - 1.0120979772362824e-17j)])
+@pytest.mark.parametrize("L, L2, value", [(0, 0, 19.739208802178727 + 0j),
+                                          (1, -1, 39.478417604357446 + 2.2937663407961983e-17j)],
+                         ids=["0-0", "1--1"])
 def test_ginue_two_point_nonvanishing_values_unchanged(L, L2, value):
     assert ginue_two_point(EnsembleSpec("GinUE", 2, L=L, L2=L2)).value == value
+
+
+@pytest.mark.parametrize("L, L2, value", [(0, 0, 2 * math.pi ** 2), (1, -1, 4 * math.pi ** 2)],
+                         ids=["0-0", "1--1"])
+def test_ginue_two_point_closed_forms(L, L2, value):
+    # 2 (m0 m2 - |m1|^2) for the weight |z|^2L e^{-|z|^2}: m1 = 0, (m0, m2) = (pi, pi) or (pi, 2 pi)
+    res = ginue_two_point(EnsembleSpec("GinUE", 2, L=L, L2=L2))
+    assert abs(res.value - value) <= 1e-13
 
 
 @settings(max_examples=60, deadline=None)

@@ -233,6 +233,17 @@ def test_grid_invariants():
         assert np.array_equal(np.outer(g.radial_weights, g.angle_weights).ravel(), g.weights)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_plane_grid_level_k_plus_1_is_the_eight_panel_level_k_grid(k):
+    # the base panel counts are half of (8, 6) and (8, 8), so each level is the
+    # grid that those counts give one level lower, node for node and bit for bit
+    for new, old in ((half_plane_grid(5.5, level=k + 1), half_plane_grid(5.5, 8, 20, 6, 24, k)),
+                     (full_plane_grid(5.5, level=k + 1), full_plane_grid(5.5, 8, 20, 8, 24, k))):
+        assert new.domain == old.domain
+        for name in ("radii", "radial_weights", "angles", "angle_weights"):
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
+
+
 def _direct_gram(grid, f, rows, cols):
     z = grid.nodes
     return np.array([[np.sum(grid.weights * f * z ** a * np.conj(z) ** b) for b in cols]

@@ -209,3 +209,12 @@ def test_abar_stack_index_range_error_names_size():
         abar([[3, 1], [6, 2]], 0, pair)
     with pytest.raises(ValueError, match="strictly decreasing"):
         abar([[3, 1], [2, 2]], 0, pair)
+
+
+@pytest.mark.parametrize("h", [(3, 1), (4,), [(3, 1), (2, 0)], [(4, 2, 0)]])
+def test_abar_on_a_non_skew_table_raises(h):
+    rng = np.random.default_rng(71)
+    m = rng.normal(size=(6, 6))
+    pair = SkewPair(m + m.T, rng.normal(size=6))
+    with pytest.raises(PfaffianError, match="skew"):
+        abar(h, 0, pair)

@@ -8,7 +8,7 @@ from pftau import moments
 from pftau.moments import EnsembleSpec, moment_pair
 from pftau.partitions import (Partition, conjugate, enumerate_partitions, is_even_partition,
                               partition_table)
-from pftau.symfun import CouplingSeq, ZERO_SEQ, hseq, schur, schur_from_h
+from pftau.symfun import CouplingSeq, ZERO_SEQ, hseq, schur_from_h
 from pftau.tauseries import (TauApprox, group_series, hirota_residual, schur_values,
                              tau_charge_family, tau_series, wave_polynomial_check)
 
@@ -17,12 +17,15 @@ SQRT_PI = math.sqrt(math.pi)
 
 def test_value_at_zero_is_empty_coefficient():
     tau = tau_series(EnsembleSpec("GinSE", 1, 1), 8)
-    assert tau.evaluate(ZERO_SEQ) == pytest.approx(tau.coefficient(Partition(())))
+    # the empty partition heads partition_table order
+    assert tau.lams[0] == Partition(())
+    assert tau.evaluate(ZERO_SEQ) == pytest.approx(tau.terms[0])
 
 
 def test_se_single_coefficient():
     tau = tau_series(EnsembleSpec("SE", 1), 8)
-    assert tau.coefficient(Partition(())) == pytest.approx(SQRT_PI / 2, rel=1e-10)
+    assert tau.lams[0] == Partition(())
+    assert tau.terms[0] == pytest.approx(SQRT_PI / 2, rel=1e-10)
 
 
 def test_se_ratio_reaches_gaussian_shift_identity():
@@ -45,8 +48,8 @@ def test_alpha_zero_ginoe_matches_oe_coefficientwise():
     cut = 8
     oe = tau_series(EnsembleSpec("OE", 2, 1), cut)
     gin0 = tau_series(EnsembleSpec("GinOE", 2, 1, alpha=0.0), cut)
-    for lam in enumerate_partitions(cut, 2):
-        assert gin0.coefficient(lam) == oe.coefficient(lam)   # exact equality
+    assert gin0.lams == oe.lams == enumerate_partitions(cut, 2)
+    assert np.array_equal(gin0.terms, oe.terms)   # exact equality
 
 
 def test_reality_of_evaluations():
@@ -132,8 +135,8 @@ def test_grafted_border_leaves_even_charges_alone():
     # same values up to the (tiny) table-resolution difference of the two
     # independently sized moment tables; the graft itself never touches
     # even charges at all
-    for lam in enumerate_partitions(8, 2):
-        assert fam[2].coefficient(lam) == pytest.approx(direct.coefficient(lam), rel=1e-11)
+    assert fam[2].lams == direct.lams == enumerate_partitions(8, 2)
+    assert fam[2].terms == pytest.approx(direct.terms, rel=1e-11)
     # odd members are nonvacuous thanks to the graft
     assert abs(fam[1].evaluate(ZERO_SEQ)) > 0
 
@@ -172,9 +175,11 @@ def test_schur_values_scatter_back_to_partition_order():
     t = CouplingSeq.of(0.4, -0.2, 0.1)
     lams = enumerate_partitions(6, 3)
     coeffs = np.linspace(1.0, 2.0, len(lams)) * (1 - 0.5j)
-    assert schur_values(6, 3, t) == pytest.approx([schur(lam, t) for lam in lams], rel=1e-13)
+    h = hseq(6, t)
+    want = [schur_from_h(lam, h) for lam in lams]
+    assert schur_values(6, 3, t) == pytest.approx(want, rel=1e-13)
     got = TauApprox(3, 0, 6, coeffs).term_values(t)
-    assert got == pytest.approx([c * schur(lam, t) for c, lam in zip(coeffs, lams)], rel=1e-13)
+    assert got == pytest.approx([c * w for c, w in zip(coeffs, want)], rel=1e-13)
 
 
 def test_schur_values_memo_is_read_only_and_dropped_by_clear_cache():
