@@ -10,6 +10,7 @@ Usage: python scripts/ratio_scan.py --kind GinSE --n 2 --L 1 --cutoff 12
 """
 import argparse
 
+from pftau.blas import one_thread
 from pftau.hub import series_oracle_ratios
 from pftau.moments import EnsembleSpec
 from pftau.symfun import CouplingSeq
@@ -25,15 +26,16 @@ def main() -> None:
     ap.add_argument("--steps", type=int, default=9)
     args = ap.parse_args()
 
-    print(f"# {args.kind} N={args.n} L={args.L}  cutoff W={args.cutoff}")
-    print(f"{'t1':>8}  {'series ratio':>16}  {'oracle ratio':>16}  {'rel diff':>10}")
-    for k in range(args.steps + 1):
-        t1 = args.tmax * k / args.steps
-        r_series, r_oracle, _ = series_oracle_ratios(
-            EnsembleSpec(args.kind, args.n, args.L, CouplingSeq.of(t1)), args.cutoff)
-        r_series, r_oracle = r_series.real, r_oracle.real
-        rel = abs(r_series / r_oracle - 1.0) if r_oracle else float("nan")
-        print(f"{t1:8.3f}  {r_series:16.10f}  {r_oracle:16.10f}  {rel:10.2e}")
+    with one_thread():
+        print(f"# {args.kind} N={args.n} L={args.L}  cutoff W={args.cutoff}")
+        print(f"{'t1':>8}  {'series ratio':>16}  {'oracle ratio':>16}  {'rel diff':>10}")
+        for k in range(args.steps + 1):
+            t1 = args.tmax * k / args.steps
+            r_series, r_oracle, _ = series_oracle_ratios(
+                EnsembleSpec(args.kind, args.n, args.L, CouplingSeq.of(t1)), args.cutoff)
+            r_series, r_oracle = r_series.real, r_oracle.real
+            rel = abs(r_series / r_oracle - 1.0) if r_oracle else float("nan")
+            print(f"{t1:8.3f}  {r_series:16.10f}  {r_oracle:16.10f}  {rel:10.2e}")
 
 
 if __name__ == "__main__":

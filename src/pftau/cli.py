@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import hub, moments
+from . import blas, hub, moments
 from . import tauseries as ts
 from .moments import EnsembleSpec
 from .symfun import CouplingSeq
@@ -372,32 +372,33 @@ def emit_verdicts(verdicts, cfg: RunConfig, outdir: Path) -> list[Path]:
 # command dispatch
 
 def run_config(cfg: RunConfig, outdir: Path) -> int:
-    outdir.mkdir(parents=True, exist_ok=True)
-    if cfg.cache:
-        moments.set_disk_cache(MomentCache(cfg.cache))
-    try:
-        if cfg.command == "partition-function":
-            emit_tau_table(ts.tau_series(cfg.ensemble, cfg.cutoff), cfg, outdir)
-            return 0
-        if cfg.command == "moments-dump":
-            size = cfg.size
-            pair = moments.moment_pair(cfg.ensemble, size)
-            rows = [[str(i + pair.index_base), str(j + pair.index_base),
-                     fmt17(pair.a_matrix[i, j].real), fmt17(pair.a_matrix[i, j].imag)]
-                    for i in range(size) for j in range(size)]
-            _write_csv(outdir / "moments.csv", ["n", "m", "a_re", "a_im"], rows, cfg.echo())
-            border_rows = [[str(i + pair.index_base), fmt17(pair.border[i].real),
-                            fmt17(pair.border[i].imag)] for i in range(size)]
-            _write_csv(outdir / "border.csv", ["n", "a_re", "a_im"], border_rows, cfg.echo())
-            return 0
-        verdicts = hub.run_suite(cfg.experiments)
-        emit_verdicts(verdicts, cfg, outdir)
-        for v in verdicts:
-            status = "PASS" if v.passed else "FAIL"
-            print(f"{status} {v.name} margin={v.margin:.3e} tol={v.tolerance:.1e}")
-        return 0 if all(v.passed for v in verdicts) else 1
-    finally:
-        moments.set_disk_cache(None)
+    with blas.one_thread():
+        outdir.mkdir(parents=True, exist_ok=True)
+        if cfg.cache:
+            moments.set_disk_cache(MomentCache(cfg.cache))
+        try:
+            if cfg.command == "partition-function":
+                emit_tau_table(ts.tau_series(cfg.ensemble, cfg.cutoff), cfg, outdir)
+                return 0
+            if cfg.command == "moments-dump":
+                size = cfg.size
+                pair = moments.moment_pair(cfg.ensemble, size)
+                rows = [[str(i + pair.index_base), str(j + pair.index_base),
+                         fmt17(pair.a_matrix[i, j].real), fmt17(pair.a_matrix[i, j].imag)]
+                        for i in range(size) for j in range(size)]
+                _write_csv(outdir / "moments.csv", ["n", "m", "a_re", "a_im"], rows, cfg.echo())
+                border_rows = [[str(i + pair.index_base), fmt17(pair.border[i].real),
+                                fmt17(pair.border[i].imag)] for i in range(size)]
+                _write_csv(outdir / "border.csv", ["n", "a_re", "a_im"], border_rows, cfg.echo())
+                return 0
+            verdicts = hub.run_suite(cfg.experiments)
+            emit_verdicts(verdicts, cfg, outdir)
+            for v in verdicts:
+                status = "PASS" if v.passed else "FAIL"
+                print(f"{status} {v.name} margin={v.margin:.3e} tol={v.tolerance:.1e}")
+            return 0 if all(v.passed for v in verdicts) else 1
+        finally:
+            moments.set_disk_cache(None)
 
 
 def main(argv=None) -> int:

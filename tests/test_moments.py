@@ -502,3 +502,27 @@ def test_kernel_orth_line_is_the_per_pair_loop_bit_for_bit(variant, L, p):
     p = np.asarray(p)
     got = moments._kernel_orth_line(spec, p, variant)
     assert got.tobytes() == _kernel_orth_line_by_pair(spec, p, variant).tobytes()
+
+
+def _worst(table, ref) -> float:
+    """Largest deviation from `ref`, relative to the largest entry of `ref`."""
+    return float(np.max(np.abs(table - ref)) / np.max(np.abs(ref)))
+
+
+def test_t0_tables_match_quadrature_free_references():
+    # at t = s = 0 every weight is a plain Gaussian, so the line and half-plane
+    # tables are Gamma values: int x^q e^{-x^2} dx, sqrt(2) int x^k e^{-x^2/2} dx
+    # and int_{Im z > 0} z^a zbar^b e^{-|z|^2} d^2 z
+    n = 12
+    q = np.arange(n)
+    gamma = np.array([math.gamma((k + 1) / 2) for k in q])
+    even = q % 2 == 0
+    assert _worst(moments.sympl_border_moments(ZERO_SEQ, 0, n), np.where(even, gamma, 0.0)) < 1e-13
+    orth = np.where(even, math.sqrt(2.0) * 2.0 ** ((q + 1) / 2) * gamma, 0.0)
+    assert _worst(moments.orth_border(ZERO_SEQ, 0, n), orth) < 1e-13
+    a, b = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
+    d = a - b
+    angular = np.where(d == 0, math.pi, ((-1.0) ** d - 1.0) / (1j * np.where(d == 0, 1, d)))
+    radial = np.array([[0.5 * math.gamma((i + j) / 2 + 1) for j in range(8)] for i in range(8)])
+    table = moments.pair_moments("sympl", ZERO_SEQ, ZERO_SEQ, range(8), 0)
+    assert _worst(table, radial * angular) < 1e-13
