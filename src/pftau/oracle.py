@@ -28,7 +28,7 @@ import numpy as np
 
 from . import moments as mom
 from .moments import EnsembleSpec
-from .partitions import Partition, _frozen
+from .partitions import _frozen
 from .quad import LinePanels, converge, full_plane_grid, gaussian_halfwidth
 from .skewlin import abar  # noqa: F401  bound here too: perfbench's tracer test patches it
 from .symfun import hseq, potential, schur_from_h
@@ -370,15 +370,6 @@ def _batched_power_sums(g: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def _batched_schur(lam: Partition, psums: np.ndarray) -> np.ndarray:
-    """s_lambda of each sample from its power sums, by Jacobi-Trudi."""
-    ell = lam.length
-    if ell == 0:
-        return np.ones(psums.shape[0])
-    return schur_from_h(np.broadcast_to(lam.parts, (psums.shape[0], ell)),
-                        hseq(lam.parts[0] + ell, psums))
-
-
 def _payload_order(payload) -> int:
     """Highest trace power the payload reads."""
     what, arg = payload
@@ -421,7 +412,7 @@ def haar_expectation_mc(group, payloads, samples: int, seed: int) -> list[Oracle
             # the other payloads asked for
             own = np.ascontiguousarray(psums[:, :order])
             if what == "schur":
-                out.append(_batched_schur(arg, own))
+                out.append(schur_from_h(arg, hseq(order, own)))
             else:
                 coeffs = np.array([float(arg.entry(m).real) for m in range(1, order + 1)])
                 out.append(np.exp(own @ coeffs))

@@ -103,10 +103,10 @@ def hseq(nmax: int, t) -> np.ndarray:
 def schur_from_h(lam, h):
     """Jacobi-Trudi determinant det(h_{lam_i - i + j}) given a long-enough h table.
 
-    `lam` is one Partition (one value comes back) or a (batch, length) array
-    of partitions of one length, one per row (an array comes back).  `h` is
-    one table h_0..h_K shared by the batch, or a (batch, K+1) array with a
-    table per member; h_m = 0 for m < 0.
+    `lam` is one Partition or a (batch, length) array of partitions of one
+    length, one per row.  `h` is one table h_0..h_K shared by the batch, or a
+    (batch, K+1) array with a table per member; h_m = 0 for m < 0.  One
+    Partition and one table give one value, anything else an array.
     """
     one = isinstance(lam, Partition)
     parts = np.array([lam.parts], dtype=int).reshape(1, lam.length) if one \
@@ -114,7 +114,7 @@ def schur_from_h(lam, h):
     h = np.asarray(h)
     batch, ell = parts.shape
     if ell == 0:
-        vals = np.ones(batch, dtype=h.dtype)
+        vals = np.ones(h.shape[0] if one and h.ndim == 2 else batch, dtype=h.dtype)
     else:
         # m = lam_i - i + j (i, j 1-based) peaks at lam_1 - 1 + ell
         top = int(np.max(parts[:, 0], initial=0)) + ell - 1
@@ -122,16 +122,23 @@ def schur_from_h(lam, h):
             raise ValueError(f"h table too short: need index {top}")
         m = parts[:, :, None] + (np.arange(ell)[None, :] - np.arange(ell)[:, None])
         idx = np.maximum(m, 0)
-        mats = np.where(m >= 0, h[np.arange(batch)[:, None, None], idx] if h.ndim == 2 else h[idx], 0)
+        if one and h.ndim == 2:    # a shared partition: entry (i, j) is a column of h
+            mats, m = h.T[idx[0]], m[0, :, :, None]
+        else:
+            mats = h[np.arange(batch)[:, None, None], idx] if h.ndim == 2 else h[idx]
+            mats, m = mats.transpose(1, 2, 0), m.transpose(1, 2, 0)
+        if m.min() < 0:
+            mats = np.where(m >= 0, mats, 0)
+        # mats[i, j] is entry (i, j) over the batch
         if ell == 1:
-            vals = mats[:, 0, 0]
+            vals = mats[0, 0]
         elif ell == 2:
-            vals = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+            vals = mats[0, 0] * mats[1, 1] - mats[0, 1] * mats[1, 0]
         else:
             # h underflowed to exact zeros leaves singular stacks: det 0 after a division by 0
             with np.errstate(divide="ignore"):
-                vals = np.linalg.det(mats)
-    return vals[0] if one else vals
+                vals = np.linalg.det(mats.transpose(2, 0, 1))
+    return vals[0] if one and h.ndim == 1 else vals
 
 
 def miwa_shift(t: CouplingSeq, atoms: Sequence[tuple], scale: float = 1.0,

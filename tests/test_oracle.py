@@ -14,7 +14,7 @@ from pftau.oracle import (_GINUE_RULES, _batched_power_sums, _pair_sum, det_aver
                           haar_expectation_mc, haar_orthogonal, haar_symplectic)
 from pftau.partitions import Partition
 from pftau.quad import QuadratureError, full_plane_grid, gaussian_halfwidth
-from pftau.symfun import CouplingSeq, ZERO_SEQ, miwa_shift, potential
+from pftau.symfun import CouplingSeq, ZERO_SEQ, miwa_shift, potential, schur_from_h
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -258,6 +258,23 @@ def test_haar_results_do_not_depend_on_payload_grouping(group):
         for res in (together[i], backwards[i]):
             assert (res.value, res.error_estimate) == (alone.value, alone.error_estimate)
     assert haar_expectation_mc(group, [], 3001, 5) == []
+
+
+@pytest.mark.parametrize("group", [("orthogonal", n) for n in (2, 3, 4, 5)]
+                         + [("symplectic", n) for n in (2, 4, 6)])
+def test_haar_schur_payloads_match_the_per_member_stack(group, monkeypatch):
+    # the shared-partition column gather against a (samples, length) stack of
+    # the same partition, one member per sample
+    payloads = [("schur", Partition(parts)) for parts in ((), (1,), (2,), (1, 1), (2, 1, 1))]
+    got = haar_expectation_mc(group, payloads, 3001, 9)
+
+    def per_member(lam, h):
+        return schur_from_h(np.broadcast_to(lam.parts, (len(h), lam.length)), h)
+
+    monkeypatch.setattr(oracle, "schur_from_h", per_member)
+    want = haar_expectation_mc(group, payloads, 3001, 9)
+    for a, b in zip(got, want):
+        assert (a.value, a.error_estimate) == (b.value, b.error_estimate)
 
 
 @pytest.mark.parametrize("draw,size", [(haar_orthogonal, 3), (haar_symplectic, 2),

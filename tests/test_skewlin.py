@@ -218,3 +218,134 @@ def test_abar_on_a_non_skew_table_raises(h):
     pair = SkewPair(m + m.T, rng.normal(size=6))
     with pytest.raises(PfaffianError, match="skew"):
         abar(h, 0, pair)
+
+
+# ---------------------------------------------------------------------------
+# principal minors of one table: pfaffian(table, rows)
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).view(np.uint64)
+
+
+def _minor_case(seed, charge, scale):
+    """A table bordered for odd charge, with two dead indices (zero row and
+    column), and `rows` of 60 members: strictly decreasing indices, then the
+    border index for odd charge."""
+    rng = np.random.default_rng(seed)
+    size = 14
+    m = random_skew(rng, size, cplx=seed % 2 == 0)
+    m[[3, 9], :] = 0.0
+    m[:, [3, 9]] = 0.0
+    n = charge + charge % 2
+    if charge % 2:
+        border = rng.normal(size=size) + 1j * rng.normal(size=size)
+        border[[3, 9]] = 0.0
+        table = np.zeros((size + 1, size + 1), dtype=complex)
+        table[:size, :size], table[:size, size], table[size, :size] = m, border, -border
+    else:
+        table = m.astype(complex)
+    rows = np.array([np.sort(rng.choice(size, charge, replace=False))[::-1] for _ in range(60)],
+                    dtype=int).reshape(60, charge)
+    if charge % 2:
+        rows = np.concatenate([rows, np.full((60, 1), size)], axis=1)
+    assert rows.shape == (60, n)
+    return scale * table, rows
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200])
+@pytest.mark.parametrize("charge", range(9))
+def test_principal_minors_are_path_independent(charge, scale):
+    table, rows = _minor_case(200 + charge, charge, scale)
+    before = table.copy()
+    got = pfaffian(table, rows)
+    stack = table[rows[:, :, None], rows[:, None, :]]
+    assert np.array_equal(table, before)
+    assert got.shape == (len(rows),)
+    assert np.array_equal(_bits(got), _bits(pfaffian(stack)))
+    alone = [pfaffian(member) for member in stack]
+    assert np.array_equal(_bits(got), _bits(alone))
+    # members holding a dead index vanish exactly, the others do not (unless
+    # the scaled table underflows)
+    dead = np.isin(rows, [3, 9]).any(axis=1)
+    assert np.all(got[dead] == 0.0) and (charge < 2 or dead.any())
+    if scale == 1.0:
+        assert np.all(got[~dead] != 0.0)
+        for member, pf in zip(stack, got):
+            assert pf == pytest.approx(pfaffian_combinatorial(member), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("charge", [6, 7, 8])
+def test_principal_minors_large_batches_match_members_alone(charge):
+    # 400 members put the trailing blocks over the 64 KiB that _update
+    # handles one row at a time; each member alone goes through whole blocks
+    table, rows = _minor_case(300 + charge, charge, 1.0)
+    rows = np.concatenate([rows] * 7)[:400]
+    got = pfaffian(table, rows)
+    assert np.array_equal(_bits(got), _bits([pfaffian(table, r[None])[0] for r in rows]))
+    assert np.array_equal(_bits(got), _bits(pfaffian(table[rows[:, :, None], rows[:, None, :]])))
+
+
+def test_principal_minors_pivot_floor_is_each_members_own():
+    # index 4 couples to everything at ~1e-295 and indices 3, 5 at 1e10: a pivot
+    # column of ~1e-295 is usable in a member of scale O(1) (floor 1e-300) but
+    # not in one holding the 1e10 entry (floor 1e-290), at the first step or a later one
+    rng = np.random.default_rng(223)
+    m = np.triu(rng.uniform(0.5, 1.0, size=(7, 7)), 1)
+    m[0, 1] = 3.0
+    m[:, 4] *= 1e-295
+    m[4, :] *= 1e-295
+    m[3, 5] = 1e10
+    m = m - m.T
+    for rows, dead in (([[4, 0, 1, 2], [4, 3, 1, 5], [2, 1, 0, 4]], [False, True, False]),
+                       ([[0, 1, 4, 2, 3, 6], [0, 1, 4, 2, 3, 5]], [False, True])):
+        rows = np.array(rows)
+        got = pfaffian(m, rows)
+        assert np.array_equal(_bits(got), _bits(pfaffian(m[rows[:, :, None], rows[:, None, :]])))
+        assert np.array_equal(got == 0.0, dead)
+
+
+def test_principal_minors_check_the_table_not_the_block():
+    rng = np.random.default_rng(211)
+    m = random_skew(rng, 6)
+    m[0, 5], m[5, 0] = 1e6, -1e6
+    rows = np.array([[3, 2, 1, 0]])
+    block = m[np.ix_(rows[0], rows[0])]
+    # a defect of 1e-8: above SKEW_RTOL of the block's own scale, within the table's
+    m[2, 1] += 1e-8
+    with pytest.raises(PfaffianError, match="skew"):
+        pfaffian(m[rows[:, :, None], rows[:, None, :]])
+    assert pfaffian(m, rows)[0] == pytest.approx(pfaffian_combinatorial(block), rel=1e-6)
+    assert abar((3, 2, 1, 0), 0, SkewPair(m, np.zeros(6))) == pfaffian(m, rows)[0]
+    # a defect in rows no member gathers: the blocks are skew, the table is not
+    m[2, 1] -= 1e-8
+    m[4, 5] += 1e-3
+    assert pfaffian(m[rows[:, :, None], rows[:, None, :]])[0] == pytest.approx(
+        pfaffian_combinatorial(block), rel=1e-12)
+    with pytest.raises(PfaffianError, match="skew"):
+        pfaffian(m, rows)
+    with pytest.raises(PfaffianError, match="skew"):
+        abar((3, 2, 1, 0), 0, SkewPair(m, np.zeros(6)))
+
+
+def test_principal_minors_refuse_bad_rows():
+    m = random_skew(np.random.default_rng(227), 5)
+    with pytest.raises(PfaffianError, match="odd order"):
+        pfaffian(m, [[0, 1, 2]])
+    with pytest.raises(PfaffianError, match="size 5"):
+        pfaffian(m, [[0, 5]])
+    with pytest.raises(PfaffianError, match="size 5"):
+        pfaffian(m, [[-1, 2]])
+    with pytest.raises(PfaffianError, match=r"\(batch, n\) indices"):
+        pfaffian(m, [0, 1])
+    with pytest.raises(PfaffianError, match="square matrix"):
+        pfaffian(np.zeros((2, 4, 4)), [[0, 1]])
+    assert np.array_equal(pfaffian(m, np.zeros((3, 0), dtype=int)), np.ones(3))
+
+
+def test_pfaffian_leaves_its_input_alone():
+    rng = np.random.default_rng(229)
+    for stack in (random_skew_stack(rng, 1, 6), random_skew_stack(rng, 4, 6)):
+        before = stack.copy()
+        pfaffian(stack)
+        pfaffian(stack[0])
+        assert np.array_equal(stack, before)

@@ -174,3 +174,18 @@ def test_schur_stack_one_h_per_member_against_alternant_oracle():
         assert got == pytest.approx(want, rel=1e-10)
     with pytest.raises(ValueError, match="too short"):
         schur_from_h([[12, 1]], h[0])
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("parts", [(), (3,), (2, 1), (1, 1), (3, 1, 1), (2, 2, 2), (1, 1, 1)])
+def test_schur_one_partition_over_member_tables_gathers_columns(parts, cplx):
+    rng = np.random.default_rng(31 + len(parts))
+    p = rng.normal(size=(40, 6)) + (1j * rng.normal(size=(40, 6)) if cplx else 0.0)
+    h = hseq(7, p)
+    lam = Partition(parts)
+    got = schur_from_h(lam, h)
+    want = schur_from_h(np.broadcast_to(lam.parts, (40, lam.length)), h)
+    assert got.shape == (40,) and got.dtype == h.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert not np.shares_memory(got, h)
+    assert schur_from_h(lam, h[:1])[0] == schur_from_h(lam, h[0])
