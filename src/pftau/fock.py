@@ -10,6 +10,9 @@ phi|0> = |0>/sqrt(2) and the psi's generate the whole module from the
 vacuum, its action is forced to be diagonal on occupation states:
 phi |S> = (-1)^{p(S)} / sqrt(2) |S>, with p(S) the number of creations
 and annihilations separating S from the sea.
+
+An occupation state is an int bitmask over the window: bit i - lo is set
+when level i is filled, so the frozen sea below lo is implicit.
 """
 from __future__ import annotations
 
@@ -46,12 +49,17 @@ class FockWindow:
         if not (self.lo <= min(0, charge) and max(0, charge) <= self.hi):
             raise WindowError(f"charge {charge} does not fit window [{self.lo}, {self.hi})")
 
-    def sea(self) -> frozenset:
-        return frozenset(range(self.lo, 0))
+    def sea(self) -> int:
+        """The state with every level of the window below 0 filled."""
+        return (1 << -self.lo) - 1
+
+    def occupied(self, state: int) -> frozenset:
+        """The filled levels of the window in `state`."""
+        return frozenset(self.lo + b for b in range(self.hi - self.lo) if state >> b & 1)
 
 
 class FockVector:
-    """Sparse vector over occupation basis states (frozensets of filled modes)."""
+    """Sparse vector over occupation basis states (bitmasks, see `FockWindow.occupied`)."""
 
     __slots__ = ("window", "amp")
 
@@ -74,7 +82,7 @@ class FockVector:
             self.amp[k] = self.amp.get(k, 0.0) + v
         return self
 
-    def coefficient(self, state: frozenset) -> complex:
+    def coefficient(self, state: int) -> complex:
         return complex(self.amp.get(state, 0.0))
 
     def is_zero(self) -> bool:
@@ -84,48 +92,44 @@ class FockVector:
 def charged_vacuum(charge: int, window: FockWindow) -> FockVector:
     """|L>: the sea with L extra levels filled (L >= 0) or emptied (L < 0)."""
     window.check_charge(charge)
-    occ = set(window.sea())
-    if charge >= 0:
-        occ |= set(range(0, charge))
-    else:
-        occ -= set(range(charge, 0))
-    return FockVector(window, {frozenset(occ): 1.0 + 0.0j})
+    # levels lo .. charge - 1 filled
+    return FockVector(window, {(1 << (charge - window.lo)) - 1: 1.0 + 0.0j})
 
 
-def _sign_above(state: frozenset, i: int) -> float:
-    return -1.0 if sum(1 for j in state if j > i) % 2 else 1.0
-
-
-def _phi_parity(state: frozenset, window: FockWindow) -> int:
-    return len(state.symmetric_difference(window.sea())) % 2
+def _sign_above(state: int, bit: int) -> float:
+    """(-1)^(filled levels above the one at `bit`)."""
+    return -1.0 if (state >> (bit + 1)).bit_count() % 2 else 1.0
 
 
 def apply_psi(i: int, vec: FockVector) -> FockVector:
     vec.window.check_mode(i)
+    bit = i - vec.window.lo
     out: dict = {}
     for state, c in vec.amp.items():
-        if i in state:
+        if state >> bit & 1:
             continue
-        ns = state | {i}
-        out[ns] = out.get(ns, 0.0) + c * _sign_above(state, i)
+        ns = state | 1 << bit
+        out[ns] = out.get(ns, 0.0) + c * _sign_above(state, bit)
     return FockVector(vec.window, out)
 
 
 def apply_psi_dag(i: int, vec: FockVector) -> FockVector:
     vec.window.check_mode(i)
+    bit = i - vec.window.lo
     out: dict = {}
     for state, c in vec.amp.items():
-        if i not in state:
+        if not state >> bit & 1:
             continue
-        ns = state - {i}
-        out[ns] = out.get(ns, 0.0) + c * _sign_above(ns, i)
+        ns = state ^ 1 << bit
+        out[ns] = out.get(ns, 0.0) + c * _sign_above(ns, bit)
     return FockVector(vec.window, out)
 
 
 def apply_phi(vec: FockVector) -> FockVector:
+    sea = vec.window.sea()
     out: dict = {}
     for state, c in vec.amp.items():
-        sign = -1.0 if _phi_parity(state, vec.window) else 1.0
+        sign = -1.0 if (state ^ sea).bit_count() % 2 else 1.0
         out[state] = c * sign / _SQRT2
     return FockVector(vec.window, out)
 

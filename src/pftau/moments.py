@@ -58,23 +58,34 @@ _DISK_CACHE = None
 
 def clear_cache() -> None:
     """Drop every memoized value of this process: moment tables (the disk cache keeps
-    its copies), oracle values, erfc factors and Schur value tables."""
+    its copies), oracle values, erfc factors, Schur value tables, line rules (panels
+    and weight values) and plane quadrature grids."""
     _SECTOR_CACHE.clear()
 
 
 def memo(key, build):
     """`_SECTOR_CACHE[key]`, or `build()` stored there first with its arrays made read-only.
 
-    The one per-pass memo; `clear_cache` drops it.  A moment table's `build` reads and
-    fills the disk cache itself, so only tables ever reach the disk.
+    The one per-pass memo; `clear_cache` drops it.  `build()` returns an array, a tuple
+    whose arrays are frozen alike, or an object that freezes its own (the `quad` rules
+    do).  A moment table's `build` reads and fills the disk cache itself, so only tables
+    ever reach the disk.
     """
     hit = _SECTOR_CACHE.get(key)
     if hit is None:
         hit = build()
-        if isinstance(hit, np.ndarray):
-            hit.flags.writeable = False
+        for part in hit if isinstance(hit, tuple) else (hit,):
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
         _SECTOR_CACHE[key] = hit
     return hit
+
+
+def _plane_grid(make, radius: float, *rule: int, level: int = 0) -> quad.QuadratureGrid:
+    """`make(radius, *rule, level=level)`, a `quad` plane grid, built once per pass: the
+    key is the builder and every argument it gets."""
+    return memo(("plane_grid", make, radius, rule, level),
+                lambda: make(radius, *rule, level=level))
 
 
 def set_disk_cache(store) -> None:
@@ -276,14 +287,20 @@ def line_rule(family: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int, level: i
     ks = s.top_index()
     if ks:
         inner = min((abs(mult * float(s.entry(ks))) / 60.0) ** (1.0 / ks), 0.3)
-    lp = LinePanels(real_line_breakpoints(halfwidth, n_center=12, inner_cut=inner, level=level))
-    x = lp.nodes
-    e = -gauss0 * x * x
-    if t.top_index():
-        e = e + mult * potential(x, t)
-    if s.top_index():
-        e = e - mult * potential(1.0 / x, s)
-    return lp, np.exp(e)
+
+    def build():
+        lp = LinePanels(real_line_breakpoints(halfwidth, n_center=12, inner_cut=inner,
+                                              level=level))
+        x = lp.nodes
+        e = -gauss0 * x * x
+        if t.top_index():
+            e = e + mult * potential(x, t)
+        if s.top_index():
+            e = e - mult * potential(1.0 / x, s)
+        return lp, np.exp(e)
+
+    # the rule depends on maxdeg and poles only through the support they resolve to
+    return memo(("line_rule", family, t, s, halfwidth, inner, level), build)
 
 
 def _pair_rule(family: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int, level: int,
@@ -304,7 +321,7 @@ def _pair_rule(family: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int, level: 
     gauss = gauss0 - mult * abs(float(t.entry(2)))
     lin = mult * abs(float(t.entry(1)))
     radius = clip_support(gaussian_halfwidth(gauss, lin, maxdeg), poles, gauss, lin, maxdeg)
-    grid = half_plane_grid(radius, level=level)
+    grid = _plane_grid(half_plane_grid, radius, level=level)
     r, theta = grid.radii, grid.angles
     e = np.multiply.outer(-r * r, np.ones_like(theta) if family == "sympl" else np.cos(2.0 * theta))
     for sign, seq, rk in ((mult, t, r), (-mult, s, 1.0 / r)):
@@ -644,7 +661,7 @@ def complex_bimoment_matrix(spec: EnsembleSpec, size: int) -> np.ndarray:
 
     def build(level):
         radius = gaussian_halfwidth(gauss, lin, 2 * size + abs(spec.L) + abs(spec.L2) + 2)
-        grid = full_plane_grid(radius, level=level)
+        grid = _plane_grid(full_plane_grid, radius, level=level)
         # e stays alive through the contraction: freeing it first reorders the
         # large allocations and raised the acceptance suite's peak RSS by 2 MB
         e = log_w(grid.nodes)

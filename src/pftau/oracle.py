@@ -274,16 +274,16 @@ def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
     radius = gaussian_halfwidth(gauss, lin, 6)
 
     def rule(level):
-        grid = full_plane_grid(radius, *_GINUE_RULES[level])
+        grid = mom._plane_grid(full_plane_grid, radius, *_GINUE_RULES[level])
         z = grid.nodes
         return z, np.exp(log_w(z)) * z ** spec.L * np.conj(z) ** (-spec.L2) * grid.weights
 
     # sum_ij |w_i w_j| |z_i - z_j|^2 on the first rule: with L2 != -L the value
     # vanishes by rotation, and its noise is measured against this scale
-    z, a = rule(0)
-    a = np.abs(a)
+    first = rule(0)
+    z, a = first[0], np.abs(first[1])
     abs_sum = 2.0 * (np.sum(a) * np.sum(a * np.abs(z) ** 2) - abs(np.sum(a * z)) ** 2)
-    value, err = converge(lambda level: _pair_sum(*rule(level)), rel_tol,
+    value, err = converge(lambda level: _pair_sum(*(rule(level) if level else first)), rel_tol,
                           max_level=len(_GINUE_RULES) - 1, zero_floor=rel_tol * abs_sum)
     return OracleResult(value, err, "quadrature")
 
@@ -503,7 +503,7 @@ def discrete_consistency(spec: EnsembleSpec, real_atoms, pair_atoms=None):
                            required_table_size(charge, spec.L, SERIES_CUTOFF))
     terms = tau_series(spec, SERIES_CUTOFF, pair).term_values(spec.t)
     border_norm = math.sqrt(2.0) ** (charge % 2)
-    rhs = complex(math.fsum(terms.real), math.fsum(terms.imag)) / border_norm
+    rhs = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())) / border_norm
     # a plain sum in canonical partition order, so the bits do not move
     series_scale = sum(np.abs(terms).tolist()) / border_norm
     return lhs, rhs, max(scale, series_scale, 1e-300)

@@ -18,6 +18,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
+from .partitions import _frozen
+
 
 class QuadratureError(RuntimeError):
     def __init__(self, message: str, best: complex = 0.0, residual: float = math.inf):
@@ -154,16 +156,18 @@ def _panel_nodes(panels: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
 
 
 class LinePanels:
-    """Composite GL panels on a line, with spectral cumulative integration."""
+    """Composite GL panels on a line, with spectral cumulative integration.
+
+    Its arrays are read-only, so one rule can serve every caller of a pass."""
 
     def __init__(self, breakpoints: np.ndarray, order: int = 24):
-        bp = np.asarray(breakpoints, dtype=float)
+        bp = np.array(breakpoints, dtype=float)
         if bp.ndim != 1 or len(bp) < 2 or np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
-        self.breakpoints = bp
+        self.breakpoints = _frozen(bp)
         self.order = order
-        self.panels = np.column_stack([bp[:-1], bp[1:]])
-        self.nodes, self.weights = _panel_nodes(self.panels, order)
+        self.panels = _frozen(np.column_stack([bp[:-1], bp[1:]]))
+        self.nodes, self.weights = map(_frozen, _panel_nodes(self.panels, order))
 
     @property
     def n_panels(self) -> int:
@@ -213,7 +217,8 @@ class QuadratureGrid:
     Node i * len(angles) + j is radii[i] e^{i angles[j]} with weight
     radial_weights[i] * angle_weights[j]; radial_weights carry the Jacobian r.
     The flat `nodes` and `weights` are formed on first use: the moment
-    contractions read only the polar factors.
+    contractions read only the polar factors.  Every array is read-only, so one
+    grid can serve every caller of a pass.
     """
 
     domain: str                       # "half-plane" | "full-plane"
@@ -228,14 +233,16 @@ class QuadratureGrid:
         if self.domain == "half-plane" and (np.any(self.radii <= 0) or np.any(self.angles <= 0)
                                             or np.any(self.angles >= math.pi)):
             raise ValueError("half-plane nodes must have positive imaginary part")
+        for a in (self.radii, self.radial_weights, self.angles, self.angle_weights):
+            _frozen(a)
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        return (self.radii[:, None] * np.exp(1j * self.angles[None, :])).ravel()
+        return _frozen((self.radii[:, None] * np.exp(1j * self.angles[None, :])).ravel())
 
     @cached_property
     def weights(self) -> np.ndarray:
-        return (self.radial_weights[:, None] * self.angle_weights[None, :]).ravel()
+        return _frozen((self.radial_weights[:, None] * self.angle_weights[None, :]).ravel())
 
 
 def _polar_grid(domain: str, theta_max: float, radius: float, n_r: int, r_order: int,

@@ -45,9 +45,10 @@ class TauApprox:
         return self.terms * schur_values(self.cutoff, self.charge, t)
 
     def evaluate(self, t: CouplingSeq) -> complex:
-        """Compensated sum of the term values."""
+        """Compensated sum of the term values (fsum of a list: the same correctly
+        rounded sum, without a NumPy scalar per term)."""
         vals = self.term_values(t)
-        return complex(math.fsum(vals.real), math.fsum(vals.imag))
+        return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
 
 
 def schur_values(cutoff: int, charge: int, t: CouplingSeq | None) -> np.ndarray:

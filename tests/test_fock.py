@@ -33,13 +33,14 @@ def test_window_validation():
 def test_charged_vacuum_occupations():
     v0 = charged_vacuum(0, W)
     (state,), = [list(v0.amp)]
-    assert state == frozenset(range(-4, 0))
+    assert W.occupied(state) == frozenset(range(-4, 0))
+    assert state == W.sea()
     v2 = charged_vacuum(2, W)
     (state2,), = [list(v2.amp)]
-    assert state2 == frozenset(range(-4, 0)) | {0, 1}
+    assert W.occupied(state2) == frozenset(range(-4, 0)) | {0, 1}
     vm = charged_vacuum(-2, W)
     (statem,), = [list(vm.amp)]
-    assert statem == frozenset(range(-4, -2))
+    assert W.occupied(statem) == frozenset(range(-4, -2))
 
 
 def test_vacuum_orthonormality():
@@ -82,6 +83,13 @@ def test_phi_squares_to_half_and_anticommutes():
 def test_phi_vacuum_expectation():
     for L in range(-3, 5):
         assert vev(L, [("phi",)], L, W) == pytest.approx((-1) ** L / math.sqrt(2))
+
+
+def test_phi_parity_counts_from_the_sea_of_each_window():
+    # an odd number of frozen sea levels must not flip the phi sign
+    for window in (FockWindow(-5, 6), FockWindow(-1, 3)):
+        for L in range(-1, 3):
+            assert vev(L, [("phi",)], L, window) == pytest.approx((-1) ** L / math.sqrt(2))
 
 
 def test_single_field_gives_power():

@@ -526,3 +526,133 @@ def test_t0_tables_match_quadrature_free_references():
     radial = np.array([[0.5 * math.gamma((i + j) / 2 + 1) for j in range(8)] for i in range(8)])
     table = moments.pair_moments("sympl", ZERO_SEQ, ZERO_SEQ, range(8), 0)
     assert _worst(table, radial * angular) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# quadrature rules in the per-pass memo
+
+def _counting(monkeypatch, module, name, log):
+    """Replace `module.name` by a wrapper that appends its arguments to `log`."""
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        log.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _rule_keys(tag):
+    return [k for k in moments._SECTOR_CACHE if k[0] == tag]
+
+
+def _hashable(args, kwargs):
+    return tuple(a.tobytes() if isinstance(a, np.ndarray) else a for a in args), \
+        tuple(sorted(kwargs.items()))
+
+
+def test_one_pass_builds_each_line_rule_and_plane_grid_once(monkeypatch):
+    from pftau import hub, oracle
+
+    monkeypatch.setattr(moments, "_DISK_CACHE", None)
+    calls = {name: [] for name in ("line_rule", "_pair_rule", "LinePanels", "half_plane_grid",
+                                   "full_plane_grid", "oracle.full_plane_grid")}
+    for name in ("line_rule", "_pair_rule", "LinePanels", "half_plane_grid", "full_plane_grid"):
+        _counting(monkeypatch, moments, name, calls[name])
+    _counting(monkeypatch, oracle, "full_plane_grid", calls["oracle.full_plane_grid"])
+    bimoment = [e for e in hub.acceptance_experiments(samples=10)
+                if e.comparison == "bimoment-vs-direct"]
+    exps = hub.ratio_experiments(cutoff=20) + bimoment
+
+    moments.clear_cache()
+    assert all(v.passed for v in hub.run_suite(exps))
+    builds = {name: [_hashable(*c) for c in log] for name, log in calls.items()}
+    grids = [("half", args) for args in builds["half_plane_grid"]] + \
+        [("full", args) for args in builds["full_plane_grid"] + builds["oracle.full_plane_grid"]]
+    # every line rule and plane grid the pass asked for was built once ...
+    assert len(builds["LinePanels"]) == len(_rule_keys("line_rule")) > 0
+    assert len(grids) == len(set(grids)) == len(_rule_keys("plane_grid"))
+    assert builds["half_plane_grid"] and builds["full_plane_grid"]
+    assert builds["oracle.full_plane_grid"]
+    # ... and most requests were repeats
+    assert len(calls["line_rule"]) > 2 * len(builds["LinePanels"])
+    assert len(calls["_pair_rule"]) > 2 * len(builds["half_plane_grid"])
+
+    # a warm pass builds nothing; after clear_cache the next pass builds the same again
+    for log in calls.values():
+        log.clear()
+    hub.run_suite(exps)
+    assert not any(calls[name] for name in ("LinePanels", "half_plane_grid", "full_plane_grid",
+                                            "oracle.full_plane_grid"))
+    moments.clear_cache()
+    hub.run_suite(exps)
+    again = {name: [_hashable(*c) for c in log] for name, log in calls.items()}
+    for name in ("LinePanels", "half_plane_grid", "full_plane_grid", "oracle.full_plane_grid"):
+        assert again[name] == builds[name], name
+    moments.clear_cache()
+
+
+def test_memoised_rules_refuse_writes():
+    from pftau.oracle import ginue_two_point
+
+    moments.clear_cache()
+    lp, wv = moments.line_rule("orth", CouplingSeq.of(0.3), CouplingSeq.of(0.0, 0.4), 10, 1)
+    grid, _ = moments._pair_rule("orth", ZERO_SEQ, ZERO_SEQ, 12, 0)
+    complex_bimoment_matrix(EnsembleSpec("GinUE", 2), 2)
+    ginue_two_point(EnsembleSpec("GinUE", 2))
+    plane = [moments._SECTOR_CACHE[k] for k in _rule_keys("plane_grid")]
+    assert grid in plane and len(plane) >= 3
+    arrays = [lp.breakpoints, lp.panels, lp.nodes, lp.weights, wv]
+    for g in plane:
+        arrays += [g.radii, g.radial_weights, g.angles, g.angle_weights, g.nodes, g.weights]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    moments.clear_cache()
+    assert not moments._SECTOR_CACHE
+
+
+def _bits(a):
+    return np.asarray(a).dtype, np.asarray(a).shape, np.asarray(a).tobytes()
+
+
+@pytest.mark.parametrize("family", ["orth", "sympl"])
+def test_memoised_rules_match_a_fresh_build(family):
+    t, s = CouplingSeq.of(0.3), CouplingSeq.of(0.0, 0.4)
+    gauss0, mult = moments.WEIGHT_CONSTANTS[family]
+    lin = mult * 0.3
+    # two degrees that resolve to the same line support
+    lo = next(d for d in range(4, 40) if moments.gaussian_halfwidth(gauss0, lin, d)
+              == moments.gaussian_halfwidth(gauss0, lin, d + 1))
+    moments.clear_cache()
+    first = moments.line_rule(family, t, s, lo, 1)
+    warm = moments.line_rule(family, t, s, lo + 1, 1)
+    assert warm is first
+    # a degree past that support gets a wider rule of its own
+    hi = next(d for d in range(lo + 2, 80) if moments.gaussian_halfwidth(gauss0, lin, d)
+              > moments.gaussian_halfwidth(gauss0, lin, lo))
+    assert moments.line_rule(family, t, s, hi, 1)[0].breakpoints[-1] > first[0].breakpoints[-1]
+    moments.clear_cache()
+    cold = moments.line_rule(family, t, s, lo + 1, 1)
+    assert cold is not warm
+    for a, b in ((warm[0].breakpoints, cold[0].breakpoints), (warm[0].nodes, cold[0].nodes),
+                 (warm[0].weights, cold[0].weights), (warm[1], cold[1])):
+        assert _bits(a) == _bits(b)
+
+    # pair tables over two exponent ranges whose degrees resolve to the same half-plane support
+    gauss, lin = 1.0, 2 * 0.3
+    top = next(e for e in range(2, 20) if moments.gaussian_halfwidth(gauss, lin, 2 * e + 2)
+               == moments.gaussian_halfwidth(gauss, lin, 2 * e + 4))
+    moments.clear_cache()
+    moments.pair_moments(family, t, ZERO_SEQ, range(top + 1), 1)
+    grids = _rule_keys("plane_grid")
+    warm_table = moments.pair_moments(family, t, ZERO_SEQ, range(top + 2), 1)
+    assert _rule_keys("plane_grid") == grids          # the second table reused the grid
+    moments.pair_moments(family, t, ZERO_SEQ, range(top + 4), 1)
+    wider = [moments._SECTOR_CACHE[k] for k in _rule_keys("plane_grid") if k not in grids]
+    assert len(wider) == 1 and wider[0].radii[-1] > moments._SECTOR_CACHE[grids[0]].radii[-1]
+    moments.clear_cache()
+    cold_table = moments.pair_moments(family, t, ZERO_SEQ, range(top + 2), 1)
+    assert _bits(warm_table) == _bits(cold_table)
+    moments.clear_cache()
