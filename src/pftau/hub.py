@@ -75,11 +75,7 @@ def bkp_normalization(spec: EnsembleSpec) -> float:
 
 def _series_ratio(spec: EnsembleSpec, cutoff: int) -> tuple[complex, dict]:
     tau1 = ts.tau_series(spec, cutoff)
-    # the coefficients never see t, so with s = 0 the denominator shares them
-    if spec.s == ZERO_SEQ:
-        tau0 = tau1
-    else:
-        tau0 = ts.tau_series(replace(spec, t=ZERO_SEQ, s=ZERO_SEQ), cutoff)
+    tau0 = ts.tau_series(replace(spec, t=ZERO_SEQ, s=ZERO_SEQ), cutoff)
     num = tau1.evaluate(spec.t)
     den = tau0.evaluate(ZERO_SEQ)
     base = ZERO_SEQ

@@ -58,8 +58,9 @@ _DISK_CACHE = None
 
 def clear_cache() -> None:
     """Drop every memoized value of this process: moment tables (the disk cache keeps
-    its copies), oracle values, erfc factors, Schur value tables, line rules (panels
-    and weight values) and plane quadrature grids."""
+    its copies), oracle values, erfc factors, Schur value tables, series coefficient
+    tables, line rules (panels and weight values), plane quadrature grids and their
+    angular tables."""
     _SECTOR_CACHE.clear()
 
 
@@ -86,6 +87,18 @@ def _plane_grid(make, radius: float, *rule: int, level: int = 0) -> quad.Quadrat
     key is the builder and every argument it gets."""
     return memo(("plane_grid", make, radius, rule, level),
                 lambda: make(radius, *rule, level=level))
+
+
+def _angular_table(grid: quad.QuadratureGrid, width: int) -> np.ndarray:
+    """`quad.angular_table` of the grid's domain and angle rule, built once per pass.
+
+    A request past the held width builds it again, out to the next multiple of 32,
+    so the growing tables of one pass share one build."""
+    key = ("angular_table", grid.domain, grid.angle_rule)
+    held = _SECTOR_CACHE.get(key)
+    if held is not None and held.shape[-1] <= 2 * width:
+        del _SECTOR_CACHE[key]
+    return memo(key, lambda: quad.angular_table(grid, -(-width // 32) * 32))
 
 
 def set_disk_cache(store) -> None:
@@ -352,7 +365,7 @@ def pair_moments(family: str, t: CouplingSeq, s: CouplingSeq, exps, level: int,
     grid, w = _pair_rule(family, t, s, 2 * int(np.max(np.abs(exps))) + 2, level, poles)
     if extra is not None:
         w = w * np.reshape(extra(grid.nodes), w.shape)
-    return polar_gram(grid, w, exps, exps)
+    return polar_gram(grid, w, exps, exps, _angular_table)
 
 
 def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build):

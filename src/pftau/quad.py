@@ -218,7 +218,8 @@ class QuadratureGrid:
     radial_weights[i] * angle_weights[j]; radial_weights carry the Jacobian r.
     The flat `nodes` and `weights` are formed on first use: the moment
     contractions read only the polar factors.  Every array is read-only, so one
-    grid can serve every caller of a pass.
+    grid can serve every caller of a pass.  Grids of one domain and one
+    `angle_rule`, (theta panels, order), have the same angles.
     """
 
     domain: str                       # "half-plane" | "full-plane"
@@ -226,6 +227,7 @@ class QuadratureGrid:
     radial_weights: np.ndarray
     angles: np.ndarray
     angle_weights: np.ndarray
+    angle_rule: tuple
 
     def __post_init__(self):
         if np.any(self.radial_weights <= 0) or np.any(self.angle_weights <= 0):
@@ -252,32 +254,45 @@ def _polar_grid(domain: str, theta_max: float, radius: float, n_r: int, r_order:
     r_nodes, r_w = _panel_nodes(np.column_stack([rb[:-1], rb[1:]]), r_order)
     tb = np.linspace(0.0, theta_max, n_theta * scale + 1)
     t_nodes, t_w = _panel_nodes(np.column_stack([tb[:-1], tb[1:]]), t_order)
-    return QuadratureGrid(domain, r_nodes, r_w * r_nodes, t_nodes, t_w)
+    return QuadratureGrid(domain, r_nodes, r_w * r_nodes, t_nodes, t_w,
+                          (n_theta * scale, t_order))
 
 
-def polar_gram(grid: QuadratureGrid, f: np.ndarray, rows, cols) -> np.ndarray:
+def angular_table(grid: QuadratureGrid, width: int) -> np.ndarray:
+    """cos and sin of k * angle for k = -width..width at the grid's angles: a
+    (2, angles, 2 * width + 1) array, k in column width + k."""
+    phase = np.outer(grid.angles, np.arange(-width, width + 1))
+    return np.stack([np.cos(phase), np.sin(phase)])
+
+
+def polar_gram(grid: QuadratureGrid, f: np.ndarray, rows, cols,
+               trig=angular_table) -> np.ndarray:
     """out[n, m] = sum_p weights[p] f[p] z[p]**rows[n] conj(z[p])**cols[m].
 
     On a polar grid z^a zbar^b = r^(a+b) e^{i(a-b)theta}, so the sum is one
-    angular product over the distinct differences a - b, one radial product
-    over the distinct sums a + b, and a gather; no per-node power table.
+    angular product over the range of differences a - b, one radial product
+    over the range of sums a + b, and a gather; no per-node power table.
     `f` is flat or (radii, angles); a real `f` is contracted with one real
-    table of cosines and sines, so both products stay real.
+    (angles, 2 * differences) operand of cosines and sines, read from
+    `trig(grid, width)`, an `angular_table` out to at least the largest
+    |a - b|, so both products stay real.
     """
     rows = np.asarray(rows)[:, None]
     cols = np.asarray(cols)[None, :]
-    shape = (rows.size, cols.size)
-    sums, at_sum = np.unique(rows + cols, return_inverse=True)
-    diffs, at_diff = np.unique(rows - cols, return_inverse=True)
+    s_lo, s_hi = rows.min() + cols.min(), rows.max() + cols.max()
+    d_lo, d_hi = rows.min() - cols.max(), rows.max() - cols.min()
     f = np.reshape(f, (len(grid.radii), len(grid.angles))) * grid.angle_weights
-    radial = grid.radial_weights * power_table(grid.radii, sums)
-    phase = np.outer(grid.angles, diffs)
+    radial = grid.radial_weights * power_table(grid.radii, np.arange(s_lo, s_hi + 1))
     if np.iscomplexobj(f):
-        out = radial @ (f @ np.exp(1j * phase))
+        out = radial @ (f @ np.exp(1j * np.outer(grid.angles, np.arange(d_lo, d_hi + 1))))
     else:
-        parts = radial @ (f @ np.concatenate([np.cos(phase), np.sin(phase)], axis=1))
-        out = parts[:, :len(diffs)] + 1j * parts[:, len(diffs):]
-    return out[at_sum.reshape(shape), at_diff.reshape(shape)]
+        table = trig(grid, max(-d_lo, d_hi))
+        mid = table.shape[-1] // 2
+        diffs = slice(mid + d_lo, mid + d_hi + 1)
+        parts = radial @ (f @ np.concatenate([table[0][:, diffs], table[1][:, diffs]], axis=1))
+        n = d_hi - d_lo + 1
+        out = parts[:, :n] + 1j * parts[:, n:]
+    return out[rows + cols - s_lo, rows - cols - d_lo]
 
 
 def half_plane_grid(radius: float, n_r: int = 4, r_order: int = 20,

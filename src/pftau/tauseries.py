@@ -14,13 +14,13 @@ auxiliary variable and is out of scope here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .moments import EnsembleSpec, memo, moment_pair, sympl_border_moments
-from .partitions import (Partition, conjugate, enumerate_partitions, is_even_partition,
-                         partition_table)
+from .partitions import (Partition, _frozen, conjugate, enumerate_partitions,
+                         is_even_partition, partition_table)
 from .skewlin import SkewPair, abar
 from .symfun import CouplingSeq, ZERO_SEQ, hseq, miwa_shift, schur_from_h
 
@@ -29,7 +29,8 @@ from .symfun import CouplingSeq, ZERO_SEQ, hseq, miwa_shift, schur_from_h
 class TauApprox:
     """Truncated tau series: `terms[k]` is the Pfaffian coefficient of `lams[k]`,
     for every partition of weight <= cutoff and length <= charge in canonical
-    order, the order of `partitions.partition_table(cutoff, charge)`."""
+    order, the order of `partitions.partition_table(cutoff, charge)`.  `terms`
+    is made read-only, so one series can serve every caller of a pass."""
 
     charge: int
     L: int
@@ -38,6 +39,7 @@ class TauApprox:
     lams: list = field(init=False)
 
     def __post_init__(self):
+        _frozen(self.terms)
         self.lams = enumerate_partitions(self.cutoff, self.charge)
 
     def term_values(self, t: CouplingSeq) -> np.ndarray:
@@ -84,11 +86,19 @@ def required_table_size(charge: int, L: int, cutoff: int) -> int:
 
 
 def tau_series(spec: EnsembleSpec, cutoff: int, pair: SkewPair | None = None) -> TauApprox:
-    """Schur-series approximation of the ensemble partition function."""
+    """Schur-series approximation of the ensemble partition function.
+
+    Without `pair` the coefficients come from the spec's moment pair, which t
+    never enters, so the series is memoized per (spec at t = 0, cutoff) in the
+    in-memory table cache: every t of one spec shares it, and
+    `moments.clear_cache()` forgets it.
+    """
     charge = spec.n_eff
-    if pair is None:
-        pair = moment_pair(spec, required_table_size(charge, spec.L, cutoff))
-    return TauApprox(charge, spec.L, cutoff, series_terms(pair, charge, spec.L, cutoff))
+    if pair is not None:
+        return TauApprox(charge, spec.L, cutoff, series_terms(pair, charge, spec.L, cutoff))
+    spec.validate().require()   # t is not in the key, so a hit must not skip its check
+    return memo(("tau_series", replace(spec, t=ZERO_SEQ), cutoff), lambda: tau_series(
+        spec, cutoff, moment_pair(spec, required_table_size(charge, spec.L, cutoff))))
 
 
 def tau_charge_family(spec: EnsembleSpec, charges, cutoff: int) -> dict:

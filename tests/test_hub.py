@@ -34,13 +34,17 @@ def test_series_vs_oracle_verdict_and_reporting():
 @pytest.mark.parametrize("s, series_built", [(ZERO_SEQ, 1), (CouplingSeq.of(0.0, 0.4), 2)],
                          ids=["zero-s", "nonzero-s"])
 def test_series_ratio_shares_the_coefficient_table_when_s_is_zero(monkeypatch, s, series_built):
+    # the numerator and the t = 0, s = 0 denominator share one coefficient stack
+    # through the series memo exactly when s = 0
+    moments.clear_cache()
     spec = EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.3), s)
-    tau_series = hub.ts.tau_series
+    series_terms = hub.ts.series_terms
     built = []
-    monkeypatch.setattr(hub.ts, "tau_series",
-                        lambda spec, cutoff: built.append(spec) or tau_series(spec, cutoff))
+    monkeypatch.setattr(hub.ts, "series_terms",
+                        lambda *args: built.append(args) or series_terms(*args))
     ratio, _ = hub._series_ratio(spec, 12)
     assert len(built) == series_built
+    tau_series = hub.ts.tau_series
     num = tau_series(spec, 12).evaluate(spec.t)
     den = tau_series(replace(spec, t=ZERO_SEQ, s=ZERO_SEQ), 12).evaluate(ZERO_SEQ)
     assert ratio == num / den

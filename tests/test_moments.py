@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pftau import moments
+from pftau import moments, quad
 from pftau.moments import (EnsembleSpec, ValidationError, clip_support, complex_bimoment_matrix,
                            kernel_matrix, kernel_prefactor, moment_pair)
 from pftau.quad import QuadratureError, converge, erfc_vec, power_table
@@ -655,4 +655,48 @@ def test_memoised_rules_match_a_fresh_build(family):
     moments.clear_cache()
     cold_table = moments.pair_moments(family, t, ZERO_SEQ, range(top + 2), 1)
     assert _bits(warm_table) == _bits(cold_table)
+    moments.clear_cache()
+
+
+def test_one_pass_builds_one_angular_table_per_angle_rule(monkeypatch):
+    from pftau import hub
+
+    monkeypatch.setattr(moments, "_DISK_CACHE", None)
+    built, asked = [], []
+    _counting(monkeypatch, quad, "angular_table", built)
+    _counting(monkeypatch, moments, "_angular_table", asked)
+    exps = hub.ratio_experiments(cutoff=20)
+
+    def rules(log):
+        return [(grid.domain, grid.angle_rule) for (grid, _), _ in log]
+
+    moments.clear_cache()
+    hub.run_suite(exps)
+    first = rules(built)
+    assert len(first) == len(set(first)) == len(_rule_keys("angular_table")) >= 2
+    assert len(asked) > 10 * len(first)
+    # a warm pass builds none; after clear_cache the next pass builds them again
+    built.clear()
+    hub.run_suite(exps)
+    assert not built
+    moments.clear_cache()
+    hub.run_suite(exps)
+    assert rules(built) == first
+    moments.clear_cache()
+
+
+def test_a_widened_angular_table_serves_the_bits_of_a_narrow_build():
+    moments.clear_cache()
+    narrow = moments.pair_moments("sympl", ZERO_SEQ, ZERO_SEQ, range(6), 1)
+    [key] = _rule_keys("angular_table")
+    held = moments._SECTOR_CACHE[key]
+    assert not held.flags.writeable
+    moments.pair_moments("sympl", ZERO_SEQ, ZERO_SEQ, range(40), 1)
+    [key] = _rule_keys("angular_table")
+    wide = moments._SECTOR_CACHE[key]
+    assert wide.shape[-1] > held.shape[-1] >= 11
+    assert _bits(moments.pair_moments("sympl", ZERO_SEQ, ZERO_SEQ, range(6), 1)) == _bits(narrow)
+    # and the same as a gram whose cosines and sines are built for it alone
+    grid, w = moments._pair_rule("sympl", ZERO_SEQ, ZERO_SEQ, 12, 1)
+    assert _bits(quad.polar_gram(grid, w, range(6), range(6))) == _bits(narrow)
     moments.clear_cache()

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pftau.quad import (LinePanels, QuadratureError, _cumulative_matrix, _gl_rule, converge,
-                        erfc_vec, full_plane_grid, gaussian_halfwidth, half_plane_grid,
-                        polar_gram, power_table, real_line_breakpoints)
+from pftau.quad import (LinePanels, QuadratureError, _cumulative_matrix, _gl_rule,
+                        angular_table, converge, erfc_vec, full_plane_grid, gaussian_halfwidth,
+                        half_plane_grid, polar_gram, power_table, real_line_breakpoints)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -275,6 +275,32 @@ def test_polar_gram_full_plane_distinct_row_and_column_powers():
     z = grid.nodes
     f = np.exp(-np.abs(z) ** 2 + 0.2 * z + 0.1 * np.conj(z) ** 2)
     _assert_gram_matches_direct(grid, f, np.arange(n) + L, np.arange(n) - L2)
+
+
+@pytest.mark.parametrize("make", [half_plane_grid, full_plane_grid])
+@pytest.mark.parametrize("weight", ["real", "complex"])
+def test_polar_gram_non_contiguous_rows_and_columns(make, weight):
+    # the sum and difference ranges hold entries that no (row, column) pair reads
+    grid = make(gaussian_halfwidth(1.0, 0.3, 12), level=1)
+    z = grid.nodes
+    f = np.exp(-np.abs(z) ** 2 + 0.3 * np.real(z))
+    if weight == "complex":
+        f = f * np.exp(0.2j * np.imag(z * z))
+    _assert_gram_matches_direct(grid, f, (0, 3, 5), (1, 4))
+
+
+def test_angular_table_columns_do_not_depend_on_its_width():
+    grid = half_plane_grid(5.0, level=1)
+    narrow, wide = angular_table(grid, 6), angular_table(grid, 40)
+    assert narrow.shape == (2, len(grid.angles), 13)
+    assert np.array_equal(narrow[:, :, 6], np.stack([np.ones(len(grid.angles)),
+                                                     np.zeros(len(grid.angles))]))
+    assert wide[:, :, 34:47].tobytes() == narrow.tobytes()
+    # a gram served from a wider table than it asks for keeps its bits
+    f = np.exp(-np.abs(grid.nodes) ** 2)
+    idx = np.arange(-1, 6)
+    assert (polar_gram(grid, f, idx, idx, lambda g, w: angular_table(g, w + 17)).tobytes()
+            == polar_gram(grid, f, idx, idx).tobytes())
 
 
 def test_breakpoints_cluster_toward_zero():

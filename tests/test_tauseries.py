@@ -212,3 +212,58 @@ def test_term_values_do_not_depend_on_the_schur_memo():
         # the first call builds the memo, the other series reads it, then both again
         for k in order + order:
             assert series[k].term_values(t).tobytes() == want[k]
+
+
+# ---------------------------------------------------------------------------
+# the series memo: coefficients once per (spec at t = 0, cutoff) and pass
+
+def test_tau_series_is_shared_across_t_and_refuses_writes():
+    from pftau.hub import S_NZ, T_A, T_B
+
+    moments.clear_cache()
+    tau = tau_series(EnsembleSpec("GinOE", 2, 1, T_A), 10)
+    assert tau_series(EnsembleSpec("GinOE", 2, 1, T_B), 10) is tau
+    assert not tau.terms.flags.writeable
+    with pytest.raises(ValueError):
+        tau.terms[0] = 0.0
+    # s, the cutoff and the kind stay in the key
+    se = tau_series(EnsembleSpec("SE", 1, 0, T_A), 10)
+    assert tau_series(EnsembleSpec("SE", 1, 0, T_B, S_NZ), 10) is not se
+    assert tau_series(EnsembleSpec("SE", 1, 0, T_B), 12) is not se
+    assert tau_series(EnsembleSpec("OE", 2, 1, T_A), 10) is not tau
+    # a memo hit still checks its own t
+    with pytest.raises(moments.ValidationError):
+        tau_series(EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.0, 0.9)), 10)
+    moments.clear_cache()
+    assert tau_series(EnsembleSpec("GinOE", 2, 1, T_A), 10) is not tau
+
+
+def test_one_ratio_pass_builds_each_coefficient_stack_once(monkeypatch):
+    from pftau import hub, tauseries
+
+    monkeypatch.setattr(moments, "_DISK_CACHE", None)
+    stacks = []
+    abar = tauseries.abar
+    monkeypatch.setattr(tauseries, "abar", lambda *args: stacks.append(args) or abar(*args))
+    exps = hub.ratio_experiments(cutoff=20)
+
+    def bits(verdicts):
+        return [repr((v.name, v.passed, v.margin, v.details)) for v in verdicts]
+
+    moments.clear_cache()
+    warm = bits(hub.run_suite(exps))
+    # 16 (kind, N, L) numerators share their stacks with the t = 0 denominators; the two
+    # s != 0 numerators add one each
+    assert len(stacks) == 18
+    stacks.clear()
+    assert bits(hub.run_suite(exps)) == warm
+    assert not stacks
+    # every verdict is the one of a run that starts each experiment from an empty memo
+    cold = []
+    for e in exps:
+        moments.clear_cache()
+        cold += bits(hub.run_suite([e]))
+    assert cold == warm
+    # one stack per experiment, two where s != 0 keeps the denominator apart
+    assert len(stacks) == len(exps) + sum(e.spec.s != ZERO_SEQ for e in exps)
+    moments.clear_cache()
