@@ -24,23 +24,12 @@ import numpy as np
 
 from . import blas, hub, moments
 from . import tauseries as ts
+from .hub import ConfigError, read_number
 from .moments import EnsembleSpec
 from .symfun import CouplingSeq
 
 COMMANDS = ("partition-function", "compare-oracle", "hirota-check", "group-integral",
             "kernel-check", "moments-dump", "discrete-check", "suite")
-
-DEFAULT_CUTOFF = 10
-DEFAULT_TOL = 1e-5
-DEFAULT_SAMPLES = 100000
-DEFAULT_SEED = 42
-
-
-class ConfigError(ValueError):
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-
 
 def fmt17(x) -> str:
     return format(float(x), ".17g")
@@ -49,11 +38,11 @@ def fmt17(x) -> str:
 @dataclass
 class RunConfig:
     command: str
+    cutoff: int         # these four default to those of `hub.Experiment`
+    tolerance: float
+    samples: int
+    seed: int
     ensemble: EnsembleSpec | None = None
-    cutoff: int = DEFAULT_CUTOFF
-    tolerance: float = DEFAULT_TOL
-    samples: int = DEFAULT_SAMPLES
-    seed: int = DEFAULT_SEED
     output: str = "out"
     cache: str | None = None
     fmt: str = "json"
@@ -66,32 +55,22 @@ class RunConfig:
 
 
 def _no_duplicates(pairs):
-    seen = set()
     out = {}
     for k, v in pairs:
-        if k in seen:
+        if k in out:
             raise ConfigError("duplicate-field", f"duplicate field {k!r}")
-        seen.add(k)
         out[k] = v
     return out
 
 
 _ENSEMBLE_KEYS = {"kind", "n", "L", "t", "s", "alpha", "beta", "L2", "t_bar", "s_bar"}
+# the top-level keys of every command; each reads its own besides
 _TOP_KEYS = {"command", "ensemble", "cutoff", "tolerance", "samples", "seed", "output",
-             "cache", "format", "p", "p_ref", "size", "group", "points", "trials",
-             "alpha_shift", "beta_shift", "cutoffs", "experiments", "t", "predicates",
-             "min_factor"}
+             "cache", "format"}
 
 
 def _coupling(value, where: str) -> CouplingSeq:
-    if value is None:
-        return CouplingSeq.zero()
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError("bad-number", f"{where} must be an array of numbers")
-    try:
-        return CouplingSeq(tuple(float(v) for v in value))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("bad-number", f"malformed number in {where}: {exc}") from exc
+    return CouplingSeq(() if value is None else hub.array_of(read_number)(value, where))
 
 
 def parse_ensemble(node) -> EnsembleSpec:
@@ -103,43 +82,32 @@ def parse_ensemble(node) -> EnsembleSpec:
     kind = node.get("kind")
     if kind not in moments.KINDS:
         raise ConfigError("unknown-ensemble-kind", f"unknown ensemble kind {kind!r}")
-    n = node.get("n")
-    if not isinstance(n, int) or n < 0:
-        raise ConfigError("bad-size", f"n must be a nonnegative integer, got {n!r}")
+    n = read_number(node.get("n"), "n", int, lambda v: v >= 0)
+    fields = {k: _coupling(node.get(k), k) for k in ("t", "s", "t_bar", "s_bar")}
+    fields.update((k, _number(node, k, default)) for k, default in
+                  (("L", 0), ("L2", 0), ("alpha", None), ("beta", None)))
     try:
-        return EnsembleSpec(
-            kind, n, int(node.get("L", 0)),
-            _coupling(node.get("t"), "t"), _coupling(node.get("s"), "s"),
-            node.get("alpha"), node.get("beta"),
-            int(node.get("L2", 0)),
-            _coupling(node.get("t_bar"), "t_bar"), _coupling(node.get("s_bar"), "s_bar"))
+        return EnsembleSpec(kind, n, **fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError("bad-ensemble", str(exc)) from exc
 
 
-# the checked numbers: conversion and admissible range
+# the checked numbers: type and admissible range, where there is one
 _NUMBERS = {"cutoff": (int, lambda v: v >= 0), "samples": (int, lambda v: v >= 1),
             "seed": (int, lambda v: v >= 0), "tolerance": (float, lambda v: v > 0),
-            "size": (int, lambda v: v >= 1),
-            "alpha_shift": (float, lambda v: True), "beta_shift": (float, lambda v: True)}
+            "size": (int, lambda v: v >= 1), "L": (int,), "L2": (int,), "alpha": (float,),
+            "beta": (float,)}
 # the comparison that each single-experiment command runs
 _COMPARISONS = {"compare-oracle": "series-vs-oracle-ratio", "hirota-check": "hirota-decay",
                 "group-integral": "group-series-vs-mc", "kernel-check": "kernel-vs-oracle",
                 "discrete-check": "discrete-exact"}
+# the top-level keys of the parameters that a command spells otherwise
+_ALIASES = {"alpha": "alpha_shift", "beta": "beta_shift"}
 
 
-def _number(node: dict, key: str, default, where: str = ""):
-    """`node[key]` converted and range-checked, or `default` where it is unset."""
-    if key not in node:
-        return default
-    conv, admissible = _NUMBERS[key]
-    try:
-        val = conv(node[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError("bad-number", f"{where}malformed {key}: {node[key]!r}") from exc
-    if not admissible(val):
-        raise ConfigError("bad-number", f"{where}{key} out of range: {val}")
-    return val
+def _number(node: dict, key: str, default):
+    """`node[key]` type- and range-checked, or `default` where it is unset."""
+    return read_number(node[key], key, *_NUMBERS[key]) if key in node else default
 
 
 def parse_config(text: str) -> RunConfig:
@@ -147,25 +115,24 @@ def parse_config(text: str) -> RunConfig:
     keys and malformed numbers all fail here, so a run raises no ConfigError."""
     try:
         raw = json.loads(text, object_pairs_hook=_no_duplicates)
-    except ConfigError:
-        raise
     except json.JSONDecodeError as exc:
         raise ConfigError("bad-json", f"line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("bad-json", "top level must be an object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError("unknown-field", f"unknown fields {sorted(unknown)}")
     command = raw.get("command")
     if command not in COMMANDS:
         raise ConfigError("unknown-command", f"command must be one of {COMMANDS}, got {command!r}")
-    cfg = RunConfig(command=command, raw=raw,
-                    cutoff=_number(raw, "cutoff", DEFAULT_CUTOFF),
-                    tolerance=_number(raw, "tolerance", DEFAULT_TOL),
-                    samples=_number(raw, "samples", DEFAULT_SAMPLES),
-                    seed=_number(raw, "seed", DEFAULT_SEED),
+    # a single-experiment command's params are top-level keys: {parameter: key}
+    declared = hub.COMPARISONS[_COMPARISONS[command]][1] if command in _COMPARISONS else {}
+    keys = {k: _ALIASES.get(k, k) for k in declared}
+    own = {"moments-dump": {"size"}, "suite": {"experiments"}}.get(command, set())
+    unknown = set(raw) - _TOP_KEYS - own - set(keys.values())
+    if unknown:
+        raise ConfigError("unknown-field", f"unknown fields {sorted(unknown)} for {command}")
+    cfg = RunConfig(command, **{k: _number(raw, k, getattr(hub.Experiment, k))
+                                for k in ("cutoff", "tolerance", "samples", "seed")},
                     output=raw.get("output", "out"), cache=raw.get("cache"),
-                    fmt=raw.get("format", "json"))
+                    fmt=raw.get("format", "json"), raw=raw)
     if "ensemble" in raw:
         cfg.ensemble = parse_ensemble(raw["ensemble"])
     elif command in ("partition-function", "moments-dump"):
@@ -180,7 +147,12 @@ def parse_config(text: str) -> RunConfig:
     if cfg.fmt not in ("json", "csv", "both"):
         raise ConfigError("bad-format", f"format must be json, csv or both, got {cfg.fmt!r}")
     if command in _COMPARISONS:
-        cfg.experiments = [_experiment_from_node(_command_node(raw), cfg, 0)]
+        # the one inline suite entry that a single-experiment command stands for
+        node = {"name": command, "comparison": _COMPARISONS[command],
+                "params": {k: raw[key] for k, key in keys.items() if key in raw}}
+        if "ensemble" in raw:
+            node["ensemble"] = raw["ensemble"]
+        cfg.experiments = [_experiment_from_node(node, cfg, 0, keys)]
     elif command == "moments-dump":
         spec = cfg.ensemble
         cfg.size = _number(raw, "size", ts.required_table_size(spec.n_eff, spec.L, cfg.cutoff))
@@ -199,55 +171,41 @@ def parse_config(text: str) -> RunConfig:
 
 _NODE_KEYS = {"name", "comparison", "ensemble", "tolerance", "cutoff", "samples",
               "seed", "params"}
-_PARAM_KEYS = ("p", "p_ref", "size", "group", "points", "trials", "t", "predicates",
-               "cutoffs", "min_factor")
 
 
-def _command_node(raw: dict) -> dict:
-    """The inline suite entry that a single-experiment command stands for."""
-    params = {k: raw[k] for k in _PARAM_KEYS if k in raw}
-    for key, name in (("alpha_shift", "alpha"), ("beta_shift", "beta")):
-        if key in raw:
-            params[name] = _number(raw, key, None)
-    node = {"name": raw["command"], "comparison": _COMPARISONS[raw["command"]],
-            "params": params}
-    if "ensemble" in raw:
-        node["ensemble"] = raw["ensemble"]
-    return node
-
-
-def _experiment_from_node(node, cfg: RunConfig, index: int) -> hub.Experiment:
-    """One experiment from an inline suite entry; unset fields come from `cfg`."""
+def _experiment_from_node(node, cfg: RunConfig, index: int, keys=None) -> hub.Experiment:
+    """One experiment from an inline suite entry; unset fields come from `cfg`.  Its params
+    are checked against `hub.COMPARISONS`, and an error names them by `keys`, if given."""
     if not isinstance(node, dict):
         raise ConfigError("bad-suite", f"experiment {index} must be an object")
-    where = f"experiment {index}" + (f" {node['name']!r}" if "name" in node else "") + ": "
-    unknown = set(node) - _NODE_KEYS
-    if unknown:
-        raise ConfigError("unknown-field", f"{where}unknown fields {sorted(unknown)}")
-    if not isinstance(node.get("comparison"), str):
-        raise ConfigError("bad-suite", f"{where}needs a comparison kind")
-    if "ensemble" not in node and node["comparison"] != "group-series-vs-mc":
-        raise ConfigError("missing-ensemble", f"{where}{node['comparison']} needs an ensemble")
-    params = node.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("bad-suite", f"{where}params must be an object")
     try:
-        spec = parse_ensemble(node["ensemble"]) if "ensemble" in node else None
+        unknown = set(node) - _NODE_KEYS
+        if unknown:
+            raise ConfigError("unknown-field", f"unknown fields {sorted(unknown)}")
+        if not isinstance(node.get("comparison"), str):
+            raise ConfigError("bad-suite", "needs a comparison kind")
+        if "ensemble" not in node and node["comparison"] != "group-series-vs-mc":
+            raise ConfigError("missing-ensemble", f"{node['comparison']} needs an ensemble")
+        params = node.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError("bad-suite", "params must be an object")
+        hub.resolve_params(node["comparison"], params, keys)
+
+        def tuplify(v):
+            return tuple(tuplify(x) for x in v) if isinstance(v, list) else v
+
+        return hub.Experiment(
+            name=node.get("name", f"experiment-{index}"),
+            comparison=node["comparison"],
+            spec=parse_ensemble(node["ensemble"]) if "ensemble" in node else None,
+            tolerance=_number(node, "tolerance", cfg.tolerance),
+            cutoff=_number(node, "cutoff", cfg.cutoff),
+            samples=_number(node, "samples", cfg.samples),
+            seed=_number(node, "seed", cfg.seed),
+            params=tuple((k, tuplify(v)) for k, v in params.items()))
     except ConfigError as exc:
-        raise ConfigError(exc.code, f"{where}{exc}") from exc
-
-    def tuplify(v):
-        return tuple(tuplify(x) for x in v) if isinstance(v, list) else v
-
-    return hub.Experiment(
-        name=node.get("name", f"experiment-{index}"),
-        comparison=node["comparison"],
-        spec=spec,
-        tolerance=_number(node, "tolerance", cfg.tolerance, where),
-        cutoff=_number(node, "cutoff", cfg.cutoff, where),
-        samples=_number(node, "samples", cfg.samples, where),
-        seed=_number(node, "seed", cfg.seed, where),
-        params=tuple((k, tuplify(v)) for k, v in params.items()))
+        where = f"experiment {index}" + (f" {node['name']!r}" if "name" in node else "")
+        raise ConfigError(exc.code, f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

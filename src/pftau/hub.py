@@ -11,6 +11,7 @@ integral; the discrete-exact experiments certify that).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,6 +31,25 @@ MC_STDERR_FLOOR = 1e-12
 WAVE_FIT_FLOOR = 64 * np.finfo(float).eps
 
 
+class ConfigError(ValueError):
+    """A rejected configuration or parameter; `code` names the kind of fault."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def read_number(value, key: str, kind=float, admissible=lambda v: True):
+    """`value` as `kind`: an int field reads JSON integers only, a float field any finite
+    number, and neither reads a bool; ConfigError where it is malformed or not admissible."""
+    if (isinstance(value, bool) or not isinstance(value, (int, kind))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError("bad-number", f"malformed {key}: {value!r}")
+    if not admissible(kind(value)):
+        raise ConfigError("bad-number", f"{key} out of range: {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class Experiment:
     name: str
@@ -41,8 +61,10 @@ class Experiment:
     seed: int = 42
     params: tuple = ()
 
-    def opt(self, key, default=None):
-        return dict(self.params).get(key, default)
+    def param(self, key):
+        """The checked value of parameter `key`, or its default in `COMPARISONS`;
+        KeyError where the comparison declares no `key`."""
+        return resolve_params(self.comparison, self.params)[key]
 
 
 @dataclass
@@ -131,7 +153,7 @@ def _run_reality(e: Experiment) -> Verdict:
 
 
 def _run_ginse_structure(e: Experiment) -> Verdict:
-    size = e.opt("size", 8)
+    size = e.param("size")
     pair = moment_pair(replace(e.spec, t=ZERO_SEQ, s=ZERO_SEQ), size)
     a = pair.a_matrix.real
     mx = float(np.max(np.abs(a)))
@@ -149,12 +171,11 @@ def _run_ginse_structure(e: Experiment) -> Verdict:
 
 def _run_kernel(e: Experiment) -> Verdict:
     spec = e.spec
-    p = np.asarray(e.opt("p", (0.1, -0.1)), dtype=float)
-    p_ref = np.asarray(e.opt("p_ref", (0.08, -0.06)), dtype=float)
+    p = np.asarray(e.param("p"), dtype=float)
+    p_ref = np.asarray(e.param("p_ref"), dtype=float)
     _, power = WEIGHT_CONSTANTS[spec.family]
     has_real_block = spec.family == "orth" and spec.mix[1] != 0.0   # the one |x-y| vs sgn choice
     variants = ("abs", "sgn") if has_real_block else ("abs",)
-    details: dict = {}
     outcomes = {}
     for variant in variants:
         try:
@@ -173,34 +194,26 @@ def _run_kernel(e: Experiment) -> Verdict:
                                  dev, const)
         except (ZeroDivisionError, FloatingPointError, QuadratureError) as exc:
             outcomes[variant] = (False, math.inf, str(exc))
-    details["variants"] = {k: {"validates": v[0], "deviation": v[1], "constant": v[2]}
-                           for k, v in outcomes.items()}
     ok_abs, dev_abs, _ = outcomes["abs"]
-    if has_real_block:
-        ok_sgn = outcomes["sgn"][0]
-        details["validating_variant"] = "abs" if ok_abs and not ok_sgn else (
-            "sgn" if ok_sgn and not ok_abs else "ambiguous")
-        passed = ok_abs != ok_sgn   # exactly one variant must validate
-        margin = dev_abs if ok_abs else outcomes["sgn"][1]
+    if has_real_block:   # exactly one variant must validate
+        ok_sgn, dev_sgn, _ = outcomes["sgn"]
+        passed, margin = ok_abs != ok_sgn, dev_abs if ok_abs else dev_sgn
+        chosen = "ambiguous" if ok_abs == ok_sgn else ("abs" if ok_abs else "sgn")
     else:
-        details["validating_variant"] = "abs" if ok_abs else "none"
-        passed = ok_abs
-        margin = dev_abs
-    return Verdict(e.name, e.comparison, passed, margin, e.tolerance, details)
+        passed, margin, chosen = ok_abs, dev_abs, "abs" if ok_abs else "none"
+    variants = {k: {"validates": v[0], "deviation": v[1], "constant": v[2]}
+                for k, v in outcomes.items()}
+    return Verdict(e.name, e.comparison, passed, margin, e.tolerance,
+                   {"variants": variants, "validating_variant": chosen})
 
 
 def _run_hirota(e: Experiment) -> Verdict:
     spec = e.spec
-    alpha = e.opt("alpha", 8.0)
-    beta = e.opt("beta", 10.0)
-    cutoffs = e.opt("cutoffs", (8, 10, 12, 14))
-    min_factor = e.opt("min_factor", 2.0)
-    charge = spec.n_eff
-    charges = [charge - 1, charge, charge + 1, charge + 2]
-    rels = []
-    for w in cutoffs:
-        fam = ts.tau_charge_family(spec, charges, w)
-        rels.append(ts.hirota_residual(fam, spec.L, spec.t, alpha, beta).relative)
+    alpha, beta, cutoffs = e.param("alpha"), e.param("beta"), e.param("cutoffs")
+    min_factor = e.param("min_factor")
+    charges = [spec.n_eff + d for d in (-1, 0, 1, 2)]
+    rels = [ts.hirota_residual(ts.tau_charge_family(spec, charges, w), spec.L, spec.t,
+                               alpha, beta).relative for w in cutoffs]
     factors = [rels[i] / max(rels[i + 1], 1e-300) for i in range(len(rels) - 1)]
     monotone = all(rels[i + 1] < rels[i] for i in range(len(rels) - 1))
     passed = monotone and all(f >= min_factor for f in factors)
@@ -210,10 +223,8 @@ def _run_hirota(e: Experiment) -> Verdict:
 
 
 def _run_group_integral(e: Experiment) -> Verdict:
-    group = e.opt("group", "orthogonal")
-    size = e.opt("size", 3)
-    t = CouplingSeq(e.opt("t", (0.2,)))
-    predicates = e.opt("predicates", ())
+    group, size, predicates = e.param("group"), e.param("size"), e.param("predicates")
+    t = CouplingSeq(e.param("t"))
     details: dict = {"predicate": [], "series_vs_mc": None}
     worst = 0.0
     # one Haar draw serves every predicate; the series check draws its own
@@ -242,10 +253,10 @@ def _z_score(mc: orc.OracleResult, expected) -> float:
 
 
 def _run_discrete(e: Experiment) -> Verdict:
-    trials = e.opt("trials", 50)
+    trials = e.param("trials")
     rng = np.random.default_rng(e.seed)
     worst = 0.0
-    t = CouplingSeq(e.opt("t", (0.07, -0.03)))
+    t = CouplingSeq(e.param("t"))
     for trial in range(trials):
         n = 1 + trial % 3
         L = int(rng.integers(0, 3))
@@ -276,8 +287,8 @@ def _separated(rng, count, lo=-1.4, hi=1.4, gap=0.05):
 
 def _run_wave(e: Experiment) -> Verdict:
     spec = e.spec
-    points = e.opt("points", (2.0, 3.0, 5.0))
-    cut_lo = e.opt("cutoff_low", max(6, e.cutoff - 4))
+    points, cut_lo = e.param("points"), e.param("cutoff_low")
+    cut_lo = max(6, e.cutoff - 4) if cut_lo is None else cut_lo
     rep_hi = ts.wave_polynomial_check(spec, e.cutoff, points, s_ratio_fn=_s_ratio_fn(spec))
     rep_lo = ts.wave_polynomial_check(spec, cut_lo, points)
     margin = max(rep_hi.fit_deviation_t, rep_hi.fit_deviation_s or 0.0)   # s side if any
@@ -319,27 +330,76 @@ def _run_bimoment(e: Experiment) -> Verdict:
                    {"det_ratio": r_det, "direct_ratio": r_direct})
 
 
-_RUNNERS = {
-    "series-vs-oracle-ratio": _run_series_vs_oracle,
-    "closed-form-anchor": _run_anchor,
-    "reality": _run_reality,
-    "ginse-structure": _run_ginse_structure,
-    "kernel-vs-oracle": _run_kernel,
-    "hirota-decay": _run_hirota,
-    "group-series-vs-mc": _run_group_integral,
-    "discrete-exact": _run_discrete,
-    "wave-poly": _run_wave,
-    "bimoment-vs-direct": _run_bimoment,
+def _at_least(kind, least):
+    """The check of a number of `kind` no smaller than `least`."""
+    return lambda value, key: read_number(value, key, kind, lambda v: v >= least)
+
+
+def array_of(item, least_len=0):
+    """The check of an array of at least `least_len` entries, each read by `item`."""
+    def check(value, key):
+        if not isinstance(value, (list, tuple)) or len(value) < least_len:
+            raise ConfigError("bad-value", f"{key} must be an array of length >= {least_len}, "
+                              f"got {value!r}")
+        return tuple(item(v, key) for v in value)
+    return check
+
+
+def _group(value, key):
+    if value not in ("orthogonal", "symplectic"):
+        raise ConfigError("bad-value", f"{key} must be orthogonal or symplectic, got {value!r}")
+    return value
+
+
+def _predicate(value, key):
+    """One [partition parts, expected Haar average] pair."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError("bad-value", f"{key} entries must be [parts, value], got {value!r}")
+    return array_of(_at_least(int, 0))(value[0], key), read_number(value[1], key)
+
+
+# comparison kind -> (runner, {parameter: (check(value, key) -> value, default)})
+COMPARISONS = {
+    "series-vs-oracle-ratio": (_run_series_vs_oracle, {}),
+    "closed-form-anchor": (_run_anchor, {}),
+    "reality": (_run_reality, {}),
+    # the structure check reads the table up to a[5, 6]
+    "ginse-structure": (_run_ginse_structure, {"size": (_at_least(int, 7), 8)}),
+    "kernel-vs-oracle": (_run_kernel, {"p": (array_of(read_number, 1), (0.1, -0.1)),
+                                       "p_ref": (array_of(read_number, 1), (0.08, -0.06))}),
+    "hirota-decay": (_run_hirota, {
+        "alpha": (read_number, 8.0), "beta": (read_number, 10.0), "min_factor": (read_number, 2.0),
+        "cutoffs": (array_of(_at_least(int, 0), 2), (8, 10, 12, 14))}),
+    "group-series-vs-mc": (_run_group_integral, {
+        "group": (_group, "orthogonal"), "size": (_at_least(int, 1), 3),
+        "t": (array_of(read_number), (0.2,)), "predicates": (array_of(_predicate), ())}),
+    "discrete-exact": (_run_discrete, {"trials": (_at_least(int, 1), 50),
+                                       "t": (array_of(read_number), (0.07, -0.03))}),
+    # cutoff_low None: four below the cutoff, at least 6
+    "wave-poly": (_run_wave, {"points": (array_of(read_number, 1), (2.0, 3.0, 5.0)),
+                              "cutoff_low": (_at_least(int, 0), None)}),
+    "bimoment-vs-direct": (_run_bimoment, {}),
 }
 
 
+def resolve_params(comparison: str, params, names=None) -> dict:
+    """Every parameter that `comparison` declares: checked where `params` sets it, its
+    default where not.  ConfigError on an unknown comparison or an undeclared or malformed
+    parameter, which it names by `names.get(parameter, parameter)`."""
+    if comparison not in COMPARISONS:
+        raise ConfigError("unknown-comparison", f"unknown comparison kind {comparison!r}")
+    declared, given, names = COMPARISONS[comparison][1], dict(params), names or {}
+    unknown = sorted(set(given) - set(declared))
+    if unknown:
+        raise ConfigError("unknown-field", f"{comparison} has no params {unknown}")
+    return {k: check(given[k], names.get(k, k)) if k in given else default
+            for k, (check, default) in declared.items()}
+
+
 def run_experiment(e: Experiment) -> Verdict:
-    runner = _RUNNERS.get(e.comparison)
-    if runner is None:
-        return Verdict(e.name, e.comparison, False, math.inf, e.tolerance,
-                       error=f"unknown comparison kind {e.comparison!r}")
     try:
-        return runner(e)
+        resolve_params(e.comparison, e.params)   # a bad param gives an error verdict
+        return COMPARISONS[e.comparison][0](e)
     except (QuadratureError, ValueError, ZeroDivisionError) as exc:
         return Verdict(e.name, e.comparison, False, math.inf, e.tolerance,
                        error=f"{type(exc).__name__}: {exc}")
@@ -358,61 +418,41 @@ S_NZ = CouplingSeq.of(0.0, 0.4)
 
 
 def ratio_experiments(cutoff: int = 12) -> list[Experiment]:
-    out = []
-    for kind in ("OE", "SE", "GinSE", "GinOE"):
-        for n in (1, 2):
-            for L in (0, 1):
-                for label, t in (("tA", T_A), ("tB", T_B)):
-                    out.append(Experiment(
-                        name=f"ratio-{kind}-N{n}-L{L}-{label}",
-                        comparison="series-vs-oracle-ratio",
-                        spec=EnsembleSpec(kind, n, L, t),
-                        tolerance=1e-4, cutoff=cutoff))
-    for kind in ("OE", "SE"):
-        out.append(Experiment(
-            name=f"ratio-{kind}-N1-L0-sNZ", comparison="series-vs-oracle-ratio",
-            spec=EnsembleSpec(kind, 1, 0, T_A, S_NZ), tolerance=1e-3, cutoff=cutoff))
-    return out
+    out = [Experiment(f"ratio-{kind}-N{n}-L{L}-{label}", "series-vs-oracle-ratio",
+                      spec=EnsembleSpec(kind, n, L, t), tolerance=1e-4, cutoff=cutoff)
+           for kind in ("OE", "SE", "GinSE", "GinOE") for n in (1, 2) for L in (0, 1)
+           for label, t in (("tA", T_A), ("tB", T_B))]
+    return out + [Experiment(f"ratio-{kind}-N1-L0-sNZ", "series-vs-oracle-ratio",
+                             spec=EnsembleSpec(kind, 1, 0, T_A, S_NZ), tolerance=1e-3,
+                             cutoff=cutoff) for kind in ("OE", "SE")]
 
 
 def acceptance_experiments(samples: int = 100000, seed: int = 42) -> list[Experiment]:
-    """The named desk-scale suite behind the acceptance gate."""
-    exps: list[Experiment] = [
-        Experiment("ginse-moment-structure", "ginse-structure",
-                   spec=EnsembleSpec("GinSE", 2), tolerance=1e-6, params=(("size", 8),)),
-    ]
-    exps += ratio_experiments(cutoff=12)
-    exps.append(Experiment("anchor-SE-N1-exp", "closed-form-anchor",
-                           spec=EnsembleSpec("SE", 1, 0, T_A), tolerance=1e-6, cutoff=12))
-    for kind in ("OE", "SE", "GinOE", "GinSE"):
-        exps.append(Experiment(f"discrete-{kind}", "discrete-exact",
-                               spec=EnsembleSpec(kind, 1), tolerance=1e-10,
-                               seed=seed, params=(("trials", 50),)))
-    for kind in ("SE", "OE"):
-        exps.append(Experiment(f"kernel-{kind}-N2", "kernel-vs-oracle",
-                               spec=EnsembleSpec(kind, 2 if kind == "OE" else 1, 0, CouplingSeq.of(0.2)),
-                               tolerance=1e-4,
-                               params=(("p", (0.1, -0.1)), ("p_ref", (0.08, -0.06)))))
-    exps.append(Experiment("group-O3", "group-series-vs-mc", cutoff=8, samples=samples,
-                           seed=seed,
-                           params=(("group", "orthogonal"), ("size", 3), ("t", (0.2,)),
-                                   ("predicates", (((2,), 1.0), ((1,), 0.0), ((1, 1), 0.0))))))
-    exps.append(Experiment("group-Sp2", "group-series-vs-mc", cutoff=8, samples=samples,
-                           seed=seed + 7,
-                           params=(("group", "symplectic"), ("size", 2), ("t", (0.2,)),
-                                   ("predicates", (((1, 1), 1.0), ((2,), 0.0), ((1,), 0.0))))))
-    exps.append(Experiment("hirota-SE", "hirota-decay", spec=EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.2)),
-                           params=(("alpha", 8.0), ("beta", 10.0), ("min_factor", 2.0))))
-    exps.append(Experiment("hirota-GinOE", "hirota-decay",
-                           spec=EnsembleSpec("GinOE", 2, 0, CouplingSeq.of(0.1)),
-                           params=(("alpha", 8.0), ("beta", 10.0), ("min_factor", 2.0))))
-    exps.append(Experiment("bimoment-GinUE-N2", "bimoment-vs-direct",
-                           spec=EnsembleSpec("GinUE", 2, 0, CouplingSeq.of(0.2),
-                                             t_bar=CouplingSeq.of(0.2)),
-                           tolerance=1e-5))
-    for kind, n in (("OE", 2), ("SE", 1), ("GinSE", 1), ("GinOE", 2)):
-        exps.append(Experiment(f"reality-{kind}-N{n}", "reality",
-                               spec=EnsembleSpec(kind, n, 0, T_B), tolerance=1e-8, cutoff=10))
-    exps.append(Experiment("wave-SE-N1", "wave-poly", spec=EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.2)),
-                           tolerance=1e-4, cutoff=12, params=(("points", (2.0, 3.0, 5.0)),)))
+    """The named desk-scale suite behind the acceptance gate; every param left out is
+    at its default in `COMPARISONS`."""
+    t02 = CouplingSeq.of(0.2)
+    exps = [Experiment("ginse-moment-structure", "ginse-structure",
+                       spec=EnsembleSpec("GinSE", 2), tolerance=1e-6),
+            *ratio_experiments(cutoff=12),
+            Experiment("anchor-SE-N1-exp", "closed-form-anchor",
+                       spec=EnsembleSpec("SE", 1, 0, T_A), tolerance=1e-6, cutoff=12)]
+    exps += [Experiment(f"discrete-{kind}", "discrete-exact", spec=EnsembleSpec(kind, 1),
+                        tolerance=1e-10, seed=seed) for kind in ("OE", "SE", "GinOE", "GinSE")]
+    exps += [Experiment(f"kernel-{kind}-N2", "kernel-vs-oracle", spec=EnsembleSpec(kind, n, 0, t02),
+                        tolerance=1e-4) for kind, n in (("SE", 1), ("OE", 2))]
+    exps += [Experiment("group-O3", "group-series-vs-mc", cutoff=8, samples=samples, seed=seed,
+                        params=(("predicates", (((2,), 1.0), ((1,), 0.0), ((1, 1), 0.0))),)),
+             Experiment("group-Sp2", "group-series-vs-mc", cutoff=8, samples=samples,
+                        seed=seed + 7, params=(("group", "symplectic"), ("size", 2), (
+                            "predicates", (((1, 1), 1.0), ((2,), 0.0), ((1,), 0.0))))),
+             Experiment("hirota-SE", "hirota-decay", spec=EnsembleSpec("SE", 1, 0, t02)),
+             Experiment("hirota-GinOE", "hirota-decay",
+                        spec=EnsembleSpec("GinOE", 2, 0, CouplingSeq.of(0.1))),
+             Experiment("bimoment-GinUE-N2", "bimoment-vs-direct",
+                        spec=EnsembleSpec("GinUE", 2, 0, t02, t_bar=t02), tolerance=1e-5)]
+    exps += [Experiment(f"reality-{kind}-N{n}", "reality", spec=EnsembleSpec(kind, n, 0, T_B),
+                        tolerance=1e-8, cutoff=10)
+             for kind, n in (("OE", 2), ("SE", 1), ("GinSE", 1), ("GinOE", 2))]
+    exps.append(Experiment("wave-SE-N1", "wave-poly", spec=EnsembleSpec("SE", 1, 0, t02),
+                           tolerance=1e-4, cutoff=12))
     return exps

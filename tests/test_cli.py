@@ -283,6 +283,7 @@ def test_acceptance_suite_is_built_by_the_parser():
 
 _ENTRY = {"name": "r1", "comparison": "series-vs-oracle-ratio",
           "ensemble": {"kind": "SE", "n": 1, "t": [0.3]}}
+_DISCRETE = {"name": "d1", "comparison": "discrete-exact", "ensemble": {"kind": "OE", "n": 1}}
 # (config, error code, what the message must name)
 _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
     ("entry-without-comparison", {"command": "suite", "experiments": [{"name": "r1"}]},
@@ -321,6 +322,68 @@ _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
     ("dump-pole-at-origin",
      {"command": "moments-dump", "ensemble": {"kind": "SE", "n": 1, "L": -1}},
      "bad-ensemble", "pole at the origin"),
+    # params are checked against their comparison's entry in hub.COMPARISONS
+    ("discrete-trials-malformed",
+     {"command": "discrete-check", "ensemble": {"kind": "OE", "n": 1}, "trials": "x"},
+     "bad-number", "experiment 0 'discrete-check': malformed trials"),
+    ("entry-unknown-param",
+     {"command": "suite", "experiments": [dict(_DISCRETE, params={"trials": 3, "bogus": 1})]},
+     "unknown-field", "experiment 0 'd1': discrete-exact has no params ['bogus']"),
+    ("command-foreign-params",
+     {"command": "compare-oracle", "ensemble": {"kind": "SE", "n": 1}, "trials": 7,
+      "predicates": 5},
+     "unknown-field", "['predicates', 'trials'] for compare-oracle"),
+    ("dump-foreign-field",
+     {"command": "partition-function", "ensemble": {"kind": "SE", "n": 1}, "size": 5},
+     "unknown-field", "['size'] for partition-function"),
+    ("entry-ginse-size-below-7",
+     {"command": "suite", "experiments": [{"name": "g", "comparison": "ginse-structure",
+                                           "ensemble": {"kind": "GinSE", "n": 2},
+                                           "params": {"size": 4}}]},
+     "bad-number", "experiment 0 'g': size out of range"),
+    ("group-predicate-without-parts",
+     {"command": "group-integral", "predicates": [[2, 1.0]]},
+     "bad-value", "experiment 0 'group-integral': predicates"),
+    ("group-name-unknown", {"command": "group-integral", "group": "unitary"},
+     "bad-value", "experiment 0 'group-integral': group"),
+    ("hirota-one-cutoff",
+     {"command": "hirota-check", "ensemble": {"kind": "SE", "n": 1}, "cutoffs": [8]},
+     "bad-value", "experiment 0 'hirota-check': cutoffs"),
+    ("entry-unknown-comparison",
+     {"command": "suite", "experiments": [dict(_ENTRY, comparison="no-such-kind")]},
+     "unknown-comparison", "experiment 0 'r1'"),
+    # integer fields read JSON integers only, float fields JSON numbers; neither a bool
+    ("seed-float", {"command": "discrete-check", "ensemble": {"kind": "OE", "n": 1},
+                    "seed": 3.9}, "bad-number", "malformed seed: 3.9"),
+    ("cutoff-string", {"command": "partition-function", "ensemble": {"kind": "SE", "n": 1},
+                       "cutoff": "12"}, "bad-number", "malformed cutoff: '12'"),
+    ("samples-bool", {"command": "group-integral", "samples": True}, "bad-number",
+     "malformed samples: True"),
+    ("tolerance-string", {"command": "suite", "experiments": [dict(_ENTRY, tolerance="1e-4")]},
+     "bad-number", "experiment 0 'r1': malformed tolerance"),
+    ("kernel-point-nan", {"command": "kernel-check", "ensemble": {"kind": "SE", "n": 1},
+                          "p": [0.1, float("nan")]}, "bad-number", "malformed p: nan"),
+    ("ensemble-L-float", {"command": "partition-function",
+                          "ensemble": {"kind": "SE", "n": 1, "L": 1.0}},
+     "bad-number", "malformed L: 1.0"),
+    ("ensemble-L2-string", {"command": "suite",
+                            "experiments": [dict(_ENTRY, ensemble={"kind": "GinUE", "n": 1,
+                                                                   "L2": "1"})]},
+     "bad-number", "experiment 0 'r1': malformed L2"),
+    ("ensemble-n-bool", {"command": "partition-function", "ensemble": {"kind": "SE", "n": True}},
+     "bad-number", "malformed n: True"),
+    ("ensemble-alpha-bool", {"command": "compare-oracle",
+                             "ensemble": {"kind": "GinOE", "n": 1, "alpha": True}},
+     "bad-number", "malformed alpha: True"),
+    ("ensemble-coupling-bool", {"command": "partition-function",
+                                "ensemble": {"kind": "SE", "n": 1, "t": [0.1, False]}},
+     "bad-number", "malformed t: False"),
+    ("param-trials-float",
+     {"command": "suite", "experiments": [dict(_DISCRETE, params={"trials": 2.0})]},
+     "bad-number", "experiment 0 'd1': malformed trials: 2.0"),
+    ("alpha-shift-bool",
+     {"command": "hirota-check", "ensemble": {"kind": "SE", "n": 1}, "alpha_shift": True},
+     "bad-number", "experiment 0 'hirota-check': malformed alpha_shift: True"),
 )]
 
 
@@ -340,6 +403,17 @@ def test_bad_config_exits_2_before_any_output(tmp_path, capsys, config, code, na
     assert main([config["command"], "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error [{code}]:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_malformed_param_exits_2_with_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = tmp_path / "discrete.json"
+    path.write_text(json.dumps({"command": "discrete-check", "ensemble": {"kind": "OE", "n": 1},
+                                "trials": "x"}))
+    assert main(["discrete-check", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "'discrete-check'" in err and "trials" in err
     assert not out.exists()
 
 

@@ -65,6 +65,29 @@ def test_unknown_comparison_is_a_failed_verdict():
     assert not v.passed and "unknown comparison" in v.error
 
 
+def test_param_accessor_refuses_an_undeclared_key():
+    e = Experiment("d", "discrete-exact", spec=EnsembleSpec("OE", 1), params=(("trials", 3),))
+    assert e.param("trials") == 3
+    assert e.param("t") == hub.COMPARISONS["discrete-exact"][1]["t"][1]
+    with pytest.raises(KeyError):
+        e.param("bogus")
+
+
+@pytest.mark.parametrize("params", [(("trials", "x"),), (("trials", 2.5),), (("bogus", 1),)])
+def test_bad_param_in_code_is_an_errored_verdict(params):
+    v = run_experiment(Experiment("d", "discrete-exact", spec=EnsembleSpec("OE", 1),
+                                  params=params))
+    assert not v.passed and v.error.startswith("ConfigError:")
+    assert params[0][0] in v.error
+
+
+@pytest.mark.parametrize("comparison", sorted(hub.COMPARISONS))
+def test_every_declared_default_passes_its_own_check(comparison):
+    for key, (check, default) in hub.COMPARISONS[comparison][1].items():
+        if default is not None:     # None: the runner derives the value
+            assert check(default, key) == default
+
+
 def test_validation_failure_becomes_verdict():
     e = Experiment("reject", "series-vs-oracle-ratio",
                    spec=EnsembleSpec("GinSE", 1, 0, CouplingSeq.of(0.1),
@@ -229,7 +252,7 @@ def test_discrete_oe_at_suite_seeds(seed):
     assert v.passed and v.margin < 1e-13
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: discrete-SE loses digits in the "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: discrete-SE loses digits in the "
                                         "float atomic table when an atom sits near 0 at L = 2")
 @pytest.mark.parametrize("seed", [2, 11, 12, 15, 18, 19])
 def test_discrete_se_at_suite_seeds(seed):
