@@ -126,7 +126,8 @@ def parse_config(text: str) -> RunConfig:
     declared = hub.COMPARISONS[_COMPARISONS[command]][1] if command in _COMPARISONS else {}
     keys = {k: _ALIASES.get(k, k) for k in declared}
     own = {"moments-dump": {"size"}, "suite": {"experiments"}}.get(command, set())
-    unknown = set(raw) - _TOP_KEYS - own - set(keys.values())
+    ignored = hub.IGNORED_FIELDS.get(_COMPARISONS.get(command), set())
+    unknown = (set(raw) - _TOP_KEYS - own - set(keys.values())) | (set(raw) & ignored)
     if unknown:
         raise ConfigError("unknown-field", f"unknown fields {sorted(unknown)} for {command}")
     cfg = RunConfig(command, **{k: _number(raw, k, getattr(hub.Experiment, k))
@@ -184,7 +185,11 @@ def _experiment_from_node(node, cfg: RunConfig, index: int, keys=None) -> hub.Ex
             raise ConfigError("unknown-field", f"unknown fields {sorted(unknown)}")
         if not isinstance(node.get("comparison"), str):
             raise ConfigError("bad-suite", "needs a comparison kind")
-        if "ensemble" not in node and node["comparison"] != "group-series-vs-mc":
+        ignored = hub.IGNORED_FIELDS.get(node["comparison"], set())
+        if set(node) & ignored:
+            raise ConfigError("unknown-field", f"{node['comparison']} takes no "
+                              f"{sorted(set(node) & ignored)}")
+        if "ensemble" not in node and "ensemble" not in ignored:
             raise ConfigError("missing-ensemble", f"{node['comparison']} needs an ensemble")
         params = node.get("params", {})
         if not isinstance(params, dict):

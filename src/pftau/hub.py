@@ -355,7 +355,28 @@ def _predicate(value, key):
     """One [partition parts, expected Haar average] pair."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError("bad-value", f"{key} entries must be [parts, value], got {value!r}")
-    return array_of(_at_least(int, 0))(value[0], key), read_number(value[1], key)
+    parts = array_of(_at_least(int, 0))(value[0], key)
+    try:
+        Partition(parts)
+    except ValueError as exc:
+        raise ConfigError("bad-value", f"{key} entry {value!r}: {exc}") from exc
+    return parts, read_number(value[1], key)
+
+
+def _kernel_points(value, key):
+    """The points of a kernel Pfaffian: an even number of them, no two equal."""
+    points = array_of(read_number, 2)(value, key)
+    if len(points) % 2 or len(set(points)) != len(points):
+        raise ConfigError("bad-value", f"{key} must be an even number of distinct points, "
+                          f"got {value!r}")
+    return points
+
+
+def _group_size(params: dict, names: dict) -> None:
+    """A compact symplectic group acts on an even dimension."""
+    if params["group"] == "symplectic" and params["size"] % 2:
+        raise ConfigError("bad-value", f"{names.get('size', 'size')} of the symplectic group "
+                          f"must be even, got {params['size']}")
 
 
 # comparison kind -> (runner, {parameter: (check(value, key) -> value, default)})
@@ -365,8 +386,8 @@ COMPARISONS = {
     "reality": (_run_reality, {}),
     # the structure check reads the table up to a[5, 6]
     "ginse-structure": (_run_ginse_structure, {"size": (_at_least(int, 7), 8)}),
-    "kernel-vs-oracle": (_run_kernel, {"p": (array_of(read_number, 1), (0.1, -0.1)),
-                                       "p_ref": (array_of(read_number, 1), (0.08, -0.06))}),
+    "kernel-vs-oracle": (_run_kernel, {"p": (_kernel_points, (0.1, -0.1)),
+                                       "p_ref": (_kernel_points, (0.08, -0.06))}),
     "hirota-decay": (_run_hirota, {
         "alpha": (read_number, 8.0), "beta": (read_number, 10.0), "min_factor": (read_number, 2.0),
         "cutoffs": (array_of(_at_least(int, 0), 2), (8, 10, 12, 14))}),
@@ -380,6 +401,11 @@ COMPARISONS = {
                               "cutoff_low": (_at_least(int, 0), None)}),
     "bimoment-vs-direct": (_run_bimoment, {}),
 }
+# comparison kind -> check(params, names) of parameters whose domains depend on each other
+JOINT_CHECKS = {"group-series-vs-mc": _group_size}
+# comparison kind -> the experiment fields its verdict never reads, which no config may set:
+# a Monte Carlo z-score has its own bound
+IGNORED_FIELDS = {"group-series-vs-mc": {"ensemble", "tolerance"}}
 
 
 def resolve_params(comparison: str, params, names=None) -> dict:
@@ -392,8 +418,11 @@ def resolve_params(comparison: str, params, names=None) -> dict:
     unknown = sorted(set(given) - set(declared))
     if unknown:
         raise ConfigError("unknown-field", f"{comparison} has no params {unknown}")
-    return {k: check(given[k], names.get(k, k)) if k in given else default
-            for k, (check, default) in declared.items()}
+    resolved = {k: check(given[k], names.get(k, k)) if k in given else default
+                for k, (check, default) in declared.items()}
+    if comparison in JOINT_CHECKS:
+        JOINT_CHECKS[comparison](resolved, names)
+    return resolved
 
 
 def run_experiment(e: Experiment) -> Verdict:

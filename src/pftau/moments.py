@@ -6,8 +6,10 @@ half-width and the quadrature level fully determine a table, which makes
 them cacheable.
 
 Sector conventions, each written once below and applied alike to the
-quadrature measures of the sectors and to the point masses of `atomic_pair`
-(on which `oracle.discrete_consistency` checks the series identity exactly):
+quadrature measures of the sectors, to the point masses of `atomic_pair`
+(on which `oracle.discrete_consistency` checks the series identity exactly)
+and, at s = 0, to the plain Gaussian weight in closed form (every sector
+but the real orthogonal and the real-Ginibre half-plane one):
 
 * real orthogonal sector   (R - R^T)/2 of the sgn-weighted double moment R;
 * orthogonal border        a[n] = sqrt(2) * single moment with its Gaussian;
@@ -50,7 +52,7 @@ WEIGHT_CONSTANTS = {"orth": (0.5, 1), "sympl": (1.0, 2), "pair": (1.0, 2)}
 # moves the numbers a table holds: its quadrature rule, level schedule or
 # tolerance, its sector convention, or its layout.  Entries stored under any
 # other value are never served.
-TABLE_ALGORITHM = "tables-7"
+TABLE_ALGORITHM = "tables-8"
 TABLE_BUILDS = 0
 _SECTOR_CACHE: dict = {}
 _DISK_CACHE = None
@@ -58,9 +60,9 @@ _DISK_CACHE = None
 
 def clear_cache() -> None:
     """Drop every memoized value of this process: moment tables (the disk cache keeps
-    its copies), oracle values, erfc factors, Schur value tables, series coefficient
-    tables, line rules (panels and weight values), plane quadrature grids and their
-    angular tables."""
+    its copies), oracle values and pair tables, erfc factors, Schur value tables, series
+    coefficient tables, line rules (panels and weight values), plane quadrature grids and
+    their angular tables."""
     _SECTOR_CACHE.clear()
 
 
@@ -368,9 +370,10 @@ def pair_moments(family: str, t: CouplingSeq, s: CouplingSeq, exps, level: int,
     return polar_gram(grid, w, exps, exps, _angular_table)
 
 
-def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build):
-    """The memoized table of one sector: loaded from the disk cache, else built by
-    `converge(build)` and stored there."""
+def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build, exact=None):
+    """The memoized table of one sector: loaded from the disk cache, else built and stored
+    there.  At s = 0 a sector with a closed form takes `exact()`; every other table is
+    `converge(build)`."""
     key = (TABLE_ALGORITHM, name, s.values, base, size)
 
     def load_or_build():
@@ -379,7 +382,10 @@ def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build):
             return stored
         global TABLE_BUILDS
         TABLE_BUILDS += 1
-        table, _ = converge(build, rel_tol=5e-10)
+        if exact is not None and not s.top_index():
+            table = exact()
+        else:
+            table, _ = converge(build, rel_tol=5e-10)
         if _DISK_CACHE is not None:
             _DISK_CACHE.store(key, table)
         return table
@@ -390,7 +396,8 @@ def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build):
 # ---------------------------------------------------------------------------
 # the sector conventions of the module docstring, each read off one measure: a
 # line (`quad.LinePanels`, or `_AtomicLine` for point masses) with the weight
-# values `wv` at its nodes, or a plain pair table over `_pair_exps`
+# values `wv` at its nodes, its single moments `mu` (q -> int x^q w(x) dx), or a
+# plain pair table over `_pair_exps`
 
 def _orth_block(line, wv, idx: np.ndarray) -> np.ndarray:
     powers = power_table(line.nodes, idx)
@@ -402,19 +409,44 @@ def _orth_block(line, wv, idx: np.ndarray) -> np.ndarray:
     return (r - r.T) / 2.0
 
 
-def _orth_border(line, wv, idx: np.ndarray) -> np.ndarray:
-    return math.sqrt(2.0) * power_table(line.nodes, idx) @ (line.weights * wv)
+def _orth_border(mu, idx: np.ndarray) -> np.ndarray:
+    return math.sqrt(2.0) * mu(idx)
 
 
-def _single_moments(line, wv, exps) -> np.ndarray:
-    return power_table(line.nodes, exps) @ (line.weights * wv)
-
-
-def _sympl_block(line, wv, idx: np.ndarray) -> np.ndarray:
+def _sympl_block(mu, idx: np.ndarray) -> np.ndarray:
     qmin = 2 * int(idx[0]) - 1
-    mu = _single_moments(line, wv, np.arange(qmin, 2 * int(idx[-1])))
+    moments = mu(np.arange(qmin, 2 * int(idx[-1])))
     n, m = idx[:, None], idx[None, :]
-    return (n - m) / 2.0 * mu[(n + m - 1) - qmin]
+    return (n - m) / 2.0 * moments[(n + m - 1) - qmin]
+
+
+def _line_moments(line, wv):
+    """The single moments q -> int x^q w(x) dx of a line measure, for integer arrays q."""
+    weights = line.weights * wv
+    return lambda q: power_table(line.nodes, q) @ weights
+
+
+def _gaussian_moments(gauss: float):
+    """The single moments of the weight e^{-gauss x^2}, a line weight at t = s = 0:
+    Gamma((q+1)/2) gauss^{-(q+1)/2} for even q >= 0, and exactly 0 for odd q."""
+    def mu(q):
+        q = np.asarray(q).tolist()
+        if any(k < 0 and k % 2 == 0 for k in q):
+            raise ValueError("an even negative power diverges at the origin")
+        return np.array([0.0 if k % 2 else math.gamma((k + 1) / 2) * gauss ** (-(k + 1) / 2)
+                         for k in q])
+    return mu
+
+
+def _gaussian_pair_table(exps: np.ndarray) -> np.ndarray:
+    """T[a, b] = int_{Im z > 0} z^a zbar^b e^{-|z|^2} d^2 z, the symplectic pair table at
+    t = s = 0: Gamma((a+b)/2 + 1) / 2 times int_0^pi e^{i (a-b) theta} d theta, which is
+    pi for a = b, 2i / (a-b) for odd a - b and exactly 0 otherwise."""
+    a, b = exps[:, None], exps[None, :]
+    d = a - b
+    radial = 0.5 * np.vectorize(math.gamma, otypes=[float])((a + b) / 2 + 1)
+    angular = np.where(d == 0, math.pi, np.where(d % 2 == 1, 2j / np.where(d == 0, 1, d), 0.0))
+    return radial * angular
 
 
 def _pair_exps(family: str, base: int, size: int) -> np.ndarray:
@@ -447,31 +479,42 @@ def _mixed_pair(spec: EnsembleSpec, size: int, real, pair, border) -> SkewPair:
     return SkewPair((a_mat - a_mat.T) / 2.0, vec, index_base=spec.index_base)
 
 
-def _line_sector(name: str, family: str, convention, s: CouplingSeq, base: int, size: int,
-                 top: int | None = None) -> np.ndarray:
+def _moment_sector(name: str, family: str, convention, s: CouplingSeq, base: int, size: int,
+                   top: int | None = None) -> np.ndarray:
+    """convention(mu, idx) of the single moments of the family's line weight: by quadrature
+    up to the power `top`, and at s = 0 of the Gaussian moments in closed form."""
     idx = np.arange(base, base + size)
     top = int(np.max(np.abs(idx))) if top is None else top   # largest |power| read
-    return _cached_sector(name, s, base, size, lambda level: convention(
-        *line_rule(family, ZERO_SEQ, s, top + 1, level), idx))
+    return _cached_sector(
+        name, s, base, size,
+        lambda level: convention(_line_moments(*line_rule(family, ZERO_SEQ, s, top + 1, level)),
+                                 idx),
+        lambda: convention(_gaussian_moments(WEIGHT_CONSTANTS[family][0]), idx))
 
 
 def _pair_sector(name: str, family: str, s: CouplingSeq, base: int, size: int) -> np.ndarray:
+    """The half-plane sector by quadrature; the symplectic one at s = 0 in closed form."""
     exps = _pair_exps(family, base, size)
-    return _cached_sector(name, s, base, size, lambda level: _pair_block(
-        family, pair_moments(family, ZERO_SEQ, s, exps, level)))
+    return _cached_sector(
+        name, s, base, size,
+        lambda level: _pair_block(family, pair_moments(family, ZERO_SEQ, s, exps, level)),
+        (lambda: _pair_block(family, _gaussian_pair_table(exps))) if family == "sympl" else None)
 
 
 def orth_real_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
-    return _line_sector("orth_real", "orth", _orth_block, s, base, size)
+    idx = np.arange(base, base + size)
+    top = int(np.max(np.abs(idx)))   # largest |power| read
+    return _cached_sector("orth_real", s, base, size, lambda level: _orth_block(
+        *line_rule("orth", ZERO_SEQ, s, top + 1, level), idx))
 
 
 def orth_border(s: CouplingSeq, base: int, size: int) -> np.ndarray:
-    return _line_sector("orth_border", "orth", _orth_border, s, base, size)
+    return _moment_sector("orth_border", "orth", _orth_border, s, base, size)
 
 
 def sympl_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
     top = max(abs(2 * base - 1), abs(2 * (base + size - 1) - 1))
-    return _line_sector("sympl_line", "sympl", _sympl_block, s, base, size, top)
+    return _moment_sector("sympl_line", "sympl", _sympl_block, s, base, size, top)
 
 
 def sympl_border_moments(s: CouplingSeq, base: int, size: int) -> np.ndarray:
@@ -481,7 +524,8 @@ def sympl_border_moments(s: CouplingSeq, base: int, size: int) -> np.ndarray:
     symplectic skew matrix to odd charges so the difference bilinear
     identity has nonvacuous members.
     """
-    return _line_sector("sympl_border", "sympl", _single_moments, s, base, size).astype(complex)
+    return _moment_sector("sympl_border", "sympl", lambda mu, idx: mu(idx), s, base,
+                          size).astype(complex)
 
 
 def ginse_complex_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
@@ -537,9 +581,10 @@ def atomic_pair(spec: EnsembleSpec, real_atoms, pair_atoms, size: int) -> SkewPa
     pw = np.array([w for _, w in pair_atoms or ()], dtype=float)
     orth = spec.family == "orth"
     return _mixed_pair(spec, size,
-                       lambda: (_orth_block if orth else _sympl_block)(line, ones, idx),
+                       lambda: (_orth_block(line, ones, idx) if orth
+                                else _sympl_block(_line_moments(line, ones), idx)),
                        lambda: _pair_block(spec.family, (pz * pw) @ np.conj(pz).T),
-                       (lambda: _orth_border(line, ones, idx)) if orth else None)
+                       (lambda: _orth_border(_line_moments(line, ones), idx)) if orth else None)
 
 
 # ---------------------------------------------------------------------------

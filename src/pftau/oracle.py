@@ -151,6 +151,13 @@ def _eigen_value_at_level(spec: EnsembleSpec, level: int, insertion=None,
         return lp, w if insertion is None else w * insertion(lp.nodes)
 
     def pair_table(maxdeg):
+        if insertion is None and poles is None:
+            # one table per coupling and level, read by every (N, L): the degree, and with
+            # it the grid radius, rounded up to a multiple of 16
+            degree = -(-maxdeg // 16) * 16
+            return mom.memo(("oracle_pair", spec.family, spec.t, spec.s, degree, level),
+                            lambda: mom.pair_moments(spec.family, spec.t, spec.s,
+                                                     range(degree + 1), level))
         return mom.pair_moments(spec.family, spec.t, spec.s, range(maxdeg + 1), level,
                                 None if insertion is None
                                 else (lambda z: insertion(z) * insertion(np.conj(z))), poles)
@@ -170,7 +177,7 @@ def _eigen_value_at_level(spec: EnsembleSpec, level: int, insertion=None,
         pair_T = pair_table(maxdeg) if alpha != 0.0 else None
         mu_qmin = -2 * abs(L)
         mu_qmax = maxdeg * 2
-        mu = mom._single_moments(*line(mu_qmax + 2), range(mu_qmin, mu_qmax + 1))
+        mu = mom._line_moments(*line(mu_qmax + 2))(np.arange(mu_qmin, mu_qmax + 1))
 
         def line_factor(rows):
             return np.prod(mu[rows + 2 * L - mu_qmin], axis=1)

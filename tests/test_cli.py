@@ -136,7 +136,8 @@ def test_cache_entry_without_table_algorithm_is_not_served(tmp_path):
         moments.clear_cache()
 
 
-@pytest.mark.parametrize("previous", ["tables-1", "tables-2", "tables-4", "tables-5", "tables-6"])
+@pytest.mark.parametrize("previous", ["tables-1", "tables-2", "tables-4", "tables-5", "tables-6",
+                                      "tables-7"])
 def test_cache_entry_under_the_previous_table_algorithm_is_not_served(tmp_path, previous):
     s = CouplingSeq.of(0.0, 0.4)
     assert moments.TABLE_ALGORITHM != previous
@@ -276,6 +277,18 @@ def test_single_command_is_an_inline_suite_entry():
     assert dict(e.params) == {"alpha": 8.0, "beta": 10.0, "cutoffs": (8, 10)}
 
 
+def test_group_entry_takes_the_suite_defaults_but_no_tolerance_of_its_own():
+    # a suite's top-level tolerance is the default of its other entries, and stays legal
+    group = {"name": "g", "comparison": "group-series-vs-mc", "samples": 200}
+    cfg = parse_config(json.dumps({"command": "suite", "tolerance": 1e-3,
+                                   "experiments": [group, _ENTRY]}))
+    assert [e.tolerance for e in cfg.experiments] == [1e-3, 1e-3]
+    assert cfg.experiments[0].spec is None
+    shipped = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "group_o3.json"
+    [e] = parse_config(shipped.read_text()).experiments
+    assert e.comparison == "group-series-vs-mc" and e.param("size") == 3
+
+
 def test_acceptance_suite_is_built_by_the_parser():
     cfg = parse_config(json.dumps({"command": "suite", "samples": 500, "seed": 9}))
     assert cfg.experiments == hub.acceptance_experiments(samples=500, seed=9)
@@ -384,6 +397,30 @@ _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
     ("alpha-shift-bool",
      {"command": "hirota-check", "ensemble": {"kind": "SE", "n": 1}, "alpha_shift": True},
      "bad-number", "experiment 0 'hirota-check': malformed alpha_shift: True"),
+    # domains, one parameter's depending on another's included
+    ("group-symplectic-odd-size", {"command": "group-integral", "group": "symplectic", "size": 3},
+     "bad-value", "experiment 0 'group-integral': size of the symplectic group must be even"),
+    ("group-predicate-not-a-partition",
+     {"command": "group-integral", "predicates": [[[1, 2], 0.0]]},
+     "bad-value", "experiment 0 'group-integral': predicates entry [[1, 2], 0.0]"),
+    ("kernel-points-coincide",
+     {"command": "kernel-check", "ensemble": {"kind": "SE", "n": 1}, "p": [0.1, 0.1]},
+     "bad-value", "experiment 0 'kernel-check': p must be an even number of distinct points"),
+    ("kernel-reference-points-coincide",
+     {"command": "kernel-check", "ensemble": {"kind": "SE", "n": 1}, "p_ref": [0.2, 0.2]},
+     "bad-value", "experiment 0 'kernel-check': p_ref must be an even number of distinct"),
+    ("kernel-points-odd-count",
+     {"command": "kernel-check", "ensemble": {"kind": "OE", "n": 3}, "p": [0.1, 0.0, -0.1]},
+     "bad-value", "experiment 0 'kernel-check': p must be an even number of distinct points"),
+    # fields that a group verdict never reads
+    ("group-tolerance", {"command": "group-integral", "tolerance": 1e-300, "samples": 2000},
+     "unknown-field", "['tolerance'] for group-integral"),
+    ("group-ensemble", {"command": "group-integral", "ensemble": {"kind": "SE", "n": 1}},
+     "unknown-field", "['ensemble'] for group-integral"),
+    ("entry-group-tolerance",
+     {"command": "suite", "experiments": [{"name": "g", "comparison": "group-series-vs-mc",
+                                           "tolerance": 0.5}]},
+     "unknown-field", "experiment 0 'g': group-series-vs-mc takes no ['tolerance']"),
 )]
 
 

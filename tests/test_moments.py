@@ -150,41 +150,34 @@ def test_clear_cache_drops_the_erfc_memo():
     assert not moments._SECTOR_CACHE
 
 
-def test_ginoe_values_do_not_depend_on_the_erfc_memo():
+def test_ginoe_values_do_not_depend_on_the_erfc_memo(monkeypatch):
     from pftau.oracle import eigen_integral
 
     def tables():
-        return moment_pair(EnsembleSpec("GinOE", 2), 8), moment_pair(EnsembleSpec("GinOE", 1), 6)
+        pairs = moment_pair(EnsembleSpec("GinOE", 2), 8), moment_pair(EnsembleSpec("GinOE", 1), 6)
+        return [a for p in pairs for a in (p.a_matrix, p.border)]
 
     def oracle():
         spec = EnsembleSpec("GinOE", 2, t=CouplingSeq.of(0.1, -0.05))
-        return eigen_integral(spec).value, eigen_integral(EnsembleSpec("GinOE", 3)).value
+        return [eigen_integral(spec).value, eigen_integral(EnsembleSpec("GinOE", 3)).value]
 
-    def drop_all_but_erfc():
+    erfc_calls = []
+    real_erfc = moments.erfc_vec
+    monkeypatch.setattr(moments, "erfc_vec", lambda x: erfc_calls.append(1) or real_erfc(x))
+    for build in (tables, oracle):
+        moments.clear_cache()
+        cold = build()
+        assert erfc_calls
+        # warm: only the erfc factors of a cold build are left, and each is a memo hit
         keep = {k: moments._SECTOR_CACHE[k] for k in _erfc_keys()}
         moments.clear_cache()
         moments._SECTOR_CACHE.update(keep)
-
+        erfc_calls.clear()
+        warm = build()
+        assert not erfc_calls and set(_erfc_keys()) == set(keep)
+        for c, w in zip(cold, warm):
+            assert np.array_equal(c, w)
     moments.clear_cache()
-    cold_tables = tables()
-    moments.clear_cache()
-    cold_oracle = oracle()
-    moments.clear_cache()
-    # warm: the erfc factors are left behind by the other builder, in either order
-    oracle()
-    drop_all_but_erfc()
-    memo = set(_erfc_keys())
-    warm_tables = tables()
-    assert set(_erfc_keys()) == memo          # every erfc factor of the tables was a memo hit
-    moments.clear_cache()
-    tables()
-    drop_all_but_erfc()
-    warm_oracle = oracle()
-    moments.clear_cache()
-    for cold, warm in zip(cold_tables, warm_tables):
-        assert np.array_equal(cold.a_matrix, warm.a_matrix)
-        assert np.array_equal(cold.border, warm.border)
-    assert cold_oracle == warm_oracle
 
 
 def test_sector_cache_hits():
@@ -509,23 +502,115 @@ def _worst(table, ref) -> float:
     return float(np.max(np.abs(table - ref)) / np.max(np.abs(ref)))
 
 
-def test_t0_tables_match_quadrature_free_references():
-    # at t = s = 0 every weight is a plain Gaussian, so the line and half-plane
-    # tables are Gamma values: int x^q e^{-x^2} dx, sqrt(2) int x^k e^{-x^2/2} dx
-    # and int_{Im z > 0} z^a zbar^b e^{-|z|^2} d^2 z
-    n = 12
-    q = np.arange(n)
+# the s = 0 sectors with a closed form, and the (n, m) entries their parity leaves nonzero
+_T0_SECTORS = {
+    "sympl_border": (moments.sympl_border_moments, lambda n, m: n % 2 == 0),
+    "orth_border": (moments.orth_border, lambda n, m: n % 2 == 0),
+    "sympl_line": (moments.sympl_sector, lambda n, m: (n + m) % 2 == 1),
+    "ginse_complex": (moments.ginse_complex_sector, lambda n, m: abs(n - m) == 1),
+}
+# the gate's table sizes and those of the tau-series ratios at cutoff 20
+_T0_SIZES = (*range(8, 19), *range(21, 27))
+
+
+def test_t0_tables_match_quadrature_free_references(monkeypatch):
+    # at t = s = 0 every weight is a plain Gaussian, and these four sectors are Gamma
+    # values in closed form; each matches the quadrature build of its own convention,
+    # and an entry that parity makes zero is exactly 0
+    moments.clear_cache()
+    closed = {(name, size): sector(ZERO_SEQ, 0, size)
+              for name, (sector, _) in _T0_SECTORS.items() for size in _T0_SIZES}
+    moments.clear_cache()
+    real = moments._cached_sector
+    with monkeypatch.context() as m:
+        m.setattr(moments, "_cached_sector",
+                  lambda name, s, base, size, build, exact=None: real(name, s, base, size, build))
+        for (name, size), table in closed.items():
+            sector, nonzero = _T0_SECTORS[name]
+            assert table.dtype == sector(ZERO_SEQ, 0, size).dtype
+            assert _worst(table, sector(ZERO_SEQ, 0, size)) < 1e-13, (name, size)
+            n, m = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
+            mask = nonzero(n, m) if table.ndim == 2 else nonzero(np.arange(size), 0)
+            assert np.all(table[~mask] == 0) and np.all(table[mask] != 0), (name, size)
+    moments.clear_cache()
+    # the references of the Gamma values themselves, at t = 0 through the whole table
+    q = np.arange(12)
     gamma = np.array([math.gamma((k + 1) / 2) for k in q])
     even = q % 2 == 0
-    assert _worst(moments.sympl_border_moments(ZERO_SEQ, 0, n), np.where(even, gamma, 0.0)) < 1e-13
+    assert _worst(closed["sympl_border", 12], np.where(even, gamma, 0.0)) < 1e-15
     orth = np.where(even, math.sqrt(2.0) * 2.0 ** ((q + 1) / 2) * gamma, 0.0)
-    assert _worst(moments.orth_border(ZERO_SEQ, 0, n), orth) < 1e-13
-    a, b = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
-    d = a - b
-    angular = np.where(d == 0, math.pi, ((-1.0) ** d - 1.0) / (1j * np.where(d == 0, 1, d)))
-    radial = np.array([[0.5 * math.gamma((i + j) / 2 + 1) for j in range(8)] for i in range(8)])
-    table = moments.pair_moments("sympl", ZERO_SEQ, ZERO_SEQ, range(8), 0)
-    assert _worst(table, radial * angular) < 1e-13
+    assert _worst(closed["orth_border", 12], orth) < 1e-15
+    superdiag = [math.pi / 2 * math.gamma(k + 2) for k in range(11)]
+    assert _worst(np.diagonal(closed["ginse_complex", 12], 1), superdiag) < 1e-15
+
+
+def _ginoe_exact_sector(size: int) -> np.ndarray:
+    """(T - T^T) / 2i, T[a, b] = int_{Im z > 0} z^a zbar^b erfc(sqrt(2) Im z) e^{-Re z^2} d^2 z
+    for a, b < size, by integration by parts in 50-digit decimal arithmetic:
+        T[a+1, b] = a T[a-1, b] + (i/2) (c S[a, b] - M[a+b]),
+        T[a, b+1] = b T[a, b-1] + (i/2) (M[a+b] - c S[a, b]),
+    from T[0, 0] = ln(1 + sqrt 2), with c = 2 sqrt(2 / pi), M[k] = int x^k e^{-x^2} dx and
+    S the plain pair table int_{Im z > 0} z^a zbar^b e^{-|z|^2} d^2 z.  Complex numbers
+    are (re, im) pairs of Decimals."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        # pi by the series of the `decimal` module's documentation
+        lasts, t, pi, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+        while pi != lasts:
+            lasts = pi
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            pi += t
+        sqrt_pi = pi.sqrt()
+
+        def half_gamma(k):   # Gamma(k / 2), k >= 1
+            j = k // 2
+            if k % 2 == 0:
+                return Decimal(math.factorial(j - 1))
+            return Decimal(math.factorial(2 * j)) / (Decimal(4) ** j * math.factorial(j)) * sqrt_pi
+
+        def plain(a, b):     # S[a, b]: Gamma((a+b)/2 + 1) / 2 times int_0^pi e^{i(a-b)theta}
+            radial, diff = half_gamma(a + b + 2) / 2, a - b
+            if diff == 0:
+                return radial * pi, Decimal(0)
+            return Decimal(0), (radial * 2 / diff if diff % 2 else Decimal(0))
+
+        def gauss(k):        # M[k]
+            return half_gamma(k + 1) if k % 2 == 0 else Decimal(0)
+
+        def half_i(re, im):  # (i/2) (re + i im)
+            return -im / 2, re / 2
+
+        c = 2 * (2 / pi).sqrt()
+        zero = (Decimal(0), Decimal(0))
+        T = {(0, 0): ((1 + Decimal(2).sqrt()).ln(), Decimal(0))}
+        for b in range(size - 1):
+            sre, sim = plain(0, b)
+            re, im = half_i(gauss(b) - c * sre, -c * sim)
+            prev = T.get((0, b - 1), zero)
+            T[0, b + 1] = (b * prev[0] + re, b * prev[1] + im)
+        for b in range(size):
+            for a in range(size - 1):
+                sre, sim = plain(a, b)
+                re, im = half_i(c * sre - gauss(a + b), c * sim)
+                prev = T.get((a - 1, b), zero)
+                T[a + 1, b] = (a * prev[0] + re, a * prev[1] + im)
+        # (x + iy) / 2i = y/2 - i x/2
+        return np.array([[complex(float((T[a, b][1] - T[b, a][1]) / 2),
+                                  float(-(T[a, b][0] - T[b, a][0]) / 2))
+                          for b in range(size)] for a in range(size)])
+
+
+def test_ginoe_pair_sector_matches_its_exact_recursion():
+    # the GinOE half-plane sector stays on quadrature at s = 0: an exact reference
+    moments.clear_cache()
+    for size in (8, 12, 18, 23, 26):
+        assert _worst(moments.ginoe_complex_sector(ZERO_SEQ, 0, size),
+                      _ginoe_exact_sector(size)) < 1e-13, size
+    moments.clear_cache()
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +759,12 @@ def test_one_pass_builds_one_angular_table_per_angle_rule(monkeypatch):
     hub.run_suite(exps)
     first = rules(built)
     assert len(first) == len(set(first)) == len(_rule_keys("angular_table")) >= 2
-    assert len(asked) > 10 * len(first)
+    # one request per half-plane table: each oracle pair table of the pass, and each
+    # GinOE sector at the two levels that confirm it (the GinSE one is a closed form)
+    ginoe = [k for k in moments._SECTOR_CACHE if k[1:2] == ("ginoe_complex",)]
+    assert len(asked) == len(_rule_keys("oracle_pair")) + 2 * len(ginoe)
+    # the oracle's three couplings, and the fallback base, per family and level
+    assert len(_rule_keys("oracle_pair")) == 14 and len(ginoe) == 3
     # a warm pass builds none; after clear_cache the next pass builds them again
     built.clear()
     hub.run_suite(exps)

@@ -151,10 +151,12 @@ def test_wave_polynomial_trivial_and_se():
 
 
 def test_wave_polynomial_monotone_in_cutoff():
+    # from cutoff 4 on the fit deviation is rounding noise, whose order across
+    # cutoffs is not monotone; what holds is the rounding floor of the wave-poly verdict
+    from pftau.hub import WAVE_FIT_FLOOR
     spec = EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.2))
-    devs = [wave_polynomial_check(spec, w, (2.0, 3.0, 5.0)).fit_deviation_t
-            for w in (8, 12)]
-    assert devs[1] <= devs[0]
+    for w in (4, 6, 8, 10, 12):
+        assert wave_polynomial_check(spec, w, (2.0, 3.0, 5.0)).fit_deviation_t <= WAVE_FIT_FLOOR, w
 
 
 def test_wave_polynomial_rejects_vanishing_tau():
