@@ -133,13 +133,17 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(command, **{k: _number(raw, k, getattr(hub.Experiment, k))
                                 for k in ("cutoff", "tolerance", "samples", "seed")},
                     output=raw.get("output", "out"), cache=raw.get("cache"),
-                    fmt=raw.get("format", "json"), raw=raw)
+                    fmt=raw.get("format", "csv" if command == "moments-dump" else "json"),
+                    raw=raw)
     if "ensemble" in raw:
         cfg.ensemble = parse_ensemble(raw["ensemble"])
     elif command in ("partition-function", "moments-dump"):
         raise ConfigError("missing-ensemble", f"command {command} needs an ensemble")
     if command in ("partition-function", "moments-dump"):
-        check = cfg.ensemble.validate()   # these two have no verdict to carry a rejection
+        # these two have no verdict to carry a rejection, and no table for GinUE
+        if cfg.ensemble.family == "unitary":
+            raise ConfigError("bad-ensemble", f"{command} serves the Pfaffian kinds, not GinUE")
+        check = cfg.ensemble.validate()
         if not check.ok:
             raise ConfigError("bad-ensemble", f"ensemble rejected: {check.reason}")
     for key in ("output", "cache"):
@@ -147,6 +151,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("bad-path", f"{key} must be a directory name, got {raw[key]!r}")
     if cfg.fmt not in ("json", "csv", "both"):
         raise ConfigError("bad-format", f"format must be json, csv or both, got {cfg.fmt!r}")
+    if command == "moments-dump" and cfg.fmt != "csv":
+        raise ConfigError("bad-format", f"moments-dump writes csv only, got {cfg.fmt!r}")
     if command in _COMPARISONS:
         # the one inline suite entry that a single-experiment command stands for
         node = {"name": command, "comparison": _COMPARISONS[command],
@@ -194,7 +200,9 @@ def _experiment_from_node(node, cfg: RunConfig, index: int, keys=None) -> hub.Ex
         params = node.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("bad-suite", "params must be an object")
-        hub.resolve_params(node["comparison"], params, keys)
+        resolved = hub.resolve_params(node["comparison"], params, keys)
+        spec = parse_ensemble(node["ensemble"]) if "ensemble" in node else None
+        hub.check_ensemble(node["comparison"], spec, resolved, keys)
 
         def tuplify(v):
             return tuple(tuplify(x) for x in v) if isinstance(v, list) else v
@@ -202,7 +210,7 @@ def _experiment_from_node(node, cfg: RunConfig, index: int, keys=None) -> hub.Ex
         return hub.Experiment(
             name=node.get("name", f"experiment-{index}"),
             comparison=node["comparison"],
-            spec=parse_ensemble(node["ensemble"]) if "ensemble" in node else None,
+            spec=spec,
             tolerance=_number(node, "tolerance", cfg.tolerance),
             cutoff=_number(node, "cutoff", cfg.cutoff),
             samples=_number(node, "samples", cfg.samples),

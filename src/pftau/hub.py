@@ -173,7 +173,6 @@ def _run_kernel(e: Experiment) -> Verdict:
     spec = e.spec
     p = np.asarray(e.param("p"), dtype=float)
     p_ref = np.asarray(e.param("p_ref"), dtype=float)
-    _, power = WEIGHT_CONSTANTS[spec.family]
     has_real_block = spec.family == "orth" and spec.mix[1] != 0.0   # the one |x-y| vs sgn choice
     variants = ("abs", "sgn") if has_real_block else ("abs",)
     outcomes = {}
@@ -182,8 +181,8 @@ def _run_kernel(e: Experiment) -> Verdict:
             qs = []
             for pts in (p, p_ref):
                 km = kernel_matrix(spec, pts, variant=variant)
-                rhs = kernel_prefactor(pts, spec.L) * pfaffian(km.k)
-                lhs = orc.det_average_lhs(spec, pts, insert_power=power).value
+                rhs = kernel_prefactor(pts) * pfaffian(km.k)
+                lhs = orc.det_average_lhs(spec, pts).value
                 with np.errstate(divide="ignore", invalid="ignore"):
                     qs.append(lhs / rhs if rhs != 0 else complex(math.inf))
             const = qs[0]
@@ -425,9 +424,23 @@ def resolve_params(comparison: str, params, names=None) -> dict:
     return resolved
 
 
+def check_ensemble(comparison: str, spec: EnsembleSpec, params: dict, names=None) -> None:
+    """ConfigError where the resolved `params` of `comparison` do not fit the ensemble `spec`:
+    the kernel identity holds for a Pfaffian kind, with one point per unit of charge."""
+    if comparison != "kernel-vs-oracle":
+        return
+    if spec.family == "unitary":
+        raise ConfigError("bad-ensemble", f"no kernel for kind {spec.kind!r}")
+    for key in ("p", "p_ref"):
+        if len(params[key]) != spec.n_eff:
+            raise ConfigError("bad-value", f"{(names or {}).get(key, key)} must hold as many "
+                              f"points as the charge {spec.n_eff}, got {len(params[key])}")
+
+
 def run_experiment(e: Experiment) -> Verdict:
     try:
-        resolve_params(e.comparison, e.params)   # a bad param gives an error verdict
+        # a bad param, or one that does not fit the ensemble, gives an error verdict
+        check_ensemble(e.comparison, e.spec, resolve_params(e.comparison, e.params))
         return COMPARISONS[e.comparison][0](e)
     except (QuadratureError, ValueError, ZeroDivisionError) as exc:
         return Verdict(e.name, e.comparison, False, math.inf, e.tolerance,

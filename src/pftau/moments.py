@@ -272,15 +272,14 @@ def _full_plane_check(spec: EnsembleSpec) -> str | None:
 # the one-variable rules shared with the oracle module: each picks the support
 # of its integrals and evaluates the weight there
 
-def clip_support(radius: float, poles, gauss: float, lin: float, maxdeg: int,
-                 need: float = 26.0) -> float:
-    """Shrink a cutoff radius below the nearest pole, if the tail is negligible."""
+def clip_support(radius: float, poles, gauss: float, lin: float, maxdeg: int) -> float:
+    """Shrink a cutoff radius below the nearest pole, if the tail beyond is under e^-26."""
     if not poles:
         return radius
     rp = 0.92 * min(abs(float(q)) for q in poles if q != 0)
     if rp >= radius:
         return radius
-    if gauss * rp * rp - lin * rp - maxdeg * math.log1p(rp) < need:
+    if gauss * rp * rp - lin * rp - maxdeg * math.log1p(rp) < 26.0:
         raise QuadratureError(
             f"pole at distance {rp / 0.92:.3g} sits inside the numerically effective support")
     return rp
@@ -675,16 +674,15 @@ def _kernel_pair_block(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
     return converge(build, rel_tol=2e-9)[0]
 
 
-def kernel_prefactor(p: np.ndarray, L: int) -> float:
-    """prod p_i^{(L+1)(2-N)} / prod_{i>j} (p_i - p_j) of the Pfaffian identity."""
+def kernel_prefactor(p: np.ndarray) -> float:
+    """1 / Delta(p) = 1 / prod_{i>j} (p_i - p_j) of the Pfaffian identity, with as many
+    points as the charge (Cauchy's determinant, then de Bruijn's integration)."""
     p = np.asarray(p, dtype=float)
-    n = len(p)
-    num = float(np.prod(p ** ((L + 1) * (2 - n))))
     den = 1.0
-    for i in range(n):
+    for i in range(len(p)):
         for j in range(i):
             den *= p[i] - p[j]
-    return num / den
+    return 1.0 / den
 
 
 # ---------------------------------------------------------------------------

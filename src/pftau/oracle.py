@@ -211,28 +211,28 @@ def eigen_integral(spec: EnsembleSpec, rel_tol: float = 1e-9, insertion=None,
         return OracleResult(value, err, "quadrature")
 
     if insertion is None and poles is None:
-        return mom.memo(("eigen_integral", mom.TABLE_ALGORITHM, spec, rel_tol), build)
+        return mom.memo(("eigen_integral", spec, rel_tol), build)
     return build()
 
 
-def det_average_lhs(spec: EnsembleSpec, p, insert_power: int = 1,
-                    rel_tol: float = 1e-9) -> OracleResult:
-    """Average of prod_i det(1 - p_i X)^{-r} in eigenvalue coordinates.
+def det_average_lhs(spec: EnsembleSpec, p, rel_tol: float = 1e-9) -> OracleResult:
+    """Average of prod_i det(1 - p_i X)^{-1} in eigenvalue coordinates.
 
-    r = insert_power applies per eigenvalue (for the quaternion kinds the
-    full 2Nx2N determinant corresponds to r = 2).
+    Each eigenvalue x inserts (1 - p_i x)^{-r}, r the family's multiplicity in
+    `moments.WEIGHT_CONSTANTS`: 1 for the orthogonal family, and 2 for the
+    symplectic one, whose 2N x 2N matrix holds a line eigenvalue twice (its
+    conjugate pairs take r = 2 on z and on zbar alike).
     """
     p = np.asarray(p, dtype=float)
+    _, power = mom.WEIGHT_CONSTANTS[spec.family]
 
     def insertion(x):
         out = np.ones_like(x)
         for pi in p:
-            out = out / (1.0 - pi * x) ** insert_power
+            out = out / (1.0 - pi * x) ** power
         return out
 
-    # a negative power is a polynomial insertion and has no pole to dodge
-    poles = [1.0 / float(pi) for pi in p if pi != 0] if insert_power > 0 else []
-    return eigen_integral(spec, rel_tol, insertion, poles)
+    return eigen_integral(spec, rel_tol, insertion, [1.0 / float(pi) for pi in p if pi != 0])
 
 
 # (n_r, r_order, n_theta, t_order) per level, 1080 to 25344 nodes: the first two,

@@ -295,10 +295,10 @@ def polar_gram(grid: QuadratureGrid, f: np.ndarray, rows, cols,
     return out[rows + cols - s_lo, rows - cols - d_lo]
 
 
-def half_plane_grid(radius: float, n_r: int = 4, r_order: int = 20,
-                    n_theta: int = 3, t_order: int = 24, level: int = 0) -> QuadratureGrid:
-    """Polar tensor grid over the upper half-plane; d^2 z = dRe z dIm z."""
-    return _polar_grid("half-plane", math.pi, radius, n_r, r_order, n_theta, t_order, level)
+def half_plane_grid(radius: float, level: int = 0) -> QuadratureGrid:
+    """Polar tensor grid over the upper half-plane, d^2 z = dRe z dIm z: 4 radial panels
+    of order 20 and 3 angular ones of order 24 at level 0."""
+    return _polar_grid("half-plane", math.pi, radius, 4, 20, 3, 24, level)
 
 
 def full_plane_grid(radius: float, n_r: int = 4, r_order: int = 20,
@@ -306,14 +306,13 @@ def full_plane_grid(radius: float, n_r: int = 4, r_order: int = 20,
     return _polar_grid("full-plane", 2 * math.pi, radius, n_r, r_order, n_theta, t_order, level)
 
 
-def gaussian_halfwidth(gauss: float, lin: float = 0.0, maxdeg: int = 0,
-                       tail: float = 42.0) -> float:
-    """Cutoff R with gauss*R^2 - |lin|*R - maxdeg*log(1+R) >= tail."""
+def gaussian_halfwidth(gauss: float, lin: float = 0.0, maxdeg: int = 0) -> float:
+    """Cutoff R with gauss*R^2 - |lin|*R - maxdeg*log(1+R) >= 42."""
     if gauss <= 0:
         raise ValueError("need a positive Gaussian coefficient")
-    r = max(2.0, math.sqrt(tail / gauss))
+    r = max(2.0, math.sqrt(42.0 / gauss))
     for _ in range(200):
-        if gauss * r * r - abs(lin) * r - maxdeg * math.log1p(r) >= tail:
+        if gauss * r * r - abs(lin) * r - maxdeg * math.log1p(r) >= 42.0:
             return r
         r *= 1.125
     raise ValueError("runaway support radius")

@@ -1,11 +1,10 @@
 """Skew-symmetric linear algebra: Pfaffians and bordered series coefficients.
 
 Two independent routes are kept side by side: Gaussian elimination in the
-Parlett-Reid style for production, run over a whole stack of matrices at
-once (Wimmer, arXiv:1102.3440), and the defining signed sum over perfect
-matchings as an oracle for small sizes.  `pfaffian` and `abar` take one
-matrix (one index tuple) or a whole stack of them; `pfaffian` also takes
-one table and the index rows of its principal submatrices.
+Parlett-Reid style for production, run over every principal submatrix that
+a batch of index rows picks from one table at once (Wimmer, arXiv:1102.3440),
+and the defining signed sum over perfect matchings as an oracle for small
+sizes.  One matrix is the one-row case of the same elimination.
 """
 from __future__ import annotations
 
@@ -26,21 +25,17 @@ class MomentTableError(IndexError):
     """Raised when a series coefficient needs moment entries outside the table."""
 
 
-def _check_skew(m, ndims: tuple = (2,)) -> tuple[np.ndarray, np.ndarray]:
-    """A square matrix, or with ndims=(2, 3) also a (batch, n, n) stack, as complex,
-    and the largest |entry| of each member (0 for an empty one).
+def _check_skew(m) -> tuple[np.ndarray, float]:
+    """A square matrix as complex, and its largest |entry| (0 for an empty one).
 
-    Each member must be skew within SKEW_RTOL of its own largest entry.
+    It must be skew within SKEW_RTOL of that largest entry.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim not in ndims or m.shape[-1] != m.shape[-2]:
-        kind = "square matrix" if ndims == (2,) else "square matrix or a stack of them"
-        raise PfaffianError(f"expected a {kind}, got shape {m.shape}")
-    scale = np.max(np.abs(m), axis=(-2, -1), initial=0.0)
-    if m.size:
-        defect = np.max(np.abs(m + np.swapaxes(m, -1, -2)), axis=(-2, -1))
-        if np.any(defect > SKEW_RTOL * scale):
-            raise PfaffianError("matrix is not skew-symmetric within tolerance")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise PfaffianError(f"expected a square matrix, got shape {m.shape}")
+    scale = float(np.max(np.abs(m), initial=0.0))
+    if m.size and np.max(np.abs(m + m.T)) > SKEW_RTOL * scale:
+        raise PfaffianError("matrix is not skew-symmetric within tolerance")
     return m, scale
 
 
@@ -109,24 +104,17 @@ def _pfaffians(take, idx: np.ndarray, dead) -> np.ndarray:
 def pfaffian(m, rows=None):
     """Pfaffian by skew Gaussian elimination with partial pivoting.
 
-    `m` is one matrix (a complex comes back) or a (batch, n, n) stack (an
-    array of batch Pfaffians comes back).  With `rows`, a (batch, n) index
-    array, `m` is one table and the Pfaffians of its principal submatrices
-    m[rows[b]][:, rows[b]] come back; the table is checked once, so the skew
-    tolerance is SKEW_RTOL of the table's largest entry, not the block's.  A
-    member with no usable pivot gives exactly 0 and the others are unaffected.
-    Odd order is refused: the caller has lost a border column somewhere.
+    Without `rows`, the Pfaffian of the matrix `m` (a complex).  With `rows`, a
+    (batch, n) index array, the Pfaffians of the principal submatrices
+    m[rows[b]][:, rows[b]] of the table `m` (an array); the table is checked
+    once, so the skew tolerance is SKEW_RTOL of the table's largest entry, not
+    the block's.  A member with no usable pivot gives exactly 0 and the others
+    are unaffected.  Odd order is refused: the caller has lost a border column
+    somewhere.
     """
     if rows is not None:
         return _minors(m, np.asarray(rows, dtype=int))
-    a, scale = _check_skew(m, ndims=(2, 3))
-    one = a.ndim == 2
-    a = (a[None] if one else a).transpose(1, 2, 0)
-    n, batch = a.shape[0], a.shape[2]
-    floor = 1e-300 * np.maximum(np.reshape(scale, batch), 1.0)
-    pf = _pfaffians(_gather(a), np.broadcast_to(np.arange(n)[:, None], (n, batch)),
-                    lambda c: c <= floor)
-    return complex(pf[0]) if one else pf
+    return complex(_minors(m, np.arange(len(m))[None])[0])
 
 
 def _minors(m, rows: np.ndarray) -> np.ndarray:
@@ -137,8 +125,8 @@ def _minors(m, rows: np.ndarray) -> np.ndarray:
         raise PfaffianError(f"expected (batch, n) indices into a table of size {size}")
 
     def dead(c):
-        # c <= 1e-300 max(scale, 1) with each member's own scale, as for a stack;
-        # the table's scale bounds them all, so they are gathered only in doubt
+        # c <= 1e-300 max(scale, 1) with each member's own scale, as for the member
+        # alone; the table's scale bounds them all, so they are gathered only in doubt
         out = c <= 1e-300 * max(scale, 1.0)
         if np.any(out & (c > 1e-300)):
             own = np.max(np.abs(table)[rows[:, :, None], rows[:, None, :]], axis=(1, 2))
@@ -211,25 +199,21 @@ class SkewPair:
         return rows
 
 
-def abar(h, L: int, pair: SkewPair):
-    """Bordered-Pfaffian series coefficient(s) for shifted indices h at offset L.
+def abar(h, L: int, pair: SkewPair) -> np.ndarray:
+    """Bordered-Pfaffian series coefficients for shifted indices at offset L.
 
-    `h` is one tuple of strictly decreasing shifted indices (a complex comes
-    back) or a (batch, charge) array of them, one per row (an array comes
-    back).  Even charge: Pf of the submatrix at rows/cols h_i + L.  Odd
-    charge: the border vector occupies the last row/column, so a single
-    index gives +border[h_1 + L].  Charge 0 gives 1.  Every coefficient is a
-    principal minor of the one (bordered) table, so the table is checked
-    once and the skew tolerance is SKEW_RTOL of its largest entry: a block
-    of a caller-built table passes with a defect above SKEW_RTOL of its own
-    scale if the table's scale covers it.
+    `h` is a (batch, charge) array of strictly decreasing shifted indices, one
+    coefficient per row.  Even charge: Pf of the submatrix at rows/cols
+    h_i + L.  Odd charge: the border vector occupies the last row/column, so
+    a single index gives +border[h_1 + L].  Charge 0 gives 1.  Every
+    coefficient is a principal minor of the one (bordered) table, so the
+    table is checked once and the skew tolerance is SKEW_RTOL of its largest
+    entry: a block of a caller-built table passes with a defect above
+    SKEW_RTOL of its own scale if the table's scale covers it.
     """
     hs = np.asarray(h, dtype=int)
-    one = hs.ndim == 1
-    if one:
-        hs = hs[None]
     if hs.ndim != 2:
-        raise ValueError(f"expected an index tuple or a (batch, charge) array, got shape {hs.shape}")
+        raise ValueError(f"expected a (batch, charge) index array, got shape {hs.shape}")
     rising = np.any(hs[:, :-1] <= hs[:, 1:], axis=1)
     if np.any(rising):
         raise ValueError("shifted indices must be strictly decreasing, "
@@ -243,5 +227,4 @@ def abar(h, L: int, pair: SkewPair):
         table[n, :n] = -pair.border
         rows = np.concatenate([rows, np.full((len(rows), 1), n)], axis=1)
     # the module-level `pfaffian`, so perfbench's tracer counts every coefficient stack
-    pf = pfaffian(table, rows)
-    return complex(pf[0]) if one else pf
+    return pfaffian(table, rows)

@@ -32,10 +32,6 @@ class CouplingSeq:
     def of(cls, *values) -> "CouplingSeq":
         return cls(tuple(values))
 
-    @classmethod
-    def zero(cls) -> "CouplingSeq":
-        return cls(())
-
     @property
     def order(self) -> int:
         return len(self.values)
@@ -43,9 +39,6 @@ class CouplingSeq:
     def entry(self, n: int):
         """1-based coefficient t_n (zero beyond the stored order)."""
         return self.values[n - 1] if 1 <= n <= len(self.values) else 0.0
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(v) <= tol for v in self.values)
 
     def is_real(self) -> bool:
         return all(not isinstance(v, complex) or v.imag == 0.0 for v in self.values)
@@ -57,15 +50,11 @@ class CouplingSeq:
                 return n
         return 0
 
-    def add(self, other: "CouplingSeq") -> "CouplingSeq":
-        k = max(self.order, other.order)
-        return CouplingSeq(tuple(self.entry(n) + other.entry(n) for n in range(1, k + 1)))
-
     def __str__(self) -> str:
         return "(" + ", ".join(repr(v) for v in self.values) + ")"
 
 
-ZERO_SEQ = CouplingSeq.zero()
+ZERO_SEQ = CouplingSeq()
 
 
 def potential(x, t: CouplingSeq):
@@ -101,52 +90,50 @@ def hseq(nmax: int, t) -> np.ndarray:
 
 
 def schur_from_h(lam, h):
-    """Jacobi-Trudi determinant det(h_{lam_i - i + j}) given a long-enough h table.
+    """Jacobi-Trudi determinants det(h_{lam_i - i + j}) given long-enough h tables.
 
-    `lam` is one Partition or a (batch, length) array of partitions of one
-    length, one per row.  `h` is one table h_0..h_K shared by the batch, or a
-    (batch, K+1) array with a table per member; h_m = 0 for m < 0.  One
-    Partition and one table give one value, anything else an array.
+    Either `lam` is a (batch, length) array of partitions of one length, one
+    per row, over one table h_0..h_K (a value per partition), or `lam` is one
+    Partition over a (batch, K+1) array with a table per member (a value per
+    table); h_m = 0 for m < 0.
     """
-    one = isinstance(lam, Partition)
-    parts = np.array([lam.parts], dtype=int).reshape(1, lam.length) if one \
+    per_table = isinstance(lam, Partition)
+    parts = np.array([lam.parts], dtype=int).reshape(1, lam.length) if per_table \
         else np.asarray(lam, dtype=int)
     h = np.asarray(h)
+    if parts.ndim != 2 or h.ndim != 1 + per_table:
+        raise ValueError("expected a partition stack over one h table, or one Partition "
+                         f"over a stack of them; got shapes {parts.shape} and {h.shape}")
     batch, ell = parts.shape
     if ell == 0:
-        vals = np.ones(h.shape[0] if one and h.ndim == 2 else batch, dtype=h.dtype)
+        return np.ones(len(h) if per_table else batch, dtype=h.dtype)
+    # m = lam_i - i + j (i, j 1-based) peaks at lam_1 - 1 + ell
+    top = int(np.max(parts[:, 0], initial=0)) + ell - 1
+    if top >= h.shape[-1]:
+        raise ValueError(f"h table too short: need index {top}")
+    m = parts[:, :, None] + (np.arange(ell)[None, :] - np.arange(ell)[:, None])
+    idx = np.maximum(m, 0)
+    if per_table:    # entry (i, j) is a column of h
+        mats, m = h.T[idx[0]], m[0, :, :, None]
     else:
-        # m = lam_i - i + j (i, j 1-based) peaks at lam_1 - 1 + ell
-        top = int(np.max(parts[:, 0], initial=0)) + ell - 1
-        if top >= h.shape[-1]:
-            raise ValueError(f"h table too short: need index {top}")
-        m = parts[:, :, None] + (np.arange(ell)[None, :] - np.arange(ell)[:, None])
-        idx = np.maximum(m, 0)
-        if one and h.ndim == 2:    # a shared partition: entry (i, j) is a column of h
-            mats, m = h.T[idx[0]], m[0, :, :, None]
-        else:
-            mats = h[np.arange(batch)[:, None, None], idx] if h.ndim == 2 else h[idx]
-            mats, m = mats.transpose(1, 2, 0), m.transpose(1, 2, 0)
-        if m.min() < 0:
-            mats = np.where(m >= 0, mats, 0)
-        # mats[i, j] is entry (i, j) over the batch
-        if ell == 1:
-            vals = mats[0, 0]
-        elif ell == 2:
-            vals = mats[0, 0] * mats[1, 1] - mats[0, 1] * mats[1, 0]
-        else:
-            # h underflowed to exact zeros leaves singular stacks: det 0 after a division by 0
-            with np.errstate(divide="ignore"):
-                vals = np.linalg.det(mats.transpose(2, 0, 1))
-    return vals[0] if one and h.ndim == 1 else vals
+        mats, m = h[idx].transpose(1, 2, 0), m.transpose(1, 2, 0)
+    if m.min() < 0:
+        mats = np.where(m >= 0, mats, 0)
+    # mats[i, j] is entry (i, j) over the batch
+    if ell == 1:
+        return mats[0, 0]
+    if ell == 2:
+        return mats[0, 0] * mats[1, 1] - mats[0, 1] * mats[1, 0]
+    # h underflowed to exact zeros leaves singular stacks: det 0 after a division by 0
+    with np.errstate(divide="ignore"):
+        return np.linalg.det(mats.transpose(2, 0, 1))
 
 
-def miwa_shift(t: CouplingSeq, atoms: Sequence[tuple], scale: float = 1.0,
-               order: int | None = None) -> CouplingSeq:
-    """t_n -> t_n - scale * (1/n) * sum_i a_i p_i^n for n = 1..order.
+def miwa_shift(t: CouplingSeq, atoms: Sequence[tuple], order: int | None = None) -> CouplingSeq:
+    """t_n -> t_n - (1/n) * sum_i a_i p_i^n for n = 1..order.
 
     atoms is a list of (weight a_i, point p_i); the bracket shift t +- [a]
-    used by the bilinear-identity checks is atoms=[(-+1, a)], scale=1.
+    used by the bilinear-identity checks is atoms=[(-+1, a)].
     """
     k = t.order if order is None else order
     vals = []
@@ -154,7 +141,7 @@ def miwa_shift(t: CouplingSeq, atoms: Sequence[tuple], scale: float = 1.0,
         shift = 0.0
         for a, p in atoms:
             shift = shift + a * p ** n
-        vals.append(t.entry(n) - scale * shift / n)
+        vals.append(t.entry(n) - shift / n)
     return CouplingSeq(tuple(vals))
 
 

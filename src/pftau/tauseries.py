@@ -53,7 +53,7 @@ class TauApprox:
         return complex(math.fsum(vals.real.tolist()), math.fsum(vals.imag.tolist()))
 
 
-def schur_values(cutoff: int, charge: int, t: CouplingSeq | None) -> np.ndarray:
+def schur_values(cutoff: int, charge: int, t: CouplingSeq) -> np.ndarray:
     """s_lambda(t) of every partition of `partition_table(cutoff, charge)`, in its order.
 
     One Jacobi-Trudi stack per length group over one h table.  The read-only
@@ -61,8 +61,6 @@ def schur_values(cutoff: int, charge: int, t: CouplingSeq | None) -> np.ndarray:
     every series of one pass at that point shares it and `moments.clear_cache()`
     forgets it; it is never written to disk.
     """
-    t = ZERO_SEQ if t is None else t
-
     def build():
         h = hseq(cutoff + charge + 1, t)
         table = partition_table(cutoff, charge)
@@ -174,7 +172,7 @@ def hirota_residual(family: dict, l: int, t: CouplingSeq, alpha: float, beta: fl
     def sh(seq: CouplingSeq, *points: float) -> CouplingSeq:
         out = seq
         for p in points:
-            out = miwa_shift(out, [(-1.0, 1.0 / p)], 1.0, order=order)
+            out = miwa_shift(out, [(-1.0, 1.0 / p)], order=order)
         return out
 
     t_a = sh(t, alpha)
@@ -232,7 +230,7 @@ def wave_polynomial_check(spec: EnsembleSpec, cutoff: int, points,
     xs = _augment_points(points, charge)
     vals_t = []
     for lam in xs:
-        tsh = miwa_shift(spec.t, [(1.0, 1.0 / lam)], 1.0, order=cutoff + charge)
+        tsh = miwa_shift(spec.t, [(1.0, 1.0 / lam)], order=cutoff + charge)
         vals_t.append(lam ** charge * base_tau.evaluate(tsh) / tau0)
     vals_t = np.array([complex(v).real for v in vals_t])
     dev_t = _poly_fit_deviation(xs, vals_t, charge)

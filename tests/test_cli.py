@@ -412,6 +412,30 @@ _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
     ("kernel-points-odd-count",
      {"command": "kernel-check", "ensemble": {"kind": "OE", "n": 3}, "p": [0.1, 0.0, -0.1]},
      "bad-value", "experiment 0 'kernel-check': p must be an even number of distinct points"),
+    # kinds and point counts that nothing can run: no kernel or moment table for GinUE, and
+    # the kernel identity takes one point per unit of charge
+    ("kernel-check-ginue", {"command": "kernel-check", "ensemble": {"kind": "GinUE", "n": 2}},
+     "bad-ensemble", "experiment 0 'kernel-check': no kernel for kind 'GinUE'"),
+    ("entry-kernel-ginue",
+     {"command": "suite", "experiments": [{"name": "k", "comparison": "kernel-vs-oracle",
+                                           "ensemble": {"kind": "GinUE", "n": 1}}]},
+     "bad-ensemble", "experiment 0 'k': no kernel for kind 'GinUE'"),
+    ("partition-function-ginue",
+     {"command": "partition-function", "ensemble": {"kind": "GinUE", "n": 2}},
+     "bad-ensemble", "partition-function serves the Pfaffian kinds, not GinUE"),
+    ("dump-ginue", {"command": "moments-dump", "ensemble": {"kind": "GinUE", "n": 2}},
+     "bad-ensemble", "moments-dump serves the Pfaffian kinds, not GinUE"),
+    ("kernel-points-not-the-charge",
+     {"command": "kernel-check", "ensemble": {"kind": "OE", "n": 4}},
+     "bad-value", "experiment 0 'kernel-check': p must hold as many points as the charge 4, "
+                  "got 2"),
+    ("kernel-reference-points-not-the-charge",
+     {"command": "kernel-check", "ensemble": {"kind": "SE", "n": 1},
+      "p_ref": [0.1, 0.0, -0.1, 0.05]},
+     "bad-value", "experiment 0 'kernel-check': p_ref must hold as many points as the charge 2"),
+    # moments-dump writes csv only
+    ("dump-json", {"command": "moments-dump", "ensemble": {"kind": "SE", "n": 1},
+                   "format": "json"}, "bad-format", "moments-dump writes csv only, got 'json'"),
     # fields that a group verdict never reads
     ("group-tolerance", {"command": "group-integral", "tolerance": 1e-300, "samples": 2000},
      "unknown-field", "['tolerance'] for group-integral"),
@@ -476,9 +500,9 @@ def test_spec_alpha_beta_range():
 
 
 def test_moments_dump(tmp_path):
-    cfg = parse_config(json.dumps({"command": "moments-dump",
-                                   "ensemble": {"kind": "GinSE", "n": 1},
-                                   "size": 5, "format": "csv"}))
+    config = {"command": "moments-dump", "ensemble": {"kind": "GinSE", "n": 1}, "size": 5}
+    assert parse_config(json.dumps(config)).fmt == "csv"
+    cfg = parse_config(json.dumps(dict(config, format="csv")))
     rc = run_config(cfg, tmp_path)
     assert rc == 0
     rows = (tmp_path / "moments.csv").read_text().splitlines()

@@ -167,6 +167,43 @@ def test_kernel_identity_at_explicit_mixes(kind, n, alpha, beta, L):
     assert ("sgn" in v.details["variants"]) == (spec.family == "orth" and spec.mix[1] != 0)
 
 
+# charge 4 with 4 points, where the prefactor 1 / Delta(p) and the quotient 2^{-N/2} show
+_FOUR_POINTS = (("p", tuple(0.6 * x for x in (0.1, -0.1, 0.05, -0.07))),
+                ("p_ref", (0.08, -0.06, 0.03, -0.09)))
+
+
+@pytest.mark.parametrize("kind,n,L", [("OE", 4, 0), ("OE", 4, 1), ("SE", 2, 0), ("GinOE", 4, 0)])
+def test_kernel_identity_at_charge_4(kind, n, L):
+    e = Experiment("kern", "kernel-vs-oracle", spec=EnsembleSpec(kind, n, L, CouplingSeq.of(0.1)),
+                   tolerance=1e-4, params=_FOUR_POINTS)
+    v = run_experiment(e)
+    assert v.error is None
+    assert v.passed and v.margin < 1e-9
+    assert v.details["validating_variant"] == "abs"
+    assert v.details["variants"]["abs"]["constant"] == pytest.approx(0.25, rel=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: the quaternion pair carries r = 2 on "
+                                       "z and zbar; the quotients read 0.0301 and 0.0291")
+def test_ginse_kernel_identity_at_charge_4():
+    e = Experiment("kern", "kernel-vs-oracle",
+                   spec=EnsembleSpec("GinSE", 2, 0, CouplingSeq.of(0.1)),
+                   tolerance=1e-4, params=_FOUR_POINTS)
+    v = run_experiment(e)
+    assert v.error is None and v.passed
+
+
+@pytest.mark.parametrize("spec,params,named", [
+    (EnsembleSpec("GinUE", 2), (), "no kernel for kind 'GinUE'"),
+    (EnsembleSpec("OE", 4), (), "p must hold as many points as the charge 4, got 2"),
+    (EnsembleSpec("SE", 1), _FOUR_POINTS, "p must hold as many points as the charge 2, got 4"),
+], ids=["GinUE", "OE-N4", "SE-N1"])
+def test_kernel_experiment_off_its_domain_is_an_errored_verdict(spec, params, named):
+    v = run_experiment(Experiment("kern", "kernel-vs-oracle", spec=spec, params=params))
+    assert not v.passed and v.margin == math.inf
+    assert v.error.startswith("ConfigError:") and named in v.error
+
+
 def test_vanishing_partition_function_gives_a_failed_verdict():
     # OE N=1 L=1: Z(0) = int x e^{-x^2/2} dx = 0 on both routes, so the ratio
     # at t = 0 over the fallback base is 0 / 0

@@ -216,8 +216,11 @@ def test_kernel_pole_on_support_rejected():
 
 def test_kernel_prefactor():
     p = np.array([0.1, -0.1])
-    assert kernel_prefactor(p, 0) == pytest.approx(1.0 / (p[1] - p[0]))
-    assert kernel_prefactor(p, 3) == pytest.approx(1.0 / (p[1] - p[0]))  # (L+1)(2-N) = 0
+    assert kernel_prefactor(p) == 1.0 / (p[1] - p[0])
+    # 1 / Delta(p) at four points, a point at 0 included: no power of p
+    q = np.array([0.1, 0.0, -0.1, 0.05])
+    delta = np.prod([q[i] - q[j] for i in range(4) for j in range(i)])
+    assert kernel_prefactor(q) == pytest.approx(1.0 / delta, rel=1e-14)
 
 
 def test_clip_support():
@@ -284,7 +287,7 @@ def test_validator_rules():
 
 def test_validator_accepts_truncated_miwa_tail():
     from pftau.symfun import miwa_shift
-    t = miwa_shift(CouplingSeq.of(0.1), [(-1.0, 0.1)], 0.5, order=12)
+    t = miwa_shift(CouplingSeq.of(0.1), [(-0.5, 0.1)], order=12)
     assert EnsembleSpec("SE", 1, 0, t).validate().ok
 
 

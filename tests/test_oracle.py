@@ -14,7 +14,7 @@ from pftau.oracle import (_GINUE_RULES, _batched_power_sums, _pair_sum, det_aver
                           haar_expectation_mc, haar_orthogonal, haar_symplectic)
 from pftau.partitions import Partition
 from pftau.quad import QuadratureError, full_plane_grid, gaussian_halfwidth
-from pftau.symfun import CouplingSeq, ZERO_SEQ, miwa_shift, potential, schur_from_h
+from pftau.symfun import CouplingSeq, ZERO_SEQ, miwa_shift, potential
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -49,7 +49,7 @@ def test_eigen_integral_insertions():
     direct = eigen_integral(
         ginse, insertion=lambda z: 1.0 / np.prod([(1 - q * z) ** 2 for q in p], axis=0),
         poles=[1 / q for q in p]).value
-    assert det_average_lhs(ginse, p, insert_power=2).value == pytest.approx(direct, rel=1e-12)
+    assert det_average_lhs(ginse, p).value == pytest.approx(direct, rel=1e-12)
 
 
 def test_eigen_integral_unconverged_raises():
@@ -167,17 +167,19 @@ def test_det_average_empty_points_is_eigen():
 
 
 def test_det_average_equals_miwa_shift():
+    # the symplectic line weight carries e^{2 V(x, t)}, and the insertion
+    # (1 - p x)^{-2} is e^{2 V(x, [p])}: the full shift t + [p]
     spec = EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.1), CouplingSeq.of(0.0, 0.4))
-    da = det_average_lhs(spec, (0.1,), insert_power=1)
-    tsh = miwa_shift(spec.t, [(-1.0, 0.1)], 0.5, order=12)
+    da = det_average_lhs(spec, (0.1,))
+    tsh = miwa_shift(spec.t, [(-1.0, 0.1)], order=12)
     ei = eigen_integral(EnsembleSpec("SE", 1, 0, tsh, spec.s))
     assert da.value == pytest.approx(ei.value, rel=1e-8)
 
 
 def test_det_average_equals_miwa_shift_oe():
     spec = EnsembleSpec("OE", 2, 0, CouplingSeq.of(0.1))
-    da = det_average_lhs(spec, (0.1,), insert_power=1)
-    tsh = miwa_shift(spec.t, [(-1.0, 0.1)], 1.0, order=14)
+    da = det_average_lhs(spec, (0.1,))
+    tsh = miwa_shift(spec.t, [(-1.0, 0.1)], order=14)
     ei = eigen_integral(EnsembleSpec("OE", 2, 0, tsh))
     assert da.value == pytest.approx(ei.value, rel=1e-7)
 
@@ -263,13 +265,22 @@ def test_haar_results_do_not_depend_on_payload_grouping(group):
 @pytest.mark.parametrize("group", [("orthogonal", n) for n in (2, 3, 4, 5)]
                          + [("symplectic", n) for n in (2, 4, 6)])
 def test_haar_schur_payloads_match_the_per_member_stack(group, monkeypatch):
-    # the shared-partition column gather against a (samples, length) stack of
-    # the same partition, one member per sample
+    # the shared-partition column gather against each sample's own Jacobi-Trudi
+    # matrix, gathered entry by entry
     payloads = [("schur", Partition(parts)) for parts in ((), (1,), (2,), (1, 1), (2, 1, 1))]
     got = haar_expectation_mc(group, payloads, 3001, 9)
 
     def per_member(lam, h):
-        return schur_from_h(np.broadcast_to(lam.parts, (len(h), lam.length)), h)
+        ell = lam.length
+        if not ell:
+            return np.ones(len(h))
+        m = np.array([[lam.parts[i] - i + j for j in range(ell)] for i in range(ell)])
+        mats = np.where(m >= 0, h[:, np.maximum(m, 0)], 0.0)
+        if ell == 1:
+            return mats[:, 0, 0]
+        if ell == 2:
+            return mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+        return np.linalg.det(mats)
 
     monkeypatch.setattr(oracle, "schur_from_h", per_member)
     want = haar_expectation_mc(group, payloads, 3001, 9)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from pftau.quad import (LinePanels, QuadratureError, _cumulative_matrix, _gl_rule,
-                        angular_table, converge, erfc_vec, full_plane_grid, gaussian_halfwidth,
-                        half_plane_grid, polar_gram, power_table, real_line_breakpoints)
+                        _polar_grid, angular_table, converge, erfc_vec, full_plane_grid,
+                        gaussian_halfwidth, half_plane_grid, polar_gram, power_table,
+                        real_line_breakpoints)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -237,7 +238,8 @@ def test_grid_invariants():
 def test_plane_grid_level_k_plus_1_is_the_eight_panel_level_k_grid(k):
     # the base panel counts are half of (8, 6) and (8, 8), so each level is the
     # grid that those counts give one level lower, node for node and bit for bit
-    for new, old in ((half_plane_grid(5.5, level=k + 1), half_plane_grid(5.5, 8, 20, 6, 24, k)),
+    eight_six = _polar_grid("half-plane", math.pi, 5.5, 8, 20, 6, 24, k)
+    for new, old in ((half_plane_grid(5.5, level=k + 1), eight_six),
                      (full_plane_grid(5.5, level=k + 1), full_plane_grid(5.5, 8, 20, 8, 24, k))):
         assert new.domain == old.domain
         for name in ("radii", "radial_weights", "angles", "angle_weights"):

@@ -98,37 +98,39 @@ def _pair(rng, size=8, base=0):
 def test_abar_examples():
     rng = np.random.default_rng(23)
     pair = _pair(rng)
-    assert abar((), 1, pair) == 1.0
+    assert np.array_equal(abar(np.zeros((1, 0), dtype=int), 1, pair), [1.0])
     h1, h2, L = 4, 1, 2
-    assert abar((h1, h2), L, pair) == pytest.approx(pair.a_matrix[h1 + L, h2 + L])
-    assert abar((h1,), L, pair) == pytest.approx(pair.border[h1 + L])
+    assert abar([[h1, h2]], L, pair) == pytest.approx([pair.a_matrix[h1 + L, h2 + L]])
+    assert abar([[h1]], L, pair) == pytest.approx([pair.border[h1 + L]])
+    with pytest.raises(ValueError, match=r"\(batch, charge\) index array"):
+        abar((h1, h2), L, pair)
 
 
 def test_abar_zero_border_gives_zero_for_odd_length():
     rng = np.random.default_rng(29)
     pair = SkewPair(random_skew(rng, 8), np.zeros(8))
-    assert abar((3, 2, 0), 0, pair) == 0.0
+    assert abar([[3, 2, 0]], 0, pair)[0] == 0.0
 
 
 def test_abar_index_range_error_names_size():
     rng = np.random.default_rng(31)
     pair = _pair(rng, size=4)
     with pytest.raises(MomentTableError, match="size 4"):
-        abar((5, 1), 0, pair)
+        abar([[5, 1]], 0, pair)
 
 
 def test_abar_rejects_non_decreasing():
     rng = np.random.default_rng(37)
     pair = _pair(rng)
     with pytest.raises(ValueError, match="strictly decreasing"):
-        abar((1, 1), 0, pair)
+        abar([[1, 1]], 0, pair)
 
 
 def test_abar_negative_base_lookup():
     rng = np.random.default_rng(41)
     pair = _pair(rng, size=6, base=-2)
     # index -1 lives at row 1 of the table
-    assert abar((1, 0), -2, pair) == pytest.approx(pair.a_matrix[1, 0])
+    assert abar([[1, 0]], -2, pair) == pytest.approx([pair.a_matrix[1, 0]])
 
 
 def test_skewness_defect_reported():
@@ -139,17 +141,27 @@ def test_skewness_defect_reported():
 
 
 # ---------------------------------------------------------------------------
-# stacks: one call for a (batch, n, n) stack or a (batch, charge) index array
+# stacks: members as the diagonal blocks of one table, or a (batch, charge) index array
 
 def random_skew_stack(rng, batch, n):
     m = rng.normal(size=(batch, n, n)) + 1j * rng.normal(size=(batch, n, n))
     return m - np.swapaxes(m, 1, 2)
 
 
+def _block_table(stack):
+    """The members of a (batch, n, n) stack as the diagonal blocks of one table, and the
+    index rows that pick each member back out of it."""
+    batch, n, _ = stack.shape
+    table = np.zeros((batch * n, batch * n), dtype=stack.dtype)
+    rows = np.arange(batch * n).reshape(batch, n)
+    table[rows[:, :, None], rows[:, None, :]] = stack
+    return table, rows
+
+
 @pytest.mark.parametrize("n", [0, 2, 4, 6, 8])
 def test_pfaffian_stack_matches_combinatorial_and_det(n):
     stack = random_skew_stack(np.random.default_rng(100 + n), 12, n)
-    got = pfaffian(stack)
+    got = pfaffian(*_block_table(stack))
     assert got.shape == (12,)
     for m, pf in zip(stack, got):
         assert pf == pytest.approx(pfaffian_combinatorial(m), rel=1e-12)
@@ -166,8 +178,10 @@ def test_pfaffian_stack_singular_members_give_zero_without_warnings():
     regular = [pfaffian_combinatorial(stack[i]) for i in (0, 2, 3, 5)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = pfaffian(stack)
+        got = pfaffian(*_block_table(stack))
+        alone = [pfaffian(m) for m in stack]
     assert got[1] == 0.0 and got[4] == 0.0
+    assert alone[1] == 0.0 and alone[4] == 0.0
     assert got[[0, 2, 3, 5]] == pytest.approx(regular, rel=1e-12)
 
 
@@ -175,13 +189,15 @@ def test_pfaffian_stack_refuses_a_non_skew_member():
     stack = random_skew_stack(np.random.default_rng(53), 5, 4)
     stack[3, 0, 2] += 1e-3
     with pytest.raises(PfaffianError, match="skew"):
-        pfaffian(stack)
+        pfaffian(*_block_table(stack))
+    with pytest.raises(PfaffianError, match="skew"):
+        pfaffian(stack[3])
     with pytest.raises(PfaffianError, match="odd order"):
-        pfaffian(np.zeros((2, 3, 3)))
-    with pytest.raises(PfaffianError, match="stack"):
-        pfaffian(np.zeros((2, 2, 4, 4)))
-    with pytest.raises(PfaffianError, match="square matrix, got"):
-        pfaffian_combinatorial(np.zeros((2, 4, 4)))
+        pfaffian(np.zeros((3, 3)))
+    # one matrix or one table: a stack of them is no input
+    for fn in (pfaffian, pfaffian_combinatorial):
+        with pytest.raises(PfaffianError, match="square matrix, got"):
+            fn(np.zeros((2, 4, 4)))
 
 
 def test_abar_stack_odd_charge_uses_the_border():
@@ -197,7 +213,7 @@ def test_abar_stack_odd_charge_uses_the_border():
         ext[:3, 3] = pair.border[rows]
         ext[3, :3] = -pair.border[rows]
         assert val == pytest.approx(pfaffian_combinatorial(ext), rel=1e-12)
-        assert val == abar(tuple(h), L, pair)
+        assert val == abar(h[None], L, pair)[0]
     # one index: +border entry; charge 0: 1
     assert abar([[4], [2]], 1, pair) == pytest.approx(pair.border[[6, 4]])
     assert np.array_equal(abar(np.zeros((3, 0), dtype=int), 0, pair), np.ones(3))
@@ -211,7 +227,7 @@ def test_abar_stack_index_range_error_names_size():
         abar([[3, 1], [2, 2]], 0, pair)
 
 
-@pytest.mark.parametrize("h", [(3, 1), (4,), [(3, 1), (2, 0)], [(4, 2, 0)]])
+@pytest.mark.parametrize("h", [[(3, 1)], [(4,)], [(3, 1), (2, 0)], [(4, 2, 0)]])
 def test_abar_on_a_non_skew_table_raises(h):
     rng = np.random.default_rng(71)
     m = rng.normal(size=(6, 6))
@@ -261,7 +277,6 @@ def test_principal_minors_are_path_independent(charge, scale):
     stack = table[rows[:, :, None], rows[:, None, :]]
     assert np.array_equal(table, before)
     assert got.shape == (len(rows),)
-    assert np.array_equal(_bits(got), _bits(pfaffian(stack)))
     alone = [pfaffian(member) for member in stack]
     assert np.array_equal(_bits(got), _bits(alone))
     # members holding a dead index vanish exactly, the others do not (unless
@@ -282,7 +297,7 @@ def test_principal_minors_large_batches_match_members_alone(charge):
     rows = np.concatenate([rows] * 7)[:400]
     got = pfaffian(table, rows)
     assert np.array_equal(_bits(got), _bits([pfaffian(table, r[None])[0] for r in rows]))
-    assert np.array_equal(_bits(got), _bits(pfaffian(table[rows[:, :, None], rows[:, None, :]])))
+    assert np.array_equal(_bits(got), _bits([pfaffian(table[np.ix_(r, r)]) for r in rows]))
 
 
 def test_principal_minors_pivot_floor_is_each_members_own():
@@ -300,7 +315,7 @@ def test_principal_minors_pivot_floor_is_each_members_own():
                        ([[0, 1, 4, 2, 3, 6], [0, 1, 4, 2, 3, 5]], [False, True])):
         rows = np.array(rows)
         got = pfaffian(m, rows)
-        assert np.array_equal(_bits(got), _bits(pfaffian(m[rows[:, :, None], rows[:, None, :]])))
+        assert np.array_equal(_bits(got), _bits([pfaffian(m[np.ix_(r, r)]) for r in rows]))
         assert np.array_equal(got == 0.0, dead)
 
 
@@ -313,18 +328,18 @@ def test_principal_minors_check_the_table_not_the_block():
     # a defect of 1e-8: above SKEW_RTOL of the block's own scale, within the table's
     m[2, 1] += 1e-8
     with pytest.raises(PfaffianError, match="skew"):
-        pfaffian(m[rows[:, :, None], rows[:, None, :]])
+        pfaffian(m[np.ix_(rows[0], rows[0])])
     assert pfaffian(m, rows)[0] == pytest.approx(pfaffian_combinatorial(block), rel=1e-6)
-    assert abar((3, 2, 1, 0), 0, SkewPair(m, np.zeros(6))) == pfaffian(m, rows)[0]
+    assert abar(rows, 0, SkewPair(m, np.zeros(6)))[0] == pfaffian(m, rows)[0]
     # a defect in rows no member gathers: the blocks are skew, the table is not
     m[2, 1] -= 1e-8
     m[4, 5] += 1e-3
-    assert pfaffian(m[rows[:, :, None], rows[:, None, :]])[0] == pytest.approx(
+    assert pfaffian(m[np.ix_(rows[0], rows[0])]) == pytest.approx(
         pfaffian_combinatorial(block), rel=1e-12)
     with pytest.raises(PfaffianError, match="skew"):
         pfaffian(m, rows)
     with pytest.raises(PfaffianError, match="skew"):
-        abar((3, 2, 1, 0), 0, SkewPair(m, np.zeros(6)))
+        abar(rows, 0, SkewPair(m, np.zeros(6)))
 
 
 def test_principal_minors_refuse_bad_rows():
@@ -345,7 +360,8 @@ def test_principal_minors_refuse_bad_rows():
 def test_pfaffian_leaves_its_input_alone():
     rng = np.random.default_rng(229)
     for stack in (random_skew_stack(rng, 1, 6), random_skew_stack(rng, 4, 6)):
-        before = stack.copy()
-        pfaffian(stack)
+        table, rows = _block_table(stack)
+        before = stack.copy(), table.copy()
+        pfaffian(table, rows)
         pfaffian(stack[0])
-        assert np.array_equal(stack, before)
+        assert np.array_equal(stack, before[0]) and np.array_equal(table, before[1])

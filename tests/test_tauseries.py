@@ -178,7 +178,7 @@ def test_schur_values_scatter_back_to_partition_order():
     lams = enumerate_partitions(6, 3)
     coeffs = np.linspace(1.0, 2.0, len(lams)) * (1 - 0.5j)
     h = hseq(6, t)
-    want = [schur_from_h(lam, h) for lam in lams]
+    want = [schur_from_h(np.reshape(lam.parts, (1, lam.length)), h)[0] for lam in lams]
     assert schur_values(6, 3, t) == pytest.approx(want, rel=1e-13)
     got = TauApprox(3, 0, 6, coeffs).term_values(t)
     assert got == pytest.approx([c * w for c, w in zip(coeffs, want)], rel=1e-13)
