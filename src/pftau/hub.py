@@ -18,8 +18,8 @@ import numpy as np
 
 from . import oracle as orc
 from . import tauseries as ts
-from .moments import (WEIGHT_CONSTANTS, EnsembleSpec, complex_bimoment_matrix, kernel_matrix,
-                      kernel_prefactor, moment_pair)
+from .moments import (EnsembleSpec, complex_bimoment_matrix, kernel_matrix, kernel_prefactor,
+                      moment_pair)
 from .partitions import Partition
 from .quad import QuadratureError
 from .skewlin import pfaffian
@@ -171,37 +171,28 @@ def _run_ginse_structure(e: Experiment) -> Verdict:
 
 def _run_kernel(e: Experiment) -> Verdict:
     spec = e.spec
-    p = np.asarray(e.param("p"), dtype=float)
-    p_ref = np.asarray(e.param("p_ref"), dtype=float)
-    has_real_block = spec.family == "orth" and spec.mix[1] != 0.0   # the one |x-y| vs sgn choice
-    variants = ("abs", "sgn") if has_real_block else ("abs",)
-    outcomes = {}
-    for variant in variants:
-        try:
-            qs = []
-            for pts in (p, p_ref):
-                km = kernel_matrix(spec, pts, variant=variant)
-                rhs = kernel_prefactor(pts) * pfaffian(km.k)
-                lhs = orc.det_average_lhs(spec, pts).value
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    qs.append(lhs / rhs if rhs != 0 else complex(math.inf))
-            const = qs[0]
-            # a zero Pfaffian gave an infinite quotient above: no deviation
-            finite = all(np.isfinite(abs(q)) for q in qs) and qs[1] != 0
-            dev = abs(qs[0] / qs[1] - 1.0) if finite else math.inf
-            outcomes[variant] = (bool(finite and abs(const) > 1e-10 and dev < e.tolerance),
-                                 dev, const)
-        except (ZeroDivisionError, FloatingPointError, QuadratureError) as exc:
-            outcomes[variant] = (False, math.inf, str(exc))
-    ok_abs, dev_abs, _ = outcomes["abs"]
-    if has_real_block:   # exactly one variant must validate
-        ok_sgn, dev_sgn, _ = outcomes["sgn"]
-        passed, margin = ok_abs != ok_sgn, dev_abs if ok_abs else dev_sgn
-        chosen = "ambiguous" if ok_abs == ok_sgn else ("abs" if ok_abs else "sgn")
-    else:
-        passed, margin, chosen = ok_abs, dev_abs, "abs" if ok_abs else "none"
-    variants = {k: {"validates": v[0], "deviation": v[1], "constant": v[2]}
-                for k, v in outcomes.items()}
+    quotients: dict = {}   # variant -> the quotient lhs / rhs at each point set
+    for pts in (e.param("p"), e.param("p_ref")):
+        pts = np.asarray(pts, dtype=float)
+        lhs = orc.det_average_lhs(spec, pts).value
+        prefactor = kernel_prefactor(pts)
+        for variant, k in kernel_matrix(spec, pts).items():
+            rhs = prefactor * pfaffian(k)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                quotients.setdefault(variant, []).append(
+                    lhs / rhs if rhs != 0 else complex(math.inf))
+    variants = {}
+    for variant, (const, q_ref) in quotients.items():
+        # a zero Pfaffian gave an infinite quotient above: no deviation
+        finite = np.isfinite(abs(const)) and np.isfinite(abs(q_ref)) and q_ref != 0
+        dev = abs(const / q_ref - 1.0) if finite else math.inf
+        variants[variant] = {"validates": bool(finite and abs(const) > 1e-10 and dev < e.tolerance),
+                             "deviation": dev, "constant": const}
+    # exactly one variant must validate; a failing verdict reads the last variant's deviation
+    valid = [v for v, out in variants.items() if out["validates"]]
+    passed = len(valid) == 1
+    margin = variants["abs" if "abs" in valid else list(variants)[-1]]["deviation"]
+    chosen = valid[0] if passed else ("ambiguous" if len(variants) > 1 else "none")
     return Verdict(e.name, e.comparison, passed, margin, e.tolerance,
                    {"variants": variants, "validating_variant": chosen})
 
@@ -305,12 +296,11 @@ def _s_ratio_fn(spec: EnsembleSpec):
             or spec.family not in ("orth", "sympl")):
         return None
     base = orc.eigen_integral(spec).value
-    _, power = WEIGHT_CONSTANTS[spec.family]
 
     def ratio(lam: float) -> complex:
-        # exact insertion prod_i (1 - lam/x_i)^power; the s-coupling keeps
+        # exact insertion prod_i (1 - lam/x_i) over the eigenvalues; the s-coupling keeps
         # the origin out of play, so the inverse powers are integrable
-        return orc.eigen_integral(spec, 1e-9, lambda x: (1.0 - lam / x) ** power).value / base
+        return orc.eigen_integral(spec, 1e-9, lambda x: 1.0 - lam / x).value / base
 
     return ratio
 

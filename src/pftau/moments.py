@@ -589,12 +589,6 @@ def atomic_pair(spec: EnsembleSpec, real_atoms, pair_atoms, size: int) -> SkewPa
 # ---------------------------------------------------------------------------
 # kernel matrices of the determinant-average identity
 
-@dataclass
-class KernelMatrix:
-    kstar: np.ndarray
-    k: np.ndarray
-
-
 def _check_points(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if len(np.unique(p)) != len(p):
@@ -602,24 +596,28 @@ def _check_points(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def kernel_matrix(spec: EnsembleSpec, p, variant: str = "abs") -> KernelMatrix:
-    """K*_nm by quadrature and K_nm = (p_m - p_n) K*_nm.
+def kernel_matrix(spec: EnsembleSpec, p) -> dict[str, np.ndarray]:
+    """{variant: K} with K_nm = (p_m - p_n) K*_nm by quadrature, for every variant of `spec`.
 
-    K* = beta (the family's line block) + alpha (the pair block).  `variant` selects
-    |x-y| (as displayed for the kernels) or sgn(x-y) in the orthogonal line block; the
-    sgn variant integrates an antisymmetric function and is kept only so the
-    experiment can record that it fails.
+    K* = beta (the family's line block) + alpha (the pair block).  Every spec has "abs",
+    and one with a real orthogonal line block (beta != 0) also "sgn": |x-y| (as displayed
+    for the kernels) or sgn(x-y) in that block.  The sgn variant integrates an
+    antisymmetric function and is kept only so the experiment can record that it fails.
+    The pair block is built once and shared by the variants.
     """
     p = _check_points(p)
     spec.validate().require()
     if spec.family == "unitary":
         raise ValueError(f"no kernel for kind {spec.kind!r}")
+    alpha, beta = spec.mix
     orth = spec.family == "orth"
-    kstar = _mix(spec, len(p), lambda: (_kernel_orth_line(spec, p, variant) if orth
-                                        else _kernel_sympl_line(spec, p)),
-                 lambda: _kernel_pair_block(spec, p))
-    kk = (p[None, :] - p[:, None]) * kstar
-    return KernelMatrix(kstar, kk)
+    variants = ("abs", "sgn") if orth and beta != 0.0 else ("abs",)
+    pair = _kernel_pair_block(spec, p) if alpha != 0.0 else None
+    gaps = p[None, :] - p[:, None]
+    return {v: gaps * _mix(spec, len(p), lambda: (_kernel_orth_line(spec, p, v) if orth
+                                                  else _kernel_sympl_line(spec, p)),
+                           lambda: pair)
+            for v in variants}
 
 
 def _inv_points(p: np.ndarray) -> list[float]:
@@ -655,20 +653,17 @@ def _kernel_orth_line(spec: EnsembleSpec, p: np.ndarray, variant: str) -> np.nda
 
 
 def _kernel_pair_block(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
-    # sympl: (z - zbar)^2 from Delta and the pair weight, and det(1 - p X)^{-1}
-    # on a quaternion pair inserts each factor twice, as on the symplectic line.
-    # orth: (z - zbar)/i = 2 Im z, the pair norm 1/(2i) times the 2 that the
-    # line block's unordered double integral carries.
-    quaternion = spec.family == "sympl"
-
+    # det(1 - p X)^{-1} holds z and zbar once each: (1 - p z)^{-1} (1 - p zbar)^{-1} per
+    # pair in both families.  The pair's own factor is (z - zbar)^2 (sympl: from Delta and
+    # the pair weight) or (z - zbar)/i = 2 Im z (orth: the pair norm 1/(2i) times the 2
+    # that the line block's unordered double integral carries).
     def build(level):
         grid, w = _pair_rule(spec.family, spec.t, spec.s, 4 * abs(spec.L) + 6, level,
                              _inv_points(p))
         z = grid.nodes
         zb = np.conj(z)
-        gap = (z - zb) ** 2 if quaternion else (z - zb) / 1j
-        dens = np.stack([(1.0 - z * pi) * (1.0 - zb * pi) for pi in p])
-        inv = 1.0 / (dens ** 2 if quaternion else dens)
+        gap = (z - zb) ** 2 if spec.family == "sympl" else (z - zb) / 1j
+        inv = 1.0 / np.stack([(1.0 - z * pi) * (1.0 - zb * pi) for pi in p])
         return (inv * (grid.weights * w.ravel() * np.abs(z) ** (2 * spec.L) * gap)) @ inv.T
 
     return converge(build, rel_tol=2e-9)[0]

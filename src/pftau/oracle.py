@@ -145,10 +145,11 @@ def _eigen_value_at_level(spec: EnsembleSpec, level: int, insertion=None,
     alpha = spec.mix[0]
     n, L = spec.n, spec.L
     orth = spec.family == "orth"
+    mult = mom.WEIGHT_CONSTANTS[spec.family][1]
 
     def line(maxdeg):
         lp, w = mom.line_rule(spec.family, spec.t, spec.s, maxdeg, level, poles)
-        return lp, w if insertion is None else w * insertion(lp.nodes)
+        return lp, w if insertion is None else w * insertion(lp.nodes) ** mult
 
     def pair_table(maxdeg):
         if insertion is None and poles is None:
@@ -194,10 +195,13 @@ def eigen_integral(spec: EnsembleSpec, rel_tol: float = 1e-9, insertion=None,
                    poles=None) -> OracleResult:
     """Direct eigenvalue-space value of the deformed partition function.
 
-    `insertion(x)` multiplies the weight of each line eigenvalue, and
-    insertion(z) insertion(zbar) that of each conjugate pair (an inserted
-    observable); the quadrature supports stay clear of `poles`.  No attempt
-    is made to match absorbed volume constants; use ratios.
+    `insertion(x)` is a factor per eigenvalue x of the matrix (an inserted
+    observable), and the multiplicities are applied here: a line eigenvalue
+    takes insertion(x) ** r, r its multiplicity in `moments.WEIGHT_CONSTANTS`
+    (2 on the doubled symplectic line), and a conjugate pair takes
+    insertion(z) insertion(zbar), each of z and zbar once; the quadrature
+    supports stay clear of `poles`.  No attempt is made to match absorbed
+    volume constants; use ratios.
 
     A plain call (no insertion, no poles) is memoized per (spec, rel_tol) in
     the in-memory table cache, so `moments.clear_cache()` forgets it; it is
@@ -216,20 +220,14 @@ def eigen_integral(spec: EnsembleSpec, rel_tol: float = 1e-9, insertion=None,
 
 
 def det_average_lhs(spec: EnsembleSpec, p, rel_tol: float = 1e-9) -> OracleResult:
-    """Average of prod_i det(1 - p_i X)^{-1} in eigenvalue coordinates.
-
-    Each eigenvalue x inserts (1 - p_i x)^{-r}, r the family's multiplicity in
-    `moments.WEIGHT_CONSTANTS`: 1 for the orthogonal family, and 2 for the
-    symplectic one, whose 2N x 2N matrix holds a line eigenvalue twice (its
-    conjugate pairs take r = 2 on z and on zbar alike).
-    """
+    """Average of prod_i det(1 - p_i X)^{-1} in eigenvalue coordinates: the insertion
+    prod_i (1 - p_i x)^{-1} per eigenvalue x of X, by `eigen_integral`."""
     p = np.asarray(p, dtype=float)
-    _, power = mom.WEIGHT_CONSTANTS[spec.family]
 
     def insertion(x):
         out = np.ones_like(x)
         for pi in p:
-            out = out / (1.0 - pi * x) ** power
+            out = out / (1.0 - pi * x)
         return out
 
     return eigen_integral(spec, rel_tol, insertion, [1.0 / float(pi) for pi in p if pi != 0])

@@ -92,9 +92,11 @@ def _blas_products():
         out += [pair.a_matrix, pair.border, oracle.eigen_integral(spec).value]
     ginue = EnsembleSpec("GinUE", 2, 0, CouplingSeq.of(0.2), t_bar=CouplingSeq.of(0.2))
     out += [moments.complex_bimoment_matrix(ginue, 2), oracle.ginue_two_point(ginue).value]
-    for kind in ("SE", "GinSE"):
-        out.append(moments.kernel_matrix(EnsembleSpec(kind, 1, 0, CouplingSeq.of(0.2)),
-                                         (0.1, -0.1)).kstar)
+    # every variant's K: the sympl line, both pair blocks, and the abs and sgn orth lines
+    for kind, n in (("SE", 1), ("GinSE", 1), ("GinOE", 2)):
+        kernels = moments.kernel_matrix(EnsembleSpec(kind, n, 0, CouplingSeq.of(0.2)),
+                                        (0.1, -0.1))
+        out += [kernels[variant] for variant in sorted(kernels)]
     return [np.asarray(v).tobytes() for v in out]
 
 

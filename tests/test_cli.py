@@ -1,12 +1,17 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pftau
 from pftau import hub, moments
@@ -476,6 +481,78 @@ def test_malformed_param_exits_2_with_no_output_directory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err and "'discrete-check'" in err and "trials" in err
     assert not out.exists()
+
+
+_COUPLING = st.lists(st.floats(-0.2, 0.2), max_size=2)
+
+
+@st.composite
+def _accepted_space(draw):
+    """A config over the space the parser accepts: every command that runs an ensemble or a
+    group, every kind, n <= 2, L in [-2, 2], short t and s, and as many points as the charge."""
+    command = draw(st.sampled_from(["kernel-check", "compare-oracle", "discrete-check",
+                                    "hirota-check", "group-integral", "partition-function",
+                                    "moments-dump"]))
+    if command == "group-integral":
+        return {"command": command, "group": draw(st.sampled_from(["orthogonal", "symplectic"])),
+                "size": draw(st.integers(1, 4)), "t": draw(_COUPLING),
+                "samples": draw(st.integers(1, 2000))}
+    ensemble = {"kind": draw(st.sampled_from(sorted(moments.KINDS))), "n": draw(st.integers(0, 2)),
+                "L": draw(st.integers(-2, 2)), "t": draw(_COUPLING),
+                "s": draw(st.one_of(st.just([]), st.floats(-0.5, 0.5).map(lambda s2: [0.0, s2])))}
+    config = {"command": command, "ensemble": ensemble}
+    if command == "kernel-check":
+        charge = EnsembleSpec(ensemble["kind"], ensemble["n"]).n_eff
+        points = st.lists(st.floats(-0.15, 0.15), min_size=charge, max_size=charge, unique=True)
+        config.update(p=draw(points), p_ref=draw(points))
+    return config
+
+
+def _runs_to_a_finite_or_an_errored_verdict(config):
+    """The parser refuses `config` before its output directory exists, or every verdict of
+    the run has a finite margin or names its error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, path = Path(tmp) / "out", Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            rc = main([config["command"], "--config", str(path), "--out", str(out)])
+        if rc == 2:
+            assert not out.exists()
+            return
+        assert rc in (0, 1) and out.is_dir()
+        if config["command"] in ("partition-function", "moments-dump"):
+            return
+        for verdict in json.loads((out / "verdicts.json").read_text())["verdicts"]:
+            margin = verdict["margin"]
+            assert (isinstance(margin, (int, float)) and math.isfinite(margin)
+                    or verdict.get("error")), verdict
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example({"command": "kernel-check", "ensemble": {"kind": "SE", "n": 1, "L": 0, "t": [], "s": []},
+          "p": [0.09, 0.016], "p_ref": [-0.089, -0.136]})   # a pole inside the support
+@given(_accepted_space())
+def test_every_config_runs_to_a_finite_or_an_errored_verdict(config):
+    _runs_to_a_finite_or_an_errored_verdict(config)
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param({"command": "kernel-check", "ensemble": {"kind": "SE", "n": 2},
+                  "p": [0.0, 0.0625, 0.03125, 1e-100], "p_ref": [0.08, -0.06, 0.03, -0.09]},
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "two kernel points 1e-100 apart: the Pfaffian of (p_b - p_a) K* cancels "
+                     "to 0, and the verdict fails with margin inf and no error")),
+                 id="kernel-points-nearly-coincide"),
+    pytest.param({"command": "moments-dump", "ensemble": {"kind": "SE", "n": 2, "L": -1,
+                                                          "s": [0.0, 1e-250]}},
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "a tiny s_2 puts line nodes near 0, where quad.power_table overflows "
+                     "at negative powers: a RuntimeWarning, and where warnings pass, a "
+                     "QuadratureError (residual nan) that cli does not catch")),
+                 id="moments-dump-tiny-s2"),
+])
+def test_known_configs_that_end_without_a_finite_or_an_errored_verdict(config):
+    _runs_to_a_finite_or_an_errored_verdict(config)
 
 
 def test_seed_option_is_the_config_seed(tmp_path):

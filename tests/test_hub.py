@@ -138,8 +138,9 @@ def test_kernel_check_degenerate_variant_emits_no_warning():
 @pytest.mark.parametrize("kind,n", [("GinSE", 1), ("GinOE", 2)])
 @pytest.mark.parametrize("L,t", [(0, (0.2,)), (1, (0.1, -0.05))])
 def test_ginibre_kernel_identity(kind, n, L, t):
-    # the quaternion pair carries det(1 - p X)^{-1} squared, and the GinOE pair
-    # block 2 Im z; with either wrong the two point sets disagree at 1e-2
+    # det(1 - p X)^{-1} holds z and zbar of a pair once each, (1 - p z)^{-1} (1 - p zbar)^{-1},
+    # in both families, and the GinOE pair block carries 2 Im z; at N = 1 the quaternion
+    # pair reads the same with the factor squared, which charge 4 tells apart
     e = Experiment("kern", "kernel-vs-oracle", spec=EnsembleSpec(kind, n, L, CouplingSeq(t)),
                    tolerance=1e-4, params=(("p", (0.1, -0.1)), ("p_ref", (0.08, -0.06))))
     v = run_experiment(e)
@@ -183,14 +184,24 @@ def test_kernel_identity_at_charge_4(kind, n, L):
     assert v.details["variants"]["abs"]["constant"] == pytest.approx(0.25, rel=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: the quaternion pair carries r = 2 on "
-                                       "z and zbar; the quotients read 0.0301 and 0.0291")
 def test_ginse_kernel_identity_at_charge_4():
     e = Experiment("kern", "kernel-vs-oracle",
                    spec=EnsembleSpec("GinSE", 2, 0, CouplingSeq.of(0.1)),
                    tolerance=1e-4, params=_FOUR_POINTS)
     v = run_experiment(e)
-    assert v.error is None and v.passed
+    assert v.error is None
+    assert v.passed and v.margin < 1e-9
+    assert v.details["variants"]["abs"]["constant"] == pytest.approx(0.25, rel=1e-9)
+
+
+def test_kernel_pole_inside_the_support_is_an_errored_verdict():
+    # p_ref = -0.136 puts a pole at distance 7.4, inside the oracle's support at SE N = 1
+    e = Experiment("kern", "kernel-vs-oracle", spec=EnsembleSpec("SE", 1, 0), tolerance=1e-4,
+                   params=(("p", (0.09, 0.016)), ("p_ref", (-0.089, -0.136))))
+    v = run_experiment(e)
+    assert not v.passed and v.margin == math.inf
+    assert v.error.startswith("QuadratureError:") and "pole at distance 7.35" in v.error
+    assert v.details == {}
 
 
 @pytest.mark.parametrize("spec,params,named", [

@@ -203,10 +203,20 @@ def test_kernel_rejects_coincident_points():
 
 
 def test_kernel_symmetry_and_skew():
-    km = kernel_matrix(EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.2)), (0.1, -0.1))
-    assert km.kstar[0, 1] == pytest.approx(km.kstar[1, 0], rel=1e-10)
-    assert km.k[0, 1] == pytest.approx(-km.k[1, 0], rel=1e-10)
-    assert km.k[0, 0] == 0.0
+    # every variant's K is antisymmetric with a zero diagonal, and K* = K / (p_b - p_a)
+    # symmetric; the sgn variant comes only with a real orthogonal line block
+    for kind, n, variants in (("SE", 1, ["abs"]), ("GinSE", 2, ["abs"]),
+                              ("OE", 2, ["abs", "sgn"]), ("GinOE", 4, ["abs", "sgn"])):
+        spec = EnsembleSpec(kind, n, 0, CouplingSeq.of(0.2))
+        p = np.array([0.1, -0.1, 0.05, -0.07][:spec.n_eff])
+        kernels = kernel_matrix(spec, p)
+        assert list(kernels) == variants
+        gaps = p[None, :] - p[:, None]
+        off = ~np.eye(len(p), dtype=bool)
+        for k in kernels.values():
+            assert np.all(np.diag(k) == 0.0)
+            assert np.allclose(k, -k.T, rtol=1e-10, atol=0.0)
+            assert np.allclose(k[off] / gaps[off], k.T[off] / gaps.T[off], rtol=1e-10, atol=0.0)
 
 
 def test_kernel_pole_on_support_rejected():

@@ -38,16 +38,17 @@ def test_eigen_se_ratio_closed_form():
 
 
 def test_eigen_integral_insertions():
-    # <x^2> under the symplectic-line weight e^{-x^2} is 1/2
+    # an insertion is a factor per eigenvalue of the matrix: the doubled symplectic line
+    # eigenvalue takes x twice, and <x^2> under its weight e^{-x^2} is 1/2
     spec = EnsembleSpec("SE", 1)
-    moment = eigen_integral(spec, insertion=lambda x: x * x).value
+    moment = eigen_integral(spec, insertion=lambda x: x).value
     assert (moment / eigen_integral(spec).value).real == pytest.approx(0.5, rel=1e-12)
     # det_average_lhs is eigen_integral with the determinant insertions
     p = (0.1, -0.1)
     ginse = EnsembleSpec("GinSE", 1, 0, CouplingSeq.of(0.2))
-    # the pair factor is insertion(z) insertion(zbar)
+    # the pair factor is insertion(z) insertion(zbar), each once
     direct = eigen_integral(
-        ginse, insertion=lambda z: 1.0 / np.prod([(1 - q * z) ** 2 for q in p], axis=0),
+        ginse, insertion=lambda z: 1.0 / np.prod([1 - q * z for q in p], axis=0),
         poles=[1 / q for q in p]).value
     assert det_average_lhs(ginse, p).value == pytest.approx(direct, rel=1e-12)
 
