@@ -27,6 +27,7 @@ then the (alpha, beta) mix of the real and complex sectors.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,11 +184,11 @@ class EnsembleSpec:
             line = WEIGHT_CONSTANTS[self.family]
             reason = (_tail_growth_check(self.t, complex_sector,
                                          *(WEIGHT_CONSTANTS["pair"] if complex_sector else line))
-                      or _origin_check(self.s, self.L, complex_sector))
+                      or _origin_check(self.s, self.L, complex_sector, line[1]))
             if reason is None and complex_sector and self.family == "orth":
                 # the real sector of the mixed ensemble keeps its own constraints
                 reason = (_tail_growth_check(self.t, False, *line)
-                          or _origin_check(self.s, self.L, False))
+                          or _origin_check(self.s, self.L, False, line[1]))
         return Validation(reason is None, reason)
 
 
@@ -232,7 +233,7 @@ def _tail_growth_check(t: CouplingSeq, complex_sector: bool, gauss0: float,
     return f"positive top degree {kk} grows at infinity"
 
 
-def _origin_check(s: CouplingSeq, L: int, complex_sector: bool) -> str | None:
+def _origin_check(s: CouplingSeq, L: int, complex_sector: bool, mult: float) -> str | None:
     if not s.is_real():
         return "deformation couplings must be real"
     k = s.top_index()
@@ -247,7 +248,23 @@ def _origin_check(s: CouplingSeq, L: int, complex_sector: bool) -> str | None:
         return f"odd top s-index {k} blows up on one side of the origin"
     if float(s.entry(k).real) <= 0:
         return f"nonpositive top s-coefficient s_{k} blows up at the origin"
+    # the line rules put no node below the inner cut, and there the weight reads x^-k and the
+    # tables, the oracle and an inserted observable at most x^-(mult (|L| + 1)): none of
+    # them may overflow, or a quadrature meets inf
+    inner, deepest = _inner_cut(s, mult), max(k, mult * (abs(L) + 1))
+    if deepest * math.log(1.0 / inner) >= math.log(sys.float_info.max):
+        return (f"top s-coefficient s_{k}={float(s.entry(k).real):.3g} damps the origin only "
+                f"below |x| ~ {inner:.3g}, where x^-{deepest} overflows")
     return None
+
+
+def _inner_cut(s: CouplingSeq, mult: float) -> float | None:
+    """The radius inside which the line rules put no node, where the s-term of the weight
+    e^{-mult s_k x^-k}, k the top s-index, is e^-60 (0.3 at most); None for s = 0."""
+    ks = s.top_index()
+    if not ks:
+        return None
+    return min((abs(mult * float(s.entry(ks))) / 60.0) ** (1.0 / ks), 0.3)
 
 
 def _full_plane_check(spec: EnsembleSpec) -> str | None:
@@ -297,10 +314,7 @@ def line_rule(family: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int, level: i
     lin = mult * abs(float(t.entry(1))) if t.top_index() else 0.0
     deg = max(maxdeg, 2)
     halfwidth = clip_support(gaussian_halfwidth(gauss, lin, deg), poles, gauss, lin, deg)
-    inner = None
-    ks = s.top_index()
-    if ks:
-        inner = min((abs(mult * float(s.entry(ks))) / 60.0) ** (1.0 / ks), 0.3)
+    inner = _inner_cut(s, mult)
 
     def build():
         lp = LinePanels(real_line_breakpoints(halfwidth, n_center=12, inner_cut=inner,
@@ -396,16 +410,18 @@ def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build, exact
 # the sector conventions of the module docstring, each read off one measure: a
 # line (`quad.LinePanels`, or `_AtomicLine` for point masses) with the weight
 # values `wv` at its nodes, its single moments `mu` (q -> int x^q w(x) dx), or a
-# plain pair table over `_pair_exps`
+# plain pair table over `_pair_exps`.  An `_AtomicLine` may be a stack of lines,
+# and then each convention gives a stack of tables, one per line, stack axis first
 
 def _orth_block(line, wv, idx: np.ndarray) -> np.ndarray:
     powers = power_table(line.nodes, idx)
     rows = powers * wv
     # int y^m w(y) sgn(x - y) dy at each node x, one row per m
-    inner = 2.0 * line.cumulative(rows) - line.integrate(rows)[:, None]
+    inner = 2.0 * line.cumulative(rows) - line.integrate(rows)[..., None]
     powers *= line.weights * wv
-    r = powers @ inner.T
-    return (r - r.T) / 2.0
+    # a stack's line axis, between the exponents and the nodes, goes first
+    r = powers.swapaxes(0, -2) @ inner.swapaxes(0, -2).swapaxes(-1, -2)
+    return (r - r.swapaxes(-1, -2)) / 2.0
 
 
 def _orth_border(mu, idx: np.ndarray) -> np.ndarray:
@@ -416,13 +432,14 @@ def _sympl_block(mu, idx: np.ndarray) -> np.ndarray:
     qmin = 2 * int(idx[0]) - 1
     moments = mu(np.arange(qmin, 2 * int(idx[-1])))
     n, m = idx[:, None], idx[None, :]
-    return (n - m) / 2.0 * moments[(n + m - 1) - qmin]
+    return (n - m) / 2.0 * moments[..., (n + m - 1) - qmin]
 
 
 def _line_moments(line, wv):
-    """The single moments q -> int x^q w(x) dx of a line measure, for integer arrays q."""
+    """The single moments q -> int x^q w(x) dx of a line measure, for integer arrays q
+    (of a stack of lines, one row of them per line)."""
     weights = line.weights * wv
-    return lambda q: power_table(line.nodes, q) @ weights
+    return lambda q: (power_table(line.nodes, q).swapaxes(0, -2) @ weights[..., None])[..., 0]
 
 
 def _gaussian_moments(gauss: float):
@@ -454,15 +471,15 @@ def _pair_exps(family: str, base: int, size: int) -> np.ndarray:
 
 def _pair_block(family: str, table: np.ndarray) -> np.ndarray:
     if family == "sympl":
-        raw = table[1:, :-1] - table[:-1, 1:]
-        return (raw - raw.T) / 2.0
-    return (table - table.T) / 2.0j
+        raw = table[..., 1:, :-1] - table[..., :-1, 1:]
+        return (raw - raw.swapaxes(-1, -2)) / 2.0
+    return (table - table.swapaxes(-1, -2)) / 2.0j
 
 
-def _mix(spec: EnsembleSpec, size: int, line, pair) -> np.ndarray:
-    """beta * line() + alpha * pair() of (size, size) blocks; a block of weight 0 is not built."""
+def _mix(spec: EnsembleSpec, shape: tuple, line, pair) -> np.ndarray:
+    """beta * line() + alpha * pair() of blocks of `shape`; a block of weight 0 is not built."""
     alpha, beta = spec.mix
-    out = np.zeros((size, size))
+    out = np.zeros(shape)
     if beta != 0.0:
         out = out + beta * line()
     if alpha != 0.0:
@@ -470,12 +487,12 @@ def _mix(spec: EnsembleSpec, size: int, line, pair) -> np.ndarray:
     return out
 
 
-def _mixed_pair(spec: EnsembleSpec, size: int, real, pair, border) -> SkewPair:
+def _mixed_pair(spec: EnsembleSpec, shape: tuple, real, pair, border) -> SkewPair:
     """Skew part of the `_mix` of real() and pair(), border beta * border() (None: zero);
     the orthogonal border is built whatever beta is."""
-    a_mat = _mix(spec, size, real, pair)
-    vec = np.zeros(size) if border is None else spec.mix[1] * border()
-    return SkewPair((a_mat - a_mat.T) / 2.0, vec, index_base=spec.index_base)
+    a_mat = _mix(spec, shape, real, pair)
+    vec = np.zeros(shape[:-1]) if border is None else spec.mix[1] * border()
+    return SkewPair((a_mat - a_mat.swapaxes(-1, -2)) / 2.0, vec, index_base=spec.index_base)
 
 
 def _moment_sector(name: str, family: str, convention, s: CouplingSeq, base: int, size: int,
@@ -542,21 +559,21 @@ def moment_pair(spec: EnsembleSpec, size: int) -> SkewPair:
         raise ValueError("moment_pair serves the Pfaffian ensembles, not GinUE")
     args = (spec.s, spec.index_base, size)
     orth = spec.family == "orth"
-    return _mixed_pair(spec, size,
+    return _mixed_pair(spec, (size, size),
                        lambda: (orth_real_sector if orth else sympl_sector)(*args),
                        lambda: (ginoe_complex_sector if orth else ginse_complex_sector)(*args),
                        (lambda: orth_border(*args)) if orth else None)
 
 
 class _AtomicLine:
-    """Point masses (x, w) as a line measure: `cumulative` at an atom sums the atoms
-    below it plus half its own term, so 2 * cumulative - integrate is the sgn sum.
-    Both act along the last axis of `values`, as on `quad.LinePanels`."""
+    """Point masses as a line measure, or a stack of such lines: nodes and weights of
+    shape (..., atoms).  `cumulative` at an atom sums the atoms below it plus half its own
+    term, so 2 * cumulative - integrate is the sgn sum.  Both act along the last axis of
+    `values`, as on `quad.LinePanels`, a stack's lines along the axis before it."""
 
-    def __init__(self, atoms):
-        self.nodes = np.array([x for x, _ in atoms], dtype=float)
-        self.weights = np.array([w for _, w in atoms], dtype=float)
-        self._below = (self.nodes[:, None] > self.nodes).astype(float)
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray):
+        self.nodes, self.weights = nodes, weights
+        self._below = (nodes[..., :, None] > nodes[..., None, :]).astype(float)
 
     integrate = LinePanels.integrate
 
@@ -565,25 +582,48 @@ class _AtomicLine:
         return np.matmul(self._below, v[..., None])[..., 0] + v / 2.0
 
 
-def atomic_pair(spec: EnsembleSpec, real_atoms, pair_atoms, size: int) -> SkewPair:
-    """(A, a) of point masses by the conventions of `moment_pair`: `real_atoms` [(x, w)]
-    stand for the weight of one real eigenvalue, `pair_atoms` [(z, w)], Im z > 0, for
-    that of one conjugate pair; the spec gives the family and mix, t and s do not enter."""
+def _by_count(measures, dtype, build) -> np.ndarray:
+    """build(points, weights) of the measures [(point, weight)] with equal atom counts, as
+    (measures, atoms) arrays of `dtype` and float, stacked back in the order of `measures`:
+    every sum over atoms has the length it has for the measure alone, and so its bits."""
+    counts = np.array([len(m) for m in measures])
+    groups = [np.flatnonzero(counts == c) for c in np.unique(counts)]
+    blocks = [build(np.array([[x for x, _ in measures[i]] for i in g], dtype=dtype),
+                    np.array([[w for _, w in measures[i]] for i in g], dtype=float))
+              for g in groups]
+    return np.concatenate(blocks)[np.argsort(np.concatenate(groups))]
+
+
+def atomic_pair(spec: EnsembleSpec, trials, size: int) -> SkewPair:
+    """The (A, a) of point masses by the conventions of `moment_pair`, one per trial
+    [(real_atoms, pair_atoms)] in a stack: `real_atoms` [(x, w)] stand for the weight of
+    one real eigenvalue, `pair_atoms` [(z, w)], Im z > 0, for that of one conjugate pair
+    (None: no atoms); the spec gives the family, mix and index base, t and s do not enter.
+    The trials with equal atom counts are built as one stack of measures."""
     if spec.family == "unitary":
         raise ValueError("atomic_pair serves the Pfaffian ensembles, not GinUE")
     base = spec.index_base
     idx = np.arange(base, base + size)
-    line = _AtomicLine(real_atoms or ())
-    ones = np.ones(len(line.nodes))
-    pz = power_table(np.array([z for z, _ in pair_atoms or ()], dtype=complex),
-                     _pair_exps(spec.family, base, size))
-    pw = np.array([w for _, w in pair_atoms or ()], dtype=float)
+    reals = [list(r or ()) for r, _ in trials]
     orth = spec.family == "orth"
-    return _mixed_pair(spec, size,
-                       lambda: (_orth_block(line, ones, idx) if orth
-                                else _sympl_block(_line_moments(line, ones), idx)),
-                       lambda: _pair_block(spec.family, (pz * pw) @ np.conj(pz).T),
-                       (lambda: _orth_border(_line_moments(line, ones), idx)) if orth else None)
+
+    def line(block):
+        return _by_count(reals, float, lambda x, w: block(_AtomicLine(x, w)))
+
+    exps = _pair_exps(spec.family, base, size)
+
+    def pair_products(z, w):
+        # each trial's (exponents, atoms) power table in the layout it has for the trial alone
+        pz = np.ascontiguousarray(power_table(z, exps).swapaxes(0, 1))
+        return _pair_block(spec.family, (pz * w[:, None, :]) @ np.conj(pz).swapaxes(-1, -2))
+
+    return _mixed_pair(spec, (len(trials), size, size),
+                       lambda: line(lambda ln: _orth_block(ln, 1.0, idx) if orth
+                                    else _sympl_block(_line_moments(ln, 1.0), idx)),
+                       lambda: _by_count([list(p or ()) for _, p in trials], complex,
+                                         pair_products),
+                       (lambda: line(lambda ln: _orth_border(_line_moments(ln, 1.0), idx)))
+                       if orth else None)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +654,7 @@ def kernel_matrix(spec: EnsembleSpec, p) -> dict[str, np.ndarray]:
     variants = ("abs", "sgn") if orth and beta != 0.0 else ("abs",)
     pair = _kernel_pair_block(spec, p) if alpha != 0.0 else None
     gaps = p[None, :] - p[:, None]
-    return {v: gaps * _mix(spec, len(p), lambda: (_kernel_orth_line(spec, p, v) if orth
+    return {v: gaps * _mix(spec, gaps.shape, lambda: (_kernel_orth_line(spec, p, v) if orth
                                                   else _kernel_sympl_line(spec, p)),
                            lambda: pair)
             for v in variants}
@@ -671,13 +711,20 @@ def _kernel_pair_block(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
 
 def kernel_prefactor(p: np.ndarray) -> float:
     """1 / Delta(p) = 1 / prod_{i>j} (p_i - p_j) of the Pfaffian identity, with as many
-    points as the charge (Cauchy's determinant, then de Bruijn's integration)."""
+    points as the charge (Cauchy's determinant, then de Bruijn's integration).
+
+    ValueError where it is not finite: points so close that Delta(p) underflows."""
     p = np.asarray(p, dtype=float)
     den = 1.0
     for i in range(len(p)):
         for j in range(i):
             den *= p[i] - p[j]
-    return 1.0 / den
+    with np.errstate(divide="ignore", over="ignore"):
+        out = 1.0 / den
+    if not np.isfinite(out):
+        raise ValueError(f"kernel points {tuple(p.tolist())} nearly coincide: 1 / Delta(p) "
+                         f"= 1 / {float(den):.3g} is not finite")
+    return out
 
 
 # ---------------------------------------------------------------------------

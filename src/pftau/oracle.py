@@ -15,7 +15,8 @@ and the symplectic line carries 1/2 per doubled eigenvalue.  With those
 constants the Schur/Pfaffian series of `tauseries` equals the eigenvalue
 sum times sqrt(2)^(charge mod 2) -- exactly, which `discrete_consistency`
 certifies on atomic measures by running the production sector conventions
-(`moments.atomic_pair`) and series (`tauseries.tau_series`) on the atoms.
+(`moments.atomic_pair`) and series coefficients (`tauseries.series_terms`) on
+the atoms, a list of trials at a time.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .partitions import _frozen
 from .quad import LinePanels, converge, full_plane_grid, gaussian_halfwidth
 from .skewlin import abar  # noqa: F401  bound here too: perfbench's tracer test patches it
 from .symfun import hseq, potential, schur_from_h
-from .tauseries import required_table_size, tau_series
+from .tauseries import required_table_size, schur_values, series_terms
 
 PAIR_NORM = {"orth": 1.0 / 2.0j, "sympl": 0.5}
 
@@ -476,23 +477,7 @@ def _atomic_eigensum(spec: EnsembleSpec, real_atoms, pair_atoms) -> tuple[comple
     return complex(total), scale
 
 
-def discrete_consistency(spec: EnsembleSpec, real_atoms, pair_atoms=None):
-    """Exact finite check of the Wick/Pfaffian identity on atomic measures.
-
-    The atoms stand in for the eigenvalue measures of `spec`, which supplies
-    the kind, n, L, t and (alpha, beta); the s-deformation has no place here.
-    Returns (lhs, rhs, scale):
-    lhs: the ordered eigenvalue sum with t folded into the atom weights;
-    rhs: the production tau series (`moments.atomic_pair` and
-    `tauseries.tau_series`) on the atomic moments, summed in s_lambda(t) up
-    to SERIES_CUTOFF, then divided by the fixed border constant
-    sqrt(2)^(charge mod 2);
-    scale: the larger sum of term magnitudes of the two sides, the right
-    yardstick near cancellations.
-
-    Equality certifies the moment conventions, the shifted-index bookkeeping
-    and the bordered Pfaffians at once.
-    """
+def _check_trial(spec: EnsembleSpec, real_atoms, pair_atoms) -> None:
     if spec.family == "unitary":
         raise ValueError("the atomic identity is for the Pfaffian kinds, not GinUE")
     if spec.s.top_index():
@@ -502,13 +487,44 @@ def discrete_consistency(spec: EnsembleSpec, real_atoms, pair_atoms=None):
         raise ValueError("node count out of range (need 1 to 8 atoms per sector)")
     if spec.n > n_atoms:
         raise ValueError(f"N={spec.n} exceeds the {n_atoms} available atoms")
-    lhs, scale = _atomic_eigensum(spec, real_atoms, pair_atoms)
-    charge = spec.n_eff
-    pair = mom.atomic_pair(spec, real_atoms, pair_atoms,
-                           required_table_size(charge, spec.L, SERIES_CUTOFF))
-    terms = tau_series(spec, SERIES_CUTOFF, pair).term_values(spec.t)
-    border_norm = math.sqrt(2.0) ** (charge % 2)
-    rhs = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())) / border_norm
-    # a plain sum in canonical partition order, so the bits do not move
-    series_scale = sum(np.abs(terms).tolist()) / border_norm
-    return lhs, rhs, max(scale, series_scale, 1e-300)
+
+
+def discrete_consistency(trials) -> list[tuple[complex, complex, float]]:
+    """Exact finite check of the Wick/Pfaffian identity on atomic measures.
+
+    Each trial (spec, real_atoms, pair_atoms) of the list `trials` is one
+    check: the atoms stand in for the eigenvalue measures of `spec`, which
+    supplies the kind, n, L, t and (alpha, beta); the s-deformation has no
+    place here.  Returns one (lhs, rhs, scale) per trial, in order:
+    lhs: the ordered eigenvalue sum with t folded into the atom weights;
+    rhs: the production tau series (`moments.atomic_pair` and
+    `tauseries.series_terms`) on the atomic moments, summed in s_lambda(t) up
+    to SERIES_CUTOFF, then divided by the fixed border constant
+    sqrt(2)^(charge mod 2);
+    scale: the larger sum of term magnitudes of the two sides, the right
+    yardstick near cancellations.
+
+    The trials of one spec share one stack of atomic tables and one Pfaffian
+    elimination, and every value is bit for bit the one of the trial alone.
+    Equality certifies the moment conventions, the shifted-index bookkeeping
+    and the bordered Pfaffians at once.
+    """
+    out, by_spec = [], {}
+    for i, trial in enumerate(trials):
+        _check_trial(*trial)
+        out.append(_atomic_eigensum(*trial))
+        by_spec.setdefault(trial[0], []).append(i)
+    for spec, members in by_spec.items():
+        charge = spec.n_eff
+        pair = mom.atomic_pair(spec, [trials[i][1:] for i in members],
+                               required_table_size(charge, spec.L, SERIES_CUTOFF))
+        terms = (series_terms(pair, charge, spec.L, SERIES_CUTOFF)
+                 * schur_values(SERIES_CUTOFF, charge, spec.t))
+        border_norm = math.sqrt(2.0) ** (charge % 2)
+        # a sequential sum in canonical partition order, so the bits do not move
+        abs_sums = np.add.accumulate(np.abs(terms), axis=1)[:, -1].tolist()
+        for i, row, abs_sum in zip(members, terms, abs_sums):
+            lhs, scale = out[i]
+            rhs = complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist())) / border_norm
+            out[i] = lhs, rhs, max(scale, abs_sum / border_norm, 1e-300)
+    return out

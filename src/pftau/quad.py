@@ -107,7 +107,8 @@ def erfc_vec(x):
 
 
 def power_table(x: np.ndarray, exponents) -> np.ndarray:
-    """x**k for each integer k in `exponents` (negative allowed), one row each.
+    """x**k for each integer k in `exponents` (negative allowed), one row each, of
+    the shape of x.
 
     Running products: x^k = x^(k-1) * x upward from x^0 = 1 and
     x^-k = x^-(k-1) * (1/x) downward, so x^0, x^1 and x^-1 are exact and x^k
@@ -115,7 +116,7 @@ def power_table(x: np.ndarray, exponents) -> np.ndarray:
     """
     ks = np.asarray(exponents, dtype=int)
     lo, hi = int(ks.min(initial=0)), int(ks.max(initial=0))
-    table = np.empty((hi - lo + 1, len(x)), dtype=x.dtype)
+    table = np.empty((hi - lo + 1,) + x.shape, dtype=x.dtype)
     table[-lo] = 1.0
     for k in range(1, hi + 1):
         np.multiply(table[k - 1 - lo], x, out=table[k - lo])

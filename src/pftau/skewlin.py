@@ -25,16 +25,19 @@ class MomentTableError(IndexError):
     """Raised when a series coefficient needs moment entries outside the table."""
 
 
-def _check_skew(m) -> tuple[np.ndarray, float]:
-    """A square matrix as complex, and its largest |entry| (0 for an empty one).
+def _check_skew(m, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """A square matrix, or with `stack` also a (tables, n, n) stack of them, as complex,
+    and the largest |entry| of each (0 for an empty one), in an array of shape m.shape[:-2].
 
-    It must be skew within SKEW_RTOL of that largest entry.
+    Each must be skew within SKEW_RTOL of its own largest entry.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise PfaffianError(f"expected a square matrix, got shape {m.shape}")
-    scale = float(np.max(np.abs(m), initial=0.0))
-    if m.size and np.max(np.abs(m + m.T)) > SKEW_RTOL * scale:
+    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2]:
+        raise PfaffianError(f"expected a square matrix{' or a stack of them' * stack}, "
+                            f"got shape {m.shape}")
+    axes = (-2, -1) if m.ndim == 3 else None   # one matrix: a plain, faster reduction
+    scale = np.max(np.abs(m), axis=axes, initial=0.0)
+    if m.size and (np.max(np.abs(m + m.swapaxes(-1, -2)), axis=axes) > SKEW_RTOL * scale).any():
         raise PfaffianError("matrix is not skew-symmetric within tolerance")
     return m, scale
 
@@ -106,34 +109,57 @@ def pfaffian(m, rows=None):
 
     Without `rows`, the Pfaffian of the matrix `m` (a complex).  With `rows`, a
     (batch, n) index array, the Pfaffians of the principal submatrices
-    m[rows[b]][:, rows[b]] of the table `m` (an array); the table is checked
-    once, so the skew tolerance is SKEW_RTOL of the table's largest entry, not
-    the block's.  A member with no usable pivot gives exactly 0 and the others
-    are unaffected.  Odd order is refused: the caller has lost a border column
-    somewhere.
+    m[rows[b]][:, rows[b]] of the table `m` (an array).  `m` may also be a
+    (tables, size, size) stack, whose rows index its block diagonal without
+    building it: row r is row r % size of table r // size, and every member
+    lies in one table.  Each table is checked once, so the skew tolerance is
+    SKEW_RTOL of the table's largest entry, not the block's.  A member with no
+    usable pivot gives exactly 0 and the others are unaffected.  Odd order is
+    refused: the caller has lost a border column somewhere.
     """
-    if rows is not None:
-        return _minors(m, np.asarray(rows, dtype=int))
-    return complex(_minors(m, np.arange(len(m))[None])[0])
+    if rows is None:
+        m, scale = _check_skew(m)
+        return complex(_minors(m, scale, np.arange(len(m))[None])[0])
+    return _minors(*_check_skew(m, stack=True), np.asarray(rows, dtype=int))
 
 
-def _minors(m, rows: np.ndarray) -> np.ndarray:
-    """`pfaffian(m, rows)`: the table is gathered from, never copied whole."""
-    table, scale = _check_skew(m)
-    flat, size = table.reshape(-1), len(table)
-    if rows.ndim != 2 or rows.size and not 0 <= rows.min() <= rows.max() < size:
-        raise PfaffianError(f"expected (batch, n) indices into a table of size {size}")
+# complex entries per elimination: the members are eliminated in slices whose first
+# trailing block stays within 256 KiB, so peak memory does not grow with a stack
+_MINOR_BUDGET = 1 << 14
 
-    def dead(c):
-        # c <= 1e-300 max(scale, 1) with each member's own scale, as for the member
-        # alone; the table's scale bounds them all, so they are gathered only in doubt
-        out = c <= 1e-300 * max(scale, 1.0)
-        if np.any(out & (c > 1e-300)):
-            own = np.max(np.abs(table)[rows[:, :, None], rows[:, None, :]], axis=(1, 2))
+
+def _minors(table: np.ndarray, scale: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`pfaffian(table, rows)` of a checked table or stack and its scales: the tables are
+    gathered from, never copied whole."""
+    size = table.shape[-1]
+    span = table.size // size if size else 0
+    if rows.ndim != 2 or rows.size and not 0 <= rows.min() <= rows.max() < span:
+        raise PfaffianError(f"expected (batch, n) indices into a table of size {span}")
+    n, flat = rows.shape[1], table.reshape(-1)
+    if table.ndim == 2:
+        def take(r, c):
+            return flat.take(r * size + c)
+    else:
+        if n and (rows // size != rows[:, :1] // size).any():
+            raise PfaffianError("every member must lie in one table of the stack")
+
+        def take(r, c):
+            # entry (r, c) of the block diagonal, r and c in the same table
+            return flat.take(r * size + c % size)
+
+    def dead(r, c):
+        # c <= 1e-300 max(scale, 1) with the scale of each member r's table, as for the
+        # member alone; that scale bounds the member's own, which is gathered only in doubt
+        out = c <= 1e-300 * np.maximum(scale.reshape(-1)[r[:, 0] // size], 1.0)
+        if (out & (c > 1e-300)).any():
+            own = np.max(np.abs(take(r[:, :, None], r[:, None, :])), axis=(1, 2))
             out = c <= 1e-300 * np.maximum(own, 1.0)
         return out
 
-    return _pfaffians(lambda r, c: flat.take(r * size + c), rows.T, dead)
+    step = max(1, _MINOR_BUDGET // max(n - 2, 1) ** 2)
+    parts = [_pfaffians(take, r.T, lambda c, r=r: dead(r, c))
+             for r in (rows[s:s + step] for s in range(0, len(rows), step) or range(1))]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def pfaffian_combinatorial(m: np.ndarray) -> complex:
@@ -166,7 +192,8 @@ class SkewPair:
 
     Row/column r of `a_matrix` (and entry r of `border`) hold the moment of
     absolute index `index_base + r`; index_base < 0 supports negative
-    determinant exponents.
+    determinant exponents.  A (tables, size, size) `a_matrix` with a
+    (tables, size) `border` is a stack of pairs that share the index base.
     """
 
     a_matrix: np.ndarray
@@ -176,14 +203,14 @@ class SkewPair:
     def __post_init__(self) -> None:
         self.a_matrix = np.asarray(self.a_matrix, dtype=complex)
         self.border = np.asarray(self.border, dtype=complex)
-        if self.a_matrix.shape[0] != self.a_matrix.shape[1]:
+        if self.a_matrix.shape[-2] != self.a_matrix.shape[-1]:
             raise ValueError("moment matrix must be square")
-        if self.border.shape[0] != self.a_matrix.shape[0]:
+        if self.border.shape != self.a_matrix.shape[:-1]:
             raise ValueError("border length must match matrix dimension")
 
     @property
     def size(self) -> int:
-        return self.a_matrix.shape[0]
+        return self.a_matrix.shape[-1]
 
     def lookup(self, indices) -> np.ndarray:
         """Table rows of absolute indices, in any array shape."""
@@ -209,7 +236,9 @@ def abar(h, L: int, pair: SkewPair) -> np.ndarray:
     coefficient is a principal minor of the one (bordered) table, so the
     table is checked once and the skew tolerance is SKEW_RTOL of its largest
     entry: a block of a caller-built table passes with a defect above
-    SKEW_RTOL of its own scale if the table's scale covers it.
+    SKEW_RTOL of its own scale if the table's scale covers it.  A stack of
+    pairs gives a (tables, batch) array: every row of `h` on every table, all
+    in one elimination, each table checked on its own.
     """
     hs = np.asarray(h, dtype=int)
     if hs.ndim != 2:
@@ -222,9 +251,14 @@ def abar(h, L: int, pair: SkewPair) -> np.ndarray:
     table = pair.a_matrix
     if hs.shape[1] % 2:
         n = pair.size
-        table = np.pad(pair.a_matrix, (0, 1))
-        table[:n, n] = pair.border
-        table[n, :n] = -pair.border
+        table = np.zeros(table.shape[:-2] + (n + 1, n + 1), dtype=complex)
+        table[..., :n, :n] = pair.a_matrix
+        table[..., :n, n] = pair.border
+        table[..., n, :n] = -pair.border
         rows = np.concatenate([rows, np.full((len(rows), 1), n)], axis=1)
+    if table.ndim == 3:
+        # row r of table k is row k * size + r of the stack's block diagonal
+        offsets = np.arange(len(table))[:, None, None] * table.shape[-1]
+        rows = (offsets + rows).reshape(len(table) * len(rows), rows.shape[1])
     # the module-level `pfaffian`, so perfbench's tracer counts every coefficient stack
-    return pfaffian(table, rows)
+    return pfaffian(table, rows).reshape(table.shape[:-2] + hs.shape[:1])

@@ -537,21 +537,25 @@ def test_every_config_runs_to_a_finite_or_an_errored_verdict(config):
 
 
 @pytest.mark.parametrize("config", [
+    # two kernel points 1e-100 apart: the Pfaffian of (p_b - p_a) K* cancels to 0
     pytest.param({"command": "kernel-check", "ensemble": {"kind": "SE", "n": 2},
                   "p": [0.0, 0.0625, 0.03125, 1e-100], "p_ref": [0.08, -0.06, 0.03, -0.09]},
-                 marks=pytest.mark.xfail(strict=True, reason=(
-                     "two kernel points 1e-100 apart: the Pfaffian of (p_b - p_a) K* cancels "
-                     "to 0, and the verdict fails with margin inf and no error")),
                  id="kernel-points-nearly-coincide"),
+    # a point at -2.2e-308 next to 0: 1 / Delta(p) overflows
+    pytest.param({"command": "kernel-check", "ensemble": {"kind": "SE", "n": 2},
+                  "p": [-2.2e-308, 0.0, 0.06, -0.06], "p_ref": [0.08, -0.06, 0.03, -0.09]},
+                 id="kernel-prefactor-overflows"),
+    # a tiny s_2 puts line nodes near 0, where the negative powers overflow
     pytest.param({"command": "moments-dump", "ensemble": {"kind": "SE", "n": 2, "L": -1,
                                                           "s": [0.0, 1e-250]}},
-                 marks=pytest.mark.xfail(strict=True, reason=(
-                     "a tiny s_2 puts line nodes near 0, where quad.power_table overflows "
-                     "at negative powers: a RuntimeWarning, and where warnings pass, a "
-                     "QuadratureError (residual nan) that cli does not catch")),
                  id="moments-dump-tiny-s2"),
+    pytest.param({"command": "partition-function", "ensemble": {"kind": "SE", "n": 2, "L": -1,
+                                                                "s": [0.0, 1e-250]}},
+                 id="partition-function-tiny-s2"),
 ])
-def test_known_configs_that_end_without_a_finite_or_an_errored_verdict(config):
+def test_configs_found_by_random_runs_end_in_a_finite_or_an_errored_verdict(config):
+    # random runs of the property test's strategy found these; each once ended in a
+    # traceback, a RuntimeWarning, or a margin of inf with no error
     _runs_to_a_finite_or_an_errored_verdict(config)
 
 

@@ -315,7 +315,8 @@ def test_discrete_exact_checks_the_ensemble_mix(monkeypatch, kind):
     checked = []
     consistency = oracle.discrete_consistency
     monkeypatch.setattr(oracle, "discrete_consistency",
-                        lambda spec, *atoms: checked.append(spec) or consistency(spec, *atoms))
+                        lambda trials: checked.extend(spec for spec, _, _ in trials)
+                        or consistency(trials))
     spec = EnsembleSpec(kind, 1, alpha=0.3, beta=0.5)
     v = run_experiment(Experiment(f"discrete-{kind}", "discrete-exact", spec=spec,
                                   tolerance=1e-10, params=(("trials", 50),)))
@@ -323,6 +324,20 @@ def test_discrete_exact_checks_the_ensemble_mix(monkeypatch, kind):
     assert len(checked) == 50
     expected = {(kind, (0.3, 0.5), CouplingSeq.of(0.07, -0.03))}
     assert {(c.kind, c.mix, c.t) for c in checked} == expected
+
+
+@pytest.mark.parametrize("seed", [42, 2, 11, 12, 15, 18, 19])
+@pytest.mark.parametrize("kind", ["OE", "SE", "GinOE", "GinSE"])
+def test_discrete_batch_is_each_trial_alone_bit_for_bit(kind, seed):
+    # the gate's seed and the six seeds of the discrete-SE defect: batching neither
+    # moves a bit nor hides a digit that a trial alone loses
+    trials = hub._discrete_trials(Experiment(f"discrete-{kind}", "discrete-exact",
+                                             spec=EnsembleSpec(kind, 1), seed=seed,
+                                             params=(("trials", 50),)))
+    batched = oracle.discrete_consistency(trials)
+    alone = [oracle.discrete_consistency([trial])[0] for trial in trials]
+    assert len(batched) == len(alone) == 50
+    assert np.array(batched, dtype=complex).tobytes() == np.array(alone, dtype=complex).tobytes()
 
 
 @pytest.mark.parametrize("offset,passes", [(2.0 ** -52, True), (1e-6, False)])

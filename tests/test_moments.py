@@ -105,14 +105,14 @@ def test_atomic_pair_on_quadrature_atoms_reproduces_the_sectors():
     base, size, level = 0, 6, 1
     lp, wv = moments.line_rule("sympl", ZERO_SEQ, ZERO_SEQ, 2 * size - 2, level)
     line_atoms = list(zip(lp.nodes, lp.weights * wv))
-    got = moments.atomic_pair(EnsembleSpec("SE", 1), line_atoms, None, size).a_matrix
+    got = moments.atomic_pair(EnsembleSpec("SE", 1), [(line_atoms, None)], size).a_matrix[0]
     want = moments.sympl_sector(ZERO_SEQ, base, size)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     for kind, top in (("GinSE", size), ("GinOE", size - 1)):
         spec = EnsembleSpec(kind, 1, alpha=1.0, beta=0.0)
         grid, w = moments._pair_rule(spec.family, ZERO_SEQ, ZERO_SEQ, 2 * top + 2, level)
         pair_atoms = list(zip(grid.nodes, grid.weights * w.ravel()))
-        got = moments.atomic_pair(spec, None, pair_atoms, size).a_matrix
+        got = moments.atomic_pair(spec, [(None, pair_atoms)], size).a_matrix[0]
         sector = moments.ginse_complex_sector if kind == "GinSE" else moments.ginoe_complex_sector
         want = sector(ZERO_SEQ, base, size)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), kind
@@ -421,6 +421,22 @@ def test_negative_det_power_needs_s_and_works():
         moment_pair(EnsembleSpec("SE", 1, -1), 6)
 
 
+@pytest.mark.parametrize("kind,L,s2,ok", [("SE", -1, 1e-250, False), ("SE", -2, 1e-120, False),
+                                          ("OE", 0, 1e-320, False), ("SE", -1, 1e-100, True),
+                                          ("SE", 0, 1e-250, True), ("OE", -2, 1e-100, True),
+                                          ("SE", -2, 0.4, True), ("OE", -2, 0.4, True)])
+def test_a_tiny_top_s_coefficient_is_refused_where_the_line_powers_overflow(kind, L, s2, ok):
+    # below the inner cut, ~ s_2^(1/2), the rules put no node; at it a table, the oracle or an
+    # inserted observable reads up to x^-(mult (|L| + 1)), and the weight x^-2
+    spec = EnsembleSpec(kind, 1, L, CouplingSeq.of(0.1), CouplingSeq.of(0.0, s2))
+    v = spec.validate()
+    assert v.ok is ok
+    if ok:
+        assert np.isfinite(moment_pair(spec, 8).a_matrix).all()
+    else:
+        assert "damps the origin only below" in v.reason and "overflows" in v.reason
+
+
 @pytest.mark.parametrize("kind,n", [("OE", 2), ("SE", 1)])
 def test_validator_rejects_s_on_an_explicit_pair_sector(kind, n):
     # alpha != 0 opens the pair sector of a line kind, where s != 0 diverges at 0
@@ -434,7 +450,7 @@ def test_validator_rejects_s_on_an_explicit_pair_sector(kind, n):
 def _atomic_line(n_atoms: int, seed: int):
     rng = np.random.default_rng(seed)
     xs = rng.permutation(np.linspace(-1.4, 1.4, n_atoms) + rng.uniform(-0.1, 0.1, n_atoms))
-    return moments._AtomicLine(list(zip(xs, rng.uniform(0.3, 1.2, n_atoms))))
+    return moments._AtomicLine(xs, rng.uniform(0.3, 1.2, n_atoms))
 
 
 @pytest.mark.parametrize("n_atoms", range(1, 7))

@@ -332,11 +332,17 @@ def test_ginue_two_point_memory_peak():
     assert peak < 64 * 2 ** 20
 
 
+def _one_trial(spec, real_atoms, pair_atoms=None):
+    """The (lhs, rhs, scale) of one trial: `discrete_consistency` of a list of one."""
+    [sides] = discrete_consistency([(spec, real_atoms, pair_atoms)])
+    return sides
+
+
 def test_discrete_single_atom_border():
     # one-point measure: lhs = a^L w e^{V(a,t)}, rhs = the border term
     t = CouplingSeq.of(0.2)
     for L in (0, 1, 2):
-        lhs, rhs, _ = discrete_consistency(EnsembleSpec("OE", 1, L, t), [(0.8, 1.3)])
+        lhs, rhs, _ = _one_trial(EnsembleSpec("OE", 1, L, t), [(0.8, 1.3)])
         assert lhs == pytest.approx(1.3 * 0.8 ** L * math.exp(0.2 * 0.8))
         assert rhs == pytest.approx(lhs, rel=1e-12)
 
@@ -344,19 +350,19 @@ def test_discrete_single_atom_border():
 def test_discrete_atom_count_guards():
     t = CouplingSeq.of(0.1)
     with pytest.raises(ValueError, match="node count"):
-        discrete_consistency(EnsembleSpec("OE", 1, 0, t), [])
+        _one_trial(EnsembleSpec("OE", 1, 0, t), [])
     with pytest.raises(ValueError, match="node count"):
-        discrete_consistency(EnsembleSpec("OE", 2, 0, t), [(0.1 * k, 1.0) for k in range(1, 11)])
+        _one_trial(EnsembleSpec("OE", 2, 0, t), [(0.1 * k, 1.0) for k in range(1, 11)])
     with pytest.raises(ValueError, match="exceeds"):
-        discrete_consistency(EnsembleSpec("OE", 3, 0, t), [(0.5, 1.0), (-0.5, 1.0)])
+        _one_trial(EnsembleSpec("OE", 3, 0, t), [(0.5, 1.0), (-0.5, 1.0)])
 
 
 def test_discrete_takes_pfaffian_kinds_at_s_zero():
     t = CouplingSeq.of(0.1)
     with pytest.raises(ValueError, match="GinUE"):
-        discrete_consistency(EnsembleSpec("GinUE", 1, 0, t), [(0.5, 1.0)])
+        _one_trial(EnsembleSpec("GinUE", 1, 0, t), [(0.5, 1.0)])
     with pytest.raises(ValueError, match="s = 0"):
-        discrete_consistency(EnsembleSpec("OE", 1, 0, t, CouplingSeq.of(0, 0.4)), [(0.5, 1.0)])
+        _one_trial(EnsembleSpec("OE", 1, 0, t, CouplingSeq.of(0, 0.4)), [(0.5, 1.0)])
 
 
 def test_discrete_ginoe_without_pairs_weight_is_the_real_sector():
@@ -366,8 +372,8 @@ def test_discrete_ginoe_without_pairs_weight_is_the_real_sector():
     pairs = [(complex(-0.5, 0.4), 0.8), (complex(0.6, 0.7), 1.1)]
     for n in (1, 2, 3):
         for L in (0, 1):
-            real = discrete_consistency(EnsembleSpec("OE", n, L, t), reals)
-            mixed = discrete_consistency(EnsembleSpec("GinOE", n, L, t, alpha=0.0), reals, pairs)
+            real = _one_trial(EnsembleSpec("OE", n, L, t), reals)
+            mixed = _one_trial(EnsembleSpec("GinOE", n, L, t, alpha=0.0), reals, pairs)
             assert mixed[0] == real[0]
             assert mixed[1] == pytest.approx(real[1], rel=1e-14)
 
@@ -375,10 +381,10 @@ def test_discrete_ginoe_without_pairs_weight_is_the_real_sector():
 def test_discrete_oe_pair_and_triple():
     t = CouplingSeq.of(0.1)
     atoms = [(1.0, 1.0), (-1.0, 1.0)]
-    lhs, rhs, _ = discrete_consistency(EnsembleSpec("OE", 2, 0, t), atoms)
+    lhs, rhs, _ = _one_trial(EnsembleSpec("OE", 2, 0, t), atoms)
     assert rhs == pytest.approx(lhs, rel=1e-12)
     atoms4 = [(-1.1, 0.7), (-0.3, 1.2), (0.4, 0.9), (1.2, 0.5)]
-    lhs, rhs, scale = discrete_consistency(EnsembleSpec("OE", 3, 0, t), atoms4)
+    lhs, rhs, scale = _one_trial(EnsembleSpec("OE", 3, 0, t), atoms4)
     assert abs(lhs - rhs) <= 1e-10 * scale
 
 
@@ -396,7 +402,7 @@ def test_discrete_all_kinds_randomized():
                 res = np.linspace(-1.0, 1.0, 4) + rng.uniform(-0.04, 0.04, size=4)
                 pairs = [(complex(a, b), w) for a, b, w in
                          zip(res, rng.uniform(0.2, 1.0, size=4), rng.uniform(0.3, 1.2, size=4))]
-            lhs, rhs, scale = discrete_consistency(EnsembleSpec(kind, n, L, t), reals, pairs)
+            lhs, rhs, scale = _one_trial(EnsembleSpec(kind, n, L, t), reals, pairs)
             assert abs(lhs - rhs) <= 1e-9 * scale, (kind, n, L)
 
 
@@ -414,7 +420,7 @@ def test_discrete_identity_property(seed, kind, n, L):
         pairs = [(complex(a, b), w) for a, b, w in
                  zip(res, rng.uniform(0.2, 1.0, size=4), rng.uniform(0.3, 1.2, size=4))]
     t = CouplingSeq.of(float(rng.uniform(-0.1, 0.1)), float(rng.uniform(-0.05, 0.05)))
-    lhs, rhs, scale = discrete_consistency(EnsembleSpec(kind, n, L, t), reals, pairs)
+    lhs, rhs, scale = _one_trial(EnsembleSpec(kind, n, L, t), reals, pairs)
     assert abs(lhs - rhs) <= 1e-9 * scale
 
 
@@ -428,6 +434,7 @@ def test_discrete_matches_fock_vev():
     """
     from pftau.fock import FockWindow, exp_pair_vev
     from pftau.moments import atomic_pair
+    from pftau.skewlin import SkewPair
     t = CouplingSeq.of(0.15)
     atoms = [(0.9, 1.1), (-0.5, 0.8), (0.2, 1.3)]
     # the vev sees t only through the weights: e^{V(x,t)} per real eigenvalue
@@ -435,8 +442,9 @@ def test_discrete_matches_fock_vev():
     for n in (1, 2, 3):
         for L in (0, 1, 2):
             spec = EnsembleSpec("OE", n, L, t)
-            lhs, _, _ = discrete_consistency(spec, atoms)
-            pair = atomic_pair(spec, folded, None, size=n + L + 2)
+            lhs, _, _ = _one_trial(spec, atoms)
+            stack = atomic_pair(spec, [(folded, None)], size=n + L + 2)
+            pair = SkewPair(stack.a_matrix[0], stack.border[0], stack.index_base)
             window = FockWindow(-2, n + L + 3)
             vev_val = exp_pair_vev(n + L, pair, L, window)
             sign = (-1.0) ** ((L + 1) * (n % 2))

@@ -353,8 +353,76 @@ def test_principal_minors_refuse_bad_rows():
     with pytest.raises(PfaffianError, match=r"\(batch, n\) indices"):
         pfaffian(m, [0, 1])
     with pytest.raises(PfaffianError, match="square matrix"):
-        pfaffian(np.zeros((2, 4, 4)), [[0, 1]])
+        pfaffian(np.zeros((2, 2, 4, 4)), [[0, 1]])
+    with pytest.raises(PfaffianError, match="square matrix or a stack"):
+        pfaffian(np.zeros((2, 4, 3)), [[0, 1]])
+    # a stack's rows index its block diagonal, and no member may straddle two tables
+    with pytest.raises(PfaffianError, match="size 8"):
+        pfaffian(np.zeros((2, 4, 4)), [[0, 8]])
+    with pytest.raises(PfaffianError, match="one table of the stack"):
+        pfaffian(np.zeros((2, 4, 4)), [[3, 4]])
     assert np.array_equal(pfaffian(m, np.zeros((3, 0), dtype=int)), np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# a (tables, size, size) stack: rows index its block diagonal, each table checked alone
+
+def _stack_rows(rows, tables, size):
+    """`rows` of one table, for every table of a stack, as rows of its block diagonal."""
+    return (np.arange(tables)[:, None, None] * size + rows).reshape(-1, rows.shape[1])
+
+
+@pytest.mark.parametrize("charge", [2, 4, 6])
+def test_minors_over_a_stack_are_the_per_table_calls_bit_for_bit(charge):
+    # table 0 has a dead index (a zero row and column), table 1 has scale 1e-200 next to
+    # the scale-1 tables, and table 2 couples index 4 to the rest at ~1e-295, a pivot
+    # column usable under its own floor (1e-300) but not under table 3's (1e-290)
+    rng = np.random.default_rng(233 + charge)
+    size = 9
+    tables = np.stack([random_skew(rng, size) for _ in range(4)])
+    tables[0, 3, :] = tables[0, :, 3] = 0.0
+    tables[1] *= 1e-200
+    tables[2, 4, :] *= 1e-295
+    tables[2, :, 4] *= 1e-295
+    tables[3, 0, 1], tables[3, 1, 0] = 1e10, -1e10
+    rows = np.array([np.sort(rng.choice(size, charge, replace=False))[::-1] for _ in range(40)])
+    rows = np.concatenate([rows, [[4] + [k for k in range(size) if k != 4][:charge - 1]]])
+    got = pfaffian(tables, _stack_rows(rows, 4, size)).reshape(4, -1)
+    for table, pfs in zip(tables, got):
+        assert np.array_equal(_bits(pfs), _bits(pfaffian(table, rows)))
+    dead = np.isin(rows, 3).any(axis=1)
+    assert dead.any() and np.all(got[0, dead] == 0.0) and np.all(got[0, ~dead] != 0.0)
+    assert charge > 2 or np.all(got[1] != 0.0)
+    assert np.all(got[2] != 0.0)
+
+
+def test_a_skew_defect_in_a_small_table_is_refused_beside_a_large_one():
+    # a defect of 1e-8: above SKEW_RTOL of its own table, within that of the 1e6 table
+    rng = np.random.default_rng(239)
+    tables = np.stack([1e6 * random_skew(rng, 6), random_skew(rng, 6)])
+    tables[1, 2, 1] += 1e-8
+    rows = _stack_rows(np.array([[3, 2, 1, 0]]), 2, 6)
+    with pytest.raises(PfaffianError, match="skew"):
+        pfaffian(tables, rows)
+    with pytest.raises(PfaffianError, match="skew"):
+        pfaffian(tables, rows[:1])     # a member of the sound table only
+    with pytest.raises(PfaffianError, match="skew"):
+        abar([[3, 2, 1, 0]], 0, SkewPair(tables, np.zeros((2, 6))))
+
+
+@pytest.mark.parametrize("charge", [0, 1, 2, 3, 4])
+def test_abar_over_a_stack_of_pairs_is_each_pair_alone(charge):
+    rng = np.random.default_rng(241 + charge)
+    size, base = 9, -1
+    pairs = [_pair(rng, size, base) for _ in range(3)]
+    stack = SkewPair(np.stack([p.a_matrix for p in pairs]), np.stack([p.border for p in pairs]),
+                     index_base=base)
+    hs = np.array([np.sort(rng.choice(size, charge, replace=False))[::-1] for _ in range(25)],
+                  dtype=int).reshape(25, charge) + base
+    got = abar(hs, 0, stack)
+    assert got.shape == (3, 25)
+    for pair, coeffs in zip(pairs, got):
+        assert np.array_equal(_bits(coeffs), _bits(abar(hs, 0, pair)))
 
 
 def test_pfaffian_leaves_its_input_alone():
