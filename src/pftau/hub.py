@@ -221,12 +221,14 @@ def _run_hirota(e: Experiment) -> Verdict:
 def _run_group_integral(e: Experiment) -> Verdict:
     group, size, predicates = e.param("group"), e.param("size"), e.param("predicates")
     t = CouplingSeq(e.param("t"))
-    details: dict = {"predicate": [], "series_vs_mc": None}
+    details: dict = {"predicate": [], "series_vs_mc": None,
+                     "haar_batch": {"seed": e.seed, "samples": e.samples,
+                                    "shards": orc.HAAR_SHARDS}}
     worst = 0.0
-    # one Haar draw serves every predicate; the series check draws its own
-    results = orc.haar_expectation_mc(
-        (group, size), [("schur", Partition(lam_parts)) for lam_parts, _ in predicates],
-        e.samples, e.seed)
+    # one Haar draw serves every predicate and the series check
+    *results, mc = orc.haar_expectation_mc(
+        (group, size), [("schur", Partition(lam_parts)) for lam_parts, _ in predicates]
+        + [("exp_trace", t)], e.samples, e.seed)
     for (lam_parts, expected), res in zip(predicates, results):
         sigmas = _z_score(res, expected)
         details["predicate"].append({"lambda": lam_parts, "expected": expected,
@@ -234,7 +236,6 @@ def _run_group_integral(e: Experiment) -> Verdict:
                                      "sigmas": sigmas})
         worst = max(worst, sigmas / 4.0)
     series = ts.group_series(group, size, t, e.cutoff)
-    [mc] = orc.haar_expectation_mc((group, size), [("exp_trace", t)], e.samples, e.seed + 1)
     sigmas = _z_score(mc, series)
     details["series_vs_mc"] = {"series": series, "mc": mc.value,
                                "stderr": mc.error_estimate, "sigmas": sigmas}

@@ -9,8 +9,9 @@ from pftau import hub, moments, oracle, quad
 from pftau.hub import (Experiment, acceptance_experiments, bkp_normalization,
                        ratio_experiments, run_experiment, run_suite)
 from pftau.moments import EnsembleSpec
+from pftau.partitions import Partition
 from pftau.symfun import ZERO_SEQ, CouplingSeq, c_factor
-from pftau.tauseries import WaveReport
+from pftau.tauseries import WaveReport, group_series
 
 
 def test_bkp_normalization_single_location():
@@ -338,6 +339,65 @@ def test_discrete_batch_is_each_trial_alone_bit_for_bit(kind, seed):
     alone = [oracle.discrete_consistency([trial])[0] for trial in trials]
     assert len(batched) == len(alone) == 50
     assert np.array(batched, dtype=complex).tobytes() == np.array(alone, dtype=complex).tobytes()
+
+
+def _gate_group_experiment(name, samples=100000):
+    return next(e for e in acceptance_experiments(samples=samples) if e.name == name)
+
+
+def _bessel_i(nu, x):
+    return math.fsum((x / 2) ** (2 * k + nu) / (math.factorial(k) * math.factorial(k + nu))
+                     for k in range(40))
+
+
+# exact Haar averages of exp(t Tr g) at the gate's t = (0.2,): the Weyl integrals
+# over Sp(2) = SU(2) and over both components of O(3)
+T_GROUP = 0.2
+EXACT_EXP_TRACE = {
+    "group-Sp2": math.fsum(T_GROUP ** (2 * k) / (math.factorial(k) * math.factorial(k + 1))
+                           for k in range(40)),
+    "group-O3": (_bessel_i(0, 2 * T_GROUP) * math.cosh(T_GROUP)
+                 - _bessel_i(1, 2 * T_GROUP) * math.sinh(T_GROUP)),
+}
+
+
+@pytest.mark.parametrize("name", ["group-O3", "group-Sp2"])
+def test_group_experiment_draws_one_haar_batch(monkeypatch, name):
+    # the predicates and the series check average over one batch at the experiment's
+    # seed, and each estimate is the one its payload gets alone
+    e = _gate_group_experiment(name, samples=3001)
+    group, t = (e.param("group"), e.param("size")), CouplingSeq(e.param("t"))
+    preds = [("schur", Partition(lam)) for lam, _ in e.param("predicates")]
+    draw, calls = oracle.haar_expectation_mc, []
+
+    def recording(*args):
+        calls.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(oracle, "haar_expectation_mc", recording)
+    v = run_experiment(e)
+    assert v.error is None
+    assert calls == [(group, preds + [("exp_trace", t)], 3001, e.seed)]
+    for pred, record in zip(preds, v.details["predicate"], strict=True):
+        [alone] = draw(group, [pred], 3001, e.seed)
+        assert (record["mc"], record["stderr"]) == (alone.value, alone.error_estimate)
+    [alone] = draw(group, [("exp_trace", t)], 3001, e.seed)
+    assert (v.details["series_vs_mc"]["mc"], v.details["series_vs_mc"]["stderr"]) == (
+        alone.value, alone.error_estimate)
+    assert v.details["haar_batch"] == {"seed": e.seed, "samples": 3001,
+                                       "shards": oracle.HAAR_SHARDS}
+
+
+@pytest.mark.parametrize("name", ["group-O3", "group-Sp2"])
+def test_gate_series_payload_against_the_exact_haar_average(name):
+    e = _gate_group_experiment(name)
+    exact = EXACT_EXP_TRACE[name]
+    group, t = (e.param("group"), e.param("size")), CouplingSeq(e.param("t"))
+    assert t == CouplingSeq.of(T_GROUP)
+    for cutoff in (12, 30):
+        assert group_series(*group, t, cutoff) == pytest.approx(exact, rel=1e-14, abs=0)
+    mc = run_experiment(e).details["series_vs_mc"]
+    assert abs(mc["mc"] - exact) <= 3 * mc["stderr"]
 
 
 @pytest.mark.parametrize("offset,passes", [(2.0 ** -52, True), (1e-6, False)])
