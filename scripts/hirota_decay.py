@@ -37,7 +37,7 @@ def main() -> None:
         prev = None
         for w in args.cutoffs:
             fam = tau_charge_family(spec, charges, w)
-            rel = hirota_residual(fam, args.L, t, args.alpha, args.beta).relative
+            rel = hirota_residual(fam, t, args.alpha, args.beta).relative
             factor = f"{prev / rel:12.2f}" if prev else " " * 12
             print(f"{w:4d}  {rel:18.6e}  {factor}")
             prev = rel

@@ -63,10 +63,14 @@ def _no_duplicates(pairs):
     return out
 
 
-_ENSEMBLE_KEYS = {"kind", "n", "L", "t", "s", "alpha", "beta", "L2", "t_bar", "s_bar"}
-# the top-level keys of every command; each reads its own besides
-_TOP_KEYS = {"command", "ensemble", "cutoff", "tolerance", "samples", "seed", "output",
-             "cache", "format"}
+# the keys of every command, and the fields that each without a comparison reads: an inline
+# suite's are the defaults of its entries, the acceptance suite's the arguments of
+# `hub.acceptance_experiments`, and a suite's ensemble is inherited by no entry
+_COMMON_KEYS = {"command", "output", "cache", "format"}
+_COMMAND_READS = {"partition-function": {"ensemble", "cutoff"},
+                  "moments-dump": {"ensemble", "cutoff", "size"},
+                  "suite": {"ensemble", "experiments", "tolerance", "cutoff", "samples", "seed"},
+                  "acceptance": {"ensemble", "experiments", "samples", "seed"}}
 
 
 def _coupling(value, where: str) -> CouplingSeq:
@@ -74,18 +78,18 @@ def _coupling(value, where: str) -> CouplingSeq:
 
 
 def parse_ensemble(node) -> EnsembleSpec:
+    """The spec of an ensemble: its kind, `n` and any field its family reads besides."""
     if not isinstance(node, dict):
         raise ConfigError("bad-ensemble", "ensemble must be an object")
-    unknown = set(node) - _ENSEMBLE_KEYS
-    if unknown:
-        raise ConfigError("unknown-field", f"unknown ensemble fields {sorted(unknown)}")
     kind = node.get("kind")
     if kind not in moments.KINDS:
         raise ConfigError("unknown-ensemble-kind", f"unknown ensemble kind {kind!r}")
+    unknown = set(node) - {"kind", *moments.FAMILY_FIELDS[moments.KINDS[kind][0]]}
+    if unknown:
+        raise ConfigError("unknown-field", f"unknown {kind} ensemble fields {sorted(unknown)}")
     n = read_number(node.get("n"), "n", int, lambda v: v >= 0)
-    fields = {k: _coupling(node.get(k), k) for k in ("t", "s", "t_bar", "s_bar")}
-    fields.update((k, _number(node, k, default)) for k, default in
-                  (("L", 0), ("L2", 0), ("alpha", None), ("beta", None)))
+    fields = {k: _coupling(v, k) if k in ("t", "s", "t_bar") else _number(node, k, None)
+              for k, v in node.items() if k not in ("kind", "n")}
     try:
         return EnsembleSpec(kind, n, **fields)
     except (TypeError, ValueError) as exc:
@@ -122,12 +126,15 @@ def parse_config(text: str) -> RunConfig:
     command = raw.get("command")
     if command not in COMMANDS:
         raise ConfigError("unknown-command", f"command must be one of {COMMANDS}, got {command!r}")
-    # a single-experiment command's params are top-level keys: {parameter: key}
-    declared = hub.COMPARISONS[_COMPARISONS[command]][1] if command in _COMPARISONS else {}
-    keys = {k: _ALIASES.get(k, k) for k in declared}
-    own = {"moments-dump": {"size"}, "suite": {"experiments"}}.get(command, set())
-    ignored = hub.IGNORED_FIELDS.get(_COMPARISONS.get(command), set())
-    unknown = (set(raw) - _TOP_KEYS - own - set(keys.values())) | (set(raw) & ignored)
+    requested = raw.get("experiments", "acceptance") if command == "suite" else None
+    if command in _COMPARISONS:
+        # a single-experiment command's params are top-level keys: {parameter: key}
+        comparison = hub.COMPARISONS[_COMPARISONS[command]]
+        keys = {k: _ALIASES.get(k, k) for k in comparison.params}
+        reads = comparison.reads | set(keys.values())
+    else:
+        reads = _COMMAND_READS["acceptance" if requested == "acceptance" else command]
+    unknown = set(raw) - _COMMON_KEYS - reads
     if unknown:
         raise ConfigError("unknown-field", f"unknown fields {sorted(unknown)} for {command}")
     cfg = RunConfig(command, **{k: _number(raw, k, getattr(hub.Experiment, k))
@@ -155,16 +162,14 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("bad-format", f"moments-dump writes csv only, got {cfg.fmt!r}")
     if command in _COMPARISONS:
         # the one inline suite entry that a single-experiment command stands for
-        node = {"name": command, "comparison": _COMPARISONS[command],
-                "params": {k: raw[key] for k, key in keys.items() if key in raw}}
-        if "ensemble" in raw:
-            node["ensemble"] = raw["ensemble"]
+        node = {k: raw[k] for k in comparison.reads if k in raw}
+        node.update(name=command, comparison=_COMPARISONS[command],
+                    params={k: raw[key] for k, key in keys.items() if key in raw})
         cfg.experiments = [_experiment_from_node(node, cfg, 0, keys)]
     elif command == "moments-dump":
         spec = cfg.ensemble
         cfg.size = _number(raw, "size", ts.required_table_size(spec.n_eff, spec.L, cfg.cutoff))
     elif command == "suite":
-        requested = raw.get("experiments", "acceptance")
         if requested == "acceptance":
             cfg.experiments = hub.acceptance_experiments(samples=cfg.samples, seed=cfg.seed)
         elif isinstance(requested, list):
@@ -176,40 +181,32 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-_NODE_KEYS = {"name", "comparison", "ensemble", "tolerance", "cutoff", "samples",
-              "seed", "params"}
-
-
 def _experiment_from_node(node, cfg: RunConfig, index: int, keys=None) -> hub.Experiment:
-    """One experiment from an inline suite entry; unset fields come from `cfg`.  Its params
-    are checked against `hub.COMPARISONS`, and an error names them by `keys`, if given."""
+    """One experiment from an inline suite entry, which sets fields its comparison reads (others
+    come from `cfg`) and params, checked against `hub.COMPARISONS` and named by `keys`."""
     if not isinstance(node, dict):
         raise ConfigError("bad-suite", f"experiment {index} must be an object")
     try:
-        unknown = set(node) - _NODE_KEYS
-        if unknown:
-            raise ConfigError("unknown-field", f"unknown fields {sorted(unknown)}")
-        if not isinstance(node.get("comparison"), str):
+        kind = node.get("comparison")
+        if not isinstance(kind, str):
             raise ConfigError("bad-suite", "needs a comparison kind")
-        ignored = hub.IGNORED_FIELDS.get(node["comparison"], set())
-        if set(node) & ignored:
-            raise ConfigError("unknown-field", f"{node['comparison']} takes no "
-                              f"{sorted(set(node) & ignored)}")
-        if "ensemble" not in node and "ensemble" not in ignored:
-            raise ConfigError("missing-ensemble", f"{node['comparison']} needs an ensemble")
+        if kind not in hub.COMPARISONS:
+            raise ConfigError("unknown-comparison", f"unknown comparison kind {kind!r}")
+        unknown = set(node) - {"name", "comparison", "params"} - hub.COMPARISONS[kind].reads
+        if unknown:
+            raise ConfigError("unknown-field", f"{kind} takes no {sorted(unknown)}")
         params = node.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("bad-suite", "params must be an object")
-        resolved = hub.resolve_params(node["comparison"], params, keys)
         spec = parse_ensemble(node["ensemble"]) if "ensemble" in node else None
-        hub.check_ensemble(node["comparison"], spec, resolved, keys)
+        hub.resolve_params(kind, params, spec, keys)
 
         def tuplify(v):
             return tuple(tuplify(x) for x in v) if isinstance(v, list) else v
 
         return hub.Experiment(
             name=node.get("name", f"experiment-{index}"),
-            comparison=node["comparison"],
+            comparison=kind,
             spec=spec,
             tolerance=_number(node, "tolerance", cfg.tolerance),
             cutoff=_number(node, "cutoff", cfg.cutoff),

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,11 +62,6 @@ class Experiment:
     samples: int = 100000
     seed: int = 42
     params: tuple = ()
-
-    def param(self, key):
-        """The checked value of parameter `key`, or its default in `COMPARISONS`;
-        KeyError where the comparison declares no `key`."""
-        return resolve_params(self.comparison, self.params)[key]
 
 
 @dataclass
@@ -121,7 +118,7 @@ def series_oracle_ratios(spec: EnsembleSpec, cutoff: int) -> tuple[complex, comp
     return r_series, top.value / bot.value, det
 
 
-def _run_series_vs_oracle(e: Experiment) -> Verdict:
+def _run_series_vs_oracle(e: Experiment, p: dict) -> Verdict:
     spec = e.spec
     r_series, r_oracle, det = series_oracle_ratios(spec, e.cutoff)
     det["bkp_normalization"] = bkp_normalization(spec)
@@ -130,7 +127,7 @@ def _run_series_vs_oracle(e: Experiment) -> Verdict:
     return Verdict(e.name, e.comparison, margin < e.tolerance, margin, e.tolerance, det)
 
 
-def _run_anchor(e: Experiment) -> Verdict:
+def _run_anchor(e: Experiment, p: dict) -> Verdict:
     spec = e.spec
     r_series, det = _series_ratio(spec, e.cutoff)
     t1 = float(spec.t.entry(1).real)
@@ -140,7 +137,7 @@ def _run_anchor(e: Experiment) -> Verdict:
     return Verdict(e.name, e.comparison, margin < e.tolerance, margin, e.tolerance, det)
 
 
-def _run_reality(e: Experiment) -> Verdict:
+def _run_reality(e: Experiment, p: dict) -> Verdict:
     spec = e.spec
     tau = ts.tau_series(spec, e.cutoff)
     worst = 0.0
@@ -152,8 +149,8 @@ def _run_reality(e: Experiment) -> Verdict:
                    {"worst_imag_fraction": worst})
 
 
-def _run_ginse_structure(e: Experiment) -> Verdict:
-    size = e.param("size")
+def _run_ginse_structure(e: Experiment, p: dict) -> Verdict:
+    size = p["size"]
     pair = moment_pair(replace(e.spec, t=ZERO_SEQ, s=ZERO_SEQ), size)
     a = pair.a_matrix.real
     mx = float(np.max(np.abs(a)))
@@ -169,10 +166,10 @@ def _run_ginse_structure(e: Experiment) -> Verdict:
                    {"off_superdiagonal_fraction": off_frac, "ratios": ratios})
 
 
-def _run_kernel(e: Experiment) -> Verdict:
+def _run_kernel(e: Experiment, p: dict) -> Verdict:
     spec = e.spec
     quotients: dict = {}   # variant -> the quotient lhs / rhs at each point set
-    for pts in (e.param("p"), e.param("p_ref")):
+    for pts in (p["p"], p["p_ref"]):
         pts = np.asarray(pts, dtype=float)
         prefactor = kernel_prefactor(pts)
         lhs = orc.det_average_lhs(spec, pts).value
@@ -203,12 +200,11 @@ def _run_kernel(e: Experiment) -> Verdict:
                    {"variants": variants, "validating_variant": chosen})
 
 
-def _run_hirota(e: Experiment) -> Verdict:
+def _run_hirota(e: Experiment, p: dict) -> Verdict:
     spec = e.spec
-    alpha, beta, cutoffs = e.param("alpha"), e.param("beta"), e.param("cutoffs")
-    min_factor = e.param("min_factor")
+    alpha, beta, cutoffs, min_factor = p["alpha"], p["beta"], p["cutoffs"], p["min_factor"]
     charges = [spec.n_eff + d for d in (-1, 0, 1, 2)]
-    rels = [ts.hirota_residual(ts.tau_charge_family(spec, charges, w), spec.L, spec.t,
+    rels = [ts.hirota_residual(ts.tau_charge_family(spec, charges, w), spec.t,
                                alpha, beta).relative for w in cutoffs]
     factors = [rels[i] / max(rels[i + 1], 1e-300) for i in range(len(rels) - 1)]
     monotone = all(rels[i + 1] < rels[i] for i in range(len(rels) - 1))
@@ -218,9 +214,9 @@ def _run_hirota(e: Experiment) -> Verdict:
                     "alpha": alpha, "beta": beta, "cutoffs": list(cutoffs)})
 
 
-def _run_group_integral(e: Experiment) -> Verdict:
-    group, size, predicates = e.param("group"), e.param("size"), e.param("predicates")
-    t = CouplingSeq(e.param("t"))
+def _run_group_integral(e: Experiment, p: dict) -> Verdict:
+    group, size, predicates = p["group"], p["size"], p["predicates"]
+    t = CouplingSeq(p["t"])
     details: dict = {"predicate": [], "series_vs_mc": None,
                      "haar_batch": {"seed": e.seed, "samples": e.samples,
                                     "shards": orc.HAAR_SHARDS}}
@@ -249,13 +245,13 @@ def _z_score(mc: orc.OracleResult, expected) -> float:
     return abs(mc.value - expected) / max(mc.error_estimate, MC_STDERR_FLOOR)
 
 
-def _discrete_trials(e: Experiment) -> list:
-    """The (spec, real_atoms, pair_atoms) of every trial of a discrete-exact experiment,
-    drawn in trial order from its seed."""
+def _discrete_trials(e: Experiment, p: dict) -> list:
+    """The (spec, real_atoms, pair_atoms) of every trial of a discrete-exact experiment
+    with the resolved params `p`, drawn in trial order from its seed."""
     rng = np.random.default_rng(e.seed)
-    t = CouplingSeq(e.param("t"))
+    t = CouplingSeq(p["t"])
     trials = []
-    for trial in range(e.param("trials")):
+    for trial in range(p["trials"]):
         n = 1 + trial % 3
         L = int(rng.integers(0, 3))
         n_atoms = int(rng.integers(max(2, n), 7))
@@ -272,12 +268,12 @@ def _discrete_trials(e: Experiment) -> list:
     return trials
 
 
-def _run_discrete(e: Experiment) -> Verdict:
+def _run_discrete(e: Experiment, p: dict) -> Verdict:
     # the worst deviation folds the trials in order from 0, so a NaN one is passed over
     worst = max([0.0] + [abs(lhs - rhs) / scale
-                         for lhs, rhs, scale in orc.discrete_consistency(_discrete_trials(e))])
+                         for lhs, rhs, scale in orc.discrete_consistency(_discrete_trials(e, p))])
     return Verdict(e.name, e.comparison, worst < e.tolerance, worst, e.tolerance,
-                   {"trials": e.param("trials"), "worst_rel": worst})
+                   {"trials": p["trials"], "worst_rel": worst})
 
 
 def _separated(rng, count, lo=-1.4, hi=1.4, gap=0.05):
@@ -289,9 +285,9 @@ def _separated(rng, count, lo=-1.4, hi=1.4, gap=0.05):
     return (lo + u + gap * np.arange(count)).tolist()
 
 
-def _run_wave(e: Experiment) -> Verdict:
+def _run_wave(e: Experiment, p: dict) -> Verdict:
     spec = e.spec
-    points, cut_lo = e.param("points"), e.param("cutoff_low")
+    points, cut_lo = p["points"], p["cutoff_low"]
     cut_lo = max(6, e.cutoff - 4) if cut_lo is None else cut_lo
     rep_hi = ts.wave_polynomial_check(spec, e.cutoff, points, s_ratio_fn=_s_ratio_fn(spec))
     rep_lo = ts.wave_polynomial_check(spec, cut_lo, points)
@@ -319,7 +315,7 @@ def _s_ratio_fn(spec: EnsembleSpec):
     return ratio
 
 
-def _run_bimoment(e: Experiment) -> Verdict:
+def _run_bimoment(e: Experiment, p: dict) -> Verdict:
     spec = e.spec
     spec0 = replace(spec, t=ZERO_SEQ, t_bar=ZERO_SEQ)
     m1 = complex_bimoment_matrix(spec, spec.n)
@@ -375,77 +371,87 @@ def _kernel_points(value, key):
     return points
 
 
-def _group_size(params: dict, names: dict) -> None:
+def _group_fits(params: dict, spec, names: dict) -> None:
     """A compact symplectic group acts on an even dimension."""
     if params["group"] == "symplectic" and params["size"] % 2:
         raise ConfigError("bad-value", f"{names.get('size', 'size')} of the symplectic group "
                           f"must be even, got {params['size']}")
 
 
-# comparison kind -> (runner, {parameter: (check(value, key) -> value, default)})
+def _kernel_fits(params: dict, spec: EnsembleSpec, names: dict) -> None:
+    """The kernel identity holds for a Pfaffian kind, with one point per unit of charge."""
+    if spec.family == "unitary":
+        raise ConfigError("bad-ensemble", f"no kernel for kind {spec.kind!r}")
+    for key in ("p", "p_ref"):
+        if len(params[key]) != spec.n_eff:
+            raise ConfigError("bad-value", f"{names.get(key, key)} must hold as many points as "
+                              f"the charge {spec.n_eff}, got {len(params[key])}")
+
+
+class Comparison(NamedTuple):
+    """A comparison kind: `run(e, params)` reads no `Experiment` field outside `reads`; `params`
+    is {param: (check(value, key), default)}; `fits(params, spec, names)` refuses misfits."""
+    run: Callable
+    reads: frozenset
+    params: dict = {}
+    fits: Callable = lambda params, spec, names: None
+
+
+# the experiment fields that a series, an ensemble alone, and a Haar Monte Carlo read
+_SERIES = frozenset({"ensemble", "tolerance", "cutoff"})
+_SPEC = frozenset({"ensemble", "tolerance"})
+_HAAR = frozenset({"cutoff", "samples", "seed"})
 COMPARISONS = {
-    "series-vs-oracle-ratio": (_run_series_vs_oracle, {}),
-    "closed-form-anchor": (_run_anchor, {}),
-    "reality": (_run_reality, {}),
+    "series-vs-oracle-ratio": Comparison(_run_series_vs_oracle, _SERIES),
+    "closed-form-anchor": Comparison(_run_anchor, _SERIES),
+    "reality": Comparison(_run_reality, _SERIES),
     # the structure check reads the table up to a[5, 6]
-    "ginse-structure": (_run_ginse_structure, {"size": (_at_least(int, 7), 8)}),
-    "kernel-vs-oracle": (_run_kernel, {"p": (_kernel_points, (0.1, -0.1)),
-                                       "p_ref": (_kernel_points, (0.08, -0.06))}),
-    "hirota-decay": (_run_hirota, {
+    "ginse-structure": Comparison(_run_ginse_structure, _SPEC, {"size": (_at_least(int, 7), 8)}),
+    "kernel-vs-oracle": Comparison(_run_kernel, _SPEC, {
+        "p": (_kernel_points, (0.1, -0.1)), "p_ref": (_kernel_points, (0.08, -0.06))},
+        _kernel_fits),
+    # min_factor judges the decay; the verdict only echoes the tolerance
+    "hirota-decay": Comparison(_run_hirota, _SPEC, {
         "alpha": (read_number, 8.0), "beta": (read_number, 10.0), "min_factor": (read_number, 2.0),
         "cutoffs": (array_of(_at_least(int, 0), 2), (8, 10, 12, 14))}),
-    "group-series-vs-mc": (_run_group_integral, {
+    # a Monte Carlo z-score has its own bound, and a group no ensemble
+    "group-series-vs-mc": Comparison(_run_group_integral, _HAAR, {
         "group": (_group, "orthogonal"), "size": (_at_least(int, 1), 3),
-        "t": (array_of(read_number), (0.2,)), "predicates": (array_of(_predicate), ())}),
-    "discrete-exact": (_run_discrete, {"trials": (_at_least(int, 1), 50),
-                                       "t": (array_of(read_number), (0.07, -0.03))}),
+        "t": (array_of(read_number), (0.2,)), "predicates": (array_of(_predicate), ())},
+        _group_fits),
+    "discrete-exact": Comparison(_run_discrete, _SPEC | {"seed"}, {
+        "trials": (_at_least(int, 1), 50), "t": (array_of(read_number), (0.07, -0.03))}),
     # cutoff_low None: four below the cutoff, at least 6
-    "wave-poly": (_run_wave, {"points": (array_of(read_number, 1), (2.0, 3.0, 5.0)),
-                              "cutoff_low": (_at_least(int, 0), None)}),
-    "bimoment-vs-direct": (_run_bimoment, {}),
+    "wave-poly": Comparison(_run_wave, _SERIES, {
+        "points": (array_of(read_number, 1), (2.0, 3.0, 5.0)),
+        "cutoff_low": (_at_least(int, 0), None)}),
+    "bimoment-vs-direct": Comparison(_run_bimoment, _SPEC),
 }
-# comparison kind -> check(params, names) of parameters whose domains depend on each other
-JOINT_CHECKS = {"group-series-vs-mc": _group_size}
-# comparison kind -> the experiment fields its verdict never reads, which no config may set:
-# a Monte Carlo z-score has its own bound
-IGNORED_FIELDS = {"group-series-vs-mc": {"ensemble", "tolerance"}}
 
 
-def resolve_params(comparison: str, params, names=None) -> dict:
-    """Every parameter that `comparison` declares: checked where `params` sets it, its
-    default where not.  ConfigError on an unknown comparison or an undeclared or malformed
-    parameter, which it names by `names.get(parameter, parameter)`."""
+def resolve_params(comparison: str, params, spec: EnsembleSpec | None, names=None) -> dict:
+    """Every param that `comparison` declares, checked where `params` sets it, else its default,
+    and fitted to `spec`; ConfigError on an unknown comparison, a missing `spec` it reads, or an
+    undeclared, malformed or unfitting param, which it names by `names.get(param, param)`."""
     if comparison not in COMPARISONS:
         raise ConfigError("unknown-comparison", f"unknown comparison kind {comparison!r}")
-    declared, given, names = COMPARISONS[comparison][1], dict(params), names or {}
+    if spec is None and "ensemble" in COMPARISONS[comparison].reads:
+        raise ConfigError("missing-ensemble", f"{comparison} needs an ensemble")
+    declared, given, names = COMPARISONS[comparison].params, dict(params), names or {}
     unknown = sorted(set(given) - set(declared))
     if unknown:
         raise ConfigError("unknown-field", f"{comparison} has no params {unknown}")
     resolved = {k: check(given[k], names.get(k, k)) if k in given else default
                 for k, (check, default) in declared.items()}
-    if comparison in JOINT_CHECKS:
-        JOINT_CHECKS[comparison](resolved, names)
+    COMPARISONS[comparison].fits(resolved, spec, names)
     return resolved
-
-
-def check_ensemble(comparison: str, spec: EnsembleSpec, params: dict, names=None) -> None:
-    """ConfigError where the resolved `params` of `comparison` do not fit the ensemble `spec`:
-    the kernel identity holds for a Pfaffian kind, with one point per unit of charge."""
-    if comparison != "kernel-vs-oracle":
-        return
-    if spec.family == "unitary":
-        raise ConfigError("bad-ensemble", f"no kernel for kind {spec.kind!r}")
-    for key in ("p", "p_ref"):
-        if len(params[key]) != spec.n_eff:
-            raise ConfigError("bad-value", f"{(names or {}).get(key, key)} must hold as many "
-                              f"points as the charge {spec.n_eff}, got {len(params[key])}")
 
 
 def run_experiment(e: Experiment) -> Verdict:
     try:
-        # a bad param, or one that does not fit the ensemble, gives an error verdict
-        check_ensemble(e.comparison, e.spec, resolve_params(e.comparison, e.params))
-        return COMPARISONS[e.comparison][0](e)
+        # an unknown kind, a bad param, or one that misfits the ensemble: an error verdict
+        params = resolve_params(e.comparison, e.params, e.spec)
+        return COMPARISONS[e.comparison].run(e, params)
     except (QuadratureError, ValueError, ZeroDivisionError) as exc:
         return Verdict(e.name, e.comparison, False, math.inf, e.tolerance,
                        error=f"{type(exc).__name__}: {exc}")

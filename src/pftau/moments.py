@@ -43,6 +43,9 @@ from .symfun import CouplingSeq, ZERO_SEQ, potential
 KINDS = {"OE": ("orth", (0.0, 1.0)), "SE": ("sympl", (0.0, 1.0)),
          "GinOE": ("orth", (1.0, 1.0)), "GinSE": ("sympl", (1.0, 0.0)),
          "GinUE": ("unitary", (0.0, 0.0))}
+# the ensemble fields that each family reads
+_PFAFFIAN = ("n", "L", "t", "s", "alpha", "beta")
+FAMILY_FIELDS = dict(orth=_PFAFFIAN, sympl=_PFAFFIAN, unitary=("n", "L", "L2", "t", "t_bar"))
 # (gauss, mult) of one eigenvalue weight e^{-gauss x^2 + mult (V(x,t) - V(1/x,s))}, mult
 # also counting the eigenvalues the point stands for: a real one of each family (doubled
 # on the symplectic line), and a conjugate pair z, zbar, whose weight is e^{2 Re V} times
@@ -138,7 +141,6 @@ class EnsembleSpec:
     # second coupling family and determinant exponent of the complex ensemble
     L2: int = 0
     t_bar: CouplingSeq = ZERO_SEQ
-    s_bar: CouplingSeq = ZERO_SEQ
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -269,9 +271,8 @@ def _inner_cut(s: CouplingSeq, mult: float) -> float | None:
 
 def _full_plane_check(spec: EnsembleSpec) -> str | None:
     """The GinUE weight e^{V(z,t) + V(zbar,t') - |z|^2} z^L zbar^{-L2} over the plane."""
-    for name, seq in (("s", spec.s), ("s'", spec.s_bar)):
-        if seq.top_index() != 0:
-            return f"{name} != 0 blows up near 0 on some ray of the full plane"
+    if spec.s.top_index() != 0:
+        return "s != 0 blows up near 0 on some ray of the full plane"
     for name, seq in (("t", spec.t), ("t'", spec.t_bar)):
         k = seq.top_index()
         if k > 2:

@@ -83,20 +83,14 @@ def required_table_size(charge: int, L: int, cutoff: int) -> int:
     return cutoff + charge + max(0, L)
 
 
-def tau_series(spec: EnsembleSpec, cutoff: int, pair: SkewPair | None = None) -> TauApprox:
-    """Schur-series approximation of the ensemble partition function.
-
-    Without `pair` the coefficients come from the spec's moment pair, which t
-    never enters, so the series is memoized per (spec at t = 0, cutoff) in the
-    in-memory table cache: every t of one spec shares it, and
-    `moments.clear_cache()` forgets it.
-    """
-    charge = spec.n_eff
-    if pair is not None:
-        return TauApprox(charge, spec.L, cutoff, series_terms(pair, charge, spec.L, cutoff))
+def tau_series(spec: EnsembleSpec, cutoff: int) -> TauApprox:
+    """Schur-series approximation of the ensemble partition function: the one-charge
+    `tau_charge_family` at the spec's charge, even on the symplectic kinds, whose border is
+    thus the paper's.  t never enters the moment pair, so the series is memoized per (spec
+    at t = 0, cutoff): every t of one spec shares it, and `moments.clear_cache()` forgets it."""
     spec.validate().require()   # t is not in the key, so a hit must not skip its check
-    return memo(("tau_series", replace(spec, t=ZERO_SEQ), cutoff), lambda: tau_series(
-        spec, cutoff, moment_pair(spec, required_table_size(charge, spec.L, cutoff))))
+    return memo(("tau_series", replace(spec, t=ZERO_SEQ), cutoff),
+                lambda: tau_charge_family(spec, [spec.n_eff], cutoff)[spec.n_eff])
 
 
 def tau_charge_family(spec: EnsembleSpec, charges, cutoff: int) -> dict:
@@ -148,7 +142,7 @@ class HirotaReport:
         return abs(self.residual) / max(self.scale, 1e-300)
 
 
-def hirota_residual(family: dict, l: int, t: CouplingSeq, alpha: float, beta: float) -> HirotaReport:
+def hirota_residual(family: dict, t: CouplingSeq, alpha: float, beta: float) -> HirotaReport:
     """LHS - RHS of the four-term difference bilinear identity at charge N.
 
     family maps charges N-1..N+2 to TauApprox objects built at the same
@@ -163,9 +157,8 @@ def hirota_residual(family: dict, l: int, t: CouplingSeq, alpha: float, beta: fl
         raise ValueError("family must cover four consecutive charges")
     n = charges[1]
     cutoff = family[n].cutoff
-    for c, tau in family.items():
-        if tau.L != l:
-            raise ValueError(f"family member at charge {c} was built at L={tau.L}, not {l}")
+    if len(levels := {tau.L for tau in family.values()}) != 1:
+        raise ValueError(f"family members were built at L = {sorted(levels)}, not at one L")
 
     order = cutoff + charges[-1] + 1
 

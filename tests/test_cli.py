@@ -59,10 +59,10 @@ def test_parse_rejects_unknown_field_and_bad_numbers():
         parse_config('{"command": "suite", "wibble": 1}')
     assert err.value.code == "unknown-field"
     with pytest.raises(ConfigError) as err:
-        parse_config('{"command": "suite", "cutoff": -3}')
+        parse_config('{"command": "suite", "samples": -3}')
     assert err.value.code == "bad-number"
     with pytest.raises(ConfigError) as err:
-        parse_config('{"command": "suite", "cutoff": "many"}')
+        parse_config('{"command": "suite", "seed": "many"}')
     assert err.value.code == "bad-number"
     with pytest.raises(ConfigError) as err:
         parse_config('{"command": "fly"}')
@@ -274,11 +274,11 @@ def test_single_command_is_an_inline_suite_entry():
     cfg = parse_config(json.dumps({"command": "hirota-check",
                                    "ensemble": {"kind": "SE", "n": 1, "t": [0.2]},
                                    "alpha_shift": 8, "beta_shift": 10.0,
-                                   "cutoffs": [8, 10], "seed": 3}))
+                                   "cutoffs": [8, 10], "tolerance": 0.5}))
     [e] = cfg.experiments
-    assert (e.name, e.comparison, e.spec, e.seed) == ("hirota-check", "hirota-decay",
-                                                       cfg.ensemble, 3)
-    assert (e.tolerance, e.cutoff, e.samples) == (cfg.tolerance, cfg.cutoff, cfg.samples)
+    assert (e.name, e.comparison, e.spec, e.tolerance) == ("hirota-check", "hirota-decay",
+                                                            cfg.ensemble, 0.5)
+    assert (e.cutoff, e.samples, e.seed) == (cfg.cutoff, cfg.samples, cfg.seed)
     assert dict(e.params) == {"alpha": 8.0, "beta": 10.0, "cutoffs": (8, 10)}
 
 
@@ -291,7 +291,7 @@ def test_group_entry_takes_the_suite_defaults_but_no_tolerance_of_its_own():
     assert cfg.experiments[0].spec is None
     shipped = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "group_o3.json"
     [e] = parse_config(shipped.read_text()).experiments
-    assert e.comparison == "group-series-vs-mc" and e.param("size") == 3
+    assert e.comparison == "group-series-vs-mc" and dict(e.params)["size"] == 3
 
 
 def test_acceptance_suite_is_built_by_the_parser():
@@ -302,6 +302,8 @@ def test_acceptance_suite_is_built_by_the_parser():
 _ENTRY = {"name": "r1", "comparison": "series-vs-oracle-ratio",
           "ensemble": {"kind": "SE", "n": 1, "t": [0.3]}}
 _DISCRETE = {"name": "d1", "comparison": "discrete-exact", "ensemble": {"kind": "OE", "n": 1}}
+_GROUP = {"name": "g", "comparison": "group-series-vs-mc"}
+_BIMOMENT = {"name": "b", "comparison": "bimoment-vs-direct"}
 # (config, error code, what the message must name)
 _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
     ("entry-without-comparison", {"command": "suite", "experiments": [{"name": "r1"}]},
@@ -315,8 +317,8 @@ _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
      "bad-number", "experiment 1 'r2'"),
     ("entry-cutoff-negative", {"command": "suite", "experiments": [dict(_ENTRY, cutoff=-2)]},
      "bad-number", "experiment 0 'r1'"),
-    ("entry-samples-zero", {"command": "suite", "experiments": [dict(_ENTRY, samples=0)]},
-     "bad-number", "experiment 0 'r1'"),
+    ("entry-samples-zero", {"command": "suite", "experiments": [dict(_GROUP, samples=0)]},
+     "bad-number", "experiment 0 'g': samples out of range"),
     ("entry-unknown-kind",
      {"command": "suite", "experiments": [dict(_ENTRY, ensemble={"kind": "XY", "n": 1})]},
      "unknown-ensemble-kind", "experiment 0 'r1'"),
@@ -450,6 +452,25 @@ _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
      {"command": "suite", "experiments": [{"name": "g", "comparison": "group-series-vs-mc",
                                            "tolerance": 0.5}]},
      "unknown-field", "experiment 0 'g': group-series-vs-mc takes no ['tolerance']"),
+    # fields that the comparison, command or ensemble family never reads
+    ("command-seed-unread",
+     {"command": "compare-oracle", "ensemble": {"kind": "SE", "n": 1}, "seed": 3},
+     "unknown-field", "unknown fields ['seed'] for compare-oracle"),
+    ("entry-samples-unread", {"command": "suite", "experiments": [dict(_ENTRY, samples=500)]},
+     "unknown-field", "experiment 0 'r1': series-vs-oracle-ratio takes no ['samples']"),
+    ("acceptance-cutoff", {"command": "suite", "experiments": "acceptance", "cutoff": 12},
+     "unknown-field", "unknown fields ['cutoff'] for suite"),
+    ("pfaffian-ensemble-t-bar",
+     {"command": "compare-oracle", "ensemble": {"kind": "SE", "n": 1, "t_bar": [0.3]}},
+     "unknown-field", "unknown SE ensemble fields ['t_bar']"),
+    ("ginue-alpha",
+     {"command": "suite", "experiments": [dict(_BIMOMENT, ensemble={"kind": "GinUE", "n": 2,
+                                                                    "alpha": 0.5})]},
+     "unknown-field", "experiment 0 'b': unknown GinUE ensemble fields ['alpha']"),
+    ("ginue-s",
+     {"command": "suite", "experiments": [dict(_BIMOMENT, ensemble={"kind": "GinUE", "n": 2,
+                                                                    "s": [0.0]})]},
+     "unknown-field", "experiment 0 'b': unknown GinUE ensemble fields ['s']"),
 )]
 
 
@@ -489,7 +510,8 @@ _COUPLING = st.lists(st.floats(-0.2, 0.2), max_size=2)
 @st.composite
 def _accepted_space(draw):
     """A config over the space the parser accepts: every command that runs an ensemble or a
-    group, every kind, n <= 2, L in [-2, 2], short t and s, and as many points as the charge."""
+    group, every kind, n <= 2, L in [-2, 2], short t, short s on the Pfaffian kinds, and as
+    many points as the charge."""
     command = draw(st.sampled_from(["kernel-check", "compare-oracle", "discrete-check",
                                     "hirota-check", "group-integral", "partition-function",
                                     "moments-dump"]))
@@ -498,8 +520,10 @@ def _accepted_space(draw):
                 "size": draw(st.integers(1, 4)), "t": draw(_COUPLING),
                 "samples": draw(st.integers(1, 2000))}
     ensemble = {"kind": draw(st.sampled_from(sorted(moments.KINDS))), "n": draw(st.integers(0, 2)),
-                "L": draw(st.integers(-2, 2)), "t": draw(_COUPLING),
-                "s": draw(st.one_of(st.just([]), st.floats(-0.5, 0.5).map(lambda s2: [0.0, s2])))}
+                "L": draw(st.integers(-2, 2)), "t": draw(_COUPLING)}
+    if ensemble["kind"] != "GinUE":    # the complex ensemble reads no s
+        ensemble["s"] = draw(st.one_of(st.just([]),
+                                       st.floats(-0.5, 0.5).map(lambda s2: [0.0, s2])))
     config = {"command": command, "ensemble": ensemble}
     if command == "kernel-check":
         charge = EnsembleSpec(ensemble["kind"], ensemble["n"]).n_eff
@@ -573,6 +597,14 @@ def test_seed_option_is_the_config_seed(tmp_path):
     assert json.loads(blobs[0])["config"]["seed"] == 7
 
 
+def test_seed_option_on_a_command_that_reads_no_seed_exits_2(tmp_path, capsys):
+    path, out = tmp_path / "compare.json", tmp_path / "out"
+    path.write_text(json.dumps({"command": "compare-oracle", "ensemble": {"kind": "SE", "n": 1}}))
+    assert main(["compare-oracle", "--config", str(path), "--out", str(out), "--seed", "7"]) == 2
+    assert "unknown fields ['seed'] for compare-oracle" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spec_alpha_beta_range():
     with pytest.raises(ValueError, match="alpha"):
         EnsembleSpec("GinOE", 1, alpha=1.5)
@@ -621,10 +653,12 @@ def test_verdicts_identical_across_blas_thread_counts(tmp_path):
             node["t_bar"] = list(spec.t_bar.values)
         return node
 
-    bimoment = [e for e in hub.acceptance_experiments() if e.comparison == "bimoment-vs-direct"]
     nodes = [{"name": e.name, "comparison": e.comparison, "tolerance": e.tolerance,
               "cutoff": e.cutoff, "ensemble": ensemble(e.spec)}
-             for e in hub.ratio_experiments(cutoff=8) + bimoment if e.name in names]
+             for e in hub.ratio_experiments(cutoff=8) if e.name in names]
+    nodes += [{"name": e.name, "comparison": e.comparison, "tolerance": e.tolerance,
+               "ensemble": ensemble(e.spec)}
+              for e in hub.acceptance_experiments() if e.comparison == "bimoment-vs-direct"]
     nodes += [{"name": e.name, "comparison": e.comparison, "cutoff": e.cutoff,
                "samples": e.samples, "seed": e.seed, "params": dict(e.params)}
               for e in hub.acceptance_experiments(samples=4000)

@@ -66,12 +66,11 @@ def test_unknown_comparison_is_a_failed_verdict():
     assert not v.passed and "unknown comparison" in v.error
 
 
-def test_param_accessor_refuses_an_undeclared_key():
-    e = Experiment("d", "discrete-exact", spec=EnsembleSpec("OE", 1), params=(("trials", 3),))
-    assert e.param("trials") == 3
-    assert e.param("t") == hub.COMPARISONS["discrete-exact"][1]["t"][1]
-    with pytest.raises(KeyError):
-        e.param("bogus")
+@pytest.mark.parametrize("comparison", ["series-vs-oracle-ratio", "kernel-vs-oracle"])
+def test_missing_ensemble_in_code_is_an_errored_verdict(comparison):
+    v = run_experiment(Experiment("bare", comparison))
+    assert not v.passed and v.margin == math.inf
+    assert v.error == f"ConfigError: {comparison} needs an ensemble"
 
 
 @pytest.mark.parametrize("params", [(("trials", "x"),), (("trials", 2.5),), (("bogus", 1),)])
@@ -84,9 +83,50 @@ def test_bad_param_in_code_is_an_errored_verdict(params):
 
 @pytest.mark.parametrize("comparison", sorted(hub.COMPARISONS))
 def test_every_declared_default_passes_its_own_check(comparison):
-    for key, (check, default) in hub.COMPARISONS[comparison][1].items():
+    for key, (check, default) in hub.COMPARISONS[comparison].params.items():
         if default is not None:     # None: the runner derives the value
             assert check(default, key) == default
+
+
+# one small experiment of each comparison kind, at its default params
+_SMALL = {e.comparison: e for e in (
+    Experiment("ratio", "series-vs-oracle-ratio", spec=EnsembleSpec("SE", 1, 0, hub.T_A),
+               tolerance=1e-4, cutoff=8),
+    Experiment("anchor", "closed-form-anchor", spec=EnsembleSpec("SE", 1, 0, hub.T_A),
+               tolerance=1e-4, cutoff=8),
+    Experiment("reality", "reality", spec=EnsembleSpec("OE", 2, 0, hub.T_B), tolerance=1e-8,
+               cutoff=8),
+    Experiment("structure", "ginse-structure", spec=EnsembleSpec("GinSE", 2), tolerance=1e-6),
+    Experiment("kernel", "kernel-vs-oracle", spec=EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.2)),
+               tolerance=1e-4),
+    Experiment("hirota", "hirota-decay", spec=EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.2))),
+    Experiment("group", "group-series-vs-mc", cutoff=8, samples=2000, seed=5),
+    Experiment("discrete", "discrete-exact", spec=EnsembleSpec("GinOE", 1), tolerance=1e-10,
+               seed=5),
+    Experiment("wave", "wave-poly", spec=EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.2)),
+               tolerance=1e-4, cutoff=12),
+    Experiment("bimoment", "bimoment-vs-direct",
+               spec=EnsembleSpec("GinUE", 2, 0, CouplingSeq.of(0.2), t_bar=CouplingSeq.of(0.2))),
+)}
+# a value of every experiment field, each unlike its value in `_SMALL`
+_OTHER_FIELDS = {"ensemble": EnsembleSpec("OE", 1, 0, hub.T_A), "tolerance": 0.5, "cutoff": 6,
+                 "samples": 1500, "seed": 7}
+
+
+@pytest.mark.parametrize("comparison", sorted(hub.COMPARISONS))
+def test_a_comparison_reads_no_field_outside_its_declaration(comparison):
+    # the parser refuses every field that a comparison does not declare, so a field it
+    # reads without declaring it could not be set; changing all the others moves no bit
+    e = _SMALL[comparison]
+    unread = {"spec" if key == "ensemble" else key: value for key, value in _OTHER_FIELDS.items()
+              if key not in hub.COMPARISONS[comparison].reads}
+    assert all(getattr(e, key) != value for key, value in unread.items())
+    moments.clear_cache()
+    v = run_experiment(e)
+    moments.clear_cache()
+    w = run_experiment(replace(e, **unread))
+    assert v.error is None
+    assert (w.row(), w.details) == (v.row(), v.details)
 
 
 def test_validation_failure_becomes_verdict():
@@ -332,9 +372,9 @@ def test_discrete_exact_checks_the_ensemble_mix(monkeypatch, kind):
 def test_discrete_batch_is_each_trial_alone_bit_for_bit(kind, seed):
     # the gate's seed and the six seeds of the discrete-SE defect: batching neither
     # moves a bit nor hides a digit that a trial alone loses
-    trials = hub._discrete_trials(Experiment(f"discrete-{kind}", "discrete-exact",
-                                             spec=EnsembleSpec(kind, 1), seed=seed,
-                                             params=(("trials", 50),)))
+    e = Experiment(f"discrete-{kind}", "discrete-exact", spec=EnsembleSpec(kind, 1), seed=seed,
+                   params=(("trials", 50),))
+    trials = hub._discrete_trials(e, hub.resolve_params(e.comparison, e.params, e.spec))
     batched = oracle.discrete_consistency(trials)
     alone = [oracle.discrete_consistency([trial])[0] for trial in trials]
     assert len(batched) == len(alone) == 50
@@ -342,7 +382,9 @@ def test_discrete_batch_is_each_trial_alone_bit_for_bit(kind, seed):
 
 
 def _gate_group_experiment(name, samples=100000):
-    return next(e for e in acceptance_experiments(samples=samples) if e.name == name)
+    """The gate's group experiment `name` and its resolved params."""
+    e = next(e for e in acceptance_experiments(samples=samples) if e.name == name)
+    return e, hub.resolve_params(e.comparison, e.params, e.spec)
 
 
 def _bessel_i(nu, x):
@@ -365,9 +407,9 @@ EXACT_EXP_TRACE = {
 def test_group_experiment_draws_one_haar_batch(monkeypatch, name):
     # the predicates and the series check average over one batch at the experiment's
     # seed, and each estimate is the one its payload gets alone
-    e = _gate_group_experiment(name, samples=3001)
-    group, t = (e.param("group"), e.param("size")), CouplingSeq(e.param("t"))
-    preds = [("schur", Partition(lam)) for lam, _ in e.param("predicates")]
+    e, p = _gate_group_experiment(name, samples=3001)
+    group, t = (p["group"], p["size"]), CouplingSeq(p["t"])
+    preds = [("schur", Partition(lam)) for lam, _ in p["predicates"]]
     draw, calls = oracle.haar_expectation_mc, []
 
     def recording(*args):
@@ -390,9 +432,9 @@ def test_group_experiment_draws_one_haar_batch(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["group-O3", "group-Sp2"])
 def test_gate_series_payload_against_the_exact_haar_average(name):
-    e = _gate_group_experiment(name)
+    e, p = _gate_group_experiment(name)
     exact = EXACT_EXP_TRACE[name]
-    group, t = (e.param("group"), e.param("size")), CouplingSeq(e.param("t"))
+    group, t = (p["group"], p["size"]), CouplingSeq(p["t"])
     assert t == CouplingSeq.of(T_GROUP)
     for cutoff in (12, 30):
         assert group_series(*group, t, cutoff) == pytest.approx(exact, rel=1e-14, abs=0)

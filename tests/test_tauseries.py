@@ -10,7 +10,8 @@ from pftau.partitions import (Partition, conjugate, enumerate_partitions, is_eve
                               partition_table)
 from pftau.symfun import CouplingSeq, ZERO_SEQ, hseq, schur_from_h
 from pftau.tauseries import (TauApprox, group_series, hirota_residual, schur_values,
-                             tau_charge_family, tau_series, wave_polynomial_check)
+                             series_terms, tau_charge_family, tau_series,
+                             wave_polynomial_check)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -100,20 +101,23 @@ def test_group_series_predicate_duality():
 def test_hirota_requires_distinct_nonzero_points():
     fam = tau_charge_family(EnsembleSpec("SE", 1), [1, 2, 3, 4], 6)
     with pytest.raises(ValueError, match="distinct"):
-        hirota_residual(fam, 0, ZERO_SEQ, 3.0, 3.0)
+        hirota_residual(fam, ZERO_SEQ, 3.0, 3.0)
     with pytest.raises(ValueError, match="nonzero"):
-        hirota_residual(fam, 0, ZERO_SEQ, 0.0, 3.0)
+        hirota_residual(fam, ZERO_SEQ, 0.0, 3.0)
     with pytest.raises(ValueError, match="consecutive"):
         hirota_residual({1: fam[1], 2: fam[2], 4: fam[4], 3: fam[3], 7: fam[1]},
-                        0, ZERO_SEQ, 3.0, 4.0)
+                        ZERO_SEQ, 3.0, 4.0)
+    at_l1 = tau_charge_family(EnsembleSpec("SE", 1, 1), [1, 2, 3, 4], 6)
+    with pytest.raises(ValueError, match=r"built at L = \[0, 1\], not at one L"):
+        hirota_residual({**fam, 4: at_l1[4]}, ZERO_SEQ, 3.0, 4.0)
 
 
 def test_hirota_se_example_monotone_decay():
     spec = EnsembleSpec("SE", 1)
     t = CouplingSeq.of(0.2)
     charges = [1, 2, 3, 4]
-    r10 = hirota_residual(tau_charge_family(spec, charges, 10), 0, t, 4.0, 5.0)
-    r14 = hirota_residual(tau_charge_family(spec, charges, 14), 0, t, 4.0, 5.0)
+    r10 = hirota_residual(tau_charge_family(spec, charges, 10), t, 4.0, 5.0)
+    r14 = hirota_residual(tau_charge_family(spec, charges, 14), t, 4.0, 5.0)
     assert r14.relative < r10.relative
     # exact factor recorded; see the decay experiments for the sharper shifts
     assert r10.relative / r14.relative > 1.5
@@ -123,8 +127,8 @@ def test_hirota_ginoe_family_decay():
     spec = EnsembleSpec("GinOE", 2)
     t = CouplingSeq.of(0.2)
     charges = [1, 2, 3, 4]
-    r10 = hirota_residual(tau_charge_family(spec, charges, 10), 0, t, 8.0, 10.0)
-    r14 = hirota_residual(tau_charge_family(spec, charges, 14), 0, t, 8.0, 10.0)
+    r10 = hirota_residual(tau_charge_family(spec, charges, 10), t, 8.0, 10.0)
+    r14 = hirota_residual(tau_charge_family(spec, charges, 14), t, 8.0, 10.0)
     assert r14.relative < r10.relative
 
 
@@ -170,7 +174,7 @@ def test_tau_series_insufficient_table_raises():
     spec = EnsembleSpec("SE", 1)
     small_pair = moment_pair(spec, 3)
     with pytest.raises(MomentTableError):
-        tau_series(spec, 8, pair=small_pair)
+        series_terms(small_pair, spec.n_eff, spec.L, 8)
 
 
 def test_schur_values_scatter_back_to_partition_order():
