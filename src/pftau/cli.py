@@ -64,13 +64,13 @@ def _no_duplicates(pairs):
 
 
 # the keys of every command, and the fields that each without a comparison reads: an inline
-# suite's are the defaults of its entries, the acceptance suite's the arguments of
-# `hub.acceptance_experiments`, and a suite's ensemble is inherited by no entry
+# suite's are the defaults of its entries, and the acceptance suite's the arguments of
+# `hub.acceptance_experiments`; no entry inherits an ensemble, so a suite takes none
 _COMMON_KEYS = {"command", "output", "cache", "format"}
 _COMMAND_READS = {"partition-function": {"ensemble", "cutoff"},
                   "moments-dump": {"ensemble", "cutoff", "size"},
-                  "suite": {"ensemble", "experiments", "tolerance", "cutoff", "samples", "seed"},
-                  "acceptance": {"ensemble", "experiments", "samples", "seed"}}
+                  "suite": {"experiments", "tolerance", "cutoff", "samples", "seed"},
+                  "acceptance": {"experiments", "samples", "seed"}}
 
 
 def _coupling(value, where: str) -> CouplingSeq:

@@ -301,78 +301,66 @@ def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
 HAAR_SHARDS = 8
 
 
-def haar_orthogonal(rng: np.random.Generator, n: int, batch: int = 1) -> np.ndarray:
-    """Batch of Haar orthogonal matrices: QR with positive R diagonal.
+def _components(group: str, size: int) -> list[tuple]:
+    """(angle pairs n, a, b, fixed eigenvalues) of each connected component: its
+    eigenangles have x_j = 2 cos theta_j with Weyl density |Delta(x)|^2 prod (2 - x_j)^a
+    (2 + x_j)^b.  O(size) has two components, SO and O^-, and Sp(2n) one."""
+    n = size // 2
+    if group == "symplectic":
+        return [(n, 0.5, 0.5, ())]
+    if size % 2:
+        return [(n, 0.5, -0.5, (1.0,)), (n, -0.5, 0.5, (-1.0,))]
+    return [(n, -0.5, -0.5, ()), (n - 1, 0.5, 0.5, (1.0, -1.0))]
 
-    Householder QR with the batch as the last axis, so every entry of the
-    factorisation is a length-`batch` vector and a shard costs O(n^3) array
-    operations, not `batch` LAPACK calls.  The reflector maps column k to
-    -sign(x_0)|x| e_k (no cancellation); Q then takes the signs of diag R
-    (0 counts as +1), which makes it the unique factor with R_kk > 0.
+
+def _szego(rng: np.random.Generator, n: int, a: float, b: float, batch: int) -> np.ndarray:
+    """Ascending coefficients, one column per sample, of prod_j (z - e^{i theta_j})
+    (z - e^{-i theta_j}) for `batch` draws of n angle pairs at the density of `_components`.
+
+    Killip-Nenciu (IMRN 2004, no. 50, Thm 2 at beta = 2): independent real Verblunsky
+    coefficients alpha_k = 1 - 2Y, Y of Beta type, and alpha_{2n-1} = -1 make this the
+    Szego polynomial Phi_{2n}, with Phi_{k+1} = z Phi_k - alpha_k Phi_k^*.
     """
-    g = rng.standard_normal((batch, n, n))
-    a = g.transpose(1, 2, 0).copy()          # a[i, j]: entry (i, j) of every sample
-    q = np.zeros_like(a)
-    q[range(n), range(n)] = 1.0
-    r_diag = np.empty((n, batch))
-    for k in range(n - 1):
-        x = a[k:, k]
-        norm = np.sqrt(np.sum(x * x, axis=0))
-        r_diag[k] = np.where(x[0] < 0, norm, -norm)
-        v = x.copy()
-        v[0] -= r_diag[k]
-        beta = 1.0 / (norm * (norm + np.abs(x[0])))   # 2 / |v|^2
-        a[k:, k + 1:] -= v[:, None] * (beta * np.sum(v[:, None] * a[k:, k + 1:], axis=0))
-        q[:, k:] -= (beta * np.sum(q[:, k:] * v, axis=1))[:, None] * v
-    r_diag[n - 1] = a[n - 1, n - 1]
-    sign = np.sign(r_diag)
-    sign[sign == 0] = 1.0
-    return (q * sign).transpose(2, 0, 1)
+    phi = np.ones((1, batch))
+    for k in range(2 * n):
+        h = n - k / 2
+        if k == 2 * n - 1:
+            alpha = -1.0
+        elif k % 2:
+            alpha = 1.0 - 2.0 * rng.beta(h + 0.5 + a + b, h - 0.5, batch)
+        else:
+            alpha = 1.0 - 2.0 * rng.beta(h + a, h + b, batch)
+        nxt = np.zeros((k + 2, batch))
+        nxt[1:] = phi
+        nxt[:-1] -= alpha * phi[::-1]
+        phi = nxt
+    return phi
 
 
-def haar_symplectic(rng: np.random.Generator, two_n: int, batch: int = 1) -> np.ndarray:
-    """Batch of compact-symplectic-group elements as 2n x 2n unitaries.
-
-    Gram-Schmidt over quaternion columns: each orthonormalized complex
-    column is followed by its symplectic partner J conj(col).
-    """
-    if two_n % 2:
-        raise ValueError("symplectic size must be even")
-    n = two_n // 2
-    jmat = np.zeros((two_n, two_n))
-    for i in range(n):
-        jmat[2 * i, 2 * i + 1] = 1.0
-        jmat[2 * i + 1, 2 * i] = -1.0
-    g = rng.standard_normal((batch, two_n, two_n)) + 1j * rng.standard_normal((batch, two_n, two_n))
-    q = np.zeros_like(g)
-    for c in range(n):
-        v = g[:, :, 2 * c]
-        for prev in range(2 * c):
-            u = q[:, :, prev]
-            v = v - u * np.sum(np.conj(u) * v, axis=1)[:, None]
-        v = v / np.linalg.norm(v, axis=1)[:, None]
-        q[:, :, 2 * c] = v
-        # partner -J conj(v) keeps det = +1 (conjugate eigenvalue pairs)
-        q[:, :, 2 * c + 1] = np.conj(v) @ jmat
-    return q
+def _newton(phi: np.ndarray, order: int) -> np.ndarray:
+    """p[m-1] = sum of the m-th powers of the roots of the monic polynomials whose ascending
+    coefficients are the columns of `phi`, m = 1..order; each row from the ones before it."""
+    c = np.zeros((order + 1, phi.shape[1]))    # c_i: coefficient of z^(degree - i)
+    top = min(order + 1, len(phi))
+    c[:top] = phi[::-1][:top]
+    p = np.empty((order, phi.shape[1]))
+    for m in range(1, order + 1):
+        p[m - 1] = -m * c[m] - sum(c[i] * p[m - 1 - i] for i in range(1, m))
+    return p
 
 
-def _batched_power_sums(g: np.ndarray, order: int) -> np.ndarray:
-    """p[b, m-1] = Re Tr g^m of the matrix batch g, m = 1..order.
-
-    Entrywise on the batch axis: Tr g^m = sum_ik (g^(m-1))_ik g_ki, with
-    g^(m-1) built by successive products, so no eigenvalues and no small
-    per-matrix kernels are needed; the first columns do not depend on `order`.
-    """
-    a = np.ascontiguousarray(g.transpose(1, 2, 0))   # a[i, j]: entry (i, j) per sample
-    a_t = a.transpose(1, 0, 2)
-    out = np.empty((g.shape[0], order))
-    out[:, 0] = np.real(np.trace(a))
-    cur = a
-    for m in range(2, order + 1):
-        out[:, m - 1] = np.real(np.sum(cur * a_t, axis=(0, 1)))
-        if m < order:
-            cur = np.sum(cur[:, :, None] * a, axis=1)
+def _haar_power_sums(rng: np.random.Generator, group: str, size: int, batch: int,
+                     order: int) -> np.ndarray:
+    """p[m-1, b] = Re Tr g_b^m, m = 1..order, of `batch` Haar draws g_b, from their
+    eigenangles alone; on O(size) a fair coin per sample picks the component."""
+    comps = _components(group, size)
+    pick = rng.integers(len(comps), size=batch)
+    out = np.empty((order, batch))
+    m = np.arange(1, order + 1)[:, None]
+    for k, (n, a, b, fixed) in enumerate(comps):
+        rows = pick == k
+        out[:, rows] = (_newton(_szego(rng, n, a, b, np.count_nonzero(rows)), order)
+                        + sum(f ** m for f in fixed))
     return out
 
 
@@ -397,6 +385,12 @@ def haar_expectation_mc(group, payloads, samples: int, seed: int) -> list[Oracle
     seed gives bit-identical output; shard estimates reduce in a fixed order.
     """
     gname, size = group
+    if gname not in ("orthogonal", "symplectic"):
+        raise ValueError(f"unknown group {gname!r}")
+    if size < 1:
+        raise ValueError(f"group size must be >= 1, got {size}")
+    if gname == "symplectic" and size % 2:
+        raise ValueError(f"symplectic size must be even, got {size}")
     if samples < 1:
         raise ValueError("samples >= 1")
     orders = [_payload_order(p) for p in payloads]
@@ -410,18 +404,14 @@ def haar_expectation_mc(group, payloads, samples: int, seed: int) -> list[Oracle
         if cnt == 0:
             continue
         rng = np.random.default_rng(ss)
-        g = (haar_orthogonal(rng, size, cnt) if gname == "orthogonal"
-             else haar_symplectic(rng, size, cnt))
-        psums = _batched_power_sums(g, max(orders))
+        psums = _haar_power_sums(rng, gname, size, cnt, max(orders))
         for (what, arg), order, out in zip(payloads, orders, vals):
-            # a contiguous copy, so the products see the same array whatever
-            # the other payloads asked for
-            own = np.ascontiguousarray(psums[:, :order])
+            own = psums[:order]
             if what == "schur":
-                out.append(schur_from_h(arg, hseq(order, own)))
+                out.append(schur_from_h(arg, hseq(order, own.T)))
             else:
                 coeffs = np.array([float(arg.entry(m).real) for m in range(1, order + 1)])
-                out.append(np.exp(own @ coeffs))
+                out.append(np.exp(coeffs @ own))
     results = []
     for v in vals:
         v = np.concatenate(v)

@@ -366,6 +366,12 @@ _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
      "bad-value", "experiment 0 'group-integral': predicates"),
     ("group-name-unknown", {"command": "group-integral", "group": "unitary"},
      "bad-value", "experiment 0 'group-integral': group"),
+    # no suite entry inherits a top-level ensemble, so neither suite form takes one
+    ("acceptance-suite-ensemble", {"command": "suite", "ensemble": {"kind": "SE", "n": 1}},
+     "unknown-field", "['ensemble'] for suite"),
+    ("inline-suite-ensemble", {"command": "suite", "ensemble": {"kind": "SE", "n": 1},
+                               "experiments": [_ENTRY]},
+     "unknown-field", "['ensemble'] for suite"),
     ("hirota-one-cutoff",
      {"command": "hirota-check", "ensemble": {"kind": "SE", "n": 1}, "cutoffs": [8]},
      "bad-value", "experiment 0 'hirota-check': cutoffs"),
@@ -642,7 +648,7 @@ def test_verdicts_identical_across_blas_thread_counts(tmp_path):
     # erfc-weighted GinOE plane tables (the GinOE ones at L = 0 and 1), the
     # OE line table and the GinUE bimoments and two-point sum; the SE line and
     # GinSE plane kernel matrices are batched matrix products; the Haar power
-    # sums, real (O3) and complex (Sp2), are entrywise on the batch axis
+    # sums of O3 and Sp2 come from eigenangle draws on the batch axis
     names = ("ratio-GinSE-N2-L0-tA", "ratio-GinSE-N2-L1-tA", "ratio-GinOE-N2-L0-tA",
              "ratio-GinOE-N2-L1-tA", "ratio-OE-N2-L0-tA", "bimoment-GinUE-N2", "group-O3",
              "group-Sp2", "kernel-SE-N2", "kernel-GinSE-N1")

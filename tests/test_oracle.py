@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pftau import moments, oracle
-from pftau.hub import Experiment, acceptance_experiments, run_experiment
+from pftau.hub import Experiment, _z_score, acceptance_experiments, run_experiment
 from pftau.moments import EnsembleSpec, ginue_weight, pair_moments
-from pftau.oracle import (_GINUE_RULES, _batched_power_sums, _pair_sum, det_average_lhs,
+from pftau.oracle import (_GINUE_RULES, _newton, _pair_sum, _szego, det_average_lhs,
                           discrete_consistency, eigen_integral, ginue_two_point,
-                          haar_expectation_mc, haar_orthogonal, haar_symplectic)
-from pftau.partitions import Partition
+                          haar_expectation_mc)
+from pftau.partitions import Partition, conjugate, enumerate_partitions, is_even_partition
 from pftau.quad import QuadratureError, full_plane_grid, gaussian_halfwidth
 from pftau.symfun import CouplingSeq, ZERO_SEQ, miwa_shift, potential
+from pftau.tauseries import group_series
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -185,47 +186,47 @@ def test_det_average_equals_miwa_shift_oe():
     assert da.value == pytest.approx(ei.value, rel=1e-7)
 
 
-def test_haar_orthogonal_statistics():
-    rng = np.random.default_rng(0)
-    q = haar_orthogonal(rng, 3, batch=4)
-    for b in range(4):
-        assert np.allclose(q[b] @ q[b].T, np.eye(3), atol=1e-12)
+@pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.5, -0.5), (-0.5, 0.5), (-0.5, -0.5)])
+@pytest.mark.parametrize("n", range(5))
+def test_newton_power_sums_are_those_of_the_szego_roots(n, a, b):
+    phi = _szego(np.random.default_rng(n), n, a, b, 40)
+    assert phi.shape == (2 * n + 1, 40)
+    psums = _newton(phi, 6)
+    for col, p in zip(phi.T, psums.T):
+        roots = np.roots(col[::-1])
+        assert np.allclose(np.abs(roots), 1.0, atol=1e-6)    # e^{+-i theta_j}
+        want = [np.sum(roots ** m).real for m in range(1, 7)]
+        assert np.max(np.abs(p - want)) <= 1e-12
+    assert np.array_equal(_newton(phi, 2), psums[:2])
 
 
-@pytest.mark.parametrize("batch", [1, 200])
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
-def test_haar_orthogonal_is_positive_diagonal_qr_of_its_draw(n, batch):
-    q = haar_orthogonal(np.random.default_rng(17), n, batch=batch)
-    g = np.random.default_rng(17).standard_normal((batch, n, n))   # the same draw
-    assert q.shape == (batch, n, n)
-    eye = np.eye(n)
-    assert np.max(np.abs(np.swapaxes(q, 1, 2) @ q - eye)) <= 1e-12
-    r = np.swapaxes(q, 1, 2) @ g
-    scale = np.max(np.abs(g), axis=(1, 2))
-    assert np.all(np.max(np.abs(np.tril(r, -1)), axis=(1, 2)) <= 1e-12 * scale)
-    assert np.all(np.diagonal(r, axis1=1, axis2=2) > 0)
-    # LAPACK's factor of the same draw, signs fixed the same way
-    q_ref, r_ref = np.linalg.qr(g)
-    sign = np.sign(np.diagonal(r_ref, axis1=1, axis2=2))
-    q_ref = q_ref * np.where(sign == 0, 1.0, sign)[:, None, :]
-    gap = np.max(np.abs(q - q_ref), axis=(1, 2))
-    assert np.all(gap <= 64 * np.finfo(float).eps * np.linalg.cond(g))
+def _haar_average(group, size, lam):
+    """The exact Haar average of s_lam: 1 if lam (O) or its conjugate (Sp) has even parts
+    only and lam fits the matrix size, else 0."""
+    even = is_even_partition(lam if group == "orthogonal" else conjugate(lam))
+    return float(even and lam.length <= size)
 
 
-def test_haar_symplectic_structure():
-    rng = np.random.default_rng(1)
-    q = haar_symplectic(rng, 4, batch=3)
-    jmat = np.zeros((4, 4))
-    for i in range(2):
-        jmat[2 * i, 2 * i + 1] = 1.0
-        jmat[2 * i + 1, 2 * i] = -1.0
-    for b in range(3):
-        m = q[b]
-        assert np.allclose(m.conj().T @ m, np.eye(4), atol=1e-12)
-        assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-10)
-        assert np.allclose(m.T @ jmat @ m, jmat, atol=1e-10)
-        eig = np.linalg.eigvals(m)
-        assert np.allclose(np.sort(np.abs(eig)), 1.0, atol=1e-10)
+@pytest.mark.parametrize("group", [("orthogonal", n) for n in range(1, 7)]
+                         + [("symplectic", n) for n in (2, 4, 6)])
+def test_haar_sampler_meets_the_exact_averages(group):
+    # every character predicate of weight <= 4 at 4 sigma, and the character series of
+    # exp(0.2 Tr g) at 4 sigma
+    lams = [lam for lam in enumerate_partitions(4, 6) if lam.weight]
+    t = CouplingSeq.of(0.2)
+    *results, mc = haar_expectation_mc(group, [("schur", lam) for lam in lams]
+                                       + [("exp_trace", t)], 20000, 31)
+    for lam, res in zip(lams, results):
+        assert _z_score(res, _haar_average(*group, lam)) <= 4.0, lam
+    assert _z_score(mc, group_series(*group, t, 30)) <= 4.0
+
+
+@pytest.mark.parametrize("group,named", [(("unitary", 3), "unknown group"),
+                                         (("orthogonal", 0), "size must be >= 1"),
+                                         (("symplectic", 3), "must be even")])
+def test_haar_refuses_a_group_it_cannot_draw(group, named):
+    with pytest.raises(ValueError, match=named):
+        haar_expectation_mc(group, [("schur", Partition((1,)))], 100, 1)
 
 
 def test_haar_predicates():
@@ -287,17 +288,6 @@ def test_haar_schur_payloads_match_the_per_member_stack(group, monkeypatch):
     want = haar_expectation_mc(group, payloads, 3001, 9)
     for a, b in zip(got, want):
         assert (a.value, a.error_estimate) == (b.value, b.error_estimate)
-
-
-@pytest.mark.parametrize("draw,size", [(haar_orthogonal, 3), (haar_symplectic, 2),
-                                       (haar_symplectic, 4)])
-def test_trace_power_sums_match_eigenvalue_power_sums(draw, size):
-    g = draw(np.random.default_rng(3), size, batch=500)
-    psums = _batched_power_sums(g, 6)
-    eig = np.linalg.eigvals(g)
-    for m in range(1, 7):
-        assert np.max(np.abs(psums[:, m - 1] - np.sum(eig ** m, axis=1).real)) <= 1e-12
-    assert np.array_equal(_batched_power_sums(g, 2), psums[:, :2])
 
 
 def test_ginue_pair_sum_over_upper_triangle_matches_full_double_sum():
