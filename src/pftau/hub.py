@@ -388,6 +388,25 @@ def _kernel_fits(params: dict, spec: EnsembleSpec, names: dict) -> None:
                               f"the charge {spec.n_eff}, got {len(params[key])}")
 
 
+def _anchor_fits(params: dict, spec: EnsembleSpec, names: dict) -> None:
+    """exp(t1^2) is Z(t)/Z(0) of one symplectic pair at L = 0, s = 0, t = (t1,), any mix."""
+    if (spec.family != "sympl" or spec.n != 1 or spec.L != 0 or spec.s.top_index()
+            or spec.t.top_index() > 1):
+        raise ConfigError("bad-ensemble", "the closed form exp(t1^2) holds for a symplectic "
+                          "kind with n = 1, L = 0, s = 0 and t = (t1,) only, got "
+                          f"{spec.kind} n = {spec.n}, L = {spec.L}, s = {spec.s.values}, "
+                          f"t = {spec.t.values}")
+
+
+def _ginse_structure_fits(params: dict, spec: EnsembleSpec, names: dict) -> None:
+    """The superdiagonal rule is that of the pure quaternion half-plane table."""
+    alpha, beta = spec.mix
+    if spec.family != "sympl" or beta != 0.0 or alpha == 0.0:
+        raise ConfigError("bad-ensemble", "the superdiagonal rule holds for a symplectic kind "
+                          f"with beta = 0 and alpha != 0 only, got {spec.kind} with "
+                          f"(alpha, beta) = ({alpha}, {beta})")
+
+
 class Comparison(NamedTuple):
     """A comparison kind: `run(e, params)` reads no `Experiment` field outside `reads`; `params`
     is {param: (check(value, key), default)}; `fits(params, spec, names)` refuses misfits."""
@@ -403,10 +422,11 @@ _SPEC = frozenset({"ensemble", "tolerance"})
 _HAAR = frozenset({"cutoff", "samples", "seed"})
 COMPARISONS = {
     "series-vs-oracle-ratio": Comparison(_run_series_vs_oracle, _SERIES),
-    "closed-form-anchor": Comparison(_run_anchor, _SERIES),
+    "closed-form-anchor": Comparison(_run_anchor, _SERIES, fits=_anchor_fits),
     "reality": Comparison(_run_reality, _SERIES),
     # the structure check reads the table up to a[5, 6]
-    "ginse-structure": Comparison(_run_ginse_structure, _SPEC, {"size": (_at_least(int, 7), 8)}),
+    "ginse-structure": Comparison(_run_ginse_structure, _SPEC, {"size": (_at_least(int, 7), 8)},
+                                  _ginse_structure_fits),
     "kernel-vs-oracle": Comparison(_run_kernel, _SPEC, {
         "p": (_kernel_points, (0.1, -0.1)), "p_ref": (_kernel_points, (0.08, -0.06))},
         _kernel_fits),

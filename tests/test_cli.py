@@ -304,6 +304,22 @@ _ENTRY = {"name": "r1", "comparison": "series-vs-oracle-ratio",
 _DISCRETE = {"name": "d1", "comparison": "discrete-exact", "ensemble": {"kind": "OE", "n": 1}}
 _GROUP = {"name": "g", "comparison": "group-series-vs-mc"}
 _BIMOMENT = {"name": "b", "comparison": "bimoment-vs-direct"}
+# ensembles outside the domain of a comparison's closed-form reference: each ran to a false
+# FAIL before the comparison's `fits` check refused it
+_REFERENCE_MISFITS = [
+    ("anchor-OE-N1", "closed-form-anchor", {"kind": "OE", "n": 1, "t": [0.3]}),
+    ("anchor-SE-t2", "closed-form-anchor", {"kind": "SE", "n": 1, "t": [0.3, 0.1]}),
+    ("anchor-SE-N2", "closed-form-anchor", {"kind": "SE", "n": 2, "t": [0.3]}),
+    ("anchor-SE-L1", "closed-form-anchor", {"kind": "SE", "n": 1, "L": 1, "t": [0.3]}),
+    ("anchor-SE-sNZ", "closed-form-anchor", {"kind": "SE", "n": 1, "t": [0.3], "s": [0, 0.4]}),
+    ("anchor-GinSE-N2", "closed-form-anchor", {"kind": "GinSE", "n": 2, "t": [0.3]}),
+    ("anchor-SE-N0", "closed-form-anchor", {"kind": "SE", "n": 0, "t": [0.3]}),
+    ("structure-OE-N2", "ginse-structure", {"kind": "OE", "n": 2}),
+    ("structure-SE-N2", "ginse-structure", {"kind": "SE", "n": 2}),
+    ("structure-GinOE-N2", "ginse-structure", {"kind": "GinOE", "n": 2}),
+    ("structure-GinSE-mixed", "ginse-structure",
+     {"kind": "GinSE", "n": 2, "alpha": 0.5, "beta": 0.5}),
+]
 # (config, error code, what the message must name)
 _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
     ("entry-without-comparison", {"command": "suite", "experiments": [{"name": "r1"}]},
@@ -477,6 +493,10 @@ _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
      {"command": "suite", "experiments": [dict(_BIMOMENT, ensemble={"kind": "GinUE", "n": 2,
                                                                     "s": [0.0]})]},
      "unknown-field", "experiment 0 'b': unknown GinUE ensemble fields ['s']"),
+    *((case_id, {"command": "suite", "experiments": [{"name": "ref", "comparison": comparison,
+                                                      "ensemble": ensemble}]},
+       "bad-ensemble", "experiment 0 'ref': the ") for case_id, comparison, ensemble in
+      _REFERENCE_MISFITS),
 )]
 
 

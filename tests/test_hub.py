@@ -256,6 +256,51 @@ def test_kernel_experiment_off_its_domain_is_an_errored_verdict(spec, params, na
     assert v.error.startswith("ConfigError:") and named in v.error
 
 
+# (comparison, spec) pairs outside the domain of the comparison's reference, each of which
+# ran to a false FAIL before its `fits` check refused it, and pairs inside it
+_REFERENCE_MISFITS = {
+    "closed-form-anchor": {
+        "OE-N1": EnsembleSpec("OE", 1, 0, hub.T_A),
+        "SE-t2": EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.3, 0.1)),
+        "SE-N2": EnsembleSpec("SE", 2, 0, hub.T_A), "SE-L1": EnsembleSpec("SE", 1, 1, hub.T_A),
+        "SE-sNZ": EnsembleSpec("SE", 1, 0, hub.T_A, hub.S_NZ),
+        "GinSE-N2": EnsembleSpec("GinSE", 2, 0, hub.T_A),
+        "SE-N0": EnsembleSpec("SE", 0, 0, hub.T_A)},
+    "ginse-structure": {
+        "OE-N2": EnsembleSpec("OE", 2), "SE-N2": EnsembleSpec("SE", 2),
+        "GinOE-N2": EnsembleSpec("GinOE", 2),
+        "GinSE-mixed": EnsembleSpec("GinSE", 2, alpha=0.5, beta=0.5)}}
+_REFERENCE_FITS = {
+    "closed-form-anchor": {
+        "GinSE-N1": EnsembleSpec("GinSE", 1, 0, hub.T_A),
+        "GinSE-mixed": EnsembleSpec("GinSE", 1, 0, hub.T_A, alpha=0.3, beta=0.5),
+        "SE-mixed": EnsembleSpec("SE", 1, 0, hub.T_A, alpha=0.7, beta=0.2),
+        "SE-t0": EnsembleSpec("SE", 1, 0)},
+    "ginse-structure": {"GinSE-N2-L0": EnsembleSpec("GinSE", 2),
+                        "GinSE-N2-L1": EnsembleSpec("GinSE", 2, 1)}}
+# the tolerance and cutoff of the gate's experiment of each comparison
+_GATE_FIELDS = {"closed-form-anchor": {"tolerance": 1e-6, "cutoff": 12},
+                "ginse-structure": {"tolerance": 1e-6}}
+
+
+def _cases(table):
+    return [pytest.param(c, spec, id=f"{c}-{label}")
+            for c, specs in table.items() for label, spec in specs.items()]
+
+
+@pytest.mark.parametrize("comparison, spec", _cases(_REFERENCE_MISFITS))
+def test_reference_outside_its_domain_is_an_errored_verdict(comparison, spec):
+    v = run_experiment(Experiment("ref", comparison, spec=spec, **_GATE_FIELDS[comparison]))
+    assert not v.passed and v.margin == math.inf
+    assert v.error.startswith("ConfigError:") and "holds for a symplectic kind" in v.error
+
+
+@pytest.mark.parametrize("comparison, spec", _cases(_REFERENCE_FITS))
+def test_reference_inside_its_domain_passes(comparison, spec):
+    v = run_experiment(Experiment("ref", comparison, spec=spec, **_GATE_FIELDS[comparison]))
+    assert v.error is None and v.passed and v.margin < 1e-10
+
+
 def test_vanishing_partition_function_gives_a_failed_verdict():
     # OE N=1 L=1: Z(0) = int x e^{-x^2/2} dx = 0 on both routes, so the ratio
     # at t = 0 over the fallback base is 0 / 0
