@@ -20,8 +20,8 @@ import numpy as np
 
 from . import oracle as orc
 from . import tauseries as ts
-from .moments import (EnsembleSpec, complex_bimoment_matrix, kernel_matrix, kernel_prefactor,
-                      moment_pair)
+from .moments import (KINDS, EnsembleSpec, complex_bimoment_matrix, kernel_matrix,
+                      kernel_prefactor, moment_pair)
 from .partitions import Partition
 from .quad import QuadratureError
 from .skewlin import pfaffian
@@ -378,6 +378,19 @@ def _group_fits(params: dict, spec, names: dict) -> None:
                           f"must be even, got {params['size']}")
 
 
+def _family_fits(what: str, *families: str):
+    """The `fits` check of a comparison whose `what` serve the kinds of `families` only."""
+    kinds = ", ".join(kind for kind, (family, _) in KINDS.items() if family in families)
+
+    def fits(params: dict, spec: EnsembleSpec, names: dict) -> None:
+        if spec.family not in families:
+            raise ConfigError("bad-ensemble", f"the {what} serve {kinds} only, got {spec.kind}")
+    return fits
+
+
+_PFAFFIAN_FITS = _family_fits("moment tables", "orth", "sympl")
+
+
 def _kernel_fits(params: dict, spec: EnsembleSpec, names: dict) -> None:
     """The kernel identity holds for a Pfaffian kind, with one point per unit of charge."""
     if spec.family == "unitary":
@@ -421,9 +434,9 @@ _SERIES = frozenset({"ensemble", "tolerance", "cutoff"})
 _SPEC = frozenset({"ensemble", "tolerance"})
 _HAAR = frozenset({"cutoff", "samples", "seed"})
 COMPARISONS = {
-    "series-vs-oracle-ratio": Comparison(_run_series_vs_oracle, _SERIES),
+    "series-vs-oracle-ratio": Comparison(_run_series_vs_oracle, _SERIES, fits=_PFAFFIAN_FITS),
     "closed-form-anchor": Comparison(_run_anchor, _SERIES, fits=_anchor_fits),
-    "reality": Comparison(_run_reality, _SERIES),
+    "reality": Comparison(_run_reality, _SERIES, fits=_PFAFFIAN_FITS),
     # the structure check reads the table up to a[5, 6]
     "ginse-structure": Comparison(_run_ginse_structure, _SPEC, {"size": (_at_least(int, 7), 8)},
                                   _ginse_structure_fits),
@@ -433,19 +446,21 @@ COMPARISONS = {
     # min_factor judges the decay; the verdict only echoes the tolerance
     "hirota-decay": Comparison(_run_hirota, _SPEC, {
         "alpha": (read_number, 8.0), "beta": (read_number, 10.0), "min_factor": (read_number, 2.0),
-        "cutoffs": (array_of(_at_least(int, 0), 2), (8, 10, 12, 14))}),
+        "cutoffs": (array_of(_at_least(int, 0), 2), (8, 10, 12, 14))}, _PFAFFIAN_FITS),
     # a Monte Carlo z-score has its own bound, and a group no ensemble
     "group-series-vs-mc": Comparison(_run_group_integral, _HAAR, {
         "group": (_group, "orthogonal"), "size": (_at_least(int, 1), 3),
         "t": (array_of(read_number), (0.2,)), "predicates": (array_of(_predicate), ())},
         _group_fits),
     "discrete-exact": Comparison(_run_discrete, _SPEC | {"seed"}, {
-        "trials": (_at_least(int, 1), 50), "t": (array_of(read_number), (0.07, -0.03))}),
+        "trials": (_at_least(int, 1), 50), "t": (array_of(read_number), (0.07, -0.03))},
+        _PFAFFIAN_FITS),
     # cutoff_low None: four below the cutoff, at least 6
     "wave-poly": Comparison(_run_wave, _SERIES, {
         "points": (array_of(read_number, 1), (2.0, 3.0, 5.0)),
-        "cutoff_low": (_at_least(int, 0), None)}),
-    "bimoment-vs-direct": Comparison(_run_bimoment, _SPEC),
+        "cutoff_low": (_at_least(int, 0), None)}, _PFAFFIAN_FITS),
+    "bimoment-vs-direct": Comparison(_run_bimoment, _SPEC,
+                                     fits=_family_fits("bimoments", "unitary")),
 }
 
 

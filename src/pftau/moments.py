@@ -8,8 +8,8 @@ them cacheable.
 Sector conventions, each written once below and applied alike to the
 quadrature measures of the sectors, to the point masses of `atomic_pair`
 (on which `oracle.discrete_consistency` checks the series identity exactly)
-and, at s = 0, to the plain Gaussian weight in closed form (every sector
-but the real orthogonal and the real-Ginibre half-plane one):
+and, at s = 0, to the plain Gaussian weight in closed form (every sector, so
+the series route builds no quadrature at s = 0):
 
 * real orthogonal sector   (R - R^T)/2 of the sgn-weighted double moment R;
 * orthogonal border        a[n] = sqrt(2) * single moment with its Gaussian;
@@ -56,7 +56,7 @@ WEIGHT_CONSTANTS = {"orth": (0.5, 1), "sympl": (1.0, 2), "pair": (1.0, 2)}
 # moves the numbers a table holds: its quadrature rule, level schedule or
 # tolerance, its sector convention, or its layout.  Entries stored under any
 # other value are never served.
-TABLE_ALGORITHM = "tables-8"
+TABLE_ALGORITHM = "tables-9"
 TABLE_BUILDS = 0
 _SECTOR_CACHE: dict = {}
 _DISK_CACHE = None
@@ -384,10 +384,10 @@ def pair_moments(family: str, t: CouplingSeq, s: CouplingSeq, exps, level: int,
     return polar_gram(grid, w, exps, exps, _angular_table)
 
 
-def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build, exact=None):
+def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build, exact):
     """The memoized table of one sector: loaded from the disk cache, else built and stored
-    there.  At s = 0 a sector with a closed form takes `exact()`; every other table is
-    `converge(build)`."""
+    there.  At s = 0 and index base 0, the only base an ensemble admits at s = 0, it is
+    `exact()`, the sector's closed form; every other table is `converge(build)`."""
     key = (TABLE_ALGORITHM, name, s.values, base, size)
 
     def load_or_build():
@@ -396,7 +396,7 @@ def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build, exact
             return stored
         global TABLE_BUILDS
         TABLE_BUILDS += 1
-        if exact is not None and not s.top_index():
+        if not s.top_index() and base == 0:
             table = exact()
         else:
             table, _ = converge(build, rel_tol=5e-10)
@@ -443,15 +443,18 @@ def _line_moments(line, wv):
     return lambda q: (power_table(line.nodes, q).swapaxes(0, -2) @ weights[..., None])[..., 0]
 
 
+def _half_gammas(top: int) -> np.ndarray:
+    """Gamma((k+1)/2) for k = 0..top: the one Gamma table of every closed form below."""
+    return np.array([math.gamma((k + 1) / 2) for k in range(top + 1)])
+
+
 def _gaussian_moments(gauss: float):
     """The single moments of the weight e^{-gauss x^2}, a line weight at t = s = 0:
-    Gamma((q+1)/2) gauss^{-(q+1)/2} for even q >= 0, and exactly 0 for odd q."""
+    Gamma((q+1)/2) gauss^{-(q+1)/2} for even q >= 0, and exactly 0 for odd q (q >= -1)."""
     def mu(q):
-        q = np.asarray(q).tolist()
-        if any(k < 0 and k % 2 == 0 for k in q):
-            raise ValueError("an even negative power diverges at the origin")
-        return np.array([0.0 if k % 2 else math.gamma((k + 1) / 2) * gauss ** (-(k + 1) / 2)
-                         for k in q])
+        q = np.asarray(q)
+        gammas = _half_gammas(max(int(q.max()), 0))[np.maximum(q, 0)]
+        return np.where(q % 2 == 0, gammas * gauss ** (-(q + 1) / 2), 0.0)
     return mu
 
 
@@ -461,9 +464,57 @@ def _gaussian_pair_table(exps: np.ndarray) -> np.ndarray:
     pi for a = b, 2i / (a-b) for odd a - b and exactly 0 otherwise."""
     a, b = exps[:, None], exps[None, :]
     d = a - b
-    radial = 0.5 * np.vectorize(math.gamma, otypes=[float])((a + b) / 2 + 1)
+    radial = 0.5 * _half_gammas(2 * int(exps[-1]) + 1)[a + b + 1]
     angular = np.where(d == 0, math.pi, np.where(d % 2 == 1, 2j / np.where(d == 0, 1, d), 0.0))
     return radial * angular
+
+
+def _erf_sums(size: int):
+    """(e, o, heads, tails, (o-1)!!) for the two sgn and erfc sectors at s = 0.
+
+    e and o are the even and the odd indices below `size`.  With the positive terms
+    t_j(e) = Gamma(j + (e+1)/2) / (2^j j!), whose sum over j >= 0 is sqrt(2 pi) (e-1)!!,
+    heads[p] = sum_{j <= p} t_j and tails[p] = sum_{j >= p} t_j, one column per e.  Up to
+    j = size/2 each term is read off the Gamma table; past it, it is the one before times
+    (2j - 1 + e) / 4j, out to j = 2 size + 63, where every tail has converged."""
+    gammas = _half_gammas(2 * size)
+    e, o = np.arange(0, size, 2), np.arange(1, size, 2)
+    j = np.arange(size // 2 + 1)[:, None]
+    terms = gammas[2 * j + e] / np.ldexp(gammas[2 * j + 1], j)
+    k = np.arange(size // 2 + 1, 2 * size + 64)[:, None]
+    terms = np.vstack([terms, terms[-1] * np.cumprod((2 * k - 1 + e) / (4.0 * k), axis=0)])
+    return (e, o, np.cumsum(terms, axis=0), np.cumsum(terms[::-1], axis=0)[::-1],
+            np.ldexp(gammas[o], (o - 1) // 2))
+
+
+def _goe_real_table(size: int) -> np.ndarray:
+    """The real orthogonal sector at s = 0, R[n, m] = iint x^n y^m e^{-(x^2+y^2)/2}
+    sgn(x - y) dx dy, n, m < size.  By parity R vanishes unless n + m is odd, and for even e and
+    odd o, where the inner int_x^inf y^o e^{-y^2/2} dy integrates by parts down to
+    e^{-x^2/2}, R[e, o] = -2 (o-1)!! heads[(o-1)/2](e) of `_erf_sums`: no entry cancels."""
+    e, o, heads, _, double_fact = _erf_sums(size)
+    r = np.zeros((size, size))
+    r[np.ix_(e, o)] = -2.0 * double_fact * heads[(o - 1) // 2].T
+    return r - r.T
+
+
+def _ginoe_pair_table(size: int) -> np.ndarray:
+    """The real-Ginibre half-plane sector at s = 0, C = (T - T^T) / 2i of
+    T[a, b] = int_{Im z > 0} z^a zbar^b erfc(sqrt(2) Im z) e^{-Re z^2} d^2 z, a, b < size.
+
+    Reflecting z -> -zbar and conjugating leave the weight alone, so C vanishes unless
+    a + b is odd, and there C = Im T, real.  Its integration-by-parts recursion
+    T[a+1, b] = a T[a-1, b] + (i/2) (c S[a, b] - M[a+b]) from T[0, 1] (c = 2 sqrt(2/pi),
+    S the plain pair table and M the moments of e^{-x^2}) sums, for odd o and even e, to
+    C[o, e] = -(o-1)!! heads[(o-1)/2](e) / 2 if o < e; if o > e the diagonal source adds
+    the whole sum, which leaves (o-1)!! tails[(o+1)/2](e) / 2 of `_erf_sums`.  Each entry
+    is thus a sum of positive terms, where the forward recursion cancels.  Complex, as the
+    quadrature build is."""
+    e, o, heads, tails, double_fact = _erf_sums(size)
+    c = np.zeros((size, size))
+    c[np.ix_(o, e)] = 0.5 * double_fact[:, None] * np.where(
+        o[:, None] > e, tails[(o + 1) // 2], -heads[(o - 1) // 2])
+    return (c - c.T).astype(complex)
 
 
 def _pair_exps(family: str, base: int, size: int) -> np.ndarray:
@@ -509,20 +560,20 @@ def _moment_sector(name: str, family: str, convention, s: CouplingSeq, base: int
         lambda: convention(_gaussian_moments(WEIGHT_CONSTANTS[family][0]), idx))
 
 
-def _pair_sector(name: str, family: str, s: CouplingSeq, base: int, size: int) -> np.ndarray:
-    """The half-plane sector by quadrature; the symplectic one at s = 0 in closed form."""
+def _pair_sector(name: str, family: str, s: CouplingSeq, base: int, size: int,
+                 exact) -> np.ndarray:
+    """The half-plane sector by quadrature, and at s = 0 the closed form `exact()`."""
     exps = _pair_exps(family, base, size)
     return _cached_sector(
         name, s, base, size,
-        lambda level: _pair_block(family, pair_moments(family, ZERO_SEQ, s, exps, level)),
-        (lambda: _pair_block(family, _gaussian_pair_table(exps))) if family == "sympl" else None)
+        lambda level: _pair_block(family, pair_moments(family, ZERO_SEQ, s, exps, level)), exact)
 
 
 def orth_real_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
     idx = np.arange(base, base + size)
     top = int(np.max(np.abs(idx)))   # largest |power| read
     return _cached_sector("orth_real", s, base, size, lambda level: _orth_block(
-        *line_rule("orth", ZERO_SEQ, s, top + 1, level), idx))
+        *line_rule("orth", ZERO_SEQ, s, top + 1, level), idx), lambda: _goe_real_table(size))
 
 
 def orth_border(s: CouplingSeq, base: int, size: int) -> np.ndarray:
@@ -546,11 +597,12 @@ def sympl_border_moments(s: CouplingSeq, base: int, size: int) -> np.ndarray:
 
 
 def ginse_complex_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
-    return _pair_sector("ginse_complex", "sympl", s, base, size)
+    return _pair_sector("ginse_complex", "sympl", s, base, size, lambda: _pair_block(
+        "sympl", _gaussian_pair_table(_pair_exps("sympl", 0, size))))
 
 
 def ginoe_complex_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
-    return _pair_sector("ginoe_complex", "orth", s, base, size)
+    return _pair_sector("ginoe_complex", "orth", s, base, size, lambda: _ginoe_pair_table(size))
 
 
 def moment_pair(spec: EnsembleSpec, size: int) -> SkewPair:

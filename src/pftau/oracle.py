@@ -381,7 +381,8 @@ def haar_expectation_mc(group, payloads, samples: int, seed: int) -> list[Oracle
     ("schur", lam) or ("exp_trace", CouplingSeq), one result each.  Every
     shard draws its Haar batch once and forms its trace power sums once, at
     the largest order any payload needs, so all payloads average over the
-    same samples and each result is the one its payload gets alone.  Fixed
+    same samples and each result is the one its payload gets alone; the shard's
+    h table is formed once too, at the largest order a Schur payload reads.  Fixed
     seed gives bit-identical output; shard estimates reduce in a fixed order.
     """
     gname, size = group
@@ -396,6 +397,8 @@ def haar_expectation_mc(group, payloads, samples: int, seed: int) -> list[Oracle
     orders = [_payload_order(p) for p in payloads]
     if not orders:
         return []
+    # h_0..h_k do not depend on how many power sums follow p_k: one table serves every Schur
+    schur_top = max((o for (what, _), o in zip(payloads, orders) if what == "schur"), default=0)
     seeds = np.random.SeedSequence(seed).spawn(HAAR_SHARDS)
     per = [samples // HAAR_SHARDS + (1 if i < samples % HAAR_SHARDS else 0)
            for i in range(HAAR_SHARDS)]
@@ -405,13 +408,13 @@ def haar_expectation_mc(group, payloads, samples: int, seed: int) -> list[Oracle
             continue
         rng = np.random.default_rng(ss)
         psums = _haar_power_sums(rng, gname, size, cnt, max(orders))
+        h = hseq(schur_top, psums.T)
         for (what, arg), order, out in zip(payloads, orders, vals):
-            own = psums[:order]
             if what == "schur":
-                out.append(schur_from_h(arg, hseq(order, own.T)))
+                out.append(schur_from_h(arg, h))
             else:
                 coeffs = np.array([float(arg.entry(m).real) for m in range(1, order + 1)])
-                out.append(np.exp(coeffs @ own))
+                out.append(np.exp(coeffs @ psums[:order]))
     results = []
     for v in vals:
         v = np.concatenate(v)

@@ -142,7 +142,7 @@ def test_cache_entry_without_table_algorithm_is_not_served(tmp_path):
 
 
 @pytest.mark.parametrize("previous", ["tables-1", "tables-2", "tables-4", "tables-5", "tables-6",
-                                      "tables-7"])
+                                      "tables-7", "tables-8"])
 def test_cache_entry_under_the_previous_table_algorithm_is_not_served(tmp_path, previous):
     s = CouplingSeq.of(0.0, 0.4)
     assert moments.TABLE_ALGORITHM != previous
@@ -319,6 +319,10 @@ _REFERENCE_MISFITS = [
     ("structure-GinOE-N2", "ginse-structure", {"kind": "GinOE", "n": 2}),
     ("structure-GinSE-mixed", "ginse-structure",
      {"kind": "GinSE", "n": 2, "alpha": 0.5, "beta": 0.5}),
+    *((f"{comparison}-GinUE", comparison, {"kind": "GinUE", "n": 2})
+      for comparison in ("series-vs-oracle-ratio", "reality", "wave-poly", "hirota-decay",
+                         "discrete-exact")),
+    ("bimoment-OE", "bimoment-vs-direct", {"kind": "OE", "n": 2}),
 ]
 # (config, error code, what the message must name)
 _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (

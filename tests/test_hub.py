@@ -269,7 +269,11 @@ _REFERENCE_MISFITS = {
     "ginse-structure": {
         "OE-N2": EnsembleSpec("OE", 2), "SE-N2": EnsembleSpec("SE", 2),
         "GinOE-N2": EnsembleSpec("GinOE", 2),
-        "GinSE-mixed": EnsembleSpec("GinSE", 2, alpha=0.5, beta=0.5)}}
+        "GinSE-mixed": EnsembleSpec("GinSE", 2, alpha=0.5, beta=0.5)},
+    **{comparison: {"GinUE-N2": EnsembleSpec("GinUE", 2)}
+       for comparison in ("series-vs-oracle-ratio", "reality", "wave-poly", "hirota-decay",
+                          "discrete-exact")},
+    "bimoment-vs-direct": {"OE-N2": EnsembleSpec("OE", 2)}}
 _REFERENCE_FITS = {
     "closed-form-anchor": {
         "GinSE-N1": EnsembleSpec("GinSE", 1, 0, hub.T_A),
@@ -290,9 +294,13 @@ def _cases(table):
 
 @pytest.mark.parametrize("comparison, spec", _cases(_REFERENCE_MISFITS))
 def test_reference_outside_its_domain_is_an_errored_verdict(comparison, spec):
-    v = run_experiment(Experiment("ref", comparison, spec=spec, **_GATE_FIELDS[comparison]))
+    v = run_experiment(Experiment("ref", comparison, spec=spec,
+                                  **_GATE_FIELDS.get(comparison, {})))
     assert not v.passed and v.margin == math.inf
-    assert v.error.startswith("ConfigError:") and "holds for a symplectic kind" in v.error
+    named = ("holds for a symplectic kind" if comparison in _GATE_FIELDS
+             else "the bimoments serve GinUE only, got OE" if spec.kind == "OE"
+             else "the moment tables serve OE, SE, GinOE, GinSE only, got GinUE")
+    assert v.error.startswith("ConfigError:") and named in v.error
 
 
 @pytest.mark.parametrize("comparison, spec", _cases(_REFERENCE_FITS))
@@ -526,8 +534,9 @@ def test_converged_tables_hold_on_the_next_finer_grid(monkeypatch, name):
     # (sector tables, with s != 0 on the SE line, eigenvalue oracles over the pair
     # tables, GinUE bimoments and two-point sum) agrees with its own build one level
     # finer than the level it returned, to within its own rel_tol.  The GinSE structure
-    # check reads its s = 0 table in closed form, and so no quadrature at all; the GinSE
-    # pair quadrature stays guarded through the oracle of ratio-GinSE-N2-L1-tB.
+    # check and the GinOE Hirota check read only s = 0 tables, all in closed form, and so
+    # no quadrature at all; the GinSE and GinOE pair quadratures stay guarded through the
+    # oracles of ratio-GinSE-N2-L1-tB and ratio-GinOE-N2-L1-tB.
     calls = []
 
     def recording(build, rel_tol, **options):
@@ -545,7 +554,7 @@ def test_converged_tables_hold_on_the_next_finer_grid(monkeypatch, name):
         run_experiment(e)
     finally:
         moments.clear_cache()
-    assert bool(calls) is (name != "ginse-moment-structure")
+    assert bool(calls) is (name not in ("ginse-moment-structure", "hirota-GinOE"))
     for build, rel_tol, zero_floor, level, value in calls:
         finer = build(level + 1)
         delta = float(np.max(np.abs(finer - value)))

@@ -141,9 +141,16 @@ def _erfc_keys():
     return [k for k in moments._SECTOR_CACHE if k[0] == "orth_erfc"]
 
 
+def _oracle_ginoe_pair_tables():
+    """The pair tables of the GinOE oracle at two couplings and levels: builds that read
+    the orthogonal half-plane weight, which the closed-form s = 0 sector does not."""
+    return [moments.pair_moments("orth", t, ZERO_SEQ, range(17), level)
+            for t, level in ((ZERO_SEQ, 0), (CouplingSeq.of(0.1, -0.05), 1))]
+
+
 def test_clear_cache_drops_the_erfc_memo():
     moments.clear_cache()
-    moment_pair(EnsembleSpec("GinOE", 2), 6)
+    _oracle_ginoe_pair_tables()
     assert _erfc_keys()
     assert all(not moments._SECTOR_CACHE[k].flags.writeable for k in _erfc_keys())
     moments.clear_cache()
@@ -153,10 +160,6 @@ def test_clear_cache_drops_the_erfc_memo():
 def test_ginoe_values_do_not_depend_on_the_erfc_memo(monkeypatch):
     from pftau.oracle import eigen_integral
 
-    def tables():
-        pairs = moment_pair(EnsembleSpec("GinOE", 2), 8), moment_pair(EnsembleSpec("GinOE", 1), 6)
-        return [a for p in pairs for a in (p.a_matrix, p.border)]
-
     def oracle():
         spec = EnsembleSpec("GinOE", 2, t=CouplingSeq.of(0.1, -0.05))
         return [eigen_integral(spec).value, eigen_integral(EnsembleSpec("GinOE", 3)).value]
@@ -164,7 +167,7 @@ def test_ginoe_values_do_not_depend_on_the_erfc_memo(monkeypatch):
     erfc_calls = []
     real_erfc = moments.erfc_vec
     monkeypatch.setattr(moments, "erfc_vec", lambda x: erfc_calls.append(1) or real_erfc(x))
-    for build in (tables, oracle):
+    for build in (_oracle_ginoe_pair_tables, oracle):
         moments.clear_cache()
         cold = build()
         assert erfc_calls
@@ -531,33 +534,40 @@ def _worst(table, ref) -> float:
     return float(np.max(np.abs(table - ref)) / np.max(np.abs(ref)))
 
 
-# the s = 0 sectors with a closed form, and the (n, m) entries their parity leaves nonzero
+# the s = 0 sectors, each a closed form, and the (n, m) entries their parity leaves nonzero
 _T0_SECTORS = {
     "sympl_border": (moments.sympl_border_moments, lambda n, m: n % 2 == 0),
     "orth_border": (moments.orth_border, lambda n, m: n % 2 == 0),
     "sympl_line": (moments.sympl_sector, lambda n, m: (n + m) % 2 == 1),
     "ginse_complex": (moments.ginse_complex_sector, lambda n, m: abs(n - m) == 1),
+    "orth_real": (moments.orth_real_sector, lambda n, m: (n + m) % 2 == 1),
+    "ginoe_complex": (moments.ginoe_complex_sector, lambda n, m: (n + m) % 2 == 1),
 }
 # the gate's table sizes and those of the tau-series ratios at cutoff 20
 _T0_SIZES = (*range(8, 19), *range(21, 27))
 
 
+def _quadrature_builds(monkeypatch, sector, sizes) -> dict:
+    """{size: the table of `sector` at s = 0 by its quadrature build}, past the memo."""
+    with monkeypatch.context() as m:
+        m.setattr(moments, "_cached_sector", lambda name, s, base, size, build, exact:
+                  converge(build, rel_tol=5e-10)[0])
+        return {size: sector(ZERO_SEQ, 0, size) for size in sizes}
+
+
 def test_t0_tables_match_quadrature_free_references(monkeypatch):
-    # at t = s = 0 every weight is a plain Gaussian, and these four sectors are Gamma
-    # values in closed form; each matches the quadrature build of its own convention,
-    # and an entry that parity makes zero is exactly 0
+    # at t = s = 0 every weight is a plain Gaussian, and every sector is a closed form;
+    # each matches the quadrature build of its own convention, and an entry that parity
+    # makes zero is exactly 0
     moments.clear_cache()
     closed = {(name, size): sector(ZERO_SEQ, 0, size)
               for name, (sector, _) in _T0_SECTORS.items() for size in _T0_SIZES}
     moments.clear_cache()
-    real = moments._cached_sector
-    with monkeypatch.context() as m:
-        m.setattr(moments, "_cached_sector",
-                  lambda name, s, base, size, build, exact=None: real(name, s, base, size, build))
-        for (name, size), table in closed.items():
-            sector, nonzero = _T0_SECTORS[name]
-            assert table.dtype == sector(ZERO_SEQ, 0, size).dtype
-            assert _worst(table, sector(ZERO_SEQ, 0, size)) < 1e-13, (name, size)
+    for name, (sector, nonzero) in _T0_SECTORS.items():
+        for size, quadrature in _quadrature_builds(monkeypatch, sector, _T0_SIZES).items():
+            table = closed[name, size]
+            assert table.dtype == quadrature.dtype
+            assert _worst(table, quadrature) < 1e-13, (name, size)
             n, m = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
             mask = nonzero(n, m) if table.ndim == 2 else nonzero(np.arange(size), 0)
             assert np.all(table[~mask] == 0) and np.all(table[mask] != 0), (name, size)
@@ -573,6 +583,61 @@ def test_t0_tables_match_quadrature_free_references(monkeypatch):
     assert _worst(np.diagonal(closed["ginse_complex", 12], 1), superdiag) < 1e-15
 
 
+def _decimal_pi():
+    """pi to the precision of the current decimal context, by the series of the `decimal`
+    module's documentation."""
+    from decimal import Decimal
+
+    lasts, t, pi, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+    while pi != lasts:
+        lasts = pi
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        t = (t * n) / d
+        pi += t
+    return pi
+
+
+def _half_gamma(k, sqrt_pi):
+    """Gamma(k / 2) for k >= 1 as a Decimal."""
+    from decimal import Decimal
+
+    j = k // 2
+    if k % 2 == 0:
+        return Decimal(math.factorial(j - 1))
+    return Decimal(math.factorial(2 * j)) / (Decimal(4) ** j * math.factorial(j)) * sqrt_pi
+
+
+def _goe_exact_sector(size: int) -> np.ndarray:
+    """R[n, m] = iint x^n y^m e^{-(x^2+y^2)/2} sgn(x - y) dx dy for n, m < size in 50-digit
+    decimal arithmetic, through sgn(x - y) = 1 - 2 [x < y]: R[n, m] = mu_n mu_m - 2 J[n, m]
+    with J[n, m] = int x^n e^{-x^2/2} int_x^inf y^m e^{-y^2/2} dy dx, by parts
+        J[n, m] = nu_{n+m-1} + (m-1) J[n, m-2],  J[n, 1] = nu_n,  J[n, 0] = sqrt(pi/2) K_n,
+    mu and nu the moments of e^{-x^2/2} and e^{-x^2}, and K_n = int x^n e^{-x^2/2}
+    erfc(x / sqrt 2) dx, which is mu_n for even n and -P_n for odd n, where
+    P_n = (n-1) P_{n-2} + sqrt(2/pi) nu_{n-1}.  Entries of even n + m cancel to below
+    1e-48 of the table, not to 0."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        pi = _decimal_pi()
+        sqrt_pi, zero = pi.sqrt(), Decimal(0)
+        nu = [_half_gamma(k + 1, sqrt_pi) if k % 2 == 0 else zero for k in range(2 * size)]
+        mu = [Decimal(2).sqrt() ** (k + 1) * nu[k] for k in range(size)]
+        p_odd = {-1: zero}
+        for k in range(1, size, 2):
+            p_odd[k] = (k - 1) * p_odd[k - 2] + (2 / pi).sqrt() * nu[k - 1]
+        j_table = {}
+        for n in range(size):
+            j_table[n, 0] = (pi / 2).sqrt() * (mu[n] if n % 2 == 0 else -p_odd[n])
+            j_table[n, 1] = nu[n]
+            for m in range(2, size):
+                j_table[n, m] = nu[n + m - 1] + (m - 1) * j_table[n, m - 2]
+        return np.array([[float(mu[n] * mu[m] - 2 * j_table[n, m]) for m in range(size)]
+                         for n in range(size)])
+
+
 def _ginoe_exact_sector(size: int) -> np.ndarray:
     """(T - T^T) / 2i, T[a, b] = int_{Im z > 0} z^a zbar^b erfc(sqrt(2) Im z) e^{-Re z^2} d^2 z
     for a, b < size, by integration by parts in 50-digit decimal arithmetic:
@@ -585,30 +650,17 @@ def _ginoe_exact_sector(size: int) -> np.ndarray:
 
     with localcontext() as ctx:
         ctx.prec = 50
-        # pi by the series of the `decimal` module's documentation
-        lasts, t, pi, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
-        while pi != lasts:
-            lasts = pi
-            n, na = n + na, na + 8
-            d, da = d + da, da + 32
-            t = (t * n) / d
-            pi += t
+        pi = _decimal_pi()
         sqrt_pi = pi.sqrt()
 
-        def half_gamma(k):   # Gamma(k / 2), k >= 1
-            j = k // 2
-            if k % 2 == 0:
-                return Decimal(math.factorial(j - 1))
-            return Decimal(math.factorial(2 * j)) / (Decimal(4) ** j * math.factorial(j)) * sqrt_pi
-
         def plain(a, b):     # S[a, b]: Gamma((a+b)/2 + 1) / 2 times int_0^pi e^{i(a-b)theta}
-            radial, diff = half_gamma(a + b + 2) / 2, a - b
+            radial, diff = _half_gamma(a + b + 2, sqrt_pi) / 2, a - b
             if diff == 0:
                 return radial * pi, Decimal(0)
             return Decimal(0), (radial * 2 / diff if diff % 2 else Decimal(0))
 
         def gauss(k):        # M[k]
-            return half_gamma(k + 1) if k % 2 == 0 else Decimal(0)
+            return _half_gamma(k + 1, sqrt_pi) if k % 2 == 0 else Decimal(0)
 
         def half_i(re, im):  # (i/2) (re + i im)
             return -im / 2, re / 2
@@ -633,13 +685,32 @@ def _ginoe_exact_sector(size: int) -> np.ndarray:
                           for b in range(size)] for a in range(size)])
 
 
-def test_ginoe_pair_sector_matches_its_exact_recursion():
-    # the GinOE half-plane sector stays on quadrature at s = 0: an exact reference
+def _check_against_reference(monkeypatch, name, exact):
+    # one s = 0 sector entry by entry: within 1e-15 of the largest entry, within 1e-13 of
+    # each entry that parity leaves nonzero, and at the tau-series sizes no farther from
+    # it than the quadrature build is; the others exactly 0, the imaginary parts too
+    sector = _T0_SECTORS[name][0]
+    quad_sizes = range(21, 27)
+    quadrature = _quadrature_builds(monkeypatch, sector, quad_sizes)
     moments.clear_cache()
-    for size in (8, 12, 18, 23, 26):
-        assert _worst(moments.ginoe_complex_sector(ZERO_SEQ, 0, size),
-                      _ginoe_exact_sector(size)) < 1e-13, size
+    for size in (*_T0_SIZES, 32):
+        table, ref = sector(ZERO_SEQ, 0, size), exact(size)
+        odd = np.add.outer(np.arange(size), np.arange(size)) % 2 == 1
+        assert np.all(table[~odd] == 0) and np.all(np.imag(table) == 0), size
+        assert _worst(table, ref) <= 1e-15, size
+        rel = np.max(np.abs(table - ref)[odd] / np.abs(ref[odd]))
+        assert rel <= 1e-13, (size, rel)
+        if size in quad_sizes:
+            assert rel <= np.max(np.abs(quadrature[size] - ref)[odd] / np.abs(ref[odd])), size
     moments.clear_cache()
+
+
+def test_ginoe_pair_sector_matches_its_exact_recursion(monkeypatch):
+    _check_against_reference(monkeypatch, "ginoe_complex", _ginoe_exact_sector)
+
+
+def test_goe_real_sector_matches_its_exact_recursion(monkeypatch):
+    _check_against_reference(monkeypatch, "orth_real", _goe_exact_sector)
 
 
 # ---------------------------------------------------------------------------
@@ -788,12 +859,13 @@ def test_one_pass_builds_one_angular_table_per_angle_rule(monkeypatch):
     hub.run_suite(exps)
     first = rules(built)
     assert len(first) == len(set(first)) == len(_rule_keys("angular_table")) >= 2
-    # one request per half-plane table: each oracle pair table of the pass, and each
-    # GinOE sector at the two levels that confirm it (the GinSE one is a closed form)
+    # one request per half-plane table, each an oracle pair table of the pass: the GinOE
+    # and GinSE sectors are closed forms
     ginoe = [k for k in moments._SECTOR_CACHE if k[1:2] == ("ginoe_complex",)]
-    assert len(asked) == len(_rule_keys("oracle_pair")) + 2 * len(ginoe)
+    assert len(asked) == len(_rule_keys("oracle_pair"))
     # the oracle's three couplings, and the fallback base, per family and level
     assert len(_rule_keys("oracle_pair")) == 14 and len(ginoe) == 3
+    assert {family for _, family, *_ in _rule_keys("oracle_pair")} == {"orth", "sympl"}
     # a warm pass builds none; after clear_cache the next pass builds them again
     built.clear()
     hub.run_suite(exps)
