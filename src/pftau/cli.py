@@ -46,7 +46,7 @@ class RunConfig:
     output: str = "out"
     cache: str | None = None
     fmt: str = "json"
-    size: int | None = None          # moments-dump: rows and columns of the tables
+    size: int | None = None          # partition-function, moments-dump: rows of the table
     experiments: list = field(default_factory=list)   # every verdict command runs these
     raw: dict = field(default_factory=dict)
 
@@ -166,9 +166,14 @@ def parse_config(text: str) -> RunConfig:
         node.update(name=command, comparison=_COMPARISONS[command],
                     params={k: raw[key] for k, key in keys.items() if key in raw})
         cfg.experiments = [_experiment_from_node(node, cfg, 0, keys)]
-    elif command == "moments-dump":
+    elif command in ("partition-function", "moments-dump"):
+        # the rows of the one moment table the command reads, refused here where the tables
+        # cannot hold them
         spec = cfg.ensemble
         cfg.size = _number(raw, "size", ts.required_table_size(spec.n_eff, spec.L, cfg.cutoff))
+        if cfg.size > moments.MAX_TABLE_SIZE:
+            raise ConfigError("bad-number", f"a moment table of {cfg.size} rows is past the "
+                              f"{moments.MAX_TABLE_SIZE} the tables hold")
     elif command == "suite":
         if requested == "acceptance":
             cfg.experiments = hub.acceptance_experiments(samples=cfg.samples, seed=cfg.seed)

@@ -487,7 +487,7 @@ def run_experiment(e: Experiment) -> Verdict:
         # an unknown kind, a bad param, or one that misfits the ensemble: an error verdict
         params = resolve_params(e.comparison, e.params, e.spec)
         return COMPARISONS[e.comparison].run(e, params)
-    except (QuadratureError, ValueError, ZeroDivisionError) as exc:
+    except (QuadratureError, ValueError, ArithmeticError) as exc:
         return Verdict(e.name, e.comparison, False, math.inf, e.tolerance,
                        error=f"{type(exc).__name__}: {exc}")
 

@@ -1,15 +1,16 @@
 """Skew moment pairs (A, a), kernel matrices, and complex bimoments.
 
 The moment tables never see the t-couplings: t enters through the Schur
-series (and through kernel/oracle weights).  The s-couplings, the matrix
-half-width and the quadrature level fully determine a table, which makes
-them cacheable.
+series (and through kernel/oracle weights).  The sector, the s-couplings, the
+index base and the size fully determine a table, which makes them cacheable.
+At s = 0 every sector is a closed form of the plain Gaussian weight, so the
+series route builds no quadrature there; at s != 0 a line sector converges its
+quadrature build (`_cached_sector` picks by s alone).  The half-plane sectors
+are closed forms only, and no pair weight takes s.
 
-Sector conventions, each written once below and applied alike to the
-quadrature measures of the sectors, to the point masses of `atomic_pair`
-(on which `oracle.discrete_consistency` checks the series identity exactly)
-and, at s = 0, to the plain Gaussian weight in closed form (every sector, so
-the series route builds no quadrature at s = 0):
+Sector conventions, each written once below and applied alike to the closed
+forms, to quadrature measures and to the point masses of `atomic_pair`
+(on which `oracle.discrete_consistency` checks the series identity exactly):
 
 * real orthogonal sector   (R - R^T)/2 of the sgn-weighted double moment R;
 * orthogonal border        a[n] = sqrt(2) * single moment with its Gaussian;
@@ -332,16 +333,16 @@ def line_rule(family: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int, level: i
     return memo(("line_rule", family, t, s, halfwidth, inner, level), build)
 
 
-def _pair_rule(family: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int, level: int,
+def _pair_rule(family: str, t: CouplingSeq, maxdeg: int, level: int,
                poles=None) -> tuple[quad.QuadratureGrid, np.ndarray]:
     """Half-plane grid for pair integrands up to degree `maxdeg`, and the pair weight there.
 
     The weight of one conjugate pair (z, zbar) is e^{-|z|^2} (sympl) or
-    erfc(sqrt(2) Im z) e^{-Re z^2} (orth), times e^{2 Re(V(z,t) - V(1/z,s))}.
-    It comes back as a real (radii, angles) array built from polar factors:
-    with z = r e^{i theta} every term of the exponent is a radial vector
-    times an angular one, -r^2 (or -r^2 cos 2 theta), 2 t_k r^k cos k theta
-    and -2 s_k r^-k cos k theta.
+    erfc(sqrt(2) Im z) e^{-Re z^2} (orth), times e^{2 Re V(z,t)}; no s enters, as the
+    validator admits only s = 0 where a pair sector is read.  It comes back as a real
+    (radii, angles) array built from polar factors: with z = r e^{i theta} every term of
+    the exponent is a radial vector times an angular one, -r^2 (or -r^2 cos 2 theta) and
+    2 t_k r^k cos k theta.
     """
     if family not in ("sympl", "orth"):
         raise ValueError(f"no pair weight for family {family!r}")
@@ -353,12 +354,11 @@ def _pair_rule(family: str, t: CouplingSeq, s: CouplingSeq, maxdeg: int, level: 
     grid = _plane_grid(half_plane_grid, radius, level=level)
     r, theta = grid.radii, grid.angles
     e = np.multiply.outer(-r * r, np.ones_like(theta) if family == "sympl" else np.cos(2.0 * theta))
-    for sign, seq, rk in ((mult, t, r), (-mult, s, 1.0 / r)):
-        rpow = 1.0
-        for k, v in enumerate(seq.values, start=1):
-            rpow = rpow * rk
-            if v != 0:
-                e += np.multiply.outer(sign * float(v) * rpow, np.cos(k * theta))
+    rpow = 1.0
+    for k, v in enumerate(t.values, start=1):
+        rpow = rpow * r
+        if v != 0:
+            e += np.multiply.outer(mult * float(v) * rpow, np.cos(k * theta))
     np.exp(e, out=e)
     if family == "orth":
         e *= _orth_erfc(grid, radius, level)
@@ -371,14 +371,14 @@ def _orth_erfc(grid: quad.QuadratureGrid, radius: float, level: int) -> np.ndarr
         np.multiply.outer(math.sqrt(2.0) * grid.radii, np.sin(grid.angles))))
 
 
-def pair_moments(family: str, t: CouplingSeq, s: CouplingSeq, exps, level: int,
-                 extra=None, poles=None) -> np.ndarray:
+def pair_moments(family: str, t: CouplingSeq, exps, level: int, extra=None,
+                 poles=None) -> np.ndarray:
     """T[a, b] = int z^a zbar^b W_pair(z) [extra(z)] d^2 z over the upper half-plane.
 
     a and b run over `exps`; W_pair is the weight of `_pair_rule`.
     """
     exps = np.asarray(exps)
-    grid, w = _pair_rule(family, t, s, 2 * int(np.max(np.abs(exps))) + 2, level, poles)
+    grid, w = _pair_rule(family, t, 2 * int(np.max(np.abs(exps))) + 2, level, poles)
     if extra is not None:
         w = w * np.reshape(extra(grid.nodes), w.shape)
     return polar_gram(grid, w, exps, exps, _angular_table)
@@ -386,8 +386,11 @@ def pair_moments(family: str, t: CouplingSeq, s: CouplingSeq, exps, level: int,
 
 def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build, exact):
     """The memoized table of one sector: loaded from the disk cache, else built and stored
-    there.  At s = 0 and index base 0, the only base an ensemble admits at s = 0, it is
-    `exact()`, the sector's closed form; every other table is `converge(build)`."""
+    there.  The one route decision, by s alone: at s = 0 it is `exact()`, the closed form,
+    which starts at index base 0 as the validator does there; at s != 0 `converge(build)`,
+    which only the line sectors have (the half-plane ones pass no `build`)."""
+    if not s.top_index() and base != 0:
+        raise ValueError(_origin_check(s, base, False, 1) or f"index base {base} at s = 0")
     key = (TABLE_ALGORITHM, name, s.values, base, size)
 
     def load_or_build():
@@ -396,10 +399,7 @@ def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build, exact
             return stored
         global TABLE_BUILDS
         TABLE_BUILDS += 1
-        if not s.top_index() and base == 0:
-            table = exact()
-        else:
-            table, _ = converge(build, rel_tol=5e-10)
+        table = converge(build, rel_tol=5e-10)[0] if s.top_index() else exact()
         if _DISK_CACHE is not None:
             _DISK_CACHE.store(key, table)
         return table
@@ -441,6 +441,12 @@ def _line_moments(line, wv):
     (of a stack of lines, one row of them per line)."""
     weights = line.weights * wv
     return lambda q: (power_table(line.nodes, q).swapaxes(0, -2) @ weights[..., None])[..., 0]
+
+
+# the largest table every s = 0 closed form holds: the widest Gamma value they read is the
+# GinSE pair table's Gamma(size + 1) = size! (exponents up to size), the others read at most
+# Gamma(size + 1/2), and size! must be a finite float
+MAX_TABLE_SIZE = next(n for n in range(sys.maxsize) if math.factorial(n + 1) > sys.float_info.max)
 
 
 def _half_gammas(top: int) -> np.ndarray:
@@ -508,8 +514,8 @@ def _ginoe_pair_table(size: int) -> np.ndarray:
     S the plain pair table and M the moments of e^{-x^2}) sums, for odd o and even e, to
     C[o, e] = -(o-1)!! heads[(o-1)/2](e) / 2 if o < e; if o > e the diagonal source adds
     the whole sum, which leaves (o-1)!! tails[(o+1)/2](e) / 2 of `_erf_sums`.  Each entry
-    is thus a sum of positive terms, where the forward recursion cancels.  Complex, as the
-    quadrature build is."""
+    is thus a sum of positive terms, where the forward recursion cancels.  Complex, as
+    `_pair_block` makes every orthogonal half-plane block (the oracle's and the atoms')."""
     e, o, heads, tails, double_fact = _erf_sums(size)
     c = np.zeros((size, size))
     c[np.ix_(o, e)] = 0.5 * double_fact[:, None] * np.where(
@@ -560,15 +566,6 @@ def _moment_sector(name: str, family: str, convention, s: CouplingSeq, base: int
         lambda: convention(_gaussian_moments(WEIGHT_CONSTANTS[family][0]), idx))
 
 
-def _pair_sector(name: str, family: str, s: CouplingSeq, base: int, size: int,
-                 exact) -> np.ndarray:
-    """The half-plane sector by quadrature, and at s = 0 the closed form `exact()`."""
-    exps = _pair_exps(family, base, size)
-    return _cached_sector(
-        name, s, base, size,
-        lambda level: _pair_block(family, pair_moments(family, ZERO_SEQ, s, exps, level)), exact)
-
-
 def orth_real_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
     idx = np.arange(base, base + size)
     top = int(np.max(np.abs(idx)))   # largest |power| read
@@ -596,25 +593,30 @@ def sympl_border_moments(s: CouplingSeq, base: int, size: int) -> np.ndarray:
                           size).astype(complex)
 
 
-def ginse_complex_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
-    return _pair_sector("ginse_complex", "sympl", s, base, size, lambda: _pair_block(
+def ginse_complex_sector(size: int) -> np.ndarray:
+    """A closed form only: the validator admits s = 0 alone where a complex sector enters."""
+    return _cached_sector("ginse_complex", ZERO_SEQ, 0, size, None, lambda: _pair_block(
         "sympl", _gaussian_pair_table(_pair_exps("sympl", 0, size))))
 
 
-def ginoe_complex_sector(s: CouplingSeq, base: int, size: int) -> np.ndarray:
-    return _pair_sector("ginoe_complex", "orth", s, base, size, lambda: _ginoe_pair_table(size))
+def ginoe_complex_sector(size: int) -> np.ndarray:
+    """A closed form only, as `ginse_complex_sector`."""
+    return _cached_sector("ginoe_complex", ZERO_SEQ, 0, size, None, lambda: _ginoe_pair_table(size))
 
 
 def moment_pair(spec: EnsembleSpec, size: int) -> SkewPair:
     """The skew pair (A, a) feeding every Pfaffian coefficient of the series."""
     spec.validate().require()
+    if size > MAX_TABLE_SIZE:
+        raise ValueError(f"a moment table of {size} rows is past the {MAX_TABLE_SIZE} the "
+                         f"tables hold: past it the s = 0 closed forms overflow a Gamma value")
     if spec.family == "unitary":
         raise ValueError("moment_pair serves the Pfaffian ensembles, not GinUE")
     args = (spec.s, spec.index_base, size)
     orth = spec.family == "orth"
     return _mixed_pair(spec, (size, size),
                        lambda: (orth_real_sector if orth else sympl_sector)(*args),
-                       lambda: (ginoe_complex_sector if orth else ginse_complex_sector)(*args),
+                       lambda: (ginoe_complex_sector if orth else ginse_complex_sector)(size),
                        (lambda: orth_border(*args)) if orth else None)
 
 
@@ -751,8 +753,7 @@ def _kernel_pair_block(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
     # the pair weight) or (z - zbar)/i = 2 Im z (orth: the pair norm 1/(2i) times the 2
     # that the line block's unordered double integral carries).
     def build(level):
-        grid, w = _pair_rule(spec.family, spec.t, spec.s, 4 * abs(spec.L) + 6, level,
-                             _inv_points(p))
+        grid, w = _pair_rule(spec.family, spec.t, 4 * abs(spec.L) + 6, level, _inv_points(p))
         z = grid.nodes
         zb = np.conj(z)
         gap = (z - zb) ** 2 if spec.family == "sympl" else (z - zb) / 1j

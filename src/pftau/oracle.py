@@ -157,10 +157,10 @@ def _eigen_value_at_level(spec: EnsembleSpec, level: int, insertion=None,
             # one table per coupling and level, read by every (N, L): the degree, and with
             # it the grid radius, rounded up to a multiple of 16
             degree = -(-maxdeg // 16) * 16
-            return mom.memo(("oracle_pair", spec.family, spec.t, spec.s, degree, level),
-                            lambda: mom.pair_moments(spec.family, spec.t, spec.s,
-                                                     range(degree + 1), level))
-        return mom.pair_moments(spec.family, spec.t, spec.s, range(maxdeg + 1), level,
+            return mom.memo(("oracle_pair", spec.family, spec.t, degree, level),
+                            lambda: mom.pair_moments(spec.family, spec.t, range(degree + 1),
+                                                     level))
+        return mom.pair_moments(spec.family, spec.t, range(maxdeg + 1), level,
                                 None if insertion is None
                                 else (lambda z: insertion(z) * insertion(np.conj(z))), poles)
 

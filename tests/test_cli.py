@@ -359,6 +359,13 @@ _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
     ("partition-function-pole-at-origin",
      {"command": "partition-function", "ensemble": {"kind": "SE", "n": 1, "L": -1}},
      "bad-ensemble", "pole at the origin"),
+    # 182 and 200 rows, past the 170 that moments.MAX_TABLE_SIZE derives
+    ("partition-function-table-too-large",
+     {"command": "partition-function", "ensemble": {"kind": "OE", "n": 2}, "cutoff": 180},
+     "bad-number", "a moment table of 182 rows is past the 170 the tables hold"),
+    ("dump-table-too-large",
+     {"command": "moments-dump", "ensemble": {"kind": "SE", "n": 1}, "size": 200},
+     "bad-number", "a moment table of 200 rows is past the 170 the tables hold"),
     ("dump-pole-at-origin",
      {"command": "moments-dump", "ensemble": {"kind": "SE", "n": 1, "L": -1}},
      "bad-ensemble", "pole at the origin"),
@@ -606,10 +613,21 @@ def test_every_config_runs_to_a_finite_or_an_errored_verdict(config):
     pytest.param({"command": "partition-function", "ensemble": {"kind": "SE", "n": 2, "L": -1,
                                                                 "s": [0.0, 1e-250]}},
                  id="partition-function-tiny-s2"),
+    # tables past moments.MAX_TABLE_SIZE rows, where the s = 0 closed forms overflow Gamma
+    pytest.param({"command": "compare-oracle", "ensemble": {"kind": "SE", "n": 1, "t": [0.1]},
+                  "cutoff": 200}, id="compare-oracle-table-past-the-closed-forms"),
+    pytest.param({"command": "suite", "experiments": [
+        {"name": "g", "comparison": "ginse-structure", "ensemble": {"kind": "GinSE", "n": 2},
+         "params": {"size": 200}}]}, id="ginse-structure-table-past-the-closed-forms"),
+    # sum n t_n s_n = 720 > 709: the exp of the normalization c(t, s) overflows
+    pytest.param({"command": "compare-oracle", "ensemble": {"kind": "OE", "n": 1, "t": [12],
+                                                            "s": [60, 10]}},
+                 id="c-factor-overflows"),
 ])
 def test_configs_found_by_random_runs_end_in_a_finite_or_an_errored_verdict(config):
-    # random runs of the property test's strategy found these; each once ended in a
-    # traceback, a RuntimeWarning, or a margin of inf with no error
+    # random runs of the property test's strategy found these, or sizes and couplings past
+    # its range; each once ended in a traceback, a RuntimeWarning, or a margin of inf with
+    # no error
     _runs_to_a_finite_or_an_errored_verdict(config)
 
 

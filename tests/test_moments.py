@@ -80,7 +80,7 @@ def test_ginoe_pair_is_real_and_skew():
 
 def test_ginse_conjugation_reflection_of_raw_moments():
     # the quaternion sector's raw table: the (z - zbar) factor rides along
-    raw = moments.pair_moments("sympl", ZERO_SEQ, ZERO_SEQ, range(6), level=1,
+    raw = moments.pair_moments("sympl", ZERO_SEQ, range(6), level=1,
                                extra=lambda z: z - np.conj(z))
     for n in range(6):
         for m in range(6):
@@ -90,8 +90,8 @@ def test_ginse_conjugation_reflection_of_raw_moments():
 def test_ginse_index_shift_is_the_insertion():
     # int z^a zbar^b (z - zbar) W = T[a+1, b] - T[a, b+1] of the plain table T
     size = 8
-    plain = moments.pair_moments("sympl", ZERO_SEQ, ZERO_SEQ, range(size + 1), level=1)
-    raw = moments.pair_moments("sympl", ZERO_SEQ, ZERO_SEQ, range(size), level=1,
+    plain = moments.pair_moments("sympl", ZERO_SEQ, range(size + 1), level=1)
+    raw = moments.pair_moments("sympl", ZERO_SEQ, range(size), level=1,
                                extra=lambda z: z - np.conj(z))
     scale = np.max(np.abs(raw))
     assert np.max(np.abs(plain[1:, :-1] - plain[:-1, 1:] - raw)) <= 1e-14 * scale
@@ -110,11 +110,11 @@ def test_atomic_pair_on_quadrature_atoms_reproduces_the_sectors():
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     for kind, top in (("GinSE", size), ("GinOE", size - 1)):
         spec = EnsembleSpec(kind, 1, alpha=1.0, beta=0.0)
-        grid, w = moments._pair_rule(spec.family, ZERO_SEQ, ZERO_SEQ, 2 * top + 2, level)
+        grid, w = moments._pair_rule(spec.family, ZERO_SEQ, 2 * top + 2, level)
         pair_atoms = list(zip(grid.nodes, grid.weights * w.ravel()))
         got = moments.atomic_pair(spec, [(None, pair_atoms)], size).a_matrix[0]
         sector = moments.ginse_complex_sector if kind == "GinSE" else moments.ginoe_complex_sector
-        want = sector(ZERO_SEQ, base, size)
+        want = sector(size)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), kind
 
 
@@ -128,7 +128,7 @@ def test_moment_tables_monotone_consistent():
 @pytest.mark.parametrize("level", [0, 1])
 def test_pair_weight_from_polar_factors_matches_the_node_formula(kind, level):
     t = CouplingSeq.of(0.1, -0.05)
-    grid, w = moments._pair_rule(moments.KINDS[kind][0], t, ZERO_SEQ, 20, level)
+    grid, w = moments._pair_rule(moments.KINDS[kind][0], t, 20, level)
     assert w.dtype == np.float64 and w.shape == (len(grid.radii), len(grid.angles))
     # the weight as formed from the complex nodes
     z = grid.nodes
@@ -144,7 +144,7 @@ def _erfc_keys():
 def _oracle_ginoe_pair_tables():
     """The pair tables of the GinOE oracle at two couplings and levels: builds that read
     the orthogonal half-plane weight, which the closed-form s = 0 sector does not."""
-    return [moments.pair_moments("orth", t, ZERO_SEQ, range(17), level)
+    return [moments.pair_moments("orth", t, range(17), level)
             for t, level in ((ZERO_SEQ, 0), (CouplingSeq.of(0.1, -0.05), 1))]
 
 
@@ -534,25 +534,41 @@ def _worst(table, ref) -> float:
     return float(np.max(np.abs(table - ref)) / np.max(np.abs(ref)))
 
 
+def _line_sector(sector):
+    """The s = 0 table of a line sector, as a function of its size alone."""
+    return lambda size: sector(ZERO_SEQ, 0, size)
+
+
 # the s = 0 sectors, each a closed form, and the (n, m) entries their parity leaves nonzero
 _T0_SECTORS = {
-    "sympl_border": (moments.sympl_border_moments, lambda n, m: n % 2 == 0),
-    "orth_border": (moments.orth_border, lambda n, m: n % 2 == 0),
-    "sympl_line": (moments.sympl_sector, lambda n, m: (n + m) % 2 == 1),
+    "sympl_border": (_line_sector(moments.sympl_border_moments), lambda n, m: n % 2 == 0),
+    "orth_border": (_line_sector(moments.orth_border), lambda n, m: n % 2 == 0),
+    "sympl_line": (_line_sector(moments.sympl_sector), lambda n, m: (n + m) % 2 == 1),
     "ginse_complex": (moments.ginse_complex_sector, lambda n, m: abs(n - m) == 1),
-    "orth_real": (moments.orth_real_sector, lambda n, m: (n + m) % 2 == 1),
+    "orth_real": (_line_sector(moments.orth_real_sector), lambda n, m: (n + m) % 2 == 1),
     "ginoe_complex": (moments.ginoe_complex_sector, lambda n, m: (n + m) % 2 == 1),
 }
+# the half-plane sectors, closed forms only, and the family of their pair weight
+_PAIR_FAMILIES = {"ginse_complex": "sympl", "ginoe_complex": "orth"}
 # the gate's table sizes and those of the tau-series ratios at cutoff 20
 _T0_SIZES = (*range(8, 19), *range(21, 27))
 
 
-def _quadrature_builds(monkeypatch, sector, sizes) -> dict:
-    """{size: the table of `sector` at s = 0 by its quadrature build}, past the memo."""
+def _quadrature_builds(monkeypatch, name, sizes) -> dict:
+    """{size: the s = 0 table of sector `name` by quadrature}, past the memo, at the
+    production tolerance: a line sector's own build, and for a half-plane sector the
+    `_pair_block` of the pair table by `pair_moments`, the oracle's quadrature."""
+    family = _PAIR_FAMILIES.get(name)
+    if family is not None:
+        def pair_build(size):
+            exps = moments._pair_exps(family, 0, size)
+            return lambda level: moments._pair_block(
+                family, moments.pair_moments(family, ZERO_SEQ, exps, level))
+        return {size: converge(pair_build(size), rel_tol=5e-10)[0] for size in sizes}
     with monkeypatch.context() as m:
         m.setattr(moments, "_cached_sector", lambda name, s, base, size, build, exact:
                   converge(build, rel_tol=5e-10)[0])
-        return {size: sector(ZERO_SEQ, 0, size) for size in sizes}
+        return {size: _T0_SECTORS[name][0](size) for size in sizes}
 
 
 def test_t0_tables_match_quadrature_free_references(monkeypatch):
@@ -560,11 +576,11 @@ def test_t0_tables_match_quadrature_free_references(monkeypatch):
     # each matches the quadrature build of its own convention, and an entry that parity
     # makes zero is exactly 0
     moments.clear_cache()
-    closed = {(name, size): sector(ZERO_SEQ, 0, size)
+    closed = {(name, size): sector(size)
               for name, (sector, _) in _T0_SECTORS.items() for size in _T0_SIZES}
     moments.clear_cache()
-    for name, (sector, nonzero) in _T0_SECTORS.items():
-        for size, quadrature in _quadrature_builds(monkeypatch, sector, _T0_SIZES).items():
+    for name, (_, nonzero) in _T0_SECTORS.items():
+        for size, quadrature in _quadrature_builds(monkeypatch, name, _T0_SIZES).items():
             table = closed[name, size]
             assert table.dtype == quadrature.dtype
             assert _worst(table, quadrature) < 1e-13, (name, size)
@@ -581,6 +597,34 @@ def test_t0_tables_match_quadrature_free_references(monkeypatch):
     assert _worst(closed["orth_border", 12], orth) < 1e-15
     superdiag = [math.pi / 2 * math.gamma(k + 2) for k in range(11)]
     assert _worst(np.diagonal(closed["ginse_complex", 12], 1), superdiag) < 1e-15
+
+
+def test_the_table_bound_is_the_largest_size_every_closed_form_holds():
+    # every s = 0 sector is finite at MAX_TABLE_SIZE rows, the GinSE pair table overflows a
+    # Gamma value one row past it, and moment_pair refuses that size, naming the bound
+    size = moments.MAX_TABLE_SIZE
+    assert size == 170
+    moments.clear_cache()
+    for name, (sector, _) in _T0_SECTORS.items():
+        assert np.all(np.isfinite(sector(size))), name
+    with pytest.raises(OverflowError):
+        moments.ginse_complex_sector(size + 1)
+    for kind in ("OE", "SE", "GinOE", "GinSE"):
+        with pytest.raises(ValueError, match=f"table of {size + 1} rows is past the {size} "):
+            moment_pair(EnsembleSpec(kind, 1), size + 1)
+    moments.clear_cache()
+
+
+@pytest.mark.parametrize("sector", [moments.sympl_border_moments, moments.orth_border,
+                                    moments.sympl_sector, moments.orth_real_sector],
+                         ids=lambda sector: sector.__name__)
+def test_a_line_sector_at_s0_refuses_a_negative_index_base(sector):
+    # s = 0 always takes the closed form, which starts at row 0: a pole at the origin that
+    # s = 0 cannot damp is refused with the validator's reason, before any table is held
+    moments.clear_cache()
+    with pytest.raises(ValueError, match="L=-1 puts a pole at the origin and s = 0 cannot"):
+        sector(ZERO_SEQ, -1, 6)
+    assert not moments._SECTOR_CACHE
 
 
 def _decimal_pi():
@@ -691,10 +735,10 @@ def _check_against_reference(monkeypatch, name, exact):
     # it than the quadrature build is; the others exactly 0, the imaginary parts too
     sector = _T0_SECTORS[name][0]
     quad_sizes = range(21, 27)
-    quadrature = _quadrature_builds(monkeypatch, sector, quad_sizes)
+    quadrature = _quadrature_builds(monkeypatch, name, quad_sizes)
     moments.clear_cache()
     for size in (*_T0_SIZES, 32):
-        table, ref = sector(ZERO_SEQ, 0, size), exact(size)
+        table, ref = sector(size), exact(size)
         odd = np.add.outer(np.arange(size), np.arange(size)) % 2 == 1
         assert np.all(table[~odd] == 0) and np.all(np.imag(table) == 0), size
         assert _worst(table, ref) <= 1e-15, size
@@ -782,7 +826,7 @@ def test_memoised_rules_refuse_writes():
 
     moments.clear_cache()
     lp, wv = moments.line_rule("orth", CouplingSeq.of(0.3), CouplingSeq.of(0.0, 0.4), 10, 1)
-    grid, _ = moments._pair_rule("orth", ZERO_SEQ, ZERO_SEQ, 12, 0)
+    grid, _ = moments._pair_rule("orth", ZERO_SEQ, 12, 0)
     complex_bimoment_matrix(EnsembleSpec("GinUE", 2), 2)
     ginue_two_point(EnsembleSpec("GinUE", 2))
     plane = [moments._SECTOR_CACHE[k] for k in _rule_keys("plane_grid")]
@@ -830,15 +874,15 @@ def test_memoised_rules_match_a_fresh_build(family):
     top = next(e for e in range(2, 20) if moments.gaussian_halfwidth(gauss, lin, 2 * e + 2)
                == moments.gaussian_halfwidth(gauss, lin, 2 * e + 4))
     moments.clear_cache()
-    moments.pair_moments(family, t, ZERO_SEQ, range(top + 1), 1)
+    moments.pair_moments(family, t, range(top + 1), 1)
     grids = _rule_keys("plane_grid")
-    warm_table = moments.pair_moments(family, t, ZERO_SEQ, range(top + 2), 1)
+    warm_table = moments.pair_moments(family, t, range(top + 2), 1)
     assert _rule_keys("plane_grid") == grids          # the second table reused the grid
-    moments.pair_moments(family, t, ZERO_SEQ, range(top + 4), 1)
+    moments.pair_moments(family, t, range(top + 4), 1)
     wider = [moments._SECTOR_CACHE[k] for k in _rule_keys("plane_grid") if k not in grids]
     assert len(wider) == 1 and wider[0].radii[-1] > moments._SECTOR_CACHE[grids[0]].radii[-1]
     moments.clear_cache()
-    cold_table = moments.pair_moments(family, t, ZERO_SEQ, range(top + 2), 1)
+    cold_table = moments.pair_moments(family, t, range(top + 2), 1)
     assert _bits(warm_table) == _bits(cold_table)
     moments.clear_cache()
 
@@ -878,16 +922,16 @@ def test_one_pass_builds_one_angular_table_per_angle_rule(monkeypatch):
 
 def test_a_widened_angular_table_serves_the_bits_of_a_narrow_build():
     moments.clear_cache()
-    narrow = moments.pair_moments("sympl", ZERO_SEQ, ZERO_SEQ, range(6), 1)
+    narrow = moments.pair_moments("sympl", ZERO_SEQ, range(6), 1)
     [key] = _rule_keys("angular_table")
     held = moments._SECTOR_CACHE[key]
     assert not held.flags.writeable
-    moments.pair_moments("sympl", ZERO_SEQ, ZERO_SEQ, range(40), 1)
+    moments.pair_moments("sympl", ZERO_SEQ, range(40), 1)
     [key] = _rule_keys("angular_table")
     wide = moments._SECTOR_CACHE[key]
     assert wide.shape[-1] > held.shape[-1] >= 11
-    assert _bits(moments.pair_moments("sympl", ZERO_SEQ, ZERO_SEQ, range(6), 1)) == _bits(narrow)
+    assert _bits(moments.pair_moments("sympl", ZERO_SEQ, range(6), 1)) == _bits(narrow)
     # and the same as a gram whose cosines and sines are built for it alone
-    grid, w = moments._pair_rule("sympl", ZERO_SEQ, ZERO_SEQ, 12, 1)
+    grid, w = moments._pair_rule("sympl", ZERO_SEQ, 12, 1)
     assert _bits(quad.polar_gram(grid, w, range(6), range(6))) == _bits(narrow)
     moments.clear_cache()

@@ -568,7 +568,7 @@ def test_three_eigenvalue_continuum_ratios():
 
 
 def test_pair_moment_table_hermitian_pairing():
-    t = pair_moments("sympl", ZERO_SEQ, ZERO_SEQ, range(5), level=0)
+    t = pair_moments("sympl", ZERO_SEQ, range(5), level=0)
     # T[a,b] with the (z - zbar)-free weight obeys T[b,a] = conj(T[a,b])
     for a in range(5):
         for b in range(5):
