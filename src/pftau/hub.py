@@ -87,9 +87,13 @@ class Verdict:
 
 
 def bkp_normalization(spec: EnsembleSpec) -> float:
-    """(-1)^(N L) c(t,s): the dressing between J_N and its 2-BKP tau."""
+    """(-1)^(N L) c(t,s): the dressing between J_N and its 2-BKP tau, a signed
+    infinity where the exp in c overflows."""
     sign = -1.0 if (spec.n_eff * spec.L) % 2 else 1.0
-    return sign * c_factor(spec.t, spec.s)
+    try:
+        return sign * c_factor(spec.t, spec.s)
+    except OverflowError:
+        return sign * math.inf
 
 
 def _series_ratio(spec: EnsembleSpec, cutoff: int) -> tuple[complex, dict]:

@@ -22,6 +22,17 @@ def test_bkp_normalization_single_location():
     assert bkp_normalization(even) == 1.0
 
 
+def test_series_vs_oracle_verdict_survives_an_overflowing_normalization():
+    # sum n t_n s_n = 720 > 709: c(t, s) overflows, but the ratio never reads it, so the
+    # verdict keeps its finite margin and records the normalization as +inf
+    spec = EnsembleSpec("OE", 1, 0, CouplingSeq.of(12.0), CouplingSeq.of(60.0, 10.0))
+    assert bkp_normalization(spec) == math.inf
+    v = run_experiment(Experiment("c-overflow", "series-vs-oracle-ratio", spec=spec, cutoff=10))
+    assert v.error is None and not v.passed
+    assert math.isfinite(v.margin) and v.margin > 1.0
+    assert v.details["bkp_normalization"] == math.inf
+
+
 def test_series_vs_oracle_verdict_and_reporting():
     e = Experiment("demo", "series-vs-oracle-ratio",
                    spec=EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.3)),

@@ -472,7 +472,7 @@ def test_ginue_two_point_vanishing_by_rotation_returns_zero(L, L2):
 
 
 @pytest.mark.parametrize("L, L2, value", [(0, 0, 19.739208802178727 + 0j),
-                                          (1, -1, 39.478417604357446 + 2.2937663407961983e-17j)],
+                                          (1, -1, 39.478417604357396 - 2.075011123508271e-16j)],
                          ids=["0-0", "1--1"])
 def test_ginue_two_point_nonvanishing_values_unchanged(L, L2, value):
     assert ginue_two_point(EnsembleSpec("GinUE", 2, L=L, L2=L2)).value == value
@@ -484,6 +484,37 @@ def test_ginue_two_point_closed_forms(L, L2, value):
     # 2 (m0 m2 - |m1|^2) for the weight |z|^2L e^{-|z|^2}: m1 = 0, (m0, m2) = (pi, pi) or (pi, 2 pi)
     res = ginue_two_point(EnsembleSpec("GinUE", 2, L=L, L2=L2))
     assert abs(res.value - value) <= 1e-13
+
+
+@pytest.mark.parametrize("t, t_bar, closed_form", [
+    ((0.2,), (0.2,), math.exp(2 * 0.2 * 0.2)),
+    ((0.3,), (-0.1,), math.exp(2 * 0.3 * -0.1)),
+    ((0.15,), (0.25,), math.exp(2 * 0.15 * 0.25)),
+    ((0.0, 0.1), (0.0, 0.05), (1 - 4 * 0.1 * 0.05) ** -2),
+    ((0.0, 0.15), (0.0, -0.1), (1 - 4 * 0.15 * -0.1) ** -2),
+    ((0.0, 0.2), (0.0, 0.2), (1 - 4 * 0.2 * 0.2) ** -2),
+], ids=["t1-0.2-0.2", "t1-0.3--0.1", "t1-0.15-0.25", "t2-0.1-0.05", "t2-0.15--0.1", "t2-0.2-0.2"])
+def test_ginue_two_point_ratio_closed_forms(t, t_bar, closed_form):
+    # Z(t)/Z(0) at N = 2, L = L2 = 0: a translation of z gives e^{2 t1 t1'}, and a linear
+    # change of variables the Gaussian (1 - 4 t2 t2')^{-N^2/2}
+    spec = EnsembleSpec("GinUE", 2, t=CouplingSeq.of(*t), t_bar=CouplingSeq.of(*t_bar))
+    ratio = ginue_two_point(spec).value / ginue_two_point(EnsembleSpec("GinUE", 2)).value
+    assert abs(ratio / closed_form - 1.0) <= 1e-11
+
+
+@pytest.mark.parametrize("a, b, L", [(-0.271, 0.3, 1), (0.3, -0.1, 1), (0.091, -0.159, 2)])
+def test_ginue_two_point_holds_rounding_accuracy_at_det_powers(a, b, L):
+    # exactly 2 (m00 m11 - m10 m01), m_jk = int z^(L+j) zbar^(L+k) e^{-|z|^2 + a z + b zbar}
+    # = pi e^{ab} sum_i C(L+j, i) C(L+k, i) i! b^(L+j-i) a^(L+k-i); 1e-13 sits far above
+    # rounding and far below what a too-coarse returned rule loses at these t1 != t1'
+    def m(j, k):
+        return math.pi * math.exp(a * b) * sum(
+            math.comb(j, i) * math.comb(k, i) * math.factorial(i) * b ** (j - i) * a ** (k - i)
+            for i in range(min(j, k) + 1))
+
+    exact = 2 * (m(L, L) * m(L + 1, L + 1) - m(L + 1, L) * m(L, L + 1))
+    spec = EnsembleSpec("GinUE", 2, L=L, L2=-L, t=CouplingSeq.of(a), t_bar=CouplingSeq.of(b))
+    assert abs(ginue_two_point(spec).value / exact - 1.0) <= 1e-13
 
 
 @settings(max_examples=60, deadline=None)
