@@ -135,15 +135,26 @@ def apply_phi(vec: FockVector) -> FockVector:
 
 
 def apply_linear(coeffs_psi: dict, coeffs_dag: dict, vec: FockVector) -> FockVector:
-    """sum_i v_i psi_i + sum_i u_i psi^+_i applied once."""
-    total = FockVector(vec.window)
-    for i, v in coeffs_psi.items():
-        if v != 0:
-            total.add_into(apply_psi(i, vec).scaled(v))
-    for i, u in coeffs_dag.items():
-        if u != 0:
-            total.add_into(apply_psi_dag(i, vec).scaled(u))
-    return total.prune()
+    """sum_i v_i psi_i + sum_i u_i psi^+_i applied once: one loop per mode adds
+    v (0 + c sign), the `apply_psi` (`apply_psi_dag`) amplitude c sign scaled by v, into
+    the result, in the order and with the roundings of building, scaling and adding
+    one vector per mode."""
+    out: dict = {}
+    for coeffs, dag in ((coeffs_psi, False), (coeffs_dag, True)):
+        for i, v in coeffs.items():
+            if v == 0:
+                continue
+            vec.window.check_mode(i)
+            bit = i - vec.window.lo
+            flip = 1 << bit
+            filled = flip if dag else 0
+            for state, c in vec.amp.items():
+                if state & flip == filled:
+                    ns = state ^ flip
+                    # the levels above `bit` are the same in state and ns: `_sign_above`
+                    sign = -1.0 if (state >> (bit + 1)).bit_count() % 2 else 1.0
+                    out[ns] = out.get(ns, 0.0) + v * (0.0 + c * sign)
+    return FockVector(vec.window, out).prune()
 
 
 def apply_pair_sum(pair: SkewPair, vec: FockVector) -> FockVector:

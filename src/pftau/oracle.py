@@ -31,6 +31,7 @@ from . import moments as mom
 from .moments import EnsembleSpec
 from .partitions import _frozen
 from .quad import LinePanels, converge, full_plane_grid, gaussian_halfwidth
+from .skewlin import SkewPair
 from .skewlin import abar  # noqa: F401  bound here too: perfbench's tracer test patches it
 from .symfun import hseq, potential, schur_from_h
 from .tauseries import required_table_size, schur_values, series_terms
@@ -236,9 +237,11 @@ def det_average_lhs(spec: EnsembleSpec, p, rel_tol: float = 1e-9) -> OracleResul
 
 # (n_r, r_order, n_theta, t_order) per level, 588 to 25344 nodes: the first two,
 # unrelated rules give the value and its error estimate; each finer one runs on disagreement.
-# The second, one 36-node radial panel by four 14-node angular panels, is as accurate as the
-# 2688-node rule at a little over half its pair terms; a t_2 != 0 weight needs those panels
-_GINUE_RULES = ((1, 21, 2, 14), (1, 36, 4, 14), (4, 14, 4, 12), (5, 18, 5, 14), (8, 22, 8, 18))
+# The second, one 36-node radial panel by four 14-node angular panels, is as accurate as a
+# 2688-node rule of 56 by 48 nodes at a little over half its pair terms; a t_2 != 0 weight
+# needs those angular panels.  Every rule past it has more nodes than it both in radius
+# and in angle, so a climb never returns a value coarser than the rule it climbed from
+_GINUE_RULES = ((1, 21, 2, 14), (1, 36, 4, 14), (1, 40, 4, 16), (5, 18, 5, 14), (8, 22, 8, 18))
 
 
 def _pair_sum(z: np.ndarray, w: np.ndarray) -> complex:
@@ -451,6 +454,10 @@ def _atomic_eigensum(spec: EnsembleSpec, real_atoms, pair_atoms) -> tuple[comple
     # per pair a norm; per real eigenvalue its multiplicity (doubled on the
     # symplectic line) and a norm of 1/2 per doubled eigenvalue
     pair_norm, real_norm = PAIR_NORM[spec.family], 1.0 / mult
+    # each pair's conjugate and each atom's own factor are formed once, by the operations
+    # on the operands that every term would use: the same bits, in the same order
+    pairs = [(z, np.conj(z), w * (z * np.conj(z)) ** L * pair_norm) for z, w in pairs]
+    reals = [(x, w * x ** (mult * L) * real_norm) for x, w in reals]
     total = 0.0 + 0.0j
     scale = 0.0
     for k, m, wk in _sectors(spec):
@@ -459,14 +466,12 @@ def _atomic_eigensum(spec: EnsembleSpec, real_atoms, pair_atoms) -> tuple[comple
         factors = _sector_factors(spec.family, k, m)
         for zsel in itertools.combinations(pairs, k):
             for xsel in itertools.combinations(reals, m):
-                pts = [p for z, _ in zsel for p in (z, np.conj(z))] + [x for x, _ in xsel]
+                pts = [p for z, zc, _ in zsel for p in (z, zc)] + [x for x, _ in xsel]
                 term = wk
                 for a, b, power in factors:
                     term *= (pts[a] - pts[b]) ** power
-                for z, w in zsel:
-                    term *= w * (z * np.conj(z)) ** L * pair_norm
-                for x, w in xsel:
-                    term *= w * x ** (mult * L) * real_norm
+                for atom in zsel + xsel:
+                    term *= atom[-1]
                 total += term
                 scale += abs(term)
     return complex(total), scale
@@ -499,27 +504,47 @@ def discrete_consistency(trials) -> list[tuple[complex, complex, float]]:
     scale: the larger sum of term magnitudes of the two sides, the right
     yardstick near cancellations.
 
-    The trials of one spec share one stack of atomic tables and one Pfaffian
-    elimination, and every value is bit for bit the one of the trial alone.
+    The trials whose specs share the family, mix and index base share one stack of
+    atomic tables per table size (one `moments.atomic_pair` call) and one Pfaffian
+    elimination per charge, on their tables zero-padded to the largest size and each read
+    at its trial's own L: the padding changes no entry a coefficient reads and no table's
+    scale, so every value is bit for bit the one of the trial alone.
     Equality certifies the moment conventions, the shifted-index bookkeeping
     and the bordered Pfaffians at once.
     """
-    out, by_spec = [], {}
+    out, sizes, charges = [], {}, {}
     for i, trial in enumerate(trials):
         _check_trial(*trial)
         out.append(_atomic_eigensum(*trial))
-        by_spec.setdefault(trial[0], []).append(i)
-    for spec, members in by_spec.items():
-        charge = spec.n_eff
-        pair = mom.atomic_pair(spec, [trials[i][1:] for i in members],
-                               required_table_size(charge, spec.L, SERIES_CUTOFF))
-        terms = (series_terms(pair, charge, spec.L, SERIES_CUTOFF)
-                 * schur_values(SERIES_CUTOFF, charge, spec.t))
+        spec = trial[0]
+        key = spec.family, spec.mix, spec.index_base
+        size = required_table_size(spec.n_eff, spec.L, SERIES_CUTOFF)
+        sizes.setdefault(key + (size,), []).append(i)
+        charges.setdefault(key + (spec.n_eff,), []).append(i)
+    tables = {}
+    for (*_, size), members in sizes.items():
+        stack = mom.atomic_pair(trials[members[0]][0], [trials[i][1:] for i in members], size)
+        tables.update(zip(members, zip(stack.a_matrix, stack.border)))
+    for (*_, base, charge), members in charges.items():
+        size = max(len(tables[i][1]) for i in members)
+        a_matrix = np.zeros((len(members), size, size), dtype=complex)
+        border = np.zeros((len(members), size), dtype=complex)
+        for k, i in enumerate(members):
+            a, b = tables[i]
+            a_matrix[k, :len(b), :len(b)], border[k, :len(b)] = a, b
+        coeffs = series_terms(SkewPair(a_matrix, border, base), charge,
+                              [trials[i][0].L for i in members], SERIES_CUTOFF)
+        by_spec = {}
+        for k, i in enumerate(members):
+            by_spec.setdefault(trials[i][0], []).append(k)
         border_norm = math.sqrt(2.0) ** (charge % 2)
-        # a sequential sum in canonical partition order, so the bits do not move
-        abs_sums = np.add.accumulate(np.abs(terms), axis=1)[:, -1].tolist()
-        for i, row, abs_sum in zip(members, terms, abs_sums):
-            lhs, scale = out[i]
-            rhs = complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist())) / border_norm
-            out[i] = lhs, rhs, max(scale, abs_sum / border_norm, 1e-300)
+        for spec, rows in by_spec.items():
+            terms = coeffs[rows] * schur_values(SERIES_CUTOFF, charge, spec.t)
+            # a sequential sum in canonical partition order, so the bits do not move
+            abs_sums = np.add.accumulate(np.abs(terms), axis=1)[:, -1].tolist()
+            for k, row, abs_sum in zip(rows, terms, abs_sums):
+                lhs, scale = out[members[k]]
+                rhs = (complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist()))
+                       / border_norm)
+                out[members[k]] = lhs, rhs, max(scale, abs_sum / border_norm, 1e-300)
     return out

@@ -26,12 +26,14 @@ class MomentTableError(IndexError):
 
 
 def _check_skew(m, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """A square matrix, or with `stack` also a (tables, n, n) stack of them, as complex,
-    and the largest |entry| of each (0 for an empty one), in an array of shape m.shape[:-2].
+    """A square matrix, or with `stack` also a (tables, n, n) stack of them, as float64 if
+    its type is real and as complex otherwise, and the largest |entry| of each (0 for an
+    empty one), in an array of shape m.shape[:-2].
 
     Each must be skew within SKEW_RTOL of its own largest entry.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
+    m = m.astype(float if m.dtype.kind in "biuf" else complex, copy=False)
     if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2]:
         raise PfaffianError(f"expected a square matrix{' or a stack of them' * stack}, "
                             f"got shape {m.shape}")
@@ -59,7 +61,7 @@ def _update(a: np.ndarray, tau: np.ndarray, row: np.ndarray) -> None:
     C-contiguous `out=` buffers; a block over 64 KiB goes one row at a time, as
     fresh pages for full-size temporaries cost more than the arithmetic."""
     whole = a.nbytes <= 1 << 16
-    x = np.empty(a.shape if whole else row.shape, dtype=complex)
+    x = np.empty(a.shape if whole else row.shape, dtype=a.dtype)
     y = np.empty_like(x)
     for block, t, r in [(a, tau[:, None], row[:, None])] if whole else zip(a, tau, row):
         np.multiply(t, row, out=x)
@@ -74,17 +76,26 @@ def _gather(a: np.ndarray):
     return lambda r, c: flat.take((r * n + c) * batch + np.arange(batch))
 
 
-def _pfaffians(take, idx: np.ndarray, dead) -> np.ndarray:
+def _pfaffians(take, idx: np.ndarray, dead, dtype) -> np.ndarray:
     """Pfaffian of each member b, the matrix take(idx[:, b] x idx[:, b]), by
     Parlett-Reid elimination with the batch axis last.  A pivot step swaps
     indices, not entries, and gathers only what is still read: the pivot
     column and row and the trailing block, a C-contiguous (n-2, n-2, batch)
-    array.  A member whose pivot column's largest |entry| c is `dead(c)`
-    divides by 1 instead and gives exactly 0."""
+    array, of which the last step updates only the one entry it returns.
+    A member whose pivot column's largest |entry| c is `dead(c)` divides by
+    1 instead and gives exactly 0.
+
+    A float64 `dtype` runs in real arithmetic, which gives the real parts of
+    the complex elimination bit for bit: its products are the complex ones
+    with zero imaginary parts, and its tau = x * (1 / pivot) is what
+    NumPy's complex division (Smith's method) reduces to on real operands.
+    """
     n, batch = idx.shape
     if n % 2 != 0:
         raise PfaffianError("pfaffian undefined for odd order")
-    result, alive = np.ones(batch, dtype=complex), np.ones(batch, dtype=bool)
+    real = dtype == np.float64
+    mul = np.multiply if real else _cmul
+    result, alive = np.ones(batch, dtype=dtype), np.ones(batch, dtype=bool)
     members = np.arange(batch)
     while n > 2:
         col = np.abs(take(idx[1:], idx[0]))
@@ -94,13 +105,19 @@ def _pfaffians(take, idx: np.ndarray, dead) -> np.ndarray:
         idx[1], idx[ip, members] = idx[ip, members], idx[1].copy()
         result = np.where(ip != 1, -result, result)
         pivot = np.where(alive, take(idx[1], idx[0]), 1.0)
-        result = _cmul(result, take(idx[0], idx[1]))
+        result = mul(result, take(idx[0], idx[1]))
         rest, n = idx[2:], n - 2
+        tau = take(rest, idx[0]) * (1.0 / pivot) if real else take(rest, idx[0]) / pivot
+        row = take(idx[1], rest)
+        if n == 2:
+            # entry (0, 1) of `_update`'s block, by the same operations in the same order
+            last = take(rest[0], rest[1]) - (tau[0] * row[1] - row[0] * tau[1])
+            return np.where(alive, mul(result, last), 0.0)
         a = take(rest[:, None], rest[None, :])
-        _update(a, take(rest, idx[0]) / pivot, take(idx[1], rest))
+        _update(a, tau, row)
         take, idx = _gather(a), np.broadcast_to(np.arange(n)[:, None], (n, batch))
     if n:
-        result = _cmul(result, take(idx[0], idx[1]))
+        result = mul(result, take(idx[0], idx[1]))
     return np.where(alive, result, 0.0)
 
 
@@ -123,26 +140,41 @@ def pfaffian(m, rows=None):
     return _minors(*_check_skew(m, stack=True), np.asarray(rows, dtype=int))
 
 
-# complex entries per elimination: the members are eliminated in slices whose first
-# trailing block stays within 256 KiB, so peak memory does not grow with a stack
-_MINOR_BUDGET = 1 << 14
+# bytes per elimination: the members are eliminated in slices whose first trailing block
+# stays within 256 KiB, so peak memory does not grow with a stack
+_MINOR_BUDGET = 1 << 18
 
 
 def _minors(table: np.ndarray, scale: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """`pfaffian(table, rows)` of a checked table or stack and its scales: the tables are
-    gathered from, never copied whole."""
+    """`pfaffian(table, rows)` of a checked table or stack and its scales.  The members of
+    a table whose entries are all real are eliminated in float64, on the real parts of the
+    stack; so a member's bits are those of its table alone, whatever shares its stack."""
     size = table.shape[-1]
     span = table.size // size if size else 0
     if rows.ndim != 2 or rows.size and not 0 <= rows.min() <= rows.max() < span:
         raise PfaffianError(f"expected (batch, n) indices into a table of size {span}")
+    if table.ndim == 3 and rows.shape[1] and (rows // size != rows[:, :1] // size).any():
+        raise PfaffianError("every member must lie in one table of the stack")
+    if np.iscomplexobj(table) and rows.shape[1]:
+        real = ~table.imag.any(axis=(-2, -1)).reshape(-1)[rows[:, 0] // size]
+        if real.any():
+            out = np.empty(len(rows), dtype=complex)
+            out[real] = _eliminate(np.ascontiguousarray(table.real), scale, rows[real])
+            if not real.all():
+                out[~real] = _eliminate(table, scale, rows[~real])
+            return out
+    return _eliminate(table, scale, rows)
+
+
+def _eliminate(table: np.ndarray, scale: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`_minors` in the arithmetic of the table's dtype: the tables are gathered from,
+    never copied whole."""
+    size = table.shape[-1]
     n, flat = rows.shape[1], table.reshape(-1)
     if table.ndim == 2:
         def take(r, c):
             return flat.take(r * size + c)
     else:
-        if n and (rows // size != rows[:, :1] // size).any():
-            raise PfaffianError("every member must lie in one table of the stack")
-
         def take(r, c):
             # entry (r, c) of the block diagonal, r and c in the same table
             return flat.take(r * size + c % size)
@@ -156,15 +188,16 @@ def _minors(table: np.ndarray, scale: np.ndarray, rows: np.ndarray) -> np.ndarra
             out = c <= 1e-300 * np.maximum(own, 1.0)
         return out
 
-    step = max(1, _MINOR_BUDGET // max(n - 2, 1) ** 2)
-    parts = [_pfaffians(take, r.T, lambda c, r=r: dead(r, c))
+    step = max(1, _MINOR_BUDGET // (table.itemsize * max(n - 2, 1) ** 2))
+    parts = [_pfaffians(take, r.T, lambda c, r=r: dead(r, c), table.dtype)
              for r in (rows[s:s + step] for s in range(0, len(rows), step) or range(1))]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    # complex out, whatever arithmetic ran: the series and every caller read complex values
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts)).astype(complex, copy=False)
 
 
 def pfaffian_combinatorial(m: np.ndarray) -> complex:
     """Defining signed sum over perfect matchings; oracle for dims <= COMBINATORIAL_MAX_DIM."""
-    a, _ = _check_skew(m)
+    a = _check_skew(m)[0].astype(complex)
     n = a.shape[0]
     if n % 2 != 0:
         raise PfaffianError("pfaffian undefined for odd order")
@@ -226,7 +259,7 @@ class SkewPair:
         return rows
 
 
-def abar(h, L: int, pair: SkewPair) -> np.ndarray:
+def abar(h, L: int | np.ndarray, pair: SkewPair) -> np.ndarray:
     """Bordered-Pfaffian series coefficients for shifted indices at offset L.
 
     `h` is a (batch, charge) array of strictly decreasing shifted indices, one
@@ -238,7 +271,8 @@ def abar(h, L: int, pair: SkewPair) -> np.ndarray:
     entry: a block of a caller-built table passes with a defect above
     SKEW_RTOL of its own scale if the table's scale covers it.  A stack of
     pairs gives a (tables, batch) array: every row of `h` on every table, all
-    in one elimination, each table checked on its own.
+    in one elimination, each table checked on its own, and `L` may then be
+    one offset per pair, an int array of shape (tables,).
     """
     hs = np.asarray(h, dtype=int)
     if hs.ndim != 2:
@@ -247,7 +281,10 @@ def abar(h, L: int, pair: SkewPair) -> np.ndarray:
     if np.any(rising):
         raise ValueError("shifted indices must be strictly decreasing, "
                          f"got {tuple(hs[np.argmax(rising)].tolist())}")
-    rows = pair.lookup(hs + L)
+    L = np.asarray(L, dtype=int)
+    if L.ndim and L.shape != pair.a_matrix.shape[:-2]:
+        raise ValueError(f"expected one offset per pair of a stack, got shape {L.shape}")
+    rows = pair.lookup(hs + L[..., None, None])   # (batch, charge), or per pair (tables, ...)
     table = pair.a_matrix
     if hs.shape[1] % 2:
         n = pair.size
@@ -255,10 +292,10 @@ def abar(h, L: int, pair: SkewPair) -> np.ndarray:
         table[..., :n, :n] = pair.a_matrix
         table[..., :n, n] = pair.border
         table[..., n, :n] = -pair.border
-        rows = np.concatenate([rows, np.full((len(rows), 1), n)], axis=1)
+        rows = np.concatenate([rows, np.full(rows.shape[:-1] + (1,), n)], axis=-1)
     if table.ndim == 3:
         # row r of table k is row k * size + r of the stack's block diagonal
         offsets = np.arange(len(table))[:, None, None] * table.shape[-1]
-        rows = (offsets + rows).reshape(len(table) * len(rows), rows.shape[1])
+        rows = (offsets + rows).reshape(len(table) * len(hs), rows.shape[-1])
     # the module-level `pfaffian`, so perfbench's tracer counts every coefficient stack
     return pfaffian(table, rows).reshape(table.shape[:-2] + hs.shape[:1])

@@ -72,8 +72,9 @@ def schur_values(cutoff: int, charge: int, t: CouplingSeq) -> np.ndarray:
     return memo(("schur_values", cutoff, charge, t), build)
 
 
-def series_terms(pair: SkewPair, charge: int, L: int, cutoff: int) -> np.ndarray:
-    """Coefficient of every partition, in canonical order, from one Pfaffian stack."""
+def series_terms(pair: SkewPair, charge: int, L: int | np.ndarray, cutoff: int) -> np.ndarray:
+    """Coefficient of every partition, in canonical order, from one Pfaffian stack; a stack
+    of pairs may take one offset L per pair (see `skewlin.abar`)."""
     return abar(partition_table(cutoff, charge).shifted, L, pair)
 
 

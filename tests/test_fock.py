@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pftau.fock import (FockVector, FockWindow, WindowError, apply_phi, apply_psi,
-                        apply_psi_dag, charged_vacuum, exp_pair_vev, vev)
+from pftau.fock import (FockVector, FockWindow, WindowError, apply_linear, apply_phi,
+                        apply_psi, apply_psi_dag, charged_vacuum, exp_pair_vev, vev)
 from pftau.skewlin import SkewPair, pfaffian
 
 W = FockWindow(-4, 8)
@@ -162,3 +162,43 @@ def test_exp_pair_vev_matches_word_expansion():
     one = vev(2, [("pair", pair)], 0, W)
     two = vev(2, [("pair", pair), ("pair", pair)], 0, W) / 2
     assert direct == pytest.approx(one + two, rel=1e-12)
+
+
+def _apply_linear_per_mode(coeffs_psi, coeffs_dag, vec):
+    # one FockVector per mode, scaled and added: the loop the fused kernel replaces
+    total = FockVector(vec.window)
+    for i, v in coeffs_psi.items():
+        if v != 0:
+            total.add_into(apply_psi(i, vec).scaled(v))
+    for i, u in coeffs_dag.items():
+        if u != 0:
+            total.add_into(apply_psi_dag(i, vec).scaled(u))
+    return total.prune()
+
+
+def _amp_bits(vec):
+    return list(vec.amp), np.array(list(vec.amp.values()), dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fused_linear_is_the_per_mode_loop_bit_for_bit(seed):
+    # states, keys and their order, amplitudes to the bit (signed zeros included), and
+    # the prune; coefficients as Python and NumPy scalars, real and complex, some zero,
+    # and amplitudes of both signs of zero
+    rng = np.random.default_rng(400 + seed)
+    vec = rand_vector(rng, pieces=6)
+    vec.amp.update({k: complex(-0.0, v.imag) for k, v in list(vec.amp.items())[:2]})
+    modes = range(W.lo, W.hi)
+    draw = [lambda: complex(rng.normal(), rng.normal()), lambda: float(rng.normal()),
+            lambda: np.complex128(rng.normal() + 1e-18j), lambda: 0.0, lambda: -0.0 + 0j]
+    for _ in range(4):
+        v = {i: draw[int(rng.integers(5))]() for i in modes if rng.random() < 0.6}
+        u = {i: draw[int(rng.integers(5))]() for i in modes if rng.random() < 0.6}
+        for cv, cu in ((v, u), (v, {}), ({}, u)):
+            assert _amp_bits(apply_linear(cv, cu, vec)) == _amp_bits(
+                _apply_linear_per_mode(cv, cu, vec))
+    # the coefficients of psi(z) and psi^+(z), as `apply_word` forms them
+    z = complex(rng.normal(), rng.normal())
+    for cv, cu in (({i: z ** i for i in modes}, {}), ({}, {i: z ** (-i - 1) for i in modes})):
+        assert _amp_bits(apply_linear(cv, cu, vec)) == _amp_bits(
+            _apply_linear_per_mode(cv, cu, vec))

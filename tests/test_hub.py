@@ -11,7 +11,7 @@ from pftau.hub import (Experiment, acceptance_experiments, bkp_normalization,
 from pftau.moments import EnsembleSpec
 from pftau.partitions import Partition
 from pftau.symfun import ZERO_SEQ, CouplingSeq, c_factor
-from pftau.tauseries import WaveReport, group_series
+from pftau.tauseries import WaveReport, group_series, required_table_size
 
 
 def test_bkp_normalization_single_location():
@@ -443,6 +443,31 @@ def test_discrete_batch_is_each_trial_alone_bit_for_bit(kind, seed):
     alone = [oracle.discrete_consistency([trial])[0] for trial in trials]
     assert len(batched) == len(alone) == 50
     assert np.array(batched, dtype=complex).tobytes() == np.array(alone, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["OE", "SE", "GinOE", "GinSE"])
+def test_discrete_builds_one_atomic_stack_per_size_and_one_elimination_per_charge(
+        kind, monkeypatch):
+    # the gate's trials span nine (n, L) specs, three charges and five (OE, GinOE) or seven
+    # (SE, GinSE) table sizes; every trial's tables come from the one stack of its size,
+    # and its coefficients from the one elimination of its charge
+    [e] = [e for e in acceptance_experiments() if e.name == f"discrete-{kind}"]
+    trials = hub._discrete_trials(e, hub.resolve_params(e.comparison, e.params, e.spec))
+    stacks, eliminations = [], []
+    atomic_pair, series_terms = moments.atomic_pair, oracle.series_terms
+    monkeypatch.setattr(moments, "atomic_pair", lambda spec, measures, size: stacks.append(
+        (size, len(measures))) or atomic_pair(spec, measures, size))
+    monkeypatch.setattr(oracle, "series_terms", lambda pair, charge, L, cutoff: eliminations.append(
+        (charge, len(L))) or series_terms(pair, charge, L, cutoff))
+    oracle.discrete_consistency(trials)
+    sizes = [required_table_size(spec.n_eff, spec.L, oracle.SERIES_CUTOFF)
+             for spec, _, _ in trials]
+    charges = [spec.n_eff for spec, _, _ in trials]
+    assert len({(spec.n, spec.L) for spec, _, _ in trials}) == 9
+    assert sorted(stacks) == sorted((size, sizes.count(size)) for size in set(sizes))
+    assert len(stacks) == (5 if e.spec.family == "orth" else 7)
+    assert sorted(eliminations) == sorted((c, charges.count(c)) for c in set(charges))
+    assert len(eliminations) == 3
 
 
 def _gate_group_experiment(name, samples=100000):

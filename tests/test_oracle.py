@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -515,6 +516,49 @@ def test_ginue_two_point_holds_rounding_accuracy_at_det_powers(a, b, L):
     exact = 2 * (m(L, L) * m(L + 1, L + 1) - m(L + 1, L) * m(L, L + 1))
     spec = EnsembleSpec("GinUE", 2, L=L, L2=-L, t=CouplingSeq.of(a), t_bar=CouplingSeq.of(b))
     assert abs(ginue_two_point(spec).value / exact - 1.0) <= 1e-13
+
+
+def _gaussian_series_two_point(t, t_bar, L, top=48):
+    """2 (m_00 m_11 - m_10 m_01), m_jk = int z^(L+j) zbar^(L+k) e^{V(z,t) + V(zbar,t') - |z|^2}
+    d^2 z, exactly for the float couplings up to the series' tail: with
+    e^{t1 x + t2 x^2} = sum_a c_a x^a, m_jk = pi sum_a c_a c'_(a+j-k) (L+j+a)!."""
+    def coeffs(t1, t2):
+        t1, t2 = Fraction(t1), Fraction(t2)
+        return [sum(t1 ** (a - 2 * q) * t2 ** q / (math.factorial(a - 2 * q) * math.factorial(q))
+                    for q in range(a // 2 + 1)) for a in range(top + 1)]
+
+    c, cb = coeffs(*t), coeffs(*t_bar)
+
+    def m(j, k):
+        return sum(c[a] * cb[a + j - k] * math.factorial(L + j + a)
+                   for a in range(top + 1) if 0 <= a + j - k <= top)
+
+    return float(2 * (m(0, 0) * m(1, 1) - m(1, 0) * m(0, 1))) * math.pi ** 2
+
+
+def test_ginue_two_point_climb_returns_a_finer_rule(monkeypatch):
+    # the first two rules part here by more than rel_tol, so the ladder climbs; a third
+    # rule with fewer angular nodes than the second (56 by 48 against 36 by 56) returned
+    # a value 1.4e-10 off, where the second rule alone reads 1.7e-12
+    t, t_bar = (0.083, 0.149), (-0.2, -0.193)
+    radial, angular = (n * order for n, order in np.reshape(_GINUE_RULES[1], (2, 2)))
+    for n_r, r_order, n_theta, t_order in _GINUE_RULES[2:]:
+        assert n_r * r_order > radial and n_theta * t_order > angular
+    spec = EnsembleSpec("GinUE", 2, L=1, L2=-1, t=CouplingSeq.of(*t),
+                        t_bar=CouplingSeq.of(*t_bar))
+    exact = _gaussian_series_two_point(t, t_bar, 1)
+    assert exact == _gaussian_series_two_point(t, t_bar, 1, top=64)
+    first_two = []
+    climbs = oracle.converge
+
+    def spy(build, rel_tol, **kw):
+        first_two.extend([build(0), build(1)])
+        return climbs(build, rel_tol, **kw)
+
+    monkeypatch.setattr(oracle, "converge", spy)
+    value = ginue_two_point(spec).value
+    assert abs(first_two[1] - first_two[0]) > 2e-6 * abs(first_two[1])
+    assert abs(value / exact - 1.0) <= 1e-11
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pftau import skewlin
 from pftau.skewlin import (MomentTableError, PfaffianError, SkewPair, abar, pfaffian,
                            pfaffian_combinatorial)
 
@@ -425,6 +426,29 @@ def test_abar_over_a_stack_of_pairs_is_each_pair_alone(charge):
         assert np.array_equal(_bits(coeffs), _bits(abar(hs, 0, pair)))
 
 
+@pytest.mark.parametrize("charge", [0, 1, 2, 3, 4])
+def test_abar_over_a_stack_reads_each_pair_at_its_own_offset(charge):
+    rng = np.random.default_rng(251 + charge)
+    size, base = 10, -1
+    pairs = [_pair(rng, size, base) for _ in range(3)]
+    stack = SkewPair(np.stack([p.a_matrix for p in pairs]), np.stack([p.border for p in pairs]),
+                     index_base=base)
+    hs = np.array([np.sort(rng.choice(size - 2, charge, replace=False))[::-1] for _ in range(25)],
+                  dtype=int).reshape(25, charge) + base
+    offsets = [2, 0, 1]
+    got = abar(hs, offsets, stack)
+    assert got.shape == (3, 25)
+    for pair, L, coeffs in zip(pairs, offsets, got):
+        assert np.array_equal(_bits(coeffs), _bits(abar(hs, L, pair)))
+    with pytest.raises(ValueError, match="one offset per pair"):
+        abar(hs, [0, 1], stack)
+    with pytest.raises(ValueError, match="one offset per pair"):
+        abar(hs, offsets, pairs[0])
+    if charge:   # the top index of some row, read at the last pair's offset, is past the table
+        with pytest.raises(MomentTableError, match="size 10"):
+            abar(hs + 1, [0, 0, 2], stack)
+
+
 def test_pfaffian_leaves_its_input_alone():
     rng = np.random.default_rng(229)
     for stack in (random_skew_stack(rng, 1, 6), random_skew_stack(rng, 4, 6)):
@@ -433,3 +457,124 @@ def test_pfaffian_leaves_its_input_alone():
         pfaffian(table, rows)
         pfaffian(stack[0])
         assert np.array_equal(stack, before[0]) and np.array_equal(table, before[1])
+
+
+# ---------------------------------------------------------------------------
+# real tables in real arithmetic, and the last step's one trailing entry
+
+def _complex_elimination(table, rows):
+    """`pfaffian(table, rows)` by the complex elimination, which real tables took too."""
+    m = np.asarray(table, dtype=complex)
+    scale = np.max(np.abs(m), axis=(-2, -1) if m.ndim == 3 else None, initial=0.0)
+    return skewlin._eliminate(m, scale, np.asarray(rows, dtype=int))
+
+
+def _real_bits(x):
+    # the real parts to the bit, but for the sign of an exact zero: a zero minor's sign
+    # follows the signs of the complex elimination's zero imaginary parts
+    return np.asarray(np.real(x) + 0.0, dtype=float).view(np.uint64)
+
+
+def _real_case(rng, tables, size, scale):
+    """A stack of real pairs with a dead index (zero row, column and border entry) in table
+    0, a pivot column of ~1e-295 in table 1, and scales 1e6 apart."""
+    a = rng.normal(size=(tables, size, size))
+    a = a - a.swapaxes(1, 2)
+    border = rng.normal(size=(tables, size))
+    a[0, 5, :] = a[0, :, 5] = border[0, 5] = 0.0
+    a[1, 2, :] *= 1e-295
+    a[1, :, 2] *= 1e-295
+    a[-1] *= 1e6
+    return SkewPair(scale * a, scale * border, index_base=-1)
+
+
+def _decreasing_rows(rng, batch, size, charge):
+    return np.array([np.sort(rng.choice(size, charge, replace=False))[::-1]
+                     for _ in range(batch)], dtype=int).reshape(batch, charge)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200])
+@pytest.mark.parametrize("charge", range(9))
+def test_real_tables_give_the_complex_eliminations_real_parts(charge, scale, monkeypatch):
+    # a stack of pairs through abar, odd charges bordered, then one table and its members
+    # alone; 400 members of charge 6 to 8 put the first trailing blocks over the 64 KiB
+    # that `_update` takes one row at a time
+    rng = np.random.default_rng(500 + charge)
+    size, batch = 12, 400 if charge >= 6 else 40
+    stack = _real_case(rng, 4, size, scale)
+    hs = _decreasing_rows(rng, batch, size, charge) + stack.index_base
+    table, rows = stack.a_matrix[1].real, hs[:8] - stack.index_base
+    members = [table[np.ix_(r, r)] for r in rows] if charge % 2 == 0 else []
+
+    def eliminate():
+        return [abar(hs, 0, stack), skewlin.pfaffian(table, rows) if charge % 2 == 0
+                else np.ones(0), [skewlin.pfaffian(m) for m in members]]
+
+    got = eliminate()
+    monkeypatch.setattr(skewlin, "pfaffian", lambda m, rows=None: (
+        _complex_elimination(m, rows) if rows is not None
+        else complex(_complex_elimination(m, np.arange(len(m))[None])[0])))
+    for g, w in zip(got, eliminate()):
+        assert np.array_equal(_real_bits(g), _real_bits(w)) and not np.imag(g).any()
+    assert charge < 2 or (got[0][0] == 0.0).any()
+    assert scale != 1.0 or (got[0][1:] != 0.0).all()
+
+
+def _full_block_pfaffians(take, idx, dead, dtype):
+    # the elimination whose last step, too, updates its whole trailing block
+    n, batch = idx.shape
+    real = dtype == np.float64
+    mul = np.multiply if real else skewlin._cmul
+    result, alive = np.ones(batch, dtype=dtype), np.ones(batch, dtype=bool)
+    members = np.arange(batch)
+    while n > 2:
+        col = np.abs(take(idx[1:], idx[0]))
+        ip = np.argmax(col, axis=0) + 1
+        alive &= ~dead(np.max(col, axis=0))
+        idx = idx.copy()
+        idx[1], idx[ip, members] = idx[ip, members], idx[1].copy()
+        result = np.where(ip != 1, -result, result)
+        pivot = np.where(alive, take(idx[1], idx[0]), 1.0)
+        result = mul(result, take(idx[0], idx[1]))
+        rest, n = idx[2:], n - 2
+        tau = take(rest, idx[0]) * (1.0 / pivot) if real else take(rest, idx[0]) / pivot
+        a = take(rest[:, None], rest[None, :])
+        skewlin._update(a, tau, take(idx[1], rest))
+        take, idx = skewlin._gather(a), np.broadcast_to(np.arange(n)[:, None], (n, batch))
+    if n:
+        result = mul(result, take(idx[0], idx[1]))
+    return np.where(alive, result, 0.0)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("charge", [4, 6, 8])
+def test_the_last_step_is_the_full_block_update_bit_for_bit(charge, cplx, monkeypatch):
+    # every sign of zero included, on members of one and of many, whole blocks and by rows
+    rng = np.random.default_rng(600 + charge + 10 * cplx)
+    size = 11
+    tables = np.stack([random_skew(rng, size, cplx) for _ in range(3)])
+    tables[0, 4, :] = tables[0, :, 4] = 0.0
+    tables[1] *= 1e-200
+    rows = [_stack_rows(_decreasing_rows(rng, batch, size, charge), 3, size)
+            for batch in (1, 7, 400)]
+    singles = [m[np.ix_(r, r)] for m, r in zip(tables, _decreasing_rows(rng, 3, size, charge))]
+    got = [pfaffian(tables, r) for r in rows] + [[pfaffian(m) for m in singles]]
+    monkeypatch.setattr(skewlin, "_pfaffians", _full_block_pfaffians)
+    want = [pfaffian(tables, r) for r in rows] + [[pfaffian(m) for m in singles]]
+    for g, w in zip(got, want):
+        assert _bits(g).tobytes() == _bits(w).tobytes()
+
+
+def test_a_stack_of_real_and_complex_tables_gives_each_table_alone():
+    # each member runs in the arithmetic of its own table, so sharing a stack moves no bit
+    rng = np.random.default_rng(701)
+    size = 9
+    tables = np.stack([random_skew(rng, size, cplx=k % 2 == 1) for k in range(4)]).astype(complex)
+    tables[2, 3, :] = tables[2, :, 3] = 0.0
+    rows = _decreasing_rows(rng, 30, size, 6)
+    got = pfaffian(tables, _stack_rows(rows, 4, size)).reshape(4, -1)
+    for table, pfs in zip(tables, got):
+        alone = pfaffian(table, rows)
+        assert _bits(pfs).tobytes() == _bits(alone).tobytes()
+    assert np.array_equal(_bits(got[0]), _bits(pfaffian(tables[0].real, rows)))
+    assert not got[::2].imag.any() and got[1::2].imag.all()
