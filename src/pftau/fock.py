@@ -140,19 +140,20 @@ def apply_linear(coeffs_psi: dict, coeffs_dag: dict, vec: FockVector) -> FockVec
     the result, in the order and with the roundings of building, scaling and adding
     one vector per mode."""
     out: dict = {}
+    items = list(vec.amp.items())
     for coeffs, dag in ((coeffs_psi, False), (coeffs_dag, True)):
         for i, v in coeffs.items():
             if v == 0:
                 continue
             vec.window.check_mode(i)
             bit = i - vec.window.lo
-            flip = 1 << bit
+            flip, above = 1 << bit, bit + 1
             filled = flip if dag else 0
-            for state, c in vec.amp.items():
+            for state, c in items:
                 if state & flip == filled:
                     ns = state ^ flip
                     # the levels above `bit` are the same in state and ns: `_sign_above`
-                    sign = -1.0 if (state >> (bit + 1)).bit_count() % 2 else 1.0
+                    sign = -1.0 if (state >> above).bit_count() & 1 else 1.0
                     out[ns] = out.get(ns, 0.0) + v * (0.0 + c * sign)
     return FockVector(vec.window, out).prune()
 

@@ -169,28 +169,32 @@ def _minors(table: np.ndarray, scale: np.ndarray, rows: np.ndarray) -> np.ndarra
 def _eliminate(table: np.ndarray, scale: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """`_minors` in the arithmetic of the table's dtype: the tables are gathered from,
     never copied whole."""
-    size = table.shape[-1]
-    n, flat = rows.shape[1], table.reshape(-1)
-    if table.ndim == 2:
-        def take(r, c):
-            return flat.take(r * size + c)
-    else:
-        def take(r, c):
-            # entry (r, c) of the block diagonal, r and c in the same table
-            return flat.take(r * size + c % size)
+    size, flat = table.shape[-1], table.reshape(-1)
+    if not rows.shape[1]:
+        return np.ones(len(rows), dtype=complex)
 
-    def dead(r, c):
-        # c <= 1e-300 max(scale, 1) with the scale of each member r's table, as for the
-        # member alone; that scale bounds the member's own, which is gathered only in doubt
-        out = c <= 1e-300 * np.maximum(scale.reshape(-1)[r[:, 0] // size], 1.0)
-        if (out & (c > 1e-300)).any():
-            own = np.max(np.abs(take(r[:, :, None], r[:, None, :])), axis=(1, 2))
-            out = c <= 1e-300 * np.maximum(own, 1.0)
-        return out
+    def eliminate(r):
+        # member b lies in table k[b], whose rows start at off[b]: entry (i, j) of the block
+        # diagonal, i and j in that table, is flat[i * size + j - off[b]]
+        k = r[:, 0] // size
+        off = k * size
 
-    step = max(1, _MINOR_BUDGET // (table.itemsize * max(n - 2, 1) ** 2))
-    parts = [_pfaffians(take, r.T, lambda c, r=r: dead(r, c), table.dtype)
-             for r in (rows[s:s + step] for s in range(0, len(rows), step) or range(1))]
+        def take(i, j):
+            return flat.take(i * size + j - off)
+
+        def dead(c):
+            # c <= 1e-300 max(scale, 1) with the scale of each member's table, as for the
+            # member alone; that scale bounds the member's own, which is gathered only in doubt
+            out = c <= 1e-300 * np.maximum(scale.reshape(-1)[k], 1.0)
+            if (out & (c > 1e-300)).any():
+                own = np.max(np.abs(take(r.T[:, None], r.T[None, :])), axis=(0, 1))
+                out = c <= 1e-300 * np.maximum(own, 1.0)
+            return out
+
+        return _pfaffians(take, r.T, dead, table.dtype)
+
+    step = max(1, _MINOR_BUDGET // (table.itemsize * max(rows.shape[1] - 2, 1) ** 2))
+    parts = [eliminate(rows[s:s + step]) for s in range(0, len(rows), step) or range(1)]
     # complex out, whatever arithmetic ran: the series and every caller read complex values
     return (parts[0] if len(parts) == 1 else np.concatenate(parts)).astype(complex, copy=False)
 
