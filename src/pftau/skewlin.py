@@ -147,8 +147,8 @@ _MINOR_BUDGET = 1 << 18
 
 def _minors(table: np.ndarray, scale: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """`pfaffian(table, rows)` of a checked table or stack and its scales.  The members of
-    a table whose entries are all real are eliminated in float64, on the real parts of the
-    stack; so a member's bits are those of its table alone, whatever shares its stack."""
+    a table whose entries are all real are eliminated in float64, on a copy of the stack's
+    real parts; so a member's bits are those of its table alone, whatever shares its stack."""
     size = table.shape[-1]
     span = table.size // size if size else 0
     if rows.ndim != 2 or rows.size and not 0 <= rows.min() <= rows.max() < span:
