@@ -24,7 +24,6 @@ import numpy as np
 
 from .skewlin import SkewPair
 
-PRUNE_TOL = 1e-15
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -68,10 +67,9 @@ class FockVector:
         self.amp = amp or {}
 
     def prune(self) -> "FockVector":
-        if self.amp:
-            top = max(abs(v) for v in self.amp.values())
-            cut = PRUNE_TOL * max(top, 1.0)
-            self.amp = {k: v for k, v in self.amp.items() if abs(v) > cut}
+        """Drop the states whose amplitude is exactly 0, and only those: moment tables span
+        factorial ranges, so an amplitude far below the largest one still counts."""
+        self.amp = {k: v for k, v in self.amp.items() if v != 0}
         return self
 
     def scaled(self, c: complex) -> "FockVector":

@@ -156,7 +156,7 @@ def _run_reality(e: Experiment, p: dict) -> Verdict:
 def _run_ginse_structure(e: Experiment, p: dict) -> Verdict:
     size = p["size"]
     pair = moment_pair(replace(e.spec, t=ZERO_SEQ, s=ZERO_SEQ), size)
-    a = pair.a_matrix.real
+    a = pair.a_matrix
     mx = float(np.max(np.abs(a)))
     off = a.copy()
     for m in range(size - 1):

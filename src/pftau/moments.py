@@ -23,7 +23,8 @@ forms, to quadrature measures and to the point masses of `atomic_pair`
                            matches the positive (|Delta|-style) eigenvalue
                            sectors and keeps tau values real;
 
-then the (alpha, beta) mix of the real and complex sectors.
+then the (alpha, beta) mix of the real and complex sectors.  Every table of
+`moment_pair` is float64; only `atomic_pair` tables with pair atoms are complex.
 """
 from __future__ import annotations
 
@@ -55,9 +56,9 @@ WEIGHT_CONSTANTS = {"orth": (0.5, 1), "sympl": (1.0, 2), "pair": (1.0, 2)}
 
 # Part of every table key, in memory and on disk.  Bump it whenever a change
 # moves the numbers a table holds: its quadrature rule, level schedule or
-# tolerance, its sector convention, or its layout.  Entries stored under any
-# other value are never served.
-TABLE_ALGORITHM = "tables-9"
+# tolerance, its sector convention, its layout or its dtype.  Entries stored
+# under any other value are never served.
+TABLE_ALGORITHM = "tables-10"
 TABLE_BUILDS = 0
 _SECTOR_CACHE: dict = {}
 _DISK_CACHE = None
@@ -514,13 +515,12 @@ def _ginoe_pair_table(size: int) -> np.ndarray:
     S the plain pair table and M the moments of e^{-x^2}) sums, for odd o and even e, to
     C[o, e] = -(o-1)!! heads[(o-1)/2](e) / 2 if o < e; if o > e the diagonal source adds
     the whole sum, which leaves (o-1)!! tails[(o+1)/2](e) / 2 of `_erf_sums`.  Each entry
-    is thus a sum of positive terms, where the forward recursion cancels.  Complex, as
-    `_pair_block` makes every orthogonal half-plane block (the oracle's and the atoms')."""
+    is thus a sum of positive terms, where the forward recursion cancels."""
     e, o, heads, tails, double_fact = _erf_sums(size)
     c = np.zeros((size, size))
     c[np.ix_(o, e)] = 0.5 * double_fact[:, None] * np.where(
         o[:, None] > e, tails[(o + 1) // 2], -heads[(o - 1) // 2])
-    return (c - c.T).astype(complex)
+    return c - c.T
 
 
 def _pair_exps(family: str, base: int, size: int) -> np.ndarray:
@@ -589,14 +589,14 @@ def sympl_border_moments(s: CouplingSeq, base: int, size: int) -> np.ndarray:
     symplectic skew matrix to odd charges so the difference bilinear
     identity has nonvacuous members.
     """
-    return _moment_sector("sympl_border", "sympl", lambda mu, idx: mu(idx), s, base,
-                          size).astype(complex)
+    return _moment_sector("sympl_border", "sympl", lambda mu, idx: mu(idx), s, base, size)
 
 
 def ginse_complex_sector(size: int) -> np.ndarray:
-    """A closed form only: the validator admits s = 0 alone where a complex sector enters."""
+    """A closed form only: the validator admits s = 0 alone where a complex sector enters.
+    Real: the imaginary parts of the pair table's block cancel exactly."""
     return _cached_sector("ginse_complex", ZERO_SEQ, 0, size, None, lambda: _pair_block(
-        "sympl", _gaussian_pair_table(_pair_exps("sympl", 0, size))))
+        "sympl", _gaussian_pair_table(_pair_exps("sympl", 0, size))).real)
 
 
 def ginoe_complex_sector(size: int) -> np.ndarray:

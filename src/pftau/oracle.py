@@ -527,8 +527,9 @@ def discrete_consistency(trials) -> list[tuple[complex, complex, float]]:
         tables.update(zip(members, zip(stack.a_matrix, stack.border)))
     for (*_, base, charge), members in charges.items():
         size = max(len(tables[i][1]) for i in members)
-        a_matrix = np.zeros((len(members), size, size), dtype=complex)
-        border = np.zeros((len(members), size), dtype=complex)
+        dtype = np.result_type(*{tables[i][0].dtype for i in members})
+        a_matrix = np.zeros((len(members), size, size), dtype=dtype)
+        border = np.zeros((len(members), size), dtype=dtype)
         for k, i in enumerate(members):
             a, b = tables[i]
             a_matrix[k, :len(b), :len(b)], border[k, :len(b)] = a, b

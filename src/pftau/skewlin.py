@@ -126,13 +126,14 @@ def pfaffian(m, rows=None):
 
     Without `rows`, the Pfaffian of the matrix `m` (a complex).  With `rows`, a
     (batch, n) index array, the Pfaffians of the principal submatrices
-    m[rows[b]][:, rows[b]] of the table `m` (an array).  `m` may also be a
-    (tables, size, size) stack, whose rows index its block diagonal without
-    building it: row r is row r % size of table r // size, and every member
-    lies in one table.  Each table is checked once, so the skew tolerance is
-    SKEW_RTOL of the table's largest entry, not the block's.  A member with no
-    usable pivot gives exactly 0 and the others are unaffected.  Odd order is
-    refused: the caller has lost a border column somewhere.
+    m[rows[b]][:, rows[b]] of the table `m` (an array).  The table's dtype is the
+    arithmetic: a real table is eliminated and answered in float64, any other in
+    complex.  `m` may also be a (tables, size, size) stack, whose rows index its
+    block diagonal without building it: row r is row r % size of table r // size,
+    and every member lies in one table.  Each table is checked once, so the skew
+    tolerance is SKEW_RTOL of the table's largest entry, not the block's.  A member
+    with no usable pivot gives exactly 0 and the others are unaffected.  Odd order
+    is refused: the caller has lost a border column somewhere.
     """
     if rows is None:
         m, scale = _check_skew(m)
@@ -146,32 +147,17 @@ _MINOR_BUDGET = 1 << 18
 
 
 def _minors(table: np.ndarray, scale: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """`pfaffian(table, rows)` of a checked table or stack and its scales.  The members of
-    a table whose entries are all real are eliminated in float64, on a copy of the stack's
-    real parts; so a member's bits are those of its table alone, whatever shares its stack."""
+    """`pfaffian(table, rows)` of a checked table or stack and its scales, in the arithmetic
+    of the table's dtype: the tables are gathered from, never copied whole."""
     size = table.shape[-1]
     span = table.size // size if size else 0
     if rows.ndim != 2 or rows.size and not 0 <= rows.min() <= rows.max() < span:
         raise PfaffianError(f"expected (batch, n) indices into a table of size {span}")
     if table.ndim == 3 and rows.shape[1] and (rows // size != rows[:, :1] // size).any():
         raise PfaffianError("every member must lie in one table of the stack")
-    if np.iscomplexobj(table) and rows.shape[1]:
-        real = ~table.imag.any(axis=(-2, -1)).reshape(-1)[rows[:, 0] // size]
-        if real.any():
-            out = np.empty(len(rows), dtype=complex)
-            out[real] = _eliminate(np.ascontiguousarray(table.real), scale, rows[real])
-            if not real.all():
-                out[~real] = _eliminate(table, scale, rows[~real])
-            return out
-    return _eliminate(table, scale, rows)
-
-
-def _eliminate(table: np.ndarray, scale: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """`_minors` in the arithmetic of the table's dtype: the tables are gathered from,
-    never copied whole."""
-    size, flat = table.shape[-1], table.reshape(-1)
     if not rows.shape[1]:
-        return np.ones(len(rows), dtype=complex)
+        return np.ones(len(rows), dtype=table.dtype)
+    flat = table.reshape(-1)
 
     def eliminate(r):
         # member b lies in table k[b], whose rows start at off[b]: entry (i, j) of the block
@@ -195,8 +181,7 @@ def _eliminate(table: np.ndarray, scale: np.ndarray, rows: np.ndarray) -> np.nda
 
     step = max(1, _MINOR_BUDGET // (table.itemsize * max(rows.shape[1] - 2, 1) ** 2))
     parts = [eliminate(rows[s:s + step]) for s in range(0, len(rows), step) or range(1)]
-    # complex out, whatever arithmetic ran: the series and every caller read complex values
-    return (parts[0] if len(parts) == 1 else np.concatenate(parts)).astype(complex, copy=False)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def pfaffian_combinatorial(m: np.ndarray) -> complex:
@@ -231,6 +216,7 @@ class SkewPair:
     absolute index `index_base + r`; index_base < 0 supports negative
     determinant exponents.  A (tables, size, size) `a_matrix` with a
     (tables, size) `border` is a stack of pairs that share the index base.
+    Both take the type of their entries, float64 at least: a real pair stays real.
     """
 
     a_matrix: np.ndarray
@@ -238,8 +224,10 @@ class SkewPair:
     index_base: int = 0
 
     def __post_init__(self) -> None:
-        self.a_matrix = np.asarray(self.a_matrix, dtype=complex)
-        self.border = np.asarray(self.border, dtype=complex)
+        a_matrix, border = np.asarray(self.a_matrix), np.asarray(self.border)
+        dtype = np.result_type(a_matrix, border, float)
+        self.a_matrix = a_matrix.astype(dtype, copy=False)
+        self.border = border.astype(dtype, copy=False)
         if self.a_matrix.shape[-2] != self.a_matrix.shape[-1]:
             raise ValueError("moment matrix must be square")
         if self.border.shape != self.a_matrix.shape[:-1]:
@@ -276,7 +264,8 @@ def abar(h, L: int | np.ndarray, pair: SkewPair) -> np.ndarray:
     SKEW_RTOL of its own scale if the table's scale covers it.  A stack of
     pairs gives a (tables, batch) array: every row of `h` on every table, all
     in one elimination, each table checked on its own, and `L` may then be
-    one offset per pair, an int array of shape (tables,).
+    one offset per pair, an int array of shape (tables,).  The coefficients
+    are in the pair's dtype.
     """
     hs = np.asarray(h, dtype=int)
     if hs.ndim != 2:
@@ -292,7 +281,7 @@ def abar(h, L: int | np.ndarray, pair: SkewPair) -> np.ndarray:
     table = pair.a_matrix
     if hs.shape[1] % 2:
         n = pair.size
-        table = np.zeros(table.shape[:-2] + (n + 1, n + 1), dtype=complex)
+        table = np.zeros(table.shape[:-2] + (n + 1, n + 1), dtype=table.dtype)
         table[..., :n, :n] = pair.a_matrix
         table[..., :n, n] = pair.border
         table[..., n, :n] = -pair.border

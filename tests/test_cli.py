@@ -142,7 +142,7 @@ def test_cache_entry_without_table_algorithm_is_not_served(tmp_path):
 
 
 @pytest.mark.parametrize("previous", ["tables-1", "tables-2", "tables-4", "tables-5", "tables-6",
-                                      "tables-7", "tables-8"])
+                                      "tables-7", "tables-8", "tables-9"])
 def test_cache_entry_under_the_previous_table_algorithm_is_not_served(tmp_path, previous):
     s = CouplingSeq.of(0.0, 0.4)
     assert moments.TABLE_ALGORITHM != previous

@@ -113,6 +113,11 @@ def test_charge_imbalance_exactly_zero():
     assert vev(0, [("phi",), ("psi", 1)], 0, W) == 0.0
 
 
+def test_an_amplitude_far_below_the_largest_is_kept():
+    # psi_0 |0> beside 1e20 psi_1 |0>: only an exact zero may be dropped
+    assert vev(1, [("linear", {0: 1.0, 1: 1e20}, {})], 0, FockWindow(-4, 9)) == 1.0
+
+
 def test_wick_pfaffian_even_and_odd():
     rng = np.random.default_rng(8)
 

@@ -450,7 +450,8 @@ def test_discrete_builds_one_atomic_stack_per_size_and_one_elimination_per_charg
         kind, monkeypatch):
     # the gate's trials span nine (n, L) specs, three charges and five (OE, GinOE) or seven
     # (SE, GinSE) table sizes; every trial's tables come from the one stack of its size,
-    # and its coefficients from the one elimination of its charge
+    # and its coefficients from the one elimination of its charge, in the tables' dtype:
+    # real for OE and SE, complex where pair atoms enter
     [e] = [e for e in acceptance_experiments() if e.name == f"discrete-{kind}"]
     trials = hub._discrete_trials(e, hub.resolve_params(e.comparison, e.params, e.spec))
     stacks, eliminations = [], []
@@ -458,7 +459,7 @@ def test_discrete_builds_one_atomic_stack_per_size_and_one_elimination_per_charg
     monkeypatch.setattr(moments, "atomic_pair", lambda spec, measures, size: stacks.append(
         (size, len(measures))) or atomic_pair(spec, measures, size))
     monkeypatch.setattr(oracle, "series_terms", lambda pair, charge, L, cutoff: eliminations.append(
-        (charge, len(L))) or series_terms(pair, charge, L, cutoff))
+        (charge, len(L), pair.a_matrix.dtype)) or series_terms(pair, charge, L, cutoff))
     oracle.discrete_consistency(trials)
     sizes = [required_table_size(spec.n_eff, spec.L, oracle.SERIES_CUTOFF)
              for spec, _, _ in trials]
@@ -466,7 +467,8 @@ def test_discrete_builds_one_atomic_stack_per_size_and_one_elimination_per_charg
     assert len({(spec.n, spec.L) for spec, _, _ in trials}) == 9
     assert sorted(stacks) == sorted((size, sizes.count(size)) for size in set(sizes))
     assert len(stacks) == (5 if e.spec.family == "orth" else 7)
-    assert sorted(eliminations) == sorted((c, charges.count(c)) for c in set(charges))
+    dtype = np.dtype(complex if kind.startswith("Gin") else float)
+    assert sorted(eliminations) == sorted((c, charges.count(c), dtype) for c in set(charges))
     assert len(eliminations) == 3
 
 

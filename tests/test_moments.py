@@ -118,6 +118,35 @@ def test_atomic_pair_on_quadrature_atoms_reproduces_the_sectors():
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), kind
 
 
+@pytest.mark.parametrize("kind,s2,L", [(kind, 0.0, L) for kind in ("OE", "SE", "GinOE", "GinSE")
+                                       for L in (0, 1)]
+                         + [(kind, 0.4, L) for kind in ("OE", "SE") for L in (-1, 0, 1)])
+def test_moment_pair_tables_are_float64(kind, s2, L):
+    s = CouplingSeq.of(0.0, s2) if s2 else ZERO_SEQ
+    pair = moment_pair(EnsembleSpec(kind, 1, L=L, s=s), 8)
+    assert pair.a_matrix.dtype == pair.border.dtype == np.float64
+    if kind == "SE":
+        border = moments.sympl_border_moments(s, pair.index_base, pair.size)
+        assert border.dtype == np.float64
+
+
+def test_the_ginse_pair_block_is_real_at_every_size():
+    # its imaginary parts cancel exactly, so `ginse_complex_sector` keeps only the real part
+    for size in range(1, moments.MAX_TABLE_SIZE + 1):
+        exps = moments._pair_exps("sympl", 0, size)
+        block = moments._pair_block("sympl", moments._gaussian_pair_table(exps))
+        assert not block.imag.any(), size
+
+
+def test_atomic_tables_are_complex_only_with_pair_atoms():
+    line, pairs = [(-0.4, 0.7), (0.9, 1.1)], [(0.3 + 0.5j, 0.8), (-0.6 + 0.2j, 1.3)]
+    for kind, trials in (("OE", [(line, None)]), ("SE", [(line, None)]),
+                         ("GinOE", [(line, pairs), (line, None)]), ("GinSE", [(None, pairs)])):
+        stack = moments.atomic_pair(EnsembleSpec(kind, 1), trials, 4)
+        want = complex if kind.startswith("Gin") else np.float64
+        assert stack.a_matrix.dtype == stack.border.dtype == want, kind
+
+
 def test_moment_tables_monotone_consistent():
     small = moment_pair(EnsembleSpec("GinSE", 2), 5)
     large = moment_pair(EnsembleSpec("GinSE", 2), 9)
@@ -582,7 +611,7 @@ def test_t0_tables_match_quadrature_free_references(monkeypatch):
     for name, (_, nonzero) in _T0_SECTORS.items():
         for size, quadrature in _quadrature_builds(monkeypatch, name, _T0_SIZES).items():
             table = closed[name, size]
-            assert table.dtype == quadrature.dtype
+            assert table.dtype == np.float64, (name, size)
             assert _worst(table, quadrature) < 1e-13, (name, size)
             n, m = np.meshgrid(np.arange(size), np.arange(size), indexing="ij")
             mask = nonzero(n, m) if table.ndim == 2 else nonzero(np.arange(size), 0)

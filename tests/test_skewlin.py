@@ -463,10 +463,10 @@ def test_pfaffian_leaves_its_input_alone():
 # real tables in real arithmetic, and the last step's one trailing entry
 
 def _complex_elimination(table, rows):
-    """`pfaffian(table, rows)` by the complex elimination, which real tables took too."""
+    """`pfaffian(table, rows)` by the complex elimination, on a complex copy of the table."""
     m = np.asarray(table, dtype=complex)
     scale = np.max(np.abs(m), axis=(-2, -1) if m.ndim == 3 else None, initial=0.0)
-    return skewlin._eliminate(m, scale, np.asarray(rows, dtype=int))
+    return skewlin._minors(m, scale, np.asarray(rows, dtype=int))
 
 
 def _real_bits(x):
@@ -566,15 +566,35 @@ def test_the_last_step_is_the_full_block_update_bit_for_bit(charge, cplx, monkey
 
 
 def test_a_stack_of_real_and_complex_tables_gives_each_table_alone():
-    # each member runs in the arithmetic of its own table, so sharing a stack moves no bit
+    # every member runs in its stack's dtype, so sharing a stack moves no bit; a table with
+    # zero imaginary parts gives the real parts of its float64 elimination
     rng = np.random.default_rng(701)
     size = 9
     tables = np.stack([random_skew(rng, size, cplx=k % 2 == 1) for k in range(4)]).astype(complex)
     tables[2, 3, :] = tables[2, :, 3] = 0.0
     rows = _decreasing_rows(rng, 30, size, 6)
     got = pfaffian(tables, _stack_rows(rows, 4, size)).reshape(4, -1)
+    assert got.dtype == complex
     for table, pfs in zip(tables, got):
         alone = pfaffian(table, rows)
         assert _bits(pfs).tobytes() == _bits(alone).tobytes()
-    assert np.array_equal(_bits(got[0]), _bits(pfaffian(tables[0].real, rows)))
+    assert np.array_equal(_real_bits(got[0]), _real_bits(pfaffian(tables[0].real, rows)))
     assert not got[::2].imag.any() and got[1::2].imag.all()
+
+
+def test_a_real_table_never_takes_the_complex_product(monkeypatch):
+    # float64 in, float64 out, through the stack, the bordered table and one matrix alone
+    def refuse(x, y):
+        raise AssertionError("a float64 table reached the complex product")
+
+    monkeypatch.setattr(skewlin, "_cmul", refuse)
+    rng = np.random.default_rng(702)
+    stack = _real_case(rng, 3, 10, 1.0)
+    for charge in range(7):
+        hs = _decreasing_rows(rng, 20, 10, charge) + stack.index_base
+        assert abar(hs, 0, stack).dtype == np.float64
+    table = stack.a_matrix[0]
+    assert pfaffian(table, _decreasing_rows(rng, 20, 10, 6)).dtype == np.float64
+    assert isinstance(pfaffian(table), complex)
+    with pytest.raises(AssertionError, match="complex product"):
+        pfaffian(table.astype(complex))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pftau import moments
+from pftau import moments, skewlin
 from pftau.moments import EnsembleSpec, moment_pair
 from pftau.partitions import (Partition, conjugate, enumerate_partitions, is_even_partition,
                               partition_table)
@@ -72,6 +72,22 @@ def test_reality_property(kind, n, t1, t2):
     tau = tau_series(EnsembleSpec(kind, n, 0), 8)
     val = tau.evaluate(CouplingSeq.of(t1, t2 / 3.0))
     assert abs(val.imag) <= 1e-8 * max(abs(val), 1e-300)
+
+
+@pytest.mark.parametrize("kind,s2,L", [(kind, 0.0, 0) for kind in ("OE", "SE", "GinOE", "GinSE")]
+                         + [("SE", 0.4, -1)])
+def test_real_tables_give_real_coefficients_in_real_arithmetic(kind, s2, L, monkeypatch):
+    # float64 from the sector to the series coefficient: the complex product never runs
+    def refuse(x, y):
+        raise AssertionError("a float64 table reached the complex product")
+
+    monkeypatch.setattr(skewlin, "_cmul", refuse)
+    moments.clear_cache()
+    s = CouplingSeq.of(0.0, s2) if s2 else ZERO_SEQ
+    family = tau_charge_family(EnsembleSpec(kind, 1, L=L, s=s), range(5), 6)
+    assert all(tau.terms.dtype == np.float64 for tau in family.values())
+    assert isinstance(family[2].evaluate(CouplingSeq.of(0.2, 0.1)), complex)
+    moments.clear_cache()
 
 
 def test_ordered_terms_canonical():
