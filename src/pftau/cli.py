@@ -97,7 +97,7 @@ def parse_ensemble(node) -> EnsembleSpec:
 
 
 # the checked numbers: type and admissible range, where there is one
-_NUMBERS = {"cutoff": (int, lambda v: v >= 0), "samples": (int, lambda v: v >= 1),
+_NUMBERS = {"cutoff": (int, lambda v: v >= 0), "samples": (int, lambda v: v >= 2),
             "seed": (int, lambda v: v >= 0), "tolerance": (float, lambda v: v > 0),
             "size": (int, lambda v: v >= 1), "L": (int,), "L2": (int,), "alpha": (float,),
             "beta": (float,)}

@@ -172,36 +172,23 @@ def _run_ginse_structure(e: Experiment, p: dict) -> Verdict:
 
 def _run_kernel(e: Experiment, p: dict) -> Verdict:
     spec = e.spec
-    quotients: dict = {}   # variant -> the quotient lhs / rhs at each point set
+    quotients = []   # lhs / rhs at each point set
     for pts in (p["p"], p["p_ref"]):
         pts = np.asarray(pts, dtype=float)
         prefactor = kernel_prefactor(pts)
         lhs = orc.det_average_lhs(spec, pts).value
-        for variant, k in kernel_matrix(spec, pts).items():
-            pf = pfaffian(k)
-            if pf == 0 and variant == "abs":
-                # (p_b - p_a) K* carries Delta(p), which nearly coincident points cancel
-                gap = float(np.min(np.diff(np.sort(pts))))
-                raise ValueError(f"the kernel Pfaffian Pf[(p_b - p_a) K*] cancels to 0 at the "
-                                 f"points {tuple(pts.tolist())}, two of them {gap:.3g} apart")
-            rhs = prefactor * pf
-            with np.errstate(divide="ignore", invalid="ignore"):
-                quotients.setdefault(variant, []).append(
-                    lhs / rhs if rhs != 0 else complex(math.inf))
-    variants = {}
-    for variant, (const, q_ref) in quotients.items():
-        # a zero Pfaffian gave an infinite quotient above: no deviation
-        finite = np.isfinite(abs(const)) and np.isfinite(abs(q_ref)) and q_ref != 0
-        dev = abs(const / q_ref - 1.0) if finite else math.inf
-        variants[variant] = {"validates": bool(finite and abs(const) > 1e-10 and dev < e.tolerance),
-                             "deviation": dev, "constant": const}
-    # exactly one variant must validate; a failing verdict reads the last variant's deviation
-    valid = [v for v, out in variants.items() if out["validates"]]
-    passed = len(valid) == 1
-    margin = variants["abs" if "abs" in valid else list(variants)[-1]]["deviation"]
-    chosen = valid[0] if passed else ("ambiguous" if len(variants) > 1 else "none")
-    return Verdict(e.name, e.comparison, passed, margin, e.tolerance,
-                   {"variants": variants, "validating_variant": chosen})
+        pf = pfaffian(kernel_matrix(spec, pts))
+        if pf == 0:
+            # (p_b - p_a) K* carries Delta(p), which nearly coincident points cancel
+            gap = float(np.min(np.diff(np.sort(pts))))
+            raise ValueError(f"the kernel Pfaffian Pf[(p_b - p_a) K*] cancels to 0 at the "
+                             f"points {tuple(pts.tolist())}, two of them {gap:.3g} apart")
+        quotients.append(lhs / (prefactor * pf))
+    q, q_ref = quotients
+    finite = np.isfinite(abs(q)) and np.isfinite(abs(q_ref)) and q_ref != 0
+    margin = abs(q / q_ref - 1.0) if finite else math.inf
+    passed = bool(finite and abs(q) > 1e-10 and margin < e.tolerance)
+    return Verdict(e.name, e.comparison, passed, margin, e.tolerance, {"quotients": quotients})
 
 
 def _run_hirota(e: Experiment, p: dict) -> Verdict:
@@ -382,17 +369,23 @@ def _group_fits(params: dict, spec, names: dict) -> None:
                           f"must be even, got {params['size']}")
 
 
-def _family_fits(what: str, *families: str):
-    """The `fits` check of a comparison whose `what` serve the kinds of `families` only."""
-    kinds = ", ".join(kind for kind, (family, _) in KINDS.items() if family in families)
-
-    def fits(params: dict, spec: EnsembleSpec, names: dict) -> None:
-        if spec.family not in families:
-            raise ConfigError("bad-ensemble", f"the {what} serve {kinds} only, got {spec.kind}")
-    return fits
+_PFAFFIAN_KINDS = ", ".join(kind for kind, (family, _) in KINDS.items() if family != "unitary")
 
 
-_PFAFFIAN_FITS = _family_fits("moment tables", "orth", "sympl")
+def _pfaffian_fits(params: dict, spec: EnsembleSpec, names: dict) -> None:
+    """The moment tables serve the Pfaffian kinds only."""
+    if spec.family == "unitary":
+        raise ConfigError("bad-ensemble", f"the moment tables serve {_PFAFFIAN_KINDS} only, "
+                          f"got {spec.kind}")
+
+
+def _bimoment_fits(params: dict, spec: EnsembleSpec, names: dict) -> None:
+    """The direct two-point oracle is for GinUE with n = 2; Z(0) vanishes by rotation unless
+    L2 = -L, and with it the ratios that the verdict compares."""
+    if spec.kind != "GinUE" or spec.n != 2 or spec.L2 != -spec.L:
+        raise ConfigError("bad-ensemble", "the bimoment ratios hold for GinUE with n = 2 and "
+                          f"L2 = -L only, got {spec.kind} n = {spec.n}, (L, L2) = "
+                          f"({spec.L}, {spec.L2})")
 
 
 def _kernel_fits(params: dict, spec: EnsembleSpec, names: dict) -> None:
@@ -438,9 +431,9 @@ _SERIES = frozenset({"ensemble", "tolerance", "cutoff"})
 _SPEC = frozenset({"ensemble", "tolerance"})
 _HAAR = frozenset({"cutoff", "samples", "seed"})
 COMPARISONS = {
-    "series-vs-oracle-ratio": Comparison(_run_series_vs_oracle, _SERIES, fits=_PFAFFIAN_FITS),
+    "series-vs-oracle-ratio": Comparison(_run_series_vs_oracle, _SERIES, fits=_pfaffian_fits),
     "closed-form-anchor": Comparison(_run_anchor, _SERIES, fits=_anchor_fits),
-    "reality": Comparison(_run_reality, _SERIES, fits=_PFAFFIAN_FITS),
+    "reality": Comparison(_run_reality, _SERIES, fits=_pfaffian_fits),
     # the structure check reads the table up to a[5, 6]
     "ginse-structure": Comparison(_run_ginse_structure, _SPEC, {"size": (_at_least(int, 7), 8)},
                                   _ginse_structure_fits),
@@ -450,7 +443,7 @@ COMPARISONS = {
     # min_factor judges the decay; the verdict only echoes the tolerance
     "hirota-decay": Comparison(_run_hirota, _SPEC, {
         "alpha": (read_number, 8.0), "beta": (read_number, 10.0), "min_factor": (read_number, 2.0),
-        "cutoffs": (array_of(_at_least(int, 0), 2), (8, 10, 12, 14))}, _PFAFFIAN_FITS),
+        "cutoffs": (array_of(_at_least(int, 0), 2), (8, 10, 12, 14))}, _pfaffian_fits),
     # a Monte Carlo z-score has its own bound, and a group no ensemble
     "group-series-vs-mc": Comparison(_run_group_integral, _HAAR, {
         "group": (_group, "orthogonal"), "size": (_at_least(int, 1), 3),
@@ -458,13 +451,12 @@ COMPARISONS = {
         _group_fits),
     "discrete-exact": Comparison(_run_discrete, _SPEC | {"seed"}, {
         "trials": (_at_least(int, 1), 50), "t": (array_of(read_number), (0.07, -0.03))},
-        _PFAFFIAN_FITS),
+        _pfaffian_fits),
     # cutoff_low None: four below the cutoff, at least 6
     "wave-poly": Comparison(_run_wave, _SERIES, {
         "points": (array_of(read_number, 1), (2.0, 3.0, 5.0)),
-        "cutoff_low": (_at_least(int, 0), None)}, _PFAFFIAN_FITS),
-    "bimoment-vs-direct": Comparison(_run_bimoment, _SPEC,
-                                     fits=_family_fits("bimoments", "unitary")),
+        "cutoff_low": (_at_least(int, 0), None)}, _pfaffian_fits),
+    "bimoment-vs-direct": Comparison(_run_bimoment, _SPEC, fits=_bimoment_fits),
 }
 
 

@@ -691,28 +691,20 @@ def _check_points(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def kernel_matrix(spec: EnsembleSpec, p) -> dict[str, np.ndarray]:
-    """{variant: K} with K_nm = (p_m - p_n) K*_nm by quadrature, for every variant of `spec`.
+def kernel_matrix(spec: EnsembleSpec, p) -> np.ndarray:
+    """K with K_nm = (p_m - p_n) K*_nm by quadrature.
 
-    K* = beta (the family's line block) + alpha (the pair block).  Every spec has "abs",
-    and one with a real orthogonal line block (beta != 0) also "sgn": |x-y| (as displayed
-    for the kernels) or sgn(x-y) in that block.  The sgn variant integrates an
-    antisymmetric function and is kept only so the experiment can record that it fails.
-    The pair block is built once and shared by the variants.
+    K* = beta (the family's line block) + alpha (the pair block); the orthogonal line
+    block integrates |x-y| (as displayed for the kernels).
     """
     p = _check_points(p)
     spec.validate().require()
     if spec.family == "unitary":
         raise ValueError(f"no kernel for kind {spec.kind!r}")
-    alpha, beta = spec.mix
-    orth = spec.family == "orth"
-    variants = ("abs", "sgn") if orth and beta != 0.0 else ("abs",)
-    pair = _kernel_pair_block(spec, p) if alpha != 0.0 else None
+    line = _kernel_orth_line if spec.family == "orth" else _kernel_sympl_line
     gaps = p[None, :] - p[:, None]
-    return {v: gaps * _mix(spec, gaps.shape, lambda: (_kernel_orth_line(spec, p, v) if orth
-                                                  else _kernel_sympl_line(spec, p)),
-                           lambda: pair)
-            for v in variants}
+    return gaps * _mix(spec, gaps.shape, lambda: line(spec, p),
+                       lambda: _kernel_pair_block(spec, p))
 
 
 def _inv_points(p: np.ndarray) -> list[float]:
@@ -729,22 +721,18 @@ def _kernel_sympl_line(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
     return converge(build, rel_tol=5e-10)[0]
 
 
-def _kernel_orth_line(spec: EnsembleSpec, p: np.ndarray, variant: str) -> np.ndarray:
+def _kernel_orth_line(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
     def build(level):
         lp, w = line_rule("orth", spec.t, spec.s, abs(spec.L) + 4, level, _inv_points(p))
         x = lp.nodes
         dens = np.stack([1.0 - x * pi for pi in p])
         g = (w * x ** spec.L) / (dens[:, None] * dens[None, :])   # (a, b, node)
+        # iint |x-y| g g = 2 int g(x) [x C0(x) - C1(x)] dx
         c0 = lp.cumulative(g)
-        if variant == "abs":
-            # iint |x-y| g g = 2 int g(x) [x C0(x) - C1(x)] dx
-            c1 = lp.cumulative(x * g)
-            return 2.0 * np.sum(lp.weights * g * (x * c0 - c1), axis=-1)
-        # sgn variant integrates an antisymmetric function
-        tot0 = np.sum(lp.weights * g, axis=-1)
-        return np.sum(lp.weights * g * (2.0 * c0 - tot0[..., None]), axis=-1)
+        c1 = lp.cumulative(x * g)
+        return 2.0 * np.sum(lp.weights * g * (x * c0 - c1), axis=-1)
 
-    return converge(build, rel_tol=2e-9, zero_floor=1e-10 if variant != "abs" else 0.0)[0]
+    return converge(build, rel_tol=2e-9)[0]
 
 
 def _kernel_pair_block(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:

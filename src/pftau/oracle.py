@@ -397,8 +397,9 @@ def haar_expectation_mc(group, payloads, samples: int, seed: int) -> list[Oracle
         raise ValueError(f"group size must be >= 1, got {size}")
     if gname == "symplectic" and size % 2:
         raise ValueError(f"symplectic size must be even, got {size}")
-    if samples < 1:
-        raise ValueError("samples >= 1")
+    if samples < 2:
+        # one sample has no standard error, and a z-score against none passes anything
+        raise ValueError(f"samples must be >= 2, got {samples}")
     orders = [_payload_order(p) for p in payloads]
     if not orders:
         return []
@@ -424,7 +425,7 @@ def haar_expectation_mc(group, payloads, samples: int, seed: int) -> list[Oracle
     for v in vals:
         v = np.concatenate(v)
         mean = float(np.mean(v))
-        stderr = float(np.std(v, ddof=1) / math.sqrt(len(v))) if len(v) > 1 else math.inf
+        stderr = float(np.std(v, ddof=1) / math.sqrt(len(v)))
         results.append(OracleResult(mean, stderr, f"monte-carlo(seed={seed}, samples={samples})"))
     return results
 

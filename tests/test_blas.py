@@ -92,11 +92,9 @@ def _blas_products():
         out += [pair.a_matrix, pair.border, oracle.eigen_integral(spec).value]
     ginue = EnsembleSpec("GinUE", 2, 0, CouplingSeq.of(0.2), t_bar=CouplingSeq.of(0.2))
     out += [moments.complex_bimoment_matrix(ginue, 2), oracle.ginue_two_point(ginue).value]
-    # every variant's K: the sympl line, both pair blocks, and the abs and sgn orth lines
-    for kind, n in (("SE", 1), ("GinSE", 1), ("GinOE", 2)):
-        kernels = moments.kernel_matrix(EnsembleSpec(kind, n, 0, CouplingSeq.of(0.2)),
-                                        (0.1, -0.1))
-        out += [kernels[variant] for variant in sorted(kernels)]
+    # every block of K: the sympl line, both pair blocks, and the orth line
+    out += [moments.kernel_matrix(EnsembleSpec(kind, n, 0, CouplingSeq.of(0.2)), (0.1, -0.1))
+            for kind, n in (("SE", 1), ("GinSE", 1), ("GinOE", 2))]
     return [np.asarray(v).tobytes() for v in out]
 
 

@@ -252,22 +252,26 @@ def test_verdict_pass_fields_are_json_booleans(tmp_path):
 
 
 def test_gate_kernel_verdict_is_strict_json(tmp_path):
-    # the sgn variant of the gate's kernel-OE-N2 has an infinite deviation
+    # the gate's kernel-OE-N2 beside a kernel entry whose p_ref puts a pole inside the
+    # oracle's support: the errored verdict's margin is infinite
     [e] = [e for e in hub.acceptance_experiments() if e.name == "kernel-OE-N2"]
     node = {"name": e.name, "comparison": e.comparison, "tolerance": e.tolerance,
             "ensemble": {"kind": e.spec.kind, "n": e.spec.n, "L": e.spec.L,
                          "t": list(e.spec.t.values)},
             "params": {k: list(v) for k, v in e.params}}
-    cfg = parse_config(json.dumps({"command": "suite", "format": "json", "experiments": [node]}))
-    assert run_config(cfg, tmp_path) == 0
+    pole = dict(node, name="kernel-pole", ensemble={"kind": "SE", "n": 1},
+                params={"p": [0.09, 0.016], "p_ref": [-0.089, -0.136]})
+    cfg = parse_config(json.dumps({"command": "suite", "format": "json",
+                                   "experiments": [node, pole]}))
+    assert run_config(cfg, tmp_path) == 1
 
     def reject(name):
         raise ValueError(f"{name} is not JSON")
 
     doc = json.loads((tmp_path / "verdicts.json").read_text(), parse_constant=reject)
-    [verdict] = doc["verdicts"]
-    assert verdict["pass"]
-    assert verdict["details"]["variants"]["sgn"]["deviation"] == "inf"
+    gate, errored = doc["verdicts"]
+    assert gate["pass"] and [set(q) for q in gate["details"]["quotients"]] == [{"re", "im"}] * 2
+    assert not errored["pass"] and errored["margin"] == "inf"
 
 
 def test_single_command_is_an_inline_suite_entry():
@@ -323,6 +327,10 @@ _REFERENCE_MISFITS = [
       for comparison in ("series-vs-oracle-ratio", "reality", "wave-poly", "hirota-decay",
                          "discrete-exact")),
     ("bimoment-OE", "bimoment-vs-direct", {"kind": "OE", "n": 2}),
+    *((f"bimoment-GinUE-{label}", "bimoment-vs-direct",
+       {"kind": "GinUE", "t": [0.2], "t_bar": [0.2], **fields}) for label, fields in (
+        ("N3", {"n": 3}), ("L1-L2=0", {"n": 2, "L": 1}), ("L1-L2=1", {"n": 2, "L": 1, "L2": 1}),
+        ("L2-L2=0", {"n": 2, "L": 2}))),
 ]
 # (config, error code, what the message must name)
 _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
@@ -412,6 +420,11 @@ _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
                        "cutoff": "12"}, "bad-number", "malformed cutoff: '12'"),
     ("samples-bool", {"command": "group-integral", "samples": True}, "bad-number",
      "malformed samples: True"),
+    # one sample has no standard error, and a z-score against none would pass any predicate
+    ("samples-one", {"command": "group-integral", "group": "orthogonal", "size": 3, "t": [0.2],
+                     "cutoff": 8, "samples": 1, "seed": 42,
+                     "predicates": [[[2], 5.0], [[1], 3.0]]}, "bad-number",
+     "samples out of range: 1"),
     ("tolerance-string", {"command": "suite", "experiments": [dict(_ENTRY, tolerance="1e-4")]},
      "bad-number", "experiment 0 'r1': malformed tolerance"),
     ("kernel-point-nan", {"command": "kernel-check", "ensemble": {"kind": "SE", "n": 1},

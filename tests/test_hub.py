@@ -167,13 +167,14 @@ def test_kernel_experiment_records_variant():
                    params=(("p", (0.1, -0.1)), ("p_ref", (0.08, -0.06))))
     v = run_experiment(e)
     assert v.passed
-    assert v.details["validating_variant"] == "abs"
-    assert not v.details["variants"]["sgn"]["validates"]
+    q, q_ref = v.details["quotients"]
+    # at charge 2 both quotients are 2^{-N/2} = 1/2, and the margin is their deviation
+    assert q == pytest.approx(0.5, rel=1e-9) and q_ref == pytest.approx(0.5, rel=1e-9)
+    assert v.margin == abs(q / q_ref - 1.0)
 
 
 def test_kernel_check_degenerate_variant_emits_no_warning():
-    # the sgn kernel's Pfaffian is 0 at the first point set: its quotient is
-    # infinite, and its deviation must come out inf without a division warning
+    # odd L with a two-term t: the identity holds without a floating-point warning
     e = Experiment("kern", "kernel-vs-oracle",
                    spec=EnsembleSpec("OE", 2, 1, CouplingSeq.of(0.1, -0.05)),
                    tolerance=1e-4, params=(("p", (0.1, -0.1)), ("p_ref", (0.08, -0.06))))
@@ -182,9 +183,6 @@ def test_kernel_check_degenerate_variant_emits_no_warning():
         v = run_experiment(e)
     assert v.error is None
     assert v.passed and v.margin < 1e-12
-    assert v.details["validating_variant"] == "abs"
-    sgn = v.details["variants"]["sgn"]
-    assert not sgn["validates"] and sgn["deviation"] == math.inf
 
 
 @pytest.mark.parametrize("kind,n", [("GinSE", 1), ("GinOE", 2)])
@@ -198,26 +196,24 @@ def test_ginibre_kernel_identity(kind, n, L, t):
     v = run_experiment(e)
     assert v.error is None
     assert v.passed and v.margin < 1e-12
-    assert v.details["validating_variant"] == "abs"
-    if kind == "GinOE":
-        assert not v.details["variants"]["sgn"]["validates"]
 
 
 @pytest.mark.parametrize("L", [0, 1])
 @pytest.mark.parametrize("kind,n,alpha,beta", [("GinOE", 2, 0.3, 0.5), ("GinOE", 2, 1.0, 0.0),
                                                ("GinSE", 1, 0.3, 0.5), ("OE", 2, 0.4, None),
-                                               ("SE", 1, 0.4, None)])
+                                               ("SE", 1, 0.4, None), ("GinOE", 2, 1.0, 1e-5),
+                                               ("GinOE", 2, 1.0, 1e-8), ("OE", 2, 1.0, 1e-5),
+                                               ("OE", 2, 1.0, 1e-8)])
 def test_kernel_identity_at_explicit_mixes(kind, n, alpha, beta, L):
     # the kernel weighs its line and pair blocks by (alpha, beta), as the
-    # oracle weighs its sectors; with beta = 0 there is no sgn variant to offer
+    # oracle weighs its sectors; with beta = 0 the line block is not built, and
+    # as beta -> 0 the identity holds on the pair block alone
     spec = EnsembleSpec(kind, n, L, CouplingSeq.of(0.2), alpha=alpha, beta=beta)
     e = Experiment("kern", "kernel-vs-oracle", spec=spec, tolerance=1e-4,
                    params=(("p", (0.1, -0.1)), ("p_ref", (0.08, -0.06))))
     v = run_experiment(e)
     assert v.error is None
     assert v.passed and v.margin < 1e-12
-    assert v.details["validating_variant"] == "abs"
-    assert ("sgn" in v.details["variants"]) == (spec.family == "orth" and spec.mix[1] != 0)
 
 
 # charge 4 with 4 points, where the prefactor 1 / Delta(p) and the quotient 2^{-N/2} show
@@ -232,8 +228,7 @@ def test_kernel_identity_at_charge_4(kind, n, L):
     v = run_experiment(e)
     assert v.error is None
     assert v.passed and v.margin < 1e-9
-    assert v.details["validating_variant"] == "abs"
-    assert v.details["variants"]["abs"]["constant"] == pytest.approx(0.25, rel=1e-9)
+    assert v.details["quotients"][0] == pytest.approx(0.25, rel=1e-9)
 
 
 def test_ginse_kernel_identity_at_charge_4():
@@ -243,7 +238,7 @@ def test_ginse_kernel_identity_at_charge_4():
     v = run_experiment(e)
     assert v.error is None
     assert v.passed and v.margin < 1e-9
-    assert v.details["variants"]["abs"]["constant"] == pytest.approx(0.25, rel=1e-9)
+    assert v.details["quotients"][0] == pytest.approx(0.25, rel=1e-9)
 
 
 def test_kernel_pole_inside_the_support_is_an_errored_verdict():
@@ -269,6 +264,7 @@ def test_kernel_experiment_off_its_domain_is_an_errored_verdict(spec, params, na
 
 # (comparison, spec) pairs outside the domain of the comparison's reference, each of which
 # ran to a false FAIL before its `fits` check refused it, and pairs inside it
+_T02 = CouplingSeq.of(0.2)
 _REFERENCE_MISFITS = {
     "closed-form-anchor": {
         "OE-N1": EnsembleSpec("OE", 1, 0, hub.T_A),
@@ -284,7 +280,11 @@ _REFERENCE_MISFITS = {
     **{comparison: {"GinUE-N2": EnsembleSpec("GinUE", 2)}
        for comparison in ("series-vs-oracle-ratio", "reality", "wave-poly", "hirota-decay",
                           "discrete-exact")},
-    "bimoment-vs-direct": {"OE-N2": EnsembleSpec("OE", 2)}}
+    # the direct oracle is for N = 2, and Z(0) vanishes by rotation unless L2 = -L
+    "bimoment-vs-direct": {"OE-N2": EnsembleSpec("OE", 2), **{
+        label: EnsembleSpec("GinUE", n, L, _T02, L2=L2, t_bar=_T02)
+        for label, n, L, L2 in (("GinUE-N3", 3, 0, 0), ("GinUE-L1-L2=0", 2, 1, 0),
+                                ("GinUE-L1-L2=1", 2, 1, 1), ("GinUE-L2-L2=0", 2, 2, 0))}}}
 _REFERENCE_FITS = {
     "closed-form-anchor": {
         "GinSE-N1": EnsembleSpec("GinSE", 1, 0, hub.T_A),
@@ -292,10 +292,13 @@ _REFERENCE_FITS = {
         "SE-mixed": EnsembleSpec("SE", 1, 0, hub.T_A, alpha=0.7, beta=0.2),
         "SE-t0": EnsembleSpec("SE", 1, 0)},
     "ginse-structure": {"GinSE-N2-L0": EnsembleSpec("GinSE", 2),
-                        "GinSE-N2-L1": EnsembleSpec("GinSE", 2, 1)}}
+                        "GinSE-N2-L1": EnsembleSpec("GinSE", 2, 1)},
+    "bimoment-vs-direct": {"GinUE-L0-L2=0": EnsembleSpec("GinUE", 2, 0, _T02, t_bar=_T02),
+                           "GinUE-L1-L2=-1": EnsembleSpec("GinUE", 2, 1, _T02, L2=-1,
+                                                          t_bar=_T02)}}
 # the tolerance and cutoff of the gate's experiment of each comparison
 _GATE_FIELDS = {"closed-form-anchor": {"tolerance": 1e-6, "cutoff": 12},
-                "ginse-structure": {"tolerance": 1e-6}}
+                "ginse-structure": {"tolerance": 1e-6}, "bimoment-vs-direct": {"tolerance": 1e-5}}
 
 
 def _cases(table):
@@ -308,8 +311,11 @@ def test_reference_outside_its_domain_is_an_errored_verdict(comparison, spec):
     v = run_experiment(Experiment("ref", comparison, spec=spec,
                                   **_GATE_FIELDS.get(comparison, {})))
     assert not v.passed and v.margin == math.inf
-    named = ("holds for a symplectic kind" if comparison in _GATE_FIELDS
-             else "the bimoments serve GinUE only, got OE" if spec.kind == "OE"
+    named = ("holds for a symplectic kind" if comparison in ("closed-form-anchor",
+                                                             "ginse-structure")
+             else "the bimoment ratios hold for GinUE with n = 2 and L2 = -L only, got "
+             f"{spec.kind} n = {spec.n}, (L, L2) = ({spec.L}, {spec.L2})"
+             if comparison == "bimoment-vs-direct"
              else "the moment tables serve OE, SE, GinOE, GinSE only, got GinUE")
     assert v.error.startswith("ConfigError:") and named in v.error
 

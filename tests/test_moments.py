@@ -235,20 +235,16 @@ def test_kernel_rejects_coincident_points():
 
 
 def test_kernel_symmetry_and_skew():
-    # every variant's K is antisymmetric with a zero diagonal, and K* = K / (p_b - p_a)
-    # symmetric; the sgn variant comes only with a real orthogonal line block
-    for kind, n, variants in (("SE", 1, ["abs"]), ("GinSE", 2, ["abs"]),
-                              ("OE", 2, ["abs", "sgn"]), ("GinOE", 4, ["abs", "sgn"])):
+    # K is antisymmetric with a zero diagonal, and K* = K / (p_b - p_a) symmetric
+    for kind, n in (("SE", 1), ("GinSE", 2), ("OE", 2), ("GinOE", 4)):
         spec = EnsembleSpec(kind, n, 0, CouplingSeq.of(0.2))
         p = np.array([0.1, -0.1, 0.05, -0.07][:spec.n_eff])
-        kernels = kernel_matrix(spec, p)
-        assert list(kernels) == variants
+        k = kernel_matrix(spec, p)
         gaps = p[None, :] - p[:, None]
         off = ~np.eye(len(p), dtype=bool)
-        for k in kernels.values():
-            assert np.all(np.diag(k) == 0.0)
-            assert np.allclose(k, -k.T, rtol=1e-10, atol=0.0)
-            assert np.allclose(k[off] / gaps[off], k.T[off] / gaps.T[off], rtol=1e-10, atol=0.0)
+        assert np.all(np.diag(k) == 0.0)
+        assert np.allclose(k, -k.T, rtol=1e-10, atol=0.0)
+        assert np.allclose(k[off] / gaps[off], k.T[off] / gaps.T[off], rtol=1e-10, atol=0.0)
 
 
 def test_kernel_pole_on_support_rejected():
@@ -525,7 +521,7 @@ def test_orth_block_is_the_per_exponent_loop_bit_for_bit(measure):
     assert got.tobytes() == _orth_block_by_exponent(line, wv, idx).tobytes()
 
 
-def _kernel_orth_line_by_pair(spec, p, variant):
+def _kernel_orth_line_by_pair(spec, p):
     """The orthogonal kernel line block with one pair (a, b) of points at a time."""
     def build(level):
         lp, w = moments.line_rule("orth", spec.t, spec.s, abs(spec.L) + 4, level,
@@ -538,24 +534,21 @@ def _kernel_orth_line_by_pair(spec, p, variant):
             for b in range(len(p)):
                 g = base_vals / (dens[a] * dens[b])
                 c0 = lp.cumulative(g)
-                if variant == "abs":
-                    c1 = lp.cumulative(x * g)
-                    out[a, b] = 2.0 * np.sum(lp.weights * g * (x * c0 - c1))
-                else:
-                    out[a, b] = np.sum(lp.weights * g * (2.0 * c0 - np.sum(lp.weights * g)))
+                c1 = lp.cumulative(x * g)
+                out[a, b] = 2.0 * np.sum(lp.weights * g * (x * c0 - c1))
         return out
 
-    return converge(build, rel_tol=2e-9, zero_floor=1e-10 if variant != "abs" else 0.0)[0]
+    return converge(build, rel_tol=2e-9)[0]
 
 
-@pytest.mark.parametrize("variant", ["abs", "sgn"])
-@pytest.mark.parametrize("L", [0, 1])
+# the ids name the |x - y| weight of the block
+@pytest.mark.parametrize("L", [0, 1], ids=["0-abs", "1-abs"])
 @pytest.mark.parametrize("p", [(0.1, -0.1), (0.06, 0.03, -0.05, -0.02)])
-def test_kernel_orth_line_is_the_per_pair_loop_bit_for_bit(variant, L, p):
+def test_kernel_orth_line_is_the_per_pair_loop_bit_for_bit(L, p):
     spec = EnsembleSpec("OE", len(p), L, CouplingSeq.of(0.2))
     p = np.asarray(p)
-    got = moments._kernel_orth_line(spec, p, variant)
-    assert got.tobytes() == _kernel_orth_line_by_pair(spec, p, variant).tobytes()
+    got = moments._kernel_orth_line(spec, p)
+    assert got.tobytes() == _kernel_orth_line_by_pair(spec, p).tobytes()
 
 
 def _worst(table, ref) -> float:

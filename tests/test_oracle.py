@@ -230,6 +230,12 @@ def test_haar_refuses_a_group_it_cannot_draw(group, named):
         haar_expectation_mc(group, [("schur", Partition((1,)))], 100, 1)
 
 
+def test_haar_refuses_a_single_sample():
+    # its standard error would be undefined, and every z-score against it 0
+    with pytest.raises(ValueError, match="samples must be >= 2, got 1"):
+        haar_expectation_mc(("orthogonal", 3), [("schur", Partition((2,)))], 1, 42)
+
+
 def test_haar_predicates():
     [r] = haar_expectation_mc(("orthogonal", 3), [("schur", Partition((2,)))], 40000, 42)
     assert abs(r.value - 1.0) <= 4 * r.error_estimate
