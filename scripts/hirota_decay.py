@@ -9,6 +9,7 @@ Usage: python scripts/hirota_decay.py --kind SE --n 1 --t1 0.2 --alpha 8 --beta 
 import argparse
 
 from pftau.blas import one_thread
+from pftau.hub import HIROTA_ALPHA, HIROTA_BETA, HIROTA_CUTOFFS
 from pftau.moments import EnsembleSpec
 from pftau.symfun import CouplingSeq
 from pftau.tauseries import hirota_residual, tau_charge_family
@@ -20,9 +21,10 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=1)
     ap.add_argument("--L", type=int, default=0)
     ap.add_argument("--t1", type=float, default=0.2)
-    ap.add_argument("--alpha", type=float, default=8.0)
-    ap.add_argument("--beta", type=float, default=10.0)
-    ap.add_argument("--cutoffs", type=int, nargs="+", default=[8, 10, 12, 14])
+    # the defaults are the hirota-decay verdict's own
+    ap.add_argument("--alpha", type=float, default=HIROTA_ALPHA)
+    ap.add_argument("--beta", type=float, default=HIROTA_BETA)
+    ap.add_argument("--cutoffs", type=int, nargs="+", default=list(HIROTA_CUTOFFS))
     args = ap.parse_args()
 
     with one_thread():

@@ -105,8 +105,6 @@ _NUMBERS = {"cutoff": (int, lambda v: v >= 0), "samples": (int, lambda v: v >= 2
 _COMPARISONS = {"compare-oracle": "series-vs-oracle-ratio", "hirota-check": "hirota-decay",
                 "group-integral": "group-series-vs-mc", "kernel-check": "kernel-vs-oracle",
                 "discrete-check": "discrete-exact"}
-# the top-level keys of the parameters that a command spells otherwise
-_ALIASES = {"alpha": "alpha_shift", "beta": "beta_shift"}
 
 
 def _number(node: dict, key: str, default):
@@ -128,10 +126,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("unknown-command", f"command must be one of {COMMANDS}, got {command!r}")
     requested = raw.get("experiments", "acceptance") if command == "suite" else None
     if command in _COMPARISONS:
-        # a single-experiment command's params are top-level keys: {parameter: key}
+        # a single-experiment command's params are top-level keys
         comparison = hub.COMPARISONS[_COMPARISONS[command]]
-        keys = {k: _ALIASES.get(k, k) for k in comparison.params}
-        reads = comparison.reads | set(keys.values())
+        reads = comparison.reads | set(comparison.params)
     else:
         reads = _COMMAND_READS["acceptance" if requested == "acceptance" else command]
     unknown = set(raw) - _COMMON_KEYS - reads
@@ -164,8 +161,8 @@ def parse_config(text: str) -> RunConfig:
         # the one inline suite entry that a single-experiment command stands for
         node = {k: raw[k] for k in comparison.reads if k in raw}
         node.update(name=command, comparison=_COMPARISONS[command],
-                    params={k: raw[key] for k, key in keys.items() if key in raw})
-        cfg.experiments = [_experiment_from_node(node, cfg, 0, keys)]
+                    params={k: raw[k] for k in comparison.params if k in raw})
+        cfg.experiments = [_experiment_from_node(node, cfg, 0)]
     elif command in ("partition-function", "moments-dump"):
         # the rows of the one moment table the command reads, refused here where the tables
         # cannot hold them
@@ -186,9 +183,9 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def _experiment_from_node(node, cfg: RunConfig, index: int, keys=None) -> hub.Experiment:
+def _experiment_from_node(node, cfg: RunConfig, index: int) -> hub.Experiment:
     """One experiment from an inline suite entry, which sets fields its comparison reads (others
-    come from `cfg`) and params, checked against `hub.COMPARISONS` and named by `keys`."""
+    come from `cfg`) and params, checked against `hub.COMPARISONS`."""
     if not isinstance(node, dict):
         raise ConfigError("bad-suite", f"experiment {index} must be an object")
     try:
@@ -204,7 +201,7 @@ def _experiment_from_node(node, cfg: RunConfig, index: int, keys=None) -> hub.Ex
         if not isinstance(params, dict):
             raise ConfigError("bad-suite", "params must be an object")
         spec = parse_ensemble(node["ensemble"]) if "ensemble" in node else None
-        hub.resolve_params(kind, params, spec, keys)
+        hub.resolve_params(kind, params, spec)
 
         def tuplify(v):
             return tuple(tuplify(x) for x in v) if isinstance(v, list) else v

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .skewlin import SkewPair
 
 _SQRT2 = math.sqrt(2.0)
@@ -157,39 +155,32 @@ def apply_linear(coeffs_psi: dict, coeffs_dag: dict, vec: FockVector) -> FockVec
 
 
 def apply_pair_sum(pair: SkewPair, vec: FockVector) -> FockVector:
-    """Phi = (1/2) sum A_ij psi_i psi_j + phi sum a_i psi_i, one application."""
-    w = vec.window
-    total = FockVector(w)
-    size = pair.size
-    base = pair.index_base
-    for jj in range(size):
-        j = base + jj
-        if not (w.lo <= j < w.hi):
-            continue
-        col = pair.a_matrix[:, jj]
-        if np.any(col != 0):
-            pv = apply_psi(j, vec)
-            if not pv.is_zero():
-                for ii in range(size):
-                    cij = pair.a_matrix[ii, jj]
-                    if cij == 0:
-                        continue
-                    i = base + ii
-                    if not (w.lo <= i < w.hi):
-                        continue
-                    total.add_into(apply_psi(i, pv).scaled(0.5 * cij))
-    border = FockVector(w)
-    for jj in range(size):
-        aj = pair.border[jj]
-        if aj == 0:
-            continue
-        j = base + jj
-        if not (w.lo <= j < w.hi):
-            continue
-        border.add_into(apply_psi(j, vec).scaled(aj))
-    if border.amp:
-        total.add_into(apply_phi(border))
-    return total.prune()
+    """Phi = (1/2) sum A_ij psi_i psi_j + phi sum a_i psi_i, one application, in one pass over
+    the states of `vec`.  For levels i > j, (1/2)(A_ij psi_i psi_j + A_ji psi_j psi_i) is
+    (1/2)(A_ij - A_ji) psi_i psi_j, whose two signs are both read off the state, as level j
+    lies below i; and phi on a state with one more level filled is minus phi on the state."""
+    w, base = vec.window, pair.index_base
+    # the table rows of the levels inside the window, and the bit of the first
+    first = max(w.lo - base, 0)
+    rows = slice(first, max(min(w.hi - base, pair.size), first))
+    a = pair.a_matrix[rows, rows]
+    half, border = (0.5 * (a - a.T)).tolist(), pair.border[rows].tolist()
+    shift, sea = base + first - w.lo, w.sea()
+    out: dict = {}
+    for state, c in vec.amp.items():
+        empty = [(k, 1 << b, _sign_above(state, b)) for k, b in
+                 enumerate(range(shift, shift + len(border))) if not state >> b & 1]
+        phi = (1.0 if (state ^ sea).bit_count() & 1 else -1.0) / _SQRT2
+        for n, (i, flip_i, sign_i) in enumerate(empty):
+            if border[i] != 0:
+                ns = state | flip_i
+                out[ns] = out.get(ns, 0.0) + phi * border[i] * sign_i * c
+            row = half[i]
+            for j, flip_j, sign_j in empty[:n]:
+                if row[j] != 0:
+                    ns = state | flip_i | flip_j
+                    out[ns] = out.get(ns, 0.0) + row[j] * sign_i * sign_j * c
+    return FockVector(w, out).prune()
 
 
 def apply_word(word: Iterable, vec: FockVector) -> FockVector:
@@ -236,17 +227,14 @@ def exp_pair_vev(bra_charge: int, pair: SkewPair, ket_charge: int,
                  window: FockWindow) -> complex:
     """<bra| exp(Phi) |ket> with quadratic-plus-border Phi, by Taylor expansion.
 
-    The expansion terminates: each application raises charge, and the
-    window bounds the reachable charge.
+    Each application of Phi raises the charge by 1 (the border term) or by 2 (the
+    pair term), so no term past order bra - ket reaches <bra|.
     """
     ket = charged_vacuum(ket_charge, window)
-    bra = charged_vacuum(bra_charge, window)
-    (bra_state, _), = bra.amp.items()
+    (bra_state, _), = charged_vacuum(bra_charge, window).amp.items()
     total = ket.coefficient(bra_state)
     term = ket
-    k = 0
-    while not term.is_zero() and k < 2 * (window.hi - window.lo) + 2:
-        k += 1
+    for k in range(1, bra_charge - ket_charge + 1):
         term = apply_pair_sum(pair, term).scaled(1.0 / k)
         total += term.coefficient(bra_state)
     return complex(total)

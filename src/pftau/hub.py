@@ -153,8 +153,12 @@ def _run_reality(e: Experiment, p: dict) -> Verdict:
                    {"worst_imag_fraction": worst})
 
 
+# the structure check reads the table up to a[5, 6]
+GINSE_STRUCTURE_SIZE = 8
+
+
 def _run_ginse_structure(e: Experiment, p: dict) -> Verdict:
-    size = p["size"]
+    size = GINSE_STRUCTURE_SIZE
     pair = moment_pair(replace(e.spec, t=ZERO_SEQ, s=ZERO_SEQ), size)
     a = pair.a_matrix
     mx = float(np.max(np.abs(a)))
@@ -191,18 +195,24 @@ def _run_kernel(e: Experiment, p: dict) -> Verdict:
     return Verdict(e.name, e.comparison, passed, margin, e.tolerance, {"quotients": quotients})
 
 
+# the two shift points of the difference identity, the cutoffs its residual decays over, and the
+# factor each step must shrink it by; the verdict only echoes the tolerance
+HIROTA_ALPHA, HIROTA_BETA = 8.0, 10.0
+HIROTA_CUTOFFS = (8, 10, 12, 14)
+HIROTA_MIN_FACTOR = 2.0
+
+
 def _run_hirota(e: Experiment, p: dict) -> Verdict:
     spec = e.spec
-    alpha, beta, cutoffs, min_factor = p["alpha"], p["beta"], p["cutoffs"], p["min_factor"]
     charges = [spec.n_eff + d for d in (-1, 0, 1, 2)]
     rels = [ts.hirota_residual(ts.tau_charge_family(spec, charges, w), spec.t,
-                               alpha, beta).relative for w in cutoffs]
+                               HIROTA_ALPHA, HIROTA_BETA).relative for w in HIROTA_CUTOFFS]
     factors = [rels[i] / max(rels[i + 1], 1e-300) for i in range(len(rels) - 1)]
     monotone = all(rels[i + 1] < rels[i] for i in range(len(rels) - 1))
-    passed = monotone and all(f >= min_factor for f in factors)
+    passed = monotone and all(f >= HIROTA_MIN_FACTOR for f in factors)
     return Verdict(e.name, e.comparison, passed, min(factors), e.tolerance,
-                   {"residuals": rels, "decay_factors": factors,
-                    "alpha": alpha, "beta": beta, "cutoffs": list(cutoffs)})
+                   {"residuals": rels, "decay_factors": factors, "alpha": HIROTA_ALPHA,
+                    "beta": HIROTA_BETA, "cutoffs": list(HIROTA_CUTOFFS)})
 
 
 def _run_group_integral(e: Experiment, p: dict) -> Verdict:
@@ -236,11 +246,14 @@ def _z_score(mc: orc.OracleResult, expected) -> float:
     return abs(mc.value - expected) / max(mc.error_estimate, MC_STDERR_FLOOR)
 
 
+# the couplings of every discrete-exact trial
+DISCRETE_T = CouplingSeq.of(0.07, -0.03)
+
+
 def _discrete_trials(e: Experiment, p: dict) -> list:
     """The (spec, real_atoms, pair_atoms) of every trial of a discrete-exact experiment
     with the resolved params `p`, drawn in trial order from its seed."""
     rng = np.random.default_rng(e.seed)
-    t = CouplingSeq(p["t"])
     trials = []
     for trial in range(p["trials"]):
         n = 1 + trial % 3
@@ -255,7 +268,7 @@ def _discrete_trials(e: Experiment, p: dict) -> list:
             res = _separated(rng, 4, lo=-1.2, hi=1.2, gap=0.3)
             pairs = [(complex(a, b), w) for a, b, w in
                      zip(res, rng.uniform(0.2, 1.0, size=4), rng.uniform(0.3, 1.2, size=4))]
-        trials.append((replace(e.spec, n=n, L=L, t=t), reals, pairs))
+        trials.append((replace(e.spec, n=n, L=L, t=DISCRETE_T), reals, pairs))
     return trials
 
 
@@ -276,12 +289,15 @@ def _separated(rng, count, lo=-1.4, hi=1.4, gap=0.05):
     return (lo + u + gap * np.arange(count)).tolist()
 
 
+# the spectral points the wave function is fitted at
+WAVE_POINTS = (2.0, 3.0, 5.0)
+
+
 def _run_wave(e: Experiment, p: dict) -> Verdict:
     spec = e.spec
-    points, cut_lo = p["points"], p["cutoff_low"]
-    cut_lo = max(6, e.cutoff - 4) if cut_lo is None else cut_lo
-    rep_hi = ts.wave_polynomial_check(spec, e.cutoff, points, s_ratio_fn=_s_ratio_fn(spec))
-    rep_lo = ts.wave_polynomial_check(spec, cut_lo, points)
+    rep_hi = ts.wave_polynomial_check(spec, e.cutoff, WAVE_POINTS, s_ratio_fn=_s_ratio_fn(spec))
+    # the lower cutoff it is compared with: four below, at least 6
+    rep_lo = ts.wave_polynomial_check(spec, max(6, e.cutoff - 4), WAVE_POINTS)
     margin = max(rep_hi.fit_deviation_t, rep_hi.fit_deviation_s or 0.0)   # s side if any
     # both t-side deviations can sit at the rounding floor, where their order is noise
     passed = (margin < e.tolerance
@@ -362,24 +378,24 @@ def _kernel_points(value, key):
     return points
 
 
-def _group_fits(params: dict, spec, names: dict) -> None:
+def _group_fits(params: dict, spec) -> None:
     """A compact symplectic group acts on an even dimension."""
     if params["group"] == "symplectic" and params["size"] % 2:
-        raise ConfigError("bad-value", f"{names.get('size', 'size')} of the symplectic group "
+        raise ConfigError("bad-value", "size of the symplectic group "
                           f"must be even, got {params['size']}")
 
 
 _PFAFFIAN_KINDS = ", ".join(kind for kind, (family, _) in KINDS.items() if family != "unitary")
 
 
-def _pfaffian_fits(params: dict, spec: EnsembleSpec, names: dict) -> None:
+def _pfaffian_fits(params: dict, spec: EnsembleSpec) -> None:
     """The moment tables serve the Pfaffian kinds only."""
     if spec.family == "unitary":
         raise ConfigError("bad-ensemble", f"the moment tables serve {_PFAFFIAN_KINDS} only, "
                           f"got {spec.kind}")
 
 
-def _bimoment_fits(params: dict, spec: EnsembleSpec, names: dict) -> None:
+def _bimoment_fits(params: dict, spec: EnsembleSpec) -> None:
     """The direct two-point oracle is for GinUE with n = 2; Z(0) vanishes by rotation unless
     L2 = -L, and with it the ratios that the verdict compares."""
     if spec.kind != "GinUE" or spec.n != 2 or spec.L2 != -spec.L:
@@ -388,17 +404,17 @@ def _bimoment_fits(params: dict, spec: EnsembleSpec, names: dict) -> None:
                           f"({spec.L}, {spec.L2})")
 
 
-def _kernel_fits(params: dict, spec: EnsembleSpec, names: dict) -> None:
+def _kernel_fits(params: dict, spec: EnsembleSpec) -> None:
     """The kernel identity holds for a Pfaffian kind, with one point per unit of charge."""
     if spec.family == "unitary":
         raise ConfigError("bad-ensemble", f"no kernel for kind {spec.kind!r}")
     for key in ("p", "p_ref"):
         if len(params[key]) != spec.n_eff:
-            raise ConfigError("bad-value", f"{names.get(key, key)} must hold as many points as "
+            raise ConfigError("bad-value", f"{key} must hold as many points as "
                               f"the charge {spec.n_eff}, got {len(params[key])}")
 
 
-def _anchor_fits(params: dict, spec: EnsembleSpec, names: dict) -> None:
+def _anchor_fits(params: dict, spec: EnsembleSpec) -> None:
     """exp(t1^2) is Z(t)/Z(0) of one symplectic pair at L = 0, s = 0, t = (t1,), any mix."""
     if (spec.family != "sympl" or spec.n != 1 or spec.L != 0 or spec.s.top_index()
             or spec.t.top_index() > 1):
@@ -408,7 +424,7 @@ def _anchor_fits(params: dict, spec: EnsembleSpec, names: dict) -> None:
                           f"t = {spec.t.values}")
 
 
-def _ginse_structure_fits(params: dict, spec: EnsembleSpec, names: dict) -> None:
+def _ginse_structure_fits(params: dict, spec: EnsembleSpec) -> None:
     """The superdiagonal rule is that of the pure quaternion half-plane table."""
     alpha, beta = spec.mix
     if spec.family != "sympl" or beta != 0.0 or alpha == 0.0:
@@ -419,11 +435,11 @@ def _ginse_structure_fits(params: dict, spec: EnsembleSpec, names: dict) -> None
 
 class Comparison(NamedTuple):
     """A comparison kind: `run(e, params)` reads no `Experiment` field outside `reads`; `params`
-    is {param: (check(value, key), default)}; `fits(params, spec, names)` refuses misfits."""
+    is {param: (check(value, key), default)}; `fits(params, spec)` refuses misfits."""
     run: Callable
     reads: frozenset
     params: dict = {}
-    fits: Callable = lambda params, spec, names: None
+    fits: Callable = lambda params, spec: None
 
 
 # the experiment fields that a series, an ensemble alone, and a Haar Monte Carlo read
@@ -434,47 +450,38 @@ COMPARISONS = {
     "series-vs-oracle-ratio": Comparison(_run_series_vs_oracle, _SERIES, fits=_pfaffian_fits),
     "closed-form-anchor": Comparison(_run_anchor, _SERIES, fits=_anchor_fits),
     "reality": Comparison(_run_reality, _SERIES, fits=_pfaffian_fits),
-    # the structure check reads the table up to a[5, 6]
-    "ginse-structure": Comparison(_run_ginse_structure, _SPEC, {"size": (_at_least(int, 7), 8)},
-                                  _ginse_structure_fits),
+    "ginse-structure": Comparison(_run_ginse_structure, _SPEC, fits=_ginse_structure_fits),
     "kernel-vs-oracle": Comparison(_run_kernel, _SPEC, {
         "p": (_kernel_points, (0.1, -0.1)), "p_ref": (_kernel_points, (0.08, -0.06))},
         _kernel_fits),
-    # min_factor judges the decay; the verdict only echoes the tolerance
-    "hirota-decay": Comparison(_run_hirota, _SPEC, {
-        "alpha": (read_number, 8.0), "beta": (read_number, 10.0), "min_factor": (read_number, 2.0),
-        "cutoffs": (array_of(_at_least(int, 0), 2), (8, 10, 12, 14))}, _pfaffian_fits),
+    "hirota-decay": Comparison(_run_hirota, _SPEC, fits=_pfaffian_fits),
     # a Monte Carlo z-score has its own bound, and a group no ensemble
     "group-series-vs-mc": Comparison(_run_group_integral, _HAAR, {
         "group": (_group, "orthogonal"), "size": (_at_least(int, 1), 3),
         "t": (array_of(read_number), (0.2,)), "predicates": (array_of(_predicate), ())},
         _group_fits),
-    "discrete-exact": Comparison(_run_discrete, _SPEC | {"seed"}, {
-        "trials": (_at_least(int, 1), 50), "t": (array_of(read_number), (0.07, -0.03))},
-        _pfaffian_fits),
-    # cutoff_low None: four below the cutoff, at least 6
-    "wave-poly": Comparison(_run_wave, _SERIES, {
-        "points": (array_of(read_number, 1), (2.0, 3.0, 5.0)),
-        "cutoff_low": (_at_least(int, 0), None)}, _pfaffian_fits),
+    "discrete-exact": Comparison(_run_discrete, _SPEC | {"seed"},
+                                 {"trials": (_at_least(int, 1), 50)}, _pfaffian_fits),
+    "wave-poly": Comparison(_run_wave, _SERIES, fits=_pfaffian_fits),
     "bimoment-vs-direct": Comparison(_run_bimoment, _SPEC, fits=_bimoment_fits),
 }
 
 
-def resolve_params(comparison: str, params, spec: EnsembleSpec | None, names=None) -> dict:
+def resolve_params(comparison: str, params, spec: EnsembleSpec | None) -> dict:
     """Every param that `comparison` declares, checked where `params` sets it, else its default,
     and fitted to `spec`; ConfigError on an unknown comparison, a missing `spec` it reads, or an
-    undeclared, malformed or unfitting param, which it names by `names.get(param, param)`."""
+    undeclared, malformed or unfitting param."""
     if comparison not in COMPARISONS:
         raise ConfigError("unknown-comparison", f"unknown comparison kind {comparison!r}")
     if spec is None and "ensemble" in COMPARISONS[comparison].reads:
         raise ConfigError("missing-ensemble", f"{comparison} needs an ensemble")
-    declared, given, names = COMPARISONS[comparison].params, dict(params), names or {}
+    declared, given = COMPARISONS[comparison].params, dict(params)
     unknown = sorted(set(given) - set(declared))
     if unknown:
         raise ConfigError("unknown-field", f"{comparison} has no params {unknown}")
-    resolved = {k: check(given[k], names.get(k, k)) if k in given else default
+    resolved = {k: check(given[k], k) if k in given else default
                 for k, (check, default) in declared.items()}
-    COMPARISONS[comparison].fits(resolved, spec, names)
+    COMPARISONS[comparison].fits(resolved, spec)
     return resolved
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pftau import moments
+from pftau import hub, moments
 from pftau.cli import parse_config
 from pftau.fock import FockWindow, apply_phi, charged_vacuum, vev
 from pftau.hub import COMPARISONS, resolve_params, run_experiment
@@ -74,7 +74,8 @@ def test_criterion_01_pfaffian_suite():
 
 def test_criterion_02_ginse_moment_structure(gate):
     [r] = _judged(gate, 2, {"ginse-moment-structure": {"ensemble": Spec("GinSE", 2)}},
-                  tolerance=1e-6, size=8)
+                  tolerance=1e-6)
+    assert hub.GINSE_STRUCTURE_SIZE == 8
     _report("criterion-2 GinSE moments", r.v.passed and r.seconds < 10.0,
             f"off-superdiagonal {r.v.details['off_superdiagonal_fraction']:.2e}, "
             f"ratio error {r.v.margin:.2e}; {r.seconds:.1f}s")
@@ -100,7 +101,8 @@ def test_criterion_04_closed_form_anchor(gate):
 
 def test_criterion_05_discrete_exactness(gate):
     runs = _judged(gate, 5, {f"discrete-{kind}": {"ensemble": Spec(kind, 1)} for kind in KINDS},
-                   tolerance=1e-10, seed=42, trials=50, t=(0.07, -0.03))
+                   tolerance=1e-10, seed=42, trials=50)
+    assert hub.DISCRETE_T == CouplingSeq.of(0.07, -0.03)
     worst, elapsed = max(r.v.margin for r in runs), sum(r.seconds for r in runs)
     _report("criterion-5 discrete Wick/Pfaffian", all(r.v.passed for r in runs) and elapsed < 30.0,
             f"4 kinds x 50 random configs, worst rel {worst:.2e}; {elapsed:.1f}s")
@@ -130,12 +132,14 @@ def test_criterion_07_group_integrals(gate):
 
 
 def test_criterion_08_hirota_decay(gate):
-    decay = dict(tolerance=1e-5, alpha=8.0, beta=10.0, cutoffs=(8, 10, 12, 14), min_factor=2.0)
     runs = _judged(gate, 8, {
-        "hirota-SE": {"ensemble": Spec("SE", 1, 0, T02), **decay},
-        "hirota-GinOE": {"ensemble": Spec("GinOE", 2, 0, CouplingSeq.of(0.1)), **decay},
-        "wave-SE-N1": {"ensemble": Spec("SE", 1, 0, T02), "tolerance": 1e-4, "cutoff": 12,
-                       "points": (2.0, 3.0, 5.0), "cutoff_low": None}})
+        "hirota-SE": {"ensemble": Spec("SE", 1, 0, T02), "tolerance": 1e-5},
+        "hirota-GinOE": {"ensemble": Spec("GinOE", 2, 0, CouplingSeq.of(0.1)), "tolerance": 1e-5},
+        "wave-SE-N1": {"ensemble": Spec("SE", 1, 0, T02), "tolerance": 1e-4, "cutoff": 12}})
+    # the settings these verdicts run at are constants of the comparisons
+    assert (hub.HIROTA_ALPHA, hub.HIROTA_BETA, hub.HIROTA_CUTOFFS, hub.HIROTA_MIN_FACTOR) == (
+        8.0, 10.0, (8, 10, 12, 14), 2.0)
+    assert hub.WAVE_POINTS == (2.0, 3.0, 5.0)
     _report("criterion-8 hierarchy", all(r.v.passed for r in runs),
             "Hirota residual monotone over W=8,10,12,14 with per-step factor >= 2, and the "
             "wave polynomial fits: " + "; ".join(f"{r.e.name} {r.v.margin:.2g}" for r in runs))

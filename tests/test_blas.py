@@ -13,7 +13,7 @@ from pftau.symfun import CouplingSeq
 
 STRUCTURE = json.dumps({"command": "suite", "format": "json", "experiments": [
     {"name": "structure", "comparison": "ginse-structure", "ensemble": {"kind": "GinSE", "n": 2},
-     "tolerance": 1e-6, "params": {"size": 8}}]})
+     "tolerance": 1e-6}]})
 
 
 def _threads():

@@ -240,8 +240,7 @@ def test_inline_suite(tmp_path):
 
 
 def test_verdict_pass_fields_are_json_booleans(tmp_path):
-    structure = {"comparison": "ginse-structure", "ensemble": {"kind": "GinSE", "n": 2},
-                 "params": {"size": 8}}
+    structure = {"comparison": "ginse-structure", "ensemble": {"kind": "GinSE", "n": 2}}
     cfg = parse_config(json.dumps({
         "command": "suite", "format": "json",
         "experiments": [dict(structure, name="ok", tolerance=1e-6),
@@ -275,15 +274,14 @@ def test_gate_kernel_verdict_is_strict_json(tmp_path):
 
 
 def test_single_command_is_an_inline_suite_entry():
-    cfg = parse_config(json.dumps({"command": "hirota-check",
+    cfg = parse_config(json.dumps({"command": "kernel-check",
                                    "ensemble": {"kind": "SE", "n": 1, "t": [0.2]},
-                                   "alpha_shift": 8, "beta_shift": 10.0,
-                                   "cutoffs": [8, 10], "tolerance": 0.5}))
+                                   "p": [0.1, -0.2], "tolerance": 0.5}))
     [e] = cfg.experiments
-    assert (e.name, e.comparison, e.spec, e.tolerance) == ("hirota-check", "hirota-decay",
+    assert (e.name, e.comparison, e.spec, e.tolerance) == ("kernel-check", "kernel-vs-oracle",
                                                             cfg.ensemble, 0.5)
     assert (e.cutoff, e.samples, e.seed) == (cfg.cutoff, cfg.samples, cfg.seed)
-    assert dict(e.params) == {"alpha": 8.0, "beta": 10.0, "cutoffs": (8, 10)}
+    assert dict(e.params) == {"p": (0.1, -0.2)}
 
 
 def test_group_entry_takes_the_suite_defaults_but_no_tolerance_of_its_own():
@@ -358,9 +356,6 @@ _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
     ("dump-size-malformed",
      {"command": "moments-dump", "ensemble": {"kind": "SE", "n": 1}, "size": "x"},
      "bad-number", "size"),
-    ("alpha-shift-malformed",
-     {"command": "hirota-check", "ensemble": {"kind": "SE", "n": 1}, "alpha_shift": "x"},
-     "bad-number", "alpha_shift"),
     ("seed-negative",
      {"command": "discrete-check", "ensemble": {"kind": "OE", "n": 1}, "seed": -1},
      "bad-number", "seed"),
@@ -391,11 +386,6 @@ _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
     ("dump-foreign-field",
      {"command": "partition-function", "ensemble": {"kind": "SE", "n": 1}, "size": 5},
      "unknown-field", "['size'] for partition-function"),
-    ("entry-ginse-size-below-7",
-     {"command": "suite", "experiments": [{"name": "g", "comparison": "ginse-structure",
-                                           "ensemble": {"kind": "GinSE", "n": 2},
-                                           "params": {"size": 4}}]},
-     "bad-number", "experiment 0 'g': size out of range"),
     ("group-predicate-without-parts",
      {"command": "group-integral", "predicates": [[2, 1.0]]},
      "bad-value", "experiment 0 'group-integral': predicates"),
@@ -407,9 +397,6 @@ _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
     ("inline-suite-ensemble", {"command": "suite", "ensemble": {"kind": "SE", "n": 1},
                                "experiments": [_ENTRY]},
      "unknown-field", "['ensemble'] for suite"),
-    ("hirota-one-cutoff",
-     {"command": "hirota-check", "ensemble": {"kind": "SE", "n": 1}, "cutoffs": [8]},
-     "bad-value", "experiment 0 'hirota-check': cutoffs"),
     ("entry-unknown-comparison",
      {"command": "suite", "experiments": [dict(_ENTRY, comparison="no-such-kind")]},
      "unknown-comparison", "experiment 0 'r1'"),
@@ -447,9 +434,42 @@ _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
     ("param-trials-float",
      {"command": "suite", "experiments": [dict(_DISCRETE, params={"trials": 2.0})]},
      "bad-number", "experiment 0 'd1': malformed trials: 2.0"),
+    # the settings that are `hub` constants (the Hirota shifts and cutoffs, the discrete t,
+    # the structure table size, the wave points and lower cutoff) are no parameters: each is an
+    # unknown field, under its old top-level spelling too, whatever its value
+    ("alpha-shift-malformed",
+     {"command": "hirota-check", "ensemble": {"kind": "SE", "n": 1}, "alpha_shift": "x"},
+     "unknown-field", "unknown fields ['alpha_shift'] for hirota-check"),
     ("alpha-shift-bool",
      {"command": "hirota-check", "ensemble": {"kind": "SE", "n": 1}, "alpha_shift": True},
-     "bad-number", "experiment 0 'hirota-check': malformed alpha_shift: True"),
+     "unknown-field", "unknown fields ['alpha_shift'] for hirota-check"),
+    ("hirota-shifts-at-their-values",
+     {"command": "hirota-check", "ensemble": {"kind": "SE", "n": 1}, "alpha": 8.0, "beta": 10.0,
+      "beta_shift": 10.0}, "unknown-field", "['alpha', 'beta', 'beta_shift'] for hirota-check"),
+    ("hirota-one-cutoff",
+     {"command": "hirota-check", "ensemble": {"kind": "SE", "n": 1}, "cutoffs": [8]},
+     "unknown-field", "unknown fields ['cutoffs'] for hirota-check"),
+    ("entry-hirota-decay-params",
+     {"command": "suite", "experiments": [{"name": "h", "comparison": "hirota-decay",
+                                           "ensemble": {"kind": "SE", "n": 1},
+                                           "params": {"min_factor": 2.0, "alpha": 8.0}}]},
+     "unknown-field", "experiment 0 'h': hirota-decay has no params ['alpha', 'min_factor']"),
+    ("entry-ginse-size-below-7",
+     {"command": "suite", "experiments": [{"name": "g", "comparison": "ginse-structure",
+                                           "ensemble": {"kind": "GinSE", "n": 2},
+                                           "params": {"size": 4}}]},
+     "unknown-field", "experiment 0 'g': ginse-structure has no params ['size']"),
+    ("discrete-t",
+     {"command": "discrete-check", "ensemble": {"kind": "OE", "n": 1}, "t": [0.07, -0.03]},
+     "unknown-field", "unknown fields ['t'] for discrete-check"),
+    ("entry-discrete-t", {"command": "suite", "experiments": [dict(_DISCRETE,
+                                                                   params={"t": [0.07, -0.03]})]},
+     "unknown-field", "experiment 0 'd1': discrete-exact has no params ['t']"),
+    ("entry-wave-points-and-cutoff-low",
+     {"command": "suite", "experiments": [{"name": "w", "comparison": "wave-poly",
+                                           "ensemble": {"kind": "SE", "n": 1},
+                                           "params": {"points": [2.0], "cutoff_low": 6}}]},
+     "unknown-field", "experiment 0 'w': wave-poly has no params ['cutoff_low', 'points']"),
     # domains, one parameter's depending on another's included
     ("group-symplectic-odd-size", {"command": "group-integral", "group": "symplectic", "size": 3},
      "bad-value", "experiment 0 'group-integral': size of the symplectic group must be even"),
@@ -629,9 +649,6 @@ def test_every_config_runs_to_a_finite_or_an_errored_verdict(config):
     # tables past moments.MAX_TABLE_SIZE rows, where the s = 0 closed forms overflow Gamma
     pytest.param({"command": "compare-oracle", "ensemble": {"kind": "SE", "n": 1, "t": [0.1]},
                   "cutoff": 200}, id="compare-oracle-table-past-the-closed-forms"),
-    pytest.param({"command": "suite", "experiments": [
-        {"name": "g", "comparison": "ginse-structure", "ensemble": {"kind": "GinSE", "n": 2},
-         "params": {"size": 200}}]}, id="ginse-structure-table-past-the-closed-forms"),
     # sum n t_n s_n = 720 > 709: the exp of the normalization c(t, s) overflows
     pytest.param({"command": "compare-oracle", "ensemble": {"kind": "OE", "n": 1, "t": [12],
                                                             "s": [60, 10]}},

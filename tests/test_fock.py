@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from pftau.fock import (FockVector, FockWindow, WindowError, apply_linear, apply_phi,
-                        apply_psi, apply_psi_dag, charged_vacuum, exp_pair_vev, vev)
+from pftau import fock
+from pftau.fock import (FockVector, FockWindow, WindowError, apply_linear, apply_pair_sum,
+                        apply_phi, apply_psi, apply_psi_dag, charged_vacuum, exp_pair_vev, vev)
+from pftau.moments import EnsembleSpec, moment_pair
 from pftau.skewlin import SkewPair, pfaffian
+from pftau.symfun import ZERO_SEQ
+from pftau.tauseries import tau_series
 
 W = FockWindow(-4, 8)
 
@@ -207,3 +211,101 @@ def test_fused_linear_is_the_per_mode_loop_bit_for_bit(seed):
     for cv, cu in (({i: z ** i for i in modes}, {}), ({}, {i: z ** (-i - 1) for i in modes})):
         assert _amp_bits(apply_linear(cv, cu, vec)) == _amp_bits(
             _apply_linear_per_mode(cv, cu, vec))
+
+
+def _apply_pair_sum_per_column(pair, vec):
+    # per table column, one vector per entry, scaled and added: the loop the one pass replaces
+    w = vec.window
+    total = FockVector(w)
+    for jj in range(pair.size):
+        j = pair.index_base + jj
+        if not (w.lo <= j < w.hi):
+            continue
+        pv = apply_psi(j, vec)
+        for ii in range(pair.size):
+            i = pair.index_base + ii
+            if pair.a_matrix[ii, jj] != 0 and w.lo <= i < w.hi:
+                total.add_into(apply_psi(i, pv).scaled(0.5 * pair.a_matrix[ii, jj]))
+    border = FockVector(w)
+    for jj in range(pair.size):
+        j = pair.index_base + jj
+        if pair.border[jj] != 0 and w.lo <= j < w.hi:
+            border.add_into(apply_psi(j, vec).scaled(pair.border[jj]))
+    if border.amp:
+        total.add_into(apply_phi(border))
+    return total.prune()
+
+
+@pytest.mark.parametrize("skew", [True, False])
+@pytest.mark.parametrize("base, size, window", [
+    pytest.param(0, 6, W, id="inside"),
+    pytest.param(-3, 8, W, id="negative-base"),
+    pytest.param(-2, 14, W, id="cut-above"),
+    pytest.param(-6, 9, FockWindow(-3, 9), id="cut-below"),
+])
+def test_pair_sum_in_one_pass_is_the_per_column_loop(skew, base, size, window):
+    rng = np.random.default_rng([size, 10 + base, skew])
+    for complex_table in (False, True):
+        raw = rng.normal(size=(size, size)) + (1j * rng.normal(size=(size, size))
+                                               if complex_table else 0.0)
+        border = rng.normal(size=size)
+        border[rng.integers(size)] = 0.0
+        pair = SkewPair(raw - raw.T if skew else raw, border, base)
+        # vacua, and any eight occupation states of the window
+        states = rng.integers(0, 1 << (window.hi - window.lo), size=8).tolist()
+        mixed = FockVector(window, {k: complex(*rng.normal(size=2)) for k in states})
+        for vec in (charged_vacuum(0, window), charged_vacuum(-1, window), mixed):
+            got, want = apply_pair_sum(pair, vec), _apply_pair_sum_per_column(pair, vec)
+            assert got.amp and set(got.amp) == set(want.amp)
+            assert all(abs(got.amp[k] - v) <= 1e-13 * abs(v) for k, v in want.amp.items())
+
+
+def _exp_pair_vev_unbounded(bra_charge, pair, ket_charge, window):
+    # Phi applied until the term vanishes or the window's bound: the loop the charge bound ends
+    ket = charged_vacuum(ket_charge, window)
+    (bra_state, _), = charged_vacuum(bra_charge, window).amp.items()
+    total, term, k = ket.coefficient(bra_state), ket, 0
+    while not term.is_zero() and k < 2 * (window.hi - window.lo) + 2:
+        k += 1
+        term = apply_pair_sum(pair, term).scaled(1.0 / k)
+        total += term.coefficient(bra_state)
+    return complex(total)
+
+
+def test_exp_pair_vev_stops_at_the_bra_charge(monkeypatch):
+    rng = np.random.default_rng(21)
+    raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    pairs = [SkewPair(raw - raw.T, rng.normal(size=8) + 1j * rng.normal(size=8)),
+             moment_pair(EnsembleSpec("OE", 3), 8), moment_pair(EnsembleSpec("GinSE", 1, 1), 8)]
+    window = FockWindow(-1, 9)
+    calls = []
+    monkeypatch.setattr(fock, "apply_pair_sum", lambda pair, vec: calls.append(1)
+                        or apply_pair_sum(pair, vec))
+    for pair in pairs:
+        for ket, bra in ((0, 0), (0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 1)):
+            calls.clear()
+            got = exp_pair_vev(bra, pair, ket, window)
+            assert len(calls) == max(bra - ket, 0)
+            want = _exp_pair_vev_unbounded(bra, pair, ket, window)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+_FORMULA_CASES = [(kind, n, L) for kind, ns in (("OE", (1, 2, 3, 4)), ("SE", (1, 2)),
+                                                ("GinOE", (2, 3)), ("GinSE", (1, 2)))
+                  for n in ns for L in (0, 1)]
+
+
+@pytest.mark.parametrize("kind, n, L", _FORMULA_CASES)
+def test_the_fermionic_vacuum_expectation_is_the_series_at_t_zero(kind, n, L):
+    # <N+L| e^Phi |L> over the package's own moment table against the tau series at t = 0,
+    # N the charge n_eff: equal at even charge, times -1/sqrt(2) at odd charge, where the
+    # phi mode's parity enters; at odd charge and L = 1 both vanish
+    spec = EnsembleSpec(kind, n, L)
+    charge = spec.n_eff
+    value = exp_pair_vev(charge + L, moment_pair(spec, 12), L, FockWindow(-1, 14))
+    series = tau_series(spec, 10).evaluate(ZERO_SEQ)
+    if charge % 2 and L == 1:
+        assert abs(value) <= 1e-14 and abs(series) <= 1e-14
+    else:
+        factor = 1.0 if charge % 2 == 0 else -1.0 / math.sqrt(2.0)
+        assert abs(value - factor * series) <= 1e-14 * abs(series)

@@ -1,6 +1,8 @@
 import math
+import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,8 +97,26 @@ def test_bad_param_in_code_is_an_errored_verdict(params):
 @pytest.mark.parametrize("comparison", sorted(hub.COMPARISONS))
 def test_every_declared_default_passes_its_own_check(comparison):
     for key, (check, default) in hub.COMPARISONS[comparison].params.items():
-        if default is not None:     # None: the runner derives the value
-            assert check(default, key) == default
+        assert check(default, key) == default
+
+
+def test_the_readme_parameter_table_is_the_declared_parameters():
+    # each row of the README table "command | comparison | parameters" names as `name`: the
+    # parameters that `COMPARISONS` declares for its comparisons, or starts with "none"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| command | comparison | parameters: type, default |\n|---|---|---|\n")
+    assert len(table) == 2
+    rows = {}
+    for line in table[1].splitlines():
+        if not line.startswith("|"):
+            break
+        _, _, comparisons, params, _ = line.split("|")
+        named = set(re.findall(r"`(\w+)`:", params))
+        assert named or params.strip().startswith("none"), line
+        for comparison in re.findall(r"`([\w-]+)`", comparisons):
+            assert comparison not in rows, comparison
+            rows[comparison] = named
+    assert rows == {c: set(comparison.params) for c, comparison in hub.COMPARISONS.items()}
 
 
 # one small experiment of each comparison kind, at its default params
@@ -336,13 +356,13 @@ def test_vanishing_partition_function_gives_a_failed_verdict():
 
 
 def test_hirota_experiment_shape():
-    e = Experiment("hir", "hirota-decay", spec=EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.2)),
-                   params=(("alpha", 8.0), ("beta", 10.0), ("cutoffs", (8, 10, 12)),
-                           ("min_factor", 2.0)))
+    e = Experiment("hir", "hirota-decay", spec=EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.2)))
     v = run_experiment(e)
     assert v.passed
-    assert len(v.details["residuals"]) == 3
-    assert all(f >= 2.0 for f in v.details["decay_factors"])
+    assert len(v.details["residuals"]) == len(hub.HIROTA_CUTOFFS) == 4
+    assert all(f >= hub.HIROTA_MIN_FACTOR for f in v.details["decay_factors"])
+    assert (v.details["alpha"], v.details["beta"], v.details["cutoffs"]) == (
+        hub.HIROTA_ALPHA, hub.HIROTA_BETA, list(hub.HIROTA_CUTOFFS))
 
 
 def test_ratio_verdicts_do_not_depend_on_run_order():
@@ -371,7 +391,7 @@ def test_acceptance_experiment_names_unique():
 def test_wave_experiment_with_s_side():
     e = Experiment("wave-s", "wave-poly",
                    spec=EnsembleSpec("SE", 1, 0, CouplingSeq.of(0.2), CouplingSeq.of(0.0, 0.4)),
-                   tolerance=1e-4, cutoff=12, params=(("points", (2.0, 3.0, 5.0)),))
+                   tolerance=1e-4, cutoff=12)
     v = run_experiment(e)
     assert v.passed
     # both wave constructions are polynomials of the charge degree, and the
