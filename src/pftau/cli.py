@@ -63,14 +63,12 @@ def _no_duplicates(pairs):
     return out
 
 
-# the keys of every command, and the fields that each without a comparison reads: an inline
-# suite's are the defaults of its entries, and the acceptance suite's the arguments of
-# `hub.acceptance_experiments`; no entry inherits an ensemble, so a suite takes none
+# the keys of every command, and the fields that each without a comparison reads: a suite's
+# are the defaults of its entries; no entry inherits an ensemble, so a suite takes none
 _COMMON_KEYS = {"command", "output", "cache", "format"}
 _COMMAND_READS = {"partition-function": {"ensemble", "cutoff"},
                   "moments-dump": {"ensemble", "cutoff", "size"},
-                  "suite": {"experiments", "tolerance", "cutoff", "samples", "seed"},
-                  "acceptance": {"experiments", "samples", "seed"}}
+                  "suite": {"experiments", "tolerance", "cutoff", "samples", "seed"}}
 
 
 def _coupling(value, where: str) -> CouplingSeq:
@@ -124,13 +122,12 @@ def parse_config(text: str) -> RunConfig:
     command = raw.get("command")
     if command not in COMMANDS:
         raise ConfigError("unknown-command", f"command must be one of {COMMANDS}, got {command!r}")
-    requested = raw.get("experiments", "acceptance") if command == "suite" else None
     if command in _COMPARISONS:
         # a single-experiment command's params are top-level keys
         comparison = hub.COMPARISONS[_COMPARISONS[command]]
         reads = comparison.reads | set(comparison.params)
     else:
-        reads = _COMMAND_READS["acceptance" if requested == "acceptance" else command]
+        reads = _COMMAND_READS[command]
     unknown = set(raw) - _COMMON_KEYS - reads
     if unknown:
         raise ConfigError("unknown-field", f"unknown fields {sorted(unknown)} for {command}")
@@ -172,14 +169,11 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("bad-number", f"a moment table of {cfg.size} rows is past the "
                               f"{moments.MAX_TABLE_SIZE} the tables hold")
     elif command == "suite":
-        if requested == "acceptance":
-            cfg.experiments = hub.acceptance_experiments(samples=cfg.samples, seed=cfg.seed)
-        elif isinstance(requested, list):
-            cfg.experiments = [_experiment_from_node(node, cfg, i)
-                               for i, node in enumerate(requested)]
-        else:
-            raise ConfigError("bad-suite",
-                              "experiments must be 'acceptance' or a list of experiments")
+        requested = raw.get("experiments")
+        if not isinstance(requested, list):
+            raise ConfigError("bad-suite", "experiments must be a list of experiments, as in "
+                              "scripts/configs/suite_acceptance.json")
+        cfg.experiments = [_experiment_from_node(node, cfg, i) for i, node in enumerate(requested)]
     return cfg
 
 

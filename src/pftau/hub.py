@@ -500,7 +500,8 @@ def run_suite(experiments) -> list[Verdict]:
 
 
 # ---------------------------------------------------------------------------
-# the canonical desk-scale suite
+# the gate's 34 series-vs-oracle ratios, a copy of those in scripts/configs/suite_acceptance.json
+# kept for the benchmark's tau-series workload, which runs them at cutoff 20
 
 T_A = CouplingSeq.of(0.3)
 T_B = CouplingSeq.of(0.1, -0.05)
@@ -515,34 +516,3 @@ def ratio_experiments(cutoff: int = 12) -> list[Experiment]:
     return out + [Experiment(f"ratio-{kind}-N1-L0-sNZ", "series-vs-oracle-ratio",
                              spec=EnsembleSpec(kind, 1, 0, T_A, S_NZ), tolerance=1e-3,
                              cutoff=cutoff) for kind in ("OE", "SE")]
-
-
-def acceptance_experiments(samples: int = 100000, seed: int = 42) -> list[Experiment]:
-    """The named desk-scale suite behind the acceptance gate; every param left out is
-    at its default in `COMPARISONS`."""
-    t02 = CouplingSeq.of(0.2)
-    exps = [Experiment("ginse-moment-structure", "ginse-structure",
-                       spec=EnsembleSpec("GinSE", 2), tolerance=1e-6),
-            *ratio_experiments(cutoff=12),
-            Experiment("anchor-SE-N1-exp", "closed-form-anchor",
-                       spec=EnsembleSpec("SE", 1, 0, T_A), tolerance=1e-6, cutoff=12)]
-    exps += [Experiment(f"discrete-{kind}", "discrete-exact", spec=EnsembleSpec(kind, 1),
-                        tolerance=1e-10, seed=seed) for kind in ("OE", "SE", "GinOE", "GinSE")]
-    exps += [Experiment(f"kernel-{kind}-N2", "kernel-vs-oracle", spec=EnsembleSpec(kind, n, 0, t02),
-                        tolerance=1e-4) for kind, n in (("SE", 1), ("OE", 2))]
-    exps += [Experiment("group-O3", "group-series-vs-mc", cutoff=8, samples=samples, seed=seed,
-                        params=(("predicates", (((2,), 1.0), ((1,), 0.0), ((1, 1), 0.0))),)),
-             Experiment("group-Sp2", "group-series-vs-mc", cutoff=8, samples=samples,
-                        seed=seed + 7, params=(("group", "symplectic"), ("size", 2), (
-                            "predicates", (((1, 1), 1.0), ((2,), 0.0), ((1,), 0.0))))),
-             Experiment("hirota-SE", "hirota-decay", spec=EnsembleSpec("SE", 1, 0, t02)),
-             Experiment("hirota-GinOE", "hirota-decay",
-                        spec=EnsembleSpec("GinOE", 2, 0, CouplingSeq.of(0.1))),
-             Experiment("bimoment-GinUE-N2", "bimoment-vs-direct",
-                        spec=EnsembleSpec("GinUE", 2, 0, t02, t_bar=t02), tolerance=1e-5)]
-    exps += [Experiment(f"reality-{kind}-N{n}", "reality", spec=EnsembleSpec(kind, n, 0, T_B),
-                        tolerance=1e-8, cutoff=10)
-             for kind, n in (("OE", 2), ("SE", 1), ("GinSE", 1), ("GinOE", 2))]
-    exps.append(Experiment("wave-SE-N1", "wave-poly", spec=EnsembleSpec("SE", 1, 0, t02),
-                           tolerance=1e-4, cutoff=12))
-    return exps

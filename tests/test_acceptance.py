@@ -3,20 +3,17 @@ Criteria 1 and 9 check identities directly; the rest judge one run of the shippe
 import math
 import time
 from collections import namedtuple
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pftau import hub, moments
-from pftau.cli import parse_config
 from pftau.fock import FockWindow, apply_phi, charged_vacuum, vev
 from pftau.hub import COMPARISONS, resolve_params, run_experiment
 from pftau.moments import EnsembleSpec as Spec
 from pftau.skewlin import pfaffian, pfaffian_combinatorial
 from pftau.symfun import CouplingSeq
 
-SHIPPED = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "suite_acceptance.json"
 # the comparison kinds whose shipped verdicts each criterion judges
 JUDGES = {2: {"ginse-structure"}, 3: {"series-vs-oracle-ratio"}, 4: {"closed-form-anchor"},
           5: {"discrete-exact"}, 6: {"kernel-vs-oracle"}, 7: {"group-series-vs-mc"},
@@ -27,11 +24,11 @@ Run = namedtuple("Run", "e v seconds")
 
 
 @pytest.fixture(scope="module")
-def gate() -> list[Run]:
+def gate(gate_experiments) -> list[Run]:
     """Each shipped experiment run once, in suite order from an empty moment cache."""
     runs = []
     moments.clear_cache()
-    for e in parse_config(SHIPPED.read_text()).experiments:
+    for e in gate_experiments.values():
         start = time.perf_counter()
         runs.append(Run(e, run_experiment(e), time.perf_counter() - start))
     return runs

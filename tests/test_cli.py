@@ -250,14 +250,10 @@ def test_verdict_pass_fields_are_json_booleans(tmp_path):
     assert [v["pass"] for v in doc["verdicts"]] == [True, False]
 
 
-def test_gate_kernel_verdict_is_strict_json(tmp_path):
+def test_gate_kernel_verdict_is_strict_json(tmp_path, gate_config):
     # the gate's kernel-OE-N2 beside a kernel entry whose p_ref puts a pole inside the
     # oracle's support: the errored verdict's margin is infinite
-    [e] = [e for e in hub.acceptance_experiments() if e.name == "kernel-OE-N2"]
-    node = {"name": e.name, "comparison": e.comparison, "tolerance": e.tolerance,
-            "ensemble": {"kind": e.spec.kind, "n": e.spec.n, "L": e.spec.L,
-                         "t": list(e.spec.t.values)},
-            "params": {k: list(v) for k, v in e.params}}
+    [node] = [n for n in gate_config.raw["experiments"] if n["name"] == "kernel-OE-N2"]
     pole = dict(node, name="kernel-pole", ensemble={"kind": "SE", "n": 1},
                 params={"p": [0.09, 0.016], "p_ref": [-0.089, -0.136]})
     cfg = parse_config(json.dumps({"command": "suite", "format": "json",
@@ -296,9 +292,16 @@ def test_group_entry_takes_the_suite_defaults_but_no_tolerance_of_its_own():
     assert e.comparison == "group-series-vs-mc" and dict(e.params)["size"] == 3
 
 
-def test_acceptance_suite_is_built_by_the_parser():
-    cfg = parse_config(json.dumps({"command": "suite", "samples": 500, "seed": 9}))
-    assert cfg.experiments == hub.acceptance_experiments(samples=500, seed=9)
+def test_seed_option_moves_the_gate_entries_that_inherit_the_seed(tmp_path, monkeypatch):
+    # the discrete and group-O3 entries take the top-level seed, which --seed replaces;
+    # group-Sp2 sets its own
+    ran = []
+    monkeypatch.setattr(hub, "run_suite", lambda experiments: ran.extend(experiments) or [])
+    gate = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "suite_acceptance.json"
+    assert main(["suite", "--config", str(gate), "--seed", "9", "--out", str(tmp_path)]) == 0
+    seeded = {e.name: e.seed for e in ran if "seed" in hub.COMPARISONS[e.comparison].reads}
+    assert seeded == {"discrete-OE": 9, "discrete-SE": 9, "discrete-GinOE": 9,
+                      "discrete-GinSE": 9, "group-O3": 9, "group-Sp2": 49}
 
 
 _ENTRY = {"name": "r1", "comparison": "series-vs-oracle-ratio",
@@ -391,7 +394,8 @@ _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
      "bad-value", "experiment 0 'group-integral': predicates"),
     ("group-name-unknown", {"command": "group-integral", "group": "unitary"},
      "bad-value", "experiment 0 'group-integral': group"),
-    # no suite entry inherits a top-level ensemble, so neither suite form takes one
+    # no suite entry inherits a top-level ensemble, so a suite takes none, with or without
+    # its experiments
     ("acceptance-suite-ensemble", {"command": "suite", "ensemble": {"kind": "SE", "n": 1}},
      "unknown-field", "['ensemble'] for suite"),
     ("inline-suite-ensemble", {"command": "suite", "ensemble": {"kind": "SE", "n": 1},
@@ -524,8 +528,11 @@ _BAD_CONFIGS = [pytest.param(*case, id=case_id) for case_id, *case in (
      "unknown-field", "unknown fields ['seed'] for compare-oracle"),
     ("entry-samples-unread", {"command": "suite", "experiments": [dict(_ENTRY, samples=500)]},
      "unknown-field", "experiment 0 'r1': series-vs-oracle-ratio takes no ['samples']"),
-    ("acceptance-cutoff", {"command": "suite", "experiments": "acceptance", "cutoff": 12},
-     "unknown-field", "unknown fields ['cutoff'] for suite"),
+    # a suite takes a list of experiments and nothing else
+    ("suite-no-experiments", {"command": "suite", "samples": 500},
+     "bad-suite", "scripts/configs/suite_acceptance.json"),
+    ("suite-experiments-string", {"command": "suite", "experiments": "suite_acceptance.json"},
+     "bad-suite", "scripts/configs/suite_acceptance.json"),
     ("pfaffian-ensemble-t-bar",
      {"command": "compare-oracle", "ensemble": {"kind": "SE", "n": 1, "t_bar": [0.3]}},
      "unknown-field", "unknown SE ensemble fields ['t_bar']"),
@@ -715,7 +722,7 @@ def test_moments_dump_default_size_covers_the_series_at_negative_L(tmp_path):
     assert rows[1].startswith("-1,-1,")
 
 
-def test_verdicts_identical_across_blas_thread_counts(tmp_path):
+def test_verdicts_identical_across_blas_thread_counts(tmp_path, gate_config):
     # moment tables and the GinUE pair sum are BLAS products: the GinSE and
     # erfc-weighted GinOE plane tables (the GinOE ones at L = 0 and 1), the
     # OE line table and the GinUE bimoments and two-point sum; the SE line and
@@ -725,26 +732,12 @@ def test_verdicts_identical_across_blas_thread_counts(tmp_path):
              "ratio-GinOE-N2-L1-tA", "ratio-OE-N2-L0-tA", "bimoment-GinUE-N2", "group-O3",
              "group-Sp2", "kernel-SE-N2", "kernel-GinSE-N1")
 
-    def ensemble(spec):
-        node = {"kind": spec.kind, "n": spec.n, "L": spec.L, "t": list(spec.t.values)}
-        if spec.t_bar.values:
-            node["t_bar"] = list(spec.t_bar.values)
-        return node
-
-    nodes = [{"name": e.name, "comparison": e.comparison, "tolerance": e.tolerance,
-              "cutoff": e.cutoff, "ensemble": ensemble(e.spec)}
-             for e in hub.ratio_experiments(cutoff=8) if e.name in names]
-    nodes += [{"name": e.name, "comparison": e.comparison, "tolerance": e.tolerance,
-               "ensemble": ensemble(e.spec)}
-              for e in hub.acceptance_experiments() if e.comparison == "bimoment-vs-direct"]
-    nodes += [{"name": e.name, "comparison": e.comparison, "cutoff": e.cutoff,
-               "samples": e.samples, "seed": e.seed, "params": dict(e.params)}
-              for e in hub.acceptance_experiments(samples=4000)
-              if e.name in ("group-O3", "group-Sp2")]
-    kernel = {"comparison": "kernel-vs-oracle", "tolerance": 1e-4,
-              "params": {"p": [0.1, -0.1], "p_ref": [0.08, -0.06]}}
-    nodes += [dict(kernel, name="kernel-SE-N2", ensemble={"kind": "SE", "n": 1, "t": [0.2]}),
-              dict(kernel, name="kernel-GinSE-N1", ensemble={"kind": "GinSE", "n": 1, "t": [0.2]})]
+    # the gate's entries of those names, the ratios at cutoff 8 and the groups at 4000 samples
+    smaller = {"series-vs-oracle-ratio": {"cutoff": 8}, "group-series-vs-mc": {"samples": 4000}}
+    nodes = [dict(node, **smaller.get(node["comparison"], {}))
+             for node in gate_config.raw["experiments"] if node["name"] in names]
+    nodes.append({"name": "kernel-GinSE-N1", "comparison": "kernel-vs-oracle", "tolerance": 1e-4,
+                  "ensemble": {"kind": "GinSE", "n": 1, "t": [0.2]}})
     assert sorted(n["name"] for n in nodes) == sorted(names)
     config = tmp_path / "suite.json"
     config.write_text(json.dumps({"command": "suite", "format": "json", "experiments": nodes}))

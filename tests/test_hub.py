@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from pftau import hub, moments, oracle, quad
-from pftau.hub import (Experiment, acceptance_experiments, bkp_normalization,
-                       ratio_experiments, run_experiment, run_suite)
+from pftau.cli import parse_config
+from pftau.hub import Experiment, bkp_normalization, ratio_experiments, run_experiment, run_suite
 from pftau.moments import EnsembleSpec
 from pftau.partitions import Partition
 from pftau.symfun import ZERO_SEQ, CouplingSeq, c_factor
@@ -383,9 +383,24 @@ def test_ratio_experiment_list_covers_spec_grid():
 
 
 def test_acceptance_experiment_names_unique():
-    exps = acceptance_experiments()
-    names = [e.name for e in exps]
-    assert len(set(names)) == len(names)
+    # CI compares a shipped config's verdicts with another run's by name, so a name that a
+    # suite repeats would hide a verdict
+    configs = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    suites = {p.stem: parse_config(p.read_text()) for p in sorted(configs.glob("*.json"))}
+    suites = {stem: cfg for stem, cfg in suites.items() if cfg.command == "suite"}
+    assert {"suite_acceptance", "suite_kernel_charge4"} <= set(suites)
+    for stem, cfg in suites.items():
+        names = [e.name for e in cfg.experiments]
+        assert len(set(names)) == len(names), stem
+
+
+def test_gate_ratio_entries_are_the_benchmark_ratio_list(gate_experiments):
+    # the benchmark's tau-series workload runs `ratio_experiments(cutoff=20)`, a copy of the
+    # gate's series-vs-oracle ratios; the two copies may not drift apart
+    gate = [replace(e, cutoff=20) for e in gate_experiments.values()
+            if e.comparison == "series-vs-oracle-ratio"]
+    assert len(gate) == 34
+    assert gate == ratio_experiments(cutoff=20)
 
 
 def test_wave_experiment_with_s_side():
@@ -473,12 +488,12 @@ def test_discrete_batch_is_each_trial_alone_bit_for_bit(kind, seed):
 
 @pytest.mark.parametrize("kind", ["OE", "SE", "GinOE", "GinSE"])
 def test_discrete_builds_one_atomic_stack_per_size_and_one_elimination_per_charge(
-        kind, monkeypatch):
+        kind, monkeypatch, gate_experiments):
     # the gate's trials span nine (n, L) specs, three charges and five (OE, GinOE) or seven
     # (SE, GinSE) table sizes; every trial's tables come from the one stack of its size,
     # and its coefficients from the one elimination of its charge, in the tables' dtype:
     # real for OE and SE, complex where pair atoms enter
-    [e] = [e for e in acceptance_experiments() if e.name == f"discrete-{kind}"]
+    e = gate_experiments[f"discrete-{kind}"]
     trials = hub._discrete_trials(e, hub.resolve_params(e.comparison, e.params, e.spec))
     stacks, eliminations = [], []
     atomic_pair, series_terms = moments.atomic_pair, oracle.series_terms
@@ -498,9 +513,9 @@ def test_discrete_builds_one_atomic_stack_per_size_and_one_elimination_per_charg
     assert len(eliminations) == 3
 
 
-def _gate_group_experiment(name, samples=100000):
-    """The gate's group experiment `name` and its resolved params."""
-    e = next(e for e in acceptance_experiments(samples=samples) if e.name == name)
+def _gate_group_experiment(gate_experiments, name, **changes):
+    """The gate's group experiment `name`, with `changes`, and its resolved params."""
+    e = replace(gate_experiments[name], **changes)
     return e, hub.resolve_params(e.comparison, e.params, e.spec)
 
 
@@ -521,10 +536,10 @@ EXACT_EXP_TRACE = {
 
 
 @pytest.mark.parametrize("name", ["group-O3", "group-Sp2"])
-def test_group_experiment_draws_one_haar_batch(monkeypatch, name):
+def test_group_experiment_draws_one_haar_batch(monkeypatch, gate_experiments, name):
     # the predicates and the series check average over one batch at the experiment's
     # seed, and each estimate is the one its payload gets alone
-    e, p = _gate_group_experiment(name, samples=3001)
+    e, p = _gate_group_experiment(gate_experiments, name, samples=3001)
     group, t = (p["group"], p["size"]), CouplingSeq(p["t"])
     preds = [("schur", Partition(lam)) for lam, _ in p["predicates"]]
     draw, calls = oracle.haar_expectation_mc, []
@@ -548,8 +563,8 @@ def test_group_experiment_draws_one_haar_batch(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["group-O3", "group-Sp2"])
-def test_gate_series_payload_against_the_exact_haar_average(name):
-    e, p = _gate_group_experiment(name)
+def test_gate_series_payload_against_the_exact_haar_average(gate_experiments, name):
+    e, p = _gate_group_experiment(gate_experiments, name)
     exact = EXACT_EXP_TRACE[name]
     group, t = (p["group"], p["size"]), CouplingSeq(p["t"])
     assert t == CouplingSeq.of(T_GROUP)
@@ -593,7 +608,7 @@ def test_wave_order_check_has_a_rounding_floor(monkeypatch, hi, lo, passes):
 @pytest.mark.parametrize("name", ["ginse-moment-structure", "ratio-GinSE-N2-L1-tB",
                                   "ratio-GinOE-N2-L1-tB", "hirota-GinOE", "ratio-SE-N1-L0-sNZ",
                                   "bimoment-GinUE-N2"])
-def test_converged_tables_hold_on_the_next_finer_grid(monkeypatch, name):
+def test_converged_tables_hold_on_the_next_finer_grid(monkeypatch, gate_experiments, name):
     # A false-convergence guard: every table and oracle value of a gate experiment
     # (sector tables, with s != 0 on the SE line, eigenvalue oracles over the pair
     # tables, GinUE bimoments and two-point sum) agrees with its own build one level
@@ -612,7 +627,7 @@ def test_converged_tables_hold_on_the_next_finer_grid(monkeypatch, name):
 
     monkeypatch.setattr(moments, "converge", recording)
     monkeypatch.setattr(oracle, "converge", recording)
-    [e] = [e for e in acceptance_experiments() if e.name == name]
+    e = gate_experiments[name]
     moments.clear_cache()
     try:
         run_experiment(e)

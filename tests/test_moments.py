@@ -802,7 +802,7 @@ def _hashable(args, kwargs):
         tuple(sorted(kwargs.items()))
 
 
-def test_one_pass_builds_each_line_rule_and_plane_grid_once(monkeypatch):
+def test_one_pass_builds_each_line_rule_and_plane_grid_once(monkeypatch, gate_experiments):
     from pftau import hub, oracle
 
     monkeypatch.setattr(moments, "_DISK_CACHE", None)
@@ -811,9 +811,7 @@ def test_one_pass_builds_each_line_rule_and_plane_grid_once(monkeypatch):
     for name in ("line_rule", "_pair_rule", "LinePanels", "half_plane_grid", "full_plane_grid"):
         _counting(monkeypatch, moments, name, calls[name])
     _counting(monkeypatch, oracle, "full_plane_grid", calls["oracle.full_plane_grid"])
-    bimoment = [e for e in hub.acceptance_experiments(samples=10)
-                if e.comparison == "bimoment-vs-direct"]
-    exps = hub.ratio_experiments(cutoff=20) + bimoment
+    exps = hub.ratio_experiments(cutoff=20) + [gate_experiments["bimoment-GinUE-N2"]]
 
     moments.clear_cache()
     assert all(v.passed for v in hub.run_suite(exps))

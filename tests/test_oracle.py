@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pftau import moments, oracle
-from pftau.hub import Experiment, _z_score, acceptance_experiments, run_experiment
+from pftau.hub import Experiment, _z_score, run_experiment
 from pftau.moments import EnsembleSpec, ginue_weight, pair_moments
 from pftau.oracle import (_GINUE_RULES, _newton, _pair_sum, _szego, det_average_lhs,
                           discrete_consistency, eigen_integral, ginue_two_point,
@@ -297,9 +297,8 @@ def test_haar_schur_payloads_match_the_per_member_stack(group, monkeypatch):
         assert (a.value, a.error_estimate) == (b.value, b.error_estimate)
 
 
-def test_ginue_pair_sum_over_upper_triangle_matches_full_double_sum():
-    [e] = [e for e in acceptance_experiments() if e.name == "bimoment-GinUE-N2"]
-    spec = e.spec
+def test_ginue_pair_sum_over_upper_triangle_matches_full_double_sum(gate_experiments):
+    spec = gate_experiments["bimoment-GinUE-N2"].spec
     log_w, gauss, lin = ginue_weight(spec)
     n_r, r_order, n_theta, t_order = _GINUE_RULES[0]
     grid = full_plane_grid(gaussian_halfwidth(gauss, lin, 6), n_r=n_r, r_order=r_order,
@@ -317,12 +316,11 @@ def test_ginue_pair_sum_over_upper_triangle_matches_full_double_sum():
         assert abs(_pair_sum(z, w) - full) <= 1e-13 * abs(full)
 
 
-def test_ginue_two_point_memory_peak():
+def test_ginue_two_point_memory_peak(gate_experiments):
     # the pair sum runs in row blocks; a 2048-row block held 207 MB here
-    [e] = [e for e in acceptance_experiments() if e.name == "bimoment-GinUE-N2"]
     tracemalloc.start()
     try:
-        ginue_two_point(e.spec)
+        ginue_two_point(gate_experiments["bimoment-GinUE-N2"].spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
