@@ -15,16 +15,16 @@ forms, to quadrature measures and to the point masses of `atomic_pair`
 * real orthogonal sector   (R - R^T)/2 of the sgn-weighted double moment R;
 * orthogonal border        a[n] = sqrt(2) * single moment with its Gaussian;
 * symplectic line sector   A[n,m] = (n-m)/2 * single moment of x^(n+m-1);
-* quaternion half-plane    A = (raw - raw^T)/2, where raw[a,b] = T[a+1,b] - T[a,b+1]
-                           of the plain pair table T is the (z - zbar)
-                           insertion as an index shift; real entries;
-* real-Ginibre half-plane  C = (T - T^T)/(2i): the erfc-weighted T has an
-                           imaginary skew part, and dividing by i is what
-                           matches the positive (|Delta|-style) eigenvalue
-                           sectors and keeps tau values real;
+* the half-plane sectors   B[a,b] = int g(z) Im(z^a zbar^b) W_pair(z) d^2 z over
+                           Im z > 0, in real arithmetic:
+  - real-Ginibre, g = 1:   (T - T^T)/(2i) of the pair table T[a,b] = int z^a zbar^b
+                           W_pair; dividing by i matches the positive
+                           (|Delta|-style) eigenvalue sectors and keeps tau real;
+  - quaternion, g = -2 Im z: the skew part of int z^a zbar^b (z - zbar) W_pair,
+                           the pair's (z - zbar) insertion;
 
 then the (alpha, beta) mix of the real and complex sectors.  Every table of
-`moment_pair` is float64; only `atomic_pair` tables with pair atoms are complex.
+`moment_pair`, `atomic_pair` and `kernel_matrix` is float64.
 """
 from __future__ import annotations
 
@@ -411,9 +411,10 @@ def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build, exact
 # ---------------------------------------------------------------------------
 # the sector conventions of the module docstring, each read off one measure: a
 # line (`quad.LinePanels`, or `_AtomicLine` for point masses) with the weight
-# values `wv` at its nodes, its single moments `mu` (q -> int x^q w(x) dx), or a
-# plain pair table over `_pair_exps`.  An `_AtomicLine` may be a stack of lines,
-# and then each convention gives a stack of tables, one per line, stack axis first
+# values `wv` at its nodes, its single moments `mu` (q -> int x^q w(x) dx), or
+# pair atoms with their weights.  An `_AtomicLine` may be a stack of lines, and
+# pair atoms a stack of measures, and then each convention gives a stack of
+# tables, one per measure, stack axis first
 
 def _orth_block(line, wv, idx: np.ndarray) -> np.ndarray:
     powers = power_table(line.nodes, idx)
@@ -444,8 +445,8 @@ def _line_moments(line, wv):
     return lambda q: (power_table(line.nodes, q).swapaxes(0, -2) @ weights[..., None])[..., 0]
 
 
-# the largest table every s = 0 closed form holds: the widest Gamma value they read is the
-# GinSE pair table's Gamma(size + 1) = size! (exponents up to size), the others read at most
+# the largest table every s = 0 closed form holds: the widest Gamma table they build is the
+# GinSE pair sector's, out to Gamma(size + 1) = size!, the others reach at most
 # Gamma(size + 1/2), and size! must be a finite float
 MAX_TABLE_SIZE = next(n for n in range(sys.maxsize) if math.factorial(n + 1) > sys.float_info.max)
 
@@ -463,17 +464,6 @@ def _gaussian_moments(gauss: float):
         gammas = _half_gammas(max(int(q.max()), 0))[np.maximum(q, 0)]
         return np.where(q % 2 == 0, gammas * gauss ** (-(q + 1) / 2), 0.0)
     return mu
-
-
-def _gaussian_pair_table(exps: np.ndarray) -> np.ndarray:
-    """T[a, b] = int_{Im z > 0} z^a zbar^b e^{-|z|^2} d^2 z, the symplectic pair table at
-    t = s = 0: Gamma((a+b)/2 + 1) / 2 times int_0^pi e^{i (a-b) theta} d theta, which is
-    pi for a = b, 2i / (a-b) for odd a - b and exactly 0 otherwise."""
-    a, b = exps[:, None], exps[None, :]
-    d = a - b
-    radial = 0.5 * _half_gammas(2 * int(exps[-1]) + 1)[a + b + 1]
-    angular = np.where(d == 0, math.pi, np.where(d % 2 == 1, 2j / np.where(d == 0, 1, d), 0.0))
-    return radial * angular
 
 
 def _erf_sums(size: int):
@@ -523,15 +513,26 @@ def _ginoe_pair_table(size: int) -> np.ndarray:
     return c - c.T
 
 
-def _pair_exps(family: str, base: int, size: int) -> np.ndarray:
-    return np.arange(base, base + size + (family == "sympl"))   # + 1 for the index shift
+def _pair_sector(family: str, z: np.ndarray, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """B[..., a, b] = sum of w g Im(z^a zbar^b) over the pair atoms z (Im z > 0) of weights w
+    along the last axis, a, b in `idx`: the half-plane convention of the module docstring,
+    g = 1 (orth) or -2 Im z (sympl).  As Im(z^a zbar^b) = Im z^a Re z^b - Re z^a Im z^b,
+    B = S - S^T of one real product S."""
+    # each measure's (exponents, atoms) powers in the layout they have for the measure alone
+    pz = np.ascontiguousarray(power_table(z, idx).swapaxes(0, -2))
+    wg = w if family == "orth" else -2.0 * z.imag * w
+    s = (pz.imag * wg[..., None, :]) @ pz.real.swapaxes(-1, -2)
+    return s - s.swapaxes(-1, -2)
 
 
-def _pair_block(family: str, table: np.ndarray) -> np.ndarray:
-    if family == "sympl":
-        raw = table[..., 1:, :-1] - table[..., :-1, 1:]
-        return (raw - raw.swapaxes(-1, -2)) / 2.0
-    return (table - table.swapaxes(-1, -2)) / 2.0j
+def _ginse_pair_table(size: int) -> np.ndarray:
+    """The quaternion half-plane sector at s = 0, a, b < size: with W_pair = e^{-|z|^2} the
+    angular integral of Im(z^a zbar^b) Im z vanishes unless |a - b| = 1, so
+    C[a, a+1] = -C[a+1, a] = Gamma(a + 2) pi / 2 and every other entry is 0."""
+    c = np.zeros((size, size))
+    a = np.arange(size - 1)
+    c[a, a + 1] = 0.5 * _half_gammas(2 * size + 1)[2 * a + 3] * math.pi
+    return c - c.T
 
 
 def _mix(spec: EnsembleSpec, shape: tuple, line, pair) -> np.ndarray:
@@ -593,10 +594,8 @@ def sympl_border_moments(s: CouplingSeq, base: int, size: int) -> np.ndarray:
 
 
 def ginse_complex_sector(size: int) -> np.ndarray:
-    """A closed form only: the validator admits s = 0 alone where a complex sector enters.
-    Real: the imaginary parts of the pair table's block cancel exactly."""
-    return _cached_sector("ginse_complex", ZERO_SEQ, 0, size, None, lambda: _pair_block(
-        "sympl", _gaussian_pair_table(_pair_exps("sympl", 0, size))).real)
+    """A closed form only: the validator admits s = 0 alone where a complex sector enters."""
+    return _cached_sector("ginse_complex", ZERO_SEQ, 0, size, None, lambda: _ginse_pair_table(size))
 
 
 def ginoe_complex_sector(size: int) -> np.ndarray:
@@ -665,18 +664,11 @@ def atomic_pair(spec: EnsembleSpec, trials, size: int) -> SkewPair:
     def line(block):
         return _by_count(reals, float, lambda x, w: block(_AtomicLine(x, w)))
 
-    exps = _pair_exps(spec.family, base, size)
-
-    def pair_products(z, w):
-        # each trial's (exponents, atoms) power table in the layout it has for the trial alone
-        pz = np.ascontiguousarray(power_table(z, exps).swapaxes(0, 1))
-        return _pair_block(spec.family, (pz * w[:, None, :]) @ np.conj(pz).swapaxes(-1, -2))
-
     return _mixed_pair(spec, (len(trials), size, size),
                        lambda: line(lambda ln: _orth_block(ln, 1.0, idx) if orth
                                     else _sympl_block(_line_moments(ln, 1.0), idx)),
                        lambda: _by_count([list(p or ()) for _, p in trials], complex,
-                                         pair_products),
+                                         lambda z, w: _pair_sector(spec.family, z, w, idx)),
                        (lambda: line(lambda ln: _orth_border(_line_moments(ln, 1.0), idx)))
                        if orth else None)
 
@@ -736,17 +728,17 @@ def _kernel_orth_line(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
 
 
 def _kernel_pair_block(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
-    # det(1 - p X)^{-1} holds z and zbar once each: (1 - p z)^{-1} (1 - p zbar)^{-1} per
-    # pair in both families.  The pair's own factor is (z - zbar)^2 (sympl: from Delta and
-    # the pair weight) or (z - zbar)/i = 2 Im z (orth: the pair norm 1/(2i) times the 2
-    # that the line block's unordered double integral carries).
+    # det(1 - p X)^{-1} holds z and zbar once each: (1 - p z)^{-1} (1 - p zbar)^{-1} =
+    # |1 - p z|^-2 per pair in both families.  The pair's own factor is (z - zbar)^2 =
+    # -4 (Im z)^2 (sympl: from Delta and the pair weight) or (z - zbar)/i = 2 Im z (orth:
+    # the pair norm 1/(2i) times the 2 that the line block's unordered double integral
+    # carries).  All real, with x, y = Re z, Im z.
     def build(level):
         grid, w = _pair_rule(spec.family, spec.t, 4 * abs(spec.L) + 6, level, _inv_points(p))
-        z = grid.nodes
-        zb = np.conj(z)
-        gap = (z - zb) ** 2 if spec.family == "sympl" else (z - zb) / 1j
-        inv = 1.0 / np.stack([(1.0 - z * pi) * (1.0 - zb * pi) for pi in p])
-        return (inv * (grid.weights * w.ravel() * np.abs(z) ** (2 * spec.L) * gap)) @ inv.T
+        x, y = grid.nodes.real, grid.nodes.imag
+        gap = -4.0 * y * y if spec.family == "sympl" else 2.0 * y
+        inv = 1.0 / np.stack([(1.0 - pi * x) ** 2 + (pi * y) ** 2 for pi in p])
+        return (inv * (grid.weights * w.ravel() * (x * x + y * y) ** spec.L * gap)) @ inv.T
 
     return converge(build, rel_tol=2e-9)[0]
 

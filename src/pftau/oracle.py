@@ -490,7 +490,7 @@ def _check_trial(spec: EnsembleSpec, real_atoms, pair_atoms) -> None:
         raise ValueError(f"N={spec.n} exceeds the {n_atoms} available atoms")
 
 
-def discrete_consistency(trials) -> list[tuple[complex, complex, float]]:
+def discrete_consistency(trials) -> list[tuple[complex, float, float]]:
     """Exact finite check of the Wick/Pfaffian identity on atomic measures.
 
     Each trial (spec, real_atoms, pair_atoms) of the list `trials` is one
@@ -528,9 +528,7 @@ def discrete_consistency(trials) -> list[tuple[complex, complex, float]]:
         tables.update(zip(members, zip(stack.a_matrix, stack.border)))
     for (*_, base, charge), members in charges.items():
         size = max(len(tables[i][1]) for i in members)
-        dtype = np.result_type(*{tables[i][0].dtype for i in members})
-        a_matrix = np.zeros((len(members), size, size), dtype=dtype)
-        border = np.zeros((len(members), size), dtype=dtype)
+        a_matrix, border = np.zeros((len(members), size, size)), np.zeros((len(members), size))
         for k, i in enumerate(members):
             a, b = tables[i]
             a_matrix[k, :len(b), :len(b)], border[k, :len(b)] = a, b
@@ -546,7 +544,6 @@ def discrete_consistency(trials) -> list[tuple[complex, complex, float]]:
             abs_sums = np.add.accumulate(np.abs(terms), axis=1)[:, -1].tolist()
             for k, row, abs_sum in zip(rows, terms, abs_sums):
                 lhs, scale = out[members[k]]
-                rhs = (complex(math.fsum(row.real.tolist()), math.fsum(row.imag.tolist()))
-                       / border_norm)
+                rhs = math.fsum(row.tolist()) / border_norm
                 out[members[k]] = lhs, rhs, max(scale, abs_sum / border_norm, 1e-300)
     return out

@@ -19,6 +19,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .partitions import _frozen
+from .skewlin import _cmul
 
 
 class QuadratureError(RuntimeError):
@@ -112,19 +113,21 @@ def power_table(x: np.ndarray, exponents) -> np.ndarray:
 
     Running products: x^k = x^(k-1) * x upward from x^0 = 1 and
     x^-k = x^-(k-1) * (1/x) downward, so x^0, x^1 and x^-1 are exact and x^k
-    is within about |k| ulps.
+    is within about |k| ulps.  Complex products round each real product on
+    its own (`skewlin._cmul`), so their bits do not follow NumPy's SIMD path.
     """
     ks = np.asarray(exponents, dtype=int)
     lo, hi = int(ks.min(initial=0)), int(ks.max(initial=0))
     table = np.empty((hi - lo + 1,) + x.shape, dtype=x.dtype)
+    mul = _cmul if np.iscomplexobj(x) else np.multiply
     table[-lo] = 1.0
     for k in range(1, hi + 1):
-        np.multiply(table[k - 1 - lo], x, out=table[k - lo])
+        mul(table[k - 1 - lo], x, out=table[k - lo])
     if lo < 0:
         inv = 1.0 / x
         table[-lo - 1] = inv
         for k in range(2, -lo + 1):
-            np.multiply(table[1 - k - lo], inv, out=table[-k - lo])
+            mul(table[1 - k - lo], inv, out=table[-k - lo])
     return table[ks - lo]
 
 

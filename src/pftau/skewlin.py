@@ -44,13 +44,15 @@ def _check_skew(m, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
     return m, scale
 
 
-def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise complex product, each real product rounded on its own.
+def _cmul(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise complex product, each real product rounded on its own, into `out`
+    (which may not share memory with x or y) or a new array.
 
     NumPy's vector complex multiply may fuse multiply-adds, depending on the
     CPU's SIMD path; this form gives the same bits as scalar arithmetic.
     """
-    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
+    if out is None:
+        out = np.empty(np.broadcast(x, y).shape, dtype=complex)
     out.real = x.real * y.real - x.imag * y.imag
     out.imag = x.real * y.imag + x.imag * y.real
     return out

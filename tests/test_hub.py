@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pftau import hub, moments, oracle, quad
+from pftau import hub, moments, oracle, quad, skewlin
 from pftau.cli import parse_config
 from pftau.hub import Experiment, bkp_normalization, ratio_experiments, run_experiment, run_suite
 from pftau.moments import EnsembleSpec
@@ -491,8 +491,8 @@ def test_discrete_builds_one_atomic_stack_per_size_and_one_elimination_per_charg
         kind, monkeypatch, gate_experiments):
     # the gate's trials span nine (n, L) specs, three charges and five (OE, GinOE) or seven
     # (SE, GinSE) table sizes; every trial's tables come from the one stack of its size,
-    # and its coefficients from the one elimination of its charge, in the tables' dtype:
-    # real for OE and SE, complex where pair atoms enter
+    # and its coefficients from the one elimination of its charge, in float64 for every
+    # kind, pair atoms or not
     e = gate_experiments[f"discrete-{kind}"]
     trials = hub._discrete_trials(e, hub.resolve_params(e.comparison, e.params, e.spec))
     stacks, eliminations = [], []
@@ -508,9 +508,27 @@ def test_discrete_builds_one_atomic_stack_per_size_and_one_elimination_per_charg
     assert len({(spec.n, spec.L) for spec, _, _ in trials}) == 9
     assert sorted(stacks) == sorted((size, sizes.count(size)) for size in set(sizes))
     assert len(stacks) == (5 if e.spec.family == "orth" else 7)
-    dtype = np.dtype(complex if kind.startswith("Gin") else float)
-    assert sorted(eliminations) == sorted((c, charges.count(c), dtype) for c in set(charges))
+    assert sorted(eliminations) == sorted((c, charges.count(c), np.dtype(np.float64))
+                                          for c in set(charges))
     assert len(eliminations) == 3
+
+
+def test_every_production_pfaffian_is_real(monkeypatch, gate_experiments):
+    # the Pfaffian experiments of the shipped suites eliminate float64 tables only: the
+    # gate's discrete and kernel entries, and the charge-4 kernel suite's GinOE and GinSE
+    dtypes, minors = [], skewlin._minors
+    monkeypatch.setattr(skewlin, "_minors", lambda table, scale, rows: dtypes.append(
+        table.dtype) or minors(table, scale, rows))
+    configs = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    charge4 = parse_config((configs / "suite_kernel_charge4.json").read_text()).experiments
+    charge4 = {e.name: e for e in charge4}
+    experiments = [e for name, e in gate_experiments.items()
+                   if name.startswith(("discrete-", "kernel-"))]
+    assert len(experiments) == 6
+    for e in experiments + [charge4["kernel4-GinOE-N4-L0"], charge4["kernel4-GinSE-N2-L0"]]:
+        dtypes.clear()
+        assert run_experiment(e).passed, e.name
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}, e.name
 
 
 def _gate_group_experiment(gate_experiments, name, **changes):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from pftau import moments, quad
+from pftau import hub, moments, oracle, quad
 from pftau.moments import (EnsembleSpec, ValidationError, clip_support, complex_bimoment_matrix,
                            kernel_matrix, kernel_prefactor, moment_pair)
 from pftau.quad import QuadratureError, converge, erfc_vec, power_table
 from pftau.symfun import CouplingSeq, ZERO_SEQ, potential
+from pftau.tauseries import required_table_size
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -88,14 +89,16 @@ def test_ginse_conjugation_reflection_of_raw_moments():
 
 
 def test_ginse_index_shift_is_the_insertion():
-    # int z^a zbar^b (z - zbar) W = T[a+1, b] - T[a, b+1] of the plain table T
+    # int z^a zbar^b (z - zbar) W = T[a+1, b] - T[a, b+1] of the plain table T, and its skew
+    # part is the real convention, int (-2 Im z) Im(z^a zbar^b) W, on the same rule
     size = 8
     plain = moments.pair_moments("sympl", ZERO_SEQ, range(size + 1), level=1)
     raw = moments.pair_moments("sympl", ZERO_SEQ, range(size), level=1,
                                extra=lambda z: z - np.conj(z))
     scale = np.max(np.abs(raw))
     assert np.max(np.abs(plain[1:, :-1] - plain[:-1, 1:] - raw)) <= 1e-14 * scale
-    block = moments._pair_block("sympl", plain)
+    grid, w = moments._pair_rule("sympl", ZERO_SEQ, 2 * size, 1)   # the rule of `raw`
+    block = moments._pair_sector("sympl", grid.nodes, grid.weights * w.ravel(), np.arange(size))
     assert np.max(np.abs(block - (raw - raw.T) / 2.0)) <= 1e-14 * scale
 
 
@@ -130,21 +133,102 @@ def test_moment_pair_tables_are_float64(kind, s2, L):
         assert border.dtype == np.float64
 
 
+def _gaussian_pair_block(size: int) -> np.ndarray:
+    """The GinSE sector at t = s = 0 by the complex formula: the skew part of the shifted
+    block T[a+1, b] - T[a, b+1] of T[a, b] = int_{Im z > 0} z^a zbar^b e^{-|z|^2} d^2 z,
+    a, b <= size, which is Gamma((a+b)/2 + 1) / 2 times int_0^pi e^{i (a-b) theta} d theta:
+    pi for a = b, 2i / (a-b) for odd a - b and exactly 0 otherwise."""
+    a, b = np.arange(size + 1)[:, None], np.arange(size + 1)[None, :]
+    d = a - b
+    radial = 0.5 * np.array([math.gamma((k + 1) / 2) for k in range(2 * size + 2)])[a + b + 1]
+    table = radial * np.where(d == 0, math.pi, np.where(d % 2 == 1, 2j / np.where(d == 0, 1, d),
+                                                         0.0))
+    raw = table[1:, :-1] - table[:-1, 1:]
+    return (raw - raw.T) / 2.0
+
+
 def test_the_ginse_pair_block_is_real_at_every_size():
-    # its imaginary parts cancel exactly, so `ginse_complex_sector` keeps only the real part
+    # the complex formula's imaginary parts cancel exactly, and its real part is the real
+    # closed form bit for bit, the sign of every zero included
     for size in range(1, moments.MAX_TABLE_SIZE + 1):
-        exps = moments._pair_exps("sympl", 0, size)
-        block = moments._pair_block("sympl", moments._gaussian_pair_table(exps))
+        block = _gaussian_pair_block(size)
+        table = moments.ginse_complex_sector(size)
         assert not block.imag.any(), size
+        assert table.tobytes() == block.real.tobytes(), size
+        assert np.array_equal(np.signbit(table), np.signbit(block.real)), size
+    moments.clear_cache()
 
 
-def test_atomic_tables_are_complex_only_with_pair_atoms():
+def _complex_pair_table(family, atoms, size) -> np.ndarray:
+    """The half-plane convention by the complex formula in Python's scalar arithmetic:
+    (T - T^T)/2i of T[a, b] = sum w g z^a zbar^b, g = 1 (orth) or -2 Im z (sympl)."""
+    t = np.zeros((size, size), dtype=complex)
+    for z, w in atoms:
+        wg = w if family == "orth" else -2.0 * z.imag * w
+        powers = [1.0 + 0.0j]
+        for _ in range(size - 1):
+            powers.append(powers[-1] * z)
+        t += wg * np.array([[za * zb.conjugate() for zb in powers] for za in powers])
+    return (t - t.T) / 2.0j
+
+
+@pytest.mark.parametrize("kind", ["GinOE", "GinSE"])
+def test_the_real_pair_sector_is_the_complex_formula(kind, gate_experiments):
+    # every trial of the gate's discrete experiment, at its own table size and stacked
+    e = gate_experiments[f"discrete-{kind}"]
+    trials = hub._discrete_trials(e, hub.resolve_params(e.comparison, e.params, e.spec))
+    family, idx = moments.KINDS[kind][0], np.arange(26)
+    for spec, _, atoms in trials:
+        size = required_table_size(spec.n_eff, spec.L, oracle.SERIES_CUTOFF)
+        z, w = (np.array(v) for v in zip(*atoms))
+        table = moments._pair_sector(family, z, w, idx[:size])
+        ref = _complex_pair_table(family, atoms, size)
+        assert table.dtype == np.float64
+        assert np.max(np.abs(table - ref)) <= 1e-15 * np.max(np.abs(ref))
+    z = np.array([[a for a, _ in atoms] for _, _, atoms in trials])
+    w = np.array([[b for _, b in atoms] for _, _, atoms in trials])
+    stack = moments._pair_sector(family, z, w, idx)
+    for k in (0, 17, len(trials) - 1):
+        assert stack[k].tobytes() == moments._pair_sector(family, z[k], w[k], idx).tobytes()
+
+
+def _complex_kernel_pair_block(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
+    """`moments._kernel_pair_block` by the complex expression: (1 - p z)(1 - p zbar), and
+    (z - zbar)^2 (sympl) or (z - zbar)/i (orth), as written."""
+    def build(level):
+        grid, w = moments._pair_rule(spec.family, spec.t, 4 * abs(spec.L) + 6, level,
+                                     moments._inv_points(p))
+        z = grid.nodes
+        zb = np.conj(z)
+        gap = (z - zb) ** 2 if spec.family == "sympl" else (z - zb) / 1j
+        inv = 1.0 / np.stack([(1.0 - z * pi) * (1.0 - zb * pi) for pi in p])
+        return (inv * (grid.weights * w.ravel() * np.abs(z) ** (2 * spec.L) * gap)) @ inv.T
+
+    return converge(build, rel_tol=2e-9)[0]
+
+
+@pytest.mark.parametrize("kind,L", [(kind, L) for kind in ("GinOE", "GinSE") for L in (0, 2)])
+def test_the_real_kernel_pair_block_is_the_complex_expression(kind, L):
+    # the node factors agree to an ulp or two; the bound is the summation order, as a real
+    # and a complex BLAS product sum the thousands of nodes apart (3.1e-15 seen)
+    spec = EnsembleSpec(kind, 2, L, CouplingSeq.of(0.1))
+    p = np.array([0.06, -0.06, 0.03, -0.042][:spec.n_eff])
+    block, ref = moments._kernel_pair_block(spec, p), _complex_kernel_pair_block(spec, p)
+    assert block.dtype == np.float64
+    assert np.max(np.abs(block - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_atomic_and_kernel_tables_are_float64():
     line, pairs = [(-0.4, 0.7), (0.9, 1.1)], [(0.3 + 0.5j, 0.8), (-0.6 + 0.2j, 1.3)]
-    for kind, trials in (("OE", [(line, None)]), ("SE", [(line, None)]),
-                         ("GinOE", [(line, pairs), (line, None)]), ("GinSE", [(None, pairs)])):
-        stack = moments.atomic_pair(EnsembleSpec(kind, 1), trials, 4)
-        want = complex if kind.startswith("Gin") else np.float64
-        assert stack.a_matrix.dtype == stack.border.dtype == want, kind
+    p = np.array([0.1, -0.1, 0.05, -0.07])
+    for kind in ("OE", "SE", "GinOE", "GinSE"):
+        for mix in ({}, {"alpha": 0.4, "beta": 0.7}):
+            spec = EnsembleSpec(kind, 1, **mix)
+            for trials in ([(line, pairs), (line, None)], [(None, pairs)], [(line, None)]):
+                stack = moments.atomic_pair(spec, trials, 4)
+                assert stack.a_matrix.dtype == stack.border.dtype == np.float64, (kind, mix)
+            spec = EnsembleSpec(kind, 2, t=CouplingSeq.of(0.2), **mix)
+            assert kernel_matrix(spec, p[:spec.n_eff]).dtype == np.float64, (kind, mix)
 
 
 def test_moment_tables_monotone_consistent():
@@ -579,13 +663,15 @@ _T0_SIZES = (*range(8, 19), *range(21, 27))
 def _quadrature_builds(monkeypatch, name, sizes) -> dict:
     """{size: the s = 0 table of sector `name` by quadrature}, past the memo, at the
     production tolerance: a line sector's own build, and for a half-plane sector the
-    `_pair_block` of the pair table by `pair_moments`, the oracle's quadrature."""
+    `_pair_sector` of the pair rule's nodes and weights, the rule of the oracle's tables."""
     family = _PAIR_FAMILIES.get(name)
     if family is not None:
         def pair_build(size):
-            exps = moments._pair_exps(family, 0, size)
-            return lambda level: moments._pair_block(
-                family, moments.pair_moments(family, ZERO_SEQ, exps, level))
+            def build(level):
+                grid, w = moments._pair_rule(family, ZERO_SEQ, 2 * size, level)
+                return moments._pair_sector(family, grid.nodes, grid.weights * w.ravel(),
+                                            np.arange(size))
+            return build
         return {size: converge(pair_build(size), rel_tol=5e-10)[0] for size in sizes}
     with monkeypatch.context() as m:
         m.setattr(moments, "_cached_sector", lambda name, s, base, size, build, exact:

@@ -373,6 +373,17 @@ def test_discrete_ginoe_without_pairs_weight_is_the_real_sector():
             assert mixed[1] == pytest.approx(real[1], rel=1e-14)
 
 
+def test_discrete_pair_kinds_at_a_negative_L():
+    # a negative L reads the pair atoms' negative powers, rows below index 0
+    t = CouplingSeq.of(0.07, -0.03)
+    reals = [(-1.1, 0.7), (-0.3, 1.2), (0.4, 0.9), (1.2, 0.5)]
+    pairs = [(complex(-0.5, 0.4), 0.8), (complex(0.6, 0.7), 1.1)]
+    for kind in ("GinOE", "GinSE"):
+        for n, L in ((1, -1), (1, -2), (2, -1)):
+            lhs, rhs, scale = _one_trial(EnsembleSpec(kind, n, L, t), reals, pairs)
+            assert abs(lhs - rhs) <= 1e-12 * scale, (kind, n, L)
+
+
 def test_discrete_oe_pair_and_triple():
     t = CouplingSeq.of(0.1)
     atoms = [(1.0, 1.0), (-1.0, 1.0)]

@@ -219,6 +219,23 @@ def test_power_table_by_running_products():
     assert np.array_equal(power_table(x, picks), table[np.array(picks) + 30])
 
 
+def test_complex_power_table_rounds_each_real_product_on_its_own():
+    # the bits of Python's scalar running products, whatever NumPy's SIMD complex multiply
+    # does; the downward powers are running products of 1/z
+    rng = np.random.default_rng(11)
+    z = rng.normal(size=200) + 1j * rng.uniform(0.05, 1.5, size=200)
+    table = power_table(z, np.arange(-6, 25))
+    for j, zj in enumerate(z.tolist()):
+        up, down = 1.0 + 0.0j, 1.0 + 0.0j
+        for k in range(25):
+            assert table[k + 6, j] == up, (j, k)
+            up *= zj
+        inv = table[5, j]
+        for k in range(1, 7):
+            down *= inv
+            assert table[6 - k, j] == down, (j, k)
+
+
 def test_grid_invariants():
     grid = half_plane_grid(5.0)
     assert np.all(grid.weights > 0)
