@@ -66,9 +66,9 @@ _DISK_CACHE = None
 
 def clear_cache() -> None:
     """Drop every memoized value of this process: moment tables (the disk cache keeps
-    its copies), oracle values and pair tables, erfc factors, Schur value tables, series
-    coefficient tables, line rules (panels and weight values), plane quadrature grids and
-    their angular tables."""
+    its copies), oracle values, pair tables and line integrals, erfc factors, Schur value
+    tables, series coefficient tables, line rules (panels and weight values), plane
+    quadrature grids and their angular tables."""
     _SECTOR_CACHE.clear()
 
 

@@ -100,26 +100,25 @@ def _sector_poly(family: str, k: int, m: int) -> tuple:
     return tuple(_frozen(a) for a in (exps, coeffs, line_rows, line_index.ravel()))
 
 
-def _sector_value(family: str, k: int, m: int, shift: int, pair_T, line_factor) -> complex:
+def _sector_value(family: str, k: int, m: int, shift: int, pair_T,
+                  line_factor) -> tuple[complex, float]:
     """sum over the monomials of one sector: coefficient times pair_T at each
-    pair's exponents plus `shift`, times `line_factor` of the line exponents."""
+    pair's exponents plus `shift`, times `line_factor` of the line exponents;
+    and the sum of those terms' magnitudes."""
     exps, terms, line_rows, line_index = _sector_poly(family, k, m)
     for i in range(k):
         terms = terms * pair_T[exps[:, 2 * i] + shift, exps[:, 2 * i + 1] + shift]
-    return complex(np.sum(terms * line_factor(line_rows)[line_index]))
+    terms = terms * line_factor(line_rows)[line_index]
+    return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
-def _ordered_integrals(lp: LinePanels, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """int_{x_1 > ... > x_r} prod x_i^{e_i} w(x_i) for each exponent row e,
-    the inner cumulative integrals memoised per exponent suffix."""
-    cums: dict = {}
-
+def _ordered_integrals(lp: LinePanels, w: np.ndarray, rows: np.ndarray, memo) -> np.ndarray:
+    """int_{x_1 > ... > x_r} prod x_i^{e_i} w(x_i) for each exponent row e; the inner
+    cumulative integral of each exponent suffix is memo(suffix, build)."""
     def integrand(exps: tuple) -> np.ndarray:
         vals = lp.nodes ** exps[0] * w
         if len(exps) > 1:
-            if exps[1:] not in cums:
-                cums[exps[1:]] = lp.cumulative(integrand(exps[1:]))
-            vals = vals * cums[exps[1:]]
+            vals = vals * memo(exps[1:], lambda: lp.cumulative(integrand(exps[1:])))
         return vals
 
     return np.array([lp.integrate(integrand(tuple(e))) if e else 1.0 for e in rows.tolist()])
@@ -139,7 +138,9 @@ def _sectors(spec: EnsembleSpec):
 
 
 def _eigen_value_at_level(spec: EnsembleSpec, level: int, insertion=None,
-                          poles=None) -> complex:
+                          poles=None) -> tuple[complex, float]:
+    """The eigenvalue sum on the quadrature rules of `level`, and the sum of the
+    magnitudes of its terms, the yardstick of a value that vanishes by symmetry."""
     if spec.family not in ("orth", "sympl"):
         raise ValueError(f"no eigenvalue oracle for kind {spec.kind!r}")
     if spec.n > EIGEN_MAX_N:
@@ -148,13 +149,28 @@ def _eigen_value_at_level(spec: EnsembleSpec, level: int, insertion=None,
     n, L = spec.n, spec.L
     orth = spec.family == "orth"
     mult = mom.WEIGHT_CONSTANTS[spec.family][1]
+    plain = insertion is None and poles is None
 
     def line(maxdeg):
         lp, w = mom.line_rule(spec.family, spec.t, spec.s, maxdeg, level, poles)
         return lp, w if insertion is None else w * insertion(lp.nodes) ** mult
 
+    def line_memo(maxdeg):
+        # memo(exponents, build) of the line integrals on the rule of `maxdeg`: a plain
+        # call's are built once per pass, under all that determines them, others once a call
+        if plain:
+            return lambda exps, build: mom.memo(
+                ("oracle_line", spec.family, spec.t, spec.s, maxdeg, level, exps), build)
+        held: dict = {}
+
+        def keep(exps, build):
+            if exps not in held:
+                held[exps] = build()
+            return held[exps]
+        return keep
+
     def pair_table(maxdeg):
-        if insertion is None and poles is None:
+        if plain:
             # one table per coupling and level, read by every (N, L): the degree, and with
             # it the grid radius, rounded up to a multiple of 16
             degree = -(-maxdeg // 16) * 16
@@ -172,25 +188,29 @@ def _eigen_value_at_level(spec: EnsembleSpec, level: int, insertion=None,
         if alpha != 0.0 and n >= 2:
             pair_T = pair_table(maxdeg + abs(L) + 2)
         lp, w = line(maxdeg + 2)
+        cumulatives = line_memo(maxdeg + 2)
 
         def line_factor(rows):
-            return _ordered_integrals(lp, w, rows + L)
+            return _ordered_integrals(lp, w, rows + L, cumulatives)
     else:
         maxdeg = 4 * n + 2 * abs(L) + 2
         pair_T = pair_table(maxdeg) if alpha != 0.0 else None
         mu_qmin = -2 * abs(L)
         mu_qmax = maxdeg * 2
-        mu = mom._line_moments(*line(mu_qmax + 2))(np.arange(mu_qmin, mu_qmax + 1))
+        mu = line_memo(mu_qmax + 2)((mu_qmin, mu_qmax), lambda: mom._line_moments(
+            *line(mu_qmax + 2))(np.arange(mu_qmin, mu_qmax + 1)))
 
         def line_factor(rows):
             return np.prod(mu[rows + 2 * L - mu_qmin], axis=1)
     pair_norm = PAIR_NORM[spec.family]
-    total = 0.0 + 0.0j
+    total, abs_sum = 0.0 + 0.0j, 0.0
     for k, m, wk in _sectors(spec):
         # the symplectic line is unordered, with 1/2 per doubled eigenvalue
         norm = pair_norm ** k / math.factorial(k) * (1.0 if orth else 0.5 ** m / math.factorial(m))
-        total += wk * (_sector_value(spec.family, k, m, L, pair_T, line_factor) * norm)
-    return total
+        value, magnitude = _sector_value(spec.family, k, m, L, pair_T, line_factor)
+        total += wk * (value * norm)
+        abs_sum += abs(wk * norm) * magnitude
+    return total, abs_sum
 
 
 def eigen_integral(spec: EnsembleSpec, rel_tol: float = 1e-9, insertion=None,
@@ -205,6 +225,11 @@ def eigen_integral(spec: EnsembleSpec, rel_tol: float = 1e-9, insertion=None,
     supports stay clear of `poles`.  No attempt is made to match absorbed
     volume constants; use ratios.
 
+    A value that vanishes by symmetry (OE or GinOE at N = 3, L = 1, t = 0, where
+    every sector is odd under x -> -x) is rounding noise on every level; it
+    converges once two levels fall below rel_tol times the sum of its terms'
+    magnitudes on the first level.
+
     A plain call (no insertion, no poles) is memoized per (spec, rel_tol) in
     the in-memory table cache, so `moments.clear_cache()` forgets it; it is
     never written to disk.
@@ -212,8 +237,10 @@ def eigen_integral(spec: EnsembleSpec, rel_tol: float = 1e-9, insertion=None,
     spec.validate().require()
 
     def build():
+        first, abs_sum = _eigen_value_at_level(spec, 0, insertion, poles)
         value, err = converge(
-            lambda lvl: _eigen_value_at_level(spec, lvl, insertion, poles), rel_tol)
+            lambda lvl: _eigen_value_at_level(spec, lvl, insertion, poles)[0] if lvl else first,
+            rel_tol, zero_floor=rel_tol * abs_sum)
         return OracleResult(value, err, "quadrature")
 
     if insertion is None and poles is None:

@@ -4,7 +4,8 @@ Nothing here knows an ensemble kind: the eigenvalue weights, and the
 validator that guards them, live with `moments.EnsembleSpec`; `erfc_vec`,
 the one special function they need, is a NumPy port of Cephes.  Everything
 here is panel Gauss-Legendre: grids are pure functions of their arguments,
-each level doubles the panel count, and reductions run in a fixed order,
+each level doubles the panel count (past the half plane's cheap first
+rule), and reductions run in a fixed order,
 so results are reproducible bit for bit.  No Monte Carlo.
 `converge` is the one refinement loop: every quadrature number either
 meets its tolerance there or raises `QuadratureError`.
@@ -300,9 +301,15 @@ def polar_gram(grid: QuadratureGrid, f: np.ndarray, rows, cols,
 
 
 def half_plane_grid(radius: float, level: int = 0) -> QuadratureGrid:
-    """Polar tensor grid over the upper half-plane, d^2 z = dRe z dIm z: 4 radial panels
-    of order 20 and 3 angular ones of order 24 at level 0."""
-    return _polar_grid("half-plane", math.pi, radius, 4, 20, 3, 24, level)
+    """Polar tensor grid over the upper half-plane, d^2 z = dRe z dIm z.
+
+    Level 0 is a cheap confirming rule, 3 radial and 3 angular panels of order 16
+    (2304 nodes); level l >= 1 is 4 radial panels of order 20 by 3 angular ones of
+    order 24 (5760 nodes), with both panel counts doubled l - 1 times.  So a table
+    that `converge` accepts at level 1 is the 5760-node one."""
+    if level == 0:
+        return _polar_grid("half-plane", math.pi, radius, 3, 16, 3, 16, 0)
+    return _polar_grid("half-plane", math.pi, radius, 4, 20, 3, 24, level - 1)
 
 
 def full_plane_grid(radius: float, n_r: int = 4, r_order: int = 20,

@@ -429,7 +429,7 @@ def test_unconverged_oracle_fails_the_verdict(monkeypatch):
     # an empty table cache, so no memoized oracle value stands in for it
     monkeypatch.setattr(moments, "_SECTOR_CACHE", {})
     monkeypatch.setattr(oracle, "_eigen_value_at_level",
-                        lambda spec, level, *args, **kwargs: 1.0 + 0.1 * level)
+                        lambda spec, level, *args, **kwargs: (1.0 + 0.1 * level, 1.0))
     v = run_experiment(Experiment("drift", "series-vs-oracle-ratio",
                                   spec=EnsembleSpec("OE", 1, 0, CouplingSeq.of(0.3)),
                                   tolerance=1e-4, cutoff=6))

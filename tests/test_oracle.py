@@ -2,13 +2,15 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pftau import moments, oracle
-from pftau.hub import Experiment, _z_score, run_experiment
+from pftau.cli import parse_config
+from pftau.hub import Experiment, _z_score, ratio_experiments, run_experiment
 from pftau.moments import EnsembleSpec, ginue_weight, pair_moments
 from pftau.oracle import (_GINUE_RULES, _newton, _pair_sum, _szego, det_average_lhs,
                           discrete_consistency, eigen_integral, ginue_two_point,
@@ -663,3 +665,117 @@ def test_pair_moment_table_hermitian_pairing():
     for a in range(5):
         for b in range(5):
             assert t[b, a] == pytest.approx(np.conj(t[a, b]), abs=1e-10 * np.max(np.abs(t)))
+
+
+# ---------------------------------------------------------------------------
+# the half-plane ladder: a 2304-node confirming rule, then 5760 nodes, doubled per level
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+# 92160 nodes, two doublings past the 5760-node rule that a converged table comes from
+REFERENCE_LEVEL = 3
+
+
+def _at_level(level):
+    """A `converge` that returns its build at `level` without comparing levels."""
+    return lambda build, rel_tol, **kwargs: (build(level), 0.0)
+
+
+def _shipped_pair_calls(monkeypatch):
+    """The arguments of every `eigen_integral` and `_kernel_pair_block` call on a spec with a
+    pair sector that the shipped configs make, each once."""
+    calls = {}
+    eigen, block = oracle.eigen_integral, moments._kernel_pair_block
+
+    def spy_eigen(spec, rel_tol=1e-9, insertion=None, poles=None):
+        calls.setdefault(("eigen", spec, rel_tol, repr(poles)), (spec, rel_tol, insertion, poles))
+        return eigen(spec, rel_tol, insertion, poles)
+
+    def spy_block(spec, p):
+        calls.setdefault(("block", spec, tuple(p.tolist())), (spec, p))
+        return block(spec, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "eigen_integral", spy_eigen)
+        m.setattr(moments, "_kernel_pair_block", spy_block)
+        for path in sorted(CONFIGS.glob("*.json")):
+            for e in parse_config(path.read_text()).experiments:
+                if (e.spec is not None and e.spec.family != "unitary" and e.spec.mix[0]
+                        and e.comparison in ("series-vs-oracle-ratio", "kernel-vs-oracle")):
+                    assert run_experiment(e).passed, e.name
+    return [(key[0], args) for key, args in calls.items()]
+
+
+def _assert_ladder_matches_the_reference(monkeypatch, kind, args):
+    if kind == "eigen":
+        spec, rel_tol, insertion, poles = args
+        value = eigen_integral(spec, rel_tol, insertion, poles).value
+        ref = oracle._eigen_value_at_level(spec, REFERENCE_LEVEL, insertion, poles)[0]
+    else:
+        value = moments._kernel_pair_block(*args)
+        with monkeypatch.context() as m:
+            m.setattr(moments, "converge", _at_level(REFERENCE_LEVEL))
+            ref = moments._kernel_pair_block(*args)
+    assert np.max(np.abs(value - ref)) <= 1e-13 * np.max(np.abs(ref)), args[0]
+
+
+def test_the_half_plane_ladder_holds_every_shipped_pair_value(monkeypatch):
+    calls = _shipped_pair_calls(monkeypatch)
+    # the GinOE and GinSE ratio oracles of the gate and compare_oracle_ginse.json, the
+    # determinant averages and kernel pair blocks of the kernel configs
+    assert {kind for kind, _ in calls} == {"eigen", "block"}
+    for kind, args in calls:
+        _assert_ladder_matches_the_reference(monkeypatch, kind, args)
+
+
+@pytest.mark.parametrize("kind", ["GinOE", "GinSE"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("t", [(0.1,), (0.2, -0.1), (0.3, 0.1)])
+def test_the_half_plane_ladder_holds_the_oracle_sweep(monkeypatch, kind, n, t):
+    for L in (0, 1, 2):
+        spec = EnsembleSpec(kind, n, L, CouplingSeq.of(*t))
+        _assert_ladder_matches_the_reference(monkeypatch, "eigen", (spec, 1e-9, None, None))
+
+
+@pytest.mark.parametrize("kind", ["OE", "GinOE"])
+def test_a_value_that_vanishes_by_symmetry_converges_at_level_1(levels, kind):
+    # at N = 3, L = 1 and t = 0 every sector is odd under x -> -x, so the value is
+    # rounding noise on every level, and no two levels agree relative to it
+    spec = EnsembleSpec(kind, 3, 1)
+    moments.clear_cache()
+    res = eigen_integral(spec)
+    assert levels == [0, 1]
+    floor = 1e-9 * oracle._eigen_value_at_level(spec, 0)[1]
+    assert abs(res.value) < floor and res.error_estimate < floor
+
+
+def _bits(specs) -> dict:
+    """Each plain oracle value and error estimate of `specs`, as the hex of its floats."""
+    out = {}
+    for spec in specs:
+        res = eigen_integral(spec)
+        out[spec] = tuple(float(x).hex() for x in (res.value.real, res.value.imag,
+                                                  res.error_estimate))
+    return out
+
+
+def test_oracle_values_do_not_depend_on_run_order_or_the_memo(monkeypatch):
+    # the 50 distinct specs whose oracle the tau-series ratios read: they share pair tables
+    # and line integrals through the per-pass memo, which must not move a bit
+    specs = {}
+    eigen = oracle.eigen_integral
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "eigen_integral",
+                  lambda spec, *args: specs.setdefault(spec) or eigen(spec, *args))
+        for e in ratio_experiments(cutoff=20):
+            run_experiment(e)
+    specs = list(specs)
+    assert len(specs) == 50
+    moments.clear_cache()
+    forward = _bits(specs)
+    moments.clear_cache()
+    backward = _bits(specs[::-1])
+    alone = {}
+    for spec in specs:
+        moments.clear_cache()
+        alone.update(_bits([spec]))
+    assert forward == backward == alone

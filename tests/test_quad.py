@@ -240,10 +240,12 @@ def test_grid_invariants():
     grid = half_plane_grid(5.0)
     assert np.all(grid.weights > 0)
     assert np.all(np.imag(grid.nodes) > 0)
-    fine = half_plane_grid(5.0, level=1)
+    fine, finer = (half_plane_grid(5.0, level=k) for k in (1, 2))
     assert np.all(np.imag(fine.nodes) > 0)
-    # one level doubles both the radial and the angular panel count
-    assert len(fine.nodes) == 4 * len(grid.nodes)
+    # level 0 is the cheap confirming rule; past level 1 each level doubles both the
+    # radial and the angular panel count
+    assert len(grid.nodes) < len(fine.nodes)
+    assert len(finer.nodes) == 4 * len(fine.nodes)
     # the stored polar factors multiply back to the nodes and weights
     for g in (grid, fine, full_plane_grid(5.0)):
         z = g.radii[:, None] * np.exp(1j * g.angles[None, :])
@@ -253,10 +255,14 @@ def test_grid_invariants():
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_plane_grid_level_k_plus_1_is_the_eight_panel_level_k_grid(k):
-    # the base panel counts are half of (8, 6) and (8, 8), so each level is the
-    # grid that those counts give one level lower, node for node and bit for bit
+    # the base panel counts are half of (8, 6) and (8, 8), so each level is the grid that
+    # those counts give one level lower, node for node and bit for bit; the half-plane
+    # ladder has one cheap rule before that base, so there it is level k + 2, and level
+    # k + 1 is the (4, 3) base's level k
+    four_three = _polar_grid("half-plane", math.pi, 5.5, 4, 20, 3, 24, k)
     eight_six = _polar_grid("half-plane", math.pi, 5.5, 8, 20, 6, 24, k)
-    for new, old in ((half_plane_grid(5.5, level=k + 1), eight_six),
+    for new, old in ((half_plane_grid(5.5, level=k + 1), four_three),
+                     (half_plane_grid(5.5, level=k + 2), eight_six),
                      (full_plane_grid(5.5, level=k + 1), full_plane_grid(5.5, 8, 20, 8, 24, k))):
         assert new.domain == old.domain
         for name in ("radii", "radial_weights", "angles", "angle_weights"):
