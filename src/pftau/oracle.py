@@ -7,7 +7,9 @@ with one-eigenvalue moments: a half-plane table for each conjugate pair, and
 per distinct row of line exponents either a product of single moments (the
 symplectic line) or a nested ordered integral (the orthogonal one).  So an
 integral over up to EIGEN_MAX_N = 4 eigenvalues costs a handful of
-one-dimensional quadratures and one vectorised sum per sector.
+one-dimensional quadratures and one vectorised sum per sector.  The GinUE
+two-point value contracts its expanded |Delta|^2 the same way, with the
+full-plane moments of each rule.
 
 Normalization: complex-pair sectors carry one fixed constant per pair
 ((z - zbar)/2 for the symplectic family, 1/(2i) for the orthogonal one),
@@ -30,8 +32,8 @@ import numpy as np
 from . import moments as mom
 from .moments import EnsembleSpec
 from .partitions import _frozen
-from .quad import LinePanels, converge, full_plane_grid, gaussian_halfwidth
-from .skewlin import SkewPair
+from .quad import LinePanels, converge, full_plane_grid, gaussian_halfwidth, power_table
+from .skewlin import SkewPair, _cmul
 from .skewlin import abar  # noqa: F401  bound here too: perfbench's tracer test patches it
 from .symfun import hseq, potential, schur_from_h
 from .tauseries import required_table_size, schur_values, series_terms
@@ -85,6 +87,10 @@ def _sector_factors(family: str, k: int, m: int) -> list[tuple[int, int, int]]:
     eigenvalue of the symplectic family is doubled (mult 2), and a quaternion
     pair carries one more (z - zbar) from its weight.
     """
+    if family == "unitary":
+        # |Delta|^2 = prod_{i<j} (z_i - z_j)(zbar_i - zbar_j): no line, no weighted pair
+        return [(2 * i + c, 2 * j + c, 1)
+                for i, j in itertools.combinations(range(k), 2) for c in (0, 1)]
     mult = [1] * (2 * k) + [mom.WEIGHT_CONSTANTS[family][1]] * m
     weighted = {(2 * i, 2 * i + 1) for i in range(k)} if family == "sympl" else set()
     return [(a, b, mult[a] * mult[b] + ((a, b) in weighted))
@@ -103,12 +109,13 @@ def _sector_poly(family: str, k: int, m: int) -> tuple:
 def _sector_value(family: str, k: int, m: int, shift: int, pair_T,
                   line_factor) -> tuple[complex, float]:
     """sum over the monomials of one sector: coefficient times pair_T at each
-    pair's exponents plus `shift`, times `line_factor` of the line exponents;
-    and the sum of those terms' magnitudes."""
+    pair's exponents plus `shift`, times `line_factor` of the line exponents
+    (read only where m > 0); and the sum of those terms' magnitudes."""
     exps, terms, line_rows, line_index = _sector_poly(family, k, m)
     for i in range(k):
         terms = terms * pair_T[exps[:, 2 * i] + shift, exps[:, 2 * i + 1] + shift]
-    terms = terms * line_factor(line_rows)[line_index]
+    if m:
+        terms = terms * line_factor(line_rows)[line_index]
     return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
@@ -181,32 +188,36 @@ def _eigen_value_at_level(spec: EnsembleSpec, level: int, insertion=None,
                                 None if insertion is None
                                 else (lambda z: insertion(z) * insertion(np.conj(z))), poles)
 
-    # absolute powers: |z|^{2L} per pair, x^L per real eigenvalue (x^{2L} per doubled one)
+    # absolute powers: |z|^{2L} per pair, x^L per real eigenvalue (x^{2L} per doubled one);
+    # line_measure() builds the line rule and returns the line factor of `_sector_value`
     if orth:
         maxdeg = n - 1 + abs(L) + 1
         pair_T = None
         if alpha != 0.0 and n >= 2:
             pair_T = pair_table(maxdeg + abs(L) + 2)
-        lp, w = line(maxdeg + 2)
-        cumulatives = line_memo(maxdeg + 2)
 
-        def line_factor(rows):
-            return _ordered_integrals(lp, w, rows + L, cumulatives)
+        def line_measure():
+            lp, w = line(maxdeg + 2)
+            cumulatives = line_memo(maxdeg + 2)
+            return lambda rows: _ordered_integrals(lp, w, rows + L, cumulatives)
     else:
         maxdeg = 4 * n + 2 * abs(L) + 2
         pair_T = pair_table(maxdeg) if alpha != 0.0 else None
         mu_qmin = -2 * abs(L)
         mu_qmax = maxdeg * 2
-        mu = line_memo(mu_qmax + 2)((mu_qmin, mu_qmax), lambda: mom._line_moments(
-            *line(mu_qmax + 2))(np.arange(mu_qmin, mu_qmax + 1)))
 
-        def line_factor(rows):
-            return np.prod(mu[rows + 2 * L - mu_qmin], axis=1)
+        def line_measure():
+            mu = line_memo(mu_qmax + 2)((mu_qmin, mu_qmax), lambda: mom._line_moments(
+                *line(mu_qmax + 2))(np.arange(mu_qmin, mu_qmax + 1)))
+            return lambda rows: np.prod(mu[rows + 2 * L - mu_qmin], axis=1)
     pair_norm = PAIR_NORM[spec.family]
     total, abs_sum = 0.0 + 0.0j, 0.0
+    line_factor = None   # built on the first sector with a line eigenvalue, if any
     for k, m, wk in _sectors(spec):
         # the symplectic line is unordered, with 1/2 per doubled eigenvalue
         norm = pair_norm ** k / math.factorial(k) * (1.0 if orth else 0.5 ** m / math.factorial(m))
+        if m and line_factor is None:
+            line_factor = line_measure()
         value, magnitude = _sector_value(spec.family, k, m, L, pair_T, line_factor)
         total += wk * (value * norm)
         abs_sum += abs(wk * norm) * magnitude
@@ -265,42 +276,24 @@ def det_average_lhs(spec: EnsembleSpec, p, rel_tol: float = 1e-9) -> OracleResul
 # (n_r, r_order, n_theta, t_order) per level, 588 to 25344 nodes: the first two,
 # unrelated rules give the value and its error estimate; each finer one runs on disagreement.
 # The second, one 36-node radial panel by four 14-node angular panels, is as accurate as a
-# 2688-node rule of 56 by 48 nodes at a little over half its pair terms; a t_2 != 0 weight
+# 2688-node rule of 56 by 48 nodes at three quarters of its nodes; a t_2 != 0 weight
 # needs those angular panels.  Every rule past it has more nodes than it both in radius
 # and in angle, so a climb never returns a value coarser than the rule it climbed from
 _GINUE_RULES = ((1, 21, 2, 14), (1, 36, 4, 14), (1, 40, 4, 16), (5, 18, 5, 14), (8, 22, 8, 18))
 
 
-def _pair_sum(z: np.ndarray, w: np.ndarray) -> complex:
-    """sum_ij w_i w_j |z_i - z_j|^2, from the pairs i < j only.
+def _two_point_sum(z: np.ndarray, w: np.ndarray, n: int) -> complex:
+    """sum over n-tuples of nodes of prod_i w_i |Delta(z)|^2, which for n = 2 is
+    sum_ij w_i w_j |z_i - z_j|^2, in O(nodes): the expanded |Delta|^2 contracted with
+    S[a, b] = sum_p w_p z_p^a zbar_p^b (`_sector_value`).
 
-    The diagonal term is 0 and the summand symmetric, so each row block meets
-    only the columns from its own first row on: pairs inside the block count
-    both ways, pairs beyond it once with weight 2.  |z_i - z_j|^2 is formed in
-    real arithmetic in two reused (block, nodes) buffers that stay in cache,
-    and each block is reduced by one product with the contiguous (nodes, 2)
-    real and imaginary weights.
+    Each complex product rounds its real products on their own (`_cmul`) and each S
+    entry is NumPy's pairwise sum over the nodes, so no BLAS kernel sets its bits.
     """
-    x, y = z.real, z.imag
-    n = len(z)
-    block = 32   # 3.2 MB of buffers at the 6300-node rule
-    w_ri = np.stack([w.real, w.imag], axis=1)
-    bufs = np.empty((2, min(block, n) * n))
-    total = 0.0 + 0.0j
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        shape = (i1 - i0, n - i0)
-        d2, dy = (buf[:shape[0] * shape[1]].reshape(shape) for buf in bufs)
-        np.subtract.outer(x[i0:i1], x[i0:], out=d2)
-        np.subtract.outer(y[i0:i1], y[i0:], out=dy)
-        d2 *= d2
-        dy *= dy
-        d2 += dy
-        cols = w_ri[i0:].copy()
-        cols[i1 - i0:] *= 2.0
-        s = d2 @ cols
-        total += np.dot(w[i0:i1], s[:, 0] + 1j * s[:, 1])
-    return total
+    powers = power_table(z, range(n))
+    weighted = _cmul(powers, w)
+    moments = np.sum(_cmul(weighted[:, None, :], np.conj(powers)[None, :, :]), axis=-1)
+    return _sector_value("unitary", n, 0, 0, moments, None)[0]
 
 
 def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
@@ -316,13 +309,13 @@ def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
         z = grid.nodes
         return z, np.exp(log_w(z)) * z ** spec.L * np.conj(z) ** (-spec.L2) * grid.weights
 
-    # sum_ij |w_i w_j| |z_i - z_j|^2 on the first rule: with L2 != -L the value
-    # vanishes by rotation, and its noise is measured against this scale
-    first = rule(0)
-    z, a = first[0], np.abs(first[1])
-    abs_sum = 2.0 * (np.sum(a) * np.sum(a * np.abs(z) ** 2) - abs(np.sum(a * z)) ** 2)
-    value, err = converge(lambda level: _pair_sum(*(rule(level) if level else first)), rel_tol,
-                          max_level=len(_GINUE_RULES) - 1, zero_floor=rel_tol * abs_sum)
+    # the same sum with |w| on the first rule: with L2 != -L the value vanishes by
+    # rotation, and its noise is measured against this scale
+    z, w = rule(0)
+    abs_sum = _two_point_sum(z, np.abs(w), spec.n).real
+    first = _two_point_sum(z, w, spec.n)
+    value, err = converge(lambda level: _two_point_sum(*rule(level), spec.n) if level else first,
+                          rel_tol, max_level=len(_GINUE_RULES) - 1, zero_floor=rel_tol * abs_sum)
     return OracleResult(value, err, "quadrature")
 
 

@@ -723,11 +723,11 @@ def test_moments_dump_default_size_covers_the_series_at_negative_L(tmp_path):
 
 
 def test_verdicts_identical_across_blas_thread_counts(tmp_path, gate_config):
-    # moment tables and the GinUE pair sum are BLAS products: the GinSE and
-    # erfc-weighted GinOE plane tables (the GinOE ones at L = 0 and 1), the
-    # OE line table and the GinUE bimoments and two-point sum; the SE line and
-    # GinSE plane kernel matrices are batched matrix products; the Haar power
-    # sums of O3 and Sp2 come from eigenangle draws on the batch axis
+    # moment tables are BLAS products: the GinSE and erfc-weighted GinOE plane
+    # tables (the GinOE ones at L = 0 and 1), the OE line table and the GinUE
+    # bimoments; the SE line and GinSE plane kernel matrices are batched matrix
+    # products; the Haar power sums of O3 and Sp2 come from eigenangle draws on
+    # the batch axis
     names = ("ratio-GinSE-N2-L0-tA", "ratio-GinSE-N2-L1-tA", "ratio-GinOE-N2-L0-tA",
              "ratio-GinOE-N2-L1-tA", "ratio-OE-N2-L0-tA", "bimoment-GinUE-N2", "group-O3",
              "group-Sp2", "kernel-SE-N2", "kernel-GinSE-N1")

@@ -12,7 +12,7 @@ from pftau import moments, oracle
 from pftau.cli import parse_config
 from pftau.hub import Experiment, _z_score, ratio_experiments, run_experiment
 from pftau.moments import EnsembleSpec, ginue_weight, pair_moments
-from pftau.oracle import (_GINUE_RULES, _newton, _pair_sum, _szego, det_average_lhs,
+from pftau.oracle import (_GINUE_RULES, _newton, _szego, _two_point_sum, det_average_lhs,
                           discrete_consistency, eigen_integral, ginue_two_point,
                           haar_expectation_mc)
 from pftau.partitions import Partition, conjugate, enumerate_partitions, is_even_partition
@@ -171,6 +171,27 @@ def test_det_average_empty_points_is_eigen():
     assert det_average_lhs(spec, ()).value == pytest.approx(eigen_integral(spec).value)
 
 
+@pytest.mark.parametrize("spec", [EnsembleSpec("GinSE", 2, 1, CouplingSeq.of(0.1)),
+                                  EnsembleSpec("GinOE", 4, 1, alpha=1.0, beta=0.0)],
+                         ids=["GinSE", "GinOE-mix-1-0"])
+def test_a_pair_only_mix_builds_no_line_rule(monkeypatch, spec):
+    # at beta = 0 the mix keeps only the sector with no line eigenvalue, so the oracle
+    # builds no line rule; a sector of weight 0 with line eigenvalues added to the mix
+    # makes it build the line measure, and the value keeps every bit
+    p = (0.06, -0.06, 0.03, -0.042)
+    calls = []
+    line_rule = moments.line_rule
+    monkeypatch.setattr(moments, "line_rule",
+                        lambda *args, **kw: calls.append(args) or line_rule(*args, **kw))
+    lazy = det_average_lhs(spec, p)
+    assert not calls
+    sectors = oracle._sectors
+    monkeypatch.setattr(oracle, "_sectors", lambda s: [*sectors(s), (0, s.n, 0.0)])
+    eager = det_average_lhs(spec, p)
+    assert calls
+    assert (lazy.value, lazy.error_estimate) == (eager.value, eager.error_estimate)
+
+
 def test_det_average_equals_miwa_shift():
     # the symplectic line weight carries e^{2 V(x, t)}, and the insertion
     # (1 - p x)^{-2} is e^{2 V(x, [p])}: the full shift t + [p]
@@ -299,27 +320,43 @@ def test_haar_schur_payloads_match_the_per_member_stack(group, monkeypatch):
         assert (a.value, a.error_estimate) == (b.value, b.error_estimate)
 
 
-def test_ginue_pair_sum_over_upper_triangle_matches_full_double_sum(gate_experiments):
-    spec = gate_experiments["bimoment-GinUE-N2"].spec
+def _ginue_rule(spec, level):
+    """(z, w) of the GinUE two-point oracle's rule at `level`: nodes and weight values."""
     log_w, gauss, lin = ginue_weight(spec)
-    n_r, r_order, n_theta, t_order = _GINUE_RULES[0]
+    n_r, r_order, n_theta, t_order = _GINUE_RULES[level]
     grid = full_plane_grid(gaussian_halfwidth(gauss, lin, 6), n_r=n_r, r_order=r_order,
                            n_theta=n_theta, t_order=t_order)
     z = grid.nodes
-    w = np.exp(log_w(z)) * z ** spec.L * np.conj(z) ** (-spec.L2) * grid.weights
+    return z, np.exp(log_w(z)) * z ** spec.L * np.conj(z) ** (-spec.L2) * grid.weights
+
+
+def _full_double_sum(z, w):
+    """sum_ij w_i w_j |z_i - z_j|^2 over every (i, j), the diagonal included: O(nodes^2)."""
+    full = 0.0 + 0.0j
+    for i in range(0, len(z), 256):
+        full += w[i:i + 256] @ (np.abs(z[i:i + 256, None] - z[None, :]) ** 2 @ w)
+    return full
+
+
+def test_ginue_two_point_contraction_matches_the_full_double_sum(gate_experiments):
+    spec = gate_experiments["bimoment-GinUE-N2"].spec
     rng = np.random.default_rng(8)
-    # the level-0 rule, then node counts that leave a short last row block
-    cases = [(z, w)] + [(rng.normal(size=k) + 1j * rng.normal(size=k),
-                         rng.normal(size=k) + 1j * rng.normal(size=k)) for k in (7, 45)]
+    # the gate spec's first two rules, the det powers (L, L2) = (1, -1), the |w| yardstick
+    # of a spec that vanishes by rotation, and random complex node sets and weights
+    cases = [_ginue_rule(spec, 0), _ginue_rule(spec, 1),
+             _ginue_rule(dataclasses.replace(spec, L=1, L2=-1), 0)]
+    z, w = _ginue_rule(EnsembleSpec("GinUE", 2, L=1, L2=1), 0)
+    cases.append((z, np.abs(w)))
+    cases += [(rng.normal(size=k) + 1j * rng.normal(size=k),
+               rng.normal(size=k) + 1j * rng.normal(size=k)) for k in (7, 45, 300)]
     for z, w in cases:
-        full = 0.0 + 0.0j
-        for i in range(0, len(z), 256):   # every (i, j), the diagonal included
-            full += w[i:i + 256] @ (np.abs(z[i:i + 256, None] - z[None, :]) ** 2 @ w)
-        assert abs(_pair_sum(z, w) - full) <= 1e-13 * abs(full)
+        full = _full_double_sum(z, w)
+        assert abs(_two_point_sum(z, w, 2) - full) <= 1e-13 * abs(full)
 
 
 def test_ginue_two_point_memory_peak(gate_experiments):
-    # the pair sum runs in row blocks; a 2048-row block held 207 MB here
+    # the oracle holds a few arrays of the rule's size; an all-pairs block of 2048 rows
+    # held 207 MB
     tracemalloc.start()
     try:
         ginue_two_point(gate_experiments["bimoment-GinUE-N2"].spec)
@@ -469,31 +506,26 @@ def test_ginue_two_point_matches_determinant():
         ginue_two_point(EnsembleSpec("GinUE", 3))
 
 
-def _ginue_abs_pair_sum(spec):
-    # sum_ij |w_i w_j| |z_i - z_j|^2 on the first rule, from the production pair sum
-    log_w, gauss, lin = ginue_weight(spec)
-    n_r, r_order, n_theta, t_order = _GINUE_RULES[0]
-    grid = full_plane_grid(gaussian_halfwidth(gauss, lin, 6), n_r=n_r, r_order=r_order,
-                           n_theta=n_theta, t_order=t_order)
-    z = grid.nodes
-    w = np.exp(log_w(z)) * z ** spec.L * np.conj(z) ** (-spec.L2) * grid.weights
-    return _pair_sum(z, np.abs(w)).real
-
-
 @pytest.mark.parametrize("L, L2", [(1, 1), (1, 0)])
 def test_ginue_two_point_vanishing_by_rotation_returns_zero(L, L2):
     spec = EnsembleSpec("GinUE", 2, L=L, L2=L2)
     res = ginue_two_point(spec)
-    floor = 2e-6 * _ginue_abs_pair_sum(spec)
+    # sum_ij |w_i w_j| |z_i - z_j|^2 on the first rule, by the brute-force double sum
+    z, w = _ginue_rule(spec, 0)
+    floor = 2e-6 * _full_double_sum(z, np.abs(w)).real
     assert floor > 1e-6
     assert abs(res.value) <= floor and res.error_estimate <= floor
 
 
-@pytest.mark.parametrize("L, L2, value", [(0, 0, 19.739208802178727 + 0j),
-                                          (1, -1, 39.478417604357396 - 2.075011123508271e-16j)],
+@pytest.mark.parametrize("L, L2, value", [(0, 0, 2 * math.pi ** 2), (1, -1, 4 * math.pi ** 2)],
                          ids=["0-0", "1--1"])
 def test_ginue_two_point_nonvanishing_values_unchanged(L, L2, value):
-    assert ginue_two_point(EnsembleSpec("GinUE", 2, L=L, L2=L2)).value == value
+    # the exact values, both real, within 8 ulps in the real part and 1 ulp of the value in
+    # the imaginary part: under the OpenBLAS kernels and NumPy SIMD dispatches tried the
+    # quadrature reads -4 to +5 ulps and imaginary parts of 0.03 ulp or less
+    got = ginue_two_point(EnsembleSpec("GinUE", 2, L=L, L2=L2)).value
+    assert abs(got.real - value) <= 8 * math.ulp(value)
+    assert abs(got.imag) <= math.ulp(value)
 
 
 @pytest.mark.parametrize("L, L2, value", [(0, 0, 2 * math.pi ** 2), (1, -1, 4 * math.pi ** 2)],
