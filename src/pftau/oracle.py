@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -296,25 +297,34 @@ def _two_point_sum(z: np.ndarray, w: np.ndarray, n: int) -> complex:
     return _sector_value("unitary", n, 0, 0, moments, None)[0]
 
 
+def _ginue_rule(spec: EnsembleSpec, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """(z, w) of the two-point oracle's rule at `level`: its nodes, and at each the weight
+    e^{V(z,t) + V(zbar,t') - |z|^2} z^L zbar^(-L2) times the rule's own.
+
+    The powers are `power_table` rows and each complex product rounds its real products
+    on their own (`_cmul`), so no SIMD path of NumPy's complex multiply sets their bits.
+    """
+    log_w, gauss, lin = mom.ginue_weight(spec)
+    grid = mom._plane_grid(full_plane_grid, gaussian_halfwidth(gauss, lin, 6),
+                           *_GINUE_RULES[level])
+    z = grid.nodes
+    w = _cmul(np.exp(log_w(z)), power_table(z, [spec.L])[0])
+    w = _cmul(w, power_table(np.conj(z), [-spec.L2])[0])
+    return z, _cmul(w, grid.weights)
+
+
 def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
     """Direct |Delta|^2-weighted two-eigenvalue quadrature over the plane."""
     if spec.family != "unitary" or spec.n != 2:
         raise ValueError("direct two-point oracle is for GinUE with N = 2")
     spec.validate().require()
-    log_w, gauss, lin = mom.ginue_weight(spec)
-    radius = gaussian_halfwidth(gauss, lin, 6)
-
-    def rule(level):
-        grid = mom._plane_grid(full_plane_grid, radius, *_GINUE_RULES[level])
-        z = grid.nodes
-        return z, np.exp(log_w(z)) * z ** spec.L * np.conj(z) ** (-spec.L2) * grid.weights
-
     # the same sum with |w| on the first rule: with L2 != -L the value vanishes by
     # rotation, and its noise is measured against this scale
-    z, w = rule(0)
+    z, w = _ginue_rule(spec, 0)
     abs_sum = _two_point_sum(z, np.abs(w), spec.n).real
     first = _two_point_sum(z, w, spec.n)
-    value, err = converge(lambda level: _two_point_sum(*rule(level), spec.n) if level else first,
+    value, err = converge(lambda level: (_two_point_sum(*_ginue_rule(spec, level), spec.n)
+                                         if level else first),
                           rel_tol, max_level=len(_GINUE_RULES) - 1, zero_floor=rel_tol * abs_sum)
     return OracleResult(value, err, "quadrature")
 
@@ -322,8 +332,11 @@ def ginue_two_point(spec: EnsembleSpec, rel_tol: float = 2e-6) -> OracleResult:
 # ---------------------------------------------------------------------------
 # Haar-measure Monte Carlo
 
-# independent seed streams per estimate; shard results reduce in a fixed order
+# independent seed streams per estimate; their blocks' results pool in a fixed order
 HAAR_SHARDS = 8
+# samples per block: the kernel's arrays hold at most this many columns, so its rows stay
+# in cache and no array grows with the batch
+HAAR_BLOCK = 4096
 
 
 def _components(group: str, size: int) -> list[tuple]:
@@ -338,23 +351,28 @@ def _components(group: str, size: int) -> list[tuple]:
     return [(n, -0.5, -0.5, ()), (n - 1, 0.5, 0.5, (1.0, -1.0))]
 
 
-def _szego(rng: np.random.Generator, n: int, a: float, b: float, batch: int) -> np.ndarray:
-    """Ascending coefficients, one column per sample, of prod_j (z - e^{i theta_j})
-    (z - e^{-i theta_j}) for `batch` draws of n angle pairs at the density of `_components`.
+def _verblunsky(rng: np.random.Generator, n: int, a: float, b: float, k: int,
+                batch: int) -> np.ndarray:
+    """`batch` draws of the Verblunsky coefficient alpha_k, k < 2n - 1, of a component
+    with n angle pairs at the density of `_components`.
 
-    Killip-Nenciu (IMRN 2004, no. 50, Thm 2 at beta = 2): independent real Verblunsky
-    coefficients alpha_k = 1 - 2Y, Y of Beta type, and alpha_{2n-1} = -1 make this the
-    Szego polynomial Phi_{2n}, with Phi_{k+1} = z Phi_k - alpha_k Phi_k^*.
+    Killip-Nenciu (IMRN 2004, no. 50, Thm 2 at beta = 2): the real alpha_k = 1 - 2Y are
+    independent, Y of Beta type, and alpha_{2n-1} = -1.
+    """
+    h = n - k / 2
+    alpha = rng.beta(h + 0.5 + a + b, h - 0.5, batch) if k % 2 else rng.beta(h + a, h + b, batch)
+    alpha *= -2.0    # exact, so -2Y + 1 has the bits of 1 - 2Y
+    alpha += 1.0
+    return alpha
+
+
+def _szego(alphas: list[np.ndarray], batch: int) -> np.ndarray:
+    """Ascending coefficients, one column per sample, of prod_j (z - e^{i theta_j})
+    (z - e^{-i theta_j}) for `batch` samples whose rows alpha_0..alpha_{2n-2} are `alphas`:
+    the Szego polynomial Phi_{2n}, Phi_{k+1} = z Phi_k - alpha_k Phi_k^*, alpha_{2n-1} = -1.
     """
     phi = np.ones((1, batch))
-    for k in range(2 * n):
-        h = n - k / 2
-        if k == 2 * n - 1:
-            alpha = -1.0
-        elif k % 2:
-            alpha = 1.0 - 2.0 * rng.beta(h + 0.5 + a + b, h - 0.5, batch)
-        else:
-            alpha = 1.0 - 2.0 * rng.beta(h + a, h + b, batch)
+    for k, alpha in enumerate(alphas + [-1.0] if alphas else []):
         nxt = np.zeros((k + 2, batch))
         nxt[1:] = phi
         nxt[:-1] -= alpha * phi[::-1]
@@ -375,18 +393,31 @@ def _newton(phi: np.ndarray, order: int) -> np.ndarray:
 
 
 def _haar_power_sums(rng: np.random.Generator, group: str, size: int, batch: int,
-                     order: int) -> np.ndarray:
-    """p[m-1, b] = Re Tr g_b^m, m = 1..order, of `batch` Haar draws g_b, from their
-    eigenangles alone; on O(size) a fair coin per sample picks the component."""
+                     order: int) -> Iterator[np.ndarray]:
+    """Yields p[m-1, b] = Re Tr g_b^m, m = 1..order, of `batch` Haar draws g_b, from their
+    eigenangles alone, component by component in blocks of at most HAAR_BLOCK samples.
+
+    The draws are those of the whole batch at once: a fair coin per sample picks the
+    component on O(size), then each component draws its rows alpha_0..alpha_{2n-2} over
+    all its samples in turn.  A generator's draws split over calls are those of one call,
+    so only the coin counts are kept, and only the rows before a component's last are held
+    whole (none at n = 1); the last is drawn a block at a time.
+    """
     comps = _components(group, size)
-    pick = rng.integers(len(comps), size=batch)
-    out = np.empty((order, batch))
+    counts = np.zeros(len(comps), dtype=int)
+    for start in range(0, batch, HAAR_BLOCK):
+        pick = rng.integers(len(comps), size=min(HAAR_BLOCK, batch - start))
+        counts += np.bincount(pick, minlength=len(comps))
     m = np.arange(1, order + 1)[:, None]
-    for k, (n, a, b, fixed) in enumerate(comps):
-        rows = pick == k
-        out[:, rows] = (_newton(_szego(rng, n, a, b, np.count_nonzero(rows)), order)
-                        + sum(f ** m for f in fixed))
-    return out
+    for (n, a, b, fixed), count in zip(comps, counts):
+        held = [_verblunsky(rng, n, a, b, k, count) for k in range(2 * n - 2)]
+        shift = sum(f ** m for f in fixed)
+        for start in range(0, count, HAAR_BLOCK):
+            stop = min(start + HAAR_BLOCK, count)
+            alphas = [row[start:stop] for row in held]
+            if n:
+                alphas.append(_verblunsky(rng, n, a, b, 2 * n - 2, stop - start))
+            yield _newton(_szego(alphas, stop - start), order) + shift
 
 
 def _payload_order(payload) -> int:
@@ -399,16 +430,38 @@ def _payload_order(payload) -> int:
     raise ValueError(f"unknown payload {what!r}")
 
 
+def _block_moments(v: np.ndarray) -> tuple[float, float, float, float]:
+    """(count, sum, mean, M2) of one block, M2 the sum of squared deviations from its mean."""
+    total = float(v.sum())
+    mean = total / len(v)
+    dev = v - mean
+    return float(len(v)), total, mean, float((dev * dev).sum())
+
+
+def _pooled(blocks: np.ndarray) -> tuple[float, float]:
+    """(mean, standard error of the mean) of the samples whose blocks' `_block_moments`
+    are the rows of `blocks`: mean = fsum(sums) / n, M2 = fsum(M2_b + n_b (mean_b -
+    mean)^2), each sum exactly rounded."""
+    counts, sums, means, m2s = blocks.T.tolist()
+    n = math.fsum(counts)
+    mean = math.fsum(sums) / n
+    m2 = math.fsum(m2_b + n_b * (mean_b - mean) ** 2
+                   for n_b, mean_b, m2_b in zip(counts, means, m2s))
+    return mean, math.sqrt(m2 / (n - 1) / n)
+
+
 def haar_expectation_mc(group, payloads, samples: int, seed: int) -> list[OracleResult]:
     """Monte Carlo Haar averages of s_lambda(g) or exp(sum t_m Tr g^m).
 
     group: ("orthogonal", N) or ("symplectic", 2n); payloads: a sequence of
     ("schur", lam) or ("exp_trace", CouplingSeq), one result each.  Every
-    shard draws its Haar batch once and forms its trace power sums once, at
-    the largest order any payload needs, so all payloads average over the
-    same samples and each result is the one its payload gets alone; the shard's
-    h table is formed once too, at the largest order a Schur payload reads.  Fixed
-    seed gives bit-identical output; shard estimates reduce in a fixed order.
+    shard draws its Haar batch once and forms each block's trace power sums once,
+    at the largest order any payload needs, so all payloads average over the
+    same samples and each result is the one its payload gets alone; each block's
+    h table is formed once too, at the largest order a Schur payload reads.  Every
+    payload reduces each block to (count, sum, mean, M2) and the blocks pool in a
+    fixed order, so memory past the Verblunsky rows `_haar_power_sums` holds is
+    bounded by the block, and a fixed seed gives bit-identical output.
     """
     gname, size = group
     if gname not in ("orthogonal", "symplectic"):
@@ -425,29 +478,36 @@ def haar_expectation_mc(group, payloads, samples: int, seed: int) -> list[Oracle
         return []
     # h_0..h_k do not depend on how many power sums follow p_k: one table serves every Schur
     schur_top = max((o for (what, _), o in zip(payloads, orders) if what == "schur"), default=0)
+    # exp_trace coefficients t_1..t_order; None marks a Schur payload
+    coeffs = [[float(arg.entry(m).real) for m in range(1, order + 1)] if what == "exp_trace"
+              else None for (what, arg), order in zip(payloads, orders)]
     seeds = np.random.SeedSequence(seed).spawn(HAAR_SHARDS)
     per = [samples // HAAR_SHARDS + (1 if i < samples % HAAR_SHARDS else 0)
            for i in range(HAAR_SHARDS)]
-    vals: list[list] = [[] for _ in payloads]
-    for ss, cnt in zip(seeds, per):
-        if cnt == 0:
-            continue
-        rng = np.random.default_rng(ss)
-        psums = _haar_power_sums(rng, gname, size, cnt, max(orders))
+
+    def block_moments(psums) -> np.ndarray:
         h = hseq(schur_top, psums.T)
-        for (what, arg), order, out in zip(payloads, orders, vals):
-            if what == "schur":
-                out.append(schur_from_h(arg, h))
+        out = []
+        for (_, arg), c in zip(payloads, coeffs):
+            if c is None:
+                v = schur_from_h(arg, h)
             else:
-                coeffs = np.array([float(arg.entry(m).real) for m in range(1, order + 1)])
-                out.append(np.exp(coeffs @ psums[:order]))
-    results = []
-    for v in vals:
-        v = np.concatenate(v)
-        mean = float(np.mean(v))
-        stderr = float(np.std(v, ddof=1) / math.sqrt(len(v)))
-        results.append(OracleResult(mean, stderr, f"monte-carlo(seed={seed}, samples={samples})"))
-    return results
+                # sum_m t_m p_m by multiply-adds in m order, so no BLAS kernel sets its bits
+                v = c[0] * psums[0]
+                for t_m, p_m in zip(c[1:], psums[1:]):
+                    v += t_m * p_m
+                np.exp(v, out=v)
+            out.append(_block_moments(v))
+        return np.array(out)
+
+    # one (payloads, 4) array per block, in draw order; `map` lets go of each block's
+    # arrays before the next block is drawn
+    blocks = []
+    for ss, cnt in zip(seeds, per):
+        rng = np.random.default_rng(ss)
+        blocks += map(block_moments, _haar_power_sums(rng, gname, size, cnt, max(orders)))
+    method = f"monte-carlo(seed={seed}, samples={samples})"
+    return [OracleResult(*_pooled(b), method) for b in np.stack(blocks, axis=1)]
 
 
 # ---------------------------------------------------------------------------

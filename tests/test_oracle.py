@@ -12,12 +12,13 @@ from pftau import moments, oracle
 from pftau.cli import parse_config
 from pftau.hub import Experiment, _z_score, ratio_experiments, run_experiment
 from pftau.moments import EnsembleSpec, ginue_weight, pair_moments
-from pftau.oracle import (_GINUE_RULES, _newton, _szego, _two_point_sum, det_average_lhs,
+from pftau.oracle import (_GINUE_RULES, HAAR_SHARDS, _components, _ginue_rule, _newton,
+                          _payload_order, _szego, _two_point_sum, _verblunsky, det_average_lhs,
                           discrete_consistency, eigen_integral, ginue_two_point,
                           haar_expectation_mc)
 from pftau.partitions import Partition, conjugate, enumerate_partitions, is_even_partition
 from pftau.quad import QuadratureError, full_plane_grid, gaussian_halfwidth
-from pftau.symfun import CouplingSeq, ZERO_SEQ, miwa_shift, potential
+from pftau.symfun import CouplingSeq, ZERO_SEQ, hseq, miwa_shift, potential, schur_from_h
 from pftau.tauseries import group_series
 
 SQRT_PI = math.sqrt(math.pi)
@@ -213,7 +214,8 @@ def test_det_average_equals_miwa_shift_oe():
 @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.5, -0.5), (-0.5, 0.5), (-0.5, -0.5)])
 @pytest.mark.parametrize("n", range(5))
 def test_newton_power_sums_are_those_of_the_szego_roots(n, a, b):
-    phi = _szego(np.random.default_rng(n), n, a, b, 40)
+    rng = np.random.default_rng(n)
+    phi = _szego([_verblunsky(rng, n, a, b, k, 40) for k in range(2 * n - 1)], 40)
     assert phi.shape == (2 * n + 1, 40)
     psums = _newton(phi, 6)
     for col, p in zip(phi.T, psums.T):
@@ -320,14 +322,90 @@ def test_haar_schur_payloads_match_the_per_member_stack(group, monkeypatch):
         assert (a.value, a.error_estimate) == (b.value, b.error_estimate)
 
 
-def _ginue_rule(spec, level):
-    """(z, w) of the GinUE two-point oracle's rule at `level`: nodes and weight values."""
+def _whole_batch_haar(group, payloads, samples, seed):
+    """(mean, stderr) per payload from the same draws held as whole-shard arrays: each
+    component's samples scattered back to sample order, every payload value of the batch
+    kept, then `np.mean` and `np.std(ddof=1)`."""
+    gname, size = group
+    comps = _components(gname, size)
+    orders = [_payload_order(p) for p in payloads]
+    top = max(orders)
+    m = np.arange(1, top + 1)[:, None]
+    vals = [[] for _ in payloads]
+    for i, ss in enumerate(np.random.SeedSequence(seed).spawn(HAAR_SHARDS)):
+        cnt = samples // HAAR_SHARDS + (i < samples % HAAR_SHARDS)
+        rng = np.random.default_rng(ss)
+        pick = rng.integers(len(comps), size=cnt)
+        psums = np.empty((top, cnt))
+        for k, (n, a, b, fixed) in enumerate(comps):
+            rows = pick == k
+            count = int(np.count_nonzero(rows))
+            alphas = [_verblunsky(rng, n, a, b, j, count) for j in range(2 * n - 1)]
+            psums[:, rows] = _newton(_szego(alphas, count), top) + sum(f ** m for f in fixed)
+        h = hseq(top, psums.T)
+        for (what, arg), order, out in zip(payloads, orders, vals):
+            if what == "schur":
+                out.append(schur_from_h(arg, h))
+            else:
+                out.append(np.exp(sum(float(arg.entry(j).real) * psums[j - 1]
+                                      for j in range(1, order + 1))))
+    vals = [np.concatenate(v) for v in vals]
+    return [(np.mean(v), np.std(v, ddof=1) / math.sqrt(samples)) for v in vals]
+
+
+@pytest.mark.parametrize("samples", [2, 7, 3001, 100000])
+@pytest.mark.parametrize("group", [("orthogonal", n) for n in range(1, 7)]
+                         + [("symplectic", n) for n in (2, 4, 6)])
+def test_haar_block_reduction_matches_the_whole_batch(group, samples):
+    # at 7 samples some shard holds one sample and some component none; 100000 spans
+    # several blocks per component
+    payloads = [("schur", Partition(parts)) for parts in ((), (1,), (2,), (1, 1), (2, 1, 1))]
+    payloads.append(("exp_trace", CouplingSeq.of(0.2, -0.1)))
+    got = haar_expectation_mc(group, payloads, samples, 17)
+    want = _whole_batch_haar(group, payloads, samples, 17)
+    for res, (mean, stderr) in zip(got, want):
+        assert abs(res.value - mean) <= 1e-14 * abs(mean)
+        assert abs(res.error_estimate - stderr) <= 1e-14 * stderr
+
+
+def test_haar_memory_does_not_grow_with_samples():
+    # the gate's O(3) payloads; the blocks bound every array
+    payloads = [("schur", Partition(parts)) for parts in ((2,), (1,), (1, 1))]
+    payloads.append(("exp_trace", CouplingSeq.of(0.2)))
+    peaks = []
+    for samples in (100000, 800000):
+        tracemalloc.start()
+        try:
+            haar_expectation_mc(("orthogonal", 3), payloads, samples, 42)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("L, L2", [(0, 0), (1, -1), (3, -2), (1, 1), (0, 3)])
+def test_ginue_rule_weight_is_scalar_complex_arithmetic(L, L2):
+    # e^{log_w} z^L zbar^(-L2) times the rule's weight, node by node with Python complex
+    # scalars: running products of z, of zbar or of its reciprocal, which alone is NumPy's
+    # division, then the products left to right
+    spec = EnsembleSpec("GinUE", 2, L, CouplingSeq.of(0.2, 0.1), L2=L2,
+                        t_bar=CouplingSeq.of(0.3))
+    z, w = _ginue_rule(spec, 0)
     log_w, gauss, lin = ginue_weight(spec)
-    n_r, r_order, n_theta, t_order = _GINUE_RULES[level]
-    grid = full_plane_grid(gaussian_halfwidth(gauss, lin, 6), n_r=n_r, r_order=r_order,
-                           n_theta=n_theta, t_order=t_order)
-    z = grid.nodes
-    return z, np.exp(log_w(z)) * z ** spec.L * np.conj(z) ** (-spec.L2) * grid.weights
+    grid = full_plane_grid(gaussian_halfwidth(gauss, lin, 6), *_GINUE_RULES[0])
+    assert np.array_equal(grid.nodes, z)
+    base = np.conj(z) if L2 <= 0 else 1.0 / np.conj(z)
+    want = []
+    for e, x, y, weight in zip(np.exp(log_w(z)).tolist(), z.tolist(), base.tolist(),
+                               grid.weights.tolist()):
+        zl = 1 + 0j
+        for _ in range(L):
+            zl = zl * x
+        zbar = 1 + 0j if L2 == 0 else y
+        for _ in range(abs(L2) - 1):
+            zbar = zbar * y
+        want.append(e * zl * zbar * weight)
+    assert np.array_equal(w, np.array(want))
 
 
 def _full_double_sum(z, w):
