@@ -342,7 +342,19 @@ def run_config(cfg: RunConfig, outdir: Path) -> int:
             moments.set_disk_cache(MomentCache(cfg.cache))
         try:
             if cfg.command == "partition-function":
-                emit_tau_table(ts.tau_series(cfg.ensemble, cfg.cutoff), cfg, outdir)
+                # refuse a non-finite coefficient or value (a finite sum of |terms| keeps the
+                # value's fsum in range), not an overflow in the elimination's intermediates,
+                # which may leave every coefficient finite
+                with np.errstate(over="ignore", invalid="ignore"):
+                    tau = ts.tau_series(cfg.ensemble, cfg.cutoff)
+                    total = np.abs(tau.term_values(cfg.ensemble.t)).sum()
+                if not (np.isfinite(tau.terms).all() and np.isfinite(total)):
+                    print(f"config error [float64-overflow]: the {cfg.ensemble.kind} series at "
+                          f"n = {cfg.ensemble.n}, cutoff {cfg.cutoff} overflows float64 (a "
+                          "coefficient, or the sum of |terms| at t, is not finite)",
+                          file=sys.stderr)
+                    return 2
+                emit_tau_table(tau, cfg, outdir)
                 return 0
             if cfg.command == "moments-dump":
                 size = cfg.size

@@ -36,8 +36,7 @@ import numpy as np
 
 from . import quad
 from .quad import (LinePanels, QuadratureError, converge, half_plane_grid, full_plane_grid,
-                   gaussian_halfwidth, real_line_breakpoints, erfc_vec, polar_gram,
-                   power_table)
+                   gaussian_halfwidth, real_line_breakpoints, polar_gram, power_table)
 from .skewlin import SkewPair
 from .symfun import CouplingSeq, ZERO_SEQ, potential
 
@@ -367,9 +366,10 @@ def _pair_rule(family: str, t: CouplingSeq, maxdeg: int, level: int,
 
 
 def _orth_erfc(grid: quad.QuadratureGrid, radius: float, level: int) -> np.ndarray:
-    """erfc(sqrt(2) Im z) on the half-plane grid of (radius, level), memoized in memory only."""
-    return memo(("orth_erfc", radius, level), lambda: erfc_vec(
-        np.multiply.outer(math.sqrt(2.0) * grid.radii, np.sin(grid.angles))))
+    """erfc(sqrt(2) Im z) on the half-plane grid of (radius, level), memoized in memory only:
+    `math.erfc` entry by entry, a scalar libm call that NumPy's SIMD dispatch does not reach."""
+    return memo(("orth_erfc", radius, level), lambda: np.frompyfunc(math.erfc, 1, 1)(
+        np.multiply.outer(math.sqrt(2.0) * grid.radii, np.sin(grid.angles))).astype(float))
 
 
 def pair_moments(family: str, t: CouplingSeq, exps, level: int, extra=None,

@@ -690,6 +690,28 @@ def test_seed_option_on_a_command_that_reads_no_seed_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("warning_filter", ["default", "error::RuntimeWarning"])
+@pytest.mark.parametrize("n", [37, 38])
+def test_partition_function_past_float64_exits_2_without_a_traceback(tmp_path, n, warning_filter):
+    # the validator accepts these tables (under 170 rows), but the series' coefficients
+    # overflow float64; with overflow warnings as errors the elimination's intermediates
+    # overflow first, and the run must refuse in the same way
+    path, out = tmp_path / "pf.json", tmp_path / "out"
+    path.write_text(json.dumps({"command": "partition-function", "cutoff": 12,
+                                "ensemble": {"kind": "GinOE", "n": n, "t": [0.05, 0.02]}}))
+    src = str(Path(pftau.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONWARNINGS=warning_filter,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "pftau", "partition-function", "--config",
+                           str(path), "--out", str(out)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (f"[float64-overflow]: the GinOE series at n = {n}, cutoff 12 overflows float64"
+            in proc.stderr)
+    assert not (out / "tau_table.json").exists()
+
+
 def test_spec_alpha_beta_range():
     with pytest.raises(ValueError, match="alpha"):
         EnsembleSpec("GinOE", 1, alpha=1.5)

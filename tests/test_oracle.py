@@ -363,8 +363,11 @@ def test_haar_block_reduction_matches_the_whole_batch(group, samples):
     payloads.append(("exp_trace", CouplingSeq.of(0.2, -0.1)))
     got = haar_expectation_mc(group, payloads, samples, 17)
     want = _whole_batch_haar(group, payloads, samples, 17)
+    # the mean's gap is judged against max(|mean|, stderr): a payload that vanishes on the
+    # group (s_(2,1,1) on O(2) has more rows than eigenvalues) has a mean that is rounding
+    # noise, which the two summation orders cancel differently
     for res, (mean, stderr) in zip(got, want):
-        assert abs(res.value - mean) <= 1e-14 * abs(mean)
+        assert abs(res.value - mean) <= 1e-14 * max(abs(mean), stderr)
         assert abs(res.error_estimate - stderr) <= 1e-14 * stderr
 
 

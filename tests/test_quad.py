@@ -1,86 +1,75 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from pftau import moments
 from pftau.quad import (LinePanels, QuadratureError, _cumulative_matrix, _gl_rule,
-                        _polar_grid, angular_table, converge, erfc_vec, full_plane_grid,
+                        _polar_grid, angular_table, converge, full_plane_grid,
                         gaussian_halfwidth, half_plane_grid, polar_gram, power_table,
                         real_line_breakpoints)
 
 SQRT_PI = math.sqrt(math.pi)
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
-def _erfc_series(x: float, terms: int = 120) -> float:
-    parts = []
-    term = x
-    for n in range(terms):
-        if n > 0:
-            term *= -x * x / n
-        parts.append(term / (2 * n + 1))
-    return 1.0 - 2.0 / SQRT_PI * math.fsum(parts)
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510")
 
 
-def _erfc_continued_fraction(x: float, depth: int = 500) -> float:
+def _erfc_series(x: Decimal) -> Decimal:
+    # erfc(x) = 1 - 2/sqrt(pi) sum_n (-1)^n x^(2n+1) / (n! (2n+1)), to the context's precision
+    total, term, n = Decimal(0), x, 0
+    while abs(term) > Decimal("1e-45"):
+        total += term / (2 * n + 1)
+        n += 1
+        term *= -x * x / n
+    return 1 - 2 * total / _PI.sqrt()
+
+
+def _erfc_continued_fraction(x: Decimal, depth: int = 100) -> Decimal:
     # sqrt(pi) e^{x^2} erfc(x) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    tail = 0.0
+    tail = Decimal(0)
     for k in range(depth, 0, -1):
-        tail = (k / 2.0) / (x + tail)
-    return math.exp(-x * x) / SQRT_PI / (x + tail)
+        tail = (Decimal(k) / 2) / (x + tail)
+    return (-x * x).exp() / _PI.sqrt() / (x + tail)
 
 
 def _erfc_oracle(x: float) -> float:
-    """Independent erfc: alternating series near 0, continued fraction outside."""
-    if x < 0:
-        return 2.0 - _erfc_oracle(-x)
-    return _erfc_series(x) if x <= 1.8 else _erfc_continued_fraction(x)
+    """Independent erfc, correctly rounded in practice: 40-digit `decimal` arithmetic (the
+    alternating series near 0, the continued fraction outside, each converged far past
+    float64) rounded once to a float."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        d = Decimal(abs(x))
+        value = _erfc_series(d) if d <= Decimal("1.8") else _erfc_continued_fraction(d)
+        return float(value if x >= 0 else 2 - value)
 
 
-def test_erfc_basics():
-    assert erfc_vec(0.0) == 1.0
-    for x in np.linspace(-4, 4, 33):
-        assert erfc_vec(x) + erfc_vec(-x) == pytest.approx(2.0, abs=1e-14)
+def test_erfc_oracle_branches_agree_at_the_cut():
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal("1.8")
+        assert abs(_erfc_series(x) / _erfc_continued_fraction(x) - 1) < Decimal("1e-20")
+    assert _erfc_oracle(1.0) == 0.15729920705028513
+    assert _erfc_oracle(-1.0) == 2.0 - 0.15729920705028513
 
 
-def test_erfc_cross_checked_value():
-    series = _erfc_series(1.0)
-    cf = _erfc_continued_fraction(1.0)
-    assert series == pytest.approx(cf, rel=1e-13)
-    assert erfc_vec(1.0) == pytest.approx(series, rel=1e-13)
-    assert erfc_vec(1.0) == pytest.approx(0.15729920705028513, rel=1e-14)
-
-
-def test_erf_plus_erfc_identity_against_oracle():
-    for x in np.linspace(-4, 4, 17):
-        erf_oracle = 1.0 - _erfc_oracle(x)
-        assert erf_oracle + erfc_vec(x) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_erfc_range_and_underflow():
-    assert erfc_vec(27.0) < 1e-300
-    assert erfc_vec(-6.0) == pytest.approx(2.0, abs=1e-14)
-
-
-def test_erfc_matches_scipy_within_four_ulps():
-    from scipy import special
-    x = np.concatenate([np.linspace(-7.0, 30.0, 200_001), np.linspace(26.4, 26.7, 30_001),
-                        np.geomspace(1e-300, 1.0, 600), -np.geomspace(1e-300, 1.0, 600),
-                        [-1.0, 1.0, -8.0, 8.0]])
-    got, want = erfc_vec(x), special.erfc(x)
-    assert got.shape == x.shape and got.dtype == np.float64
-    assert np.array_equal(got == 0.0, want == 0.0)
-    assert np.any(want == 0.0) and np.any(want[x < 27.0] == 0.0)   # the underflow edge is covered
-    normal = want >= np.finfo(float).tiny
-    ulps = np.abs(got - want)[normal] / np.spacing(want[normal])
-    assert np.max(ulps) <= 4.0
-    assert np.max(np.abs(got - want)[~normal]) <= 2 * np.finfo(float).smallest_subnormal
-
-
-def test_erfc_scalars_and_special_values():
-    assert type(erfc_vec(0.5)) is float and type(erfc_vec(np.float64(-3.0))) is float
-    assert erfc_vec(np.inf) == 0.0 and erfc_vec(-np.inf) == 2.0 and erfc_vec(1e200) == 0.0
-    assert math.isnan(erfc_vec(math.nan))
-    assert erfc_vec(np.zeros((2, 3))).shape == (2, 3)
+def test_ginoe_pair_weight_erfc_factor_matches_the_oracle():
+    # erfc(sqrt 2 Im z), the erfc factor of the GinOE pair weight, on the half-plane
+    # grids of two pair tables (u up to 18.5, erfc down to 1e-150, all normal): math.erfc
+    # read 2 ulps at most with x86-64 glibc, and 4 leaves room for another libm while an
+    # erfc that rounds e^{-u^2} before scaling it, off by 100 ulps and more, fails
+    moments.clear_cache()
+    for radius in (gaussian_halfwidth(1.0, 0.0, 16), gaussian_halfwidth(1.0, 0.2, 40)):
+        grid = half_plane_grid(radius, level=0)
+        got = moments._orth_erfc(grid, radius, 0)
+        u = np.multiply.outer(math.sqrt(2.0) * grid.radii, np.sin(grid.angles))
+        want = np.array([_erfc_oracle(x) for x in u.ravel().tolist()]).reshape(u.shape)
+        assert got.dtype == np.float64 and not got.flags.writeable
+        assert np.min(want) > 1e-151
+        assert np.max(np.abs(got - want) / np.spacing(want)) <= 4.0
+    moments.clear_cache()
 
 
 def _line_sum(f, halfwidth, level, n_center=12, order=24, inner_cut=None):
@@ -131,7 +120,7 @@ def test_half_plane_imaginary_moment():
 
 
 def test_half_plane_real_ginibre_weight_stable():
-    f = lambda z: erfc_vec(math.sqrt(2) * np.imag(z)) * np.exp(-np.real(z * z))
+    f = lambda z: _erfc(math.sqrt(2) * np.imag(z)) * np.exp(-np.real(z * z))
     value, _ = _plane_integral(f, 7.0, rel_tol=1e-7)
     doubled = _plane_sum(f, 7.0, level=2)
     assert value.real > 0
@@ -287,7 +276,7 @@ def test_polar_gram_half_plane_erfc_weight_negative_exponents():
     # the negative exponents of an L < 0 table
     grid = half_plane_grid(gaussian_halfwidth(1.0, 0.0, 16), level=1)
     z = grid.nodes
-    f = erfc_vec(math.sqrt(2.0) * np.imag(z)) * np.exp(-np.real(z * z))
+    f = _erfc(math.sqrt(2.0) * np.imag(z)) * np.exp(-np.real(z * z))
     idx = np.arange(-1, 7)
     _assert_gram_matches_direct(grid, f, idx, idx)
 
