@@ -398,8 +398,12 @@ def main(argv=None) -> int:
             raise ConfigError("command-mismatch",
                               f"config says {cfg.command!r}, command line says {args.command!r}")
         if args.seed is not None:
-            # the parser builds the experiments, and the embedded config records the seed
-            cfg = parse_config(json.dumps(dict(cfg.raw, seed=args.seed)))
+            # the parser builds the experiments, and the embedded config records the seed; the
+            # config parsed without it, so a rejection now is the option's
+            try:
+                cfg = parse_config(json.dumps(dict(cfg.raw, seed=args.seed)))
+            except ConfigError as exc:
+                raise ConfigError(exc.code, f"--seed {args.seed}: {exc}") from exc
     except ConfigError as exc:
         print(f"config error [{exc.code}]: {exc}", file=sys.stderr)
         return 2

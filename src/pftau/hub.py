@@ -487,9 +487,11 @@ def resolve_params(comparison: str, params, spec: EnsembleSpec | None) -> dict:
 
 def run_experiment(e: Experiment) -> Verdict:
     try:
-        # an unknown kind, a bad param, or one that misfits the ensemble: an error verdict
+        # an unknown kind, a bad param, or one that misfits the ensemble: an error verdict;
+        # so is a float64 overflow or an invalid operation, whatever the warning filters say
         params = resolve_params(e.comparison, e.params, e.spec)
-        return COMPARISONS[e.comparison].run(e, params)
+        with np.errstate(over="raise", invalid="raise"):
+            return COMPARISONS[e.comparison].run(e, params)
     except (QuadratureError, ValueError, ArithmeticError) as exc:
         return Verdict(e.name, e.comparison, False, math.inf, e.tolerance,
                        error=f"{type(exc).__name__}: {exc}")

@@ -414,7 +414,8 @@ def _cached_sector(name: str, s: CouplingSeq, base: int, size: int, build, exact
 # values `wv` at its nodes, its single moments `mu` (q -> int x^q w(x) dx), or
 # pair atoms with their weights.  An `_AtomicLine` may be a stack of lines, and
 # pair atoms a stack of measures, and then each convention gives a stack of
-# tables, one per measure, stack axis first
+# tables, one per measure, stack axis first.  Sums over atoms are elementwise, not BLAS
+# products, so an entry's bits are its own atoms', whatever the table size or BLAS kernel
 
 def _orth_block(line, wv, idx: np.ndarray) -> np.ndarray:
     powers = power_table(line.nodes, idx)
@@ -423,7 +424,9 @@ def _orth_block(line, wv, idx: np.ndarray) -> np.ndarray:
     inner = 2.0 * line.cumulative(rows) - line.integrate(rows)[..., None]
     powers *= line.weights * wv
     # a stack's line axis, between the exponents and the nodes, goes first
-    r = powers.swapaxes(0, -2) @ inner.swapaxes(0, -2).swapaxes(-1, -2)
+    p, q = powers.swapaxes(0, -2), inner.swapaxes(0, -2)
+    r = (np.sum(p[..., :, None, :] * q[..., None, :, :], axis=-1) if isinstance(line, _AtomicLine)
+         else p @ q.swapaxes(-1, -2))
     return (r - r.swapaxes(-1, -2)) / 2.0
 
 
@@ -441,6 +444,8 @@ def _sympl_block(mu, idx: np.ndarray) -> np.ndarray:
 def _line_moments(line, wv):
     """The single moments q -> int x^q w(x) dx of a line measure, for integer arrays q
     (of a stack of lines, one row of them per line)."""
+    if isinstance(line, _AtomicLine):
+        return lambda q: line.integrate(power_table(line.nodes, q) * wv).T
     weights = line.weights * wv
     return lambda q: (power_table(line.nodes, q).swapaxes(0, -2) @ weights[..., None])[..., 0]
 
@@ -517,11 +522,10 @@ def _pair_sector(family: str, z: np.ndarray, w: np.ndarray, idx: np.ndarray) -> 
     """B[..., a, b] = sum of w g Im(z^a zbar^b) over the pair atoms z (Im z > 0) of weights w
     along the last axis, a, b in `idx`: the half-plane convention of the module docstring,
     g = 1 (orth) or -2 Im z (sympl).  As Im(z^a zbar^b) = Im z^a Re z^b - Re z^a Im z^b,
-    B = S - S^T of one real product S."""
-    # each measure's (exponents, atoms) powers in the layout they have for the measure alone
-    pz = np.ascontiguousarray(power_table(z, idx).swapaxes(0, -2))
+    B = S - S^T of one real table S."""
+    pz = power_table(z, idx).swapaxes(0, -2)
     wg = w if family == "orth" else -2.0 * z.imag * w
-    s = (pz.imag * wg[..., None, :]) @ pz.real.swapaxes(-1, -2)
+    s = np.sum((pz.imag * wg[..., None, :])[..., :, None, :] * pz.real[..., None, :, :], axis=-1)
     return s - s.swapaxes(-1, -2)
 
 
@@ -633,7 +637,7 @@ class _AtomicLine:
 
     def cumulative(self, values: np.ndarray) -> np.ndarray:
         v = self.weights * values
-        return np.matmul(self._below, v[..., None])[..., 0] + v / 2.0
+        return np.sum(self._below * v[..., None, :], axis=-1) + v / 2.0
 
 
 def _by_count(measures, dtype, build) -> np.ndarray:

@@ -585,45 +585,34 @@ def discrete_consistency(trials) -> list[tuple[complex, float, float]]:
     scale: the larger sum of term magnitudes of the two sides, the right
     yardstick near cancellations.
 
-    The trials whose specs share the family, mix and index base share one stack of
-    atomic tables per table size (one `moments.atomic_pair` call) and one Pfaffian
-    elimination per charge, on their tables zero-padded to the largest size and each read
-    at its trial's own L: the padding changes no entry a coefficient reads and no table's
-    scale, so every value is bit for bit the one of the trial alone.
+    The trials whose specs share the family, mix and index base share one stack of atomic
+    tables (one `moments.atomic_pair` call) at the largest size any of them needs, and one
+    Pfaffian elimination per charge on the rows of that stack, each read at its trial's own
+    L.  Every sum over atoms is elementwise, so a table's leading block is the smaller table
+    bit for bit, and the elimination judges a pivot by the member's own entries: every value
+    is bit for bit the one of the trial alone.
     Equality certifies the moment conventions, the shifted-index bookkeeping
     and the bordered Pfaffians at once.
     """
-    out, sizes, charges = [], {}, {}
-    for i, trial in enumerate(trials):
-        _check_trial(*trial)
-        out.append(_atomic_eigensum(*trial))
-        spec = trial[0]
-        key = spec.family, spec.mix, spec.index_base
-        size = required_table_size(spec.n_eff, spec.L, SERIES_CUTOFF)
-        sizes.setdefault(key + (size,), []).append(i)
-        charges.setdefault(key + (spec.n_eff,), []).append(i)
-    tables = {}
-    for (*_, size), members in sizes.items():
-        stack = mom.atomic_pair(trials[members[0]][0], [trials[i][1:] for i in members], size)
-        tables.update(zip(members, zip(stack.a_matrix, stack.border)))
-    for (*_, base, charge), members in charges.items():
-        size = max(len(tables[i][1]) for i in members)
-        a_matrix, border = np.zeros((len(members), size, size)), np.zeros((len(members), size))
-        for k, i in enumerate(members):
-            a, b = tables[i]
-            a_matrix[k, :len(b), :len(b)], border[k, :len(b)] = a, b
-        coeffs = series_terms(SkewPair(a_matrix, border, base), charge,
-                              [trials[i][0].L for i in members], SERIES_CUTOFF)
-        by_spec = {}
-        for k, i in enumerate(members):
-            by_spec.setdefault(trials[i][0], []).append(k)
-        border_norm = math.sqrt(2.0) ** (charge % 2)
-        for spec, rows in by_spec.items():
-            terms = coeffs[rows] * schur_values(SERIES_CUTOFF, charge, spec.t)
-            # a sequential sum in canonical partition order, so the bits do not move
-            abs_sums = np.add.accumulate(np.abs(terms), axis=1)[:, -1].tolist()
-            for k, row, abs_sum in zip(rows, terms, abs_sums):
+    out, groups = [], {}
+    for i, (spec, *atoms) in enumerate(trials):
+        _check_trial(spec, *atoms)
+        out.append(_atomic_eigensum(spec, *atoms))
+        groups.setdefault((spec.family, spec.mix, spec.index_base), []).append(i)
+    for members in groups.values():
+        specs = [trials[i][0] for i in members]
+        size = max(required_table_size(spec.n_eff, spec.L, SERIES_CUTOFF) for spec in specs)
+        stack = mom.atomic_pair(specs[0], [trials[i][1:] for i in members], size)
+        for charge in dict.fromkeys(spec.n_eff for spec in specs):
+            rows = [k for k, spec in enumerate(specs) if spec.n_eff == charge]
+            pair = SkewPair(stack.a_matrix[rows], stack.border[rows], stack.index_base)
+            coeffs = series_terms(pair, charge, [specs[k].L for k in rows], SERIES_CUTOFF)
+            border_norm = math.sqrt(2.0) ** (charge % 2)
+            for k, row in zip(rows, coeffs):
+                terms = row * schur_values(SERIES_CUTOFF, charge, specs[k].t)
+                # a sequential sum in canonical partition order, so the bits do not move
+                abs_sum = float(np.add.accumulate(np.abs(terms))[-1]) / border_norm
                 lhs, scale = out[members[k]]
-                rhs = math.fsum(row.tolist()) / border_norm
-                out[members[k]] = lhs, rhs, max(scale, abs_sum / border_norm, 1e-300)
+                rhs = math.fsum(terms.tolist()) / border_norm
+                out[members[k]] = lhs, rhs, max(scale, abs_sum, 1e-300)
     return out

@@ -690,6 +690,18 @@ def test_seed_option_on_a_command_that_reads_no_seed_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["partition-function", "moments-dump", "hirota-check",
+                                     "kernel-check"])
+def test_seed_option_names_itself_where_the_command_reads_no_seed(tmp_path, capsys, command):
+    # the config, which holds no seed, is not at fault: the message names the option
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps({"command": command, "ensemble": {"kind": "SE", "n": 1}}))
+    assert main([command, "--config", str(path), "--out", str(out), "--seed", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error [unknown-field]: --seed 3: unknown fields ['seed'] for {command}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("warning_filter", ["default", "error::RuntimeWarning"])
 @pytest.mark.parametrize("n", [37, 38])
 def test_partition_function_past_float64_exits_2_without_a_traceback(tmp_path, n, warning_filter):
@@ -710,6 +722,26 @@ def test_partition_function_past_float64_exits_2_without_a_traceback(tmp_path, n
     assert (f"[float64-overflow]: the GinOE series at n = {n}, cutoff 12 overflows float64"
             in proc.stderr)
     assert not (out / "tau_table.json").exists()
+
+
+@pytest.mark.parametrize("warning_filter", ["default", "error::RuntimeWarning"])
+def test_verdict_past_float64_is_errored_in_both_warning_modes(tmp_path, warning_filter):
+    # the charge-38 GinOE elimination overflows: by default it once warned and went on, and
+    # with warnings as errors it ended in a traceback; both now give one errored verdict
+    path, out = tmp_path / "hirota.json", tmp_path / "out"
+    path.write_text(json.dumps({"command": "hirota-check",
+                                "ensemble": {"kind": "GinOE", "n": 38, "t": [0.05, 0.02]}}))
+    src = str(Path(pftau.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONWARNINGS=warning_filter,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "pftau", "hirota-check", "--config",
+                           str(path), "--out", str(out)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout == "FAIL hirota-check margin=inf tol=1.0e-05\n"
+    [verdict] = json.loads((out / "verdicts.json").read_text())["verdicts"]
+    assert verdict["error"] == "FloatingPointError: overflow encountered in multiply"
 
 
 def test_spec_alpha_beta_range():

@@ -490,9 +490,9 @@ def test_discrete_batch_is_each_trial_alone_bit_for_bit(kind, seed):
 def test_discrete_builds_one_atomic_stack_per_size_and_one_elimination_per_charge(
         kind, monkeypatch, gate_experiments):
     # the gate's trials span nine (n, L) specs, three charges and five (OE, GinOE) or seven
-    # (SE, GinSE) table sizes; every trial's tables come from the one stack of its size,
-    # and its coefficients from the one elimination of its charge, in float64 for every
-    # kind, pair atoms or not
+    # (SE, GinSE) table sizes; every trial's tables come from the one stack of the
+    # experiment, at the largest size, and its coefficients from the one elimination of its
+    # charge, in float64 for every kind, pair atoms or not
     e = gate_experiments[f"discrete-{kind}"]
     trials = hub._discrete_trials(e, hub.resolve_params(e.comparison, e.params, e.spec))
     stacks, eliminations = [], []
@@ -502,12 +502,12 @@ def test_discrete_builds_one_atomic_stack_per_size_and_one_elimination_per_charg
     monkeypatch.setattr(oracle, "series_terms", lambda pair, charge, L, cutoff: eliminations.append(
         (charge, len(L), pair.a_matrix.dtype)) or series_terms(pair, charge, L, cutoff))
     oracle.discrete_consistency(trials)
-    sizes = [required_table_size(spec.n_eff, spec.L, oracle.SERIES_CUTOFF)
-             for spec, _, _ in trials]
+    sizes = {required_table_size(spec.n_eff, spec.L, oracle.SERIES_CUTOFF)
+             for spec, _, _ in trials}
     charges = [spec.n_eff for spec, _, _ in trials]
     assert len({(spec.n, spec.L) for spec, _, _ in trials}) == 9
-    assert sorted(stacks) == sorted((size, sizes.count(size)) for size in set(sizes))
-    assert len(stacks) == (5 if e.spec.family == "orth" else 7)
+    assert len(sizes) == (5 if e.spec.family == "orth" else 7)
+    assert stacks == [(max(sizes), 50)]
     assert sorted(eliminations) == sorted((c, charges.count(c), np.dtype(np.float64))
                                           for c in set(charges))
     assert len(eliminations) == 3

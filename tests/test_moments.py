@@ -574,12 +574,32 @@ def test_atomic_line_integrals_of_a_stack_are_its_rows_bit_for_bit(n_atoms):
     assert cums.shape == rows.shape and totals.shape == (len(rows),)
     for row, cum, total in zip(rows, cums, totals):
         v = line.weights * row
-        # reference: the atoms below each atom plus half its own term, one row at a time
-        assert (line._below @ v + v / 2.0).tobytes() == cum.tobytes()
+        # reference: the atoms below each atom plus half its own term, one row at a time,
+        # each entry its own NumPy sum over the atoms
+        below = np.array([np.sum(mask * v) for mask in line._below])
+        assert (below + v / 2.0).tobytes() == cum.tobytes()
         assert line.cumulative(row).tobytes() == cum.tobytes()
         one = line.integrate(row)
         assert isinstance(one, complex) and one == complex(np.sum(v))
         assert np.complex128(one).tobytes() == np.complex128(total).tobytes()
+
+
+@pytest.mark.parametrize("L", [0, -1])
+@pytest.mark.parametrize("kind", ["OE", "SE", "GinOE", "GinSE"])
+def test_an_atomic_table_is_the_leading_block_of_a_larger_one_bit_for_bit(kind, L):
+    # every sum over atoms is an entry's own, so one stack at the largest size serves every
+    # smaller table: real and pair atoms, 1 to 8 of each, both sectors mixed in
+    rng = np.random.default_rng(5)
+    trials = [(list(zip(rng.uniform(-1.5, 1.5, c), rng.uniform(0.3, 1.2, c))),
+               list(zip(rng.uniform(-1.5, 1.5, 9 - c) + 1j * rng.uniform(0.1, 1.5, 9 - c),
+                        rng.uniform(0.3, 1.2, 9 - c))))
+              for c in range(1, 9)]
+    spec = EnsembleSpec(kind, 1, L=L, alpha=0.4, beta=0.7)
+    large = moments.atomic_pair(spec, trials, 24)
+    for size in (1, 2, 7, 13, 23):
+        small = moments.atomic_pair(spec, trials, size)
+        assert small.a_matrix.tobytes() == large.a_matrix[:, :size, :size].tobytes()
+        assert small.border.tobytes() == large.border[:, :size].tobytes()
 
 
 def _orth_block_by_exponent(line, wv, idx):
@@ -589,7 +609,11 @@ def _orth_block_by_exponent(line, wv, idx):
     totals = np.array([line.integrate(powers[m] * wv) for m in range(len(idx))]).real
     inner = 2.0 * cums - totals[:, None]
     powers *= line.weights * wv
-    r = powers @ inner.T
+    if isinstance(line, moments._AtomicLine):
+        # each entry its own NumPy sum over the atoms
+        r = np.array([[np.sum(p * q) for q in inner] for p in powers])
+    else:
+        r = powers @ inner.T
     return (r - r.T) / 2.0
 
 
