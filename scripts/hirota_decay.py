@@ -39,7 +39,10 @@ def main() -> None:
         prev = None
         for w in args.cutoffs:
             fam = tau_charge_family(spec, charges, w)
-            rel = hirota_residual(fam, t, args.alpha, args.beta).relative
+            try:
+                rel = hirota_residual(fam, t, args.alpha, args.beta).relative
+            except OverflowError as exc:   # past float64: say so, with no traceback
+                raise SystemExit(f"W={w}: {exc}")
             factor = f"{prev / rel:12.2f}" if prev else " " * 12
             print(f"{w:4d}  {rel:18.6e}  {factor}")
             prev = rel

@@ -97,15 +97,11 @@ def _plane_grid(make, radius: float, *rule: int, level: int = 0) -> quad.Quadrat
 
 
 def _angular_table(grid: quad.QuadratureGrid, width: int) -> np.ndarray:
-    """`quad.angular_table` of the grid's domain and angle rule, built once per pass.
-
-    A request past the held width builds it again, out to the next multiple of 32,
-    so the growing tables of one pass share one build."""
-    key = ("angular_table", grid.domain, grid.angle_rule)
-    held = _SECTOR_CACHE.get(key)
-    if held is not None and held.shape[-1] <= 2 * width:
-        del _SECTOR_CACHE[key]
-    return memo(key, lambda: quad.angular_table(grid, -(-width // 32) * 32))
+    """`quad.angular_table` of the grid's domain and angle rule out to `width` rounded up to
+    a multiple of 32, once per pass each; its columns do not depend on the width."""
+    width = -(-width // 32) * 32
+    return memo(("angular_table", grid.domain, grid.angle_rule, width),
+                lambda: quad.angular_table(grid, width))
 
 
 def set_disk_cache(store) -> None:
@@ -425,6 +421,7 @@ def _orth_block(line, wv, idx: np.ndarray) -> np.ndarray:
     powers *= line.weights * wv
     # a stack's line axis, between the exponents and the nodes, goes first
     p, q = powers.swapaxes(0, -2), inner.swapaxes(0, -2)
+    # panels keep @: elementwise, with LinePanels.cumulative's, tau-series peak RSS rose 9%
     r = (np.sum(p[..., :, None, :] * q[..., None, :, :], axis=-1) if isinstance(line, _AtomicLine)
          else p @ q.swapaxes(-1, -2))
     return (r - r.swapaxes(-1, -2)) / 2.0
@@ -443,11 +440,9 @@ def _sympl_block(mu, idx: np.ndarray) -> np.ndarray:
 
 def _line_moments(line, wv):
     """The single moments q -> int x^q w(x) dx of a line measure, for integer arrays q
-    (of a stack of lines, one row of them per line)."""
-    if isinstance(line, _AtomicLine):
-        return lambda q: line.integrate(power_table(line.nodes, q) * wv).T
+    (of a stack of lines, one row of them per line): NumPy sums along the node axis."""
     weights = line.weights * wv
-    return lambda q: (power_table(line.nodes, q).swapaxes(0, -2) @ weights[..., None])[..., 0]
+    return lambda q: np.sum(power_table(line.nodes, q) * weights, axis=-1).T
 
 
 # the largest table every s = 0 closed form holds: the widest Gamma table they build is the
@@ -712,7 +707,7 @@ def _kernel_sympl_line(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
         lp, w = line_rule("sympl", spec.t, spec.s, 2 * abs(spec.L) + 4, level, _inv_points(p))
         x = lp.nodes
         inv = 1.0 / np.stack([(1.0 - x * pi) ** 2 for pi in p])
-        return (inv * (w * x ** (2 * spec.L) * lp.weights)) @ inv.T
+        return np.sum((inv * (w * x ** (2 * spec.L) * lp.weights))[:, None, :] * inv, axis=-1)
 
     return converge(build, rel_tol=5e-10)[0]
 
@@ -742,7 +737,8 @@ def _kernel_pair_block(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
         x, y = grid.nodes.real, grid.nodes.imag
         gap = -4.0 * y * y if spec.family == "sympl" else 2.0 * y
         inv = 1.0 / np.stack([(1.0 - pi * x) ** 2 + (pi * y) ** 2 for pi in p])
-        return (inv * (grid.weights * w.ravel() * (x * x + y * y) ** spec.L * gap)) @ inv.T
+        weighted = inv * (grid.weights * w.ravel() * (x * x + y * y) ** spec.L * gap)
+        return np.sum(weighted[:, None, :] * inv, axis=-1)
 
     return converge(build, rel_tol=2e-9)[0]
 
@@ -798,9 +794,6 @@ def complex_bimoment_matrix(spec: EnsembleSpec, size: int) -> np.ndarray:
     def build(level):
         radius = gaussian_halfwidth(gauss, lin, 2 * size + abs(spec.L) + abs(spec.L2) + 2)
         grid = _plane_grid(full_plane_grid, radius, level=level)
-        # e stays alive through the contraction: freeing it first reorders the
-        # large allocations and raised the acceptance suite's peak RSS by 2 MB
-        e = log_w(grid.nodes)
-        return polar_gram(grid, np.exp(e), jpow, kpow)
+        return polar_gram(grid, np.exp(log_w(grid.nodes)), jpow, kpow, _angular_table)
 
     return converge(build, rel_tol=2e-9)[0]

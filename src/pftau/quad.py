@@ -134,6 +134,7 @@ class LinePanels:
         v = v.reshape(v.shape[:-1] + (self.n_panels, self.order))
         half = (self.panels[:, 1] - self.panels[:, 0]) / 2.0
         q = _cumulative_matrix(self.order)
+        # a BLAS product: elementwise, with _orth_block's on panels, tau-series peak RSS rose 9%
         local = (v @ q.T) * half[:, None]
         _, wstd = _gl_rule(self.order)
         totals = (v * wstd).sum(axis=-1) * half
@@ -220,26 +221,26 @@ def polar_gram(grid: QuadratureGrid, f: np.ndarray, rows, cols,
     On a polar grid z^a zbar^b = r^(a+b) e^{i(a-b)theta}, so the sum is one
     angular product over the range of differences a - b, one radial product
     over the range of sums a + b, and a gather; no per-node power table.
-    `f` is flat or (radii, angles); a real `f` is contracted with one real
-    (angles, 2 * differences) operand of cosines and sines, read from
-    `trig(grid, width)`, an `angular_table` out to at least the largest
-    |a - b|, so both products stay real.
+    `f` is flat or (radii, angles); it is contracted with one real (angles, 2 *
+    differences) operand of cosines and sines, read from `trig(grid, width)`, an
+    `angular_table` out to at least the largest |a - b|, so both products stay real
+    (a complex `f`: the gram of f.real plus 1j times that of f.imag).
     """
+    if np.iscomplexobj(f):
+        real, imag = (polar_gram(grid, part, rows, cols, trig) for part in (f.real, f.imag))
+        return real + 1j * imag
     rows = np.asarray(rows)[:, None]
     cols = np.asarray(cols)[None, :]
     s_lo, s_hi = rows.min() + cols.min(), rows.max() + cols.max()
     d_lo, d_hi = rows.min() - cols.max(), rows.max() - cols.min()
     f = np.reshape(f, (len(grid.radii), len(grid.angles))) * grid.angle_weights
     radial = grid.radial_weights * power_table(grid.radii, np.arange(s_lo, s_hi + 1))
-    if np.iscomplexobj(f):
-        out = radial @ (f @ np.exp(1j * np.outer(grid.angles, np.arange(d_lo, d_hi + 1))))
-    else:
-        table = trig(grid, max(-d_lo, d_hi))
-        mid = table.shape[-1] // 2
-        diffs = slice(mid + d_lo, mid + d_hi + 1)
-        parts = radial @ (f @ np.concatenate([table[0][:, diffs], table[1][:, diffs]], axis=1))
-        n = d_hi - d_lo + 1
-        out = parts[:, :n] + 1j * parts[:, n:]
+    table = trig(grid, max(-d_lo, d_hi))
+    mid = table.shape[-1] // 2
+    diffs = slice(mid + d_lo, mid + d_hi + 1)
+    parts = radial @ (f @ np.concatenate([table[0][:, diffs], table[1][:, diffs]], axis=1))
+    n = d_hi - d_lo + 1
+    out = parts[:, :n] + 1j * parts[:, n:]
     return out[rows + cols - s_lo, rows - cols - d_lo]
 
 

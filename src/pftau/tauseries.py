@@ -178,6 +178,9 @@ def hirota_residual(family: dict, t: CouplingSeq, alpha: float, beta: float) -> 
     rhs = family[n + 1].evaluate(t_ab) * family[n].evaluate(t)
     residual = term1 + term2 + term3 - rhs
     scale = max(abs(term1), abs(term2), abs(term3), abs(rhs))
+    # Python complex products overflow silently: an inf term makes the scale inf, a nan the residual
+    if not (np.isfinite(residual) and np.isfinite(scale)):
+        raise OverflowError(f"Hirota terms at charge {n} overflow float64 (scale {scale})")
     return HirotaReport(residual, scale, n)
 
 

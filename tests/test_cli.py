@@ -744,6 +744,38 @@ def test_verdict_past_float64_is_errored_in_both_warning_modes(tmp_path, warning
     assert verdict["error"] == "FloatingPointError: overflow encountered in multiply"
 
 
+# every coefficient and tau value of the GinOE n = 30 family is finite (1e172 to 1e220), but
+# the residual's products of them are Python complex numbers, whose overflow raises nothing:
+# the verdict once read a margin of nan with no error in both warning modes
+_HIROTA_PAST_FLOAT64 = {"command": "hirota-check",
+                        "ensemble": {"kind": "GinOE", "n": 30, "t": [0.05, 0.02]}}
+_HIROTA_OVERFLOW = "OverflowError: Hirota terms at charge 30 overflow float64 (scale inf)"
+
+
+def test_a_hirota_residual_past_float64_is_an_errored_verdict(tmp_path, capsys):
+    path, out = tmp_path / "hirota.json", tmp_path / "out"
+    path.write_text(json.dumps(_HIROTA_PAST_FLOAT64))
+    assert main(["hirota-check", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().out == "FAIL hirota-check margin=inf tol=1.0e-05\n"
+    [verdict] = json.loads((out / "verdicts.json").read_text())["verdicts"]
+    assert verdict["error"] == _HIROTA_OVERFLOW and verdict["margin"] == "inf"
+
+
+def test_a_hirota_residual_past_float64_is_errored_with_warnings_as_errors(tmp_path):
+    path, out = tmp_path / "hirota.json", tmp_path / "out"
+    path.write_text(json.dumps(_HIROTA_PAST_FLOAT64))
+    src = str(Path(pftau.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "pftau", "hirota-check", "--config",
+                           str(path), "--out", str(out)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert proc.stdout == "FAIL hirota-check margin=inf tol=1.0e-05\n"
+    [verdict] = json.loads((out / "verdicts.json").read_text())["verdicts"]
+    assert verdict["error"] == _HIROTA_OVERFLOW
+
+
 def test_spec_alpha_beta_range():
     with pytest.raises(ValueError, match="alpha"):
         EnsembleSpec("GinOE", 1, alpha=1.5)

@@ -208,13 +208,53 @@ def _complex_kernel_pair_block(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("kind,L", [(kind, L) for kind in ("GinOE", "GinSE") for L in (0, 2)])
 def test_the_real_kernel_pair_block_is_the_complex_expression(kind, L):
-    # the node factors agree to an ulp or two; the bound is the summation order, as a real
-    # and a complex BLAS product sum the thousands of nodes apart (3.1e-15 seen)
+    # the node factors agree to an ulp or two; the bound is the summation order, as a NumPy
+    # sum and a complex BLAS product sum the thousands of nodes apart (3.1e-15 seen)
     spec = EnsembleSpec(kind, 2, L, CouplingSeq.of(0.1))
     p = np.array([0.06, -0.06, 0.03, -0.042][:spec.n_eff])
     block, ref = moments._kernel_pair_block(spec, p), _complex_kernel_pair_block(spec, p)
     assert block.dtype == np.float64
     assert np.max(np.abs(block - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _kernel_sympl_line_by_entry(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
+    """`moments._kernel_sympl_line` with one NumPy sum over the nodes per entry."""
+    def build(level):
+        lp, w = moments.line_rule("sympl", spec.t, spec.s, 2 * abs(spec.L) + 4, level,
+                                  moments._inv_points(p))
+        x = lp.nodes
+        inv = 1.0 / np.stack([(1.0 - x * pi) ** 2 for pi in p])
+        weighted = inv * (w * x ** (2 * spec.L) * lp.weights)
+        return np.array([[np.sum(wa * ib) for ib in inv] for wa in weighted])
+
+    return converge(build, rel_tol=5e-10)[0]
+
+
+def _kernel_pair_block_by_entry(spec: EnsembleSpec, p: np.ndarray) -> np.ndarray:
+    """`moments._kernel_pair_block` with one NumPy sum over the nodes per entry."""
+    def build(level):
+        grid, w = moments._pair_rule(spec.family, spec.t, 4 * abs(spec.L) + 6, level,
+                                     moments._inv_points(p))
+        x, y = grid.nodes.real, grid.nodes.imag
+        gap = -4.0 * y * y if spec.family == "sympl" else 2.0 * y
+        inv = 1.0 / np.stack([(1.0 - pi * x) ** 2 + (pi * y) ** 2 for pi in p])
+        weighted = inv * (grid.weights * w.ravel() * (x * x + y * y) ** spec.L * gap)
+        return np.array([[np.sum(wa * ib) for ib in inv] for wa in weighted])
+
+    return converge(build, rel_tol=2e-9)[0]
+
+
+@pytest.mark.parametrize("kind,L", [("SE", 0), ("SE", 1), ("GinOE", 0), ("GinSE", 2)])
+def test_a_kernel_block_is_its_per_entry_sum_bit_for_bit(kind, L):
+    # no BLAS product: each entry is a NumPy sum over the nodes, whatever the number of points
+    spec = EnsembleSpec(kind, 2, L, CouplingSeq.of(0.1), CouplingSeq.of(0.0, 0.3)
+                        if kind == "SE" else ZERO_SEQ)
+    p = np.array([0.06, -0.06, 0.03, -0.042][:spec.n_eff])
+    if kind == "SE":
+        got, ref = moments._kernel_sympl_line(spec, p), _kernel_sympl_line_by_entry(spec, p)
+    else:
+        got, ref = moments._kernel_pair_block(spec, p), _kernel_pair_block_by_entry(spec, p)
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_atomic_and_kernel_tables_are_float64():
@@ -628,6 +668,19 @@ def test_orth_block_is_the_per_exponent_loop_bit_for_bit(measure):
         wv = np.ones(len(line.nodes))
     got = moments._orth_block(line, wv, idx)
     assert got.tobytes() == _orth_block_by_exponent(line, wv, idx).tobytes()
+
+
+@pytest.mark.parametrize("family,s", [("orth", ZERO_SEQ), ("sympl", CouplingSeq.of(0.0, 0.4))])
+def test_line_moments_on_panels_are_the_per_exponent_fsum(family, s):
+    # a NumPy sum over the nodes, against the exactly rounded sum of the same products; an
+    # odd moment cancels, so each is judged against the sum of its terms' magnitudes
+    line, wv = moments.line_rule(family, ZERO_SEQ, s, 14, 1)
+    q = np.arange(-4 if s.top_index() else 0, 14)
+    terms = power_table(line.nodes, q) * (line.weights * wv)
+    got = moments._line_moments(line, wv)(q)
+    for k in range(len(q)):
+        ref = math.fsum(terms[k])
+        assert abs(got[k] - ref) <= 1e-15 * math.fsum(np.abs(terms[k]))
 
 
 def _kernel_orth_line_by_pair(spec, p):
@@ -1051,16 +1104,20 @@ def test_one_pass_builds_one_angular_table_per_angle_rule(monkeypatch):
     moments.clear_cache()
 
 
-def test_a_widened_angular_table_serves_the_bits_of_a_narrow_build():
+def test_one_angular_table_per_rule_and_width_class_serves_the_bits_of_a_narrow_build(
+        monkeypatch):
+    built = []
+    _counting(monkeypatch, quad, "angular_table", built)
     moments.clear_cache()
     narrow = moments.pair_moments("sympl", ZERO_SEQ, range(6), 1)
-    [key] = _rule_keys("angular_table")
-    held = moments._SECTOR_CACHE[key]
-    assert not held.flags.writeable
+    # |a - b| up to 39 and 29: one table out to 64, and the one out to 32 again
     moments.pair_moments("sympl", ZERO_SEQ, range(40), 1)
-    [key] = _rule_keys("angular_table")
-    wide = moments._SECTOR_CACHE[key]
-    assert wide.shape[-1] > held.shape[-1] >= 11
+    moments.pair_moments("sympl", ZERO_SEQ, range(30), 1)
+    assert [width for (_, width), _ in built] == [32, 64]
+    tables = {k[-1]: moments._SECTOR_CACHE[k] for k in _rule_keys("angular_table")}
+    assert sorted(tables) == [32, 64]
+    assert [t.shape[-1] for t in tables.values()] == [65, 129]
+    assert not any(t.flags.writeable for t in tables.values())
     assert _bits(moments.pair_moments("sympl", ZERO_SEQ, range(6), 1)) == _bits(narrow)
     # and the same as a gram whose cosines and sines are built for it alone
     grid, w = moments._pair_rule("sympl", ZERO_SEQ, 12, 1)

@@ -303,6 +303,32 @@ def test_polar_gram_non_contiguous_rows_and_columns(make, weight):
     _assert_gram_matches_direct(grid, f, (0, 3, 5), (1, 4))
 
 
+def _complex_exponential_gram(grid, f, rows, cols):
+    """`polar_gram` of a complex weight by the contraction it once took: the weight times the
+    complex exponentials e^{i d theta} of every difference d, then the radial powers."""
+    rows, cols = np.asarray(rows)[:, None], np.asarray(cols)[None, :]
+    s_lo, s_hi = rows.min() + cols.min(), rows.max() + cols.max()
+    d_lo, d_hi = rows.min() - cols.max(), rows.max() - cols.min()
+    f = np.reshape(f, (len(grid.radii), len(grid.angles))) * grid.angle_weights
+    radial = grid.radial_weights * power_table(grid.radii, np.arange(s_lo, s_hi + 1))
+    out = radial @ (f @ np.exp(1j * np.outer(grid.angles, np.arange(d_lo, d_hi + 1))))
+    return out[rows + cols - s_lo, rows - cols - d_lo]
+
+
+@pytest.mark.parametrize("make", [half_plane_grid, full_plane_grid])
+def test_a_complex_weight_gram_is_the_gram_of_its_real_and_imaginary_parts(make):
+    # a weight with a potential in z and in zbar, at distinct row and column powers
+    grid = make(gaussian_halfwidth(1.0, 0.3, 16), level=1)
+    z = grid.nodes
+    f = np.exp(-np.abs(z) ** 2 + 0.3 * z + 0.1 * np.conj(z) ** 2)
+    rows, cols = np.arange(7) + 1, np.arange(7) - 1
+    table = polar_gram(grid, f, rows, cols)
+    parts = polar_gram(grid, f.real, rows, cols) + 1j * polar_gram(grid, f.imag, rows, cols)
+    assert table.tobytes() == parts.tobytes()
+    ref = _complex_exponential_gram(grid, f, rows, cols)
+    assert np.max(np.abs(table - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_angular_table_columns_do_not_depend_on_its_width():
     grid = half_plane_grid(5.0, level=1)
     narrow, wide = angular_table(grid, 6), angular_table(grid, 40)

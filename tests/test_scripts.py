@@ -55,6 +55,17 @@ def test_hirota_decay_table():
     assert float(rows[1][2]) >= 2.0
 
 
+def test_hirota_decay_past_float64_exits_1_without_a_traceback():
+    # every GinOE n = 30 tau value is finite, but the residual's products of them are not
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "hirota_decay.py"), "--kind",
+                           "GinOE", "--n", "30", "--t1", "0.05", "--cutoffs", "8"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr == "W=8: Hirota terms at charge 30 overflow float64 (scale inf)\n"
+
+
 def _expected_outputs(cfg: dict) -> list[str]:
     if cfg["command"] == "moments-dump":
         return ["moments.csv", "border.csv"]
