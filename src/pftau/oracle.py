@@ -490,7 +490,7 @@ def haar_expectation_mc(group, payloads, samples: int, seed: int) -> list[Oracle
         out = []
         for (_, arg), c in zip(payloads, coeffs):
             if c is None:
-                v = schur_from_h(arg, h)
+                v = schur_from_h([arg.parts], h)[:, 0]
             else:
                 # sum_m t_m p_m by multiply-adds in m order, so no BLAS kernel sets its bits
                 v = c[0] * psums[0]

@@ -62,12 +62,13 @@ def _update(a: np.ndarray, tau: np.ndarray, row: np.ndarray) -> None:
     """a -= tau_i row_j - row_i tau_j on an (s, s, batch) block, in place, through
     C-contiguous `out=` buffers; a block over 64 KiB goes one row at a time, as
     fresh pages for full-size temporaries cost more than the arithmetic."""
+    mul = np.multiply if a.dtype == np.float64 else _cmul
     whole = a.nbytes <= 1 << 16
     x = np.empty(a.shape if whole else row.shape, dtype=a.dtype)
     y = np.empty_like(x)
     for block, t, r in [(a, tau[:, None], row[:, None])] if whole else zip(a, tau, row):
-        np.multiply(t, row, out=x)
-        np.multiply(r, tau, out=y)
+        mul(t, row, out=x)
+        mul(r, tau, out=y)
         np.subtract(x, y, out=x)
         np.subtract(block, x, out=block)
 
@@ -113,7 +114,7 @@ def _pfaffians(take, idx: np.ndarray, dead, dtype) -> np.ndarray:
         row = take(idx[1], rest)
         if n == 2:
             # entry (0, 1) of `_update`'s block, by the same operations in the same order
-            last = take(rest[0], rest[1]) - (tau[0] * row[1] - row[0] * tau[1])
+            last = take(rest[0], rest[1]) - (mul(tau[0], row[1]) - mul(row[0], tau[1]))
             return np.where(alive, mul(result, last), 0.0)
         a = take(rest[:, None], rest[None, :])
         _update(a, tau, row)

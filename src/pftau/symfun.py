@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .partitions import Partition
+from .skewlin import _cmul
 
 
 @dataclass(frozen=True)
@@ -89,44 +89,49 @@ def hseq(nmax: int, t) -> np.ndarray:
     return h.T
 
 
-def schur_from_h(lam, h):
-    """Jacobi-Trudi determinants det(h_{lam_i - i + j}) given long-enough h tables.
+def schur_from_h(parts, h):
+    """Jacobi-Trudi determinants det(h_{lam_i - i + j}), h_m = 0 for m < 0, of the partitions
+    of one length in the rows of the (P, length) array `parts`, over the tables h_0..h_K on
+    the last axis of `h`: an array of shape h.shape[:-1] + (P,).
 
-    Either `lam` is a (batch, length) array of partitions of one length, one
-    per row, over one table h_0..h_K (a value per partition), or `lam` is one
-    Partition over a (batch, K+1) array with a table per member (a value per
-    table); h_m = 0 for m < 0.
+    One fraction-free (Bareiss) elimination with partial pivoting, by elementwise operations
+    in a fixed order, so each member's bits are its own; complex entries multiply by `_cmul`
+    and size pivots by |re| + |im|, so no SIMD path of NumPy's sets them.  The last step is
+    the closed form of the trailing 2 x 2 block, whose bits a row swap would only negate, so
+    lengths 1 and 2 take no pivot step.  A dead pivot column leaves exact zeros and reads 0.
     """
-    per_table = isinstance(lam, Partition)
-    parts = np.array([lam.parts], dtype=int).reshape(1, lam.length) if per_table \
-        else np.asarray(lam, dtype=int)
-    h = np.asarray(h)
-    if parts.ndim != 2 or h.ndim != 1 + per_table:
-        raise ValueError("expected a partition stack over one h table, or one Partition "
-                         f"over a stack of them; got shapes {parts.shape} and {h.shape}")
-    batch, ell = parts.shape
+    parts, h = np.asarray(parts, dtype=int), np.asarray(h)
+    if parts.ndim != 2:
+        raise ValueError(f"expected a (partitions, length) array, got shape {parts.shape}")
+    ell = parts.shape[1]
     if ell == 0:
-        return np.ones(len(h) if per_table else batch, dtype=h.dtype)
-    # m = lam_i - i + j (i, j 1-based) peaks at lam_1 - 1 + ell
-    top = int(np.max(parts[:, 0], initial=0)) + ell - 1
-    if top >= h.shape[-1]:
-        raise ValueError(f"h table too short: need index {top}")
-    m = parts[:, :, None] + (np.arange(ell)[None, :] - np.arange(ell)[:, None])
-    idx = np.maximum(m, 0)
-    if per_table:    # entry (i, j) is a column of h
-        mats, m = h.T[idx[0]], m[0, :, :, None]
-    else:
-        mats, m = h[idx].transpose(1, 2, 0), m.transpose(1, 2, 0)
-    if m.min() < 0:
-        mats = np.where(m >= 0, mats, 0)
-    # mats[i, j] is entry (i, j) over the batch
-    if ell == 1:
-        return mats[0, 0]
-    if ell == 2:
-        return mats[0, 0] * mats[1, 1] - mats[0, 1] * mats[1, 0]
-    # h underflowed to exact zeros leaves singular stacks: det 0 after a division by 0
-    with np.errstate(divide="ignore"):
-        return np.linalg.det(mats.transpose(2, 0, 1))
+        return np.ones(h.shape[:-1] + parts.shape[:1], dtype=h.dtype)
+    # a[i, j] is entry (i, j), m = lam_i - i + j, over the batch: the P partitions by the
+    # tables in reverse order (h.T), flattened, which the closing reshape and .T put back
+    k = np.arange(ell)
+    m = (parts.T - k[:, None])[:, None] + k[:, None]
+    try:
+        a = h.T[np.maximum(m, 0)]
+    except IndexError:
+        raise ValueError(f"h table too short: need index {m.max()}") from None
+    a[m < 0] = 0
+    shape, a = a.shape[2:], a.reshape(ell, ell, -1)
+    real = a.dtype.kind != "c"
+    mul = np.multiply if real else _cmul
+    for s in range(ell, 1, -1):
+        row = a[0]
+        if s > 2:
+            # the first largest entry of column 0 is the pivot; its row trades places with
+            # row 0, negated, so the determinant keeps its sign
+            size = np.abs(a[:, 0]) if real else np.abs(a[:, 0].real) + np.abs(a[:, 0].imag)
+            ip, members = np.argmax(size, axis=0), np.arange(a.shape[-1])
+            row = a[ip, :, members].T
+            a[ip, :, members] = -a[0].T
+        a = mul(row[0], a[1:, 1:]) - mul(row[1:], a[1:, :1])
+        if s < ell:
+            a /= prev + (prev == 0)    # after a dead pivot, by 1
+        prev = row[0]
+    return a[0, 0].reshape(shape).T
 
 
 def miwa_shift(t: CouplingSeq, atoms: Sequence[tuple], order: int | None = None) -> CouplingSeq:

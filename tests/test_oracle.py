@@ -299,27 +299,33 @@ def test_haar_results_do_not_depend_on_payload_grouping(group):
 @pytest.mark.parametrize("group", [("orthogonal", n) for n in (2, 3, 4, 5)]
                          + [("symplectic", n) for n in (2, 4, 6)])
 def test_haar_schur_payloads_match_the_per_member_stack(group, monkeypatch):
-    # the shared-partition column gather against each sample's own Jacobi-Trudi
-    # matrix, gathered entry by entry
+    # the whole block through the Jacobi-Trudi kernel against each sample's table alone,
+    # bit for bit, and against LAPACK's determinant of each sample's own matrix, gathered
+    # entry by entry, to rounding
     payloads = [("schur", Partition(parts)) for parts in ((), (1,), (2,), (1, 1), (2, 1, 1))]
     got = haar_expectation_mc(group, payloads, 3001, 9)
 
-    def per_member(lam, h):
-        ell = lam.length
-        if not ell:
-            return np.ones(len(h))
-        m = np.array([[lam.parts[i] - i + j for j in range(ell)] for i in range(ell)])
-        mats = np.where(m >= 0, h[:, np.maximum(m, 0)], 0.0)
-        if ell == 1:
-            return mats[:, 0, 0]
-        if ell == 2:
-            return mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-        return np.linalg.det(mats)
+    def alone(parts, h):
+        return np.array([schur_from_h(parts, row) for row in h])
 
-    monkeypatch.setattr(oracle, "schur_from_h", per_member)
+    def lapack(parts, h):
+        ell = len(parts[0])
+        if not ell:
+            return np.ones((len(h), 1))
+        m = np.array([[parts[0][i] - i + j for j in range(ell)] for i in range(ell)])
+        return np.linalg.det(np.where(m >= 0, h[:, np.maximum(m, 0)], 0.0))[:, None]
+
+    monkeypatch.setattr(oracle, "schur_from_h", alone)
     want = haar_expectation_mc(group, payloads, 3001, 9)
     for a, b in zip(got, want):
         assert (a.value, a.error_estimate) == (b.value, b.error_estimate)
+    monkeypatch.setattr(oracle, "schur_from_h", lapack)
+    for a, b in zip(got, haar_expectation_mc(group, payloads, 3001, 9)):
+        # samples are O(1), so a rounding-level gap is judged against 1, not against a mean
+        # or an error estimate that rounding noise alone may make
+        scale = max(abs(b.value), 1.0)
+        assert abs(a.value - b.value) <= 1e-14 * scale
+        assert abs(a.error_estimate - b.error_estimate) <= 1e-14 * scale
 
 
 def _whole_batch_haar(group, payloads, samples, seed):
@@ -345,7 +351,7 @@ def _whole_batch_haar(group, payloads, samples, seed):
         h = hseq(top, psums.T)
         for (what, arg), order, out in zip(payloads, orders, vals):
             if what == "schur":
-                out.append(schur_from_h(arg, h))
+                out.append(schur_from_h([arg.parts], h)[:, 0])
             else:
                 out.append(np.exp(sum(float(arg.entry(j).real) * psums[j - 1]
                                       for j in range(1, order + 1))))

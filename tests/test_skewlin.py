@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pftau
 from pftau import skewlin
 from pftau.skewlin import (MomentTableError, PfaffianError, SkewPair, abar, pfaffian,
                            pfaffian_combinatorial)
@@ -598,3 +603,34 @@ def test_a_real_table_never_takes_the_complex_product(monkeypatch):
     assert isinstance(pfaffian(table), complex)
     with pytest.raises(AssertionError, match="complex product"):
         pfaffian(table.astype(complex))
+
+
+# a child process prints the sha256 of 120 complex Pfaffians and one stack of principal minors
+_COMPLEX_PFAFFIAN_BYTES = """
+import hashlib
+import numpy as np
+from pftau.skewlin import pfaffian
+rng = np.random.default_rng(0)
+vals = []
+for n in (2, 4, 6, 8, 10, 12) * 20:
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    vals.append(pfaffian(m - m.T))
+m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+rows = np.array([rng.choice(12, size=6, replace=False) for _ in range(50)])
+print(hashlib.sha256(np.array(vals).tobytes() + pfaffian(m - m.T, rows).tobytes()).hexdigest())
+"""
+
+
+def test_complex_pfaffian_bits_do_not_follow_numpy_simd_dispatch():
+    # NumPy's vector complex multiply may fuse multiply-adds on some dispatch targets; every
+    # complex product of the elimination is `_cmul`'s, so the bits are the same without them
+    src = str(Path(pftau.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    hashes = []
+    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}):
+        proc = subprocess.run([sys.executable, "-c", _COMPLEX_PFAFFIAN_BYTES], env=dict(env, **extra),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout.strip())
+    assert len(hashes[0]) == 64 and hashes[0] == hashes[1]

@@ -1,4 +1,7 @@
+import itertools
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -147,8 +150,8 @@ def test_schur_from_h_complex_support():
     h = hseq(4, t)
     got = schur_from_h([[2]], h)
     assert got.dtype == complex and got[0] == pytest.approx(h[2])
-    per_table = schur_from_h(Partition((2,)), h[None])
-    assert per_table.dtype == complex and per_table[0] == got[0]
+    per_table = schur_from_h([[2]], h[None])
+    assert per_table.dtype == complex and per_table.shape == (1, 1) and per_table[0, 0] == got[0]
 
 
 def _power_sum_times(xs) -> CouplingSeq:
@@ -166,11 +169,11 @@ def test_schur_stack_shared_h_against_alternant_oracle():
         for k, val in zip(pos, got):
             assert val == pytest.approx(_schur_alternant(lams[k], xs), rel=1e-10)
             assert val == schur_from_h([lams[k].parts], h)[0]
-    # one partition stack over one table: a stack of tables is no input
-    with pytest.raises(ValueError, match="one h table"):
-        schur_from_h([[1]], h[None])
-    with pytest.raises(ValueError, match="one h table"):
-        schur_from_h(Partition((1,)), h)
+    # the partitions are a (P, length) array
+    with pytest.raises(ValueError, match="partitions, length"):
+        schur_from_h([1], h)
+    with pytest.raises(ValueError, match="partitions, length"):
+        schur_from_h([[[1]]], h)
 
 
 def test_schur_stack_one_h_per_member_against_alternant_oracle():
@@ -179,11 +182,13 @@ def test_schur_stack_one_h_per_member_against_alternant_oracle():
     h = np.stack([hseq(12, _power_sum_times(xs)) for xs in samples])
     for parts in ((1,), (2, 1), (3, 1, 1), (4, 2, 2)):
         lam = Partition(parts)
-        got = schur_from_h(lam, h)
+        got = schur_from_h([lam.parts], h)
         want = [_schur_alternant(lam, xs) for xs in samples]
-        assert got == pytest.approx(want, rel=1e-10)
+        assert got.shape == (5, 1) and got[:, 0] == pytest.approx(want, rel=1e-10)
     with pytest.raises(ValueError, match="too short"):
         schur_from_h([[12, 1]], h[0])
+    with pytest.raises(ValueError, match="too short"):
+        schur_from_h([[12, 1]], h)
 
 
 @pytest.mark.parametrize("cplx", [False, True])
@@ -193,9 +198,121 @@ def test_schur_one_partition_over_member_tables_gathers_columns(parts, cplx):
     p = rng.normal(size=(40, 6)) + (1j * rng.normal(size=(40, 6)) if cplx else 0.0)
     h = hseq(7, p)
     lam = Partition(parts)
-    got = schur_from_h(lam, h)
-    # each member's table alone, through the partition-stack path
+    got = schur_from_h([lam.parts], h)[:, 0]
+    # each member's table alone
     want = np.array([schur_from_h(np.reshape(lam.parts, (1, lam.length)), row)[0] for row in h])
     assert got.shape == (40,) and got.dtype == h.dtype
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert not np.shares_memory(got, h)
+
+
+def _jacobi_trudi(parts, h) -> np.ndarray:
+    """(..., length, length) Jacobi-Trudi matrices of one partition over tables h, gathered
+    entry by entry; h_m = 0 for m < 0."""
+    ell = len(parts)
+    m = np.array([[parts[i] - i + j for j in range(ell)] for i in range(ell)])
+    return np.where(m >= 0, h[..., np.maximum(m, 0)], 0.0)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("shared", [False, True])
+def test_schur_lengths_one_and_two_are_the_closed_forms_bit_for_bit(ell, shared):
+    rng = np.random.default_rng(41 + ell)
+    h = rng.normal(size=(9,) if shared else (300, 9))
+    lams = [lam for lam in enumerate_partitions(7, ell) if lam.length == ell]
+    parts = np.array([lam.parts for lam in lams])
+    got = schur_from_h(parts, h)
+    assert got.shape == h.shape[:-1] + (len(lams),)
+    for k, lam in enumerate(lams):
+        a = _jacobi_trudi(lam.parts, h)
+        want = a[..., 0, 0] if ell == 1 else a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        assert np.ascontiguousarray(got[..., k]).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _exact_det(a) -> Fraction:
+    """Determinant of a float matrix in exact rational arithmetic (Gaussian elimination)."""
+    a = [[Fraction(float(x)) for x in row] for row in a]
+    n, det = len(a), Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p], det = a[p], a[k], -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def _permanent(a) -> float:
+    """Permanent of a nonnegative matrix, by a sum over column subsets row by row."""
+    n = len(a)
+    f = {0: 1.0}
+    for i in range(n):
+        g = {}
+        for mask, v in f.items():
+            for j in range(n):
+                if not mask >> j & 1:
+                    g[mask | 1 << j] = g.get(mask | 1 << j, 0.0) + v * a[i][j]
+        f = g
+    return f[(1 << n) - 1]
+
+
+T_POINTS = [(0.3,), (0.6, -0.3), (0.2, 0.1, -0.05), (1.5, -0.7, 0.4), (-0.9, 0.0, 0.3, 0.2)]
+
+
+@pytest.mark.parametrize("t", T_POINTS)
+def test_schur_lengths_three_to_seven_within_eight_ulps_of_the_permanent(t):
+    # |det - exact det| <= 8 eps perm(|A|), perm(|A|) the sum of |products| over permutations:
+    # the backward-error yardstick of an elimination that cancels
+    h = hseq(16, CouplingSeq(t))
+    lams = [lam for lam in enumerate_partitions(10, 7) if lam.length >= 3]
+    for pos, parts in length_groups(lams):
+        got = schur_from_h(parts, h)
+        for k, val in zip(pos, got):
+            a = _jacobi_trudi(lams[k].parts, h)
+            bound = 8 * np.finfo(float).eps * _permanent(np.abs(a).tolist())
+            assert abs(Fraction(float(val)) - _exact_det(a.tolist())) <= Fraction(bound)
+
+
+def test_schur_singular_stacks_give_exact_zeros_without_warnings():
+    # at t = (0, 0.1) every odd h vanishes, so pivots and whole columns are exact zeros
+    h = hseq(16, CouplingSeq.of(0.0, 0.1))
+    lams = [lam for lam in enumerate_partitions(11, 7) if lam.length >= 2]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for pos, parts in length_groups(lams):
+            got = schur_from_h(parts, h)
+            for k, val in zip(pos, got):
+                want = _exact_det(_jacobi_trudi(lams[k].parts, h).tolist())
+                if want == 0:
+                    assert val == 0.0
+                else:
+                    assert val == pytest.approx(float(want), rel=1e-13)
+        # h_1 = h_2 = h_3 = 0: the first column of (3, 3, 3) is all zeros, in every member
+        rng = np.random.default_rng(43)
+        tables = rng.normal(size=(6, 9))
+        tables[:, 1:4] = 0.0
+        assert np.array_equal(schur_from_h([[3, 3, 3], [5, 3, 3]], tables)[:, 0], np.zeros(6))
+        # an odd weight puts an odd h in every term: each such matrix alone reads 0
+        odd = [schur_from_h([lam.parts], h)[0] for lam in lams if lam.weight % 2]
+        assert odd and all(v == 0.0 for v in odd)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_a_member_alone_is_its_value_in_any_batch_bit_for_bit(cplx):
+    rng = np.random.default_rng(47)
+    p = rng.normal(size=(30, 6)) * 0.7 + (1j * rng.normal(size=(30, 6)) * 0.7 if cplx else 0.0)
+    h = hseq(12, p).reshape(5, 6, 13)
+    lams = [lam for lam in enumerate_partitions(8, 6) if lam.length]
+    for pos, parts in length_groups(lams):
+        got = schur_from_h(parts, h)
+        assert got.shape == (5, 6, len(pos))
+        order = rng.permutation(len(pos))
+        shuffled = schur_from_h(parts[order], h[:, ::-1])
+        for b, c in itertools.product(range(5), range(6)):
+            alone = np.array([schur_from_h(parts[k:k + 1], h[b, c])[0] for k in range(len(pos))])
+            assert got[b, c].tobytes() == alone.tobytes()
+            assert shuffled[b, 5 - c].tobytes() == alone[order].tobytes()
